@@ -6,8 +6,7 @@ search, and a desk-scale SIDH key exchange over F_{p^2}.
 """
 
 from .curve import (COMPLETE, QUADRATIC, TWISTED, AffinePoint, EdwardsCurve,
-                    SingularPoint, SpecialPointSet, classify, j_invariant,
-                    j_via_montgomery)
+                    SingularPoint, SpecialPointSet, classify, j_invariant)
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EdwardsError, EvenDegreeUnsupported, ExceptionalInput,
                      ExceptionalPair, FieldMismatch, InvalidCurve,

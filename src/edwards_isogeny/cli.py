@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 from .curve import AffinePoint, EdwardsCurve
 from .errors import EdwardsError
@@ -25,7 +26,7 @@ from .sidh import run_exchange
 from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
                             search_sidh_primes, sidh_key_bits,
                             verify_reference_table)
-from .xonly import XZPoint, eval_3_isog, eval_5_isog, get_3_isog, run_5_isog
+from .xonly import XZPoint, eval_3_isog, eval_5_isog, get_3_isog, get_5_isog
 
 _SIGNED_LIMIT_BITS = 64
 
@@ -41,14 +42,10 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return _parse_int(parts[0]), _parse_int(parts[1])
 
 
-def _fmt(v):
-    if isinstance(v, FieldElement):
-        if v.field.p.bit_length() <= _SIGNED_LIMIT_BITS:
-            return v.signed()
-        return v.to_hex()
-    if hasattr(v, "to_str"):
-        return v.to_str()
-    return v
+def _fmt(v: FieldElement):
+    if v.field.p.bit_length() <= _SIGNED_LIMIT_BITS:
+        return v.signed()
+    return v.to_str()
 
 
 def _fmt_point(P: AffinePoint):
@@ -111,7 +108,7 @@ def _cmd_isogeny(args):
            "d_prime": _fmt(phi.codomain_d),
            "codomain_class": phi.codomain.class_tag}
     if args.point is not None:
-        out["image"] = _fmt_point(phi(_point(curve, args.point), args.mode))
+        out["image"] = _fmt_point(phi(_point(curve, args.point)))
     return _finish(out, curve.field)
 
 
@@ -119,7 +116,7 @@ def _cmd_chain(args):
     curve = _curve(args)
     gen = _point(curve, args.gen)
     degrees = [int(t) for t in args.degrees.split(",")]
-    chain = IsogenyChain(curve, gen, degrees, mode=args.mode)
+    chain = IsogenyChain(curve, gen, degrees)
     out = {"degrees": degrees,
            "steps": [{"degree": s.degree,
                       "kernel": [_fmt_point(P) for P in s.kernel.points],
@@ -163,26 +160,32 @@ def _cmd_opcount_bench(args):
         field = PrimeField(23)
         K1 = XZPoint.from_x(field(-10))      # order-3 abscissa on d = -1
         P = XZPoint.from_x(field(2))
-        get_3_isog(K1)
-        cod = field.counter.as_dict()
-        eval_3_isog(P, K1)
-        total = field.counter.as_dict()
-        ev = {k: total[k] - cod[k] for k in total}
+        phases = {"codomain": partial(get_3_isog, K1),
+                  "eval": partial(eval_3_isog, P, K1)}
     else:
         field = PrimeField(19)
         d = field(-1)
         K1 = XZPoint.from_x(field(6))        # order-5 kernel: x(Q), x(2Q)
         K2 = XZPoint.from_x(field(-8))
         P = XZPoint.from_x(field(2))
-        run_5_isog(P, K1, K2, d)
-        total = field.counter.as_dict()
-        with field.counting(OpCounter()) as ectx:
-            eval_5_isog(P, K1, K2, d)
-        ev = ectx.as_dict()
-        cod = {k: total[k] - ev[k] for k in total}
-    return {"op": args.op, **total,
-            "breakdown": {"codomain": cod, "eval": ev},
-            "counters": total}
+        # The kernel squares are evaluation work that the codomain shares,
+        # as in run_5_isog; they fall before the tally starts.
+        shared = (K1.X.square() * K2.X.square(), K1.Z.square() * K2.Z.square())
+        phases = {"codomain": partial(get_5_isog, K1, K2, d, shared=shared),
+                  "eval": partial(eval_5_isog, P, K1, K2, d)}
+    counter = field.counter
+    start = counter.snapshot()
+    breakdown = {}
+    for name, run in phases.items():
+        since = counter.snapshot()
+        run()
+        breakdown[name] = _base_counts(counter.delta(since))
+    total = _base_counts(counter.delta(start))
+    return {"op": args.op, **total, "breakdown": breakdown, "counters": total}
+
+
+def _base_counts(delta: dict) -> dict:
+    return {k: delta[k] for k in ("M", "S", "I", "A")}
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--degree", type=int, required=True)
     c.add_argument("--gen", type=_parse_pair, required=True)
     c.add_argument("--point", type=_parse_pair, default=None)
-    c.add_argument("--mode", choices=("rational", "additive"), default="rational")
     c.set_defaults(func=_cmd_isogeny, a=1)
 
     c = sub.add_parser("chain", help="composition of 3-/5-isogenies")
@@ -231,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gen", type=_parse_pair, required=True)
     c.add_argument("--degrees", required=True, help="e.g. 3,3,5")
     c.add_argument("--point", type=_parse_pair, default=None)
-    c.add_argument("--mode", choices=("rational", "additive"), default="rational")
     c.set_defaults(func=_cmd_chain, a=1)
 
     c = sub.add_parser("search-primes", help="search p = cof*3^m*5^n - 1")

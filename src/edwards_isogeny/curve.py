@@ -3,8 +3,9 @@
 Covers parameter validation, the three-class split by quadratic
 characters of (a, d), the modified addition/doubling laws whose neutral
 element is (1, 0), scalar multiplication, desk-scale point enumeration
-and order counting, the j-invariant (with an independent Montgomery-form
-cross-check), special and singular points, and quadratic twisting.
+and order counting, the j-invariant, special and singular points, and
+quadratic twisting.  Coordinates are written and read through the field's
+`to_str` / `parse` codec.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ class AffinePoint:
         return self.x == 1 and self.y.is_zero()
 
     def to_json(self) -> dict:
-        return {"x": _coord_str(self.x), "y": _coord_str(self.y)}
+        return {"x": self.x.to_str(), "y": self.y.to_str()}
 
     @classmethod
     def from_json(cls, doc: dict, field) -> "AffinePoint":
-        return cls(_coord_parse(field, doc["x"]), _coord_parse(field, doc["y"]))
+        return cls(field.parse(doc["x"]), field.parse(doc["y"]))
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -68,14 +69,6 @@ class AffinePoint:
 
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"
-
-
-def _coord_str(v) -> str:
-    return v.to_str() if hasattr(v, "to_str") else v.to_hex()
-
-
-def _coord_parse(field, text: str):
-    return field.parse(text) if hasattr(field, "parse") else field.from_hex(text)
 
 
 class SingularPoint:
@@ -191,6 +184,10 @@ class EdwardsCurve:
     def point_order(self, P: AffinePoint, group_order: int | None = None) -> int:
         """Least n > 0 with n*P = O, found by stripping prime factors
         from a known multiple of the order."""
+        with self.field.counting(OpCounter()):   # input check, not cost
+            on_curve = self.contains(P)
+        if not on_curve:
+            raise NotOnCurve(f"{P!r} is not on {self!r}")
         if group_order is None:
             group_order = self.order()
         if not self.scalar_mul(group_order, P).is_identity():
@@ -242,38 +239,25 @@ class EdwardsCurve:
         return n
 
     def _affine_count(self) -> int:
+        if not isinstance(self.field, PrimeField):
+            return len(self.points())
         self._check_desk_scale()
-        if isinstance(self.field, PrimeField):
-            # Raw-integer fast path: chi(num/den) = chi(num*den).
-            p = self.field.p
-            squares = {y * y % p for y in range(p)}
-            a, d = self.a.value, self.d.value
-            count = 0
-            for x in range(p):
-                x2 = x * x % p
-                den = (a - d * x2) % p
-                if den == 0:
-                    continue
-                num = (1 - x2) % p
-                if num == 0:
-                    count += 1
-                elif num * den % p in squares:
-                    count += 2
-            return count
-        with self.field.counting(OpCounter()):
-            one = self.field.one
-            count = 0
-            for x in self.field.elements():
-                x2 = x.square()
-                den = self.a - self.d * x2
-                if den.is_zero():
-                    continue
-                c = self.field.chi((one - x2) * den)
-                if c == 0:
-                    count += 1
-                elif c == 1:
-                    count += 2
-            return count
+        # Raw-integer fast path: chi(num/den) = chi(num*den).
+        p = self.field.p
+        squares = {y * y % p for y in range(p)}
+        a, d = self.a.value, self.d.value
+        count = 0
+        for x in range(p):
+            x2 = x * x % p
+            den = (a - d * x2) % p
+            if den == 0:
+                continue
+            num = (1 - x2) % p
+            if num == 0:
+                count += 1
+            elif num * den % p in squares:
+                count += 2
+        return count
 
     def _check_desk_scale(self):
         if self.field.size > DESK_SCALE_LIMIT:
@@ -315,21 +299,19 @@ class EdwardsCurve:
 
     def to_json(self) -> dict:
         return {"p": format(self.field.p, "x"),
-                "a": _coord_str(self.a),
-                "d": _coord_str(self.d),
+                "a": self.a.to_str(),
+                "d": self.d.to_str(),
                 "class": self.class_tag}
 
     @classmethod
     def from_json(cls, doc: dict) -> "EdwardsCurve":
-        from .field import PrimeField
         base = PrimeField(int(doc["p"], 16))
         if "i" in doc["a"] or "i" in doc["d"]:
             from .field_ext import QuadExtField
             field = QuadExtField(base)
         else:
             field = base
-        curve = cls(field, _coord_parse(field, doc["a"]),
-                    _coord_parse(field, doc["d"]))
+        curve = cls(field, field.parse(doc["a"]), field.parse(doc["d"]))
         if doc.get("class") not in (None, curve.class_tag):
             raise InvalidCurve(
                 f"declared class {doc['class']!r} is {curve.class_tag!r}")
@@ -362,17 +344,6 @@ def j_invariant(a, d):
     num = (a.square() + d.square() + 14 * ad) ** 3
     den = ad * (a - d) ** 4
     return 16 * num / den
-
-
-def j_via_montgomery(a, d):
-    """Independent j route: E_{a,d} ~ E_{1,d/a}, mapped to the Montgomery
-    curve with A = 2(1+d/a)/(1-d/a), then j = 256(A^2-3)^3/(A^2-4)."""
-    field = a.field
-    one = field.one
-    w = field(d) / field(a)
-    A = (one + one) * (one + w) / (one - w)
-    A2 = A.square()
-    return 256 * (A2 - 3 * one) ** 3 / (A2 - 4 * one)
 
 
 def _prime_factors(n: int) -> list[int]:

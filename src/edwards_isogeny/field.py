@@ -10,6 +10,7 @@ deliberately uncounted.
 
 from __future__ import annotations
 
+import operator
 import random
 from contextlib import contextmanager
 
@@ -101,8 +102,9 @@ class PrimeField:
     """The field F_p for an odd prime p > 3.
 
     Calling the field coerces integers (of either sign) or elements to
-    canonical residues in [0, p).  The field owns the active OpCounter;
-    swap it per task with `counting()` when isolated tallies are needed.
+    canonical residues in [0, p); anything else is a TypeError.  The
+    field owns the active OpCounter; swap it per task with `counting()`
+    when isolated tallies are needed.
     """
 
     def __init__(self, p: int, check_prime: bool = True):
@@ -118,7 +120,7 @@ class PrimeField:
             if value.field is not self and value.field.p != self.p:
                 raise FieldMismatch(f"element of F_{value.field.p} used in F_{self.p}")
             return value
-        return FieldElement(int(value) % self.p, self)
+        return FieldElement(operator.index(value) % self.p, self)
 
     @property
     def zero(self) -> FieldElement:
@@ -174,7 +176,8 @@ class PrimeField:
             r = _tonelli_shanks(v, p)
         return FieldElement(min(r, p - r), self)
 
-    def from_hex(self, text: str) -> FieldElement:
+    def parse(self, text: str) -> FieldElement:
+        """Parse the bare lowercase-hex wire form written by `to_str`."""
         return self(int(text, 16))
 
     def __eq__(self, other):
@@ -212,6 +215,24 @@ def _tonelli_shanks(v: int, p: int) -> int:
         t = t * c % p
         m = i
     return x
+
+
+def square_and_multiply(x, k: int):
+    """x ** k by left-to-right square-and-multiply, so the power tallies
+    exactly its squarings (S) and multiplications (M); k < 0 inverts
+    first.  Serves as `__pow__` of both field element types."""
+    if not isinstance(k, int):
+        return NotImplemented
+    if k < 0:
+        return x.inverse() ** (-k)
+    if k == 0:
+        return x.field.one
+    acc = x
+    for bit in bin(k)[3:]:
+        acc = acc.square()
+        if bit == "1":
+            acc = acc * x
+    return acc
 
 
 class FieldElement:
@@ -292,19 +313,7 @@ class FieldElement:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, k: int) -> "FieldElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return self.field.one
-        acc = self
-        for bit in bin(k)[3:]:
-            acc = acc.square()
-            if bit == "1":
-                acc = acc * self
-        return acc
+    __pow__ = square_and_multiply
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -319,7 +328,7 @@ class FieldElement:
         """Representative of least magnitude (negative when > p/2)."""
         return self.value if self.value <= self.field.p // 2 else self.value - self.field.p
 
-    def to_hex(self) -> str:
+    def to_str(self) -> str:
         return format(self.value, "x")
 
     def __eq__(self, other):

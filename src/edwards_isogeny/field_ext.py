@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import DivisionByZero, FieldMismatch, NotASquare
-from .field import FieldElement, PrimeField
+from .field import FieldElement, PrimeField, square_and_multiply
 
 
 class QuadExtField:
@@ -78,23 +78,23 @@ class QuadExtField:
         return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
     def sqrt(self, x) -> QuadExtElement:
-        """Canonical square root via the norm method (requires i^2 = -1)."""
+        """Canonical square root via the norm method: the root r0 + r1*i
+        has r0^2 = (c0 ± sqrt(N(x)))/2 and r1 = c1/(2*r0)."""
         x = self(x)
-        if self.beta.value != self.p - 1:
-            raise NotImplementedError("sqrt implemented for the i^2 = -1 model only")
         if x.is_zero():
             return self.zero
         p = self.p
+        beta = self.beta.value
         c0, c1 = x.c0.value, x.c1.value
         if c1 == 0:
             if self.base.chi(c0) == 1:
                 r = self.base.sqrt(c0)
                 cand = self(r, 0)
             else:
-                r = self.base.sqrt(-c0 % p)
+                r = self.base.sqrt(c0 * pow(beta, -1, p) % p)
                 cand = self(0, r)
             return _canonical(cand)
-        n = (c0 * c0 + c1 * c1) % p
+        n = (c0 * c0 - beta * c1 * c1) % p
         if pow(n, (p - 1) // 2, p) != 1:
             raise NotASquare(f"{x} is not a square in F_{p}^2")
         s = self.base.sqrt(n).value
@@ -107,8 +107,7 @@ class QuadExtField:
         r0 = self.base.sqrt(t).value
         r1 = c1 * pow(2 * r0, -1, p) % p
         cand = self(r0, r1)
-        if (cand.c0.value * cand.c0.value - cand.c1.value * cand.c1.value) % p != c0 \
-                or 2 * cand.c0.value * cand.c1.value % p != c1:
+        if (r0 * r0 + beta * r1 * r1) % p != c0 or 2 * r0 * r1 % p != c1:
             raise NotASquare(f"{x} is not a square in F_{p}^2")
         return _canonical(cand)
 
@@ -245,19 +244,7 @@ class QuadExtElement:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, k: int) -> "QuadExtElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return self.field.one
-        acc = self
-        for bit in bin(k)[3:]:
-            acc = acc.square()
-            if bit == "1":
-                acc = acc * self
-        return acc
+    __pow__ = square_and_multiply
 
     def is_zero(self) -> bool:
         return self.c0.value == 0 and self.c1.value == 0
@@ -269,7 +256,7 @@ class QuadExtElement:
         return self.field.sqrt(self)
 
     def to_str(self) -> str:
-        return f"{self.c0.to_hex()}+{self.c1.to_hex()}*i"
+        return f"{self.c0.to_str()}+{self.c1.to_str()}*i"
 
     def __eq__(self, other):
         if isinstance(other, QuadExtElement):

@@ -17,9 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .curve import AffinePoint, EdwardsCurve
-from .errors import (BadKernelGenerator, DeskScaleOnly, EdwardsError,
-                     ExceptionalInput, ExceptionalPair, NotOnCurve,
-                     ProtocolError, SetupFailed)
+from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
+                     ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, recover_y
@@ -184,22 +183,26 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     try:
         E = EdwardsCurve(params.field, params.field.one,
                          params.field(other_public.codomain_d))
-        if not (E.contains(other_public.image_p)
-                and E.contains(other_public.image_q)):
-            raise ProtocolError("public basis images are not on the codomain")
+        on_curve = (E.contains(other_public.image_p)
+                    and E.contains(other_public.image_q))
+    except EdwardsError as exc:
+        raise ProtocolError(f"malformed public key: {exc}") from exc
+    if not on_curve:
+        raise ProtocolError("public basis images are not on the codomain")
+    try:
         R = E.add(other_public.image_p,
                   E.scalar_mul(keypair.secret, other_public.image_q))
         chain = IsogenyChain(E, R, [l] * e)
-    except ProtocolError:
-        raise
-    except (BadKernelGenerator, EdwardsError) as exc:
+    except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
     return chain.codomain.j_invariant()
 
 
 def count_cyclic_subgroups(curve: EdwardsCurve, l: int) -> int:
-    """Number of cyclic subgroups of prime order l, by exhaustive scan
-    (desk scale).  Each subgroup contributes l - 1 points of order l."""
+    """Number of cyclic subgroups of odd prime order l, by exhaustive
+    scan (desk scale).  Each subgroup contributes l - 1 points of order l."""
+    if l == 2 or not is_probable_prime(l):
+        raise ValueError(f"l = {l} is not an odd prime")
     with curve.field.counting(OpCounter()):
         hits = 0
         for P in curve.points():
@@ -210,8 +213,10 @@ def count_cyclic_subgroups(curve: EdwardsCurve, l: int) -> int:
                     hits += 1
             except ExceptionalPair:
                 continue         # even-order point walked through infinity
-        assert hits % (l - 1) == 0
-        return hits // (l - 1)
+    if hits % (l - 1):
+        raise EdwardsError(
+            f"{hits} points of order {l} do not split into subgroups")
+    return hits // (l - 1)
 
 
 def run_exchange(m: int, n: int, seed: int = 0,

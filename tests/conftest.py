@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from edwards_isogeny import AffinePoint, EdwardsCurve, PrimeField
+from oracles import naive_translate_isogeny
 
 
 @pytest.fixture
@@ -32,3 +33,12 @@ def e19(f19):
 
 def pt(curve, x, y) -> AffinePoint:
     return AffinePoint(curve.field(x), curve.field(y))
+
+
+def translate_image(phi, P) -> AffinePoint:
+    """phi(P) by the raw-integer translate-product oracle."""
+    field = phi.domain.field
+    kernel = [(Q.x.value, Q.y.value) for Q in phi.kernel.points]
+    x, y = naive_translate_isogeny((P.x.value, P.y.value), kernel,
+                                   field.p, phi.domain.d.value)
+    return AffinePoint(field(x), field(y))

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the library: enumeration solves
 the curve equation directly, scalar multiples come from repeated
-addition, and the j-invariant goes through the Montgomery model.  Test
+addition, isogenies are products of group-law translates, and the
+j-invariant goes through the Montgomery model.  Test
 expectations are computed here (or frozen from a previous run of these
 oracles) and compared against the library's optimized paths.
 """
@@ -74,6 +75,30 @@ def naive_point_order(P, p: int, a: int, d: int) -> int:
             raise ValueError(f"order walk of {P} hit a singular point")
         n += 1
     return n
+
+
+def naive_translate_isogeny(P, kernel, p: int, d: int):
+    """Odd isogeny of E_{1,d} with kernel {O, +-Q_1, ..., +-Q_s}, by its
+    defining product of group-law translates:
+    x' = x * prod x(P+Q) x(P-Q) / A^2, y' = y * prod y(P+Q) y(P-Q) / A^2,
+    with A the product of the x(Q_i).  For even s the raw product is the
+    negation of the reduced rational map, so y' is negated to land on the
+    same representative.  Returns None when a translate is singular."""
+    x, y = P
+    a_prod = 1
+    for Q in kernel:
+        R1 = naive_add(P, Q, p, 1, d)
+        R2 = naive_add(P, (Q[0], -Q[1] % p), p, 1, d)
+        if R1 is None or R2 is None:
+            return None
+        x = x * R1[0] * R2[0] % p
+        y = y * R1[1] * R2[1] % p
+        a_prod = a_prod * Q[0] % p
+    inv_a2 = pow(a_prod * a_prod, -1, p)
+    x, y = x * inv_a2 % p, y * inv_a2 % p
+    if len(kernel) % 2 == 0:
+        y = -y % p
+    return (x, y)
 
 
 def montgomery_j(a: int, d: int, p: int) -> int:

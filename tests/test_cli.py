@@ -54,6 +54,12 @@ class TestOrder:
         assert code == 0
         assert doc["order"] == 8
 
+    def test_point_off_curve(self, capsys):
+        code, doc = run_json(capsys, "order", "--p", "23", "--d", "-1",
+                             "--point", "5,5")
+        assert code == 1
+        assert doc["code"] == "NotOnCurve"
+
 
 class TestIsogeny:
     def test_worked_example(self, capsys):
@@ -65,14 +71,6 @@ class TestIsogeny:
         assert doc["d_prime"] == -2
         assert doc["A"] == -10
         assert doc["codomain_class"] == "complete"
-
-    def test_additive_mode_agrees(self, capsys):
-        _, a = run_json(capsys, "isogeny", "--p", "19", "--d", "-1",
-                        "--degree", "5", "--gen", "6,4", "--point", "2,8")
-        _, b = run_json(capsys, "isogeny", "--p", "19", "--d", "-1",
-                        "--degree", "5", "--gen", "6,4", "--point", "2,8",
-                        "--mode", "additive")
-        assert a["image"] == b["image"] == [0, 1]
 
     def test_bad_generator_is_domain_error(self, capsys):
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",

@@ -3,8 +3,7 @@ import pytest
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              DeskScaleOnly, EdwardsCurve, ExceptionalPair,
                              InvalidCurve, InvalidTwist, PrimeField,
-                             QuadExtField, classify, j_invariant,
-                             j_via_montgomery)
+                             QuadExtField, classify, j_invariant)
 
 from conftest import pt
 from oracles import (euler_chi, montgomery_j, naive_add, naive_order,
@@ -206,6 +205,15 @@ class TestEnumeration:
             assert got == set(naive_points(23, 1, d))
             assert curve.order() == naive_order(23, 1, d)
 
+    def test_extension_order(self):
+        """#E(F_{p^2}) = (p+1)^2 - t^2 with t = p + 1 - #E(F_p), in both
+        extension models (i^2 = -1 at p = 11, i^2 = 2 at p = 13)."""
+        for p, d in ((11, 2), (13, 3), (13, 5)):
+            field = QuadExtField(PrimeField(p))
+            curve = EdwardsCurve(field, field.one, field(d))
+            t = p + 1 - naive_order(p, 1, d)
+            assert curve.order() == (p + 1) ** 2 - t * t
+
     def test_desk_scale_guard(self):
         field = PrimeField(1_000_003)
         curve = EdwardsCurve(field, field.one, field(-1))
@@ -288,7 +296,6 @@ class TestJInvariant:
     def test_image_curve_value(self, f23):
         # numerator 1 + 4 - 28 = -23 = 0; the Montgomery route agrees
         assert j_invariant(f23(1), f23(-2)) == 0
-        assert j_via_montgomery(f23(1), f23(-2)) == 0
         assert montgomery_j(1, -2, 23) == 0
 
     def test_symmetry(self, f23):

@@ -37,8 +37,13 @@ class TestConstruction:
 
     def test_hex_round_trip(self, f23):
         x = f23(0x11)
-        assert x.to_hex() == "11"
-        assert f23.from_hex(x.to_hex()) == x
+        assert x.to_str() == "11"
+        assert f23.parse(x.to_str()) == x
+
+    def test_rejects_non_integers(self, f23):
+        for bad in (2.7, 2.0, "5"):
+            with pytest.raises(TypeError):
+                f23(bad)
 
 
 class TestArithmetic:

@@ -131,6 +131,20 @@ class TestChiAndSqrt:
                 r = f11_2.sqrt(sq)
                 assert r.square() == sq
 
+    def test_sqrt_general_beta(self):
+        """p = 13 needs i^2 = 2; every square has a root, every
+        non-square is rejected."""
+        k = QuadExtField(PrimeField(13))
+        assert k.beta == 2
+        for a in range(13):
+            for b in range(13):
+                x = k(a, b)
+                if k.chi(x) == -1:
+                    with pytest.raises(NotASquare):
+                        k.sqrt(x)
+                else:
+                    assert k.sqrt(x).square() == x
+
     def test_sqrt_rejects_nonsquare(self, f11_2):
         for a in range(11):
             for b in range(11):

@@ -1,10 +1,12 @@
 import pytest
 
-from edwards_isogeny import (DeskScaleOnly, ProtocolError, PrimeField,
-                             QuadExtField, count_cyclic_subgroups,
+from edwards_isogeny import (DeskScaleOnly, EdwardsError, ProtocolError,
+                             PrimeField, QuadExtField, count_cyclic_subgroups,
                              derive_shared, keygen, recover_y, run_exchange,
                              setup)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
+
+from conftest import pt
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +183,19 @@ class TestSubgroupCounts:
         assert count_cyclic_subgroups(params59.curve, 3) == 4
         assert count_cyclic_subgroups(params59.curve, 5) == 6
 
+    @pytest.mark.parametrize("l", [1, 2, 9])
+    def test_rejects_non_odd_prime(self, e23, l):
+        with pytest.raises(ValueError):
+            count_cyclic_subgroups(e23, l)
+
+    def test_uneven_split_is_typed_error(self, e23, monkeypatch):
+        """One order-3 point missing from the scan leaves a count that no
+        set of subgroups explains; this must not pass silently."""
+        pts = [P for P in e23.points() if P != pt(e23, -10, 9)]
+        monkeypatch.setattr(e23, "points", lambda: pts)
+        with pytest.raises(EdwardsError):
+            count_cyclic_subgroups(e23, 3)
+
 
 class TestTranscript:
     def test_agreement_and_shape(self):
@@ -193,6 +208,26 @@ class TestTranscript:
 
     def test_deterministic(self):
         assert run_exchange(1, 1, seed=7) == run_exchange(1, 1, seed=7)
+
+    @pytest.mark.parametrize("m,n,seed,secrets,counters", [
+        (3, 2, 1, (7, 18), {
+            "alice": {"base": {"M": 2357, "S": 250, "I": 125, "A": 4075},
+                      "ext": {"M": 564, "S": 145, "I": 125, "A": 285}},
+            "bob": {"base": {"M": 2153, "S": 210, "I": 105, "A": 3763},
+                    "ext": {"M": 524, "S": 133, "I": 105, "A": 267}}}),
+        (1, 1, 2024, (2, 3), {
+            "alice": {"base": {"M": 627, "S": 58, "I": 29, "A": 1089},
+                      "ext": {"M": 150, "S": 45, "I": 29, "A": 73}},
+            "bob": {"base": {"M": 937, "S": 82, "I": 41, "A": 1645},
+                    "ext": {"M": 232, "S": 59, "I": 41, "A": 113}}}),
+    ])
+    def test_exact_counts(self, m, n, seed, secrets, counters):
+        """Cost gate: the exact tallies of fixed exchanges are frozen, so
+        any change to the arithmetic an exchange performs fails here."""
+        out = run_exchange(m, n, seed=seed)
+        assert (out["secret_a"], out["secret_b"]) == secrets
+        assert out["agree"] is True
+        assert out["counters"] == counters
 
     def test_explicit_secrets(self):
         out = run_exchange(2, 1, seed=3, secret_a=5, secret_b=2)
