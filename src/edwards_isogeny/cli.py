@@ -35,6 +35,12 @@ def _parse_int(text: str) -> int:
     return int(text, 0)
 
 
+def _parse_count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return int(text)
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -240,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--window", type=int, default=8)
     c.add_argument("--tolerance", type=int, default=16)
     c.add_argument("--variant", choices=("complete", "quadratic"), default="complete")
-    c.add_argument("--limit", type=int, default=None)
+    c.add_argument("--limit", type=_parse_count, default=None)
     c.set_defaults(func=_cmd_search_primes)
 
     c = sub.add_parser("verify-table1", help="recompute the built-in reference table")

@@ -29,6 +29,8 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     `rounds` bases drawn from an RNG seeded by n itself (so results are
     reproducible without sacrificing independence across candidates).
     """
+    if rounds < 1:
+        raise ValueError(f"need at least 1 Miller-Rabin round, got {rounds}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -73,9 +75,6 @@ class OpCounter:
     def __init__(self):
         self.m = self.s = self.i = self.a = 0
         self.ext_m = self.ext_s = self.ext_i = self.ext_a = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
     def as_dict(self) -> dict:
         return {"M": self.m, "S": self.s, "I": self.i, "A": self.a}

@@ -78,10 +78,6 @@ class OddKernel:
             raise BadKernelGenerator(f"generator does not have order {degree}")
         return cls(domain, degree, reps)
 
-    @property
-    def s(self) -> int:
-        return self.degree // 2
-
     def full_points(self) -> list[AffinePoint]:
         """The whole subgroup: O and ±Q_i."""
         out = [self.domain.identity]
@@ -161,10 +157,17 @@ class IsogenyChain:
     """Composition of prime-degree isogenies dividing out <G>.
 
     `degrees` is the execution order, e.g. [3, 3, 5] for a generator of
-    order 45 with the 3-part removed first.  Each step's kernel point is
-    the current image of G multiplied by the product of the remaining
-    degrees.  The chain stays callable: pushing a point evaluates every
-    stored step in order.
+    order 45 with the 3-part removed first.  Step i's kernel point
+    K_i = prod(degrees[i+1:]) * G_i, G_i the image of G, comes from a
+    balanced strategy tree (De Feo, Jao and Plut, J. Math. Cryptol.
+    2014): a stack holds (T, j) with T = prod(degrees[j:]) * G_i, its top
+    is split at k = (j - i) // 2 until j = i + 1, and the rest is pushed
+    through each step.  So e steps cost O(e log e) point operations, not
+    the O(e^2) of multiplying every G_i afresh.  Each step checks K_i != O
+    and l_i * K_i = O; as every K_i lies in the image of <G>, the
+    composite kernel (prod(degrees) points) lies in <G> and holds G, so a
+    G on the domain has exact order prod(degrees).  Calling the chain
+    runs every step.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint,
@@ -173,19 +176,21 @@ class IsogenyChain:
         degrees = list(degrees)
         if any(l % 2 == 0 for l in degrees):
             raise EvenDegreeUnsupported(f"even degree in {degrees}")
-        total = prod(degrees)
         self.domain = domain
         self.degrees = degrees
         self.steps: list[OddIsogeny] = []
-        if degrees:
-            _check_exact_order(domain, generator, degrees)
-        E, G = domain, generator
-        for idx, l in enumerate(degrees):
-            cof = total // prod(degrees[: idx + 1])
-            K = E.scalar_mul(cof, G)
-            step = OddIsogeny(OddKernel.from_generator(K, l, E))
+        E, stack = domain, [(generator, len(degrees))]
+        for i, l in enumerate(degrees):
+            T, j = stack[-1]
+            while j > i + 1:
+                k = (j - i) // 2
+                T = E.scalar_mul(prod(degrees[i + k:j]), T)
+                j = i + k
+                stack.append((T, j))
+            stack.pop()
+            step = OddIsogeny(OddKernel.from_generator(T, l, E))
             self.steps.append(step)
-            G = step(G)
+            stack = [(step(P), j) for P, j in stack]
             E = step.codomain
         self.codomain = E
 
@@ -202,13 +207,3 @@ class IsogenyChain:
         return {"degrees": self.degrees,
                 "steps": [s.to_json() for s in self.steps],
                 "d_prime": self.codomain.d.to_str()}
-
-
-def _check_exact_order(E: EdwardsCurve, G: AffinePoint, degrees: list[int]):
-    total = prod(degrees)
-    if not E.scalar_mul(total, G).is_identity():
-        raise BadKernelGenerator(f"generator order does not divide {total}")
-    for q in set(degrees):
-        if E.scalar_mul(total // q, G).is_identity():
-            raise BadKernelGenerator(
-                f"generator order is a proper divisor of {total}")

@@ -109,6 +109,12 @@ class TestSearchPrimes:
         summary = json.loads(out.splitlines()[-1])
         assert summary["target_key_bits"] == 4608
 
+    def test_negative_limit_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search-primes", "--bits", "100", "--limit", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestVerifyTable:
     def test_report(self, capsys):
@@ -118,6 +124,13 @@ class TestVerifyTable:
         assert doc["all_prime"] is True
         assert doc["all_hex_match"] is False
         assert [r["hex_match"] for r in doc["rows"]] == [True, False, True]
+
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_no_rounds_is_domain_error(self, capsys, rounds):
+        code, doc = run_json(capsys, "verify-table1", "--rounds", rounds)
+        assert code == 1
+        assert doc["status"] == "error"
+        assert doc["code"] == "ValueError"
 
 
 class TestSidhDemo:

@@ -207,3 +207,11 @@ class TestPrimality:
         p = 4 * 3 ** 238 * 5 ** 165 - 1
         assert is_probable_prime(p)
         assert not is_probable_prime(p * (2 ** 61 - 1))
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rejects_no_rounds(self, rounds):
+        """Zero rounds would test no base and call any large n prime."""
+        n = (2 ** 521 - 1) * (2 ** 607 - 1)
+        assert not is_probable_prime(n, rounds=1)
+        with pytest.raises(ValueError):
+            is_probable_prime(n, rounds=rounds)

@@ -1,9 +1,15 @@
-import pytest
+import random
+from math import prod
 
-from edwards_isogeny import (DeskScaleOnly, EdwardsError, ProtocolError,
-                             PrimeField, QuadExtField, count_cyclic_subgroups,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edwards_isogeny import (DeskScaleOnly, EdwardsError, IsogenyChain,
+                             OpCounter, ProtocolError, PrimeField,
+                             QuadExtField, count_cyclic_subgroups,
                              derive_shared, keygen, recover_y, run_exchange,
-                             setup)
+                             setup, sidh)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
 from conftest import pt
@@ -176,6 +182,50 @@ def _random_point(curve, rng):
             continue
 
 
+def assert_cofactor_walk(curve, G, degrees):
+    """The chain's kernel points are those of the O(e^2) definition:
+    step i's kernel is prod(degrees[i+1:]) * G_i on its domain E_i, with
+    G_i the image of G under the steps before it."""
+    chain = IsogenyChain(curve, G, degrees)
+    assert [step.degree for step in chain.steps] == degrees
+    for i, step in enumerate(chain.steps):
+        K = step.domain.scalar_mul(prod(degrees[i + 1:]), G)
+        assert step.kernel.points[0] == K
+        G = step(G)
+    assert G.is_identity()
+
+
+class TestChainStrategy:
+    @pytest.mark.parametrize("side,degrees", [(SIDE_A, [3, 3, 3]),
+                                              (SIDE_B, [5, 5])])
+    def test_every_secret_at_2699(self, params2699, side, degrees):
+        E, basis = params2699.curve, params2699.basis(side)
+        for secret in range(prod(degrees)):
+            R = E.add(basis.P, E.scalar_mul(secret, basis.Q))
+            assert_cofactor_walk(E, R, degrees)
+
+    @pytest.mark.parametrize("degrees", [[3, 5], [5, 3], [3, 3, 5],
+                                         [5, 3, 3]])
+    def test_mixed_degrees(self, params2699, degrees):
+        """A generator of order prod(degrees) from the basis of setup(3, 2)."""
+        E, a, b = params2699.curve, params2699.basis_a, params2699.basis_b
+        G = E.add(E.scalar_mul(3 ** (3 - degrees.count(3)), a.P),
+                  E.scalar_mul(5 ** (2 - degrees.count(5)), b.P))
+        assert_cofactor_walk(E, G, degrees)
+
+    @settings(max_examples=30, deadline=None)
+    @given(secret_a=st.integers(0, 26), secret_b=st.integers(0, 24),
+           degrees=st.permutations([3, 3, 3, 5, 5]))
+    def test_random_secrets_and_orders(self, params2699, secret_a, secret_b,
+                                       degrees):
+        """Kernel <R_A + R_B> of order 675, in any order of its steps."""
+        E = params2699.curve
+        a, b = params2699.basis_a, params2699.basis_b
+        G = E.add(E.add(a.P, E.scalar_mul(secret_a, a.Q)),
+                  E.add(b.P, E.scalar_mul(secret_b, b.Q)))
+        assert_cofactor_walk(E, G, degrees)
+
+
 class TestSubgroupCounts:
     def test_counts_at_59(self, params59):
         """Over F_{p^2} the order-3 kernels number 4 and the order-5
@@ -211,15 +261,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 2357, "S": 250, "I": 125, "A": 4075},
-                      "ext": {"M": 564, "S": 145, "I": 125, "A": 285}},
-            "bob": {"base": {"M": 2153, "S": 210, "I": 105, "A": 3763},
-                    "ext": {"M": 524, "S": 133, "I": 105, "A": 267}}}),
+            "alice": {"base": {"M": 1601, "S": 154, "I": 77, "A": 2775},
+                      "ext": {"M": 384, "S": 109, "I": 77, "A": 187}},
+            "bob": {"base": {"M": 1463, "S": 130, "I": 65, "A": 2565},
+                    "ext": {"M": 358, "S": 97, "I": 65, "A": 177}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 627, "S": 58, "I": 29, "A": 1089},
-                      "ext": {"M": 150, "S": 45, "I": 29, "A": 73}},
-            "bob": {"base": {"M": 937, "S": 82, "I": 41, "A": 1645},
-                    "ext": {"M": 232, "S": 59, "I": 41, "A": 113}}}),
+            "alice": {"base": {"M": 405, "S": 34, "I": 17, "A": 707},
+                      "ext": {"M": 96, "S": 33, "I": 17, "A": 47}},
+            "bob": {"base": {"M": 603, "S": 50, "I": 25, "A": 1059},
+                    "ext": {"M": 150, "S": 39, "I": 25, "A": 71}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -228,6 +278,27 @@ class TestTranscript:
         assert (out["secret_a"], out["secret_b"]) == secrets
         assert out["agree"] is True
         assert out["counters"] == counters
+
+    def test_keygen_counts_at_247_bits(self, monkeypatch):
+        """Cost gate at (74, 55), where the chain traversal dominates: the
+        base-field M, S, I of both keygens with run_exchange's seed-1
+        secrets."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        with monkeypatch.context() as patched:
+            patched.setattr(sidh, "DESK_PRIME_LIMIT", p)
+            params = setup(74, 55, seed=1)
+        with pytest.raises(DeskScaleOnly):
+            setup(74, 55, seed=1)
+        rng = random.Random(2 * 1 + 1)       # run_exchange's secret stream
+        secrets = {SIDE_A: rng.randrange(3 ** 74), SIDE_B: rng.randrange(5 ** 55)}
+        counts = {}
+        for side, secret in secrets.items():
+            ctx = OpCounter()
+            with params.field.counting(ctx):
+                keygen(params, side, secret)
+            counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
+        assert counts == {SIDE_A: {"M": 45063, "S": 4724, "I": 2362},
+                          SIDE_B: {"M": 48041, "S": 4468, "I": 2234}}
 
     def test_explicit_secrets(self):
         out = run_exchange(2, 1, seed=3, secret_a=5, secret_b=2)
