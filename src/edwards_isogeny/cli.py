@@ -64,7 +64,7 @@ def _curve(args) -> EdwardsCurve:
 
 
 def _point(curve: EdwardsCurve, xy: tuple[int, int]) -> AffinePoint:
-    return AffinePoint(curve.field(xy[0]), curve.field(xy[1]))
+    return curve.check_point(AffinePoint(curve.field(xy[0]), curve.field(xy[1])))
 
 
 def _finish(payload: dict, field=None) -> dict:

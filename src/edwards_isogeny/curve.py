@@ -13,6 +13,7 @@ from __future__ import annotations
 from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
                      InvalidTwist, NotOnCurve)
 from .field import OpCounter, PrimeField
+from .field_ext import QuadExtField
 
 COMPLETE = "complete"
 TWISTED = "twisted"
@@ -28,7 +29,7 @@ def classify(a, d) -> str:
     field = a.field
     ca, cd = field.chi(a), field.chi(d)
     if ca == 0 or cd == 0 or a == d:
-        raise InvalidCurve("need a, d nonzero and a != d")
+        raise InvalidCurve(f"degenerate parameters a={a!r}, d={d!r}")
     if ca * cd == -1:
         return COMPLETE
     return TWISTED if ca == -1 else QUADRATIC
@@ -114,9 +115,6 @@ class EdwardsCurve:
         self.field = field
         self.a = field(a)
         self.d = field(d)
-        if self.a.is_zero() or self.d.is_zero() or self.a == self.d:
-            raise InvalidCurve(
-                f"degenerate parameters a={self.a!r}, d={self.d!r}")
         self.class_tag = classify(self.a, self.d)
         self._order = None
 
@@ -162,12 +160,6 @@ class EdwardsCurve:
         xy = x1 * y1
         return AffinePoint((x2 - self.a * y2) / den_x, (xy + xy) / den_y)
 
-    def neg(self, P: AffinePoint) -> AffinePoint:
-        return P.neg()
-
-    def sub(self, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
-        return self.add(P, Q.neg())
-
     def scalar_mul(self, k: int, P: AffinePoint) -> AffinePoint:
         """k*P by left-to-right double-and-add; 0*P = (1, 0)."""
         if k < 0:
@@ -181,19 +173,23 @@ class EdwardsCurve:
                 acc = self.add(acc, P)
         return acc
 
-    def point_order(self, P: AffinePoint, group_order: int | None = None) -> int:
-        """Least n > 0 with n*P = O, found by stripping prime factors
-        from a known multiple of the order."""
-        with self.field.counting(OpCounter()):   # input check, not cost
+    def check_point(self, P: AffinePoint) -> AffinePoint:
+        """P itself, or NotOnCurve.  An input check, so it runs under a
+        throwaway counter and adds nothing to the tallies."""
+        with self.field.counting(OpCounter()):
             on_curve = self.contains(P)
         if not on_curve:
             raise NotOnCurve(f"{P!r} is not on {self!r}")
-        if group_order is None:
-            group_order = self.order()
-        if not self.scalar_mul(group_order, P).is_identity():
-            raise NotOnCurve(f"group order {group_order} does not annihilate {P!r}")
-        n = group_order
-        for q in _prime_factors(group_order):
+        return P
+
+    def point_order(self, P: AffinePoint) -> int:
+        """Least n > 0 with n*P = O, found by stripping prime factors
+        from the curve order."""
+        self.check_point(P)
+        n = self.order()
+        if not self.scalar_mul(n, P).is_identity():
+            raise NotOnCurve(f"group order {n} does not annihilate {P!r}")
+        for q in _prime_factors(n):
             while n % q == 0 and self.scalar_mul(n // q, P).is_identity():
                 n //= q
         return n
@@ -307,7 +303,6 @@ class EdwardsCurve:
     def from_json(cls, doc: dict) -> "EdwardsCurve":
         base = PrimeField(int(doc["p"], 16))
         if "i" in doc["a"] or "i" in doc["d"]:
-            from .field_ext import QuadExtField
             field = QuadExtField(base)
         else:
             field = base
@@ -338,8 +333,7 @@ def j_invariant(a, d):
     field = a.field
     a = field(a)
     d = field(d)
-    if a.is_zero() or d.is_zero() or a == d:
-        raise InvalidCurve("j-invariant undefined for degenerate parameters")
+    classify(a, d)          # rejects degenerate parameters
     ad = a * d
     num = (a.square() + d.square() + 14 * ad) ** 3
     den = ad * (a - d) ** 4

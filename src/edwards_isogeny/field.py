@@ -106,10 +106,10 @@ class PrimeField:
     when isolated tallies are needed.
     """
 
-    def __init__(self, p: int, check_prime: bool = True):
+    def __init__(self, p: int):
         if p <= 3:
             raise ValueError(f"modulus must exceed 3, got {p}")
-        if check_prime and not is_probable_prime(p):
+        if not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.counter = OpCounter()
@@ -216,25 +216,56 @@ def _tonelli_shanks(v: int, p: int) -> int:
     return x
 
 
-def square_and_multiply(x, k: int):
-    """x ** k by left-to-right square-and-multiply, so the power tallies
-    exactly its squarings (S) and multiplications (M); k < 0 inverts
-    first.  Serves as `__pow__` of both field element types."""
-    if not isinstance(k, int):
-        return NotImplemented
-    if k < 0:
-        return x.inverse() ** (-k)
-    if k == 0:
-        return x.field.one
-    acc = x
-    for bit in bin(k)[3:]:
-        acc = acc.square()
-        if bit == "1":
-            acc = acc * x
-    return acc
+class Element:
+    """Operators that both field element types (F_p and F_{p^2}) derive
+    from their own `_coerce`, `-`, `*`, `square()` and `inverse()`, so
+    each rule, and the count it tallies, is written once."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, k: int):
+        """self ** k by left-to-right square-and-multiply, so the power
+        tallies exactly its squarings (S) and multiplications (M); k < 0
+        inverts first."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        if k == 0:
+            return self.field.one
+        acc = self
+        for bit in bin(k)[3:]:
+            acc = acc.square()
+            if bit == "1":
+                acc = acc * self
+        return acc
+
+    def chi(self) -> int:
+        return self.field.chi(self)
+
+    def sqrt(self):
+        return self.field.sqrt(self)
 
 
-class FieldElement:
+class FieldElement(Element):
     """An immutable residue in [0, p).  Arithmetic counts on the field's
     active OpCounter: * -> M, square() -> S, inverse() -> I, +/- -> A;
     ** decomposes into its square-and-multiply M/S uses."""
@@ -271,12 +302,6 @@ class FieldElement:
         self.field.counter.a += 1
         return FieldElement((self.value - o.value) % self.field.p, self.field)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         self.field.counter.a += 1
         return FieldElement(-self.value % self.field.p, self.field)
@@ -300,28 +325,8 @@ class FieldElement:
         self.field.counter.i += 1
         return FieldElement(pow(self.value, -1, self.field.p), self.field)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    __pow__ = square_and_multiply
-
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def chi(self) -> int:
-        return self.field.chi(self)
-
-    def sqrt(self) -> "FieldElement":
-        return self.field.sqrt(self)
 
     def signed(self) -> int:
         """Representative of least magnitude (negative when > p/2)."""

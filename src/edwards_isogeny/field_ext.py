@@ -3,7 +3,8 @@
 Elements are c0 + c1*i.  Extension operations tally on the base field's
 OpCounter twice over: once on the `ext_*` fields (one extension op) and,
 through the base-field arithmetic they perform, on the plain M/S/I/A
-fields.  For p ≡ 3 (mod 4) the default model is i^2 = -1.
+fields.  beta is -1 for p ≡ 3 (mod 4), otherwise the smallest
+non-residue, so the field is fixed by p alone.
 """
 
 from __future__ import annotations
@@ -11,19 +12,14 @@ from __future__ import annotations
 import random
 
 from .errors import DivisionByZero, FieldMismatch, NotASquare
-from .field import FieldElement, PrimeField, square_and_multiply
+from .field import Element, FieldElement, PrimeField
 
 
 class QuadExtField:
 
-    def __init__(self, base: PrimeField, beta: int | None = None):
+    def __init__(self, base: PrimeField):
         self.base = base
-        if beta is None:
-            beta = -1 if base.p % 4 == 3 else _smallest_non_residue(base)
-        beta %= base.p
-        if base.chi(beta) != -1:
-            raise ValueError(f"beta = {beta} is a square mod {base.p}")
-        self.beta = base(beta)
+        self.beta = base(-1 if base.p % 4 == 3 else _smallest_non_residue(base))
 
     @property
     def p(self) -> int:
@@ -71,11 +67,8 @@ class QuadExtField:
         """Quadratic character of F_{p^2}, computed through the norm:
         x^((p^2-1)/2) = N(x)^((p-1)/2)."""
         x = self(x)
-        if x.is_zero():
-            return 0
-        p = self.p
-        n = (x.c0.value * x.c0.value - self.beta.value * x.c1.value * x.c1.value) % p
-        return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+        c0, c1 = x.c0.value, x.c1.value
+        return self.base.chi(c0 * c0 - self.beta.value * c1 * c1)
 
     def sqrt(self, x) -> QuadExtElement:
         """Canonical square root via the norm method: the root r0 + r1*i
@@ -95,7 +88,7 @@ class QuadExtField:
                 cand = self(0, r)
             return _canonical(cand)
         n = (c0 * c0 - beta * c1 * c1) % p
-        if pow(n, (p - 1) // 2, p) != 1:
+        if self.base.chi(n) != 1:
             raise NotASquare(f"{x} is not a square in F_{p}^2")
         s = self.base.sqrt(n).value
         inv2 = pow(2, -1, p)
@@ -121,21 +114,17 @@ class QuadExtField:
         return self(int(c0, 16) if c0 else 0, int(c1, 16))
 
     def __eq__(self, other):
-        return (isinstance(other, QuadExtField) and other.p == self.p
-                and other.beta == self.beta)
+        return isinstance(other, QuadExtField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("QuadExtField", self.p, self.beta.value))
+        return hash(("QuadExtField", self.p))
 
     def __repr__(self):
         return f"QuadExtField(p={self.p}, i^2={self.beta.signed()})"
 
 
 def _smallest_non_residue(base: PrimeField) -> int:
-    for c in range(2, base.p):
-        if base.chi(c) == -1:
-            return c
-    raise ValueError("no quadratic non-residue found")
+    return next(c for c in range(2, base.p) if base.chi(c) == -1)
 
 
 def _canonical(x: QuadExtElement) -> QuadExtElement:
@@ -144,7 +133,7 @@ def _canonical(x: QuadExtElement) -> QuadExtElement:
     return min(x, y, key=lambda e: (e.c0.value, e.c1.value))
 
 
-class QuadExtElement:
+class QuadExtElement(Element):
     """c0 + c1*i with c0, c1 in F_p.  Multiplication is Karatsuba (3 base
     multiplications for i^2 = -1); squaring uses the complex trick (2)."""
 
@@ -181,12 +170,6 @@ class QuadExtElement:
         self.field.counter.ext_a += 1
         return QuadExtElement(self.c0 - o.c0, self.c1 - o.c1, self.field)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         self.field.counter.ext_a += 1
         return QuadExtElement(-self.c0, -self.c1, self.field)
@@ -222,9 +205,6 @@ class QuadExtElement:
         """N(x) = x * conj(x) = c0^2 - beta*c1^2, an element of F_p."""
         return self.c0.square() - self.field.beta * self.c1.square()
 
-    def conjugate(self) -> "QuadExtElement":
-        return QuadExtElement(self.c0, -self.c1, self.field)
-
     def inverse(self) -> "QuadExtElement":
         if self.is_zero():
             raise DivisionByZero(f"inverse of 0 in F_{self.field.p}^2")
@@ -232,28 +212,8 @@ class QuadExtElement:
         n_inv = self.norm().inverse()
         return QuadExtElement(self.c0 * n_inv, -self.c1 * n_inv, self.field)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    __pow__ = square_and_multiply
-
     def is_zero(self) -> bool:
         return self.c0.value == 0 and self.c1.value == 0
-
-    def chi(self) -> int:
-        return self.field.chi(self)
-
-    def sqrt(self) -> "QuadExtElement":
-        return self.field.sqrt(self)
 
     def to_str(self) -> str:
         return f"{self.c0.to_str()}+{self.c1.to_str()}*i"

@@ -113,6 +113,9 @@ class OddIsogeny:
         return self.kernel.degree
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
+        """phi(P).  P must lie on the domain; it is not checked, as a
+        chain calls this for every pushed point at every step.  Outside
+        input goes through `EdwardsCurve.check_point` first."""
         field = self.domain.field
         d = self.domain.d
         one = field.one
@@ -137,9 +140,9 @@ class OddIsogeny:
         return out
 
 
-def recover_y(x, curve: EdwardsCurve, sign: int = 1) -> AffinePoint:
-    """Lift an x-coordinate to a curve point, sign chosen by hint:
-    y^2 = (1 - x^2)/(a - d*x^2)."""
+def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
+    """Lift an x-coordinate to the curve point with the canonical root
+    of y^2 = (1 - x^2)/(a - d*x^2); its negative is the other lift."""
     field = curve.field
     x = field(x)
     x2 = x.square()
@@ -150,7 +153,7 @@ def recover_y(x, curve: EdwardsCurve, sign: int = 1) -> AffinePoint:
         y = field.sqrt((field.one - x2) / den)
     except NotASquare as exc:
         raise NotOnCurve(f"no point with x = {x!r} on {curve!r}") from exc
-    return AffinePoint(x, y if sign >= 0 else -y)
+    return AffinePoint(x, y)
 
 
 class IsogenyChain:

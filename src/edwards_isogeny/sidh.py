@@ -93,10 +93,7 @@ def setup(m: int, n: int, seed: int = 0) -> ProtocolParams:
     p = 4 * 3 ** m * 5 ** n - 1
     if p > DESK_PRIME_LIMIT:
         raise DeskScaleOnly(f"p = {p} exceeds the demo limit {DESK_PRIME_LIMIT}")
-    if not is_probable_prime(p):
-        raise ValueError(f"4*3^{m}*5^{n} - 1 = {p} is not prime")
-    base = PrimeField(p)
-    field = QuadExtField(base)
+    field = QuadExtField(PrimeField(p))
     curve = EdwardsCurve(field, field.one, field(-1))
     rng = random.Random(seed)
     basis_a = _torsion_basis(curve, 3, m, rng)

@@ -20,6 +20,7 @@ COMPLETE_4 = "complete_4"     # order 4*3^m*5^n, p = -1 mod 60
 QUADRATIC_8 = "quadratic_8"   # order 8*3^m*5^n, p = -1 mod 120
 
 _COFACTOR = {COMPLETE_4: 4, QUADRATIC_8: 8}
+BALANCE_RATIO = 1.465         # m / n that balances 3^m against 5^n
 
 LOG2_3 = math.log2(3)
 LOG2_5 = math.log2(5)
@@ -33,15 +34,19 @@ def is_supersingular(curve: EdwardsCurve) -> bool:
     return curve.order() == expected
 
 
+def _cofactor(variant: str) -> int:
+    try:
+        return _COFACTOR[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+
+
 def congruence_gate(p: int, variant: str = COMPLETE_4) -> bool:
     """Necessary congruence for 3- and 5-torsion on a supersingular
-    curve of the given family: p = -1 mod 60 (complete) or mod 120
-    (quadratic)."""
-    if variant == COMPLETE_4:
-        return p % 60 == 59
-    if variant == QUADRATIC_8:
-        return p % 120 == 119
-    raise ValueError(f"unknown variant {variant!r}")
+    curve of the given family: p = -1 mod 15 * cofactor, that is mod 60
+    (complete) or mod 120 (quadratic)."""
+    modulus = 15 * _cofactor(variant)
+    return p % modulus == modulus - 1
 
 
 def supersingular_excluded(p: int) -> bool:
@@ -82,17 +87,15 @@ class SidhPrime:
 
 @dataclass
 class SearchSpec:
-    """Search grid description.  Without explicit ranges, n is derived
-    from the bit target and m scans round(balance_ratio * n) +/- window."""
+    """Search grid description: n is derived from the bit target and m
+    scans round(BALANCE_RATIO * n) +/- window."""
     target_bits: int
     variant: str = COMPLETE_4
-    balance_ratio: float = 1.465
     window: int = 8
     bits_tolerance: int = 16
-    n_range: range | None = None
-    m_range: range | None = None
 
     def __post_init__(self):
+        _cofactor(self.variant)
         if self.target_bits < 4:
             raise ValueError("bit target too small")
         if self.window < 0 or self.bits_tolerance < 0:
@@ -101,7 +104,7 @@ class SearchSpec:
 
 def estimate_bit_length(m: int, n: int, variant: str = COMPLETE_4) -> int:
     """ceil(log2 cofactor + m*log2(3) + n*log2(5)); exact to +/-1."""
-    cof = _COFACTOR[variant]
+    cof = _cofactor(variant)
     return math.ceil(math.log2(cof) + m * LOG2_3 + n * LOG2_5)
 
 
@@ -111,32 +114,27 @@ def sidh_key_bits(p_bits: int) -> int:
 
 
 def quantum_security_bits(p_bits: int) -> int:
-    """Quantum security level log2(p)/6 (sixth-root attack complexity)."""
+    """Quantum security level log2(p)/6 (sixth-root attack complexity).
+
+    A historical, pre-2022 figure: SIDH has since been broken
+    classically in polynomial time (Castryck and Decru 2022, Maino and
+    Martindale 2022, Robert 2023), so it measures nothing today."""
     return p_bits // 6
 
 
 def search_sidh_primes(spec: SearchSpec) -> list[SidhPrime]:
     """All primes cof*3^m*5^n - 1 on the grid whose bit length is
-    within tolerance of the target, sorted by distance from the target
-    (ties broken by (n, m) so parallel grid evaluation stays
-    deterministic)."""
-    cof = _COFACTOR[spec.variant]
-    if spec.n_range is not None:
-        n_values = spec.n_range
-    else:
-        per_n = spec.balance_ratio * LOG2_3 + LOG2_5
-        center = (spec.target_bits - math.log2(cof)) / per_n
-        slack = max(2, round(spec.bits_tolerance / per_n) + 1)
-        n_values = range(max(1, round(center) - slack), round(center) + slack + 1)
+    within tolerance of the target, sorted by distance from the target,
+    ties broken by (n, m)."""
+    cof = _cofactor(spec.variant)
+    per_n = BALANCE_RATIO * LOG2_3 + LOG2_5
+    center = (spec.target_bits - math.log2(cof)) / per_n
+    slack = max(2, round(spec.bits_tolerance / per_n) + 1)
     found = []
-    for n in n_values:
-        if spec.m_range is not None:
-            m_values = spec.m_range
-        else:
-            m_center = round(spec.balance_ratio * n)
-            m_values = range(max(1, m_center - spec.window),
-                             m_center + spec.window + 1)
-        for m in m_values:
+    for n in range(max(1, round(center) - slack), round(center) + slack + 1):
+        m_center = round(BALANCE_RATIO * n)
+        for m in range(max(1, m_center - spec.window),
+                       m_center + spec.window + 1):
             p = cof * 3 ** m * 5 ** n - 1
             bits = p.bit_length()
             if abs(bits - spec.target_bits) > spec.bits_tolerance:

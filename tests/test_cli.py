@@ -46,6 +46,11 @@ class TestPoints:
         assert [3, 6] in doc["points"]
         assert [-10, 9] in doc["points"]
 
+    def test_above_desk_scale(self, capsys):
+        code, doc = run_json(capsys, "points", "--p", "1000003", "--d", "2")
+        assert code == 1
+        assert doc["code"] == "DeskScaleOnly"
+
 
 class TestOrder:
     def test_order_8(self, capsys):
@@ -79,6 +84,23 @@ class TestIsogeny:
         assert doc["status"] == "error"
         assert doc["code"] == "BadKernelGenerator"
 
+    def test_point_off_curve(self, capsys):
+        code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
+                             "--degree", "3", "--gen", "-10,9",
+                             "--point", "5,5")
+        assert code == 1
+        assert doc["code"] == "NotOnCurve"
+
+    def test_point_check_is_uncounted(self, capsys):
+        """The on-curve check of --gen and --point adds no operations:
+        the tallies are the generator check, the codomain and one
+        evaluation."""
+        code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
+                             "--degree", "3", "--gen", "-10,9",
+                             "--point", "2,2")
+        assert code == 0
+        assert doc["counters"] == {"M": 27, "S": 10, "I": 4, "A": 12}
+
 
 class TestChain:
     def test_two_step(self, capsys):
@@ -88,6 +110,19 @@ class TestChain:
         assert code == 0
         assert [s["degree"] for s in doc["steps"]] == [3, 5]
         assert "j" in doc and "image" in doc
+
+    def test_point_off_curve(self, capsys):
+        code, doc = run_json(capsys, "chain", "--p", "23", "--d", "-1",
+                             "--gen", "-10,9", "--degrees", "3",
+                             "--point", "5,5")
+        assert code == 1
+        assert doc["code"] == "NotOnCurve"
+
+    def test_generator_off_curve(self, capsys):
+        code, doc = run_json(capsys, "chain", "--p", "23", "--d", "-1",
+                             "--gen", "5,5", "--degrees", "3,3")
+        assert code == 1
+        assert doc["code"] == "NotOnCurve"
 
 
 class TestSearchPrimes:
@@ -108,6 +143,13 @@ class TestSearchPrimes:
                         "--tolerance", "0", "--window", "0", "--limit", "0")
         summary = json.loads(out.splitlines()[-1])
         assert summary["target_key_bits"] == 4608
+
+    @pytest.mark.parametrize("flag", ["--window", "--tolerance"])
+    def test_negative_grid_is_domain_error(self, capsys, flag):
+        code, doc = run_json(capsys, "search-primes", "--bits", "100",
+                             flag, "-1")
+        assert code == 1
+        assert doc["code"] == "ValueError"
 
     def test_negative_limit_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

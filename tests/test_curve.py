@@ -2,8 +2,9 @@ import pytest
 
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              DeskScaleOnly, EdwardsCurve, ExceptionalPair,
-                             InvalidCurve, InvalidTwist, PrimeField,
-                             QuadExtField, classify, j_invariant)
+                             InvalidCurve, InvalidTwist, NotOnCurve,
+                             PrimeField, QuadExtField, classify, j_invariant)
+from edwards_isogeny.curve import DESK_SCALE_LIMIT
 
 from conftest import pt
 from oracles import (euler_chi, montgomery_j, naive_add, naive_order,
@@ -52,6 +53,10 @@ class TestClassify:
         with pytest.raises(InvalidCurve):
             EdwardsCurve(f23, f23(1), f23(0))
 
+    def test_degenerate_message(self, f23):
+        with pytest.raises(InvalidCurve, match=r"degenerate parameters a=1, d=1"):
+            classify(f23(1), f23(1))
+
     def test_extension_curves_are_quadratic(self):
         field = QuadExtField(PrimeField(23))
         curve = EdwardsCurve(field, field.one, field(-1))
@@ -68,6 +73,14 @@ class TestMembership:
 
     def test_off_curve(self, e23):
         assert not e23.contains(pt(e23, 3, 7))
+
+    def test_check_point_is_uncounted(self, e23):
+        before = e23.field.counter.snapshot()
+        P = pt(e23, 3, 6)
+        assert e23.check_point(P) is P
+        with pytest.raises(NotOnCurve):
+            e23.check_point(pt(e23, 3, 7))
+        assert e23.field.counter.snapshot() == before
 
 
 class TestGroupLaw:
@@ -219,6 +232,19 @@ class TestEnumeration:
         curve = EdwardsCurve(field, field.one, field(-1))
         with pytest.raises(DeskScaleOnly):
             curve.points()
+
+    def test_desk_scale_guard_on_order(self):
+        """Both counting routes refuse: the raw-int scan over F_p and
+        the point list over F_{p^2} (1009^2 > DESK_SCALE_LIMIT)."""
+        base = PrimeField(1_000_003)
+        ext = QuadExtField(PrimeField(1009))
+        assert ext.size > DESK_SCALE_LIMIT
+        for field in (base, ext):
+            curve = EdwardsCurve(field, field.one, field(-1))
+            with pytest.raises(DeskScaleOnly):
+                curve.order()
+            with pytest.raises(DeskScaleOnly):
+                curve.points()
 
 
 class TestStructure:

@@ -27,10 +27,6 @@ class TestModel:
         k = QuadExtField(PrimeField(13))
         assert k.base.chi(k.beta) == -1
 
-    def test_rejects_square_beta(self):
-        with pytest.raises(ValueError):
-            QuadExtField(PrimeField(23), beta=2)   # 2 = 5^2 mod 23
-
     def test_size(self, f19_2):
         assert f19_2.size == 361
         assert f19_2.degree == 2

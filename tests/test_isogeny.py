@@ -261,10 +261,10 @@ class TestRecoverY:
         assert recover_y(e23.field(1), e23) == e23.identity
 
     def test_listed_point(self, e23):
-        # y^2 = (1 - 4)/(1 + 4) = 4, so y = +-2; the hint picks the sign
+        # y^2 = (1 - 4)/(1 + 4) = 4, so y = +-2; the canonical root is 2
         P = recover_y(e23.field(2), e23)
         assert P == pt(e23, 2, 2)
-        assert recover_y(e23.field(2), e23, sign=-1) == pt(e23, 2, -2)
+        assert recover_y(e23.field(2), e23).neg() == pt(e23, 2, -2)
 
     def test_not_on_curve(self, e23):
         with pytest.raises(NotOnCurve):

@@ -52,6 +52,10 @@ class TestCongruences:
         """p = 13 = 1 (mod 4): the full d-scan finds nothing."""
         assert supersingular_d_scan(PrimeField(13)) == []
 
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            congruence_gate(59, "bogus")
+
     def test_component_congruences(self):
         """Any gate pass implies p = -1 mod 4, mod 3 and mod 5
         separately."""
@@ -103,11 +107,12 @@ class TestSearch:
         assert keys == sorted(keys)
 
     def test_explicit_ranges_reach_published_row(self):
-        spec = SearchSpec(target_bits=763, bits_tolerance=0,
-                          n_range=range(165, 166), m_range=range(238, 239))
+        # The derived grid around a 763-bit target, narrowed by the window.
+        spec = SearchSpec(target_bits=763, bits_tolerance=0, window=4)
         res = search_sidh_primes(spec)
         assert len(res) == 1
         assert res[0].bit_length == 763
+        assert (res[0].m, res[0].n) == (238, 165)
 
     def test_quadratic_variant(self):
         res = search_sidh_primes(
@@ -115,6 +120,14 @@ class TestSearch:
         for r in res:
             assert r.p == 8 * 3 ** r.m * 5 ** r.n - 1
             assert congruence_gate(r.p, QUADRATIC_8)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            SearchSpec(100, variant="bogus")
+        spec = SearchSpec(100)
+        spec.variant = "bogus"           # set after the spec's own check
+        with pytest.raises(ValueError, match="unknown variant"):
+            search_sidh_primes(spec)
 
     def test_json_row(self):
         row = SidhPrime(59, 1, 1, 6).to_json()
@@ -130,6 +143,10 @@ class TestBitEstimate:
 
     def test_key_sizing(self):
         assert sidh_key_bits(768) == 4608
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            estimate_bit_length(1, 1, "bogus")
 
 
 @pytest.fixture(scope="module")
