@@ -21,7 +21,7 @@ from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
                      ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
-from .isogeny import IsogenyChain, recover_y
+from .isogeny import IsogenyChain, OddKernel, recover_y
 
 DESK_PRIME_LIMIT = 10_000
 SIDE_A = "A"   # 3^m chain
@@ -174,7 +174,20 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
 def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
                   other_public: PublicKey):
     """Second chain, from the image kernel on the other party's
-    codomain; returns the shared j-invariant in F_{p^2}."""
+    codomain; returns the shared j-invariant in F_{p^2}.
+
+    The images (P', Q') must form a basis of E[l^e], or a chosen key
+    could probe the secret (Galbraith, Petit, Shani and Ti, ASIACRYPT
+    2016).  The chain proves that R = P' + k*Q' has exact order l^e; its
+    step-0 kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q' must satisfy
+    U != O and l*U = O, so Q' has exact order l^e, and K0 must lie
+    outside <U>: points share an x-coordinate exactly when they are
+    equal or opposite, so that compares x(K0) with x(U), and with x(2U)
+    for l = 5.  Then l^(e-1)*P' = K0 - k*U lies outside <U> too, so it
+    is not O, P' (a difference of two points of order l^e) has exact
+    order l^e, and the order-l multiples of P' and Q' span E[l]; hence
+    P' and Q' generate all of E[l^e].
+    """
     basis = params.basis(keypair.side)
     l, e = basis.degree, basis.exponent
     try:
@@ -186,12 +199,22 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
         raise ProtocolError(f"malformed public key: {exc}") from exc
     if not on_curve:
         raise ProtocolError("public basis images are not on the codomain")
+    P, Q = other_public.image_p, other_public.image_q
     try:
-        R = E.add(other_public.image_p,
-                  E.scalar_mul(keypair.secret, other_public.image_q))
-        chain = IsogenyChain(E, R, [l] * e)
+        chain = IsogenyChain(E, E.add(P, E.scalar_mul(keypair.secret, Q)),
+                             [l] * e)
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
+    try:
+        u_subgroup = OddKernel.from_generator(E.scalar_mul(l ** (e - 1), Q),
+                                              l, E)
+    except EdwardsError as exc:
+        raise ProtocolError(
+            f"image_q does not have order {l}^{e}: {exc}") from exc
+    K0 = chain.steps[0].kernel.points[0]
+    if any(K0.x == U.x for U in u_subgroup.points):
+        raise ProtocolError(
+            f"public basis images do not generate the {l}^{e}-torsion")
     return chain.codomain.j_invariant()
 
 

@@ -2,11 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from edwards_isogeny import AffinePoint, EdwardsCurve, PrimeField
-from oracles import naive_translate_isogeny
+from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
+                             EdwardsCurve, PrimeField, is_probable_prime)
+from oracles import euler_chi, naive_translate_isogeny
+
+DESK_PRIMES = [p for p in range(11, 104) if is_probable_prime(p)]
 
 
 @pytest.fixture
@@ -42,3 +47,21 @@ def translate_image(phi, P) -> AffinePoint:
     x, y = naive_translate_isogeny((P.x.value, P.y.value), kernel,
                                    field.p, phi.domain.d.value)
     return AffinePoint(field(x), field(y))
+
+
+@st.composite
+def desk_curves(draw, classes=(COMPLETE, TWISTED, QUADRATIC)):
+    """E_{a,d} over a random desk prime, of a class drawn from `classes`:
+    a and d are drawn as squares or non-squares to fit it."""
+    p = draw(st.sampled_from(DESK_PRIMES))
+    cls = draw(st.sampled_from(classes))
+    n = next(c for c in range(2, p) if euler_chi(c, p) == -1)
+    if cls == COMPLETE:
+        ka, kd = draw(st.sampled_from([(1, n), (n, 1)]))
+    else:
+        ka = kd = n if cls == TWISTED else 1
+    square = st.integers(1, p - 1).map(lambda r: r * r % p)
+    a, d = ka * draw(square) % p, kd * draw(square) % p
+    assume(a != d)
+    field = PrimeField(p)
+    return EdwardsCurve(field, field(a), field(d))

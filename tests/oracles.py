@@ -66,6 +66,22 @@ def naive_scalar_mul(k: int, P, p: int, a: int, d: int):
     return acc
 
 
+def naive_double_and_add(k: int, P, p: int, a: int, d: int):
+    """k*P for k >= 1 along the library's left-to-right double-and-add
+    ladder, each step by `naive_add` (doubling as P + P); None when a
+    step's sum is singular.  Its partial sums are multiples of P up to
+    k, so it fails only where `naive_scalar_mul` fails too, but it can
+    step over a singular multiple that repeated addition meets."""
+    acc = P
+    for bit in bin(k)[3:]:
+        acc = naive_add(acc, acc, p, a, d)
+        if acc is not None and bit == "1":
+            acc = naive_add(acc, P, p, a, d)
+        if acc is None:
+            return None
+    return acc
+
+
 def naive_point_order(P, p: int, a: int, d: int) -> int:
     n = 1
     acc = P

@@ -99,7 +99,7 @@ class TestIsogeny:
                              "--degree", "3", "--gen", "-10,9",
                              "--point", "2,2")
         assert code == 0
-        assert doc["counters"] == {"M": 27, "S": 10, "I": 4, "A": 12}
+        assert doc["counters"] == {"M": 28, "S": 15, "I": 1, "A": 15}
 
 
 class TestChain:

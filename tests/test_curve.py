@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              DeskScaleOnly, EdwardsCurve, ExceptionalPair,
                              InvalidCurve, InvalidTwist, NotOnCurve,
-                             PrimeField, QuadExtField, classify, j_invariant)
-from edwards_isogeny.curve import DESK_SCALE_LIMIT
+                             OpCounter, PrimeField, QuadExtField, classify,
+                             j_invariant)
+from edwards_isogeny.curve import DESK_SCALE_LIMIT, batch_to_affine, to_affine
 
-from conftest import pt
-from oracles import (euler_chi, montgomery_j, naive_add, naive_order,
-                     naive_point_order, naive_points, naive_scalar_mul,
-                     naive_singular_count)
+from conftest import desk_curves, pt
+from oracles import (euler_chi, montgomery_j, naive_add, naive_double_and_add,
+                     naive_order, naive_point_order, naive_points,
+                     naive_scalar_mul, naive_singular_count)
 
 # The full point list of the worked curve at p = 23, d = -1.
 E23_POINTS = {(1, 0), (-1, 0), (0, 1), (0, -1)}
@@ -174,6 +177,101 @@ class TestScalarMul:
             for n in range(9):
                 assert (e23.add(e23.scalar_mul(m, P), e23.scalar_mul(n, P))
                         == e23.scalar_mul(m + n, P))
+
+
+def check_scalar_mul(curve, k, P) -> bool:
+    """scalar_mul(k, P) against the raw-integer oracles; True when it
+    raised.  The double-and-add oracle takes the library's ladder, so
+    ExceptionalPair must come exactly when it fails.  Repeated addition
+    meets every multiple up to k, so it fails whenever the ladder does,
+    and may also fail where the ladder steps over a singular multiple."""
+    p, a, d = curve.field.p, curve.a.value, curve.d.value
+    xy = (P.x.value, P.y.value)
+    ladder = naive_double_and_add(k, xy, p, a, d)
+    repeated = naive_scalar_mul(k, xy, p, a, d)
+    try:
+        got = curve.scalar_mul(k, P)
+    except ExceptionalPair:
+        assert ladder is None and repeated is None
+        return True
+    assert (got.x.value, got.y.value) == ladder
+    assert repeated in (None, ladder)
+    return False
+
+
+def scaled(P, lam) -> tuple:
+    """The projective representative (lam*x : lam*y : lam)."""
+    return (lam * P.x, lam * P.y, P.x.field(lam))
+
+
+class TestProjectiveLaw:
+    @settings(max_examples=80, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_scalar_mul_matches_oracles(self, curve, data):
+        P = data.draw(st.sampled_from(curve.points()))
+        k = data.draw(st.integers(1, 2 * curve.field.p + 8))
+        check_scalar_mul(curve, k, P)
+
+    @settings(max_examples=80, deadline=None)
+    @given(curve=desk_curves(classes=(QUADRATIC,)), data=st.data())
+    def test_scalar_mul_on_quadratic_curves(self, curve, data):
+        """Quadratic curves have singular points, so ladders can hit
+        them."""
+        P = data.draw(st.sampled_from(curve.points()))
+        k = data.draw(st.integers(1, 2 * curve.field.p + 8))
+        check_scalar_mul(curve, k, P)
+
+    def test_scalar_mul_exceptions_reached(self, f23):
+        """Every multiple of every point of the quadratic E_{1,2} at
+        p = 23 up to 2p; some of them raise."""
+        curve = EdwardsCurve(f23, f23(1), f23(2))
+        raised = sum(check_scalar_mul(curve, k, P)
+                     for P in curve.points() for k in range(1, 47))
+        assert raised > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_any_representative(self, curve, data):
+        """add_proj and double_proj give the affine law's answer, or its
+        ExceptionalPair, from any (lam*x : lam*y : lam), so the general
+        and the mixed (Z2 = 1) addition agree."""
+        pts = curve.points()
+        P, Q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+        lam, mu = (data.draw(st.integers(1, curve.field.p - 1))
+                   for _ in range(2))
+        for law, args, affine in (
+                (curve.add_proj, (scaled(P, lam), scaled(Q, mu)), (P, Q)),
+                (curve.add_proj, (scaled(P, lam), Q.projective()), (P, Q)),
+                (curve.double_proj, (scaled(P, lam),), (P, P))):
+            try:
+                want = curve.add(*affine)
+            except ExceptionalPair:
+                with pytest.raises(ExceptionalPair):
+                    law(*args)
+            else:
+                assert to_affine(law(*args)) == want
+
+    def test_costs(self, e23):
+        """3M + 4S doubling; addition 10M + 1S and one multiplication by
+        d, one M fewer in the mixed form; 1I + 2M to make a point affine,
+        and 1I + (5n - 3)M for n at once."""
+        P = pt(e23, 3, 6).projective()
+        Q = scaled(pt(e23, 2, 2), 5)
+        ops = [(lambda: e23.double_proj(Q), {"M": 3, "S": 4, "I": 0}),
+               (lambda: e23.add_proj(Q, Q), {"M": 11, "S": 1, "I": 0}),
+               (lambda: e23.add_proj(Q, P), {"M": 10, "S": 1, "I": 0}),
+               (lambda: to_affine(Q), {"M": 2, "S": 0, "I": 1}),
+               (lambda: batch_to_affine([Q] * 4), {"M": 17, "S": 0, "I": 1})]
+        for op, want in ops:
+            with e23.field.counting(OpCounter()) as ctx:
+                op()
+            assert {k: ctx.as_dict()[k] for k in want} == want
+
+    def test_batch_to_affine(self, e23):
+        pts = [pt(e23, 3, 6), pt(e23, 2, 2), pt(e23, -1, 0)]
+        reps = [scaled(P, lam) for P, lam in zip(pts, (2, 7, 11))]
+        assert batch_to_affine(reps) == pts
+        assert batch_to_affine([]) == []
 
 
 class TestPointOrder:

@@ -1,13 +1,18 @@
+from functools import lru_cache, reduce
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
                              EdwardsCurve, EvenDegreeUnsupported,
                              ExceptionalInput, ExceptionalPair, InvalidCurve,
                              IsogenyChain, NotOnCurve, OddIsogeny, OddKernel,
-                             PrimeField, is_order3_abscissa,
+                             OpCounter, PrimeField, is_order3_abscissa,
                              order3_division_value, recover_y)
 
-from conftest import pt, translate_image
+from conftest import DESK_PRIMES, pt, translate_image
+from oracles import naive_translate_isogeny
 
 # Evaluation routes: the library's rational map and the translate-product
 # ("additive") oracle.
@@ -217,6 +222,108 @@ class TestEvalProperties:
         assert moved == curve.order() // 4   # the odd-order subgroup
         for P in curve.points():
             assert phi(P) == translate_image(phi, P)
+
+
+@lru_cache(maxsize=None)
+def a1_curves_with_torsion(l: int) -> list[tuple[int, int]]:
+    """(p, d) of every desk curve E_{1,d} whose order l divides; both
+    classes an a = 1 curve can have (complete and quadratic) occur."""
+    out = []
+    for p in DESK_PRIMES:
+        field = PrimeField(p)
+        out += [(p, d) for d in range(2, p)
+                if EdwardsCurve(field, field.one, field(d)).order() % l == 0]
+    return out
+
+
+def a1_curve(p: int, d: int) -> EdwardsCurve:
+    field = PrimeField(p)
+    return EdwardsCurve(field, field.one, field(d))
+
+
+def _valuation(n: int, q: int) -> int:
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def annihilated_by(curve, P, k: int) -> bool:
+    """k*P = O; False when the ladder meets a singular point."""
+    try:
+        return curve.scalar_mul(k, P).is_identity()
+    except ExceptionalPair:
+        return False
+
+
+class TestProjectiveEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.sampled_from([3, 5]), data=st.data())
+    def test_call_matches_translate_oracle(self, l, data):
+        """phi(P) equals the translate product on random kernels, and
+        raises ExceptionalInput exactly where a translate is singular."""
+        curve = a1_curve(*data.draw(
+            st.sampled_from(a1_curves_with_torsion(l))))
+        gens = [P for P in curve.points()
+                if not P.is_identity() and annihilated_by(curve, P, l)]
+        phi = OddIsogeny(OddKernel.from_generator(
+            data.draw(st.sampled_from(gens)), l, curve))
+        p, d = curve.field.p, curve.d.value
+        kernel = [(Q.x.value, Q.y.value) for Q in phi.kernel.points]
+        for P in data.draw(st.lists(st.sampled_from(curve.points()),
+                                    min_size=1, max_size=8)):
+            want = naive_translate_isogeny((P.x.value, P.y.value),
+                                           kernel, p, d)
+            if want is None:
+                with pytest.raises(ExceptionalInput):
+                    phi(P)
+            else:
+                assert phi(P) == pt(phi.codomain, *want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chain_matches_composed_steps(self, data):
+        """A chain's projective push equals its steps' affine calls
+        composed one by one, poles included."""
+        curve = a1_curve(*data.draw(st.sampled_from(
+            a1_curves_with_torsion(3) + a1_curves_with_torsion(5))))
+        n = curve.order()
+        smooth = 1
+        for q in (3, 5):
+            while n % (smooth * q) == 0:
+                smooth *= q
+        try:
+            G = curve.scalar_mul(n // smooth,
+                                 data.draw(st.sampled_from(curve.points())))
+        except ExceptionalPair:
+            assume(False)
+        order = smooth                  # strip to the exact order of G
+        for q in (3, 5):
+            while order % q == 0 and annihilated_by(curve, G, order // q):
+                order //= q
+        degrees = [q for q in (3, 5) for _ in range(_valuation(order, q))]
+        assume(degrees)
+        chain = IsogenyChain(curve, G, data.draw(st.permutations(degrees)))
+        for P in data.draw(st.lists(st.sampled_from(curve.points()),
+                                    min_size=1, max_size=6)):
+            try:
+                want = reduce(lambda Q, step: step(Q), chain.steps, P)
+            except ExceptionalInput:
+                with pytest.raises(ExceptionalInput):
+                    chain(P)
+            else:
+                assert chain(P) == want
+
+    @pytest.mark.parametrize("phi_name,M", [("phi3", 11), ("phi5", 19)])
+    def test_push_costs(self, request, phi_name, M):
+        """(8s + 3)M + 2S per pushed point, s = (l - 1)/2, and no
+        inversion."""
+        phi = request.getfixturevalue(phi_name)
+        P = phi.domain.points()[3].projective()
+        with phi.domain.field.counting(OpCounter()) as ctx:
+            phi.push(P)
+        assert (ctx.m, ctx.s, ctx.i) == (M, 2, 0)
 
 
 class TestDivisionPolynomial:

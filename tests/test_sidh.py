@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import (DeskScaleOnly, EdwardsError, IsogenyChain,
-                             OpCounter, ProtocolError, PrimeField,
-                             QuadExtField, count_cyclic_subgroups,
-                             derive_shared, keygen, recover_y, run_exchange,
-                             setup, sidh)
+from edwards_isogeny import (DeskScaleOnly, EdwardsCurve, EdwardsError,
+                             IsogenyChain, OpCounter, ProtocolError,
+                             PrimeField, PublicKey, QuadExtField,
+                             count_cyclic_subgroups, derive_shared, keygen,
+                             recover_y, run_exchange, setup, sidh)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
 from conftest import pt
@@ -172,6 +172,37 @@ class TestSharedSecret:
             derive_shared(params59, kp_a, broken)
 
 
+class TestPublicKeyValidation:
+    """derive_shared takes only images that form a basis of E[l^e]."""
+
+    @pytest.fixture(scope="class")
+    def exchange(self):
+        params = setup(3, 2, seed=2024)
+        return params, {SIDE_A: keygen(params, SIDE_A, 5),
+                        SIDE_B: keygen(params, SIDE_B, 7)}
+
+    def test_honest_keys_agree(self, exchange):
+        params, kp = exchange
+        assert (derive_shared(params, kp[SIDE_A], kp[SIDE_B].public)
+                == derive_shared(params, kp[SIDE_B], kp[SIDE_A].public))
+
+    @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
+    @pytest.mark.parametrize("forgery", ["q_is_identity", "p_is_q", "q_is_p",
+                                         "q_of_lower_order"])
+    def test_rejects_images_that_are_no_basis(self, exchange, side, forgery):
+        params, kp = exchange
+        pub = kp[params.other(side)].public
+        E = EdwardsCurve(params.field, params.field.one, pub.codomain_d)
+        l = params.basis(side).degree
+        images = {"q_is_identity": (pub.image_p, E.identity),
+                  "p_is_q": (pub.image_q, pub.image_q),
+                  "q_is_p": (pub.image_p, pub.image_p),
+                  "q_of_lower_order": (pub.image_p,
+                                       E.scalar_mul(l, pub.image_q))}[forgery]
+        with pytest.raises(ProtocolError):
+            derive_shared(params, kp[side], PublicKey(pub.codomain_d, *images))
+
+
 def _random_point(curve, rng):
     from edwards_isogeny.errors import ExceptionalInput, NotOnCurve
     while True:
@@ -261,15 +292,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1601, "S": 154, "I": 77, "A": 2775},
-                      "ext": {"M": 384, "S": 109, "I": 77, "A": 187}},
-            "bob": {"base": {"M": 1463, "S": 130, "I": 65, "A": 2565},
-                    "ext": {"M": 358, "S": 97, "I": 65, "A": 177}}}),
+            "alice": {"base": {"M": 1628, "S": 28, "I": 14, "A": 3228},
+                      "ext": {"M": 406, "S": 184, "I": 14, "A": 309}},
+            "bob": {"base": {"M": 1581, "S": 34, "I": 17, "A": 3117},
+                    "ext": {"M": 404, "S": 159, "I": 17, "A": 293}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 405, "S": 34, "I": 17, "A": 707},
-                      "ext": {"M": 96, "S": 33, "I": 17, "A": 47}},
-            "bob": {"base": {"M": 603, "S": 50, "I": 25, "A": 1059},
-                    "ext": {"M": 150, "S": 39, "I": 25, "A": 71}}}),
+            "alice": {"base": {"M": 497, "S": 20, "I": 10, "A": 930},
+                      "ext": {"M": 119, "S": 55, "I": 10, "A": 75}},
+            "bob": {"base": {"M": 765, "S": 26, "I": 13, "A": 1450},
+                    "ext": {"M": 198, "S": 66, "I": 13, "A": 118}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -297,8 +328,31 @@ class TestTranscript:
             with params.field.counting(ctx):
                 keygen(params, side, secret)
             counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
-        assert counts == {SIDE_A: {"M": 45063, "S": 4724, "I": 2362},
-                          SIDE_B: {"M": 48041, "S": 4468, "I": 2234}}
+        # At most a tenth of the affine chain's inversions, and no more M.
+        affine = {SIDE_A: {"M": 45063, "I": 2362},
+                  SIDE_B: {"M": 48041, "I": 2234}}
+        assert all(10 * counts[side]["I"] <= affine[side]["I"]
+                   and counts[side]["M"] <= affine[side]["M"]
+                   for side in affine)
+        assert counts == {SIDE_A: {"M": 36740, "S": 156, "I": 78},
+                          SIDE_B: {"M": 40283, "S": 228, "I": 114}}
+
+    def test_chain_takes_no_character_at_247_bits(self, monkeypatch):
+        """Codomain curves are checked for degeneracy without a Legendre
+        symbol, so a 74-step chain never calls PrimeField.chi."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        with monkeypatch.context() as patched:
+            patched.setattr(sidh, "DESK_PRIME_LIMIT", p)
+            params = setup(74, 55, seed=1)
+        E, basis = params.curve, params.basis_a
+
+        def no_chi(self, x):
+            raise AssertionError("PrimeField.chi called")
+
+        monkeypatch.setattr(PrimeField, "chi", no_chi)
+        chain = IsogenyChain(E, E.add(basis.P, E.scalar_mul(5, basis.Q)),
+                             [3] * 74)
+        assert len(chain.steps) == 74
 
     def test_explicit_secrets(self):
         out = run_exchange(2, 1, seed=3, secret_a=5, secret_b=2)
