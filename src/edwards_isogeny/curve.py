@@ -106,27 +106,9 @@ class AffinePoint:
 
 def to_affine(P) -> AffinePoint:
     """(X : Y : Z) -> (X/Z, Y/Z): one inversion and 2M."""
-    return batch_to_affine([P])[0]
-
-
-def batch_to_affine(points: list) -> list[AffinePoint]:
-    """`to_affine` of every point for one shared inversion (Montgomery's
-    trick): 1I + (5n - 3)M for n points."""
-    if not points:
-        return []
-    prefix = [points[0][2]]
-    for _, _, Z in points[1:]:
-        prefix.append(prefix[-1] * Z)
-    inv = prefix[-1].inverse()
-    out = []
-    for k in range(len(points) - 1, 0, -1):
-        X, Y, Z = points[k]
-        zi = inv * prefix[k - 1]
-        inv = inv * Z
-        out.append(AffinePoint(X * zi, Y * zi))
-    X, Y, _ = points[0]
-    out.append(AffinePoint(X * inv, Y * inv))
-    return out[::-1]
+    X, Y, Z = P
+    inv = Z.inverse()
+    return AffinePoint(X * inv, Y * inv)
 
 
 class SingularPoint:

@@ -33,7 +33,7 @@ from functools import reduce
 from math import prod
 from operator import mul
 
-from .curve import AffinePoint, EdwardsCurve, batch_to_affine, to_affine
+from .curve import AffinePoint, EdwardsCurve, to_affine
 from .errors import (BadKernelGenerator, EvenDegreeUnsupported,
                      ExceptionalInput, InvalidCurve, NotASquare, NotOnCurve)
 
@@ -93,7 +93,7 @@ class OddKernel:
         Xs, Ys, Zs = multiples[-2] if degree > 3 else Q1
         if not (X1 * Zs == Xs * Z1 and (Y1 * Zs + Ys * Z1).is_zero()):
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        reps = [Q] + batch_to_affine(multiples[:-1])
+        reps = [Q] + [to_affine(P) for P in multiples[:-1]]
         return cls(domain, degree, reps)
 
     def full_points(self) -> list[AffinePoint]:

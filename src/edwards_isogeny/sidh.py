@@ -176,9 +176,14 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     """Second chain, from the image kernel on the other party's
     codomain; returns the shared j-invariant in F_{p^2}.
 
-    The images (P', Q') must form a basis of E[l^e], or a chosen key
-    could probe the secret (Galbraith, Petit, Shani and Ti, ASIACRYPT
-    2016).  The chain proves that R = P' + k*Q' has exact order l^e; its
+    ProtocolError unless the images (P', Q') form a basis of E[l^e], so
+    a malformed key (an image at O, P' = Q', an image of too low an
+    order) yields no j-invariant.  This does not protect a static secret
+    against the adaptive attack of Galbraith, Petit, Shani and Ti
+    (ASIACRYPT 2016): its forged images, such as (P', Q' + l^(e-1)*P'),
+    are still a basis and pass.  Stopping it needs the other party's
+    secret to recompute the key, as in the Fujisaki-Okamoto transform
+    or the validation of Kirkwood et al. (2015).  The chain proves that R = P' + k*Q' has exact order l^e; its
     step-0 kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q' must satisfy
     U != O and l*U = O, so Q' has exact order l^e, and K0 must lie
     outside <U>: points share an x-coordinate exactly when they are

@@ -91,6 +91,15 @@ class TestIsogeny:
         assert code == 1
         assert doc["code"] == "NotOnCurve"
 
+    def test_generator_double_at_infinity(self, capsys):
+        """(3, 4) has order 4 on the quadratic E_{1,4} over F_23, and its
+        double is a singular point at infinity."""
+        code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "4",
+                             "--degree", "3", "--gen", "3,4")
+        assert code == 1
+        assert doc["code"] == "ExceptionalPair"
+        assert doc["message"] == "double lies at infinity"
+
     def test_point_check_is_uncounted(self, capsys):
         """The on-curve check of --gen and --point adds no operations:
         the tallies are the generator check, the codomain and one

@@ -7,7 +7,7 @@ from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              InvalidCurve, InvalidTwist, NotOnCurve,
                              OpCounter, PrimeField, QuadExtField, classify,
                              j_invariant)
-from edwards_isogeny.curve import DESK_SCALE_LIMIT, batch_to_affine, to_affine
+from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
 
 from conftest import desk_curves, pt
 from oracles import (euler_chi, montgomery_j, naive_add, naive_double_and_add,
@@ -253,25 +253,18 @@ class TestProjectiveLaw:
 
     def test_costs(self, e23):
         """3M + 4S doubling; addition 10M + 1S and one multiplication by
-        d, one M fewer in the mixed form; 1I + 2M to make a point affine,
-        and 1I + (5n - 3)M for n at once."""
+        d, one M fewer in the mixed form; 1I + 2M to make a point
+        affine."""
         P = pt(e23, 3, 6).projective()
         Q = scaled(pt(e23, 2, 2), 5)
         ops = [(lambda: e23.double_proj(Q), {"M": 3, "S": 4, "I": 0}),
                (lambda: e23.add_proj(Q, Q), {"M": 11, "S": 1, "I": 0}),
                (lambda: e23.add_proj(Q, P), {"M": 10, "S": 1, "I": 0}),
-               (lambda: to_affine(Q), {"M": 2, "S": 0, "I": 1}),
-               (lambda: batch_to_affine([Q] * 4), {"M": 17, "S": 0, "I": 1})]
+               (lambda: to_affine(Q), {"M": 2, "S": 0, "I": 1})]
         for op, want in ops:
             with e23.field.counting(OpCounter()) as ctx:
                 op()
             assert {k: ctx.as_dict()[k] for k in want} == want
-
-    def test_batch_to_affine(self, e23):
-        pts = [pt(e23, 3, 6), pt(e23, 2, 2), pt(e23, -1, 0)]
-        reps = [scaled(P, lam) for P, lam in zip(pts, (2, 7, 11))]
-        assert batch_to_affine(reps) == pts
-        assert batch_to_affine([]) == []
 
 
 class TestPointOrder:
