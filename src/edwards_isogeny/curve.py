@@ -250,13 +250,42 @@ class EdwardsCurve:
         """Least n > 0 with n*P = O, found by stripping prime factors
         from the curve order."""
         self.check_point(P)
+        if P.y.is_zero():                  # (1, 0) = O or (-1, 0)
+            return 1 if P.x == 1 else 2
         n = self.order()
-        if not self.scalar_mul(n, P).is_identity():
+        if not self._annihilates(n, P):
             raise NotOnCurve(f"group order {n} does not annihilate {P!r}")
         for q in _prime_factors(n):
-            while n % q == 0 and self.scalar_mul(n // q, P).is_identity():
+            while n % q == 0 and self._annihilates(n // q, P):
                 n //= q
         return n
+
+    def _annihilates(self, k: int, P: AffinePoint) -> bool:
+        """Whether k*P = O, by the x-only Montgomery ladder on
+        u = U/W = (1 + x)/(1 - x), the model with (A + 2)/4 = a/(a - d),
+        where O is W = 0.  Its differential addition holds for every
+        pair of multiples when u(P) is neither 0 nor infinity, that is
+        for P of order above 2, so it passes the points at infinity of
+        E_{a,d} where `scalar_mul` raises."""
+        one, a24, c24 = self.field.one, self.a, self.a - self.d
+        U, W = one + P.x, one - P.x
+
+        def xdbl(X, Z):
+            s, t = (X + Z).square(), (X - Z).square()
+            e, ct = s - t, c24 * t
+            return ct * s, e * (ct + a24 * e)
+
+        def xadd(X1, Z1, X2, Z2):
+            s, t = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
+            return W * (s + t).square(), U * (s - t).square()
+
+        R0, R1 = (one, self.field.zero), (U, W)
+        for bit in bin(k)[2:]:
+            if bit == "1":
+                R0, R1 = xadd(*R0, *R1), xdbl(*R1)
+            else:
+                R0, R1 = xdbl(*R0), xadd(*R0, *R1)
+        return R0[1].is_zero()
 
     # ------------------------------------------------------------------
     # desk-scale enumeration

@@ -1,10 +1,13 @@
 """Quadratic extension F_{p^2} = F_p(i) with i^2 = beta, beta a non-residue.
 
-Elements are c0 + c1*i.  Extension operations tally on the base field's
-OpCounter twice over: once on the `ext_*` fields (one extension op) and,
-through the base-field arithmetic they perform, on the plain M/S/I/A
-fields.  beta is -1 for p ≡ 3 (mod 4), otherwise the smallest
-non-residue, so the field is fixed by p alone.
+An element c0 + c1*i is held as two ints in [0, p), and every operation
+computes on them and reduces mod p inline.  Extension operations tally on
+the base field's OpCounter twice over: once on the `ext_*` fields (one
+extension op) and once on the plain M/S/I/A fields, where each operation
+tallies the base-field work of the `FieldElement` formulation (for
+example 3M + 5A per Karatsuba multiplication when beta = -1).  beta is
+-1 for p ≡ 3 (mod 4), otherwise the smallest non-residue, so the field
+is fixed by p alone.
 """
 
 from __future__ import annotations
@@ -19,15 +22,13 @@ class QuadExtField:
 
     def __init__(self, base: PrimeField):
         self.base = base
-        self.beta = base(-1 if base.p % 4 == 3 else _smallest_non_residue(base))
-
-    @property
-    def p(self) -> int:
-        return self.base.p
+        self.p = base.p
+        self.beta = -1 if base.p % 4 == 3 else _smallest_non_residue(base)
+        self._beta_is_minus_one = self.beta == -1
 
     @property
     def size(self) -> int:
-        return self.base.p ** 2
+        return self.p ** 2
 
     @property
     def degree(self) -> int:
@@ -45,7 +46,7 @@ class QuadExtField:
             if c0.field.p != self.p:
                 raise FieldMismatch(f"element of F_{c0.field.p}^2 used in F_{self.p}^2")
             return c0
-        return QuadExtElement(self.base(c0), self.base(c1), self)
+        return QuadExtElement(self.base(c0).value, self.base(c1).value, self)
 
     @property
     def zero(self) -> QuadExtElement:
@@ -58,7 +59,7 @@ class QuadExtField:
     def elements(self):
         for c0 in range(self.p):
             for c1 in range(self.p):
-                yield self(c0, c1)
+                yield QuadExtElement(c0, c1, self)
 
     def random_element(self, rng: random.Random) -> QuadExtElement:
         return self(rng.randrange(self.p), rng.randrange(self.p))
@@ -67,8 +68,8 @@ class QuadExtField:
         """Quadratic character of F_{p^2}, computed through the norm:
         x^((p^2-1)/2) = N(x)^((p-1)/2)."""
         x = self(x)
-        c0, c1 = x.c0.value, x.c1.value
-        return self.base.chi(c0 * c0 - self.beta.value * c1 * c1)
+        c0, c1 = x._c0, x._c1
+        return self.base.chi(c0 * c0 - self.beta * c1 * c1)
 
     def sqrt(self, x) -> QuadExtElement:
         """Canonical square root via the norm method: the root r0 + r1*i
@@ -77,8 +78,8 @@ class QuadExtField:
         if x.is_zero():
             return self.zero
         p = self.p
-        beta = self.beta.value
-        c0, c1 = x.c0.value, x.c1.value
+        beta = self.beta
+        c0, c1 = x._c0, x._c1
         if c1 == 0:
             if self.base.chi(c0) == 1:
                 r = self.base.sqrt(c0)
@@ -120,7 +121,7 @@ class QuadExtField:
         return hash(("QuadExtField", self.p))
 
     def __repr__(self):
-        return f"QuadExtField(p={self.p}, i^2={self.beta.signed()})"
+        return f"QuadExtField(p={self.p}, i^2={self.beta})"
 
 
 def _smallest_non_residue(base: PrimeField) -> int:
@@ -129,24 +130,34 @@ def _smallest_non_residue(base: PrimeField) -> int:
 
 def _canonical(x: QuadExtElement) -> QuadExtElement:
     """Pick the lexicographically smaller of x and -x."""
-    y = QuadExtElement(x.field.base(-x.c0.value), x.field.base(-x.c1.value), x.field)
-    return min(x, y, key=lambda e: (e.c0.value, e.c1.value))
+    p = x.field.p
+    y = QuadExtElement(-x._c0 % p, -x._c1 % p, x.field)
+    return min(x, y, key=lambda e: (e._c0, e._c1))
 
 
 class QuadExtElement(Element):
-    """c0 + c1*i with c0, c1 in F_p.  Multiplication is Karatsuba (3 base
-    multiplications for i^2 = -1); squaring uses the complex trick (2)."""
+    """c0 + c1*i with c0, c1 ints in [0, p).  Multiplication is Karatsuba
+    (3 base multiplications for i^2 = -1); squaring uses the complex
+    trick (2).  `c0` and `c1` read the parts as uncounted F_p views."""
 
-    __slots__ = ("c0", "c1", "field")
+    __slots__ = ("_c0", "_c1", "field")
 
-    def __init__(self, c0: FieldElement, c1: FieldElement, field: QuadExtField):
-        self.c0 = c0
-        self.c1 = c1
+    def __init__(self, c0: int, c1: int, field: QuadExtField):
+        self._c0 = c0
+        self._c1 = c1
         self.field = field
 
+    @property
+    def c0(self) -> FieldElement:
+        return FieldElement(self._c0, self.field.base)
+
+    @property
+    def c1(self) -> FieldElement:
+        return FieldElement(self._c1, self.field.base)
+
     def _coerce(self, other) -> "QuadExtElement":
-        if isinstance(other, QuadExtElement):
-            if other.field.p != self.field.p:
+        if type(other) is QuadExtElement:
+            if other.field is not self.field and other.field.p != self.field.p:
                 raise FieldMismatch(
                     f"mixed moduli {self.field.p} and {other.field.p}")
             return other
@@ -158,8 +169,12 @@ class QuadExtElement(Element):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        self.field.counter.ext_a += 1
-        return QuadExtElement(self.c0 + o.c0, self.c1 + o.c1, self.field)
+        f = self.field
+        c = f.base.counter
+        c.ext_a += 1
+        c.a += 2
+        p = f.p
+        return QuadExtElement((self._c0 + o._c0) % p, (self._c1 + o._c1) % p, f)
 
     __radd__ = __add__
 
@@ -167,39 +182,61 @@ class QuadExtElement(Element):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        self.field.counter.ext_a += 1
-        return QuadExtElement(self.c0 - o.c0, self.c1 - o.c1, self.field)
+        f = self.field
+        c = f.base.counter
+        c.ext_a += 1
+        c.a += 2
+        p = f.p
+        return QuadExtElement((self._c0 - o._c0) % p, (self._c1 - o._c1) % p, f)
 
     def __neg__(self):
-        self.field.counter.ext_a += 1
-        return QuadExtElement(-self.c0, -self.c1, self.field)
+        f = self.field
+        c = f.base.counter
+        c.ext_a += 1
+        c.a += 2
+        p = f.p
+        return QuadExtElement(-self._c0 % p, -self._c1 % p, f)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        self.field.counter.ext_m += 1
-        v0 = self.c0 * o.c0
-        v1 = self.c1 * o.c1
-        cross = (self.c0 + self.c1) * (o.c0 + o.c1)
-        if self.field.beta.value == self.field.p - 1:
+        f = self.field
+        c = f.base.counter
+        c.ext_m += 1
+        c.a += 5
+        a0, a1, b0, b1 = self._c0, self._c1, o._c0, o._c1
+        v0 = a0 * b0
+        v1 = a1 * b1
+        cross = (a0 + a1) * (b0 + b1) - v0 - v1
+        if f._beta_is_minus_one:
+            c.m += 3
             re = v0 - v1
         else:
-            re = v0 + self.field.beta * v1
-        return QuadExtElement(re, cross - v0 - v1, self.field)
+            c.m += 4
+            re = v0 + f.beta * v1
+        p = f.p
+        return QuadExtElement(re % p, cross % p, f)
 
     __rmul__ = __mul__
 
     def square(self) -> "QuadExtElement":
-        self.field.counter.ext_s += 1
-        if self.field.beta.value == self.field.p - 1:
-            re = (self.c0 + self.c1) * (self.c0 - self.c1)
-            u = self.c0 * self.c1
-            return QuadExtElement(re, u + u, self.field)
-        s0 = self.c0.square()
-        s1 = self.c1.square()
-        cross = (self.c0 + self.c1).square() - s0 - s1
-        return QuadExtElement(s0 + self.field.beta * s1, cross, self.field)
+        f = self.field
+        c = f.base.counter
+        c.ext_s += 1
+        a0, a1, p = self._c0, self._c1, f.p
+        if f._beta_is_minus_one:
+            c.m += 2
+            c.a += 3
+            u = a0 * a1
+            return QuadExtElement((a0 + a1) * (a0 - a1) % p, (u + u) % p, f)
+        c.s += 3
+        c.m += 1
+        c.a += 4
+        s0 = a0 * a0
+        s1 = a1 * a1
+        t = a0 + a1
+        return QuadExtElement((s0 + f.beta * s1) % p, (t * t - s0 - s1) % p, f)
 
     def norm(self) -> FieldElement:
         """N(x) = x * conj(x) = c0^2 - beta*c1^2, an element of F_p."""
@@ -210,27 +247,30 @@ class QuadExtElement(Element):
             raise DivisionByZero(f"inverse of 0 in F_{self.field.p}^2")
         self.field.counter.ext_i += 1
         n_inv = self.norm().inverse()
-        return QuadExtElement(self.c0 * n_inv, -self.c1 * n_inv, self.field)
+        return QuadExtElement((self.c0 * n_inv).value,
+                              (-self.c1 * n_inv).value, self.field)
 
     def is_zero(self) -> bool:
-        return self.c0.value == 0 and self.c1.value == 0
+        return self._c0 == 0 and self._c1 == 0
 
     def to_str(self) -> str:
-        return f"{self.c0.to_str()}+{self.c1.to_str()}*i"
+        return f"{self._c0:x}+{self._c1:x}*i"
 
     def __eq__(self, other):
-        if isinstance(other, QuadExtElement):
-            return (self.field.p == other.field.p
-                    and self.c0.value == other.c0.value
-                    and self.c1.value == other.c1.value)
-        if isinstance(other, (int, FieldElement)):
-            return self.c1.value == 0 and self.c0 == other
+        if type(other) is QuadExtElement:
+            return (self._c0 == other._c0 and self._c1 == other._c1
+                    and self.field.p == other.field.p)
+        if isinstance(other, int):
+            return self._c1 == 0 and self._c0 == other % self.field.p
+        if isinstance(other, FieldElement):
+            return (self._c1 == 0 and self._c0 == other.value
+                    and self.field.p == other.field.p)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.c0.value, self.c1.value, self.field.p))
+        return hash((self._c0, self._c1, self.field.p))
 
     def __repr__(self):
-        if self.c1.value == 0:
+        if self._c1 == 0:
             return f"{self.c0.signed()}"
         return f"({self.c0.signed()}{self.c1.signed():+d}*i)"

@@ -93,6 +93,41 @@ def naive_point_order(P, p: int, a: int, d: int) -> int:
     return n
 
 
+def montgomery_point_order(P, p: int, a: int, d: int) -> int:
+    """Order of P on E_{a,d}, walked on the Montgomery model
+    B*v^2 = u^3 + A*u^2 + u, A = 2(a+d)/(a-d), B = 4/(a-d), through
+    u = (1+x)/(1-x), v = u/y.  The chord-and-tangent law there is defined
+    on every pair (None is its point at infinity), so the walk passes
+    the images of the Edwards curve's singular points at infinity."""
+    a, d, x, y = a % p, d % p, P[0] % p, P[1] % p
+    if (x, y) == (1, 0):
+        return 1
+    c = pow(a - d, -1, p)
+    A, B = 2 * (a + d) * c % p, 4 * c % p
+    u = (1 + x) * pow(1 - x, -1, p) % p
+    v = u * pow(y, -1, p) % p if y else 0
+    assert (B * v * v - u ** 3 - A * u * u - u) % p == 0
+
+    def add(R, S):
+        if R is None:
+            return S
+        (u1, v1), (u2, v2) = R, S
+        if u1 == u2 and (v1 + v2) % p == 0:
+            return None
+        if u1 == u2:
+            lam = (3 * u1 * u1 + 2 * A * u1 + 1) * pow(2 * B * v1, -1, p)
+        else:
+            lam = (v2 - v1) * pow(u2 - u1, -1, p)
+        u3 = (B * lam * lam - A - u1 - u2) % p
+        return (u3, (lam * (u1 - u3) - v1) % p)
+
+    n, R = 1, (u, v)
+    while R is not None:
+        R = add(R, (u, v))
+        n += 1
+    return n
+
+
 def naive_translate_isogeny(P, kernel, p: int, d: int):
     """Odd isogeny of E_{1,d} with kernel {O, +-Q_1, ..., +-Q_s}, by its
     defining product of group-law translates:
@@ -125,3 +160,28 @@ def montgomery_j(a: int, d: int, p: int) -> int:
     num = 256 * pow((A * A - 3) % p, 3, p) % p
     den = (A * A - 4) % p
     return num * pow(den, -1, p) % p
+
+
+def naive_fp2_mul(x, y, p: int, beta: int):
+    """(x0 + x1*i)(y0 + y1*i) with i^2 = beta, by the schoolbook product
+    of (c0, c1) int pairs."""
+    x0, x1 = x
+    y0, y1 = y
+    return ((x0 * y0 + beta * x1 * y1) % p, (x0 * y1 + x1 * y0) % p)
+
+
+def naive_fp2_square(x, p: int, beta: int):
+    return naive_fp2_mul(x, x, p, beta)
+
+
+def naive_fp2_inverse(x, p: int, beta: int):
+    """x^(p^2 - 2) by repeated squaring of the pair; None for zero."""
+    if x[0] % p == 0 and x[1] % p == 0:
+        return None
+    acc, base, e = (1, 0), x, p * p - 2
+    while e:
+        if e & 1:
+            acc = naive_fp2_mul(acc, base, p, beta)
+        base = naive_fp2_square(base, p, beta)
+        e >>= 1
+    return acc

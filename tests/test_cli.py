@@ -4,6 +4,8 @@ import pytest
 
 from edwards_isogeny.cli import main
 
+from oracles import montgomery_point_order
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -64,6 +66,14 @@ class TestOrder:
                              "--point", "5,5")
         assert code == 1
         assert doc["code"] == "NotOnCurve"
+
+    def test_quadratic_curve_point(self, capsys):
+        """A point whose group-order multiple passes a point at
+        infinity of the quadratic E_{1,2}."""
+        code, doc = run_json(capsys, "order", "--p", "23", "--d", "2",
+                             "--point", "6,11")
+        assert code == 0
+        assert doc["order"] == montgomery_point_order((6, 11), 23, 1, 2)
 
 
 class TestIsogeny:

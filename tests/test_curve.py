@@ -10,9 +10,10 @@ from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
 from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
 
 from conftest import desk_curves, pt
-from oracles import (euler_chi, montgomery_j, naive_add, naive_double_and_add,
-                     naive_order, naive_point_order, naive_points,
-                     naive_scalar_mul, naive_singular_count)
+from oracles import (euler_chi, montgomery_j, montgomery_point_order,
+                     naive_add, naive_double_and_add, naive_order,
+                     naive_point_order, naive_points, naive_scalar_mul,
+                     naive_singular_count)
 
 # The full point list of the worked curve at p = 23, d = -1.
 E23_POINTS = {(1, 0), (-1, 0), (0, 1), (0, -1)}
@@ -285,6 +286,41 @@ class TestPointOrder:
         for P in e23.points():
             want = naive_point_order((P.x.value, P.y.value), 23, 1, -1)
             assert e23.point_order(P) == want
+
+    @pytest.mark.parametrize("p", [19, 23, 59])
+    def test_every_desk_curve(self, p):
+        """Every affine point of E_{a,d} for a in {1, n}, n the smallest
+        non-residue, and every d not in {0, a}: every curve over F_p up
+        to isomorphism, in all three classes.  The orders come from a
+        walk on the Montgomery model, which passes the points at
+        infinity that stop `scalar_mul`; some of the points are ones
+        whose order-sized double-and-add ladder hits such a point."""
+        field = PrimeField(p)
+        n = next(c for c in range(2, p) if euler_chi(c, p) == -1)
+        classes, ladder_fails = set(), 0
+        for a in (1, n):
+            for d in range(1, p):
+                if d == a:
+                    continue
+                curve = EdwardsCurve(field, field(a), field(d))
+                classes.add(curve.class_tag)
+                for P in curve.points():
+                    xy = (P.x.value, P.y.value)
+                    want = montgomery_point_order(xy, p, a, d)
+                    assert curve.point_order(P) == want
+                    ladder_fails += naive_double_and_add(
+                        curve.order(), xy, p, a, d) is None
+        assert classes == {COMPLETE, TWISTED, QUADRATIC}
+        assert ladder_fails > 0
+
+    def test_quadratic_repro(self, f23):
+        """(6, 11) on E_{1,2}/F_23: the ladder for the group order 24
+        passes a point at infinity."""
+        curve = EdwardsCurve(f23, f23(1), f23(2))
+        P = pt(curve, 6, 11)
+        with pytest.raises(ExceptionalPair):
+            curve.scalar_mul(curve.order(), P)
+        assert curve.point_order(P) == 12
 
 
 class TestEnumeration:

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edwards_isogeny import (DivisionByZero, NotASquare, OpCounter,
-                             PrimeField, QuadExtField)
+from edwards_isogeny import (DivisionByZero, FieldMismatch, NotASquare,
+                             OpCounter, PrimeField, QuadExtField)
+
+from conftest import DESK_PRIMES
+from oracles import (euler_chi, naive_fp2_inverse, naive_fp2_mul,
+                     naive_fp2_square)
 
 
 @pytest.fixture
@@ -160,3 +166,152 @@ class TestSerialization:
 
     def test_parse_plain(self, f19_2):
         assert f19_2.parse("a") == f19_2(10)
+
+
+# Every OpCounter field, in `OpCounter.snapshot` order
+# (M, S, I, A, ext_M, ext_S, ext_I, ext_A), and the value, for one
+# F_{p^2} operation on x = 2 + 3i and y = 4 + 5i.  p = 19 has i^2 = -1;
+# p = 13 has i^2 = 2, where the beta products and squarings differ.
+TALLY_OPS = {
+    "x + y": lambda x, y, base: x + y,
+    "x - y": lambda x, y, base: x - y,
+    "-x": lambda x, y, base: -x,
+    "x * y": lambda x, y, base: x * y,
+    "x.square()": lambda x, y, base: x.square(),
+    "x.inverse()": lambda x, y, base: x.inverse(),
+    "x.norm()": lambda x, y, base: x.norm(),
+    "x / y": lambda x, y, base: x / y,
+    "x ** 0": lambda x, y, base: x ** 0,
+    "x ** 1": lambda x, y, base: x ** 1,
+    "x ** 5": lambda x, y, base: x ** 5,
+    "x ** -3": lambda x, y, base: x ** -3,
+    "1 - x": lambda x, y, base: 1 - x,
+    "x * 3": lambda x, y, base: x * 3,
+    "3 * x": lambda x, y, base: 3 * x,
+    "x * base(3)": lambda x, y, base: x * base(3),
+    "base(3) * x": lambda x, y, base: base(3) * x,
+}
+
+TALLIES = {
+    19: {
+        "x + y": ((0, 0, 0, 2, 0, 0, 0, 1), "(6+8*i)"),
+        "x - y": ((0, 0, 0, 2, 0, 0, 0, 1), "(-2-2*i)"),
+        "-x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-2-3*i)"),
+        "x * y": ((3, 0, 0, 5, 1, 0, 0, 0), "(-7+3*i)"),
+        "x.square()": ((2, 0, 0, 3, 0, 1, 0, 0), "(-5-7*i)"),
+        "x.inverse()": ((3, 2, 1, 2, 0, 0, 1, 0), "(6-9*i)"),
+        "x.norm()": ((1, 2, 0, 1, 0, 0, 0, 0), "-6"),
+        "x / y": ((6, 2, 1, 7, 1, 0, 1, 0), "(-5+7*i)"),
+        "x ** 0": ((0, 0, 0, 0, 0, 0, 0, 0), "1"),
+        "x ** 1": ((0, 0, 0, 0, 0, 0, 0, 0), "(2+3*i)"),
+        "x ** 5": ((7, 0, 0, 11, 1, 2, 0, 0), "(8-8*i)"),
+        "x ** -3": ((8, 2, 1, 10, 1, 1, 1, 0), "(-7+4*i)"),
+        "1 - x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-1-3*i)"),
+        "x * 3": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
+        "3 * x": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
+        "x * base(3)": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
+        "base(3) * x": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
+    },
+    13: {
+        "x + y": ((0, 0, 0, 2, 0, 0, 0, 1), "(6-5*i)"),
+        "x - y": ((0, 0, 0, 2, 0, 0, 0, 1), "(-2-2*i)"),
+        "-x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-2-3*i)"),
+        "x * y": ((4, 0, 0, 5, 1, 0, 0, 0), "(-1-4*i)"),
+        "x.square()": ((1, 3, 0, 4, 0, 1, 0, 0), "(-4-1*i)"),
+        "x.inverse()": ((3, 2, 1, 2, 0, 0, 1, 0), "(-2+3*i)"),
+        "x.norm()": ((1, 2, 0, 1, 0, 0, 0, 0), "-1"),
+        "x / y": ((7, 2, 1, 7, 1, 0, 1, 0), "(6+3*i)"),
+        "x ** 0": ((0, 0, 0, 0, 0, 0, 0, 0), "1"),
+        "x ** 1": ((0, 0, 0, 0, 0, 0, 0, 0), "(2+3*i)"),
+        "x ** 5": ((6, 6, 0, 13, 1, 2, 0, 0), "(6+5*i)"),
+        "x ** -3": ((8, 5, 1, 11, 1, 1, 1, 0), "(1-1*i)"),
+        "1 - x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-1-3*i)"),
+        "x * 3": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
+        "3 * x": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
+        "x * base(3)": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
+        "base(3) * x": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
+    },
+}
+
+
+class TestExactTallies:
+    @pytest.mark.parametrize("p", sorted(TALLIES))
+    @pytest.mark.parametrize("op", list(TALLY_OPS))
+    def test_tally(self, p, op):
+        k = QuadExtField(PrimeField(p))
+        x, y = k(2, 3), k(4, 5)
+        ctx = OpCounter()
+        with k.counting(ctx):
+            value = TALLY_OPS[op](x, y, k.base)
+        assert (ctx.snapshot(), repr(value)) == TALLIES[p][op]
+
+    def test_zero_inverse_counts_nothing(self):
+        k = QuadExtField(PrimeField(13))
+        ctx = OpCounter()
+        with k.counting(ctx), pytest.raises(DivisionByZero):
+            k.zero.inverse()
+        assert ctx.snapshot() == (0,) * 8
+
+
+def oracle_beta(p: int) -> int:
+    """i^2: -1 for p = 3 (mod 4), else the smallest non-residue."""
+    if p % 4 == 3:
+        return -1
+    return next(c for c in range(2, p) if euler_chi(c, p) == -1)
+
+
+def pair(x) -> tuple:
+    return (x.c0.value, x.c1.value)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(DESK_PRIMES), data=st.data())
+    def test_matches_raw_pairs(self, p, data):
+        """Arithmetic, codecs, hashing and equality on random elements
+        of F_{p^2}, for desk primes of both residues mod 4, against
+        (c0, c1) int pairs."""
+        beta = oracle_beta(p)
+        k = QuadExtField(PrimeField(p))
+        assert k.base(k.beta) == beta
+        coord = st.integers(-2 * p, 2 * p)
+        xs, ys = (data.draw(st.tuples(coord, coord)) for _ in range(2))
+        x, y = k(*xs), k(*ys)
+        xr = (xs[0] % p, xs[1] % p)
+        yr = (ys[0] % p, ys[1] % p)
+        assert pair(x) == xr
+        assert pair(x + y) == ((xr[0] + yr[0]) % p, (xr[1] + yr[1]) % p)
+        assert pair(x - y) == ((xr[0] - yr[0]) % p, (xr[1] - yr[1]) % p)
+        assert pair(-x) == (-xr[0] % p, -xr[1] % p)
+        assert pair(x * y) == naive_fp2_mul(xr, yr, p, beta)
+        assert pair(x.square()) == naive_fp2_square(xr, p, beta)
+        inv = naive_fp2_inverse(xr, p, beta)
+        if inv is None:
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+        else:
+            assert pair(x.inverse()) == inv
+        e = data.draw(st.integers(-6 if inv else 0, 12))
+        want = (1, 0)
+        for _ in range(abs(e)):
+            want = naive_fp2_mul(want, inv if e < 0 else xr, p, beta)
+        assert pair(x ** e) == want
+
+        assert k.parse(x.to_str()) == x
+        assert pair(k.parse(x.to_str())) == xr
+        twin = k(xr[0] + p, xr[1] - p)
+        assert twin == x and hash(twin) == hash(x)
+        n = data.draw(coord)
+        assert (x == n) == (xr == (n % p, 0))
+        assert (x == k.base(n)) == (xr == (n % p, 0))
+        assert (k.base(n) == x) == (xr == (n % p, 0))
+
+        q = data.draw(st.sampled_from([q for q in DESK_PRIMES if q != p]))
+        other = QuadExtField(PrimeField(q))
+        assert x != other(*xs)
+        for foreign in (other(*ys), PrimeField(q)(ys[0])):
+            for op in (lambda a, b: a + b, lambda a, b: a - b,
+                       lambda a, b: a * b, lambda a, b: b * a,
+                       lambda a, b: a / b):
+                with pytest.raises(FieldMismatch):
+                    op(x, foreign)
