@@ -227,6 +227,8 @@ class EdwardsCurve:
 
     def scalar_mul_proj(self, k: int, P: tuple) -> tuple:
         """k*(X:Y:Z) for k >= 1 by left-to-right double-and-add."""
+        if k < 1:
+            raise ValueError(f"scalar_mul_proj needs k >= 1, got {k}")
         acc = P
         for bit in bin(k)[3:]:
             acc = self.double_proj(acc)

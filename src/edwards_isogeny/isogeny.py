@@ -45,6 +45,14 @@ def _require_a1(curve: EdwardsCurve):
             "rescale E_{a,d} to E_{1,d/a} first")
 
 
+def _check_degree(degree: int):
+    """The one degree rule of kernels and chains: odd and at least 3."""
+    if degree % 2 == 0:
+        raise EvenDegreeUnsupported(f"degree {degree} is even")
+    if degree < 3:
+        raise BadKernelGenerator("degree must be an odd integer >= 3")
+
+
 def order3_division_value(alpha, d):
     """Value of the order-3 division condition 2a + 1 - d*a^3*(2 + a)
     at x-coordinate `alpha`; zero exactly at abscissas of order-3 points."""
@@ -70,10 +78,7 @@ class OddKernel:
     def from_generator(cls, Q: AffinePoint, degree: int,
                        domain: EdwardsCurve) -> "OddKernel":
         _require_a1(domain)
-        if degree % 2 == 0:
-            raise EvenDegreeUnsupported(f"degree {degree} is even")
-        if degree < 3:
-            raise BadKernelGenerator("degree must be an odd integer >= 3")
+        _check_degree(degree)
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
         if Q.is_identity():
@@ -186,7 +191,8 @@ class IsogenyChain:
     """Composition of prime-degree isogenies dividing out <G>.
 
     `degrees` is the execution order, e.g. [3, 3, 5] for a generator of
-    order 45 with the 3-part removed first.  Step i's kernel point
+    order 45 with the 3-part removed first; it is not empty, and each
+    degree is odd and at least 3.  Step i's kernel point
     K_i = prod(degrees[i+1:]) * G_i, G_i the image of G, comes from a
     balanced strategy tree (De Feo, Jao and Plut, J. Math. Cryptol.
     2014): a stack holds (T, j) with T = prod(degrees[j:]) * G_i, its top
@@ -204,8 +210,10 @@ class IsogenyChain:
                  degrees: list[int]):
         _require_a1(domain)
         degrees = list(degrees)
-        if any(l % 2 == 0 for l in degrees):
-            raise EvenDegreeUnsupported(f"even degree in {degrees}")
+        if not degrees:
+            raise BadKernelGenerator("a chain needs at least one degree")
+        for l in degrees:
+            _check_degree(l)
         self.domain = domain
         self.degrees = degrees
         self.steps: list[OddIsogeny] = []

@@ -119,40 +119,35 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     """Two independent points of exact order l^e, built by cofactor
     multiplication of random points.  Independence: their order-l
     multiples generate different subgroups."""
-    p = curve.field.p
-    cofactor = (p + 1) // l ** e
+    cofactor = (curve.field.p + 1) // l ** e
 
-    def sample() -> AffinePoint | None:
-        P = _random_point(curve, rng)
-        try:
-            T = curve.scalar_mul(cofactor, P)
-            if curve.scalar_mul(l ** (e - 1), T).is_identity():
-                return None
-        except ExceptionalPair:
-            return None          # walked through a singular point; resample
-        return T
+    def samples():
+        """(T, l^(e-1)*T) for each draw T of exact order l^e."""
+        for _ in range(_SAMPLING_BUDGET):
+            try:
+                T = curve.scalar_mul(cofactor, _random_point(curve, rng))
+                U = curve.scalar_mul(l ** (e - 1), T)
+            except ExceptionalPair:
+                continue         # walked through a singular point; resample
+            if not U.is_identity():
+                yield T, U
 
-    P = None
-    for _ in range(_SAMPLING_BUDGET):
-        P = sample()
-        if P is not None:
-            break
-    else:
+    first = next(samples(), None)
+    if first is None:
         raise SetupFailed(f"no point of order {l}^{e} found")
-    U = curve.scalar_mul(l ** (e - 1), P)
-    u_subgroup = set()
-    R = U
-    for _ in range(l - 1):
-        u_subgroup.add(R)
-        R = curve.add(R, U)
-    for _ in range(_SAMPLING_BUDGET):
-        Q = sample()
-        if Q is None:
-            continue
-        V = curve.scalar_mul(l ** (e - 1), Q)
-        if V not in u_subgroup:
+    P, U = first
+    subgroup = OddKernel.from_generator(U, l, curve)
+    for Q, V in samples():
+        if not _in_subgroup(V, subgroup):
             return TorsionBasis(l, e, P, Q)
     raise SetupFailed(f"no independent order-{l}^{e} partner found")
+
+
+def _in_subgroup(V: AffinePoint, subgroup: OddKernel) -> bool:
+    """Whether V, of order l, lies in the order-l subgroup: points share
+    an x-coordinate exactly when they are equal or opposite, so this
+    compares x(V) with the representatives' x(U), ..., x(sU)."""
+    return any(V.x == U.x for U in subgroup.points)
 
 
 def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
@@ -183,15 +178,15 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     (ASIACRYPT 2016): its forged images, such as (P', Q' + l^(e-1)*P'),
     are still a basis and pass.  Stopping it needs the other party's
     secret to recompute the key, as in the Fujisaki-Okamoto transform
-    or the validation of Kirkwood et al. (2015).  The chain proves that R = P' + k*Q' has exact order l^e; its
-    step-0 kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q' must satisfy
-    U != O and l*U = O, so Q' has exact order l^e, and K0 must lie
-    outside <U>: points share an x-coordinate exactly when they are
-    equal or opposite, so that compares x(K0) with x(U), and with x(2U)
-    for l = 5.  Then l^(e-1)*P' = K0 - k*U lies outside <U> too, so it
-    is not O, P' (a difference of two points of order l^e) has exact
-    order l^e, and the order-l multiples of P' and Q' span E[l]; hence
-    P' and Q' generate all of E[l^e].
+    or the validation of Kirkwood et al. (2015).
+
+    The chain proves that R = P' + k*Q' has exact order l^e; its step-0
+    kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q' must satisfy U != O
+    and l*U = O, so Q' has exact order l^e, and K0 must lie outside <U>
+    (`_in_subgroup`).  Then l^(e-1)*P' = K0 - k*U lies outside <U> too,
+    so it is not O, P' (a difference of two points of order l^e) has
+    exact order l^e, and the order-l multiples of P' and Q' span E[l];
+    hence P' and Q' generate all of E[l^e].
     """
     basis = params.basis(keypair.side)
     l, e = basis.degree, basis.exponent
@@ -211,13 +206,12 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
     try:
-        u_subgroup = OddKernel.from_generator(E.scalar_mul(l ** (e - 1), Q),
-                                              l, E)
+        subgroup = OddKernel.from_generator(E.scalar_mul(l ** (e - 1), Q),
+                                            l, E)
     except EdwardsError as exc:
         raise ProtocolError(
             f"image_q does not have order {l}^{e}: {exc}") from exc
-    K0 = chain.steps[0].kernel.points[0]
-    if any(K0.x == U.x for U in u_subgroup.points):
+    if _in_subgroup(chain.steps[0].kernel.points[0], subgroup):
         raise ProtocolError(
             f"public basis images do not generate the {l}^{e}-torsion")
     return chain.codomain.j_invariant()

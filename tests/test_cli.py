@@ -143,6 +143,14 @@ class TestChain:
         assert code == 1
         assert doc["code"] == "NotOnCurve"
 
+    @pytest.mark.parametrize("degrees", ["3,-3", "3,1"])
+    def test_degree_below_three(self, capsys, degrees):
+        code, doc = run_json(capsys, "chain", "--p", "59", "--d", "-1",
+                             "--gen", "7,5", f"--degrees={degrees}")
+        assert code == 1
+        assert doc["code"] == "BadKernelGenerator"
+        assert doc["message"] == "degree must be an odd integer >= 3"
+
 
 class TestSearchPrimes:
     def test_smallest(self, capsys):

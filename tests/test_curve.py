@@ -157,6 +157,12 @@ class TestScalarMul:
     def test_zero(self, e23):
         assert e23.scalar_mul(0, pt(e23, 2, 2)) == e23.identity
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_proj_rejects_k_below_one(self, e23, k):
+        """Double-and-add from bin(k)[3:] used to return P, 3P and 7P."""
+        with pytest.raises(ValueError):
+            e23.scalar_mul_proj(k, pt(e23, 2, 2).projective())
+
     def test_triple_of_order12_point(self, e23):
         # 3 * (9, 10) has order 4; repeated-addition oracle fixes (0, 1)
         assert naive_scalar_mul(3, (9, 10), 23, 1, -1) == (0, 1)

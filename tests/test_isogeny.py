@@ -384,12 +384,21 @@ class TestRecoverY:
 
 
 class TestChain:
-    def test_identity_chain(self, e23):
-        chain = IsogenyChain(e23, e23.identity, [])
-        assert chain.codomain is e23
-        P = pt(e23, 2, 2)
-        assert chain(P) == P
-        assert chain.total_degree == 1
+    @pytest.mark.parametrize("degrees,error", [
+        ([], BadKernelGenerator),
+        ([3, 1], BadKernelGenerator),
+        ([3, -3], BadKernelGenerator),
+        ([3, 4], EvenDegreeUnsupported),
+    ], ids=["empty", "one", "negative", "even"])
+    def test_rejects_degrees(self, degrees, error):
+        """The kernel's degree rule, on every degree and before any
+        arithmetic; an empty list is no chain, even for G of order 15."""
+        field = PrimeField(59)
+        curve = EdwardsCurve(field, field.one, field(-1))
+        ctx = OpCounter()
+        with field.counting(ctx), pytest.raises(error):
+            IsogenyChain(curve, pt(curve, 7, 5), degrees)
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
 
     def test_two_step_9_chain(self):
         """Two 3-steps from an order-9 generator kill exactly <G>."""

@@ -58,6 +58,56 @@ class TestSetup:
                 assert R != V
                 R = E.add(R, U)
 
+    @pytest.mark.parametrize("m,n,seed,bases", [
+        (3, 2, 11, [[("976+447*i", "239+394*i"), ("6e8+890*i", "956+8da*i")],
+                    [("58f+4a2*i", "96+4b9*i"), ("88+95d*i", "5a2+5c0*i")]]),
+        (1, 1, 5, [[("13+0*i", "0+23*i"), ("5+22*i", "21+1a*i")],
+                   [("37+32*i", "1c+29*i"), ("37+9*i", "1f+29*i")]]),
+    ])
+    def test_frozen_bases(self, m, n, seed, bases):
+        """Same seed, same draws, same accept/reject decisions: the
+        bases never move."""
+        params = setup(m, n, seed=seed)
+        assert [[(T.x.to_str(), T.y.to_str()) for T in (b.P, b.Q)]
+                for b in (params.basis_a, params.basis_b)] == bases
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 2)])
+    def test_bases_over_seeds(self, m, n):
+        """Exact order l^e, and the walk over <l^(e-1)*P> never meets
+        l^(e-1)*Q, for seeds 0-49."""
+        for seed in range(50):
+            params = setup(m, n, seed=seed)
+            E = params.curve
+            for basis, l, e in [(params.basis_a, 3, m),
+                                (params.basis_b, 5, n)]:
+                for T in (basis.P, basis.Q):
+                    assert E.scalar_mul(l ** e, T).is_identity()
+                    assert not E.scalar_mul(l ** (e - 1), T).is_identity()
+                U = E.scalar_mul(l ** (e - 1), basis.P)
+                V = E.scalar_mul(l ** (e - 1), basis.Q)
+                R = U
+                for _ in range(l - 1):
+                    assert R != V
+                    R = E.add(R, U)
+
+    def test_skips_dependent_partner(self, params2699, monkeypatch):
+        """B side (l = 5): draws P0, then 2*P0, whose order-5 multiple is
+        2U (dependent, yet x(2U) != x(U)), then an independent point.
+        The basis skips the second draw."""
+        E, basis_b = params2699.curve, params2699.basis_b
+        cofactor = (params2699.p + 1) // 25        # 108, prime to 5
+        P0, P2 = basis_b.P, basis_b.Q
+        draws = [P0, E.scalar_mul(2, P0), P2]
+        monkeypatch.setattr(sidh, "_random_point",
+                            lambda curve, rng: draws.pop(0))
+        U = E.scalar_mul(5 * cofactor, P0)
+        V = E.scalar_mul(10 * cofactor, P0)
+        assert V == E.add(U, U) and V.x != U.x
+        basis = sidh._torsion_basis(E, 5, 2, random.Random(0))
+        assert draws == []
+        assert basis.P == E.scalar_mul(cofactor, P0)
+        assert basis.Q == E.scalar_mul(cofactor, P2)
+
     def test_deterministic(self):
         a = setup(1, 1, seed=5)
         b = setup(1, 1, seed=5)
