@@ -22,10 +22,19 @@ B = X^2, C = a*Y^2, D = B + C, F = 2Z^2 - D and H = 2XY,
 
     2(X:Y:Z) = ((B - C)*D : H*F : F*D)
 
-(3M + 4S when a = 1).  Z3 is zero exactly when an affine denominator
-1 -+ d*x1*x2*y1*y2 is, i.e. when the result lies at infinity, and
-`ExceptionalPair` is raised there.  `add`, `double` and `scalar_mul` take
-and return affine points, with one inversion each.
+(3M + 4S when a = 1).  Tripling, after Bernstein, Birkner, Lange and
+Peters (INDOCRYPT 2007), with XX = X^2, aYY = a*Y^2, T = XX + aYY,
+B = 2*(2Z^2 - T), xB = aYY*B, yB = XX*B, AA = T*(XX - aYY), F = AA - yB
+and G = AA + xB, is
+
+    3(X:Y:Z) = (X*(xB - AA)*G : Y*(yB + AA)*F : Z*F*G)
+
+(9M + 3S when a = 1), defined also where 2P lies at infinity.  Z3 is
+zero exactly when the result lies at infinity (for the sum, when an
+affine denominator 1 -+ d*x1*x2*y1*y2 is), and `ExceptionalPair` is
+raised there.  `mul_power_proj` multiplies by l^k in l-fold steps.
+`add`, `double` and `scalar_mul` take and return affine points, with one
+inversion each.
 """
 
 from __future__ import annotations
@@ -173,7 +182,7 @@ class EdwardsCurve:
         x, y = P
         x2 = x.square()
         y2 = y.square()
-        return x2 + self.a * y2 == self.field.one + self.d * x2 * y2
+        return x2 + self._times_a(y2) == self.field.one + self.d * x2 * y2
 
     def add(self, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
         """(x1,y1) + (x2,y2) with x-numerator x1*x2 - a*y1*y2.  Raises
@@ -225,6 +234,26 @@ class EdwardsCurve:
         H = (X + Y).square() - B - Y2
         return ((B - C) * D, H * F, Z3)
 
+    def triple_proj(self, P: tuple) -> tuple:
+        """3(X:Y:Z) for (X:Y:Z) on the curve, also where 2P lies at
+        infinity."""
+        X, Y, Z = P
+        XX = X.square()
+        aYY = self._times_a(Y.square())
+        T = XX + aYY
+        B = Z.square()
+        B = B + B - T
+        B = B + B
+        xB = aYY * B
+        yB = XX * B
+        AA = T * (XX - aYY)
+        F = AA - yB
+        G = AA + xB
+        Z3 = Z * (F * G)
+        if Z3.is_zero():
+            raise ExceptionalPair("triple lies at infinity")
+        return (X * (xB - AA) * G, Y * (yB + AA) * F, Z3)
+
     def scalar_mul_proj(self, k: int, P: tuple) -> tuple:
         """k*(X:Y:Z) for k >= 1 by left-to-right double-and-add."""
         if k < 1:
@@ -235,6 +264,14 @@ class EdwardsCurve:
             if bit == "1":
                 acc = self.add_proj(acc, P)
         return acc
+
+    def mul_power_proj(self, l: int, k: int, P: tuple) -> tuple:
+        """l^k * (X:Y:Z) for odd l and k >= 0, by k l-fold steps:
+        `triple_proj` for l = 3, `scalar_mul_proj(l)` otherwise, which
+        for l = 5 is two doublings and an addition.  k = 0 returns P."""
+        for _ in range(k):
+            P = self.triple_proj(P) if l == 3 else self.scalar_mul_proj(l, P)
+        return P
 
     def _times_a(self, v):
         return v if self.a == 1 else self.a * v

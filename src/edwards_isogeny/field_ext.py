@@ -5,7 +5,8 @@ computes on them and reduces mod p inline.  Extension operations tally on
 the base field's OpCounter twice over: once on the `ext_*` fields (one
 extension op) and once on the plain M/S/I/A fields, where each operation
 tallies the base-field work of the `FieldElement` formulation (for
-example 3M + 5A per Karatsuba multiplication when beta = -1).  beta is
+example 3M + 5A per Karatsuba multiplication when beta = -1, and 2M for
+a product with an `int` or F_p scalar, which scales both parts).  beta is
 -1 for p ≡ 3 (mod 4), otherwise the smallest non-residue, so the field
 is fixed by p alone.
 """
@@ -137,8 +138,9 @@ def _canonical(x: QuadExtElement) -> QuadExtElement:
 
 class QuadExtElement(Element):
     """c0 + c1*i with c0, c1 ints in [0, p).  Multiplication is Karatsuba
-    (3 base multiplications for i^2 = -1); squaring uses the complex
-    trick (2).  `c0` and `c1` read the parts as uncounted F_p views."""
+    (3 base multiplications for i^2 = -1), or 2 for a base-field scalar;
+    squaring uses the complex trick (2).  `c0` and `c1` read the parts
+    as uncounted F_p views."""
 
     __slots__ = ("_c0", "_c1", "field")
 
@@ -198,14 +200,22 @@ class QuadExtElement(Element):
         return QuadExtElement(-self._c0 % p, -self._c1 % p, f)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         f = self.field
+        if type(other) is not QuadExtElement:
+            if not isinstance(other, (int, FieldElement)):
+                return NotImplemented
+            # A base-field scalar multiplies each part: 2M, no A.
+            k, p = f.base(other).value, f.p
+            c = f.base.counter
+            c.ext_m += 1
+            c.m += 2
+            return QuadExtElement(self._c0 * k % p, self._c1 * k % p, f)
+        if other.field is not f and other.field.p != f.p:
+            raise FieldMismatch(f"mixed moduli {f.p} and {other.field.p}")
         c = f.base.counter
         c.ext_m += 1
         c.a += 5
-        a0, a1, b0, b1 = self._c0, self._c1, o._c0, o._c1
+        a0, a1, b0, b1 = self._c0, self._c1, other._c0, other._c1
         v0 = a0 * b0
         v1 = a1 * b1
         cross = (a0 + a1) * (b0 + b1) - v0 - v1

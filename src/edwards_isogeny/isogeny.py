@@ -33,8 +33,8 @@ from functools import reduce
 from math import prod
 from operator import mul
 
-from .curve import AffinePoint, EdwardsCurve, to_affine
-from .errors import (BadKernelGenerator, EvenDegreeUnsupported,
+from .curve import DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve, to_affine
+from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
                      ExceptionalInput, InvalidCurve, NotASquare, NotOnCurve)
 
 
@@ -46,11 +46,15 @@ def _require_a1(curve: EdwardsCurve):
 
 
 def _check_degree(degree: int):
-    """The one degree rule of kernels and chains: odd and at least 3."""
+    """The one degree rule of kernels and chains: odd, at least 3 and at
+    most DESK_SCALE_LIMIT, as a kernel holds (degree - 1)/2 points."""
     if degree % 2 == 0:
         raise EvenDegreeUnsupported(f"degree {degree} is even")
     if degree < 3:
         raise BadKernelGenerator("degree must be an odd integer >= 3")
+    if degree > DESK_SCALE_LIMIT:
+        raise DeskScaleOnly(
+            f"degree {degree} exceeds the kernel limit {DESK_SCALE_LIMIT}")
 
 
 def order3_division_value(alpha, d):
@@ -72,7 +76,7 @@ class OddKernel:
         self.domain = domain
         self.degree = degree
         self.points = points
-        self.A = prod((P.x for P in points), start=domain.field.one)
+        self.A = _product(P.x for P in points)
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
@@ -83,22 +87,29 @@ class OddKernel:
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
         if Q.is_identity():
             raise BadKernelGenerator("kernel generator is the neutral element")
-        # 2Q, ..., (s+1)Q, projective.
+        # Q, 2Q, ..., sQ, projective, stopping at the first that is O;
+        # then P = (s+1)Q.
         Q1 = Q.projective()
-        multiples = [domain.double_proj(Q1)]
-        for _ in range(degree // 2 - 1):
-            multiples.append(domain.add_proj(multiples[-1], Q1))
-        for X, Y, Z in multiples[:-1]:
+        multiples = [Q1]
+        P = domain.double_proj(Q1)
+        while len(multiples) < degree // 2:
+            X, Y, Z = P
             if X == Z and Y.is_zero():
                 raise BadKernelGenerator(
                     f"generator order divides a proper factor of {degree}")
+            multiples.append(P)
+            P = domain.add_proj(P, Q1)
         # (s+1)Q = -(sQ) is equivalent to (2s+1)Q = O; together with the
         # non-identity representatives this pins the order to exactly 2s+1.
-        X1, Y1, Z1 = multiples[-1]
-        Xs, Ys, Zs = multiples[-2] if degree > 3 else Q1
-        if not (X1 * Zs == Xs * Z1 and (Y1 * Zs + Ys * Z1).is_zero()):
+        X1, Y1, Z1 = P
+        Xs, Ys, Zs = multiples[-1]
+        if degree == 3:                  # sQ = Q, whose Z is one
+            same = X1 == Xs * Z1 and (Y1 + Ys * Z1).is_zero()
+        else:
+            same = X1 * Zs == Xs * Z1 and (Y1 * Zs + Ys * Z1).is_zero()
+        if not same:
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        reps = [Q] + [to_affine(P) for P in multiples[:-1]]
+        reps = [Q] + [to_affine(P) for P in multiples[1:]]
         return cls(domain, degree, reps)
 
     def full_points(self) -> list[AffinePoint]:
@@ -196,7 +207,8 @@ class IsogenyChain:
     K_i = prod(degrees[i+1:]) * G_i, G_i the image of G, comes from a
     balanced strategy tree (De Feo, Jao and Plut, J. Math. Cryptol.
     2014): a stack holds (T, j) with T = prod(degrees[j:]) * G_i, its top
-    is split at k = (j - i) // 2 until j = i + 1, and the rest is pushed
+    is split at k = (j - i) // 2, one `mul_power_proj` l-fold step per
+    degree in degrees[i+k:j], until j = i + 1, and the rest is pushed
     through each step.  So e steps cost O(e log e) point operations, not
     the O(e^2) of multiplying every G_i afresh.  The stack is projective;
     only each K_i is made affine.  Each step checks K_i != O and
@@ -222,7 +234,8 @@ class IsogenyChain:
             T, j = stack[-1]
             while j > i + 1:
                 k = (j - i) // 2
-                T = E.scalar_mul_proj(prod(degrees[i + k:j]), T)
+                for m in degrees[i + k:j]:
+                    T = E.mul_power_proj(m, 1, T)
                 j = i + k
                 stack.append((T, j))
             stack.pop()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .curve import AffinePoint, EdwardsCurve
+from .curve import AffinePoint, EdwardsCurve, to_affine
 from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
                      ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
@@ -119,18 +119,24 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     """Two independent points of exact order l^e, built by cofactor
     multiplication of random points.  Independence: their order-l
     multiples generate different subgroups."""
-    cofactor = (curve.field.p + 1) // l ** e
+    # The cofactor (p + 1) / l^e is 4 * o^f, o the other party's prime.
+    o, f, rest = 5 if l == 3 else 3, 0, (curve.field.p + 1) // (4 * l ** e)
+    while rest % o == 0:
+        rest, f = rest // o, f + 1
 
     def samples():
         """(T, l^(e-1)*T) for each draw T of exact order l^e."""
         for _ in range(_SAMPLING_BUDGET):
             try:
-                T = curve.scalar_mul(cofactor, _random_point(curve, rng))
-                U = curve.scalar_mul(l ** (e - 1), T)
+                R = curve.double_proj(curve.double_proj(
+                    _random_point(curve, rng).projective()))
+                T = curve.mul_power_proj(o, f, R)
+                U = curve.mul_power_proj(l, e - 1, T)
             except ExceptionalPair:
                 continue         # walked through a singular point; resample
+            U = to_affine(U)
             if not U.is_identity():
-                yield T, U
+                yield to_affine(T), U
 
     first = next(samples(), None)
     if first is None:
@@ -206,8 +212,8 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
     try:
-        subgroup = OddKernel.from_generator(E.scalar_mul(l ** (e - 1), Q),
-                                            l, E)
+        U = to_affine(E.mul_power_proj(l, e - 1, Q.projective()))
+        subgroup = OddKernel.from_generator(U, l, E)
     except EdwardsError as exc:
         raise ProtocolError(
             f"image_q does not have order {l}^{e}: {exc}") from exc

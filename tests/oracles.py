@@ -93,24 +93,20 @@ def naive_point_order(P, p: int, a: int, d: int) -> int:
     return n
 
 
-def montgomery_point_order(P, p: int, a: int, d: int) -> int:
-    """Order of P on E_{a,d}, walked on the Montgomery model
-    B*v^2 = u^3 + A*u^2 + u, A = 2(a+d)/(a-d), B = 4/(a-d), through
-    u = (1+x)/(1-x), v = u/y.  The chord-and-tangent law there is defined
-    on every pair (None is its point at infinity), so the walk passes
-    the images of the Edwards curve's singular points at infinity."""
-    a, d, x, y = a % p, d % p, P[0] % p, P[1] % p
-    if (x, y) == (1, 0):
-        return 1
+def _montgomery(p: int, a: int, d: int):
+    """(A, B) of the Montgomery model B*v^2 = u^3 + A*u^2 + u of E_{a,d},
+    A = 2(a+d)/(a-d), B = 4/(a-d), reached through u = (1+x)/(1-x),
+    v = u/y, and its chord-and-tangent law, with None the point at
+    infinity.  The law is defined on every pair, so it passes the images
+    of the Edwards curve's singular points at infinity."""
     c = pow(a - d, -1, p)
     A, B = 2 * (a + d) * c % p, 4 * c % p
-    u = (1 + x) * pow(1 - x, -1, p) % p
-    v = u * pow(y, -1, p) % p if y else 0
-    assert (B * v * v - u ** 3 - A * u * u - u) % p == 0
 
     def add(R, S):
         if R is None:
             return S
+        if S is None:
+            return R
         (u1, v1), (u2, v2) = R, S
         if u1 == u2 and (v1 + v2) % p == 0:
             return None
@@ -121,11 +117,55 @@ def montgomery_point_order(P, p: int, a: int, d: int) -> int:
         u3 = (B * lam * lam - A - u1 - u2) % p
         return (u3, (lam * (u1 - u3) - v1) % p)
 
-    n, R = 1, (u, v)
+    return A, B, add
+
+
+def _to_montgomery(P, p: int, a: int, d: int):
+    """(u, v) of an affine point of E_{a,d} other than (1, 0)."""
+    A, B, _ = _montgomery(p, a, d)
+    x, y = P[0] % p, P[1] % p
+    u = (1 + x) * pow(1 - x, -1, p) % p
+    v = u * pow(y, -1, p) % p if y else 0
+    assert (B * v * v - u ** 3 - A * u * u - u) % p == 0
+    return (u, v)
+
+
+def montgomery_point_order(P, p: int, a: int, d: int) -> int:
+    """Order of P on E_{a,d}, walked on the Montgomery model."""
+    a, d = a % p, d % p
+    if (P[0] % p, P[1] % p) == (1, 0):
+        return 1
+    add = _montgomery(p, a, d)[2]
+    R0 = _to_montgomery(P, p, a, d)
+    n, R = 1, R0
     while R is not None:
-        R = add(R, (u, v))
+        R = add(R, R0)
         n += 1
     return n
+
+
+def montgomery_scalar_mul(k: int, P, p: int, a: int, d: int):
+    """k*P for k >= 1 by repeated addition on the Montgomery model,
+    mapped back by x = (u-1)/(u+1), y = u/v; None when k*P is one of the
+    Edwards curve's singular points at infinity (v = 0 with u != 0, or
+    u = -1).  Defined wherever k*P is affine, even if some multiple
+    below k is not."""
+    a, d = a % p, d % p
+    if (P[0] % p, P[1] % p) == (1, 0):
+        return (1, 0)
+    add = _montgomery(p, a, d)[2]
+    R0 = _to_montgomery(P, p, a, d)
+    R = None
+    for _ in range(k):
+        R = add(R, R0)
+    if R is None:
+        return (1, 0)
+    u, v = R
+    if (u, v) == (0, 0):
+        return (p - 1, 0)
+    if v == 0 or (u + 1) % p == 0:
+        return None
+    return ((u - 1) * pow(u + 1, -1, p) % p, u * pow(v, -1, p) % p)
 
 
 def naive_translate_isogeny(P, kernel, p: int, d: int):

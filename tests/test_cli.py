@@ -110,6 +110,22 @@ class TestIsogeny:
         assert doc["code"] == "ExceptionalPair"
         assert doc["message"] == "double lies at infinity"
 
+    def test_degree_above_desk_scale(self, capsys):
+        code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
+                             "--degree", "1000001", "--gen", "-10,9")
+        assert code == 1
+        assert doc["code"] == "DeskScaleOnly"
+
+    def test_large_degree_stops_at_generator_order(self, capsys):
+        """The order-3 generator is rejected at 3Q = O, not after
+        building 100,000 multiples."""
+        code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
+                             "--degree", "200001", "--gen", "-10,9")
+        assert code == 1
+        assert doc["code"] == "BadKernelGenerator"
+        assert doc["message"] == ("generator order divides a proper factor "
+                                  "of 200001")
+
     def test_point_check_is_uncounted(self, capsys):
         """The on-curve check of --gen and --point adds no operations:
         the tallies are the generator check, the codomain and one
@@ -118,7 +134,7 @@ class TestIsogeny:
                              "--degree", "3", "--gen", "-10,9",
                              "--point", "2,2")
         assert code == 0
-        assert doc["counters"] == {"M": 28, "S": 15, "I": 1, "A": 15}
+        assert doc["counters"] == {"M": 24, "S": 15, "I": 1, "A": 15}
 
 
 class TestChain:

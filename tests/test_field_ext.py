@@ -207,10 +207,10 @@ TALLIES = {
         "x ** 5": ((7, 0, 0, 11, 1, 2, 0, 0), "(8-8*i)"),
         "x ** -3": ((8, 2, 1, 10, 1, 1, 1, 0), "(-7+4*i)"),
         "1 - x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-1-3*i)"),
-        "x * 3": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
-        "3 * x": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
-        "x * base(3)": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
-        "base(3) * x": ((3, 0, 0, 5, 1, 0, 0, 0), "(6+9*i)"),
+        "x * 3": ((2, 0, 0, 0, 1, 0, 0, 0), "(6+9*i)"),
+        "3 * x": ((2, 0, 0, 0, 1, 0, 0, 0), "(6+9*i)"),
+        "x * base(3)": ((2, 0, 0, 0, 1, 0, 0, 0), "(6+9*i)"),
+        "base(3) * x": ((2, 0, 0, 0, 1, 0, 0, 0), "(6+9*i)"),
     },
     13: {
         "x + y": ((0, 0, 0, 2, 0, 0, 0, 1), "(6-5*i)"),
@@ -226,10 +226,10 @@ TALLIES = {
         "x ** 5": ((6, 6, 0, 13, 1, 2, 0, 0), "(6+5*i)"),
         "x ** -3": ((8, 5, 1, 11, 1, 1, 1, 0), "(1-1*i)"),
         "1 - x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-1-3*i)"),
-        "x * 3": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
-        "3 * x": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
-        "x * base(3)": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
-        "base(3) * x": ((4, 0, 0, 5, 1, 0, 0, 0), "(6-4*i)"),
+        "x * 3": ((2, 0, 0, 0, 1, 0, 0, 0), "(6-4*i)"),
+        "3 * x": ((2, 0, 0, 0, 1, 0, 0, 0), "(6-4*i)"),
+        "x * base(3)": ((2, 0, 0, 0, 1, 0, 0, 0), "(6-4*i)"),
+        "base(3) * x": ((2, 0, 0, 0, 1, 0, 0, 0), "(6-4*i)"),
     },
 }
 

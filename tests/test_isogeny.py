@@ -5,11 +5,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
-                             EdwardsCurve, EvenDegreeUnsupported,
-                             ExceptionalInput, ExceptionalPair, InvalidCurve,
-                             IsogenyChain, NotOnCurve, OddIsogeny, OddKernel,
-                             OpCounter, PrimeField, is_order3_abscissa,
+                             DeskScaleOnly, EdwardsCurve,
+                             EvenDegreeUnsupported, ExceptionalInput,
+                             ExceptionalPair, InvalidCurve, IsogenyChain,
+                             NotOnCurve, OddIsogeny, OddKernel, OpCounter,
+                             PrimeField, is_order3_abscissa,
                              order3_division_value, recover_y)
+from edwards_isogeny.curve import DESK_SCALE_LIMIT
 
 from conftest import DESK_PRIMES, pt, translate_image
 from oracles import naive_translate_isogeny
@@ -93,6 +95,24 @@ class TestKernel:
         curve = EdwardsCurve(f23, f23(5), f23(7))
         with pytest.raises(InvalidCurve):
             OddKernel.from_generator(pt(curve, 1, 0), 3, curve)
+
+    def test_stops_at_first_identity(self, e23):
+        """An order-3 generator with degree 200001 stops at 3Q = O: the
+        on-curve check, one doubling and one addition, not 100,000."""
+        ctx = OpCounter()
+        with e23.field.counting(ctx), pytest.raises(
+                BadKernelGenerator, match="proper factor of 200001"):
+            OddKernel.from_generator(pt(e23, -10, 9), 200001, e23)
+        assert ctx.as_dict() == {"M": 15, "S": 7, "I": 0, "A": 16}
+
+    def test_rejects_degree_above_desk_scale(self, e23):
+        """A kernel holds (degree - 1)/2 points, so the degree is capped
+        before any arithmetic."""
+        degree = DESK_SCALE_LIMIT + 1 + DESK_SCALE_LIMIT % 2
+        ctx = OpCounter()
+        with e23.field.counting(ctx), pytest.raises(DeskScaleOnly):
+            OddKernel.from_generator(pt(e23, -10, 9), degree, e23)
+        assert ctx.snapshot() == (0,) * 8
 
 
 class TestCodomainParam:
@@ -389,7 +409,8 @@ class TestChain:
         ([3, 1], BadKernelGenerator),
         ([3, -3], BadKernelGenerator),
         ([3, 4], EvenDegreeUnsupported),
-    ], ids=["empty", "one", "negative", "even"])
+        ([3, DESK_SCALE_LIMIT + 1 + DESK_SCALE_LIMIT % 2], DeskScaleOnly),
+    ], ids=["empty", "one", "negative", "even", "above_desk_scale"])
     def test_rejects_degrees(self, degrees, error):
         """The kernel's degree rule, on every degree and before any
         arithmetic; an empty list is no chain, even for G of order 15."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import prod
 
@@ -342,15 +344,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1628, "S": 28, "I": 14, "A": 3228},
-                      "ext": {"M": 406, "S": 184, "I": 14, "A": 309}},
-            "bob": {"base": {"M": 1581, "S": 34, "I": 17, "A": 3117},
-                    "ext": {"M": 404, "S": 159, "I": 17, "A": 293}}}),
+            "alice": {"base": {"M": 1447, "S": 28, "I": 14, "A": 2848},
+                      "ext": {"M": 363, "S": 159, "I": 14, "A": 269}},
+            "bob": {"base": {"M": 1543, "S": 34, "I": 17, "A": 3047},
+                    "ext": {"M": 392, "S": 159, "I": 17, "A": 293}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 497, "S": 20, "I": 10, "A": 930},
-                      "ext": {"M": 119, "S": 55, "I": 10, "A": 75}},
-            "bob": {"base": {"M": 765, "S": 26, "I": 13, "A": 1450},
-                    "ext": {"M": 198, "S": 66, "I": 13, "A": 118}}}),
+            "alice": {"base": {"M": 453, "S": 20, "I": 10, "A": 850},
+                      "ext": {"M": 105, "S": 55, "I": 10, "A": 75}},
+            "bob": {"base": {"M": 739, "S": 26, "I": 13, "A": 1400},
+                    "ext": {"M": 190, "S": 66, "I": 13, "A": 118}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -384,8 +386,22 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 36740, "S": 156, "I": 78},
-                          SIDE_B: {"M": 40283, "S": 228, "I": 114}}
+        assert counts == {SIDE_A: {"M": 30663, "S": 156, "I": 78},
+                          SIDE_B: {"M": 39280, "S": 228, "I": 114}}
+
+    def test_transcript_bytes_at_247_bits(self, monkeypatch):
+        """Value gate: the SHA-256 of run_exchange(74, 55, seed=1)'s JSON
+        without `counters` (bases, secrets, public keys, shared j) is
+        frozen, so an arithmetic rewrite may change what an exchange
+        costs but not what it computes."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        monkeypatch.setattr(sidh, "DESK_PRIME_LIMIT", p)
+        out = run_exchange(74, 55, seed=1)
+        del out["counters"]
+        digest = hashlib.sha256(
+            json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert digest == ("95113fed93f2c1a770335f69f5e744ff"
+                          "98bc38d26211ae9f0a1d931a1f0fa566")
 
     def test_chain_takes_no_character_at_247_bits(self, monkeypatch):
         """Codomain curves are checked for degeneracy without a Legendre
