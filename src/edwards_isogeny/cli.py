@@ -125,7 +125,7 @@ def _cmd_chain(args):
     chain = IsogenyChain(curve, gen, degrees)
     out = {"degrees": degrees,
            "steps": [{"degree": s.degree,
-                      "kernel": [_fmt_point(P) for P in s.kernel.points],
+                      "kernel": [{"x": _fmt(x)} for x in s.kernel.xs],
                       "d_prime": _fmt(s.codomain_d)} for s in chain.steps],
            "d_prime": _fmt(chain.codomain.d),
            "j": _fmt(chain.codomain.j_invariant())}

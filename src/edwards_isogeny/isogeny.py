@@ -22,20 +22,27 @@ with its denominators cleared, so nothing is inverted:
      Z' = A^2 Z * prod (Z^2 - d b_i^2 X^2) * prod (Z^2 - d a_i^2 X^2)
 
 with a_i^2, b_i^2, d a_i^2 and d b_i^2 computed once per isogeny: 2S and
-(8s + 3)M a point.  A chain keeps its points projective and makes one
-inversion per step, for its kernel point (two for degree 5, whose 2Q is
-normalized too), and one per pushed image, at the end.
+(8s + 3)M a point.  The map reads the kernel only through (a_i^2, b_i^2),
+so a kernel known by its x-coordinates alone, with
+b_i^2 = (1 - a_i^2)/(1 - d a_i^2), serves as well as one of full points.
+
+A chain runs its kernel path on the x-line (`xonly`): x-only l-fold
+steps, a kernel made affine from x alone with one inversion a step, and
+the odd-degree product `odd_image` for its stack.  Only a pushed image
+(`chain(P)`) goes through `push`, and is made affine once, at the end.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import accumulate
 from math import prod
 from operator import mul
 
 from .curve import DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve, to_affine
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
                      ExceptionalInput, InvalidCurve, NotASquare, NotOnCurve)
+from .xonly import odd_image, xadd, xdbl, xdbl_y2, xmul
 
 
 def _require_a1(curve: EdwardsCurve):
@@ -69,14 +76,21 @@ def is_order3_abscissa(alpha, d) -> bool:
 
 class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
-    order l = 2s+1, with the cached product A of their x-coordinates."""
+    order l = 2s+1: their x-coordinates `xs`, with the cached product A.
+    A kernel built from a full point keeps the points as `points`; one
+    built on the x-line has no y sign, `points` is None, and it carries
+    its y_i^2 instead."""
 
-    def __init__(self, domain: EdwardsCurve, degree: int,
-                 points: list[AffinePoint]):
+    def __init__(self, domain: EdwardsCurve, degree: int, xs: list,
+                 points: list[AffinePoint] | None = None,
+                 squares: list | None = None):
         self.domain = domain
         self.degree = degree
+        self.xs = xs
         self.points = points
-        self.A = _product(P.x for P in points)
+        self.A = _product(xs)
+        if squares is not None:
+            self.squares = squares
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
@@ -110,25 +124,81 @@ class OddKernel:
         if not same:
             raise BadKernelGenerator(f"generator does not have order {degree}")
         reps = [Q] + [to_affine(P) for P in multiples[1:]]
-        return cls(domain, degree, reps)
+        return cls(domain, degree, [P.x for P in reps], points=reps)
+
+    @classmethod
+    def from_x(cls, K: tuple, degree: int,
+               domain: EdwardsCurve) -> "OddKernel":
+        """<K> from the x-line point K = (X, Z) of a point on the domain
+        (the x-line does not tell the curve from its twist, so that is
+        the caller's check).  The same checks as `from_generator`, on x:
+        K is not O, no multiple 2K, ..., sK is O, none of K, ..., sK lies
+        at infinity, and x((s+1)K) = x(sK), which pins the order to
+        exactly l, as x is equal only for opposite points.  The multiples
+        are taken with differences K, which `xadd` needs to differ from O
+        and (-1, 0); (-1, 0) itself fails the checks, having 2K = O.  One
+        inversion, by Montgomery's trick, makes every x_i = X_i/Z_i
+        affine and gives y_i^2 = (Z_i^2 - X_i^2)/(Z_i^2 - d X_i^2); an
+        affine K, Z = 1, adds no Z_1 to it."""
+        X, Z = K
+        if X == Z:                       # O, or the (0 : 0) of a bad ladder
+            raise BadKernelGenerator("kernel generator is the neutral element")
+        c, s = domain.field.one - domain.d, degree // 2
+        double, num, den = xdbl_y2(K, c)
+        multiples, fractions = [K, double], [(num, den)]   # jK at j - 1
+        for j in range(3, s + 2):
+            if multiples[-1][0] == multiples[-1][1]:
+                raise BadKernelGenerator(
+                    f"generator order divides a proper factor of {degree}")
+            h = j // 2
+            multiples.append(xadd(multiples[h], multiples[h - 1], K)
+                             if j % 2 else xdbl(multiples[h - 1], c))
+        X1, Z1 = multiples.pop()         # (s+1)K
+        for X, Z in multiples[1:]:
+            XX, ZZ = X.square(), Z.square()
+            fractions.append((ZZ - XX, ZZ - domain.d * XX))
+        quotients = _divide([f for P, y2 in zip(multiples, fractions)
+                             for f in (P, y2)])
+        xs = quotients[::2]
+        if X1 != xs[-1] * Z1:
+            raise BadKernelGenerator(f"generator does not have order {degree}")
+        squares = [(x.square(), y2) for x, y2 in zip(xs, quotients[1::2])]
+        return cls(domain, degree, xs, squares=squares)
+
+    @cached_property
+    def squares(self) -> list:
+        """(x_i^2, y_i^2) of each representative, all the full map reads;
+        squared from the points unless the x-line build supplied them."""
+        return [(P.x.square(), P.y.square()) for P in self.points]
+
+    @cached_property
+    def a_sq(self):
+        """A^2; at degree 3, where A = x(Q), the x(Q)^2 of `squares`."""
+        return self.squares[0][0] if self.degree == 3 else self.A.square()
 
     def full_points(self) -> list[AffinePoint]:
-        """The whole subgroup: O and ±Q_i."""
+        """The whole subgroup: O and ±Q_i.  An x-line kernel's ±y_i are
+        the two square roots of y_i^2, so it needs no sign."""
+        sqrt = self.domain.field.sqrt
+        reps = self.points or [AffinePoint(x, sqrt(y2))
+                               for x, (_, y2) in zip(self.xs, self.squares)]
         out = [self.domain.identity]
-        for P in self.points:
+        for P in reps:
             out.append(P)
             out.append(P.neg())
         return out
 
     def codomain_param(self):
         """d' = A^8 * d^l."""
-        a8 = self.A.square().square().square()
+        a8 = self.a_sq.square().square()
         return a8 * self.domain.d ** self.degree
 
     def to_json(self) -> dict:
-        return {"l": self.degree,
-                "kernel": [P.to_json() for P in self.points],
-                "A": self.A.to_str()}
+        if self.points is None:
+            kernel = [{"x": x.to_str()} for x in self.xs]
+        else:
+            kernel = [P.to_json() for P in self.points]
+        return {"l": self.degree, "kernel": kernel, "A": self.A.to_str()}
 
 
 class OddIsogeny:
@@ -142,9 +212,8 @@ class OddIsogeny:
         self.codomain = EdwardsCurve(self.domain.field,
                                      self.domain.field.one, self.codomain_d)
         d = self.domain.d
-        squares = [(Q.x.square(), Q.y.square()) for Q in kernel.points]
-        self._terms = [(a2, b2, d * a2, d * b2) for a2, b2 in squares]
-        self._a_sq = kernel.A.square()
+        self._terms = [(a2, b2, d * a2, d * b2) for a2, b2 in kernel.squares]
+        self._a_sq = kernel.a_sq
 
     @property
     def degree(self) -> int:
@@ -182,6 +251,27 @@ def _product(factors):
     return reduce(mul, factors)
 
 
+def _divide(fractions: list) -> list:
+    """n/d for each pair (n, d), with one inversion by Montgomery's
+    trick: 3(k - 1)M for the k denominators other than one, then 1M a
+    quotient.  BadKernelGenerator if a denominator is zero: a Z_i or a
+    y_i^2 denominator is zero only at a point at infinity, which no
+    kernel of odd order holds."""
+    dens = [d for _, d in fractions if d != 1]
+    if not dens:
+        return [n for n, _ in fractions]
+    prefix = list(accumulate(dens, mul))
+    if prefix[-1].is_zero():
+        raise BadKernelGenerator("kernel point lies at infinity")
+    inv, inverses = prefix[-1].inverse(), [None] * len(dens)
+    for i in range(len(dens) - 1, 0, -1):
+        inverses[i] = inv * prefix[i - 1]
+        inv = inv * dens[i]
+    inverses[0] = inv
+    it = iter(inverses)
+    return [n if d == 1 else n * next(it) for n, d in fractions]
+
+
 def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
     """Lift an x-coordinate to the curve point with the canonical root
     of y^2 = (1 - x^2)/(a - d*x^2); its negative is the other lift."""
@@ -207,15 +297,18 @@ class IsogenyChain:
     K_i = prod(degrees[i+1:]) * G_i, G_i the image of G, comes from a
     balanced strategy tree (De Feo, Jao and Plut, J. Math. Cryptol.
     2014): a stack holds (T, j) with T = prod(degrees[j:]) * G_i, its top
-    is split at k = (j - i) // 2, one `mul_power_proj` l-fold step per
+    is split at k = (j - i) // 2, one x-only l-fold step (`xmul`) per
     degree in degrees[i+k:j], until j = i + 1, and the rest is pushed
-    through each step.  So e steps cost O(e log e) point operations, not
-    the O(e^2) of multiplying every G_i afresh.  The stack is projective;
-    only each K_i is made affine.  Each step checks K_i != O and
-    l_i * K_i = O; as every K_i lies in the image of <G>, the composite
-    kernel (prod(degrees) points) lies in <G> and holds G, so a G on the
-    domain has exact order prod(degrees).  Calling the chain runs every
-    step projectively and inverts once.
+    through each step by the odd-degree product `odd_image`.  So e steps
+    cost O(e log e) point operations, not the O(e^2) of multiplying
+    every G_i afresh.  The stack holds x-line points (X, Z); each K_i is
+    checked and made affine by `OddKernel.from_x`.  As the x-line does
+    not tell the curve from its twist, G is checked once to lie on the
+    domain.  Each step checks K_i != O and that K_i has order l_i; as
+    every K_i lies in the image of <G>, the composite kernel
+    (prod(degrees) points) lies in <G> and holds G, so G has exact order
+    prod(degrees).  Calling the chain runs every step's full map
+    projectively and inverts once.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint,
@@ -226,22 +319,26 @@ class IsogenyChain:
             raise BadKernelGenerator("a chain needs at least one degree")
         for l in degrees:
             _check_degree(l)
+        if not domain.contains(generator):
+            raise NotOnCurve(f"{generator!r} is not on {domain!r}")
         self.domain = domain
         self.degrees = degrees
         self.steps: list[OddIsogeny] = []
-        E, stack = domain, [(generator.projective(), len(degrees))]
+        E, stack = domain, [((generator.x, domain.field.one), len(degrees))]
         for i, l in enumerate(degrees):
             T, j = stack[-1]
+            c = E.field.one - E.d
             while j > i + 1:
                 k = (j - i) // 2
                 for m in degrees[i + k:j]:
-                    T = E.mul_power_proj(m, 1, T)
+                    T = xmul(m, T, c)
                 j = i + k
                 stack.append((T, j))
             stack.pop()
-            step = OddIsogeny(OddKernel.from_generator(to_affine(T), l, E))
+            step = OddIsogeny(OddKernel.from_x(T, l, E))
             self.steps.append(step)
-            stack = [(step.push(P), j) for P, j in stack]
+            xs = step.kernel.xs
+            stack = [(odd_image(P, xs), j) for P, j in stack]
             E = step.codomain
         self.codomain = E
 

@@ -22,6 +22,7 @@ from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, OddKernel, recover_y
+from .xonly import xmul
 
 DESK_PRIME_LIMIT = 10_000
 SIDE_A = "A"   # 3^m chain
@@ -144,16 +145,17 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     P, U = first
     subgroup = OddKernel.from_generator(U, l, curve)
     for Q, V in samples():
-        if not _in_subgroup(V, subgroup):
+        if not _in_subgroup(V.x, subgroup):
             return TorsionBasis(l, e, P, Q)
     raise SetupFailed(f"no independent order-{l}^{e} partner found")
 
 
-def _in_subgroup(V: AffinePoint, subgroup: OddKernel) -> bool:
-    """Whether V, of order l, lies in the order-l subgroup: points share
-    an x-coordinate exactly when they are equal or opposite, so this
-    compares x(V) with the representatives' x(U), ..., x(sU)."""
-    return any(V.x == U.x for U in subgroup.points)
+def _in_subgroup(x, subgroup: OddKernel) -> bool:
+    """Whether the point of order l with x-coordinate x lies in the
+    order-l subgroup: points share an x-coordinate exactly when they are
+    equal or opposite, so this compares x with the representatives'
+    x(U), ..., x(sU)."""
+    return any(x == u for u in subgroup.xs)
 
 
 def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
@@ -187,12 +189,13 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     or the validation of Kirkwood et al. (2015).
 
     The chain proves that R = P' + k*Q' has exact order l^e; its step-0
-    kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q' must satisfy U != O
-    and l*U = O, so Q' has exact order l^e, and K0 must lie outside <U>
-    (`_in_subgroup`).  Then l^(e-1)*P' = K0 - k*U lies outside <U> too,
-    so it is not O, P' (a difference of two points of order l^e) has
-    exact order l^e, and the order-l multiples of P' and Q' span E[l];
-    hence P' and Q' generate all of E[l^e].
+    kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q', taken on the x-line
+    by the chain's l-fold steps, must satisfy U != O and l*U = O
+    (`OddKernel.from_x`), so Q' has exact order l^e, and K0 must lie
+    outside <U> (`_in_subgroup`).  Then l^(e-1)*P' = K0 - k*U lies
+    outside <U> too, so it is not O, P' (a difference of two points of
+    order l^e) has exact order l^e, and the order-l multiples of P' and
+    Q' span E[l]; hence P' and Q' generate all of E[l^e].
     """
     basis = params.basis(keypair.side)
     l, e = basis.degree, basis.exponent
@@ -211,13 +214,15 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
                              [l] * e)
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
+    c, U = E.field.one - E.d, (Q.x, E.field.one)
+    for _ in range(e - 1):
+        U = xmul(l, U, c)
     try:
-        U = to_affine(E.mul_power_proj(l, e - 1, Q.projective()))
-        subgroup = OddKernel.from_generator(U, l, E)
+        subgroup = OddKernel.from_x(U, l, E)
     except EdwardsError as exc:
         raise ProtocolError(
             f"image_q does not have order {l}^{e}: {exc}") from exc
-    if _in_subgroup(chain.steps[0].kernel.points[0], subgroup):
+    if _in_subgroup(chain.steps[0].kernel.xs[0], subgroup):
         raise ProtocolError(
             f"public basis images do not generate the {l}^{e}-torsion")
     return chain.codomain.j_invariant()

@@ -15,6 +15,20 @@ part of the advertised figures):
 The 3-isogeny evaluation never reads the curve parameter d: for a
 kernel abscissa satisfying the order-3 division condition the map
 depends on coordinates only.
+
+The chains run on the x-line too, on (X, Z) pairs of E_{1,d}, through
+u = (1 + x)/(1 - x), the Montgomery model `EdwardsCurve.point_order`
+uses, with c = 1 - d (1 - d/a on E_{a,d}):
+
+    xdbl         3M + 2S        xadd         4M + 2S
+    xmul(3, .)   7M + 4S        xmul(5, .)   11M + 6S
+    odd_image    3sM + 2S for an affine kernel, 4sM + 2S projective,
+                 s = (l - 1)/2; eval_3_isog is its one-point case
+
+Points at infinity are x-line points like any other (x = infinity is
+Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
+two points whose u is infinity or 0, so `xmul(l, P)` is (0 : 0) for
+those two P; `OddKernel.from_x` rejects (0 : 0) as O.
 """
 
 from __future__ import annotations
@@ -94,13 +108,80 @@ def eval_3_isog(P: XZPoint, K1: XZPoint) -> XZPoint:
     """Image of (X : Z) under the 3-isogeny with kernel (X1 : Z1):
     F = X'+Z' = (X1*Z + Z1*X)^2 (X+Z), G = X'-Z' = (X1*Z - Z1*X)^2 (X-Z).
     Independent of the curve parameter d."""
-    u1 = K1.X * P.Z
-    u2 = P.X * K1.Z
-    f = (u1 + u2).square()
-    g = (u1 - u2).square()
-    F = (P.X + P.Z) * f
-    G = (P.X - P.Z) * g
-    return XZPoint(F + G, F - G)             # cost: 4M+2S; (2X' : 2Z')
+    return XZPoint(*odd_image((P.X, P.Z), [K1.X], [K1.Z]))   # cost: 4M+2S
+
+
+def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
+    """Image of (X, Z) under the odd-degree isogeny whose kernel
+    representatives Q, 2Q, ..., sQ have abscissas xs[i]/zs[i], or xs[i]
+    when `zs` is None:
+
+        F = (X + Z) * prod (x_i Z + z_i X)^2
+        G = (X - Z) * prod (x_i Z - z_i X)^2
+        (X' : Z') = (F + G : F - G)
+
+    This is Costello and Hisil's u' = u * prod ((u u_i - 1)/(u - u_i))^2
+    (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
+    parameter.  cost: 3sM + 2S affine, 4sM + 2S projective."""
+    X, Z = P
+    plus = minus = None
+    for i, x in enumerate(xs):
+        u, v = x * Z, (X if zs is None else zs[i] * X)
+        if plus is None:
+            plus, minus = u + v, u - v
+        else:
+            plus, minus = plus * (u + v), minus * (u - v)
+    F = (X + Z) * plus.square()
+    G = (X - Z) * minus.square()
+    return F + G, F - G
+
+
+def xdbl(P: tuple, c) -> tuple:
+    """2P for (X, Z) on E_{1,d}, c = 1 - d.  cost: 3M+2S."""
+    return xdbl_y2(P, c)[0]
+
+
+def xdbl_y2(P: tuple, c) -> tuple:
+    """2P, with the numerator and denominator of y(P)^2: with
+    (U : W) = (Z + X : Z - X) the doubling is
+    (c X^2 Z^2 : e (c X^2 + e)), e = Z^2 - X^2, and (X' : Z') =
+    (U - W : U + W); as e + c X^2 = Z^2 - d X^2, y^2 = e/(e + c X^2) on
+    the curve.  cost: 3M+2S."""
+    X, Z = P
+    XX, ZZ = X.square(), Z.square()
+    ct = c * XX
+    e = ZZ - XX
+    den = ct + e
+    U, W = ct * ZZ, e * den
+    return (U - W, U + W), e, den
+
+
+def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
+    """P + Q from D = P - Q, the Montgomery differential addition on
+    u = (Z + X)/(Z - X): with s = X1 Z2 and t = Z1 X2,
+    (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S."""
+    (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
+    s, t = X1 * Z2, Z1 * X2
+    U = (Zd - Xd) * (s + t).square()
+    W = (Zd + Xd) * (s - t).square()
+    return U - W, U + W
+
+
+def xmul(l: int, P: tuple, c) -> tuple:
+    """l*P for odd l >= 3 by the Montgomery ladder on (kP, (k+1)P), whose
+    differences are all P.  A 0 as the second bit of l keeps the 2P just
+    computed, so the three-fold step is 2P, 2P + P (7M+4S) and the
+    five-fold step 2P, 3P, 3P + 2P (11M+6S)."""
+    bits = bin(l)[3:]
+    lo, hi = P, xdbl(P, c)
+    if bits[0] == "0":
+        lo, hi, bits = hi, xadd(hi, P, P), bits[1:]
+    for bit in bits[:-1]:
+        if bit == "1":
+            lo, hi = xadd(hi, lo, P), xdbl(hi, c)
+        else:
+            lo, hi = xdbl(lo, c), xadd(hi, lo, P)
+    return xadd(hi, lo, P)
 
 
 def run_3_isog(P: XZPoint, K1: XZPoint) -> tuple[XZPoint, ProjParams]:

@@ -144,20 +144,27 @@ def montgomery_point_order(P, p: int, a: int, d: int) -> int:
     return n
 
 
+def _montgomery_multiple(k: int, P, p: int, a: int, d: int):
+    """k*P for k >= 1 on the Montgomery model, by repeated addition of
+    the image of P; None is the point at infinity."""
+    a, d = a % p, d % p
+    add = _montgomery(p, a, d)[2]
+    R0 = _to_montgomery(P, p, a, d)
+    R = None
+    for _ in range(k):
+        R = add(R, R0)
+    return R
+
+
 def montgomery_scalar_mul(k: int, P, p: int, a: int, d: int):
     """k*P for k >= 1 by repeated addition on the Montgomery model,
     mapped back by x = (u-1)/(u+1), y = u/v; None when k*P is one of the
     Edwards curve's singular points at infinity (v = 0 with u != 0, or
     u = -1).  Defined wherever k*P is affine, even if some multiple
     below k is not."""
-    a, d = a % p, d % p
     if (P[0] % p, P[1] % p) == (1, 0):
         return (1, 0)
-    add = _montgomery(p, a, d)[2]
-    R0 = _to_montgomery(P, p, a, d)
-    R = None
-    for _ in range(k):
-        R = add(R, R0)
+    R = _montgomery_multiple(k, P, p, a, d)
     if R is None:
         return (1, 0)
     u, v = R
@@ -166,6 +173,22 @@ def montgomery_scalar_mul(k: int, P, p: int, a: int, d: int):
     if v == 0 or (u + 1) % p == 0:
         return None
     return ((u - 1) * pow(u + 1, -1, p) % p, u * pow(v, -1, p) % p)
+
+
+def montgomery_x_mul(k: int, P, p: int, a: int, d: int):
+    """x(k*P) for k >= 1, by repeated addition on the Montgomery model
+    and x = (u-1)/(u+1): 1 when k*P = O, None when x is infinite
+    (u = -1, the order-4 points at infinity).  Every multiple has an x
+    here, the singular points at infinity with a finite x included."""
+    if (P[0] % p, P[1] % p) == (1, 0):
+        return 1
+    R = _montgomery_multiple(k, P, p, a, d)
+    if R is None:
+        return 1
+    u = R[0]
+    if (u + 1) % p == 0:
+        return None
+    return (u - 1) * pow(u + 1, -1, p) % p
 
 
 def naive_translate_isogeny(P, kernel, p: int, d: int):

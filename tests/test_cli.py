@@ -87,6 +87,14 @@ class TestIsogeny:
         assert doc["A"] == -10
         assert doc["codomain_class"] == "complete"
 
+    def test_kernel_lists_full_points(self, capsys):
+        """The kernel of the `isogeny` command comes from the full point,
+        so it prints with its y."""
+        code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
+                             "--degree", "3", "--gen", "-10,9")
+        assert code == 0
+        assert doc["kernel"] == [[-10, 9]]
+
     def test_bad_generator_is_domain_error(self, capsys):
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
                              "--degree", "3", "--gen", "2,2")
@@ -134,7 +142,7 @@ class TestIsogeny:
                              "--degree", "3", "--gen", "-10,9",
                              "--point", "2,2")
         assert code == 0
-        assert doc["counters"] == {"M": 24, "S": 15, "I": 1, "A": 15}
+        assert doc["counters"] == {"M": 24, "S": 13, "I": 1, "A": 15}
 
 
 class TestChain:
@@ -145,6 +153,16 @@ class TestChain:
         assert code == 0
         assert [s["degree"] for s in doc["steps"]] == [3, 5]
         assert "j" in doc and "image" in doc
+
+    def test_kernel_lists_x_only(self, capsys):
+        """A chain's kernels are built on the x-line and have no y sign,
+        so each representative prints as {"x": ...}; the x are those of
+        Q and 2Q for the full points the `isogeny` command prints."""
+        code, doc = run_json(capsys, "chain", "--p", "59", "--d", "-1",
+                             "--gen", "7,5", "--degrees", "3,5")
+        assert code == 0
+        assert [s["kernel"] for s in doc["steps"]] == [
+            [{"x": 28}], [{"x": -12}, {"x": 16}]]
 
     def test_point_off_curve(self, capsys):
         code, doc = run_json(capsys, "chain", "--p", "23", "--d", "-1",

@@ -12,8 +12,9 @@ from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
                              PrimeField, is_order3_abscissa,
                              order3_division_value, recover_y)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
+from edwards_isogeny.xonly import odd_image
 
-from conftest import DESK_PRIMES, pt, translate_image
+from conftest import DESK_PRIMES, desk_curves, pt, translate_image
 from oracles import naive_translate_isogeny
 
 # Evaluation routes: the library's rational map and the translate-product
@@ -346,6 +347,78 @@ class TestProjectiveEvaluation:
         assert (ctx.m, ctx.s, ctx.i) == (M, 2, 0)
 
 
+def line(P, lam: int = 1) -> tuple:
+    """The x-line point (lam*x : lam) of an affine point."""
+    return (P.x * lam, P.x.field(lam))
+
+
+class TestXLineKernel:
+    """`OddKernel.from_x` against `from_generator`, and the chain's
+    odd-degree product against the full map."""
+
+    @pytest.mark.parametrize("l", [3, 5, 7, 9, 15])
+    def test_accepts_what_from_generator_accepts(self, l):
+        """Every point of the first 16 a = 1 desk curves whose order l
+        divides, as a generator of degree l: from_x accepts exactly the
+        points that from_generator accepts, and then with the same x_i,
+        (x_i^2, y_i^2), A, d' and subgroup; every other point raises
+        BadKernelGenerator."""
+        accepted = 0
+        for p, d in a1_curves_with_torsion(l)[:16]:
+            curve = a1_curve(p, d)
+            for P in curve.points():
+                try:
+                    want = OddKernel.from_generator(P, l, curve)
+                except (BadKernelGenerator, ExceptionalPair):
+                    with pytest.raises(BadKernelGenerator):
+                        OddKernel.from_x(line(P, 3), l, curve)
+                    continue
+                got = OddKernel.from_x(line(P, 3), l, curve)
+                assert got.xs == want.xs and got.A == want.A
+                assert got.squares == want.squares
+                assert got.codomain_param() == want.codomain_param()
+                assert set(got.full_points()) == set(want.full_points())
+                accepted += 1
+        assert accepted > 0
+
+    @pytest.mark.parametrize("l", [3, 5, 7])
+    def test_odd_image_matches_call(self, l):
+        """x of phi(P) for every point of every a = 1 desk curve with
+        l-torsion up to p = 59 and one generator each, the image point
+        scaled; poles are left to TestProjectiveEvaluation."""
+        checked = 0
+        for p, d in a1_curves_with_torsion(l):
+            if p > 59:
+                continue
+            curve = a1_curve(p, d)
+            G = next(P for P in curve.points() if not P.is_identity()
+                     and annihilated_by(curve, P, l))
+            phi = OddIsogeny(OddKernel.from_generator(G, l, curve))
+            for P in curve.points():
+                try:
+                    want = phi(P)
+                except ExceptionalInput:
+                    continue
+                X, Z = odd_image(line(P, 5), phi.kernel.xs)
+                assert X == want.x * Z
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("name,K,l,want", [
+        ("projective_3", (-10 * 4, 4), 3, (9, 3, 1, 5)),
+        ("affine_3", (-10, 1), 3, (5, 3, 1, 5)),
+        ("projective_5", (6 * 3, 3), 5, (23, 8, 1, 13)),
+    ])
+    def test_costs(self, e23, e19, name, K, l, want):
+        """(M, S, I, A) of building a kernel on the x-line, A = x1 * x2
+        included: one inversion, and none of Z_1 when K is affine."""
+        curve = e23 if l == 3 else e19
+        K = tuple(map(curve.field, K))
+        with curve.field.counting(OpCounter()) as ctx:
+            OddKernel.from_x(K, l, curve)
+        assert (ctx.m, ctx.s, ctx.i, ctx.a) == want
+
+
 class TestDivisionPolynomial:
     def test_worked_root(self, f23):
         assert order3_division_value(f23(-10), f23(-1)) == 0
@@ -463,6 +536,51 @@ class TestChain:
         with pytest.raises(BadKernelGenerator):
             IsogenyChain(e23, pt(e23, -10, 9), [3, 3])  # order 3, not 9
 
+    @pytest.mark.parametrize("xy,order", [((0, 1), 4), ((-1, 0), 2),
+                                          ((1, 0), 1)])
+    def test_rejects_generators_of_order_at_most_four(self, e23, xy, order):
+        """Affine x-line kernels at the edge: (0, 1), whose Z and y^2
+        denominator are both one, so nothing is inverted; (-1, 0), where
+        xadd is undefined; and O."""
+        assert e23.point_order(pt(e23, *xy)) == order
+        with pytest.raises(BadKernelGenerator):
+            IsogenyChain(e23, pt(e23, *xy), [3])
+        with pytest.raises(BadKernelGenerator):
+            IsogenyChain(e23, pt(e23, *xy), [5])
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_rejects_generator_whose_double_lies_at_infinity(self, f23,
+                                                             degree):
+        """(3, 4) has order 4 on the quadratic E_{1,4} over F_23 and 2Q is
+        a singular point at infinity, whose y^2 denominator is zero:
+        BadKernelGenerator, where `from_generator` raises ExceptionalPair
+        and no inversion of zero is tried."""
+        curve = EdwardsCurve(f23, f23.one, f23(4))
+        with pytest.raises(BadKernelGenerator):
+            IsogenyChain(curve, pt(curve, 3, 4), [degree])
+
+    def test_rejects_off_curve_generator(self, e23):
+        """The x-line cannot tell E from its twist, so the chain checks
+        its generator once: (5, 5) is not on E_{-1} over F_23."""
+        with pytest.raises(NotOnCurve):
+            IsogenyChain(e23, pt(e23, 5, 5), [3, 3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_even_order_generators_are_typed_errors(self, curve, data):
+        """A generator with an even-order part fails with
+        BadKernelGenerator, whatever the odd degrees; never
+        DivisionByZero.  Each drawn E_{a,d}, of any class, is taken to
+        E_{1,d/a}, the form the isogeny formulas need."""
+        field = curve.field
+        curve = EdwardsCurve(field, field.one, curve.d / curve.a)
+        G = data.draw(st.sampled_from(curve.points()))
+        assume(curve.point_order(G) % 2 == 0)
+        degrees = data.draw(st.lists(st.sampled_from([3, 5, 7]),
+                                     min_size=1, max_size=3))
+        with pytest.raises(BadKernelGenerator):
+            IsogenyChain(curve, G, degrees)
+
 
 class TestSerialization:
     def test_isogeny_json(self, phi3):
@@ -478,3 +596,11 @@ class TestSerialization:
         doc = IsogenyChain(curve, pt(curve, 7, 5), [3, 5]).to_json()
         assert doc["degrees"] == [3, 5]
         assert len(doc["steps"]) == 2
+
+    def test_chain_kernels_have_no_y(self):
+        """Chain kernels are built on the x-line: x only, hex."""
+        field = PrimeField(59)
+        curve = EdwardsCurve(field, field.one, field(-1))
+        doc = IsogenyChain(curve, pt(curve, 7, 5), [3, 5]).to_json()
+        assert [s["kernel"] for s in doc["steps"]] == [
+            [{"x": "1c"}], [{"x": "2f"}, {"x": "10"}]]

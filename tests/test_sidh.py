@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (DeskScaleOnly, EdwardsCurve, EdwardsError,
-                             IsogenyChain, OpCounter, ProtocolError,
-                             PrimeField, PublicKey, QuadExtField,
-                             count_cyclic_subgroups, derive_shared, keygen,
-                             recover_y, run_exchange, setup, sidh)
+                             IsogenyChain, OddIsogeny, OddKernel, OpCounter,
+                             ProtocolError, PrimeField, PublicKey,
+                             QuadExtField, count_cyclic_subgroups,
+                             derive_shared, keygen, recover_y, run_exchange,
+                             setup, sidh)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
 from conftest import pt
@@ -266,14 +267,21 @@ def _random_point(curve, rng):
 
 
 def assert_cofactor_walk(curve, G, degrees):
-    """The chain's kernel points are those of the O(e^2) definition:
-    step i's kernel is prod(degrees[i+1:]) * G_i on its domain E_i, with
-    G_i the image of G under the steps before it."""
+    """The chain's kernels are those of the O(e^2) definition: step i's
+    kernel is generated by K = prod(degrees[i+1:]) * G_i on its domain
+    E_i, with G_i the image of G under the steps before it.  A chain
+    kernel has no y sign, so its representatives' x are compared with
+    x(K), ..., x(sK) from `scalar_mul`, and its codomain with that of
+    the full-point kernel of K."""
     chain = IsogenyChain(curve, G, degrees)
     assert [step.degree for step in chain.steps] == degrees
     for i, step in enumerate(chain.steps):
-        K = step.domain.scalar_mul(prod(degrees[i + 1:]), G)
-        assert step.kernel.points[0] == K
+        E, l = step.domain, step.degree
+        K = E.scalar_mul(prod(degrees[i + 1:]), G)
+        assert step.kernel.xs == [E.scalar_mul(j, K).x
+                                  for j in range(1, l // 2 + 1)]
+        full = OddIsogeny(OddKernel.from_generator(K, l, E))
+        assert step.codomain_d == full.codomain_d
         G = step(G)
     assert G.is_identity()
 
@@ -344,15 +352,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1447, "S": 28, "I": 14, "A": 2848},
-                      "ext": {"M": 363, "S": 159, "I": 14, "A": 269}},
-            "bob": {"base": {"M": 1543, "S": 34, "I": 17, "A": 3047},
-                    "ext": {"M": 392, "S": 159, "I": 17, "A": 293}}}),
+            "alice": {"base": {"M": 1249, "S": 28, "I": 14, "A": 2505},
+                      "ext": {"M": 319, "S": 126, "I": 14, "A": 257}},
+            "bob": {"base": {"M": 1362, "S": 24, "I": 12, "A": 2711},
+                    "ext": {"M": 350, "S": 139, "I": 12, "A": 265}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 453, "S": 20, "I": 10, "A": 850},
-                      "ext": {"M": 105, "S": 55, "I": 10, "A": 75}},
-            "bob": {"base": {"M": 739, "S": 26, "I": 13, "A": 1400},
-                    "ext": {"M": 190, "S": 66, "I": 13, "A": 118}}}),
+            "alice": {"base": {"M": 403, "S": 20, "I": 10, "A": 755},
+                      "ext": {"M": 97, "S": 42, "I": 10, "A": 67}},
+            "bob": {"base": {"M": 691, "S": 20, "I": 10, "A": 1320},
+                    "ext": {"M": 179, "S": 63, "I": 10, "A": 113}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -386,8 +394,8 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 30663, "S": 156, "I": 78},
-                          SIDE_B: {"M": 39280, "S": 228, "I": 114}}
+        assert counts == {SIDE_A: {"M": 23441, "S": 156, "I": 78},
+                          SIDE_B: {"M": 28554, "S": 118, "I": 59}}
 
     def test_transcript_bytes_at_247_bits(self, monkeypatch):
         """Value gate: the SHA-256 of run_exchange(74, 55, seed=1)'s JSON

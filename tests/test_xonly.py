@@ -1,12 +1,17 @@
 import inspect
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from edwards_isogeny import (EdwardsCurve, OddIsogeny, OddKernel, OpCounter,
-                             PrimeField, XZPoint, eval_3_isog, eval_5_isog,
-                             get_3_isog, get_5_isog, run_3_isog, run_5_isog)
+from edwards_isogeny import (EdwardsCurve, ExceptionalPair, OddIsogeny,
+                             OddKernel, OpCounter, PrimeField, XZPoint,
+                             eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
+                             run_3_isog, run_5_isog)
+from edwards_isogeny.xonly import odd_image, xadd, xdbl, xmul
 
-from conftest import pt
+from conftest import desk_curves, pt
+from oracles import montgomery_scalar_mul, montgomery_x_mul
 
 
 def xz(field, x, z=1):
@@ -190,3 +195,168 @@ class TestXZPoint:
     def test_same_class(self, f23):
         assert xz(f23, 3).same_class(xz(f23, 9, 3))
         assert not xz(f23, 3).same_class(xz(f23, 4))
+
+
+def line_point(field, x, lam):
+    """The x-line point of abscissa x (None: infinity), scaled by lam."""
+    if x is None:
+        return (field(lam), field.zero)
+    return (field(x * lam), field(lam))
+
+
+def assert_line_x(P, want):
+    """(X : Z) has abscissa `want`, None meaning infinity."""
+    X, Z = P
+    if want is None:
+        assert Z.is_zero() and not X.is_zero()
+    else:
+        assert not Z.is_zero() and X == want * Z
+
+
+def line_c(curve):
+    """c = 1 - d/a: the x-line doubling on E_{a,d} reads (a - d)/a only."""
+    return curve.field.one - curve.d / curve.a
+
+
+def multiple_of(curve, data):
+    """(P, m, x(m*P)) for a drawn affine point P other than O and a
+    multiplier m whose multiple may lie at infinity."""
+    p, a, d = curve.field.p, curve.a.value, curve.d.value
+    P = data.draw(st.sampled_from(
+        [Q for Q in curve.points() if not Q.is_identity()]))
+    m = data.draw(st.integers(1, 12))
+    return (P.x.value, P.y.value), m, montgomery_x_mul(
+        m, (P.x.value, P.y.value), p, a, d)
+
+
+class TestXLine:
+    """xdbl, xadd and xmul on every class of desk curve (with
+    c = 1 - d/a), against x of the Montgomery model's repeated addition,
+    which passes the points at infinity, and against the full projective
+    law where it is defined."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_xdbl(self, curve, data):
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        xy, m, x = multiple_of(curve, data)
+        lam = data.draw(st.integers(1, p - 1))
+        got = xdbl(line_point(curve.field, x, lam), line_c(curve))
+        assert_line_x(got, montgomery_x_mul(2 * m, xy, p, a, d))
+        if m == 1:
+            try:
+                X, _, Z = curve.double_proj(pt(curve, *xy).projective())
+            except ExceptionalPair:
+                return
+            assert X * got[1] == got[0] * Z
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_xadd(self, curve, data):
+        """mP + nP from (m - n)P, for (m - n)P neither O nor (-1, 0)."""
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        xy, n, xn = multiple_of(curve, data)
+        k = data.draw(st.integers(1, 12))
+        xk = montgomery_x_mul(k, xy, p, a, d)
+        assume(xk not in (1, p - 1))
+        xm = montgomery_x_mul(n + k, xy, p, a, d)
+        lams = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        field = curve.field
+        got = xadd(line_point(field, xm, lams[0]),
+                   line_point(field, xn, lams[1]),
+                   line_point(field, xk, lams[2]))
+        assert_line_x(got, montgomery_x_mul(2 * n + k, xy, p, a, d))
+        full = [montgomery_scalar_mul(j, xy, p, a, d) for j in (n + k, n)]
+        if None not in full:
+            try:
+                X, _, Z = curve.add_proj(*(pt(curve, *Q).projective()
+                                           for Q in full))
+            except ExceptionalPair:
+                return
+            assert X * got[1] == got[0] * Z
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_xmul(self, curve, data):
+        """l * mP for l in {3, 5, 7, 9}, mP neither O nor (-1, 0)."""
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        xy, m, x = multiple_of(curve, data)
+        assume(x not in (1, p - 1))
+        l = data.draw(st.sampled_from([3, 5, 7, 9]))
+        lam = data.draw(st.integers(1, p - 1))
+        got = xmul(l, line_point(curve.field, x, lam), line_c(curve))
+        assert_line_x(got, montgomery_x_mul(l * m, xy, p, a, d))
+        if m == 1:
+            try:
+                X, _, Z = curve.mul_power_proj(l, 1,
+                                               pt(curve, *xy).projective())
+            except ExceptionalPair:
+                return
+            assert X * got[1] == got[0] * Z
+
+    @pytest.mark.parametrize("l", [3, 5, 7])
+    def test_xmul_of_o_and_order_two(self, e23, l):
+        """The two points outside xadd's domain give (0 : 0)."""
+        c = line_c(e23)
+        for x in (1, -1):
+            X, Z = xmul(l, line_point(e23.field, x, 3), c)
+            assert X.is_zero() and Z.is_zero()
+
+
+class TestOddImage:
+    def test_eval_3_is_the_one_point_product(self, e23, f23):
+        """eval_3_isog is odd_image with one projective representative,
+        to the representative, on every point of E_{-1} over F_23."""
+        K1 = xz(f23, -10 * 4, 4)
+        for P in e23.points():
+            Q = xz(f23, P.x.value * 3, 3)
+            img = eval_3_isog(Q, K1)
+            assert (img.X, img.Z) == odd_image((Q.X, Q.Z), [K1.X], [K1.Z])
+
+    def test_affine_and_projective_kernels_agree(self, e19, f19):
+        """The 5-isogeny of the worked example, kernel x = 6, -8, given
+        affine and projective."""
+        phi = OddIsogeny(OddKernel.from_generator(pt(e19, 6, 4), 5, e19))
+        for P in e19.points():
+            Q = (P.x * 2, f19(2))
+            affine = odd_image(Q, [f19(6), f19(-8)])
+            proj = odd_image(Q, [f19(6 * 5), f19(-8 * 7)], [f19(5), f19(7)])
+            assert affine[0] * proj[1] == proj[0] * affine[1]
+            assert affine[0] == phi(P).x * affine[1]
+
+
+# Exact costs of the x-line primitives at p = 23: (M, S, I, A).
+LINE_COSTS = {
+    "xdbl": (3, 2, 0, 4),
+    "xadd": (4, 2, 0, 6),
+    "xmul3": (7, 4, 0, 10),
+    "xmul5": (11, 6, 0, 16),
+    "odd_image_affine_s1": (3, 2, 0, 6),
+    "odd_image_affine_s2": (6, 2, 0, 8),
+    "odd_image_projective_s1": (4, 2, 0, 6),
+    "odd_image_projective_s2": (8, 2, 0, 8),
+    "eval_3_isog": (4, 2, 0, 6),
+}
+
+
+class TestLineCosts:
+    @pytest.mark.parametrize("name", sorted(LINE_COSTS))
+    def test_exact(self, f23, name):
+        c, P, Q, D = f23(2), (f23(3), f23(5)), (f23(7), f23(11)), (f23(4),
+                                                                    f23(9))
+        ks, zs = [f23(6), f23(8)], [f23(13), f23(17)]
+        ops = {
+            "xdbl": lambda: xdbl(P, c),
+            "xadd": lambda: xadd(P, Q, D),
+            "xmul3": lambda: xmul(3, P, c),
+            "xmul5": lambda: xmul(5, P, c),
+            "odd_image_affine_s1": lambda: odd_image(P, ks[:1]),
+            "odd_image_affine_s2": lambda: odd_image(P, ks),
+            "odd_image_projective_s1": lambda: odd_image(P, ks[:1], zs[:1]),
+            "odd_image_projective_s2": lambda: odd_image(P, ks, zs),
+            "eval_3_isog": lambda: eval_3_isog(XZPoint(*P), XZPoint(*Q)),
+        }
+        ctx = OpCounter()
+        with f23.counting(ctx):
+            ops[name]()
+        assert (ctx.m, ctx.s, ctx.i, ctx.a) == LINE_COSTS[name]
