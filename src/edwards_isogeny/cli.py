@@ -41,6 +41,14 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
+def _parse_degrees(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -121,16 +129,16 @@ def _cmd_isogeny(args):
 def _cmd_chain(args):
     curve = _curve(args)
     gen = _point(curve, args.gen)
-    degrees = [int(t) for t in args.degrees.split(",")]
-    chain = IsogenyChain(curve, gen, degrees)
-    out = {"degrees": degrees,
+    images = [] if args.point is None else [_point(curve, args.point)]
+    chain = IsogenyChain(curve, gen, args.degrees, images=images)
+    out = {"degrees": args.degrees,
            "steps": [{"degree": s.degree,
                       "kernel": [{"x": _fmt(x)} for x in s.kernel.xs],
                       "d_prime": _fmt(s.codomain_d)} for s in chain.steps],
            "d_prime": _fmt(chain.codomain.d),
            "j": _fmt(chain.codomain.j_invariant())}
-    if args.point is not None:
-        out["image"] = _fmt_point(chain(_point(curve, args.point)))
+    if images:
+        out["image"] = _fmt_point(chain.images[0])
     return _finish(out, curve.field)
 
 
@@ -237,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chain", help="composition of 3-/5-isogenies")
     curve_flags(c, with_a=False)
     c.add_argument("--gen", type=_parse_pair, required=True)
-    c.add_argument("--degrees", required=True, help="e.g. 3,3,5")
+    c.add_argument("--degrees", type=_parse_degrees, required=True,
+                   help="e.g. 3,3,5")
     c.add_argument("--point", type=_parse_pair, default=None)
     c.set_defaults(func=_cmd_chain, a=1)
 

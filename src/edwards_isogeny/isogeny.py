@@ -28,16 +28,19 @@ b_i^2 = (1 - a_i^2)/(1 - d a_i^2), serves as well as one of full points.
 
 A chain runs its kernel path on the x-line (`xonly`): x-only l-fold
 steps, a kernel made affine from x alone with one inversion a step, and
-the odd-degree product `odd_image` for its stack.  Only a pushed image
-(`chain(P)`) goes through `push`, and is made affine once, at the end.
+the odd-degree product `odd_image` for its stack.  Only the images it
+carries, or a point given to `chain(P)`, go through `push`, and each is
+made affine once, at the end; a chain that carries none forms no y_i^2
+and no terms of the full map.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
-from math import prod
+from math import isqrt, prod
 from operator import mul
+from types import MappingProxyType
 
 from .curve import DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve, to_affine
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
@@ -79,7 +82,8 @@ class OddKernel:
     order l = 2s+1: their x-coordinates `xs`, with the cached product A.
     A kernel built from a full point keeps the points as `points`; one
     built on the x-line has no y sign, `points` is None, and it carries
-    its y_i^2 instead."""
+    its (x_i^2, y_i^2) instead when `from_x` was asked for them.  `has_y`
+    tells whether the y_i^2 come without an inversion of their own."""
 
     def __init__(self, domain: EdwardsCurve, degree: int, xs: list,
                  points: list[AffinePoint] | None = None,
@@ -89,8 +93,10 @@ class OddKernel:
         self.xs = xs
         self.points = points
         self.A = _product(xs)
+        self.has_y = points is not None or squares is not None
         if squares is not None:
-            self.squares = squares
+            self.x_sq = [x2 for x2, _ in squares]
+            self.y_sq = [y2 for _, y2 in squares]
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
@@ -127,25 +133,28 @@ class OddKernel:
         return cls(domain, degree, [P.x for P in reps], points=reps)
 
     @classmethod
-    def from_x(cls, K: tuple, degree: int,
-               domain: EdwardsCurve) -> "OddKernel":
+    def from_x(cls, K: tuple, degree: int, domain: EdwardsCurve,
+               with_y: bool = True) -> "OddKernel":
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (the x-line does not tell the curve from its twist, so that is
         the caller's check).  The same checks as `from_generator`, on x:
-        K is not O, no multiple 2K, ..., sK is O, none of K, ..., sK lies
-        at infinity, and x((s+1)K) = x(sK), which pins the order to
-        exactly l, as x is equal only for opposite points.  The multiples
-        are taken with differences K, which `xadd` needs to differ from O
-        and (-1, 0); (-1, 0) itself fails the checks, having 2K = O.  One
-        inversion, by Montgomery's trick, makes every x_i = X_i/Z_i
-        affine and gives y_i^2 = (Z_i^2 - X_i^2)/(Z_i^2 - d X_i^2); an
-        affine K, Z = 1, adds no Z_1 to it."""
+        K is not O, no multiple 2K, ..., sK is O, none of K, ..., sK has
+        Z = 0, and x((s+1)K) = x(sK), which pins the order to exactly l,
+        as x is equal only for opposite points.  So no multiple is one of
+        the points at infinity, whose orders are 2 and 4, and a zero y_i^2
+        denominator needs no check of its own.  The multiples are taken with
+        differences K, which `xadd` needs to differ from O and (-1, 0);
+        (-1, 0) itself fails the checks, having 2K = O.  One inversion,
+        by Montgomery's trick, makes every x_i = X_i/Z_i affine and, if
+        `with_y`, gives y_i^2 = (Z_i^2 - X_i^2)/(Z_i^2 - d X_i^2), which
+        only the full map (`OddIsogeny.push`) reads; an affine K, Z = 1,
+        adds no Z_1 to it."""
         X, Z = K
         if X == Z:                       # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
         c, s = domain.field.one - domain.d, degree // 2
         double, num, den = xdbl_y2(K, c)
-        multiples, fractions = [K, double], [(num, den)]   # jK at j - 1
+        multiples = [K, double]          # jK at j - 1
         for j in range(3, s + 2):
             if multiples[-1][0] == multiples[-1][1]:
                 raise BadKernelGenerator(
@@ -154,27 +163,45 @@ class OddKernel:
             multiples.append(xadd(multiples[h], multiples[h - 1], K)
                              if j % 2 else xdbl(multiples[h - 1], c))
         X1, Z1 = multiples.pop()         # (s+1)K
-        for X, Z in multiples[1:]:
-            XX, ZZ = X.square(), Z.square()
-            fractions.append((ZZ - XX, ZZ - domain.d * XX))
-        quotients = _divide([f for P, y2 in zip(multiples, fractions)
-                             for f in (P, y2)])
-        xs = quotients[::2]
+        if with_y:
+            fractions = [(num, den)]
+            for X, Z in multiples[1:]:
+                XX, ZZ = X.square(), Z.square()
+                fractions.append((ZZ - XX, ZZ - domain.d * XX))
+            quotients = _divide([f for P, y2 in zip(multiples, fractions)
+                                 for f in (P, y2)])
+            xs, y_sq = quotients[::2], quotients[1::2]
+        else:
+            xs, y_sq = _divide(multiples), None
         if X1 != xs[-1] * Z1:
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        squares = [(x.square(), y2) for x, y2 in zip(xs, quotients[1::2])]
+        squares = (None if y_sq is None
+                   else [(x.square(), y2) for x, y2 in zip(xs, y_sq)])
         return cls(domain, degree, xs, squares=squares)
 
     @cached_property
+    def x_sq(self) -> list:
+        return [x.square() for x in self.xs]
+
+    @cached_property
+    def y_sq(self) -> list:
+        """y_i^2 of each representative: squared from the points, or,
+        for an x-line kernel built without them, (1 - x_i^2)/(1 - d x_i^2)
+        with an inversion of its own."""
+        if self.points is not None:
+            return [P.y.square() for P in self.points]
+        one, d = self.domain.field.one, self.domain.d
+        return _divide([(one - x2, one - d * x2) for x2 in self.x_sq])
+
+    @property
     def squares(self) -> list:
-        """(x_i^2, y_i^2) of each representative, all the full map reads;
-        squared from the points unless the x-line build supplied them."""
-        return [(P.x.square(), P.y.square()) for P in self.points]
+        """(x_i^2, y_i^2) of each representative, all the full map reads."""
+        return list(zip(self.x_sq, self.y_sq))
 
     @cached_property
     def a_sq(self):
-        """A^2; at degree 3, where A = x(Q), the x(Q)^2 of `squares`."""
-        return self.squares[0][0] if self.degree == 3 else self.A.square()
+        """A^2; at degree 3, where A = x(Q), the x(Q)^2 of `x_sq`."""
+        return self.x_sq[0] if self.degree == 3 else self.A.square()
 
     def full_points(self) -> list[AffinePoint]:
         """The whole subgroup: O and ±Q_i.  An x-line kernel's ±y_i are
@@ -211,9 +238,14 @@ class OddIsogeny:
         self.codomain_d = kernel.codomain_param()
         self.codomain = EdwardsCurve(self.domain.field,
                                      self.domain.field.one, self.codomain_d)
-        d = self.domain.d
-        self._terms = [(a2, b2, d * a2, d * b2) for a2, b2 in kernel.squares]
         self._a_sq = kernel.a_sq
+        # The full map's terms: now for a kernel with its y_i^2, at the
+        # first push for one built without them.
+        self._terms = self._map_terms() if kernel.has_y else None
+
+    def _map_terms(self) -> list:
+        d = self.domain.d
+        return [(a2, b2, d * a2, d * b2) for a2, b2 in self.kernel.squares]
 
     @property
     def degree(self) -> int:
@@ -228,6 +260,8 @@ class OddIsogeny:
     def push(self, P: tuple) -> tuple:
         """phi on a projective triple (X : Y : Z) of the domain, with no
         inversion; ExceptionalInput at a pole."""
+        if self._terms is None:
+            self._terms = self._map_terms()
         X, Y, Z = P
         X2, Z2 = X.square(), Z.square()
         terms = self._terms
@@ -288,59 +322,131 @@ def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
     return AffinePoint(x, y)
 
 
+def _step_weights(l: int) -> tuple[int, int]:
+    """Counted base-field M of one l-fold step, `xmul(l, .)`, and of one
+    stack point through a degree-l step, `odd_image` with an affine
+    kernel, at 3M an F_{p^2} multiplication and 2M a squaring: 29 and 13
+    at l = 3, 45 and 22 at l = 5.  `xmul` makes b - 1 `xadd`s (4M + 2S)
+    and as many `xdbl`s (3M + 2S), b the bit length of l, one doubling
+    fewer when the second bit of l is 0; `odd_image` costs 3sM + 2S,
+    s = (l - 1)/2."""
+    b = l.bit_length()
+    doublings = b - 1 - ((l >> (b - 2)) & 1 == 0)
+    return 16 * (b - 1) + 13 * doublings, 9 * (l // 2) + 4
+
+
+@lru_cache(maxsize=64)
+def chain_strategy(degrees: tuple) -> tuple[int, MappingProxyType]:
+    """The cheapest strategy tree for a chain of `degrees` (De Feo, Jao
+    and Plut, J. Math. Cryptol. 2014, 4.2), weighted by `_step_weights`:
+    its model cost in base-field M, and the split k of each stack entry
+    (T, j) met before step i, as a read-only {(i, j): k}, since the
+    cache hands the same plan to every chain.  Split at k, the steps
+    degrees[i:j] cost
+
+        folds(degrees[i+k:j]) + pushes(degrees[i:i+k]) + C(i, i+k) + C(i+k, j):
+
+    l-fold steps take T from j down to i + k, where the left part is
+    walked, T is pushed through its steps, and the right part is walked
+    from T.  C(i, j) depends only on degrees[i:j], so a uniform list,
+    whose intervals of one length are alike, solves one interval a
+    length: O(e^2) for e steps, and O(e^3) for a mixed list."""
+    e = len(degrees)
+    weights = [_step_weights(l) for l in degrees]
+    folds = [0, *accumulate(w for w, _ in weights)]
+    pushes = [0, *accumulate(w for _, w in weights)]
+    # cost[i][n] and split[i][n] are those of degrees[i:i+n]; a uniform
+    # list's rows are one shared list, filled from i = 0.
+    uniform = len(set(degrees)) == 1
+    if uniform:
+        cost, split = [[None, 0]] * e, [[None, None]] * e
+    else:
+        cost = [[None, 0] for _ in degrees]
+        split = [[None, None] for _ in degrees]
+    for n in range(2, e + 1):
+        for i in range(1 if uniform else e - n + 1):
+            j = i + n
+            best = min((folds[j] - folds[i + k] + pushes[i + k] - pushes[i]
+                        + cost[i][k] + cost[i + k][n - k], k)
+                       for k in range(1, n))
+            cost[i].append(best[0])
+            split[i].append(best[1])
+    plan, todo = {}, [(0, e)]
+    while todo:
+        i, j = todo.pop()
+        if j - i > 1:
+            k = plan[i, j] = split[i][j - i]
+            todo += [(i, i + k), (i + k, j)]
+    return cost[0][e], MappingProxyType(plan)
+
+
 class IsogenyChain:
     """Composition of prime-degree isogenies dividing out <G>.
 
     `degrees` is the execution order, e.g. [3, 3, 5] for a generator of
     order 45 with the 3-part removed first; it is not empty, and each
     degree is odd and at least 3.  Step i's kernel point
-    K_i = prod(degrees[i+1:]) * G_i, G_i the image of G, comes from a
-    balanced strategy tree (De Feo, Jao and Plut, J. Math. Cryptol.
-    2014): a stack holds (T, j) with T = prod(degrees[j:]) * G_i, its top
-    is split at k = (j - i) // 2, one x-only l-fold step (`xmul`) per
-    degree in degrees[i+k:j], until j = i + 1, and the rest is pushed
-    through each step by the odd-degree product `odd_image`.  So e steps
-    cost O(e log e) point operations, not the O(e^2) of multiplying
-    every G_i afresh.  The stack holds x-line points (X, Z); each K_i is
-    checked and made affine by `OddKernel.from_x`.  As the x-line does
-    not tell the curve from its twist, G is checked once to lie on the
-    domain.  Each step checks K_i != O and that K_i has order l_i; as
-    every K_i lies in the image of <G>, the composite kernel
-    (prod(degrees) points) lies in <G> and holds G, so G has exact order
-    prod(degrees).  Calling the chain runs every step's full map
-    projectively and inverts once.
+    K_i = prod(degrees[i+1:]) * G_i, G_i the image of G, comes from the
+    cost-weighted strategy tree of `chain_strategy`: a stack holds
+    (T, j) with T = prod(degrees[j:]) * G_i, its top is split at the
+    tree's k, one x-only l-fold step (`xmul`) per degree in
+    degrees[i+k:j], until j = i + 1, and the rest is pushed through each
+    step by the odd-degree product `odd_image`.  So e steps cost
+    O(e log e) point operations, not the O(e^2) of multiplying every G_i
+    afresh.  The stack holds x-line points (X, Z); each K_i is checked
+    and made affine by `OddKernel.from_x`.  As the x-line does not tell
+    the curve from its twist, G is checked once to lie on the domain,
+    and a product of degrees above the Hasse bound on its group order is
+    refused before the tree is planned.  Each step checks K_i != O and
+    that K_i has order l_i; as every K_i lies in the image of <G>, the
+    composite kernel (prod(degrees) points) lies in <G> and holds G, so
+    G has exact order prod(degrees).
+
+    `images`, points of the domain, are pushed through each step's full
+    map as it is built and made affine at the end, as `images`; only a
+    chain that carries some forms the y_i^2 the full map reads.  Calling
+    the chain on a point does the same for that point, forming the y_i^2
+    of a chain without images on first use.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint,
-                 degrees: list[int]):
+                 degrees: list[int], images=()):
         _require_a1(domain)
         degrees = list(degrees)
         if not degrees:
             raise BadKernelGenerator("a chain needs at least one degree")
         for l in degrees:
             _check_degree(l)
+        if prod(degrees) > (isqrt(domain.field.size) + 2) ** 2:
+            raise BadKernelGenerator(
+                "the degrees multiply past the Hasse bound on the order "
+                "of any point")
         if not domain.contains(generator):
             raise NotOnCurve(f"{generator!r} is not on {domain!r}")
         self.domain = domain
         self.degrees = degrees
         self.steps: list[OddIsogeny] = []
+        _, plan = chain_strategy(tuple(degrees))
+        pushed = [P.projective() for P in images]
         E, stack = domain, [((generator.x, domain.field.one), len(degrees))]
         for i, l in enumerate(degrees):
             T, j = stack[-1]
             c = E.field.one - E.d
             while j > i + 1:
-                k = (j - i) // 2
+                k = plan[i, j]
                 for m in degrees[i + k:j]:
                     T = xmul(m, T, c)
                 j = i + k
                 stack.append((T, j))
             stack.pop()
-            step = OddIsogeny(OddKernel.from_x(T, l, E))
+            step = OddIsogeny(OddKernel.from_x(T, l, E, with_y=bool(pushed)))
             self.steps.append(step)
             xs = step.kernel.xs
             stack = [(odd_image(P, xs), j) for P, j in stack]
+            pushed = [step.push(P) for P in pushed]
             E = step.codomain
         self.codomain = E
+        self.images = [to_affine(P) for P in pushed]
 
     @property
     def total_degree(self) -> int:

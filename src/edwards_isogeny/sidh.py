@@ -87,13 +87,18 @@ class PartyKeypair:
     public: PublicKey
 
 
-def setup(m: int, n: int, seed: int = 0) -> ProtocolParams:
-    """Deterministic protocol parameters for p = 4*3^m*5^n - 1."""
+def setup(m: int, n: int, seed: int = 0,
+          max_p: int | None = None) -> ProtocolParams:
+    """Deterministic protocol parameters for p = 4*3^m*5^n - 1.
+
+    DeskScaleOnly when p exceeds `max_p`, by default DESK_PRIME_LIMIT;
+    a larger `max_p` admits the 247- and 763-bit primes."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1 so both parties have torsion")
     p = 4 * 3 ** m * 5 ** n - 1
-    if p > DESK_PRIME_LIMIT:
-        raise DeskScaleOnly(f"p = {p} exceeds the demo limit {DESK_PRIME_LIMIT}")
+    limit = DESK_PRIME_LIMIT if max_p is None else max_p
+    if p > limit:
+        raise DeskScaleOnly(f"p = {p} exceeds the demo limit {limit}")
     field = QuadExtField(PrimeField(p))
     curve = EdwardsCurve(field, field.one, field(-1))
     rng = random.Random(seed)
@@ -168,9 +173,9 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
         raise ValueError(f"secret must lie in [0, {l}^{e})")
     E = params.curve
     R = E.add(basis.P, E.scalar_mul(secret, basis.Q))
-    chain = IsogenyChain(E, R, [l] * e)
     other = params.basis(params.other(side))
-    public = PublicKey(chain.codomain.d, chain(other.P), chain(other.Q))
+    chain = IsogenyChain(E, R, [l] * e, images=(other.P, other.Q))
+    public = PublicKey(chain.codomain.d, *chain.images)
     return PartyKeypair(side, secret, chain, public)
 
 
@@ -218,7 +223,7 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     for _ in range(e - 1):
         U = xmul(l, U, c)
     try:
-        subgroup = OddKernel.from_x(U, l, E)
+        subgroup = OddKernel.from_x(U, l, E, with_y=False)
     except EdwardsError as exc:
         raise ProtocolError(
             f"image_q does not have order {l}^{e}: {exc}") from exc

@@ -154,6 +154,17 @@ class TestChain:
         assert [s["degree"] for s in doc["steps"]] == [3, 5]
         assert "j" in doc and "image" in doc
 
+    def test_point_is_carried_as_an_image(self, capsys):
+        """--point rides through the chain as an image, so each step
+        forms its y_i^2 in the inversion that makes its kernel affine;
+        pushing the point after the walk would invert once more a step."""
+        code, doc = run_json(capsys, "chain", "--p", "59", "--d", "-1",
+                             "--gen", "7,5", "--degrees", "3,5",
+                             "--point", "9,25")
+        assert code == 0
+        assert doc["image"] == [1, 0]
+        assert doc["counters"] == {"M": 96, "S": 38, "I": 4, "A": 61}
+
     def test_kernel_lists_x_only(self, capsys):
         """A chain's kernels are built on the x-line and have no y sign,
         so each representative prints as {"x": ...}; the x are those of
@@ -184,6 +195,16 @@ class TestChain:
         assert code == 1
         assert doc["code"] == "BadKernelGenerator"
         assert doc["message"] == "degree must be an odd integer >= 3"
+
+    @pytest.mark.parametrize("degrees", ["3,,5", "x"])
+    def test_unparsable_degrees_are_usage_errors(self, capsys, degrees):
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--p", "59", "--d", "-1", "--gen", "7,5",
+                  f"--degrees={degrees}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "expected comma-separated integers" in err
 
 
 class TestSearchPrimes:

@@ -1,4 +1,5 @@
 from functools import lru_cache, reduce
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +10,13 @@ from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
                              EvenDegreeUnsupported, ExceptionalInput,
                              ExceptionalPair, InvalidCurve, IsogenyChain,
                              NotOnCurve, OddIsogeny, OddKernel, OpCounter,
-                             PrimeField, is_order3_abscissa,
-                             order3_division_value, recover_y)
+                             PrimeField, QuadExtField, is_order3_abscissa,
+                             isogeny, order3_division_value, recover_y,
+                             setup)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
-from edwards_isogeny.xonly import odd_image
+from edwards_isogeny.isogeny import _step_weights, chain_strategy
+from edwards_isogeny.sidh import SIDE_A, SIDE_B
+from edwards_isogeny.xonly import odd_image, xmul
 
 from conftest import DESK_PRIMES, desk_curves, pt, translate_image
 from oracles import naive_translate_isogeny
@@ -309,23 +313,8 @@ class TestProjectiveEvaluation:
         composed one by one, poles included."""
         curve = a1_curve(*data.draw(st.sampled_from(
             a1_curves_with_torsion(3) + a1_curves_with_torsion(5))))
-        n = curve.order()
-        smooth = 1
-        for q in (3, 5):
-            while n % (smooth * q) == 0:
-                smooth *= q
-        try:
-            G = curve.scalar_mul(n // smooth,
-                                 data.draw(st.sampled_from(curve.points())))
-        except ExceptionalPair:
-            assume(False)
-        order = smooth                  # strip to the exact order of G
-        for q in (3, 5):
-            while order % q == 0 and annihilated_by(curve, G, order // q):
-                order //= q
-        degrees = [q for q in (3, 5) for _ in range(_valuation(order, q))]
-        assume(degrees)
-        chain = IsogenyChain(curve, G, data.draw(st.permutations(degrees)))
+        G, degrees = draw_smooth_generator(curve, data)
+        chain = IsogenyChain(curve, G, degrees)
         for P in data.draw(st.lists(st.sampled_from(curve.points()),
                                     min_size=1, max_size=6)):
             try:
@@ -345,6 +334,28 @@ class TestProjectiveEvaluation:
         with phi.domain.field.counting(OpCounter()) as ctx:
             phi.push(P)
         assert (ctx.m, ctx.s, ctx.i) == (M, 2, 0)
+
+
+def draw_smooth_generator(curve, data) -> tuple:
+    """A drawn point of curve whose order is 3^a 5^b > 1, with that
+    order's prime factors in a drawn order."""
+    n = curve.order()
+    smooth = 1
+    for q in (3, 5):
+        while n % (smooth * q) == 0:
+            smooth *= q
+    try:
+        G = curve.scalar_mul(n // smooth,
+                             data.draw(st.sampled_from(curve.points())))
+    except ExceptionalPair:
+        assume(False)
+    order = smooth                  # strip to the exact order of G
+    for q in (3, 5):
+        while order % q == 0 and annihilated_by(curve, G, order // q):
+            order //= q
+    degrees = [q for q in (3, 5) for _ in range(_valuation(order, q))]
+    assume(degrees)
+    return G, data.draw(st.permutations(degrees))
 
 
 def line(P, lam: int = 1) -> tuple:
@@ -417,6 +428,24 @@ class TestXLineKernel:
         with curve.field.counting(OpCounter()) as ctx:
             OddKernel.from_x(K, l, curve)
         assert (ctx.m, ctx.s, ctx.i, ctx.a) == want
+
+    @pytest.mark.parametrize("name,K,l,kernel,codomain", [
+        ("projective_3", (-10 * 4, 4), 3, (5, 2, 1, 5), (2, 4, 0, 0)),
+        ("affine_3", (-10, 1), 3, (4, 2, 0, 5), (2, 4, 0, 0)),
+        ("projective_5", (6 * 3, 3), 5, (14, 4, 1, 11), (2, 5, 0, 0)),
+    ])
+    def test_costs_without_y(self, e23, e19, name, K, l, kernel, codomain):
+        """(M, S, I, A) of a kernel built without y_i^2 and of the
+        OddIsogeny on it, which forms its codomain only: an affine
+        degree-3 K inverts nothing."""
+        curve = e23 if l == 3 else e19
+        K = tuple(map(curve.field, K))
+        with curve.field.counting(OpCounter()) as ctx:
+            built = OddKernel.from_x(K, l, curve, with_y=False)
+        assert (ctx.m, ctx.s, ctx.i, ctx.a) == kernel
+        with curve.field.counting(OpCounter()) as ctx:
+            OddIsogeny(built)
+        assert (ctx.m, ctx.s, ctx.i, ctx.a) == codomain
 
 
 class TestDivisionPolynomial:
@@ -554,7 +583,8 @@ class TestChain:
         """(3, 4) has order 4 on the quadratic E_{1,4} over F_23 and 2Q is
         a singular point at infinity, whose y^2 denominator is zero:
         BadKernelGenerator, where `from_generator` raises ExceptionalPair
-        and no inversion of zero is tried."""
+        and no inversion of zero is tried; a chain that forms no y^2
+        rejects it by the order check."""
         curve = EdwardsCurve(f23, f23.one, f23(4))
         with pytest.raises(BadKernelGenerator):
             IsogenyChain(curve, pt(curve, 3, 4), [degree])
@@ -580,6 +610,134 @@ class TestChain:
                                      min_size=1, max_size=3))
         with pytest.raises(BadKernelGenerator):
             IsogenyChain(curve, G, degrees)
+
+    def test_rejects_degrees_past_hasse_bound(self, e23):
+        """No point over F_23 has order 81 > (sqrt(23) + 1)^2, so
+        [3, 3, 3, 3] is refused before any arithmetic."""
+        ctx = OpCounter()
+        with e23.field.counting(ctx), pytest.raises(BadKernelGenerator):
+            IsogenyChain(e23, pt(e23, -10, 9), [3, 3, 3, 3])
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_images_match_call(self, curve, data):
+        """Points carried as `images` come out as chain(P) does for each
+        of them, on every curve class taken to E_{1,d/a}; the chain raises
+        ExceptionalInput exactly when some chain(P) does."""
+        field = curve.field
+        curve = EdwardsCurve(field, field.one, curve.d / curve.a)
+        G, degrees = draw_smooth_generator(curve, data)
+        points = data.draw(st.lists(st.sampled_from(curve.points()),
+                                    min_size=1, max_size=4))
+        chain = IsogenyChain(curve, G, degrees)
+        try:
+            want = [chain(P) for P in points]
+        except ExceptionalInput:
+            with pytest.raises(ExceptionalInput):
+                IsogenyChain(curve, G, degrees, images=points)
+        else:
+            carried = IsogenyChain(curve, G, degrees, images=points)
+            assert carried.images == want
+            assert carried.codomain.d == chain.codomain.d
+
+    def test_no_images_no_full_map(self, e23):
+        """A chain that carries no image forms no y_i^2 and no terms of
+        the full map; chain(P) forms them on first use."""
+        G, P = pt(e23, -10, 9), pt(e23, 3, 6)
+        chain = IsogenyChain(e23, G, [3])
+        step = chain.steps[0]
+        assert not step.kernel.has_y and "y_sq" not in vars(step.kernel)
+        assert step._terms is None
+        assert chain(P) == OddIsogeny(OddKernel.from_generator(G, 3, e23))(P)
+
+
+def strategy_cost(degrees, split) -> int:
+    """Base-field M of a strategy's l-fold steps (29 at l = 3, 45 at
+    l = 5) and stack pushes (13 and 22): the steps degrees[i:j] split at
+    k = split(i, j) cost the steps from j down to i + k, the pushes of
+    that stack point through steps i, ..., i+k-1, and the two parts."""
+    step, push = {3: 29, 5: 45}, {3: 13, 5: 22}
+
+    def cost(i, j):
+        if j - i == 1:
+            return 0
+        k = split(i, j)
+        return (sum(step[l] for l in degrees[i + k:j])
+                + sum(push[l] for l in degrees[i:i + k])
+                + cost(i, i + k) + cost(i + k, j))
+    return cost(0, len(degrees))
+
+
+class TestStrategy:
+    @pytest.mark.parametrize("l", [3, 5])
+    def test_never_above_balanced(self, l):
+        """For every chain length up to 250, the planned tree costs what
+        `chain_strategy` reports and no more than the balanced split
+        k = (j - i) // 2."""
+        for e in range(1, 251):
+            degrees = (l,) * e
+            cost, plan = chain_strategy(degrees)
+            assert strategy_cost(degrees, lambda i, j: plan[i, j]) == cost
+            assert cost <= strategy_cost(degrees, lambda i, j: (j - i) // 2)
+
+    @pytest.mark.parametrize("l,e,optimal,balanced", [
+        (3, 74, 9244, 9984), (5, 55, 10272, 10972)])
+    def test_costs_at_247_bits(self, l, e, optimal, balanced):
+        assert chain_strategy((l,) * e)[0] == optimal
+        assert strategy_cost((l,) * e, lambda i, j: (j - i) // 2) == balanced
+
+    def test_mixed_degrees(self):
+        """[3, 5, 3] splits at k = 2: one three-fold step and two
+        pushed points (29 + 13 + 22) before a five-fold step and a
+        push (45 + 13), against 138 for k = 1."""
+        assert chain_strategy((3, 5, 3)) == (122, {(0, 3): 2, (0, 2): 1})
+
+    @pytest.mark.parametrize("l,e", [(3, 238), (5, 165)])
+    def test_first_plan_is_fast(self, l, e):
+        """The 763-bit chains' trees, uncached, take under 50 ms each."""
+        start = perf_counter()
+        chain_strategy.__wrapped__((l,) * e)
+        assert perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("l", [3, 5, 7, 9, 15])
+    def test_weights_are_counted_costs(self, l):
+        """`xmul(l)` and `odd_image` with an affine kernel of (l - 1)/2
+        points cost the weights in base-field M over F_{p^2}, and no
+        base-field S."""
+        field = QuadExtField(PrimeField(59))
+        X, Z, c = field(3, 5), field(7, 2), field(11, 13)
+        xs = [field(k, 1) for k in range(l // 2)]
+        with field.counting(OpCounter()) as step:
+            xmul(l, (X, Z), c)
+        with field.counting(OpCounter()) as push:
+            odd_image((X, Z), xs)
+        assert ((step.m, step.s), (push.m, push.s)) == (
+            (_step_weights(l)[0], 0), (_step_weights(l)[1], 0))
+
+    @pytest.mark.parametrize("side,count", [(SIDE_A, 9244), (SIDE_B, 10272)])
+    def test_model_is_counted_at_247_bits(self, side, count, monkeypatch):
+        """The base-field M that a 247-bit chain spends in `xmul` and
+        `odd_image` is the plan's model cost."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        params = setup(74, 55, seed=1, max_p=p)
+        E, basis = params.curve, params.basis(side)
+        ctx, spent = OpCounter(), []
+
+        def counted(fn):
+            def run(*args):
+                before = ctx.m
+                out = fn(*args)
+                spent.append(ctx.m - before)
+                return out
+            return run
+
+        monkeypatch.setattr(isogeny, "xmul", counted(isogeny.xmul))
+        monkeypatch.setattr(isogeny, "odd_image", counted(isogeny.odd_image))
+        with params.field.counting(ctx):
+            IsogenyChain(E, E.add(basis.P, E.scalar_mul(5, basis.Q)),
+                         [basis.degree] * basis.exponent)
+        assert sum(spent) == count
 
 
 class TestSerialization:

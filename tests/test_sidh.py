@@ -121,6 +121,16 @@ class TestSetup:
         with pytest.raises(DeskScaleOnly):
             setup(6, 4, seed=0)
 
+    def test_max_p_admits_247_bits(self):
+        """`max_p` lifts the desk limit for one call; the default still
+        refuses (74, 55)."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        assert setup(74, 55, seed=1, max_p=p).p == p
+        with pytest.raises(DeskScaleOnly):
+            setup(74, 55, seed=1, max_p=p - 1)
+        with pytest.raises(DeskScaleOnly):
+            setup(74, 55, seed=1)
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             setup(2, 2, seed=0)      # 4*9*25 - 1 = 899 = 29 * 31
@@ -352,15 +362,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1249, "S": 28, "I": 14, "A": 2505},
-                      "ext": {"M": 319, "S": 126, "I": 14, "A": 257}},
-            "bob": {"base": {"M": 1362, "S": 24, "I": 12, "A": 2711},
-                    "ext": {"M": 350, "S": 139, "I": 12, "A": 265}}}),
+            "alice": {"base": {"M": 1149, "S": 28, "I": 14, "A": 2324},
+                      "ext": {"M": 289, "S": 121, "I": 14, "A": 249}},
+            "bob": {"base": {"M": 1233, "S": 24, "I": 12, "A": 2488},
+                    "ext": {"M": 315, "S": 127, "I": 12, "A": 259}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 403, "S": 20, "I": 10, "A": 755},
-                      "ext": {"M": 97, "S": 42, "I": 10, "A": 67}},
-            "bob": {"base": {"M": 691, "S": 20, "I": 10, "A": 1320},
-                    "ext": {"M": 179, "S": 63, "I": 10, "A": 113}}}),
+            "alice": {"base": {"M": 383, "S": 16, "I": 8, "A": 728},
+                      "ext": {"M": 93, "S": 41, "I": 8, "A": 67}},
+            "bob": {"base": {"M": 609, "S": 20, "I": 10, "A": 1178},
+                    "ext": {"M": 157, "S": 55, "I": 10, "A": 109}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -394,8 +404,26 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 23441, "S": 156, "I": 78},
-                          SIDE_B: {"M": 28554, "S": 118, "I": 59}}
+        assert counts == {SIDE_A: {"M": 22701, "S": 156, "I": 78},
+                          SIDE_B: {"M": 27854, "S": 118, "I": 59}}
+
+    def test_derive_counts_at_247_bits(self):
+        """Cost gate on derive_shared at (74, 55) with run_exchange's
+        seed-1 secrets: its chain pushes no point, so it forms no y_i^2
+        and no terms of the full map."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        params = setup(74, 55, seed=1, max_p=p)
+        rng = random.Random(2 * 1 + 1)       # run_exchange's secret stream
+        keys = {SIDE_A: keygen(params, SIDE_A, rng.randrange(3 ** 74)),
+                SIDE_B: keygen(params, SIDE_B, rng.randrange(5 ** 55))}
+        counts = {}
+        for side, kp in keys.items():
+            ctx = OpCounter()
+            with params.field.counting(ctx):
+                derive_shared(params, kp, keys[params.other(side)].public)
+            counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
+        assert counts == {SIDE_A: {"M": 18063, "S": 156, "I": 78},
+                          SIDE_B: {"M": 21073, "S": 118, "I": 59}}
 
     def test_transcript_bytes_at_247_bits(self, monkeypatch):
         """Value gate: the SHA-256 of run_exchange(74, 55, seed=1)'s JSON
