@@ -18,6 +18,11 @@ import random
 from .errors import DivisionByZero, FieldMismatch, NotASquare
 from .field import Element, FieldElement, PrimeField
 
+# Arithmetic results are built by `_new` and three slot stores, without
+# the `__init__` call: F_{p^2} elements are made by the tens of thousands
+# in an exchange.
+_new = object.__new__
+
 
 class QuadExtField:
 
@@ -176,7 +181,11 @@ class QuadExtElement(Element):
         c.ext_a += 1
         c.a += 2
         p = f.p
-        return QuadExtElement((self._c0 + o._c0) % p, (self._c1 + o._c1) % p, f)
+        r = _new(QuadExtElement)
+        r._c0 = (self._c0 + o._c0) % p
+        r._c1 = (self._c1 + o._c1) % p
+        r.field = f
+        return r
 
     __radd__ = __add__
 
@@ -189,7 +198,11 @@ class QuadExtElement(Element):
         c.ext_a += 1
         c.a += 2
         p = f.p
-        return QuadExtElement((self._c0 - o._c0) % p, (self._c1 - o._c1) % p, f)
+        r = _new(QuadExtElement)
+        r._c0 = (self._c0 - o._c0) % p
+        r._c1 = (self._c1 - o._c1) % p
+        r.field = f
+        return r
 
     def __neg__(self):
         f = self.field
@@ -197,7 +210,11 @@ class QuadExtElement(Element):
         c.ext_a += 1
         c.a += 2
         p = f.p
-        return QuadExtElement(-self._c0 % p, -self._c1 % p, f)
+        r = _new(QuadExtElement)
+        r._c0 = -self._c0 % p
+        r._c1 = -self._c1 % p
+        r.field = f
+        return r
 
     def __mul__(self, other):
         f = self.field
@@ -209,7 +226,11 @@ class QuadExtElement(Element):
             c = f.base.counter
             c.ext_m += 1
             c.m += 2
-            return QuadExtElement(self._c0 * k % p, self._c1 * k % p, f)
+            r = _new(QuadExtElement)
+            r._c0 = self._c0 * k % p
+            r._c1 = self._c1 * k % p
+            r.field = f
+            return r
         if other.field is not f and other.field.p != f.p:
             raise FieldMismatch(f"mixed moduli {f.p} and {other.field.p}")
         c = f.base.counter
@@ -226,7 +247,11 @@ class QuadExtElement(Element):
             c.m += 4
             re = v0 + f.beta * v1
         p = f.p
-        return QuadExtElement(re % p, cross % p, f)
+        r = _new(QuadExtElement)
+        r._c0 = re % p
+        r._c1 = cross % p
+        r.field = f
+        return r
 
     __rmul__ = __mul__
 
@@ -235,18 +260,24 @@ class QuadExtElement(Element):
         c = f.base.counter
         c.ext_s += 1
         a0, a1, p = self._c0, self._c1, f.p
+        r = _new(QuadExtElement)
+        r.field = f
         if f._beta_is_minus_one:
             c.m += 2
             c.a += 3
             u = a0 * a1
-            return QuadExtElement((a0 + a1) * (a0 - a1) % p, (u + u) % p, f)
+            r._c0 = (a0 + a1) * (a0 - a1) % p
+            r._c1 = (u + u) % p
+            return r
         c.s += 3
         c.m += 1
         c.a += 4
         s0 = a0 * a0
         s1 = a1 * a1
         t = a0 + a1
-        return QuadExtElement((s0 + f.beta * s1) % p, (t * t - s0 - s1) % p, f)
+        r._c0 = (s0 + f.beta * s1) % p
+        r._c1 = (t * t - s0 - s1) % p
+        return r
 
     def norm(self) -> FieldElement:
         """N(x) = x * conj(x) = c0^2 - beta*c1^2, an element of F_p."""

@@ -43,8 +43,9 @@ from operator import mul
 from types import MappingProxyType
 
 from .curve import DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve, to_affine
-from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
-                     ExceptionalInput, InvalidCurve, NotASquare, NotOnCurve)
+from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
+                     EvenDegreeUnsupported, ExceptionalInput, InvalidCurve,
+                     NotASquare, NotOnCurve)
 from .xonly import odd_image, xadd, xdbl, xdbl_y2, xmul
 
 
@@ -294,16 +295,23 @@ def _divide(fractions: list) -> list:
     dens = [d for _, d in fractions if d != 1]
     if not dens:
         return [n for n, _ in fractions]
+    try:
+        it = iter(_inverses(dens))
+    except DivisionByZero:
+        raise BadKernelGenerator("kernel point lies at infinity") from None
+    return [n if d == 1 else n * next(it) for n, d in fractions]
+
+
+def _inverses(dens: list) -> list:
+    """1/d for each of the k nonzero d, with one inversion by
+    Montgomery's trick: 3(k - 1)M.  DivisionByZero if one is zero."""
     prefix = list(accumulate(dens, mul))
-    if prefix[-1].is_zero():
-        raise BadKernelGenerator("kernel point lies at infinity")
     inv, inverses = prefix[-1].inverse(), [None] * len(dens)
     for i in range(len(dens) - 1, 0, -1):
         inverses[i] = inv * prefix[i - 1]
         inv = inv * dens[i]
     inverses[0] = inv
-    it = iter(inverses)
-    return [n if d == 1 else n * next(it) for n, d in fractions]
+    return inverses
 
 
 def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
@@ -394,22 +402,25 @@ class IsogenyChain:
     step by the odd-degree product `odd_image`.  So e steps cost
     O(e log e) point operations, not the O(e^2) of multiplying every G_i
     afresh.  The stack holds x-line points (X, Z); each K_i is checked
-    and made affine by `OddKernel.from_x`.  As the x-line does not tell
-    the curve from its twist, G is checked once to lie on the domain,
-    and a product of degrees above the Hasse bound on its group order is
-    refused before the tree is planned.  Each step checks K_i != O and
-    that K_i has order l_i; as every K_i lies in the image of <G>, the
-    composite kernel (prod(degrees) points) lies in <G> and holds G, so
-    G has exact order prod(degrees).
+    and made affine by `OddKernel.from_x`.  G is an affine point or an
+    x-line point (X, Z).  As the x-line does not tell the curve from its
+    twist, an affine G is checked once to lie on the domain; for an
+    (X, Z), which has no y to test, that check is the caller's, as for
+    `OddKernel.from_x`.  A product of degrees above the Hasse bound on
+    the group order is refused before the tree is planned.  Each step
+    checks K_i != O and that K_i has order l_i; as every K_i lies in the
+    image of <G>, the composite kernel (prod(degrees) points) lies in <G>
+    and holds G, so G has exact order prod(degrees).
 
     `images`, points of the domain, are pushed through each step's full
-    map as it is built and made affine at the end, as `images`; only a
-    chain that carries some forms the y_i^2 the full map reads.  Calling
+    map as it is built and made affine at the end, with one inversion
+    for all of them by Montgomery's trick, as `images`; only a chain
+    that carries some forms the y_i^2 the full map reads.  Calling
     the chain on a point does the same for that point, forming the y_i^2
     of a chain without images on first use.
     """
 
-    def __init__(self, domain: EdwardsCurve, generator: AffinePoint,
+    def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
                  degrees: list[int], images=()):
         _require_a1(domain)
         degrees = list(degrees)
@@ -421,14 +432,16 @@ class IsogenyChain:
             raise BadKernelGenerator(
                 "the degrees multiply past the Hasse bound on the order "
                 "of any point")
-        if not domain.contains(generator):
-            raise NotOnCurve(f"{generator!r} is not on {domain!r}")
+        if isinstance(generator, AffinePoint):
+            if not domain.contains(generator):
+                raise NotOnCurve(f"{generator!r} is not on {domain!r}")
+            generator = (generator.x, domain.field.one)
         self.domain = domain
         self.degrees = degrees
         self.steps: list[OddIsogeny] = []
         _, plan = chain_strategy(tuple(degrees))
         pushed = [P.projective() for P in images]
-        E, stack = domain, [((generator.x, domain.field.one), len(degrees))]
+        E, stack = domain, [(generator, len(degrees))]
         for i, l in enumerate(degrees):
             T, j = stack[-1]
             c = E.field.one - E.d
@@ -446,7 +459,9 @@ class IsogenyChain:
             pushed = [step.push(P) for P in pushed]
             E = step.codomain
         self.codomain = E
-        self.images = [to_affine(P) for P in pushed]
+        invs = _inverses([Z for _, _, Z in pushed]) if pushed else []
+        self.images = [AffinePoint(X * inv, Y * inv)
+                       for (X, Y, _), inv in zip(pushed, invs)]
 
     @property
     def total_degree(self) -> int:

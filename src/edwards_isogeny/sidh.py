@@ -8,7 +8,9 @@ compared by j-invariant.
 
 Secrets are parsed as R = P + k*Q (never Q + k*P), which reaches l^e of
 the l^(e-1)*(l+1) cyclic subgroups; enough for a demonstration and
-stated in the transcript.  All randomness comes from the setup seed.
+stated in the transcript.  R is taken on the x-line, by the three-point
+ladder from x(P), x(Q) and x(P - Q), as its kernel reads x(R) only.
+All randomness comes from the setup seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, OddKernel, recover_y
-from .xonly import xmul
+from .xonly import ladder3pt, xmul
 
 DESK_PRIME_LIMIT = 10_000
 SIDE_A = "A"   # 3^m chain
@@ -37,6 +39,7 @@ class TorsionBasis:
     exponent: int     # e; points have exact order l^e
     P: AffinePoint
     Q: AffinePoint
+    diff: tuple       # x-line (X, Z) of P - Q, for the secret's ladder
 
 
 @dataclass
@@ -95,8 +98,11 @@ def setup(m: int, n: int, seed: int = 0,
     a larger `max_p` admits the 247- and 763-bit primes."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1 so both parties have torsion")
-    p = 4 * 3 ** m * 5 ** n - 1
     limit = DESK_PRIME_LIMIT if max_p is None else max_p
+    if m + n >= limit.bit_length():      # p > 2^(m+n): refuse before 3^m
+        raise DeskScaleOnly(
+            f"p = 4*3^{m}*5^{n} - 1 exceeds the demo limit {limit}")
+    p = 4 * 3 ** m * 5 ** n - 1
     if p > limit:
         raise DeskScaleOnly(f"p = {p} exceeds the demo limit {limit}")
     field = QuadExtField(PrimeField(p))
@@ -151,7 +157,7 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     subgroup = OddKernel.from_generator(U, l, curve)
     for Q, V in samples():
         if not _in_subgroup(V.x, subgroup):
-            return TorsionBasis(l, e, P, Q)
+            return TorsionBasis(l, e, P, Q, _x_difference(curve, P, Q))
     raise SetupFailed(f"no independent order-{l}^{e} partner found")
 
 
@@ -163,16 +169,30 @@ def _in_subgroup(x, subgroup: OddKernel) -> bool:
     return any(x == u for u in subgroup.xs)
 
 
+def _x_difference(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint) -> tuple:
+    """x-line (X, Z) of P - Q, by one projective addition."""
+    X, _, Z = E.add_proj(P.projective(), Q.neg().projective())
+    return X, Z
+
+
+def _secret_kernel(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint,
+                   diff: tuple, secret: int) -> tuple:
+    """x-line (X, Z) of R = P + secret*Q, by `ladder3pt`."""
+    one = E.field.one
+    return ladder3pt(secret, (P.x, one), (Q.x, one), diff, one - E.d)
+
+
 def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     """Kernel R = P_side + secret*Q_side, chain of prime-degree steps,
     public key = codomain parameter plus pushed-through images of the
-    other side's basis."""
+    other side's basis.  R is taken on the x-line from the basis and its
+    stored x(P - Q), and the chain starts from x(R)."""
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
     if not 0 <= secret < l ** e:
         raise ValueError(f"secret must lie in [0, {l}^{e})")
     E = params.curve
-    R = E.add(basis.P, E.scalar_mul(secret, basis.Q))
+    R = _secret_kernel(E, basis.P, basis.Q, basis.diff, secret)
     other = params.basis(params.other(side))
     chain = IsogenyChain(E, R, [l] * e, images=(other.P, other.Q))
     public = PublicKey(chain.codomain.d, *chain.images)
@@ -193,8 +213,12 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     secret to recompute the key, as in the Fujisaki-Okamoto transform
     or the validation of Kirkwood et al. (2015).
 
-    The chain proves that R = P' + k*Q' has exact order l^e; its step-0
-    kernel point is K0 = l^(e-1)*R.  U = l^(e-1)*Q', taken on the x-line
+    x(P' - Q') is taken with one projective addition, and x(R) for
+    R = P' + k*Q' by `ladder3pt`, which raises when a difference it meets
+    is O or (-1, 0); so its output is exactly x(R), never that of a
+    point the degenerate formula happened to give.  The chain proves
+    that R has exact order l^e; its step-0 kernel point is
+    K0 = l^(e-1)*R.  U = l^(e-1)*Q', taken on the x-line
     by the chain's l-fold steps, must satisfy U != O and l*U = O
     (`OddKernel.from_x`), so Q' has exact order l^e, and K0 must lie
     outside <U> (`_in_subgroup`).  Then l^(e-1)*P' = K0 - k*U lies
@@ -215,8 +239,8 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
         raise ProtocolError("public basis images are not on the codomain")
     P, Q = other_public.image_p, other_public.image_q
     try:
-        chain = IsogenyChain(E, E.add(P, E.scalar_mul(keypair.secret, Q)),
-                             [l] * e)
+        R = _secret_kernel(E, P, Q, _x_difference(E, P, Q), keypair.secret)
+        chain = IsogenyChain(E, R, [l] * e)
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
     c, U = E.field.one - E.d, (Q.x, E.field.one)

@@ -16,22 +16,26 @@ The 3-isogeny evaluation never reads the curve parameter d: for a
 kernel abscissa satisfying the order-3 division condition the map
 depends on coordinates only.
 
-The chains run on the x-line too, on (X, Z) pairs of E_{1,d}, through
-u = (1 + x)/(1 - x), the Montgomery model `EdwardsCurve.point_order`
-uses, with c = 1 - d (1 - d/a on E_{a,d}):
+The chains and SIDH's secret kernels run on the x-line too, on (X, Z)
+pairs of E_{1,d}, through u = (1 + x)/(1 - x), the Montgomery model
+`EdwardsCurve.point_order` uses, with c = 1 - d (1 - d/a on E_{a,d}):
 
     xdbl         3M + 2S        xadd         4M + 2S
     xmul(3, .)   7M + 4S        xmul(5, .)   11M + 6S
+    ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
     odd_image    3sM + 2S for an affine kernel, 4sM + 2S projective,
                  s = (l - 1)/2; eval_3_isog is its one-point case
 
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
 two points whose u is infinity or 0, so `xmul(l, P)` is (0 : 0) for
-those two P; `OddKernel.from_x` rejects (0 : 0) as O.
+those two P; `OddKernel.from_x` rejects (0 : 0) as O.  `ladder3pt`,
+whose differences vary, raises there instead.
 """
 
 from __future__ import annotations
+
+from .errors import ExceptionalInput
 
 
 class XZPoint:
@@ -160,10 +164,16 @@ def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
     """P + Q from D = P - Q, the Montgomery differential addition on
     u = (Z + X)/(Z - X): with s = X1 Z2 and t = Z1 X2,
     (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S."""
-    (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
+    Xd, Zd = D
+    return _xadd(P, Q, Zd - Xd, Zd + Xd)
+
+
+def _xadd(P: tuple, Q: tuple, minus, plus) -> tuple:
+    """`xadd` with the difference given as Zd - Xd and Zd + Xd."""
+    (X1, Z1), (X2, Z2) = P, Q
     s, t = X1 * Z2, Z1 * X2
-    U = (Zd - Xd) * (s + t).square()
-    W = (Zd + Xd) * (s - t).square()
+    U = minus * (s + t).square()
+    W = plus * (s - t).square()
     return U - W, U + W
 
 
@@ -182,6 +192,37 @@ def xmul(l: int, P: tuple, c) -> tuple:
         else:
             lo, hi = xdbl(lo, c), xadd(hi, lo, P)
     return xadd(hi, lo, P)
+
+
+def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c) -> tuple:
+    """P + k*Q for k >= 0 from P, Q and D = P - Q, by the right-to-left
+    three-point ladder of Faz-Hernandez, Longa, Lopez and Dahab (IEEE
+    Trans. Computers 2019).  It keeps R0 = 2^i Q, R1 = P + (k mod 2^i) Q
+    and R2 = R1 - R0, from (Q, P, D): bit i of k adds R0 to R1, whose
+    difference is R2, or takes R2 - R0, whose sum is R1; R0 is doubled
+    between bits.  A k of b bits costs b `xadd`s and b - 1 `xdbl`s.
+
+    ExceptionalInput if a difference met, D or a later R1 or R2, is O or
+    (-1, 0), the two points where `xadd` fails; otherwise the result is
+    exactly P + k*Q, as the differential addition holds for every pair
+    whose difference is neither."""
+    if k < 0:
+        raise ValueError(f"ladder3pt needs k >= 0, got {k}")
+    R0, R1, R2 = Q, P, D
+    while k:
+        Xd, Zd = R2 if k & 1 else R1
+        minus, plus = Zd - Xd, Zd + Xd
+        if minus.is_zero() or plus.is_zero():
+            raise ExceptionalInput(
+                "a ladder difference P + a*Q is O or (-1, 0)")
+        if k & 1:
+            R1 = _xadd(R0, R1, minus, plus)
+        else:
+            R2 = _xadd(R0, R2, minus, plus)
+        k >>= 1
+        if k:
+            R0 = xdbl(R0, c)
+    return R1
 
 
 def run_3_isog(P: XZPoint, K1: XZPoint) -> tuple[XZPoint, ProjParams]:

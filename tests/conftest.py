@@ -65,3 +65,19 @@ def desk_curves(draw, classes=(COMPLETE, TWISTED, QUADRATIC)):
     assume(a != d)
     field = PrimeField(p)
     return EdwardsCurve(field, field(a), field(d))
+
+
+def ladder_offsets(k: int) -> list[int]:
+    """The a of each difference P + a*Q that `ladder3pt(k, ...)` meets,
+    in order: its R0, R1, R2 tracked as multiples of Q over P."""
+    r0, r1, r2, out = 1, 0, -1, []
+    while k:
+        if k & 1:
+            out.append(r2)
+            r1 += r0
+        else:
+            out.append(r1)
+            r2 -= r0
+        k >>= 1
+        r0 *= 2
+    return out

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edwards_isogeny.cli import main
 
@@ -265,6 +269,15 @@ class TestSidhDemo:
         assert doc["agree"] is True
         assert doc["shared_j_a"] == doc["shared_j_b"]
 
+    def test_huge_exponent_is_refused_before_the_power(self, capsys):
+        """p = 4*3^m*5^n - 1 is refused from m + n alone when it must
+        exceed the limit, so a huge --m exits 1 at once with
+        DeskScaleOnly, before p has more digits than str() takes."""
+        code, doc = run_json(capsys, "sidh-demo", "--m", str(2 ** 20),
+                             "--n", "1")
+        assert code == 1
+        assert doc["code"] == "DeskScaleOnly"
+
     def test_seed_determinism(self, capsys):
         _, a = run_json(capsys, "sidh-demo", "--m", "2", "--n", "1",
                         "--seed", "9")
@@ -310,3 +323,91 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def _text(values):
+    return st.sampled_from(values).map(str) if isinstance(values, list) \
+        else values.map(str)
+
+
+_INT = _text(st.integers(-3, 30))
+_PAIR = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
+    lambda xy: f"{xy[0]},{xy[1]}") | _text(["-10,9", "3,6", "1,0", "-1,0"])
+_CURVE = {"--p": _text([5, 7, 11, 13, 19, 23, 29, 37, 59, 4, 3, 1, 0, -7]),
+          "--a": _INT, "--d": _INT}
+# Each subcommand's flags with small values; any value may instead be a
+# malformed token.
+_COMMANDS = {
+    "classify": _CURVE,
+    "j": _CURVE,
+    "points": _CURVE,
+    "order": {**_CURVE, "--point": _PAIR},
+    "isogeny": {**_CURVE, "--degree": _text(st.integers(-3, 12)),
+                "--gen": _PAIR, "--point": _PAIR},
+    "chain": {**_CURVE, "--gen": _PAIR, "--point": _PAIR,
+              "--degrees": st.lists(st.sampled_from(["-3", "1", "3", "4",
+                                                     "5", "7", "9"]),
+                                    max_size=4).map(",".join)},
+    "search-primes": {"--bits": _text(st.integers(-2, 40)),
+                      "--window": _text(st.integers(-1, 3)),
+                      "--tolerance": _text(st.integers(-1, 4)),
+                      "--variant": _text(["complete", "quadratic", "cubic"]),
+                      "--limit": _text(st.integers(-1, 3))},
+    "verify-table1": {"--rounds": _text(st.integers(-1, 2))},
+    "sidh-demo": {"--m": _text(st.integers(-1, 3)),
+                  "--n": _text(st.integers(-1, 2)),
+                  "--seed": _text(st.integers(-2, 5)),
+                  "--secret-a": _text(st.integers(-1, 27)),
+                  "--secret-b": _text(st.integers(-1, 25))},
+    "opcount-bench": {"--op": _text(["proj3", "proj5", "proj7"])},
+}
+_MALFORMED = st.sampled_from(["", " ", "x", "0x", "0x1g", "-", "--", ",",
+                              "1,", ",2", "1,2,3", "3,,5", "1e3", "0b2",
+                              "nan", "--p", "\u0663", "-0x", "+-1"])
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, or rarely an unknown one, then a drawn subset of its
+    flags in a drawn order, each with a value or a malformed token, and
+    now and then a stray token."""
+    command = draw(st.sampled_from([*_COMMANDS, "frobnicate"]))
+    flags = _COMMANDS.get(command, {})
+    argv = [command]
+    for flag in draw(st.permutations(list(flags))):
+        if draw(st.integers(0, 9)) == 0:
+            continue                  # an omitted flag, required or not
+        argv.append(flag)
+        if draw(st.integers(0, 19)):
+            argv.append(draw(flags[flag] if draw(st.integers(0, 9))
+                             else _MALFORMED))
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_MALFORMED))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argv())
+    @example(argv=["isogeny", "--p", "23", "--d", "-1", "--degree", "3",
+                   "--gen", "-10,9", "--point", "3,6"])
+    @example(argv=["chain", "--p", "59", "--d", "-1", "--gen", "7,5",
+                   "--degrees", "3,5", "--point", "7,5"])
+    @example(argv=["order", "--p", "23", "--d", "-1", "--point", "3,6"])
+    @example(argv=["sidh-demo", "--m", "3", "--n", "2", "--secret-a", "26"])
+    def test_exit_codes(self, argv):
+        """Whatever the arguments, the exit code is 0 (ok), 1 (domain
+        error, as a JSON error document) or 2 (usage error), and nothing
+        else escapes: no traceback."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert "usage:" in err.getvalue()
+        else:
+            doc = json.loads(out.getvalue().strip().splitlines()[-1])
+            assert doc["status"] == ("ok" if code == 0 else "error")

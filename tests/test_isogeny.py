@@ -641,6 +641,41 @@ class TestChain:
             assert carried.images == want
             assert carried.codomain.d == chain.codomain.d
 
+    @settings(max_examples=40, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_x_line_generator(self, curve, data):
+        """A generator given as an x-line point (X, Z), any scaling, gives
+        the chain of the affine point: the same kernels, codomain and
+        images."""
+        field = curve.field
+        curve = EdwardsCurve(field, field.one, curve.d / curve.a)
+        G, degrees = draw_smooth_generator(curve, data)
+        points = data.draw(st.lists(st.sampled_from(curve.points()),
+                                    max_size=2))
+        lam = field(data.draw(st.integers(1, field.p - 1)))
+        try:
+            want = IsogenyChain(curve, G, degrees, images=points)
+        except ExceptionalInput:
+            assume(False)
+        got = IsogenyChain(curve, (G.x * lam, lam), degrees, images=points)
+        assert ([s.kernel.xs for s in got.steps]
+                == [s.kernel.xs for s in want.steps])
+        assert got.codomain.d == want.codomain.d
+        assert got.images == want.images
+
+    def test_x_line_generator_is_not_checked(self, e23, monkeypatch):
+        """The x-line cannot tell E from its twist, and an (X, Z)
+        generator has no y to test: its on-curve check is the caller's, so
+        the chain never calls `contains` for it."""
+        G = pt(e23, -10, 9)
+        want = IsogenyChain(e23, G, [3]).codomain.d
+
+        def refuse(self, P):
+            raise AssertionError("contains called")
+
+        monkeypatch.setattr(EdwardsCurve, "contains", refuse)
+        assert IsogenyChain(e23, (G.x, e23.field.one), [3]).codomain.d == want
+
     def test_no_images_no_full_map(self, e23):
         """A chain that carries no image forms no y_i^2 and no terms of
         the full map; chain(P) forms them on first use."""

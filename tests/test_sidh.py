@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import (DeskScaleOnly, EdwardsCurve, EdwardsError,
-                             IsogenyChain, OddIsogeny, OddKernel, OpCounter,
-                             ProtocolError, PrimeField, PublicKey,
-                             QuadExtField, count_cyclic_subgroups,
-                             derive_shared, keygen, recover_y, run_exchange,
-                             setup, sidh)
+from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
+                             EdwardsError, ExceptionalInput, IsogenyChain,
+                             OddIsogeny, OddKernel, OpCounter, ProtocolError,
+                             PrimeField, PublicKey, QuadExtField,
+                             count_cyclic_subgroups, derive_shared, keygen,
+                             recover_y, run_exchange, setup, sidh)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
-from conftest import pt
+from conftest import ladder_offsets, pt
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,16 @@ class TestSetup:
         assert basis.P == E.scalar_mul(cofactor, P0)
         assert basis.Q == E.scalar_mul(cofactor, P2)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 2)])
+    def test_stored_difference_is_x_of_p_minus_q(self, m, n):
+        """Each basis keeps x(P - Q), projective, for the secret's ladder."""
+        for seed in range(10):
+            params = setup(m, n, seed=seed)
+            E = params.curve
+            for basis in (params.basis_a, params.basis_b):
+                X, Z = basis.diff
+                assert X == E.add(basis.P, basis.Q.neg()).x * Z
+
     def test_deterministic(self):
         a = setup(1, 1, seed=5)
         b = setup(1, 1, seed=5)
@@ -120,6 +130,14 @@ class TestSetup:
     def test_desk_scale_guard(self):
         with pytest.raises(DeskScaleOnly):
             setup(6, 4, seed=0)
+
+    def test_huge_exponents_are_refused_at_once(self):
+        """m + n alone shows p past the limit, so 3^m is never formed and
+        the refusal names m and n, not p."""
+        with pytest.raises(DeskScaleOnly, match=r"4\*3\^1048576\*5\^1 "):
+            setup(2 ** 20, 1)
+        with pytest.raises(DeskScaleOnly, match=r"4\*3\^2\*5\^1048576 "):
+            setup(2, 2 ** 20, max_p=4 * 3 ** 74 * 5 ** 55 - 1)
 
     def test_max_p_admits_247_bits(self):
         """`max_p` lifts the desk limit for one call; the default still
@@ -162,6 +180,38 @@ class TestKeygen:
             for T in (pub.image_p, pub.image_q):
                 assert cod.contains(T)
                 assert cod.scalar_mul(l ** e, T).is_identity()
+
+    @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
+    def test_ladder_keeps_every_key(self, params2699, side):
+        """For every secret at p = 2699 the key equals that of the chain
+        from the affine P + k*Q, images included."""
+        E, basis = params2699.curve, params2699.basis(side)
+        other = params2699.basis(params2699.other(side))
+        l, e = basis.degree, basis.exponent
+        for secret in range(l ** e):
+            R = E.add(basis.P, E.scalar_mul(secret, basis.Q))
+            chain = IsogenyChain(E, R, [l] * e, images=(other.P, other.Q))
+            public = keygen(params2699, side, secret).public
+            assert public.codomain_d == chain.codomain.d
+            assert [public.image_p, public.image_q] == chain.images
+
+    def test_no_affine_arithmetic(self, params2699, monkeypatch):
+        """keygen and derive_shared take each secret kernel on the x-line:
+        neither reaches the affine `scalar_mul` or `add`."""
+        j, sides = {}, (SIDE_A, SIDE_B)
+        keys = {side: keygen(params2699, side, 11) for side in sides}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("affine curve arithmetic called")
+
+        monkeypatch.setattr(EdwardsCurve, "scalar_mul", refuse)
+        monkeypatch.setattr(EdwardsCurve, "add", refuse)
+        for side in sides:
+            kp = keygen(params2699, side, 11)
+            assert kp.public == keys[side].public
+            j[side] = derive_shared(params2699, kp,
+                                    keys[params2699.other(side)].public)
+        assert j[SIDE_A] == j[SIDE_B]
 
     def test_deterministic(self, params59):
         k1 = keygen(params59, SIDE_A, 2)
@@ -266,6 +316,35 @@ class TestPublicKeyValidation:
             derive_shared(params, kp[side], PublicKey(pub.codomain_d, *images))
 
 
+    # (secret, j, shift): P' = shift + j*Q', shift O or (-1, 0), and the
+    # ladder meets the difference P' + a*Q' = shift for a = -j after its
+    # first bit: the offsets of secret 5 are -1, 1, -3 and those of 22
+    # are 0, -2, -2, 6, -10.
+    @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
+    @pytest.mark.parametrize("secret,j,shift", [
+        (5, -1, "O"), (5, 3, "O"), (22, 2, "O"), (22, -6, "O"),
+        (22, 10, "O"), (5, -1, "D0"), (5, 3, "D0"), (22, -6, "D0")])
+    def test_rejects_degenerate_ladder_difference(self, exchange, side,
+                                                  secret, j, shift):
+        """Images for which the secret's ladder meets O or (-1, 0) part
+        way (P' = -Q' among them): the ladder raises, so derive_shared
+        raises ProtocolError and never uses a degenerate sum."""
+        params, kp = exchange
+        assert -j in ladder_offsets(secret)[1:]
+        pub = kp[params.other(side)].public
+        E = EdwardsCurve(params.field, params.field.one, pub.codomain_d)
+        basis = params.basis(side)
+        Q = pub.image_q
+        start = E.identity if shift == "O" else AffinePoint(-E.field.one,
+                                                            E.field.zero)
+        P = E.add(start, E.scalar_mul(j % basis.degree ** basis.exponent, Q))
+        with pytest.raises(ExceptionalInput):
+            sidh._secret_kernel(E, P, Q, sidh._x_difference(E, P, Q), secret)
+        with pytest.raises(ProtocolError):
+            derive_shared(params, keygen(params, side, secret),
+                          PublicKey(pub.codomain_d, P, Q))
+
+
 def _random_point(curve, rng):
     from edwards_isogeny.errors import ExceptionalInput, NotOnCurve
     while True:
@@ -362,15 +441,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1149, "S": 28, "I": 14, "A": 2324},
-                      "ext": {"M": 289, "S": 121, "I": 14, "A": 249}},
-            "bob": {"base": {"M": 1233, "S": 24, "I": 12, "A": 2488},
-                    "ext": {"M": 315, "S": 127, "I": 12, "A": 259}}}),
+            "alice": {"base": {"M": 1019, "S": 18, "I": 9, "A": 2100},
+                      "ext": {"M": 254, "S": 116, "I": 9, "A": 237}},
+            "bob": {"base": {"M": 1215, "S": 14, "I": 7, "A": 2502},
+                    "ext": {"M": 316, "S": 124, "I": 7, "A": 273}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 383, "S": 16, "I": 8, "A": 728},
-                      "ext": {"M": 93, "S": 41, "I": 8, "A": 67}},
-            "bob": {"base": {"M": 609, "S": 20, "I": 10, "A": 1178},
-                    "ext": {"M": 157, "S": 55, "I": 10, "A": 109}}}),
+            "alice": {"base": {"M": 375, "S": 8, "I": 4, "A": 747},
+                      "ext": {"M": 95, "S": 40, "I": 4, "A": 77}},
+            "bob": {"base": {"M": 543, "S": 10, "I": 5, "A": 1076},
+                    "ext": {"M": 142, "S": 52, "I": 5, "A": 105}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -404,8 +483,8 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 22701, "S": 156, "I": 78},
-                          SIDE_B: {"M": 27854, "S": 118, "I": 59}}
+        assert counts == {SIDE_A: {"M": 22091, "S": 150, "I": 75},
+                          SIDE_B: {"M": 27056, "S": 112, "I": 56}}
 
     def test_derive_counts_at_247_bits(self):
         """Cost gate on derive_shared at (74, 55) with run_exchange's
@@ -422,8 +501,8 @@ class TestTranscript:
             with params.field.counting(ctx):
                 derive_shared(params, kp, keys[params.other(side)].public)
             counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
-        assert counts == {SIDE_A: {"M": 18063, "S": 156, "I": 78},
-                          SIDE_B: {"M": 21073, "S": 118, "I": 59}}
+        assert counts == {SIDE_A: {"M": 17479, "S": 152, "I": 76},
+                          SIDE_B: {"M": 20301, "S": 114, "I": 57}}
 
     def test_transcript_bytes_at_247_bits(self, monkeypatch):
         """Value gate: the SHA-256 of run_exchange(74, 55, seed=1)'s JSON

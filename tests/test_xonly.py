@@ -1,16 +1,18 @@
 import inspect
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import (EdwardsCurve, ExceptionalPair, OddIsogeny,
-                             OddKernel, OpCounter, PrimeField, XZPoint,
-                             eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
-                             run_3_isog, run_5_isog)
-from edwards_isogeny.xonly import odd_image, xadd, xdbl, xmul
+from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
+                             NotOnCurve, OddIsogeny, OddKernel, OpCounter,
+                             PrimeField, QuadExtField, XZPoint, eval_3_isog,
+                             eval_5_isog, get_3_isog, get_5_isog, recover_y,
+                             run_3_isog, run_5_isog, setup)
+from edwards_isogeny.xonly import ladder3pt, odd_image, xadd, xdbl, xmul
 
-from conftest import desk_curves, pt
+from conftest import desk_curves, ladder_offsets, pt
 from oracles import montgomery_scalar_mul, montgomery_x_mul
 
 
@@ -301,6 +303,98 @@ class TestXLine:
         for x in (1, -1):
             X, Z = xmul(l, line_point(e23.field, x, 3), c)
             assert X.is_zero() and Z.is_zero()
+
+
+def random_point(curve, rng):
+    """A point of `curve` with a random x, either sign."""
+    while True:
+        try:
+            P = recover_y(curve.field.random_element(rng), curve)
+        except (ExceptionalInput, NotOnCurve):
+            continue
+        return P.neg() if rng.randrange(2) else P
+
+
+# Secrets at their edges: none, one bit, the top secrets 3^3 - 1 and
+# 5^2 - 1 at p = 2699 and 3^74 - 1 at 247 bits.
+EDGE_SECRETS = [0, 1, 3 ** 3 - 1, 5 ** 2 - 1, 3 ** 74 - 1]
+
+
+class TestLadder:
+    """ladder3pt: x(P + k*Q) from x(P), x(Q) and x(P - Q)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_matches_the_affine_law(self, curve, extend, data):
+        """On desk curves over F_p and over F_{p^2}, for random P and Q
+        (independent but for rare draws) and edge or random k, the x of
+        E.add(P, E.scalar_mul(k, Q)); if a difference the ladder meets is
+        O or (-1, 0), it raises.  Draws whose affine oracle walks through
+        a point at infinity are discarded."""
+        if extend:
+            field = QuadExtField(curve.field)
+            curve = EdwardsCurve(field, field(curve.a.value),
+                                 field(curve.d.value))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        P, Q = random_point(curve, rng), random_point(curve, rng)
+        k = data.draw(st.sampled_from(EDGE_SECRETS) | st.integers(0, 2 ** 16))
+        lam = curve.field(data.draw(st.integers(1, curve.field.p - 1)))
+        try:
+            want = curve.add(P, curve.scalar_mul(k, Q))
+            D = curve.add(P, Q.neg())
+            degenerate = any(curve.add(P, curve.scalar_mul(a, Q)).y.is_zero()
+                             for a in set(ladder_offsets(k)))
+        except ExceptionalPair:
+            assume(False)
+        one = curve.field.one
+        args = (k, (P.x, one), (Q.x, one), (D.x * lam, lam), line_c(curve))
+        if degenerate:
+            with pytest.raises(ExceptionalInput):
+                ladder3pt(*args)
+        else:
+            assert_line_x(ladder3pt(*args), want.x)
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        """A basis of E[27] at p = 2699: no difference P + a*Q is O or
+        (-1, 0)."""
+        params = setup(3, 2, seed=11)
+        E, b = params.curve, params.basis_a
+        one = E.field.one
+        return E, ((b.P.x, one), (b.Q.x, one), b.diff, one - E.d)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 26, 2 ** 40 + 3, 3 ** 74 - 1])
+    def test_costs(self, basis, k):
+        """A k of b bits costs b `xadd`s and b - 1 `xdbl`s, and no
+        inversion."""
+        E, (P, Q, D, c) = basis
+        b = k.bit_length()
+        ctx = OpCounter()
+        with E.field.counting(ctx):
+            ladder3pt(k, P, Q, D, c)
+        xadd_cost, xdbl_cost = (4, 2, 0, 6), (3, 2, 0, 4)
+        assert (ctx.ext_m, ctx.ext_s, ctx.ext_i, ctx.ext_a) == tuple(
+            b * u + max(b - 1, 0) * v for u, v in zip(xadd_cost, xdbl_cost))
+
+    def test_zero_returns_p(self, basis):
+        _, (P, Q, D, c) = basis
+        assert ladder3pt(0, P, Q, D, c) is P
+
+    def test_rejects_negative_k(self, basis):
+        _, (P, Q, D, c) = basis
+        with pytest.raises(ValueError):
+            ladder3pt(-1, P, Q, D, c)
+
+    @pytest.mark.parametrize("x", [1, -1])
+    def test_rejects_o_and_order_two_differences(self, e23, x):
+        """D = O (X = Z) or (-1, 0) (X = -Z), scaled, is refused at the
+        first bit that reads it."""
+        f, c = e23.field, line_c(e23)
+        P, Q = line_point(f, 3, 1), line_point(f, 2, 1)
+        with pytest.raises(ExceptionalInput):
+            ladder3pt(1, P, Q, line_point(f, x, 5), c)
+        with pytest.raises(ExceptionalInput):
+            ladder3pt(2, line_point(f, x, 5), Q, P, c)
 
 
 class TestOddImage:
