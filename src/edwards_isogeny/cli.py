@@ -29,6 +29,8 @@ from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
 from .xonly import XZPoint, eval_3_isog, eval_5_isog, get_3_isog, get_5_isog
 
 _SIGNED_LIMIT_BITS = 64
+# verify-table1 --rounds above this is a usage error.
+MAX_ROUNDS = 1000
 
 
 def _parse_int(text: str) -> int:
@@ -38,6 +40,13 @@ def _parse_int(text: str) -> int:
 def _parse_count(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return int(text)
+
+
+def _parse_rounds(text: str) -> int:
+    if int(text) > MAX_ROUNDS:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_ROUNDS} rounds, got {text}")
     return int(text)
 
 
@@ -259,7 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_search_primes)
 
     c = sub.add_parser("verify-table1", help="recompute the built-in reference table")
-    c.add_argument("--rounds", type=int, default=64)
+    c.add_argument("--rounds", type=_parse_rounds, default=64,
+                   help=f"Miller-Rabin rounds if a proof gives out "
+                        f"(at most {MAX_ROUNDS})")
     c.set_defaults(func=_cmd_verify_table)
 
     c = sub.add_parser("sidh-demo", help="desk-scale SIDH key exchange")

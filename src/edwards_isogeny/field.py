@@ -6,10 +6,19 @@ tallied on the owning field's active :class:`OpCounter`, so the exact
 cost of a formula can be asserted rather than estimated.  Character and
 square-root queries (`chi`, `sqrt`) are classification utilities and are
 deliberately uncounted.
+
+`is_probable_prime` proves its answer below the Miller-Rabin
+deterministic bound (about 3.3e24), and above it for every n whose n + 1
+factors over the primes up to 47, which covers all p = cof*3^m*5^n - 1:
+those it proves prime or composite with the N+1 test of Brillhart,
+Lehmer and Selfridge.  Any other n gets `rounds` Miller-Rabin rounds,
+and for the smooth ones `rounds` bounds only the fallback taken if the
+proof's Lucas chains give out.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from contextlib import contextmanager
@@ -20,14 +29,38 @@ from .errors import DivisionByZero, FieldMismatch, NotASquare
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Lucas chains the N+1 proof may run before Miller-Rabin decides instead.
+_LUCAS_CHAINS = 16
+
+
+def _primes_below(bound: int) -> list[int]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+# The primes below 10,000 multiplied out once: a gcd with it is the trial
+# division of a large n.
+_TRIAL_PRODUCT = math.prod(_primes_below(10_000))
 
 
 def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin primality test.
+    """Primality of n: proven for n below the deterministic bound, and
+    for larger n whose n + 1 factors over `_SMALL_PRIMES`; otherwise a
+    Miller-Rabin test of `rounds` rounds.
 
-    Uses the deterministic witness set below its proven bound, otherwise
-    `rounds` bases drawn from an RNG seeded by n itself (so results are
-    reproducible without sacrificing independence across candidates).
+    Below its proven bound the Miller-Rabin test with the fixed witness
+    set decides.  Above it, n must first share no factor with the primes
+    below 10,000 and pass one round on a base drawn from an RNG seeded by
+    n itself (so results are reproducible without sacrificing
+    independence across candidates).  Then, if n + 1 factors over
+    `_SMALL_PRIMES`, as it does for every p = cof*3^m*5^n - 1, the N+1
+    test proves n prime or composite (`_lucas_proof`), and `rounds`
+    bounds only the fallback that runs if its chains give out: the
+    remaining `rounds - 1` bases of the same seeded sequence.
     """
     if rounds < 1:
         raise ValueError(f"need at least 1 Miller-Rabin round, got {rounds}")
@@ -36,29 +69,129 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-
-    def witness(a: int) -> bool:
-        # True if a proves n composite.
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            return False
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                return False
-        return True
-
     if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_WITNESSES
-    else:
-        rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
-    return not any(witness(a) for a in bases)
+        return not any(_proves_composite(a, n) for a in _MR_WITNESSES)
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
+        return False
+    rng = random.Random(n)
+    if _proves_composite(rng.randrange(2, n - 1), n):
+        return False
+    proven = _lucas_proof(n)
+    if proven is not None:
+        return proven
+    return _miller_rabin(n, rng, rounds - 1)
+
+
+def _proves_composite(a: int, n: int) -> bool:
+    """True if base a proves the odd n composite (one Miller-Rabin round)."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return False
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return False
+    return True
+
+
+def _miller_rabin(n: int, rng: random.Random, rounds: int) -> bool:
+    """True if none of `rounds` bases drawn from `rng`, one at a time,
+    proves n composite."""
+    return not any(_proves_composite(rng.randrange(2, n - 1), n)
+                   for _ in range(rounds))
+
+
+def _lucas_proof(n: int) -> bool | None:
+    """The N+1 test (Brillhart, Lehmer and Selfridge, Math. Comp. 29,
+    1975, Thm 15) for odd n > 5: True if n is proven prime, False if it
+    is proven composite, None if n + 1 does not factor over
+    `_SMALL_PRIMES` or `_LUCAS_CHAINS` chains decide nothing.
+
+    Fix D with Jacobi(D/n) = -1 (Selfridge's 5, -7, 9, ...).  Each odd P
+    gives Q = (P^2 - D)/4 and the Lucas sequence U of x^2 - Px + Q.  If
+    n | U_{n+1} for every P tried, and each prime q | n + 1 has some P
+    with gcd(U_{(n+1)/q}, n) = 1, then every prime p | n satisfies
+    p = +-1 (mod n + 1), so p = n.  For prime n the q = 2 condition
+    holds exactly when Jacobi(Q/n) = -1, so other P are skipped, and a
+    P whose U_{(n+1)/2} shares a factor with n shows n composite.
+
+    With r the product of the distinct q and k = (n + 1)/r, one chain
+    gives U_k, V_k and Q^k, and U_{jk}(P, Q) = U_k * U_j(V_k, Q^k) gives
+    U_{n+1} and each U_{(n+1)/q} from chains of a few bits.
+    """
+    qs = []
+    rest = n + 1
+    for q in _SMALL_PRIMES:
+        if rest % q == 0:
+            qs.append(q)
+            while rest % q == 0:
+                rest //= q
+    if rest != 1:
+        return None
+    if math.isqrt(n) ** 2 == n:
+        return False                 # a square has no D
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False             # gcd(D, n) is a proper factor
+        D = -D - 2 if D > 0 else 2 - D
+    r = math.prod(qs)
+    k = (n + 1) // r
+    todo = set(qs)
+    chains = 0
+    # About half the odd P pass the Jacobi filter.
+    for P in range(1, 8 * _LUCAS_CHAINS, 2):
+        Q = (P * P - D) // 4
+        if _jacobi(Q, n) != -1:
+            continue
+        U, V, Qk = _lucas_chain(P, Q, k, n)
+        if U * _lucas_chain(V, Qk, r, n)[0] % n:
+            return False             # n does not divide U_{n+1}
+        for q in qs:
+            g = math.gcd(U * _lucas_chain(V, Qk, r // q, n)[0], n)
+            if g == 1:
+                todo.discard(q)
+            elif g != n or q == 2:
+                return False
+        if not todo:
+            return True
+        chains += 1
+        if chains == _LUCAS_CHAINS:
+            break
+    return None
+
+
+def _lucas_chain(P: int, Q: int, k: int, n: int) -> tuple[int, int, int]:
+    """(U_k, V_k, Q^k) mod the odd n for x^2 - Px + Q and k >= 1, left to
+    right: U_2j = U_j V_j, V_2j = V_j^2 - 2Q^j, then for a 1 bit
+    U_{j+1} = (P U_j + V_j)/2 and V_{j+1} = (D U_j + P V_j)/2."""
+    D = P * P - 4 * Q
+    U, V, Qk = 1, P % n, Q % n
+    for bit in bin(k)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (P * U + V) % n, (D * U + P * V) % n
+            U = U >> 1 if U % 2 == 0 else (U + n) >> 1
+            V = V >> 1 if V % 2 == 0 else (V + n) >> 1
+            Qk = Qk * Q % n
+    return U, V, Qk
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
 
 
 class OpCounter:

@@ -85,10 +85,19 @@ class SidhPrime:
                 "quantum_security_bits": quantum_security_bits(self.bit_length)}
 
 
+# Upper bounds of a search grid: the largest search they allow tests a
+# few hundred candidates of up to 2080 bits, a few seconds of work.
+MAX_TARGET_BITS = 2048
+MAX_WINDOW = 16
+MAX_TOLERANCE = 32
+
+
 @dataclass
 class SearchSpec:
     """Search grid description: n is derived from the bit target and m
-    scans round(BALANCE_RATIO * n) +/- window."""
+    scans round(BALANCE_RATIO * n) +/- window.  The target lies in
+    [4, MAX_TARGET_BITS], the window in [0, MAX_WINDOW] and the
+    tolerance in [0, MAX_TOLERANCE]."""
     target_bits: int
     variant: str = COMPLETE_4
     window: int = 8
@@ -96,10 +105,12 @@ class SearchSpec:
 
     def __post_init__(self):
         _cofactor(self.variant)
-        if self.target_bits < 4:
-            raise ValueError("bit target too small")
-        if self.window < 0 or self.bits_tolerance < 0:
-            raise ValueError("window and tolerance must be non-negative")
+        if not 4 <= self.target_bits <= MAX_TARGET_BITS:
+            raise ValueError(f"bit target outside [4, {MAX_TARGET_BITS}]")
+        if not (0 <= self.window <= MAX_WINDOW
+                and 0 <= self.bits_tolerance <= MAX_TOLERANCE):
+            raise ValueError(f"window outside [0, {MAX_WINDOW}] or "
+                             f"tolerance outside [0, {MAX_TOLERANCE}]")
 
 
 def estimate_bit_length(m: int, n: int, variant: str = COMPLETE_4) -> int:

@@ -278,7 +278,8 @@ def test_criterion_6_existence_statements():
 
 def test_criterion_7_reference_table():
     with criterion(7, "published 768-bit scale rows reconstruct: bit lengths "
-                      "763/778/756, 64-round primality", budget=10.0):
+                      "763/778/756, primality proven by the N+1 test",
+                   budget=10.0):
         reports = verify_reference_table(rounds=64)
         assert [r["bits_computed"] for r in reports] == [763, 778, 756]
         assert all(r["bits_match"] for r in reports)

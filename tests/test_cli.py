@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny.cli import main
+from edwards_isogeny.cli import MAX_ROUNDS, main
 
 from oracles import montgomery_point_order
 
@@ -237,6 +237,17 @@ class TestSearchPrimes:
         assert code == 1
         assert doc["code"] == "ValueError"
 
+    @pytest.mark.parametrize("flags", [
+        ["--bits", "100000"],
+        ["--bits", "40", "--window", "999999999999"],
+        ["--bits", "40", "--tolerance", "999999999999"]])
+    def test_huge_grid_is_domain_error(self, capsys, flags):
+        """A grid beyond the search bounds is refused before any
+        candidate is built."""
+        code, doc = run_json(capsys, "search-primes", *flags)
+        assert code == 1
+        assert doc["code"] == "ValueError"
+
     def test_negative_limit_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search-primes", "--bits", "100", "--limit", "-1"])
@@ -252,6 +263,15 @@ class TestVerifyTable:
         assert doc["all_prime"] is True
         assert doc["all_hex_match"] is False
         assert [r["hex_match"] for r in doc["rows"]] == [True, False, True]
+
+    def test_rounds_above_the_cap_are_usage_errors(self, capsys):
+        code, doc = run_json(capsys, "verify-table1", "--rounds", str(MAX_ROUNDS))
+        assert code == 0
+        assert doc["all_prime"] is True
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-table1", "--rounds", str(MAX_ROUNDS + 1)])
+        assert exc.value.code == 2
+        assert "at most" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_no_rounds_is_domain_error(self, capsys, rounds):
@@ -331,6 +351,9 @@ def _text(values):
 
 
 _INT = _text(st.integers(-3, 30))
+# Far beyond every bound of the commands that take them: each is refused
+# at once.
+_HUGE = st.integers(2 ** 20, 2 ** 128) | st.integers(-2 ** 128, -2 ** 20)
 _PAIR = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
     lambda xy: f"{xy[0]},{xy[1]}") | _text(["-10,9", "3,6", "1,0", "-1,0"])
 _CURVE = {"--p": _text([5, 7, 11, 13, 19, 23, 29, 37, 59, 4, 3, 1, 0, -7]),
@@ -348,12 +371,12 @@ _COMMANDS = {
               "--degrees": st.lists(st.sampled_from(["-3", "1", "3", "4",
                                                      "5", "7", "9"]),
                                     max_size=4).map(",".join)},
-    "search-primes": {"--bits": _text(st.integers(-2, 40)),
-                      "--window": _text(st.integers(-1, 3)),
-                      "--tolerance": _text(st.integers(-1, 4)),
+    "search-primes": {"--bits": _text(st.integers(-2, 40) | _HUGE),
+                      "--window": _text(st.integers(-1, 3) | _HUGE),
+                      "--tolerance": _text(st.integers(-1, 4) | _HUGE),
                       "--variant": _text(["complete", "quadratic", "cubic"]),
-                      "--limit": _text(st.integers(-1, 3))},
-    "verify-table1": {"--rounds": _text(st.integers(-1, 2))},
+                      "--limit": _text(st.integers(-1, 3) | _HUGE)},
+    "verify-table1": {"--rounds": _text(st.integers(-1, 2) | _HUGE)},
     "sidh-demo": {"--m": _text(st.integers(-1, 3)),
                   "--n": _text(st.integers(-1, 2)),
                   "--seed": _text(st.integers(-2, 5)),
@@ -395,6 +418,8 @@ class TestFuzz:
                    "--degrees", "3,5", "--point", "7,5"])
     @example(argv=["order", "--p", "23", "--d", "-1", "--point", "3,6"])
     @example(argv=["sidh-demo", "--m", "3", "--n", "2", "--secret-a", "26"])
+    @example(argv=["search-primes", "--bits", "40", "--window", str(10 ** 12)])
+    @example(argv=["verify-table1", "--rounds", str(10 ** 12)])
     def test_exit_codes(self, argv):
         """Whatever the arguments, the exit code is 0 (ok), 1 (domain
         error, as a JSON error document) or 2 (usage error), and nothing

@@ -1,7 +1,13 @@
+import math
+import random
+
 import pytest
 
 from edwards_isogeny import (DivisionByZero, FieldMismatch, NotASquare,
                              OpCounter, PrimeField, is_probable_prime)
+from edwards_isogeny import field
+from edwards_isogeny.field import (_MR_DETERMINISTIC_BOUND, _SMALL_PRIMES,
+                                   _jacobi, _lucas_chain, _lucas_proof)
 
 from oracles import euler_chi
 
@@ -215,3 +221,139 @@ class TestPrimality:
         assert not is_probable_prime(n, rounds=1)
         with pytest.raises(ValueError):
             is_probable_prime(n, rounds=rounds)
+
+
+def _smooth_up_to(limit: int) -> list[int]:
+    """Every m <= limit whose prime factors all lie in _SMALL_PRIMES."""
+    found = [1]
+    for q in _SMALL_PRIMES:
+        found = [x * q ** e for x in found
+                 for e in range(int(math.log(limit / x, q)) + 1)]
+    return sorted(x for x in found if x <= limit)
+
+
+def _sidh(cof: int, m: int, n: int) -> int:
+    return cof * 3 ** m * 5 ** n - 1
+
+
+class TestLucasProof:
+    """The N+1 test for n with n + 1 smooth over _SMALL_PRIMES."""
+
+    def test_agrees_with_miller_rabin_below_a_million(self):
+        """Every odd n in (5, 10^6) with smooth n + 1, squares and
+        multiples of small primes included: the proof decides, and its
+        answer is that of the deterministic Miller-Rabin test."""
+        ns = [m - 1 for m in _smooth_up_to(10 ** 6) if m % 2 == 0 and m > 6]
+        assert len(ns) > 20_000
+        assert {9, 49, 81, 169, 289} <= set(ns)
+        assert ns[-1] < 10 ** 6 < _MR_DETERMINISTIC_BOUND
+        wrong = [n for n in ns if _lucas_proof(n) is not is_probable_prime(n)]
+        assert wrong == []
+
+    def test_squares_have_no_discriminant(self, monkeypatch):
+        """Squares are refused before the search for D, which would not
+        end before it met a multiple of the root."""
+        def no_search(*args):
+            raise AssertionError("searched for D")
+        monkeypatch.setattr(field, "_jacobi", no_search)
+        for n in (9, 49, 81, 169, 289, 47 ** 2, 239 ** 2):
+            assert _lucas_proof(n) is False
+
+    def test_lucas_pseudoprimes_are_rejected(self):
+        """n | U_{n+1} for every P at 323 = 17*19 and 11663 = 107*109;
+        a zero U_{(n+1)/2} after Jacobi(Q/n) = -1 shows them composite."""
+        for n in (323, 11663):
+            assert _lucas_chain(1, -1, n + 1, n)[0] == 0
+            assert _lucas_proof(n) is False
+
+    @pytest.mark.parametrize("cof,m,n", [
+        (4, 74, 55), (4, 238, 165), (4, 243, 168), (4, 247, 156), (4, 1, 1),
+        (4, 2, 1), (8, 2, 1)])
+    def test_sidh_primes_are_proven(self, cof, m, n):
+        """The 247-bit prime of `setup`, the three reference rows (the
+        first two are also the primes `prime-search` finds at seed 1)
+        and desk primes."""
+        assert _lucas_proof(_sidh(cof, m, n)) is True
+
+    def test_composites_of_the_same_form_are_rejected(self):
+        composites = [(cof, m, n) for cof in (4, 8)
+                      for m in range(236, 241) for n in range(163, 168)
+                      if not is_probable_prime(_sidh(cof, m, n))]
+        assert len(composites) > 40
+        for cof, m, n in composites:
+            assert _lucas_proof(_sidh(cof, m, n)) is False
+        assert _lucas_proof(_sidh(4, 238, 165) * _sidh(4, 74, 55)) is None
+
+    def test_no_fallback_for_the_763_bit_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Miller-Rabin fallback reached")
+        monkeypatch.setattr(field, "_miller_rabin", refuse)
+        assert is_probable_prime(_sidh(4, 238, 165))
+
+    def test_fallback_when_the_chains_give_out(self, monkeypatch):
+        """The 247-bit prime needs several chains; with one allowed the
+        proof runs one and gives up, and the remaining Miller-Rabin
+        rounds decide."""
+        p = _sidh(4, 74, 55)
+        lengths = []
+        chain = field._lucas_chain
+
+        def counted(P, Q, k, n):
+            lengths.append(k)
+            return chain(P, Q, k, n)
+        monkeypatch.setattr(field, "_LUCAS_CHAINS", 1)
+        monkeypatch.setattr(field, "_lucas_chain", counted)
+        assert _lucas_proof(p) is None
+        assert sum(k > 2 ** 64 for k in lengths) == 1
+        assert is_probable_prime(p)
+        assert is_probable_prime(p, rounds=1)
+
+    def test_fallback_continues_the_seeded_bases(self, monkeypatch):
+        """Without a proof, n > bound gets `rounds` bases in all: the same
+        sequence, drawn from random.Random(n), as before the proof."""
+        p = _sidh(4, 238, 165)
+        bases = []
+
+        def record(a, n):
+            bases.append(a)
+            return False
+        monkeypatch.setattr(field, "_lucas_proof", lambda n: None)
+        monkeypatch.setattr(field, "_proves_composite", record)
+        assert is_probable_prime(p, rounds=5)
+        rng = random.Random(p)
+        assert bases == [rng.randrange(2, p - 1) for _ in range(5)]
+
+    def test_small_factors_cost_no_round(self, monkeypatch):
+        def no_round(a, n):
+            raise AssertionError("Miller-Rabin round run")
+        monkeypatch.setattr(field, "_proves_composite", no_round)
+        for q in (53, 997, 9973):
+            assert not is_probable_prime(_sidh(4, 238, 165) * q)
+
+    def test_huge_rounds_allocate_nothing(self):
+        """Bases are drawn one at a time, so only the rounds that run
+        cost anything."""
+        assert is_probable_prime(_sidh(4, 238, 165), rounds=10 ** 18)
+        assert not is_probable_prime(_sidh(4, 238, 165) * (2 ** 61 - 1),
+                                     rounds=10 ** 18)
+
+    def test_chain_matches_the_recurrence(self):
+        """(U_k, V_k, Q^k) against U_{j+1} = P U_j - Q U_{j-1} (and the
+        same for V) for small P, Q and every k below 100."""
+        n = 2699 * 3
+        for P, Q in [(1, -1), (3, 2), (5, 8), (7, -11), (2, 5)]:
+            U, V = [0, 1], [2, P]
+            for _ in range(100):
+                U.append(P * U[-1] - Q * U[-2])
+                V.append(P * V[-1] - Q * V[-2])
+            for k in range(1, 100):
+                assert _lucas_chain(P, Q, k, n) == (
+                    U[k] % n, V[k] % n, pow(Q, k, n))
+
+    def test_jacobi(self):
+        for p in (3, 5, 7, 23, 59, 2699):
+            for a in range(-30, 30):
+                assert _jacobi(a, p) == euler_chi(a, p)
+        for p, q in [(3, 5), (7, 7), (17, 19), (59, 2699)]:
+            for a in range(-30, 30):
+                assert _jacobi(a, p * q) == euler_chi(a, p) * euler_chi(a, q)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from edwards_isogeny import (COMPLETE, EdwardsCurve, PrimeField, SearchSpec,
@@ -5,7 +8,9 @@ from edwards_isogeny import (COMPLETE, EdwardsCurve, PrimeField, SearchSpec,
                              is_supersingular, search_sidh_primes,
                              sidh_key_bits, supersingular_d_scan,
                              supersingular_excluded, verify_reference_table)
-from edwards_isogeny.supersingular import COMPLETE_4, QUADRATIC_8
+from edwards_isogeny.supersingular import (COMPLETE_4, MAX_TARGET_BITS,
+                                           MAX_TOLERANCE, MAX_WINDOW,
+                                           QUADRATIC_8)
 
 from oracles import naive_order
 
@@ -129,6 +134,20 @@ class TestSearch:
         with pytest.raises(ValueError, match="unknown variant"):
             search_sidh_primes(spec)
 
+    def test_grid_bounds(self):
+        """The largest grid is accepted (building it runs nothing); one
+        step beyond any bound is refused."""
+        SearchSpec(MAX_TARGET_BITS, window=MAX_WINDOW,
+                   bits_tolerance=MAX_TOLERANCE)
+        for bits in range(762, 775):
+            SearchSpec(bits, variant=QUADRATIC_8, window=8, bits_tolerance=16)
+        for kw in ({"target_bits": MAX_TARGET_BITS + 1},
+                   {"target_bits": 100, "window": MAX_WINDOW + 1},
+                   {"target_bits": 100, "bits_tolerance": MAX_TOLERANCE + 1},
+                   {"target_bits": 10 ** 100}):
+            with pytest.raises(ValueError):
+                SearchSpec(**kw)
+
     def test_json_row(self):
         row = SidhPrime(59, 1, 1, 6).to_json()
         assert row == {"m": 1, "n": 1, "p_hex": "3b", "bits": 6,
@@ -170,3 +189,34 @@ class TestReferenceTable:
         assert not reports[1]["hex_match"]
         assert "hex_note" in reports[1]
         assert "196" in reports[1]["hex_note"]   # published length
+
+
+class TestFrozenResults:
+    """What the 64-round Miller-Rabin test gave before primes with a
+    smooth p + 1 were proven by the N+1 test: the searches of the four
+    targets that `prime-search` draws for seed 1, and the reference
+    table.  A primality proof must not change any of it."""
+
+    SEARCHES = {
+        (767, COMPLETE_4): [(238, 165, 763), (243, 168, 778)],
+        (771, COMPLETE_4): [(243, 168, 778), (238, 165, 763)],
+        (766, QUADRATIC_8): [],
+        (765, QUADRATIC_8): [],
+    }
+    # sha256 of json.dumps(verify_reference_table(), sort_keys=True)
+    TABLE_DIGEST = ("528c0b40fe35607681b35c7ceef49901"
+                    "016ce40648c70fce1160007929ab8446")
+
+    def test_searches(self):
+        for (bits, variant), rows in self.SEARCHES.items():
+            cof = 4 if variant == COMPLETE_4 else 8
+            want = [SidhPrime(cof * 3 ** m * 5 ** n - 1, m, n, b, variant)
+                    for m, n, b in rows]
+            assert search_sidh_primes(SearchSpec(bits, variant=variant)) == want
+
+    def test_reference_table(self):
+        rows = verify_reference_table()
+        assert [r["is_prime"] for r in rows] == [True, True, True]
+        assert [r["hex_match"] for r in rows] == [True, False, True]
+        text = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == self.TABLE_DIGEST
