@@ -22,19 +22,12 @@ B = X^2, C = a*Y^2, D = B + C, F = 2Z^2 - D and H = 2XY,
 
     2(X:Y:Z) = ((B - C)*D : H*F : F*D)
 
-(3M + 4S when a = 1).  Tripling, after Bernstein, Birkner, Lange and
-Peters (INDOCRYPT 2007), with XX = X^2, aYY = a*Y^2, T = XX + aYY,
-B = 2*(2Z^2 - T), xB = aYY*B, yB = XX*B, AA = T*(XX - aYY), F = AA - yB
-and G = AA + xB, is
-
-    3(X:Y:Z) = (X*(xB - AA)*G : Y*(yB + AA)*F : Z*F*G)
-
-(9M + 3S when a = 1), defined also where 2P lies at infinity.  Z3 is
-zero exactly when the result lies at infinity (for the sum, when an
-affine denominator 1 -+ d*x1*x2*y1*y2 is), and `ExceptionalPair` is
-raised there.  `mul_power_proj` multiplies by l^k in l-fold steps.
-`add`, `double` and `scalar_mul` take and return affine points, with one
-inversion each.
+(3M + 4S when a = 1).  Z3 is zero exactly when the result lies at
+infinity (for the sum, when an affine denominator 1 -+ d*x1*x2*y1*y2
+is), and `ExceptionalPair` is raised there.  `add`, `double` and
+`scalar_mul` take and return affine points, with one inversion each.
+`point_order` multiplies on the x-line instead, by `xonly.xladder`,
+which passes the points at infinity.
 """
 
 from __future__ import annotations
@@ -45,6 +38,7 @@ from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
                      InvalidTwist, NotOnCurve)
 from .field import OpCounter, PrimeField
 from .field_ext import QuadExtField
+from .xonly import xladder
 
 COMPLETE = "complete"
 TWISTED = "twisted"
@@ -234,26 +228,6 @@ class EdwardsCurve:
         H = (X + Y).square() - B - Y2
         return ((B - C) * D, H * F, Z3)
 
-    def triple_proj(self, P: tuple) -> tuple:
-        """3(X:Y:Z) for (X:Y:Z) on the curve, also where 2P lies at
-        infinity."""
-        X, Y, Z = P
-        XX = X.square()
-        aYY = self._times_a(Y.square())
-        T = XX + aYY
-        B = Z.square()
-        B = B + B - T
-        B = B + B
-        xB = aYY * B
-        yB = XX * B
-        AA = T * (XX - aYY)
-        F = AA - yB
-        G = AA + xB
-        Z3 = Z * (F * G)
-        if Z3.is_zero():
-            raise ExceptionalPair("triple lies at infinity")
-        return (X * (xB - AA) * G, Y * (yB + AA) * F, Z3)
-
     def scalar_mul_proj(self, k: int, P: tuple) -> tuple:
         """k*(X:Y:Z) for k >= 1 by left-to-right double-and-add."""
         if k < 1:
@@ -264,14 +238,6 @@ class EdwardsCurve:
             if bit == "1":
                 acc = self.add_proj(acc, P)
         return acc
-
-    def mul_power_proj(self, l: int, k: int, P: tuple) -> tuple:
-        """l^k * (X:Y:Z) for odd l and k >= 0, by k l-fold steps:
-        `triple_proj` for l = 3, `scalar_mul_proj(l)` otherwise, which
-        for l = 5 is two doublings and an addition.  k = 0 returns P."""
-        for _ in range(k):
-            P = self.triple_proj(P) if l == 3 else self.scalar_mul_proj(l, P)
-        return P
 
     def _times_a(self, v):
         return v if self.a == 1 else self.a * v
@@ -287,44 +253,25 @@ class EdwardsCurve:
 
     def point_order(self, P: AffinePoint) -> int:
         """Least n > 0 with n*P = O, found by stripping prime factors
-        from the curve order."""
+        from the curve order.  k*P = O is tested by `xonly.xladder`,
+        c = 1 - d/a, as X = Z; for P of order above 2 it passes the points
+        at infinity of E_{a,d}, where `scalar_mul` raises."""
         self.check_point(P)
         if P.y.is_zero():                  # (1, 0) = O or (-1, 0)
             return 1 if P.x == 1 else 2
+        c, x = self.field.one - self.d / self.a, (P.x, self.field.one)
+
+        def annihilates(k: int) -> bool:
+            X, Z = xladder(k, x, c)[0]
+            return X == Z
+
         n = self.order()
-        if not self._annihilates(n, P):
+        if not annihilates(n):
             raise NotOnCurve(f"group order {n} does not annihilate {P!r}")
         for q in _prime_factors(n):
-            while n % q == 0 and self._annihilates(n // q, P):
+            while n % q == 0 and annihilates(n // q):
                 n //= q
         return n
-
-    def _annihilates(self, k: int, P: AffinePoint) -> bool:
-        """Whether k*P = O, by the x-only Montgomery ladder on
-        u = U/W = (1 + x)/(1 - x), the model with (A + 2)/4 = a/(a - d),
-        where O is W = 0.  Its differential addition holds for every
-        pair of multiples when u(P) is neither 0 nor infinity, that is
-        for P of order above 2, so it passes the points at infinity of
-        E_{a,d} where `scalar_mul` raises."""
-        one, a24, c24 = self.field.one, self.a, self.a - self.d
-        U, W = one + P.x, one - P.x
-
-        def xdbl(X, Z):
-            s, t = (X + Z).square(), (X - Z).square()
-            e, ct = s - t, c24 * t
-            return ct * s, e * (ct + a24 * e)
-
-        def xadd(X1, Z1, X2, Z2):
-            s, t = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
-            return W * (s + t).square(), U * (s - t).square()
-
-        R0, R1 = (one, self.field.zero), (U, W)
-        for bit in bin(k)[2:]:
-            if bit == "1":
-                R0, R1 = xadd(*R0, *R1), xdbl(*R1)
-            else:
-                R0, R1 = xdbl(*R0), xadd(*R0, *R1)
-        return R0[1].is_zero()
 
     # ------------------------------------------------------------------
     # desk-scale enumeration

@@ -18,13 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .curve import AffinePoint, EdwardsCurve, to_affine
+from .curve import AffinePoint, EdwardsCurve
 from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
                      ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, OddKernel, recover_y
-from .xonly import ladder3pt, xmul
+from .xonly import ladder3pt, recover_xy, xladder, xmul
 
 DESK_PRIME_LIMIT = 10_000
 SIDE_A = "A"   # 3^m chain
@@ -130,43 +130,46 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
                    rng: random.Random) -> TorsionBasis:
     """Two independent points of exact order l^e, built by cofactor
     multiplication of random points.  Independence: their order-l
-    multiples generate different subgroups."""
+    multiples generate different subgroups.  Each draw R is walked on
+    the x-line, T = 4*o^f*R by `xladder` and U = l^(e-1)*T by `xmul`,
+    and skipped when U has X = Z: U = O, or the (0 : 0) of R = O or
+    (-1, 0); a 2R at infinity gives T = O, as E[2^inf] = (Z/4)^2.  Only
+    the two points kept get a y, by `recover_xy` from R, x(T), x(T + R)."""
     # The cofactor (p + 1) / l^e is 4 * o^f, o the other party's prime.
-    o, f, rest = 5 if l == 3 else 3, 0, (curve.field.p + 1) // (4 * l ** e)
-    while rest % o == 0:
-        rest, f = rest // o, f + 1
+    cofactor, one = (curve.field.p + 1) // l ** e, curve.field.one
+    c = one - curve.d
 
     def samples():
-        """(T, l^(e-1)*T) for each draw T of exact order l^e."""
+        """(R, T, T + R, U) for each draw R whose T has exact order l^e."""
         for _ in range(_SAMPLING_BUDGET):
-            try:
-                R = curve.double_proj(curve.double_proj(
-                    _random_point(curve, rng).projective()))
-                T = curve.mul_power_proj(o, f, R)
-                U = curve.mul_power_proj(l, e - 1, T)
-            except ExceptionalPair:
-                continue         # walked through a singular point; resample
-            U = to_affine(U)
-            if not U.is_identity():
-                yield to_affine(T), U
+            R = _random_point(curve, rng)
+            T, S = xladder(cofactor, (R.x, one), c)
+            U = T
+            for _ in range(e - 1):
+                U = xmul(l, U, c)
+            if U[0] != U[1]:
+                yield R, T, S, U
 
     first = next(samples(), None)
     if first is None:
         raise SetupFailed(f"no point of order {l}^{e} found")
-    P, U = first
-    subgroup = OddKernel.from_generator(U, l, curve)
-    for Q, V in samples():
-        if not _in_subgroup(V.x, subgroup):
+    *draw, U = first
+    subgroup = OddKernel.from_x(U, l, curve, with_y=False)
+    for *partner, V in samples():
+        if not _in_subgroup(V, subgroup):
+            P, Q = (AffinePoint(*recover_xy(tuple(R), T, S, curve.a, curve.d))
+                    for R, T, S in (draw, partner))
             return TorsionBasis(l, e, P, Q, _x_difference(curve, P, Q))
     raise SetupFailed(f"no independent order-{l}^{e} partner found")
 
 
-def _in_subgroup(x, subgroup: OddKernel) -> bool:
-    """Whether the point of order l with x-coordinate x lies in the
+def _in_subgroup(V: tuple, subgroup: OddKernel) -> bool:
+    """Whether the point of order l with x-line (X, Z) = V lies in the
     order-l subgroup: points share an x-coordinate exactly when they are
-    equal or opposite, so this compares x with the representatives'
-    x(U), ..., x(sU)."""
-    return any(x == u for u in subgroup.xs)
+    equal or opposite, so this compares X/Z, projectively, with the
+    representatives' x(U), ..., x(sU); a Z of one costs no M."""
+    X, Z = V
+    return any(X == (u if Z == 1 else u * Z) for u in subgroup.xs)
 
 
 def _x_difference(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint) -> tuple:
@@ -251,7 +254,8 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     except EdwardsError as exc:
         raise ProtocolError(
             f"image_q does not have order {l}^{e}: {exc}") from exc
-    if _in_subgroup(chain.steps[0].kernel.xs[0], subgroup):
+    K0 = (chain.steps[0].kernel.xs[0], E.field.one)
+    if _in_subgroup(K0, subgroup):
         raise ProtocolError(
             f"public basis images do not generate the {l}^{e}-torsion")
     return chain.codomain.j_invariant()

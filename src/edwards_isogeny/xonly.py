@@ -16,21 +16,26 @@ The 3-isogeny evaluation never reads the curve parameter d: for a
 kernel abscissa satisfying the order-3 division condition the map
 depends on coordinates only.
 
-The chains and SIDH's secret kernels run on the x-line too, on (X, Z)
-pairs of E_{1,d}, through u = (1 + x)/(1 - x), the Montgomery model
-`EdwardsCurve.point_order` uses, with c = 1 - d (1 - d/a on E_{a,d}):
+The chains, SIDH's secret kernels and bases, and
+`EdwardsCurve.point_order` run on the x-line too, on (X, Z) pairs of
+E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d (1 - d/a on E_{a,d}):
 
     xdbl         3M + 2S        xadd         4M + 2S
     xmul(3, .)   7M + 4S        xmul(5, .)   11M + 6S
+    xladder      xdbl, then xadd + xdbl a bit of k after the first; a
+                 second bit 0 costs the xadd alone
     ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
     odd_image    3sM + 2S for an affine kernel, 4sM + 2S projective,
                  s = (l - 1)/2; eval_3_isog is its one-point case
+    recover_xy   16M + 4S + I (17M off a = 1), kP from P and xladder's
+                 x(kP), x((k+1)P)
 
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
-two points whose u is infinity or 0, so `xmul(l, P)` is (0 : 0) for
-those two P; `OddKernel.from_x` rejects (0 : 0) as O.  `ladder3pt`,
-whose differences vary, raises there instead.
+two points whose u is infinity or 0, so for those two P `xladder` gives
+points with X = Z, O or (0 : 0), and `xmul(l, P)` is (0 : 0);
+`OddKernel.from_x` rejects (0 : 0) as O.  `ladder3pt`, whose
+differences vary, raises there instead.
 """
 
 from __future__ import annotations
@@ -177,21 +182,62 @@ def _xadd(P: tuple, Q: tuple, minus, plus) -> tuple:
     return U - W, U + W
 
 
-def xmul(l: int, P: tuple, c) -> tuple:
-    """l*P for odd l >= 3 by the Montgomery ladder on (kP, (k+1)P), whose
-    differences are all P.  A 0 as the second bit of l keeps the 2P just
-    computed, so the three-fold step is 2P, 2P + P (7M+4S) and the
-    five-fold step 2P, 3P, 3P + 2P (11M+6S)."""
-    bits = bin(l)[3:]
+def xladder(k: int, P: tuple, c) -> tuple:
+    """(kP, (k+1)P) for k >= 1 by the Montgomery ladder, whose
+    differences are all P.  A 0 as the second bit of k keeps the 2P just
+    computed: (P, 2P) becomes (2P, 3P) by one `xadd`."""
+    if k < 1:
+        raise ValueError(f"xladder needs k >= 1, got {k}")
+    bits = bin(k)[3:]
     lo, hi = P, xdbl(P, c)
-    if bits[0] == "0":
+    if bits[:1] == "0":
         lo, hi, bits = hi, xadd(hi, P, P), bits[1:]
-    for bit in bits[:-1]:
+    for bit in bits:
         if bit == "1":
             lo, hi = xadd(hi, lo, P), xdbl(hi, c)
         else:
             lo, hi = xdbl(lo, c), xadd(hi, lo, P)
+    return lo, hi
+
+
+def xmul(l: int, P: tuple, c) -> tuple:
+    """l*P for odd l >= 3: `xladder(l // 2)` and one `xadd`, 7M+4S at
+    l = 3 and 11M+6S at l = 5."""
+    lo, hi = xladder(l // 2, P, c)
     return xadd(hi, lo, P)
+
+
+def recover_xy(P: tuple, Q: tuple, S: tuple, a, d) -> tuple:
+    """Affine (x, y) of Q = kP on E_{a,d} from the affine P = (x, y) and
+    the ladder's Q = (X, Z) and S = Q + P = (Xs, Zs): the y-recovery of
+    Okeya and Sakurai (CHES 2001; Costello and Smith, J. Cryptogr. Eng.
+    2018, Alg. 5) on the Montgomery model, u = (1 + x)/(1 - x) and
+    v = u/y, written in x,
+
+        y(Q) = 2 (1 - x^2)(Z^2 - X^2)(Zs - Xs) / (y * N),
+        N = (Zs - Xs)(2a Z^2 + 2d x^2 X^2 - (a + d)(X^2 + x^2 Z^2))
+            - (a - d)(Zs + Xs)(X - x Z)^2,
+
+    with x(Q) = X/Z, by one inversion.  Where the formula is void, S = O
+    gives Q = -P, and x(Q) = 1 or -1 gives O or (-1, 0).  P must be
+    neither O nor (-1, 0), the points with y = 0, and Q must be affine.
+    cost: 17M + 4S + I, 16M when a = 1."""
+    x, y = P
+    X, Z = Q
+    Xs, Zs = S
+    if X == Z or X == -Z:                # Q = O or (-1, 0), y = 0
+        return X / Z, X.field.zero
+    if Xs == Zs:                         # Q + P = O
+        return x, -y
+    XX, ZZ, xx = X.square(), Z.square(), x.square()
+    Ws = Zs - Xs
+    t = (ZZ if a == 1 else a * ZZ) + d * (xx * XX)
+    N = (Ws * (t + t - (a + d) * (XX + xx * ZZ))
+         - (a - d) * (Zs + Xs) * (X - x * Z).square())
+    yN = y * N
+    inv = (yN * Z).inverse()
+    num = (1 - xx) * (ZZ - XX) * Ws
+    return X * yN * inv, (num + num) * Z * inv
 
 
 def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c) -> tuple:

@@ -2,7 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -12,6 +12,11 @@ from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
 from oracles import euler_chi, naive_translate_isogeny
 
 DESK_PRIMES = [p for p in range(11, 104) if is_probable_prime(p)]
+
+# A failing example also prints the `@reproduce_failure` blob that replays
+# it, which this hypothesis version leaves off by default.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
 
 from conftest import desk_curves, pt
 from oracles import (euler_chi, montgomery_j, montgomery_point_order,
-                     montgomery_scalar_mul, naive_add, naive_double_and_add,
-                     naive_order, naive_point_order, naive_points,
-                     naive_scalar_mul, naive_singular_count)
+                     naive_add, naive_double_and_add, naive_order,
+                     naive_point_order, naive_points, naive_scalar_mul,
+                     naive_singular_count)
 
 # The full point list of the worked curve at p = 23, d = -1.
 E23_POINTS = {(1, 0), (-1, 0), (0, 1), (0, -1)}
@@ -272,95 +272,6 @@ class TestProjectiveLaw:
             with e23.field.counting(OpCounter()) as ctx:
                 op()
             assert {k: ctx.as_dict()[k] for k in want} == want
-
-
-def affine_xy(P) -> tuple:
-    P = to_affine(P)
-    return (P.x.value, P.y.value)
-
-
-class TestLFoldSteps:
-    """`triple_proj` and `mul_power_proj` against repeated addition, and
-    against the Montgomery model where a multiple below l*P lies at
-    infinity."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(curve=desk_curves(), data=st.data())
-    def test_triple_matches_oracles(self, curve, data):
-        """3P from any representative: the repeated-addition answer where
-        it has one; past a 2P at infinity the Montgomery model's 3P, x and
-        y both; ExceptionalPair exactly when 3P lies at infinity."""
-        p, a, d = curve.field.p, curve.a.value, curve.d.value
-        P = data.draw(st.sampled_from(curve.points()))
-        lam = data.draw(st.integers(1, p - 1))
-        xy = (P.x.value, P.y.value)
-        want = montgomery_scalar_mul(3, xy, p, a, d)
-        naive = naive_scalar_mul(3, xy, p, a, d)
-        assert naive in (None, want)
-        if want is None:
-            with pytest.raises(ExceptionalPair):
-                curve.triple_proj(scaled(P, lam))
-        else:
-            assert affine_xy(curve.triple_proj(scaled(P, lam))) == want
-
-    def test_triple_past_double_at_infinity(self, f23):
-        """Every point of the quadratic E_{1,4} over F_23, whose (3, 4) has
-        order 4 and a double at infinity: where 2P lies at infinity and 3P
-        does not, tripling still returns 3P."""
-        curve = EdwardsCurve(f23, f23(1), f23(4))
-        passed = 0
-        for P in curve.points():
-            xy = (P.x.value, P.y.value)
-            want = montgomery_scalar_mul(3, xy, 23, 1, 4)
-            if naive_add(xy, xy, 23, 1, 4) is None and want is not None:
-                assert affine_xy(curve.triple_proj(P.projective())) == want
-                passed += 1
-        assert passed > 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(curve=desk_curves(), data=st.data())
-    def test_mul_power_matches_oracles(self, curve, data):
-        """l^k * P for l in {3, 5, 7}, k <= 3: the repeated-addition answer
-        wherever it has one; elsewhere the Montgomery model's answer or
-        ExceptionalPair."""
-        p, a, d = curve.field.p, curve.a.value, curve.d.value
-        P = data.draw(st.sampled_from(curve.points()))
-        l = data.draw(st.sampled_from([3, 5, 7]))
-        k = data.draw(st.integers(1, 3))
-        lam = data.draw(st.integers(1, p - 1))
-        xy = (P.x.value, P.y.value)
-        naive = naive_scalar_mul(l ** k, xy, p, a, d)
-        try:
-            got = affine_xy(curve.mul_power_proj(l, k, scaled(P, lam)))
-        except ExceptionalPair:
-            assert naive is None
-        else:
-            assert got == montgomery_scalar_mul(l ** k, xy, p, a, d)
-            assert naive in (None, got)
-
-    @pytest.mark.parametrize("l", [3, 5, 7])
-    def test_mul_power_k0_is_identity_map(self, e23, l):
-        P = scaled(pt(e23, 3, 6), 5)
-        with e23.field.counting(OpCounter()) as ctx:
-            assert e23.mul_power_proj(l, 0, P) is P
-        assert ctx.snapshot() == (0,) * 8
-
-    def test_costs(self, e23, f23):
-        """Tripling 9M + 3S + 9A at a = 1, one M more otherwise; the
-        five-fold step, two doublings and an addition, 17M + 9S + 21A."""
-        Q = scaled(pt(e23, 2, 2), 5)
-        twisted = EdwardsCurve(f23, f23(5), f23(7))
-        ops = [(lambda: e23.triple_proj(Q), {"M": 9, "S": 3, "A": 9}),
-               (lambda: twisted.triple_proj(Q), {"M": 10, "S": 3, "A": 9}),
-               (lambda: e23.mul_power_proj(5, 1, Q),
-                {"M": 17, "S": 9, "A": 21}),
-               (lambda: e23.mul_power_proj(3, 2, Q),
-                {"M": 18, "S": 6, "A": 18})]
-        for op, want in ops:
-            with f23.counting(OpCounter()) as ctx:
-                op()
-            assert {k: ctx.as_dict()[k] for k in want} == want
-            assert ctx.as_dict()["I"] == 0
 
 
 class TestPointOrder:

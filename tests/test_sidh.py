@@ -111,6 +111,28 @@ class TestSetup:
         assert basis.P == E.scalar_mul(cofactor, P0)
         assert basis.Q == E.scalar_mul(cofactor, P2)
 
+    @pytest.mark.parametrize("m,n,side,cofactor", [
+        (1, 1, SIDE_A, 20),        # 20 = -1 mod 3: T = -R, T + R = O
+        (2, 1, SIDE_B, 36),        # 36 = 1 mod 5: T = R
+    ])
+    def test_draws_of_order_l(self, m, n, side, cofactor, monkeypatch):
+        """Draws that are themselves of order l, where the cofactor
+        4*o^f is -1 or 1 mod l: T = -R is the y-recovery's T + R = O
+        case, and T = R its x(T) = x(R) case.  Both points are the exact
+        multiples."""
+        params = setup(m, n, seed=3)
+        E, basis = params.curve, params.basis(side)
+        R0, R1 = basis.P, basis.Q
+        draws = [R0, R1]
+        monkeypatch.setattr(sidh, "_random_point",
+                            lambda curve, rng: draws.pop(0))
+        got = sidh._torsion_basis(E, basis.degree, basis.exponent,
+                                  random.Random(0))
+        assert draws == []
+        assert got.P == E.scalar_mul(cofactor, R0)
+        assert got.Q == E.scalar_mul(cofactor, R1)
+        assert got.P == (R0.neg() if cofactor % basis.degree == 2 else R0)
+
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 2)])
     def test_stored_difference_is_x_of_p_minus_q(self, m, n):
         """Each basis keeps x(P - Q), projective, for the secret's ladder."""
@@ -485,6 +507,16 @@ class TestTranscript:
                    for side in affine)
         assert counts == {SIDE_A: {"M": 22091, "S": 150, "I": 75},
                           SIDE_B: {"M": 27056, "S": 112, "I": 56}}
+
+    def test_setup_counts_at_247_bits(self):
+        """Cost gate on setup(74, 55, seed=1): the base-field M, S, I its
+        fresh field has counted when it returns, seven draws walked on the
+        x-line and y recovered for the four basis points only."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        params = setup(74, 55, seed=1, max_p=p)
+        counts = params.field.counter.as_dict()
+        assert {k: counts[k] for k in ("M", "S", "I")} == {
+            "M": 41651, "S": 34, "I": 17}
 
     def test_derive_counts_at_247_bits(self):
         """Cost gate on derive_shared at (74, 55) with run_exchange's

@@ -10,7 +10,8 @@ from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
                              PrimeField, QuadExtField, XZPoint, eval_3_isog,
                              eval_5_isog, get_3_isog, get_5_isog, recover_y,
                              run_3_isog, run_5_isog, setup)
-from edwards_isogeny.xonly import ladder3pt, odd_image, xadd, xdbl, xmul
+from edwards_isogeny.xonly import (ladder3pt, odd_image, recover_xy, xadd,
+                                   xdbl, xladder, xmul)
 
 from conftest import desk_curves, ladder_offsets, pt
 from oracles import montgomery_scalar_mul, montgomery_x_mul
@@ -290,11 +291,33 @@ class TestXLine:
         assert_line_x(got, montgomery_x_mul(l * m, xy, p, a, d))
         if m == 1:
             try:
-                X, _, Z = curve.mul_power_proj(l, 1,
-                                               pt(curve, *xy).projective())
+                X, _, Z = curve.scalar_mul_proj(l, pt(curve, *xy).projective())
             except ExceptionalPair:
                 return
             assert X * got[1] == got[0] * Z
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=desk_curves(), data=st.data())
+    def test_xladder(self, curve, data):
+        """(kP, (k+1)P) for every k in 1..40, so for k whose second bit
+        is 0 (2, 4, 5, ...) and 1 (3, 6, 7, ...), from any scaling of P,
+        P neither O nor (-1, 0)."""
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        P = data.draw(st.sampled_from(
+            [Q for Q in curve.points() if not Q.y.is_zero()]))
+        xy = (P.x.value, P.y.value)
+        lam = data.draw(st.integers(1, p - 1))
+        start, c = line_point(curve.field, xy[0], lam), line_c(curve)
+        want = [montgomery_x_mul(k, xy, p, a, d) for k in range(1, 42)]
+        for k in range(1, 41):
+            lo, hi = xladder(k, start, c)
+            assert_line_x(lo, want[k - 1])
+            assert_line_x(hi, want[k])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_xladder_rejects_k_below_one(self, e23, k):
+        with pytest.raises(ValueError):
+            xladder(k, line_point(e23.field, 3, 1), line_c(e23))
 
     @pytest.mark.parametrize("l", [3, 5, 7])
     def test_xmul_of_o_and_order_two(self, e23, l):
@@ -303,6 +326,38 @@ class TestXLine:
         for x in (1, -1):
             X, Z = xmul(l, line_point(e23.field, x, 3), c)
             assert X.is_zero() and Z.is_zero()
+
+
+class TestRecoverXY:
+    """recover_xy: kR from R and the ladder's (kR, (k+1)R)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_matches_the_montgomery_model(self, curve, extend, data):
+        """For every k in 1..40 whose kR is affine, the Montgomery model's
+        kR, x and y both, from scaled ladder outputs, on desk curves over
+        F_p and lifted to F_{p^2}; R is neither O nor (-1, 0).  Small R
+        meet (k+1)R = O, kR = R, kR = O and kR = (-1, 0)."""
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        R = data.draw(st.sampled_from(
+            [Q for Q in curve.points() if not Q.y.is_zero()]))
+        xy = (R.x.value, R.y.value)
+        lams = data.draw(st.tuples(*[st.integers(1, p - 1)] * 2))
+        if extend:
+            field = QuadExtField(curve.field)
+            curve = EdwardsCurve(field, field(a), field(d))
+        field, c = curve.field, line_c(curve)
+        start = (field(xy[0]), field.one)
+        for k in range(1, 41):
+            want = montgomery_scalar_mul(k, xy, p, a, d)
+            if want is None:
+                continue
+            lo, hi = xladder(k, start, c)
+            lo, hi = ((X * field(lam), Z * field(lam))
+                      for (X, Z), lam in zip((lo, hi), lams))
+            got = recover_xy((field(xy[0]), field(xy[1])), lo, hi,
+                             curve.a, curve.d)
+            assert got == (field(want[0]), field(want[1]))
 
 
 def random_point(curve, rng):
@@ -425,11 +480,17 @@ LINE_COSTS = {
     "xadd": (4, 2, 0, 6),
     "xmul3": (7, 4, 0, 10),
     "xmul5": (11, 6, 0, 16),
+    "xladder1": (3, 2, 0, 4),
+    "xladder2": (7, 4, 0, 10),
+    "xladder3": (10, 6, 0, 14),
+    "xladder40": (35, 20, 0, 50),
     "odd_image_affine_s1": (3, 2, 0, 6),
     "odd_image_affine_s2": (6, 2, 0, 8),
     "odd_image_projective_s1": (4, 2, 0, 6),
     "odd_image_projective_s2": (8, 2, 0, 8),
     "eval_3_isog": (4, 2, 0, 6),
+    "recover_xy_a1": (16, 4, 1, 14),
+    "recover_xy": (17, 4, 1, 14),
 }
 
 
@@ -439,16 +500,23 @@ class TestLineCosts:
         c, P, Q, D = f23(2), (f23(3), f23(5)), (f23(7), f23(11)), (f23(4),
                                                                     f23(9))
         ks, zs = [f23(6), f23(8)], [f23(13), f23(17)]
+        R = (f23(3), f23(6))
         ops = {
             "xdbl": lambda: xdbl(P, c),
             "xadd": lambda: xadd(P, Q, D),
             "xmul3": lambda: xmul(3, P, c),
             "xmul5": lambda: xmul(5, P, c),
+            "xladder1": lambda: xladder(1, P, c),
+            "xladder2": lambda: xladder(2, P, c),
+            "xladder3": lambda: xladder(3, P, c),
+            "xladder40": lambda: xladder(40, P, c),
             "odd_image_affine_s1": lambda: odd_image(P, ks[:1]),
             "odd_image_affine_s2": lambda: odd_image(P, ks),
             "odd_image_projective_s1": lambda: odd_image(P, ks[:1], zs[:1]),
             "odd_image_projective_s2": lambda: odd_image(P, ks, zs),
             "eval_3_isog": lambda: eval_3_isog(XZPoint(*P), XZPoint(*Q)),
+            "recover_xy_a1": lambda: recover_xy(R, Q, D, f23(1), f23(-1)),
+            "recover_xy": lambda: recover_xy(R, Q, D, f23(5), f23(7)),
         }
         ctx = OpCounter()
         with f23.counting(ctx):
