@@ -254,12 +254,12 @@ class EdwardsCurve:
     def point_order(self, P: AffinePoint) -> int:
         """Least n > 0 with n*P = O, found by stripping prime factors
         from the curve order.  k*P = O is tested by `xonly.xladder`,
-        c = 1 - d/a, as X = Z; for P of order above 2 it passes the points
-        at infinity of E_{a,d}, where `scalar_mul` raises."""
+        c = (1 - d/a, 1), as X = Z; for P of order above 2 it passes the
+        points at infinity of E_{a,d}, where `scalar_mul` raises."""
         self.check_point(P)
         if P.y.is_zero():                  # (1, 0) = O or (-1, 0)
             return 1 if P.x == 1 else 2
-        c, x = self.field.one - self.d / self.a, (P.x, self.field.one)
+        c, x = (1 - self.d / self.a, self.field.one), (P.x, self.field.one)
 
         def annihilates(k: int) -> bool:
             X, Z = xladder(k, x, c)[0]

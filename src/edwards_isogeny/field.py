@@ -108,13 +108,14 @@ def _lucas_proof(n: int) -> bool | None:
     is proven composite, None if n + 1 does not factor over
     `_SMALL_PRIMES` or `_LUCAS_CHAINS` chains decide nothing.
 
-    Fix D with Jacobi(D/n) = -1 (Selfridge's 5, -7, 9, ...).  Each odd P
-    gives Q = (P^2 - D)/4 and the Lucas sequence U of x^2 - Px + Q.  If
-    n | U_{n+1} for every P tried, and each prime q | n + 1 has some P
-    with gcd(U_{(n+1)/q}, n) = 1, then every prime p | n satisfies
-    p = +-1 (mod n + 1), so p = n.  For prime n the q = 2 condition
-    holds exactly when Jacobi(Q/n) = -1, so other P are skipped, and a
-    P whose U_{(n+1)/2} shares a factor with n shows n composite.
+    Fix D with Jacobi(D/n) = -1 (Selfridge's 5, -7, 9, ...).  Each odd P,
+    drawn at random as small P are related ((5 + sqrt(-7))/2 is
+    -((1 + sqrt(-7))/2)^3), gives Q = (P^2 - D)/4 and the Lucas sequence U
+    of x^2 - Px + Q.  If n | U_{n+1} for every P tried, and each prime
+    q | n + 1 has some P with gcd(U_{(n+1)/q}, n) = 1, then every prime
+    p | n satisfies p = +-1 (mod n + 1), so p = n.  For prime n the q = 2
+    condition holds exactly when Jacobi(Q/n) = -1, so other P are skipped,
+    and a P whose U_{(n+1)/2} shares a factor with n shows n composite.
 
     With r the product of the distinct q and k = (n + 1)/r, one chain
     gives U_k, V_k and Q^k, and U_{jk}(P, Q) = U_k * U_j(V_k, Q^k) gives
@@ -140,8 +141,10 @@ def _lucas_proof(n: int) -> bool | None:
     k = (n + 1) // r
     todo = set(qs)
     chains = 0
-    # About half the odd P pass the Jacobi filter.
-    for P in range(1, 8 * _LUCAS_CHAINS, 2):
+    rng = random.Random(f"lucas:{n}")    # apart from the bases' Random(n)
+    # About half the P pass the Jacobi filter.
+    for _ in range(4 * _LUCAS_CHAINS):
+        P = rng.randrange(1 << 63, 1 << 64) | 1
         Q = (P * P - D) // 4
         if _jacobi(Q, n) != -1:
             continue

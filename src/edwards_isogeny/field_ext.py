@@ -284,12 +284,15 @@ class QuadExtElement(Element):
         return self.c0.square() - self.field.beta * self.c1.square()
 
     def inverse(self) -> "QuadExtElement":
-        if self.is_zero():
-            raise DivisionByZero(f"inverse of 0 in F_{self.field.p}^2")
-        self.field.counter.ext_i += 1
-        n_inv = self.norm().inverse()
-        return QuadExtElement((self.c0 * n_inv).value,
-                              (-self.c1 * n_inv).value, self.field)
+        """conj(x)/N(x) on the ints, tallied as `norm` and 1I + 2M + 1A."""
+        f, a0, a1 = self.field, self._c0, self._c1
+        if a0 == 0 and a1 == 0:
+            raise DivisionByZero(f"inverse of 0 in F_{f.p}^2")
+        c, p = f.base.counter, f.p
+        c.ext_i, c.i = c.ext_i + 1, c.i + 1
+        c.m, c.s, c.a = c.m + 3, c.s + 2, c.a + 2
+        n_inv = pow((a0 * a0 - f.beta * a1 * a1) % p, -1, p)
+        return QuadExtElement(a0 * n_inv % p, -a1 * n_inv % p, f)
 
     def is_zero(self) -> bool:
         return self._c0 == 0 and self._c1 == 0

@@ -14,39 +14,37 @@ group-law translates, prod x(P+Q)/x(Q), prod y(P+Q)/x(Q) over the kernel
 points Q, is the same isogeny up to sign; the tests keep it as an
 independent oracle.
 
-`OddIsogeny.push` evaluates the map on projective triples (X : Y : Z)
-with its denominators cleared, so nothing is inverted:
+`OddIsogeny.push`, the full map, evaluates it on triples (X : Y : Z),
+(8s + 3)M + 2S a point once a_i^2, b_i^2, d a_i^2, d b_i^2 are formed:
 
      X' = X * prod (X^2 - b_i^2 Z^2) * prod (Z^2 - d a_i^2 X^2)
      Y' = -Y * prod (X^2 - a_i^2 Z^2) * prod (Z^2 - d b_i^2 X^2)
      Z' = A^2 Z * prod (Z^2 - d b_i^2 X^2) * prod (Z^2 - d a_i^2 X^2)
 
-with a_i^2, b_i^2, d a_i^2 and d b_i^2 computed once per isogeny: 2S and
-(8s + 3)M a point.  The map reads the kernel only through (a_i^2, b_i^2),
-so a kernel known by its x-coordinates alone, with
-b_i^2 = (1 - a_i^2)/(1 - d a_i^2), serves as well as one of full points.
+It serves kernels of full points, and is the oracle for the rest.
 
-A chain runs its kernel path on the x-line (`xonly`): x-only l-fold
-steps, a kernel made affine from x alone with one inversion a step, and
-the odd-degree product `odd_image` for its stack.  Only the images it
-carries, or a point given to `chain(P)`, go through `push`, and each is
-made affine once, at the end; a chain that carries none forms no y_i^2
-and no terms of the full map.
+A chain runs on the x-line (`xonly`) with no inversion until its end:
+kernels stay (X_i : Z_i) and codomains (D' : C'), d' = D'/C'.  The
+points it carries go through `OddIsogeny.image`, x by `odd_image` and y
+by the y-map above, which reads the a_i only: (7s + 3)M + 4S a point,
+and one inversion for all at the end.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import isqrt, prod
 from operator import mul
 from types import MappingProxyType
 
-from .curve import DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve, to_affine
+from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
+                    check_parameters, j_invariant, to_affine)
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, InvalidCurve,
                      NotASquare, NotOnCurve)
-from .xonly import odd_image, xadd, xdbl, xdbl_y2, xmul
+from .xonly import (XZPoint, get_3_isog, odd_image, odd_products, xadd, xdbl,
+                    xmul)
 
 
 def _require_a1(curve: EdwardsCurve):
@@ -80,24 +78,15 @@ def is_order3_abscissa(alpha, d) -> bool:
 
 class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
-    order l = 2s+1: their x-coordinates `xs`, with the cached product A.
-    A kernel built from a full point keeps the points as `points`; one
-    built on the x-line has no y sign, `points` is None, and it carries
-    its (x_i^2, y_i^2) instead when `from_x` was asked for them.  `has_y`
-    tells whether the y_i^2 come without an inversion of their own."""
+    order l = 2s+1, as x-line points (X_i : Z_i): from a full point, with
+    its points as `points` and Z_i = 1, or from x, with `points` None.
+    Their affine x_i, `xs`, are made on first use, by an inversion of
+    their own or the chain's one for all its steps (`_fill`)."""
 
-    def __init__(self, domain: EdwardsCurve, degree: int, xs: list,
-                 points: list[AffinePoint] | None = None,
-                 squares: list | None = None):
-        self.domain = domain
-        self.degree = degree
-        self.xs = xs
-        self.points = points
-        self.A = _product(xs)
-        self.has_y = points is not None or squares is not None
-        if squares is not None:
-            self.x_sq = [x2 for x2, _ in squares]
-            self.y_sq = [y2 for _, y2 in squares]
+    def __init__(self, domain: EdwardsCurve, degree: int, X: list, Z: list,
+                 points: list[AffinePoint] | None = None):
+        self.domain, self.degree, self.X, self.Z = domain, degree, X, Z
+        self.points, self._fill = points, None
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
@@ -131,31 +120,26 @@ class OddKernel:
         if not same:
             raise BadKernelGenerator(f"generator does not have order {degree}")
         reps = [Q] + [to_affine(P) for P in multiples[1:]]
-        return cls(domain, degree, [P.x for P in reps], points=reps)
+        return cls(domain, degree, [P.x for P in reps],
+                   [domain.field.one] * len(reps), points=reps)
 
     @classmethod
-    def from_x(cls, K: tuple, degree: int, domain: EdwardsCurve,
-               with_y: bool = True) -> "OddKernel":
+    def from_x(cls, K: tuple, degree: int,
+               domain: EdwardsCurve) -> "OddKernel":
         """<K> from the x-line point K = (X, Z) of a point on the domain
-        (the x-line does not tell the curve from its twist, so that is
-        the caller's check).  The same checks as `from_generator`, on x:
-        K is not O, no multiple 2K, ..., sK is O, none of K, ..., sK has
-        Z = 0, and x((s+1)K) = x(sK), which pins the order to exactly l,
-        as x is equal only for opposite points.  So no multiple is one of
-        the points at infinity, whose orders are 2 and 4, and a zero y_i^2
-        denominator needs no check of its own.  The multiples are taken with
-        differences K, which `xadd` needs to differ from O and (-1, 0);
-        (-1, 0) itself fails the checks, having 2K = O.  One inversion,
-        by Montgomery's trick, makes every x_i = X_i/Z_i affine and, if
-        `with_y`, gives y_i^2 = (Z_i^2 - X_i^2)/(Z_i^2 - d X_i^2), which
-        only the full map (`OddIsogeny.push`) reads; an affine K, Z = 1,
-        adds no Z_1 to it."""
+        (which the x-line cannot tell from its twist: the caller checks),
+        with no inversion.  The checks of `from_generator`, projectively:
+        K is not O (X = Z), no multiple 2K, ..., sK is O, and
+        X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the order
+        to exactly l, so no multiple lies at infinity (orders 2 and 4) and
+        no Z_i is zero.  The multiples' differences are K, which `xadd`
+        needs to be neither O nor (-1, 0), whose 2K = O fails the checks."""
         X, Z = K
         if X == Z:                       # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
-        c, s = domain.field.one - domain.d, degree // 2
-        double, num, den = xdbl_y2(K, c)
-        multiples = [K, double]          # jK at j - 1
+        D, C = _pair(domain)
+        c, s = (C - D, C), degree // 2
+        multiples = [K, xdbl(K, c)]      # jK at j - 1
         for j in range(3, s + 2):
             if multiples[-1][0] == multiples[-1][1]:
                 raise BadKernelGenerator(
@@ -163,41 +147,29 @@ class OddKernel:
             h = j // 2
             multiples.append(xadd(multiples[h], multiples[h - 1], K)
                              if j % 2 else xdbl(multiples[h - 1], c))
-        X1, Z1 = multiples.pop()         # (s+1)K
-        if with_y:
-            fractions = [(num, den)]
-            for X, Z in multiples[1:]:
-                XX, ZZ = X.square(), Z.square()
-                fractions.append((ZZ - XX, ZZ - domain.d * XX))
-            quotients = _divide([f for P, y2 in zip(multiples, fractions)
-                                 for f in (P, y2)])
-            xs, y_sq = quotients[::2], quotients[1::2]
-        else:
-            xs, y_sq = _divide(multiples), None
-        if X1 != xs[-1] * Z1:
+        (X1, Z1), (Xs, Zs) = multiples.pop(), multiples[-1]
+        if X1 * Zs != Xs * Z1:
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        squares = (None if y_sq is None
-                   else [(x.square(), y2) for x, y2 in zip(xs, y_sq)])
-        return cls(domain, degree, xs, squares=squares)
+        return cls(domain, degree, *map(list, zip(*multiples)))
 
     @cached_property
-    def x_sq(self) -> list:
-        return [x.square() for x in self.xs]
+    def xs(self) -> list:
+        if self._fill is None:
+            return _divide(list(zip(self.X, self.Z)))
+        self._fill()
+        return vars(self)["xs"]
+
+    A = cached_property(lambda self: _product(self.xs))
+    x_sq = cached_property(lambda self: [x.square() for x in self.xs])
 
     @cached_property
     def y_sq(self) -> list:
-        """y_i^2 of each representative: squared from the points, or,
-        for an x-line kernel built without them, (1 - x_i^2)/(1 - d x_i^2)
-        with an inversion of its own."""
+        """y_i^2: squared from the points, or, for an x-line kernel,
+        (1 - x_i^2)/(1 - d x_i^2) by an inversion of its own."""
         if self.points is not None:
             return [P.y.square() for P in self.points]
         one, d = self.domain.field.one, self.domain.d
         return _divide([(one - x2, one - d * x2) for x2 in self.x_sq])
-
-    @property
-    def squares(self) -> list:
-        """(x_i^2, y_i^2) of each representative, all the full map reads."""
-        return list(zip(self.x_sq, self.y_sq))
 
     @cached_property
     def a_sq(self):
@@ -209,17 +181,21 @@ class OddKernel:
         the two square roots of y_i^2, so it needs no sign."""
         sqrt = self.domain.field.sqrt
         reps = self.points or [AffinePoint(x, sqrt(y2))
-                               for x, (_, y2) in zip(self.xs, self.squares)]
-        out = [self.domain.identity]
-        for P in reps:
-            out.append(P)
-            out.append(P.neg())
-        return out
+                               for x, y2 in zip(self.xs, self.y_sq)]
+        return [self.domain.identity] + [Q for P in reps for Q in (P, P.neg())]
 
-    def codomain_param(self):
-        """d' = A^8 * d^l."""
-        a8 = self.a_sq.square().square()
-        return a8 * self.domain.d ** self.degree
+    def codomain_pair(self) -> tuple:
+        """(D', C'), d' = D'/C': (A^8 d^l, 1) from the points; from x,
+        `get_3_isog`'s at l = 3, else ((prod X_i)^8 D^l, (prod Z_i)^8 C^l)
+        over the domain's (D : C)."""
+        if self.points is not None:
+            a8 = self.a_sq.square().square()
+            return a8 * self.domain.d ** self.degree, self.domain.field.one
+        if self.degree == 3:
+            params = get_3_isog(XZPoint(self.X[0], self.Z[0]))
+            return params.D, params.C
+        return tuple(_product(V).square().square().square() * W ** self.degree
+                     for V, W in zip((self.X, self.Z), _pair(self.domain)))
 
     def to_json(self) -> dict:
         if self.points is None:
@@ -229,28 +205,53 @@ class OddKernel:
         return {"l": self.degree, "kernel": kernel, "A": self.A.to_str()}
 
 
+class _PairCurve(EdwardsCurve):
+    """A step's codomain E_{1,d} as (D, C): d = D/C is made on first read,
+    as `OddKernel.xs` is, and j from (C, D).  C = 0, D = 0, D = C raise."""
+
+    def __init__(self, field, D, C):
+        check_parameters(C, D)
+        self.field, self.a, self._order = field, field.one, None
+        self.D, self.C, self._fill = D, C, None
+
+    @cached_property
+    def d(self):
+        if self._fill is None:
+            return _divide([(self.D, self.C)])[0]
+        self._fill()
+        return vars(self)["d"]
+
+    def j_invariant(self):
+        return j_invariant(self.C, self.D)
+
+
+def _pair(E: EdwardsCurve) -> tuple:
+    """(D, C), d = D/C: a step's codomain keeps it; other curves are (d, 1)."""
+    return (E.D, E.C) if isinstance(E, _PairCurve) else (E.d, E.field.one)
+
+
 class OddIsogeny:
     """A single odd-degree isogeny given by its kernel; callable on
-    points of the domain."""
+    points of the domain.  Its codomain's d' = D'/C' is made on first use."""
 
     def __init__(self, kernel: OddKernel):
-        self.kernel = kernel
-        self.domain = kernel.domain
-        self.codomain_d = kernel.codomain_param()
-        self.codomain = EdwardsCurve(self.domain.field,
-                                     self.domain.field.one, self.codomain_d)
-        self._a_sq = kernel.a_sq
-        # The full map's terms: now for a kernel with its y_i^2, at the
-        # first push for one built without them.
-        self._terms = self._map_terms() if kernel.has_y else None
+        self.kernel, self.domain = kernel, kernel.domain
+        self.codomain = _PairCurve(self.domain.field, *kernel.codomain_pair())
+        # The full map's terms; an x-line kernel's oracle forms them a push.
+        self._terms = self._map_terms() if kernel.points is not None else None
 
     def _map_terms(self) -> list:
         d = self.domain.d
-        return [(a2, b2, d * a2, d * b2) for a2, b2 in self.kernel.squares]
+        return [(a2, b2, d * a2, d * b2)
+                for a2, b2 in zip(self.kernel.x_sq, self.kernel.y_sq)]
 
     @property
     def degree(self) -> int:
         return self.kernel.degree
+
+    @property
+    def codomain_d(self):
+        return self.codomain.d
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
         """phi(P).  P must lie on the domain; it is not checked, as a
@@ -261,20 +262,46 @@ class OddIsogeny:
     def push(self, P: tuple) -> tuple:
         """phi on a projective triple (X : Y : Z) of the domain, with no
         inversion; ExceptionalInput at a pole."""
-        if self._terms is None:
-            self._terms = self._map_terms()
         X, Y, Z = P
         X2, Z2 = X.square(), Z.square()
-        terms = self._terms
+        terms = self._terms or self._map_terms()
         num_x = _product(X2 - b2 * Z2 for _, b2, _, _ in terms)
         num_y = _product(X2 - a2 * Z2 for a2, _, _, _ in terms)
         den_x = _product(Z2 - db2 * X2 for _, _, _, db2 in terms)
         den_y = _product(Z2 - da2 * X2 for _, _, da2, _ in terms)
-        Z_out = self._a_sq * Z * den_x * den_y
+        Z_out = self.kernel.a_sq * Z * den_x * den_y
         if Z_out.is_zero():
             raise ExceptionalInput(
                 f"{to_affine(P)!r} is a pole of the isogeny")
         return (X * num_x * den_y, -Y * num_y * den_x, Z_out)
+
+    @cached_property
+    def _y_map(self) -> tuple:
+        """The y-map's constants: (-1)^(s+1) C^s prod Z_i^2, and each
+        (C Z_i^2, D X_i^2), the first times prod X_i^2."""
+        k, (D, C), s = self.kernel, _pair(self.domain), self.degree // 2
+        x2, z2 = [X.square() for X in k.X], [Z.square() for Z in k.Z]
+        cy, cw = C ** s * _product(z2), _product(x2)
+        terms = [(C * zz, D * xx) for xx, zz in zip(x2, z2)]
+        terms[0] = (terms[0][0] * cw, terms[0][1] * cw)
+        return (cy if s % 2 else -cy), terms
+
+    def image(self, P: tuple) -> tuple:
+        """phi on (X, Z, Y, W), x = X/Z and y = Y/W, with no inversion:
+        (X' : Z') as `odd_image` gives it, and the y-map over x_i and d,
+
+            Y' = -Y C^s prod Z_i^2 prod (Z_i^2 X^2 - X_i^2 Z^2)
+            W' = W prod X_i^2 prod (C Z_i^2 Z^2 - D X_i^2 X^2),
+
+        whose product in Y' is (-1)^s that of `odd_products`.  cost:
+        (7s + 3)M + 4S."""
+        X, Z, Y, W = P
+        plus, minus = odd_products((X, Z), self.kernel.X, self.kernel.Z)
+        F, G = (X + Z) * plus.square(), (X - Z) * minus.square()
+        XX, ZZ = X.square(), Z.square()
+        cy, terms = self._y_map
+        den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
+        return F + G, F - G, Y * cy * (plus * minus), W * den
 
     def to_json(self) -> dict:
         out = self.kernel.to_json()
@@ -295,23 +322,17 @@ def _divide(fractions: list) -> list:
     dens = [d for _, d in fractions if d != 1]
     if not dens:
         return [n for n, _ in fractions]
+    prefix = list(accumulate(dens, mul))
     try:
-        it = iter(_inverses(dens))
+        inv = prefix[-1].inverse()
     except DivisionByZero:
         raise BadKernelGenerator("kernel point lies at infinity") from None
-    return [n if d == 1 else n * next(it) for n, d in fractions]
-
-
-def _inverses(dens: list) -> list:
-    """1/d for each of the k nonzero d, with one inversion by
-    Montgomery's trick: 3(k - 1)M.  DivisionByZero if one is zero."""
-    prefix = list(accumulate(dens, mul))
-    inv, inverses = prefix[-1].inverse(), [None] * len(dens)
+    inverses = [None] * len(dens)
     for i in range(len(dens) - 1, 0, -1):
-        inverses[i] = inv * prefix[i - 1]
-        inv = inv * dens[i]
+        inverses[i], inv = inv * prefix[i - 1], inv * dens[i]
     inverses[0] = inv
-    return inverses
+    it = iter(inverses)
+    return [n if d == 1 else n * next(it) for n, d in fractions]
 
 
 def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
@@ -331,16 +352,16 @@ def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
 
 
 def _step_weights(l: int) -> tuple[int, int]:
-    """Counted base-field M of one l-fold step, `xmul(l, .)`, and of one
-    stack point through a degree-l step, `odd_image` with an affine
-    kernel, at 3M an F_{p^2} multiplication and 2M a squaring: 29 and 13
-    at l = 3, 45 and 22 at l = 5.  `xmul` makes b - 1 `xadd`s (4M + 2S)
-    and as many `xdbl`s (3M + 2S), b the bit length of l, one doubling
-    fewer when the second bit of l is 0; `odd_image` costs 3sM + 2S,
-    s = (l - 1)/2."""
+    """Counted base-field M of one l-fold step, `xmul(l, .)` with a
+    constant (C - D, C), and of one stack point through a degree-l step,
+    `odd_image` with a projective kernel, at 3M an F_{p^2} product and 2M
+    a square: 32 and 16 at l = 3, 48 and 28 at l = 5.  `xmul` makes b - 1
+    `xadd`s and as many `xdbl`s, 4M + 2S each, b the bit length of l, one
+    doubling fewer when the second bit of l is 0 (3 base M fewer each on a
+    chain's first curve, whose C is one); `odd_image` costs 4sM + 2S."""
     b = l.bit_length()
     doublings = b - 1 - ((l >> (b - 2)) & 1 == 0)
-    return 16 * (b - 1) + 13 * doublings, 9 * (l // 2) + 4
+    return 16 * (b - 1 + doublings), 12 * (l // 2) + 4
 
 
 @lru_cache(maxsize=64)
@@ -399,25 +420,18 @@ class IsogenyChain:
     (T, j) with T = prod(degrees[j:]) * G_i, its top is split at the
     tree's k, one x-only l-fold step (`xmul`) per degree in
     degrees[i+k:j], until j = i + 1, and the rest is pushed through each
-    step by the odd-degree product `odd_image`.  So e steps cost
-    O(e log e) point operations, not the O(e^2) of multiplying every G_i
-    afresh.  The stack holds x-line points (X, Z); each K_i is checked
-    and made affine by `OddKernel.from_x`.  G is an affine point or an
-    x-line point (X, Z).  As the x-line does not tell the curve from its
-    twist, an affine G is checked once to lie on the domain; for an
-    (X, Z), which has no y to test, that check is the caller's, as for
-    `OddKernel.from_x`.  A product of degrees above the Hasse bound on
-    the group order is refused before the tree is planned.  Each step
-    checks K_i != O and that K_i has order l_i; as every K_i lies in the
-    image of <G>, the composite kernel (prod(degrees) points) lies in <G>
-    and holds G, so G has exact order prod(degrees).
+    step by `odd_image`: O(e log e) point operations for e steps.  Each
+    K_i is checked and kept as (X_i : Z_i) by `OddKernel.from_x`, and each
+    codomain as (D' : C'), so nothing is inverted.  G is an affine point,
+    checked once to lie on the domain, or an x-line point (X, Z), whose
+    check is the caller's.  Degrees multiplying past the Hasse bound are
+    refused at once.  As each K_i != O has order l_i and lies in the
+    image of <G>, G has exact order prod(degrees).
 
-    `images`, points of the domain, are pushed through each step's full
-    map as it is built and made affine at the end, with one inversion
-    for all of them by Montgomery's trick, as `images`; only a chain
-    that carries some forms the y_i^2 the full map reads.  Calling
-    the chain on a point does the same for that point, forming the y_i^2
-    of a chain without images on first use.
+    `images` are pushed by `OddIsogeny.image` and made affine with the
+    last d' by one inversion, as is a point the chain is called on.  The
+    steps' `kernel.xs` and `codomain_d` are made on first use, by one
+    inversion for all.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
@@ -436,15 +450,14 @@ class IsogenyChain:
             if not domain.contains(generator):
                 raise NotOnCurve(f"{generator!r} is not on {domain!r}")
             generator = (generator.x, domain.field.one)
-        self.domain = domain
-        self.degrees = degrees
+        self.domain, self.degrees = domain, degrees
         self.steps: list[OddIsogeny] = []
         _, plan = chain_strategy(tuple(degrees))
-        pushed = [P.projective() for P in images]
         E, stack = domain, [(generator, len(degrees))]
         for i, l in enumerate(degrees):
             T, j = stack[-1]
-            c = E.field.one - E.d
+            D, C = _pair(E)
+            c = (C - D, C)
             while j > i + 1:
                 k = plan[i, j]
                 for m in degrees[i + k:j]:
@@ -452,26 +465,45 @@ class IsogenyChain:
                 j = i + k
                 stack.append((T, j))
             stack.pop()
-            step = OddIsogeny(OddKernel.from_x(T, l, E, with_y=bool(pushed)))
+            step = OddIsogeny(OddKernel.from_x(T, l, E))
+            step.kernel._fill = step.codomain._fill = self._affine_views
             self.steps.append(step)
-            xs = step.kernel.xs
-            stack = [(odd_image(P, xs), j) for P, j in stack]
-            pushed = [step.push(P) for P in pushed]
+            stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)
+                     for P, j in stack]
             E = step.codomain
-        self.codomain = E
-        invs = _inverses([Z for _, _, Z in pushed]) if pushed else []
-        self.images = [AffinePoint(X * inv, Y * inv)
-                       for (X, Y, _), inv in zip(pushed, invs)]
+        self.codomain, self.images = E, []
+        if images:
+            self.images, (E.d,) = self._carry(images, (E.D, E.C))
+
+    def _carry(self, points: list, *fractions) -> tuple:
+        """`points` pushed through every step by `OddIsogeny.image` and
+        made affine, with the quotient of each of `fractions`, by one
+        inversion; ExceptionalInput if an image lies at infinity."""
+        one = self.domain.field.one
+        images = [(P.x, one, P.y, one) for P in points]
+        for step in self.steps:
+            images = [step.image(P) for P in images]
+        if any(V.is_zero() for _, Z, _, W in images for V in (Z, W)):
+            raise ExceptionalInput("an image is a point at infinity")
+        q = _divide([f for X, Z, Y, W in images for f in ((X, Z), (Y, W))]
+                    + list(fractions))
+        n = 2 * len(images)
+        return [AffinePoint(*q[i:i + 2]) for i in range(0, n, 2)], q[n:]
+
+    def _affine_views(self):
+        """Each step's d' and kernel x_i, by one inversion for all."""
+        q = iter(_divide([f for s in self.steps for f in (
+            (s.codomain.D, s.codomain.C), *zip(s.kernel.X, s.kernel.Z))]))
+        for s in self.steps:
+            s.codomain.d = next(q)
+            s.kernel.xs = list(islice(q, len(s.kernel.X)))
 
     @property
     def total_degree(self) -> int:
         return prod(self.degrees)
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
-        P = P.projective()
-        for step in self.steps:
-            P = step.push(P)
-        return to_affine(P)
+        return self._carry([P])[0][0]
 
     def to_json(self) -> dict:
         return {"degrees": self.degrees,

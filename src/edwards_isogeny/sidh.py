@@ -137,7 +137,7 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     the two points kept get a y, by `recover_xy` from R, x(T), x(T + R)."""
     # The cofactor (p + 1) / l^e is 4 * o^f, o the other party's prime.
     cofactor, one = (curve.field.p + 1) // l ** e, curve.field.one
-    c = one - curve.d
+    c = (one - curve.d, one)
 
     def samples():
         """(R, T, T + R, U) for each draw R whose T has exact order l^e."""
@@ -154,7 +154,7 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     if first is None:
         raise SetupFailed(f"no point of order {l}^{e} found")
     *draw, U = first
-    subgroup = OddKernel.from_x(U, l, curve, with_y=False)
+    subgroup = OddKernel.from_x(U, l, curve)
     for *partner, V in samples():
         if not _in_subgroup(V, subgroup):
             P, Q = (AffinePoint(*recover_xy(tuple(R), T, S, curve.a, curve.d))
@@ -167,9 +167,9 @@ def _in_subgroup(V: tuple, subgroup: OddKernel) -> bool:
     """Whether the point of order l with x-line (X, Z) = V lies in the
     order-l subgroup: points share an x-coordinate exactly when they are
     equal or opposite, so this compares X/Z, projectively, with the
-    representatives' x(U), ..., x(sU); a Z of one costs no M."""
+    representatives' (X_i : Z_i) of x(U), ..., x(sU)."""
     X, Z = V
-    return any(X == (u if Z == 1 else u * Z) for u in subgroup.xs)
+    return any(X * Zi == Xi * Z for Xi, Zi in zip(subgroup.X, subgroup.Z))
 
 
 def _x_difference(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint) -> tuple:
@@ -182,7 +182,7 @@ def _secret_kernel(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint,
                    diff: tuple, secret: int) -> tuple:
     """x-line (X, Z) of R = P + secret*Q, by `ladder3pt`."""
     one = E.field.one
-    return ladder3pt(secret, (P.x, one), (Q.x, one), diff, one - E.d)
+    return ladder3pt(secret, (P.x, one), (Q.x, one), diff, (one - E.d, one))
 
 
 def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
@@ -246,16 +246,16 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
         chain = IsogenyChain(E, R, [l] * e)
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
-    c, U = E.field.one - E.d, (Q.x, E.field.one)
+    c, U = (E.field.one - E.d, E.field.one), (Q.x, E.field.one)
     for _ in range(e - 1):
         U = xmul(l, U, c)
     try:
-        subgroup = OddKernel.from_x(U, l, E, with_y=False)
+        subgroup = OddKernel.from_x(U, l, E)
     except EdwardsError as exc:
         raise ProtocolError(
             f"image_q does not have order {l}^{e}: {exc}") from exc
-    K0 = (chain.steps[0].kernel.xs[0], E.field.one)
-    if _in_subgroup(K0, subgroup):
+    K0 = chain.steps[0].kernel
+    if _in_subgroup((K0.X[0], K0.Z[0]), subgroup):
         raise ProtocolError(
             f"public basis images do not generate the {l}^{e}-torsion")
     return chain.codomain.j_invariant()

@@ -18,10 +18,11 @@ depends on coordinates only.
 
 The chains, SIDH's secret kernels and bases, and
 `EdwardsCurve.point_order` run on the x-line too, on (X, Z) pairs of
-E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d (1 - d/a on E_{a,d}):
+E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
+(C - D, C) for d = D/C ((1 - d/a, 1) on E_{a,d}); 1M less if C = 1:
 
-    xdbl         3M + 2S        xadd         4M + 2S
-    xmul(3, .)   7M + 4S        xmul(5, .)   11M + 6S
+    xdbl         4M + 2S        xadd         4M + 2S
+    xmul(3, .)   8M + 4S        xmul(5, .)   12M + 6S
     xladder      xdbl, then xadd + xdbl a bit of k after the first; a
                  second bit 0 costs the xadd alone
     ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
@@ -133,6 +134,16 @@ def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
     (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
     parameter.  cost: 3sM + 2S affine, 4sM + 2S projective."""
     X, Z = P
+    plus, minus = odd_products(P, xs, zs)
+    F = (X + Z) * plus.square()
+    G = (X - Z) * minus.square()
+    return F + G, F - G
+
+
+def odd_products(P: tuple, xs: list, zs: list | None = None) -> tuple:
+    """The products prod (x_i Z + z_i X) and prod (x_i Z - z_i X) of
+    `odd_image`.  cost: (3s - 2)M affine, (4s - 2)M projective."""
+    X, Z = P
     plus = minus = None
     for i, x in enumerate(xs):
         u, v = x * Z, (X if zs is None else zs[i] * X)
@@ -140,29 +151,20 @@ def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
             plus, minus = u + v, u - v
         else:
             plus, minus = plus * (u + v), minus * (u - v)
-    F = (X + Z) * plus.square()
-    G = (X - Z) * minus.square()
-    return F + G, F - G
+    return plus, minus
 
 
-def xdbl(P: tuple, c) -> tuple:
-    """2P for (X, Z) on E_{1,d}, c = 1 - d.  cost: 3M+2S."""
-    return xdbl_y2(P, c)[0]
-
-
-def xdbl_y2(P: tuple, c) -> tuple:
-    """2P, with the numerator and denominator of y(P)^2: with
+def xdbl(P: tuple, c: tuple) -> tuple:
+    """2P for (X, Z) on E_{1,d}, c = (C - D, C) for d = D/C: with
     (U : W) = (Z + X : Z - X) the doubling is
-    (c X^2 Z^2 : e (c X^2 + e)), e = Z^2 - X^2, and (X' : Z') =
-    (U - W : U + W); as e + c X^2 = Z^2 - d X^2, y^2 = e/(e + c X^2) on
-    the curve.  cost: 3M+2S."""
-    X, Z = P
+    ((C - D) X^2 Z^2 : e ((C - D) X^2 + C e)), e = Z^2 - X^2, and
+    (X' : Z') = (U - W : U + W).  cost: 4M+2S, 3M+2S when C = 1."""
+    (X, Z), (num, den) = P, c
     XX, ZZ = X.square(), Z.square()
-    ct = c * XX
+    ct = num * XX
     e = ZZ - XX
-    den = ct + e
-    U, W = ct * ZZ, e * den
-    return (U - W, U + W), e, den
+    U, W = ct * ZZ, e * (ct + (e if den == 1 else den * e))
+    return U - W, U + W
 
 
 def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
@@ -182,7 +184,7 @@ def _xadd(P: tuple, Q: tuple, minus, plus) -> tuple:
     return U - W, U + W
 
 
-def xladder(k: int, P: tuple, c) -> tuple:
+def xladder(k: int, P: tuple, c: tuple) -> tuple:
     """(kP, (k+1)P) for k >= 1 by the Montgomery ladder, whose
     differences are all P.  A 0 as the second bit of k keeps the 2P just
     computed: (P, 2P) becomes (2P, 3P) by one `xadd`."""
@@ -200,9 +202,9 @@ def xladder(k: int, P: tuple, c) -> tuple:
     return lo, hi
 
 
-def xmul(l: int, P: tuple, c) -> tuple:
-    """l*P for odd l >= 3: `xladder(l // 2)` and one `xadd`, 7M+4S at
-    l = 3 and 11M+6S at l = 5."""
+def xmul(l: int, P: tuple, c: tuple) -> tuple:
+    """l*P for odd l >= 3: `xladder(l // 2)` and one `xadd`, 8M+4S at
+    l = 3 and 12M+6S at l = 5, a doubling 1M less when C = 1."""
     lo, hi = xladder(l // 2, P, c)
     return xadd(hi, lo, P)
 
@@ -240,7 +242,7 @@ def recover_xy(P: tuple, Q: tuple, S: tuple, a, d) -> tuple:
     return X * yN * inv, (num + num) * Z * inv
 
 
-def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c) -> tuple:
+def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c: tuple) -> tuple:
     """P + k*Q for k >= 0 from P, Q and D = P - Q, by the right-to-left
     three-point ladder of Faz-Hernandez, Longa, Lopez and Dahab (IEEE
     Trans. Computers 2019).  It keeps R0 = 2^i Q, R1 = P + (k mod 2^i) Q

@@ -1,4 +1,6 @@
 import sys
+from functools import reduce
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
-                             EdwardsCurve, PrimeField, is_probable_prime)
+                             EdwardsCurve, ExceptionalInput, IsogenyChain,
+                             OddIsogeny, OddKernel, PrimeField,
+                             is_probable_prime)
 from oracles import euler_chi, naive_translate_isogeny
 
 DESK_PRIMES = [p for p in range(11, 104) if is_probable_prime(p)]
@@ -86,3 +90,48 @@ def ladder_offsets(k: int) -> list[int]:
         k >>= 1
         r0 *= 2
     return out
+
+
+def assert_cofactor_walk(curve, G, degrees):
+    """The chain's kernels are those of the O(e^2) definition: step i's
+    kernel is generated by K = prod(degrees[i+1:]) * G_i on its domain
+    E_i, with G_i the image of G under the steps before it.  A chain
+    kernel has no y sign, so its representatives' x are compared with
+    x(K), ..., x(sK) from `scalar_mul`, and its codomain with that of
+    the full-point kernel of K."""
+    chain = IsogenyChain(curve, G, degrees)
+    assert [step.degree for step in chain.steps] == degrees
+    for i, step in enumerate(chain.steps):
+        E, l = step.domain, step.degree
+        K = E.scalar_mul(prod(degrees[i + 1:]), G)
+        assert step.kernel.xs == [E.scalar_mul(j, K).x
+                                  for j in range(1, l // 2 + 1)]
+        full = OddIsogeny(OddKernel.from_generator(K, l, E))
+        assert step.codomain_d == full.codomain_d
+        G = step(G)
+    assert G.is_identity()
+
+
+def assert_images_match_the_full_map(curve, G, degrees, points):
+    """Points carried as `images` and points given to chain(P), pushed
+    by `odd_image` and the y-map, come out as the steps' full maps
+    (`OddIsogeny.push`) composed one by one give them, and raise
+    ExceptionalInput exactly where those do."""
+    chain = IsogenyChain(curve, G, degrees)
+    want = []
+    for P in points:
+        try:
+            want.append(reduce(lambda Q, step: step(Q), chain.steps, P))
+        except ExceptionalInput:
+            want.append(None)
+            with pytest.raises(ExceptionalInput):
+                chain(P)
+        else:
+            assert chain(P) == want[-1]
+    if None in want:
+        with pytest.raises(ExceptionalInput):
+            IsogenyChain(curve, G, degrees, images=points)
+    else:
+        carried = IsogenyChain(curve, G, degrees, images=points)
+        assert carried.images == want
+        assert carried.codomain.d == chain.codomain.d

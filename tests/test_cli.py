@@ -159,15 +159,15 @@ class TestChain:
         assert "j" in doc and "image" in doc
 
     def test_point_is_carried_as_an_image(self, capsys):
-        """--point rides through the chain as an image, so each step
-        forms its y_i^2 in the inversion that makes its kernel affine;
-        pushing the point after the walk would invert once more a step."""
+        """--point rides through the chain as an image, made affine with
+        the last d' by one inversion; the steps' kernels and d' take one
+        more for all of them, and j one."""
         code, doc = run_json(capsys, "chain", "--p", "59", "--d", "-1",
                              "--gen", "7,5", "--degrees", "3,5",
                              "--point", "9,25")
         assert code == 0
         assert doc["image"] == [1, 0]
-        assert doc["counters"] == {"M": 96, "S": 38, "I": 4, "A": 61}
+        assert doc["counters"] == {"M": 113, "S": 49, "I": 3, "A": 77}
 
     def test_kernel_lists_x_only(self, capsys):
         """A chain's kernels are built on the x-line and have no y sign,

@@ -245,6 +245,23 @@ class TestExactTallies:
             value = TALLY_OPS[op](x, y, k.base)
         assert (ctx.snapshot(), repr(value)) == TALLIES[p][op]
 
+    @pytest.mark.parametrize("p", [59, 29])
+    def test_inverse_is_the_field_element_formulation(self, p):
+        """`inverse` on the ints gives the value and base tallies of
+        conj(x) * N(x)^-1 written with F_p elements, and one ext I, for
+        every nonzero x of F_{59^2} (beta = -1) and F_{29^2} (beta = 2)."""
+        k = QuadExtField(PrimeField(p))
+        for x in k.elements():
+            if x.is_zero():
+                continue
+            with k.counting(OpCounter()) as want:
+                n_inv = x.norm().inverse()
+                parts = (x.c0 * n_inv, -x.c1 * n_inv)
+            with k.counting(OpCounter()) as got:
+                inv = x.inverse()
+            assert (inv.c0, inv.c1) == parts
+            assert got.snapshot() == want.snapshot()[:6] + (1, 0)
+
     def test_zero_inverse_counts_nothing(self):
         k = QuadExtField(PrimeField(13))
         ctx = OpCounter()

@@ -18,7 +18,9 @@ from edwards_isogeny.isogeny import _step_weights, chain_strategy
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 from edwards_isogeny.xonly import odd_image, xmul
 
-from conftest import DESK_PRIMES, desk_curves, pt, translate_image
+from conftest import (DESK_PRIMES, assert_cofactor_walk,
+                      assert_images_match_the_full_map, desk_curves, pt,
+                      translate_image)
 from oracles import naive_translate_isogeny
 
 # Evaluation routes: the library's rational map and the translate-product
@@ -143,14 +145,14 @@ class TestCodomainParam:
         gives d' = (-9)^8 * (-2)^3 = 13 * (-8) = 11 mod 23."""
         domain = EdwardsCurve(f23, f23.one, f23(-2))
         ker = OddKernel.from_generator(pt(domain, -9, 11), 3, domain)
-        assert ker.codomain_param() == 11
+        assert OddIsogeny(ker).codomain_d == 11
 
     def test_same_subgroup_same_codomain(self, e19):
         """Generators of one subgroup give the same d'."""
         R = pt(e19, 6, 4)
         k1 = OddKernel.from_generator(R, 5, e19)
         k2 = OddKernel.from_generator(e19.double(R), 5, e19)
-        assert k1.codomain_param() == k2.codomain_param()
+        assert OddIsogeny(k1).codomain_d == OddIsogeny(k2).codomain_d
 
 
 class TestEvalWorkedMappings:
@@ -259,6 +261,11 @@ def a1_curves_with_torsion(l: int) -> list[tuple[int, int]]:
         out += [(p, d) for d in range(2, p)
                 if EdwardsCurve(field, field.one, field(d)).order() % l == 0]
     return out
+
+
+@lru_cache(maxsize=1)
+def order15_curves() -> list[tuple[int, int]]:
+    return a1_curves_with_torsion(15)
 
 
 def a1_curve(p: int, d: int) -> EdwardsCurve:
@@ -372,7 +379,7 @@ class TestXLineKernel:
         """Every point of the first 16 a = 1 desk curves whose order l
         divides, as a generator of degree l: from_x accepts exactly the
         points that from_generator accepts, and then with the same x_i,
-        (x_i^2, y_i^2), A, d' and subgroup; every other point raises
+        x_i^2, y_i^2, A, d' and subgroup; every other point raises
         BadKernelGenerator."""
         accepted = 0
         for p, d in a1_curves_with_torsion(l)[:16]:
@@ -386,8 +393,9 @@ class TestXLineKernel:
                     continue
                 got = OddKernel.from_x(line(P, 3), l, curve)
                 assert got.xs == want.xs and got.A == want.A
-                assert got.squares == want.squares
-                assert got.codomain_param() == want.codomain_param()
+                assert (got.x_sq, got.y_sq) == (want.x_sq, want.y_sq)
+                assert (OddIsogeny(got).codomain_d
+                        == OddIsogeny(want).codomain_d)
                 assert set(got.full_points()) == set(want.full_points())
                 accepted += 1
         assert accepted > 0
@@ -416,32 +424,33 @@ class TestXLineKernel:
         assert checked > 0
 
     @pytest.mark.parametrize("name,K,l,want", [
-        ("projective_3", (-10 * 4, 4), 3, (9, 3, 1, 5)),
-        ("affine_3", (-10, 1), 3, (5, 3, 1, 5)),
-        ("projective_5", (6 * 3, 3), 5, (23, 8, 1, 13)),
+        ("projective_3", (-10 * 4, 4), 3, (6, 2, 1, 5)),
+        ("affine_3", (-10, 1), 3, (5, 2, 0, 5)),
+        ("projective_5", (6 * 3, 3), 5, (15, 4, 1, 11)),
     ])
     def test_costs(self, e23, e19, name, K, l, want):
-        """(M, S, I, A) of building a kernel on the x-line, A = x1 * x2
-        included: one inversion, and none of Z_1 when K is affine."""
+        """(M, S, I, A) of building a kernel on the x-line and reading
+        its affine view, A = x1 * x2 included: one inversion, for the
+        view, and none when K is affine."""
         curve = e23 if l == 3 else e19
         K = tuple(map(curve.field, K))
         with curve.field.counting(OpCounter()) as ctx:
-            OddKernel.from_x(K, l, curve)
+            OddKernel.from_x(K, l, curve).A
         assert (ctx.m, ctx.s, ctx.i, ctx.a) == want
 
     @pytest.mark.parametrize("name,K,l,kernel,codomain", [
-        ("projective_3", (-10 * 4, 4), 3, (5, 2, 1, 5), (2, 4, 0, 0)),
-        ("affine_3", (-10, 1), 3, (4, 2, 0, 5), (2, 4, 0, 0)),
-        ("projective_5", (6 * 3, 3), 5, (14, 4, 1, 11), (2, 5, 0, 0)),
+        ("projective_3", (-10 * 4, 4), 3, (5, 2, 0, 5), (2, 3, 0, 14)),
+        ("affine_3", (-10, 1), 3, (5, 2, 0, 5), (2, 3, 0, 14)),
+        ("projective_5", (6 * 3, 3), 5, (9, 4, 0, 11), (6, 10, 0, 0)),
     ])
     def test_costs_without_y(self, e23, e19, name, K, l, kernel, codomain):
-        """(M, S, I, A) of a kernel built without y_i^2 and of the
-        OddIsogeny on it, which forms its codomain only: an affine
-        degree-3 K inverts nothing."""
+        """(M, S, I, A) of a kernel built on the x-line, which forms no
+        y_i^2 and inverts nothing, and of the OddIsogeny on it, which
+        forms its codomain pair only: `get_3_isog`'s 2M + 3S at l = 3."""
         curve = e23 if l == 3 else e19
         K = tuple(map(curve.field, K))
         with curve.field.counting(OpCounter()) as ctx:
-            built = OddKernel.from_x(K, l, curve, with_y=False)
+            built = OddKernel.from_x(K, l, curve)
         assert (ctx.m, ctx.s, ctx.i, ctx.a) == kernel
         with curve.field.counting(OpCounter()) as ctx:
             OddIsogeny(built)
@@ -676,23 +685,58 @@ class TestChain:
         monkeypatch.setattr(EdwardsCurve, "contains", refuse)
         assert IsogenyChain(e23, (G.x, e23.field.one), [3]).codomain.d == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chain_matches_the_oracles(self, data):
+        """On every a = 1 desk curve with a point of order 15, for such a
+        G and the degrees [3, 5] or [5, 3]: each step's kernel x and d'
+        are the full-point oracle's, and points pushed inside the chain
+        and by chain(P) are the steps' full maps composed, poles
+        included."""
+        curve = a1_curve(*data.draw(st.sampled_from(order15_curves())))
+        G = data.draw(st.sampled_from(
+            [P for P in curve.points() if curve.point_order(P) == 15]))
+        degrees = data.draw(st.permutations([3, 5]))
+        points = data.draw(st.lists(st.sampled_from(curve.points()),
+                                    min_size=1, max_size=4))
+        assert_cofactor_walk(curve, G, degrees)
+        assert_images_match_the_full_map(curve, G, degrees, points)
+
+    @pytest.mark.parametrize("i,cost", [(0, (10, 4, 0)), (1, (17, 4, 0))])
+    def test_image_costs(self, i, cost):
+        """`OddIsogeny.image` costs (7s + 3)M + 4S over F_{p^2} a point,
+        with no inversion, once the step's y-map constants are formed:
+        the degree-3 and degree-5 steps of a chain over F_{59^2}."""
+        params = setup(1, 1, seed=11)
+        E, a, b = params.curve, params.basis_a, params.basis_b
+        chain = IsogenyChain(E, E.add(a.P, b.P), [3, 5])
+        step, P = chain.steps[i], b.Q
+        point = (P.x * 3, E.field(3), P.y * 5, E.field(5))
+        step._y_map
+        with E.field.counting(OpCounter()) as ctx:
+            step.image(point)
+        assert (ctx.ext_m, ctx.ext_s, ctx.ext_i) == cost
+
     def test_no_images_no_full_map(self, e23):
-        """A chain that carries no image forms no y_i^2 and no terms of
-        the full map; chain(P) forms them on first use."""
+        """A chain forms no y_i^2, no terms of the full map and no affine
+        view: its kernels stay (X_i : Z_i) and its codomains (D' : C').
+        chain(P) pushes P by the y-map, which reads no y_i^2 either."""
         G, P = pt(e23, -10, 9), pt(e23, 3, 6)
         chain = IsogenyChain(e23, G, [3])
         step = chain.steps[0]
-        assert not step.kernel.has_y and "y_sq" not in vars(step.kernel)
         assert step._terms is None
+        assert not {"xs", "y_sq"} & set(vars(step.kernel))
+        assert "d" not in vars(step.codomain)
         assert chain(P) == OddIsogeny(OddKernel.from_generator(G, 3, e23))(P)
+        assert "y_sq" not in vars(step.kernel)
 
 
 def strategy_cost(degrees, split) -> int:
-    """Base-field M of a strategy's l-fold steps (29 at l = 3, 45 at
-    l = 5) and stack pushes (13 and 22): the steps degrees[i:j] split at
+    """Base-field M of a strategy's l-fold steps (32 at l = 3, 48 at
+    l = 5) and stack pushes (16 and 28): the steps degrees[i:j] split at
     k = split(i, j) cost the steps from j down to i + k, the pushes of
     that stack point through steps i, ..., i+k-1, and the two parts."""
-    step, push = {3: 29, 5: 45}, {3: 13, 5: 22}
+    step, push = {3: 32, 5: 48}, {3: 16, 5: 28}
 
     def cost(i, j):
         if j - i == 1:
@@ -717,16 +761,16 @@ class TestStrategy:
             assert cost <= strategy_cost(degrees, lambda i, j: (j - i) // 2)
 
     @pytest.mark.parametrize("l,e,optimal,balanced", [
-        (3, 74, 9244, 9984), (5, 55, 10272, 10972)])
+        (3, 74, 10720, 11376), (5, 55, 11864, 12388)])
     def test_costs_at_247_bits(self, l, e, optimal, balanced):
         assert chain_strategy((l,) * e)[0] == optimal
         assert strategy_cost((l,) * e, lambda i, j: (j - i) // 2) == balanced
 
     def test_mixed_degrees(self):
         """[3, 5, 3] splits at k = 2: one three-fold step and two
-        pushed points (29 + 13 + 22) before a five-fold step and a
-        push (45 + 13), against 138 for k = 1."""
-        assert chain_strategy((3, 5, 3)) == (122, {(0, 3): 2, (0, 2): 1})
+        pushed points (32 + 16 + 28) before a five-fold step and a
+        push (48 + 16), against 156 for k = 1."""
+        assert chain_strategy((3, 5, 3)) == (140, {(0, 3): 2, (0, 2): 1})
 
     @pytest.mark.parametrize("l,e", [(3, 238), (5, 165)])
     def test_first_plan_is_fast(self, l, e):
@@ -737,23 +781,27 @@ class TestStrategy:
 
     @pytest.mark.parametrize("l", [3, 5, 7, 9, 15])
     def test_weights_are_counted_costs(self, l):
-        """`xmul(l)` and `odd_image` with an affine kernel of (l - 1)/2
-        points cost the weights in base-field M over F_{p^2}, and no
-        base-field S."""
+        """`xmul(l)` with a constant (C - D, C) and `odd_image` with a
+        projective kernel of (l - 1)/2 points cost the weights in
+        base-field M over F_{p^2}, and no base-field S."""
         field = QuadExtField(PrimeField(59))
-        X, Z, c = field(3, 5), field(7, 2), field(11, 13)
+        X, Z, c = field(3, 5), field(7, 2), (field(11, 13), field(2, 9))
         xs = [field(k, 1) for k in range(l // 2)]
+        zs = [field(1, k) for k in range(l // 2)]
         with field.counting(OpCounter()) as step:
             xmul(l, (X, Z), c)
         with field.counting(OpCounter()) as push:
-            odd_image((X, Z), xs)
+            odd_image((X, Z), xs, zs)
         assert ((step.m, step.s), (push.m, push.s)) == (
             (_step_weights(l)[0], 0), (_step_weights(l)[1], 0))
 
-    @pytest.mark.parametrize("side,count", [(SIDE_A, 9244), (SIDE_B, 10272)])
-    def test_model_is_counted_at_247_bits(self, side, count, monkeypatch):
+    @pytest.mark.parametrize("side,model", [(SIDE_A, 10720),
+                                            (SIDE_B, 11864)])
+    def test_model_is_counted_at_247_bits(self, side, model, monkeypatch):
         """The base-field M that a 247-bit chain spends in `xmul` and
-        `odd_image` is the plan's model cost."""
+        `odd_image` is the plan's model cost, less 3 for each doubling on
+        the first curve, whose C is one: step 0 walks its kernel point
+        down from G by e - 1 l-fold steps of one doubling each."""
         p = 4 * 3 ** 74 * 5 ** 55 - 1
         params = setup(74, 55, seed=1, max_p=p)
         E, basis = params.curve, params.basis(side)
@@ -772,7 +820,7 @@ class TestStrategy:
         with params.field.counting(ctx):
             IsogenyChain(E, E.add(basis.P, E.scalar_mul(5, basis.Q)),
                          [basis.degree] * basis.exponent)
-        assert sum(spent) == count
+        assert sum(spent) == model - 3 * (basis.exponent - 1)
 
 
 class TestSerialization:

@@ -15,7 +15,8 @@ from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
                              recover_y, run_exchange, setup, sidh)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
-from conftest import ladder_offsets, pt
+from conftest import (assert_cofactor_walk, assert_images_match_the_full_map,
+                      ladder_offsets, pt)
 
 
 @pytest.fixture(scope="module")
@@ -377,26 +378,6 @@ def _random_point(curve, rng):
             continue
 
 
-def assert_cofactor_walk(curve, G, degrees):
-    """The chain's kernels are those of the O(e^2) definition: step i's
-    kernel is generated by K = prod(degrees[i+1:]) * G_i on its domain
-    E_i, with G_i the image of G under the steps before it.  A chain
-    kernel has no y sign, so its representatives' x are compared with
-    x(K), ..., x(sK) from `scalar_mul`, and its codomain with that of
-    the full-point kernel of K."""
-    chain = IsogenyChain(curve, G, degrees)
-    assert [step.degree for step in chain.steps] == degrees
-    for i, step in enumerate(chain.steps):
-        E, l = step.domain, step.degree
-        K = E.scalar_mul(prod(degrees[i + 1:]), G)
-        assert step.kernel.xs == [E.scalar_mul(j, K).x
-                                  for j in range(1, l // 2 + 1)]
-        full = OddIsogeny(OddKernel.from_generator(K, l, E))
-        assert step.codomain_d == full.codomain_d
-        G = step(G)
-    assert G.is_identity()
-
-
 class TestChainStrategy:
     @pytest.mark.parametrize("side,degrees", [(SIDE_A, [3, 3, 3]),
                                               (SIDE_B, [5, 5])])
@@ -426,6 +407,25 @@ class TestChainStrategy:
         G = E.add(E.add(a.P, E.scalar_mul(secret_a, a.Q)),
                   E.add(b.P, E.scalar_mul(secret_b, b.Q)))
         assert_cofactor_walk(E, G, degrees)
+
+    @settings(max_examples=20, deadline=None)
+    @given(secret_a=st.integers(0, 26), secret_b=st.integers(0, 24),
+           degrees=st.permutations([3, 3, 3, 5, 5]),
+           seed=st.integers(0, 2 ** 32))
+    def test_chain_matches_the_oracles(self, params2699, secret_a, secret_b,
+                                       degrees, seed):
+        """Kernel <R_A + R_B> of order 675, in any order of its steps:
+        each step's kernel x and d' are the full-point oracle's, and
+        random points pushed inside the chain and by chain(P) are the
+        steps' full maps composed."""
+        E = params2699.curve
+        a, b = params2699.basis_a, params2699.basis_b
+        G = E.add(E.add(a.P, E.scalar_mul(secret_a, a.Q)),
+                  E.add(b.P, E.scalar_mul(secret_b, b.Q)))
+        rng = random.Random(seed)
+        points = [_random_point(E, rng) for _ in range(3)]
+        assert_cofactor_walk(E, G, degrees)
+        assert_images_match_the_full_map(E, G, degrees, points)
 
 
 class TestSubgroupCounts:
@@ -463,15 +463,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1019, "S": 18, "I": 9, "A": 2100},
-                      "ext": {"M": 254, "S": 116, "I": 9, "A": 237}},
-            "bob": {"base": {"M": 1215, "S": 14, "I": 7, "A": 2502},
-                    "ext": {"M": 316, "S": 124, "I": 7, "A": 273}}}),
+            "alice": {"base": {"M": 1061, "S": 4, "I": 2, "A": 2379},
+                      "ext": {"M": 267, "S": 128, "I": 2, "A": 333}},
+            "bob": {"base": {"M": 1245, "S": 4, "I": 2, "A": 2561},
+                    "ext": {"M": 311, "S": 154, "I": 2, "A": 275}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 375, "S": 8, "I": 4, "A": 747},
-                      "ext": {"M": 95, "S": 40, "I": 4, "A": 77}},
-            "bob": {"base": {"M": 543, "S": 10, "I": 5, "A": 1076},
-                    "ext": {"M": 142, "S": 52, "I": 5, "A": 105}}}),
+            "alice": {"base": {"M": 407, "S": 4, "I": 2, "A": 869},
+                      "ext": {"M": 105, "S": 44, "I": 2, "A": 109}},
+            "bob": {"base": {"M": 573, "S": 4, "I": 2, "A": 1132},
+                    "ext": {"M": 145, "S": 67, "I": 2, "A": 106}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -505,23 +505,24 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 22091, "S": 150, "I": 75},
-                          SIDE_B: {"M": 27056, "S": 112, "I": 56}}
+        assert counts == {SIDE_A: {"M": 23449, "S": 2, "I": 1},
+                          SIDE_B: {"M": 28128, "S": 2, "I": 1}}
 
     def test_setup_counts_at_247_bits(self):
         """Cost gate on setup(74, 55, seed=1): the base-field M, S, I its
         fresh field has counted when it returns, seven draws walked on the
-        x-line and y recovered for the four basis points only."""
+        x-line, subgroups compared projectively and y recovered for the
+        four basis points only."""
         p = 4 * 3 ** 74 * 5 ** 55 - 1
         params = setup(74, 55, seed=1, max_p=p)
         counts = params.field.counter.as_dict()
         assert {k: counts[k] for k in ("M", "S", "I")} == {
-            "M": 41651, "S": 34, "I": 17}
+            "M": 41648, "S": 30, "I": 15}
 
     def test_derive_counts_at_247_bits(self):
         """Cost gate on derive_shared at (74, 55) with run_exchange's
-        seed-1 secrets: its chain pushes no point, so it forms no y_i^2
-        and no terms of the full map."""
+        seed-1 secrets: its chain inverts nothing, and j is read from the
+        last (D' : C') with the one inversion of its quotient."""
         p = 4 * 3 ** 74 * 5 ** 55 - 1
         params = setup(74, 55, seed=1, max_p=p)
         rng = random.Random(2 * 1 + 1)       # run_exchange's secret stream
@@ -533,8 +534,27 @@ class TestTranscript:
             with params.field.counting(ctx):
                 derive_shared(params, kp, keys[params.other(side)].public)
             counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
-        assert counts == {SIDE_A: {"M": 17479, "S": 152, "I": 76},
-                          SIDE_B: {"M": 20301, "S": 114, "I": 57}}
+        assert counts == {SIDE_A: {"M": 18588, "S": 2, "I": 1},
+                          SIDE_B: {"M": 22107, "S": 2, "I": 1}}
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_inversions_at_247_bits(self, seed):
+        """Inversion gate: at (74, 55) keygen inverts only to make its key
+        affine, and derive_shared only to form j, whatever the secrets;
+        neither may count more than 2 I."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        params = setup(74, 55, seed=1, max_p=p)
+        rng = random.Random(seed)
+        keys, counts = {}, []
+        for side, l, e in ((SIDE_A, 3, 74), (SIDE_B, 5, 55)):
+            with params.field.counting(OpCounter()) as ctx:
+                keys[side] = keygen(params, side, rng.randrange(l ** e))
+            counts.append(ctx.i)
+        for side, kp in keys.items():
+            with params.field.counting(OpCounter()) as ctx:
+                derive_shared(params, kp, keys[params.other(side)].public)
+            counts.append(ctx.i)
+        assert max(counts) <= 2
 
     def test_transcript_bytes_at_247_bits(self, monkeypatch):
         """Value gate: the SHA-256 of run_exchange(74, 55, seed=1)'s JSON
@@ -549,6 +569,18 @@ class TestTranscript:
             json.dumps(out, sort_keys=True).encode()).hexdigest()
         assert digest == ("95113fed93f2c1a770335f69f5e744ff"
                           "98bc38d26211ae9f0a1d931a1f0fa566")
+
+    def test_transcript_bytes_at_763_bits(self, monkeypatch):
+        """Value gate on the paper's 763-bit row, (238, 165): the SHA-256
+        of run_exchange(238, 165, seed=1)'s JSON without `counters`."""
+        p = 4 * 3 ** 238 * 5 ** 165 - 1
+        monkeypatch.setattr(sidh, "DESK_PRIME_LIMIT", p)
+        out = run_exchange(238, 165, seed=1)
+        del out["counters"]
+        digest = hashlib.sha256(
+            json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert digest == ("d0b5b2a10f6cf013d2590b2ac76d7420"
+                          "78444433d52c0955d6044f76bf1a4614")
 
     def test_chain_takes_no_character_at_247_bits(self, monkeypatch):
         """Codomain curves are checked for degeneracy without a Legendre
