@@ -407,6 +407,8 @@ class FieldElement(Element):
     ** decomposes into its square-and-multiply M/S uses."""
 
     __slots__ = ("value", "field")
+    # c0 + 0*i: the parts the x-line formulas read (xonly).
+    _c0, _c1 = property(lambda self: self.value), 0
 
     def __init__(self, value: int, field: PrimeField):
         self.value = value

@@ -43,8 +43,8 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, InvalidCurve,
                      NotASquare, NotOnCurve)
-from .xonly import (XZPoint, get_3_isog, odd_image, odd_products, xadd, xdbl,
-                    xmul)
+from .xonly import (MINUS_ONE, XADD, XDBL, XZPoint, _odd, get_3_isog,
+                    odd_codomain, odd_image, odd_rows, xadd, xdbl, xmul)
 
 
 def _require_a1(curve: EdwardsCurve):
@@ -194,8 +194,7 @@ class OddKernel:
         if self.degree == 3:
             params = get_3_isog(XZPoint(self.X[0], self.Z[0]))
             return params.D, params.C
-        return tuple(_product(V).square().square().square() * W ** self.degree
-                     for V, W in zip((self.X, self.Z), _pair(self.domain)))
+        return odd_codomain(self.X, self.Z, *_pair(self.domain), self.degree)
 
     def to_json(self) -> dict:
         if self.points is None:
@@ -296,12 +295,12 @@ class OddIsogeny:
         whose product in Y' is (-1)^s that of `odd_products`.  cost:
         (7s + 3)M + 4S."""
         X, Z, Y, W = P
-        plus, minus = odd_products((X, Z), self.kernel.X, self.kernel.Z)
-        F, G = (X + Z) * plus.square(), (X - Z) * minus.square()
+        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.X, self.kernel.Z,
+                                   True, True)
         XX, ZZ = X.square(), Z.square()
         cy, terms = self._y_map
         den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
-        return F + G, F - G, Y * cy * (plus * minus), W * den
+        return Xn, Zn, Y * cy * (plus * minus), W * den
 
     def to_json(self) -> dict:
         out = self.kernel.to_json()
@@ -354,14 +353,16 @@ def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
 def _step_weights(l: int) -> tuple[int, int]:
     """Counted base-field M of one l-fold step, `xmul(l, .)` with a
     constant (C - D, C), and of one stack point through a degree-l step,
-    `odd_image` with a projective kernel, at 3M an F_{p^2} product and 2M
-    a square: 32 and 16 at l = 3, 48 and 28 at l = 5.  `xmul` makes b - 1
-    `xadd`s and as many `xdbl`s, 4M + 2S each, b the bit length of l, one
+    `odd_image` with a projective kernel, read from the x-line tally rows
+    at i^2 = -1: 32 and 16 at l = 3, 48 and 28 at l = 5.  `xmul` makes
+    b - 1 `xadd`s and as many `xdbl`s, b the bit length of l, one
     doubling fewer when the second bit of l is 0 (3 base M fewer each on a
-    chain's first curve, whose C is one); `odd_image` costs 4sM + 2S."""
+    chain's first curve, whose C is one)."""
     b = l.bit_length()
     doublings = b - 1 - ((l >> (b - 2)) & 1 == 0)
-    return 16 * (b - 1 + doublings), 12 * (l // 2) + 4
+    xadd_m, xdbl_m = XADD[MINUS_ONE][0], XDBL[MINUS_ONE][0]
+    return (xadd_m * (b - 1) + xdbl_m * doublings,
+            odd_rows(l // 2)[MINUS_ONE][0])
 
 
 @lru_cache(maxsize=64)

@@ -31,6 +31,13 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
     recover_xy   16M + 4S + I (17M off a = 1), kP from P and xladder's
                  x(kP), x((k+1)P)
 
+`xdbl`, `xadd`, `odd_products`, `odd_image`, `get_3_isog` and
+`odd_codomain` compute on the (c0, c1) ints of their inputs (c1 = 0 on
+F_p), inline mod p, and add a fixed tally a call, by `tally_rows`, for
+their branch: F_p or F_{p^2}, i^2 = -1 or not, and C = 1 or not.  It is
+what the element operators tally for the formula, which are the counted
+oracle in tests/oracles.py; tests/test_xonly.py::TestRawCore proves it.
+
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
 two points whose u is infinity or 0, so for those two P `xladder` gives
@@ -41,7 +48,60 @@ differences vary, raises there instead.
 
 from __future__ import annotations
 
-from .errors import ExceptionalInput
+from functools import lru_cache
+
+from .errors import ExceptionalInput, FieldMismatch
+from .field import FieldElement
+from .field_ext import QuadExtElement, QuadExtField
+
+# The tally columns: F_p, F_{p^2} with i^2 = -1, F_{p^2} with another i^2.
+FP, MINUS_ONE, OTHER = 0, 1, 2
+
+
+@lru_cache(maxsize=None)
+def tally_rows(m: int, s: int, a: int) -> tuple:
+    """(M, S, A, ext_M, ext_S, ext_A) of m products, s squares and a
+    additions in each tally column, as the element operators count them."""
+    return ((m, s, a, 0, 0, 0),
+            (3 * m + 2 * s, 0, 5 * m + 3 * s + 2 * a, m, s, a),
+            (4 * m + s, 3 * s, 5 * m + 4 * s + 2 * a, m, s, a))
+
+
+def odd_rows(s: int, projective: bool = True, image: bool = True) -> tuple:
+    """`tally_rows` of `odd_image`, or `odd_products` if not `image`."""
+    m = (4 if projective else 3) * s - 2
+    return tally_rows(m + 2, 2, 2 * s + 4) if image else tally_rows(m, 0, 2 * s)
+
+
+XDBL, XDBL_C1, XADD = tally_rows(4, 2, 4), tally_rows(3, 2, 4), odd_rows(1)
+
+
+def _fp(c0: int, c1: int, field) -> FieldElement:
+    return FieldElement(c0, field)
+
+
+def _enter(rows: tuple, *xs) -> tuple:
+    """(p, i^2, element type, field) of the field of `xs`, with its
+    column of `rows` tallied; FieldMismatch if `xs` span two fields."""
+    f = xs[0].field
+    for x in xs:
+        if x.field is not f and x.field != f:
+            raise FieldMismatch(f"x-line operands from {f!r} and {x.field!r}")
+    quad = type(f) is QuadExtField
+    m, s, a, em, es, ea = rows[(2 - f._beta_is_minus_one) if quad else FP]
+    c = (f.base if quad else f).counter
+    c.m, c.s, c.a = c.m + m, c.s + s, c.a + a
+    c.ext_m, c.ext_s, c.ext_a = c.ext_m + em, c.ext_s + es, c.ext_a + ea
+    return f.p, f.beta if quad else 0, QuadExtElement if quad else _fp, f
+
+
+def _mul(a: tuple, b: tuple, p: int, beta: int) -> tuple:
+    """(a0 + a1 i)(b0 + b1 i) mod p by Karatsuba, as the hot formulas
+    write it inline; they square by (a0 + a1)(a0 + i^2 a1) - (1 + i^2) u
+    and 2u, u = a0 a1."""
+    (a0, a1), (b0, b1) = a, b
+    u, v = a0 * b0, a1 * b1
+    return (u + beta * v) % p, ((a0 + a1) * (b0 + b1) - u - v) % p
 
 
 class XZPoint:
@@ -99,19 +159,17 @@ class ProjParams:
 
 def get_3_isog(K1: XZPoint) -> ProjParams:
     """Codomain of the 3-isogeny with kernel abscissa (X1 : Z1):
-    D' = Z1*(2X1 + Z1)^3, C' = X1*(2Z1 + X1)^3, factored through
-    2X1Z1 = (X1 + Z1)^2 - X1^2 - Z1^2."""
-    s1 = K1.X.square()
-    s2 = K1.Z.square()
-    t1 = (K1.X + K1.Z).square() - s1 - s2    # 2*X1*Z1
-    t4 = t1 + t1
-    s1_4 = s1 + s1
-    s1_4 = s1_4 + s1_4
-    s2_4 = s2 + s2
-    s2_4 = s2_4 + s2_4
-    Dp = (t1 + s2) * (s1_4 + s2 + t4)
-    Cp = (t1 + s1) * (s2_4 + s1 + t4)
-    return ProjParams(Dp, Cp)                # cost: 2M+3S
+    D' = Z1*(2X1 + Z1)^3, C' = X1*(2Z1 + X1)^3, as
+    D' = (t + Z1^2)(4X1^2 + Z1^2 + 2t) with t = 2X1Z1, which counts as
+    (X1 + Z1)^2 - X1^2 - Z1^2.  cost: 2M + 3S (and 14A)."""
+    p, beta, new, f = _enter(tally_rows(2, 3, 14), K1.X, K1.Z)
+    x, z = (K1.X._c0, K1.X._c1), (K1.Z._c0, K1.Z._c1)
+    xx, zz, (t0, t1) = _mul(x, x, p, beta), _mul(z, z, p, beta), _mul(
+        x, z, p, beta)
+    t0, t1 = t0 + t0, t1 + t1
+    return ProjParams(*(new(*_mul((t0 + a0, t1 + a1), (
+        4 * b0 + a0 + t0 + t0, 4 * b1 + a1 + t1 + t1), p, beta), f)
+        for (a0, a1), (b0, b1) in ((zz, xx), (xx, zz))))
 
 
 def eval_3_isog(P: XZPoint, K1: XZPoint) -> XZPoint:
@@ -133,25 +191,73 @@ def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
     This is Costello and Hisil's u' = u * prod ((u u_i - 1)/(u - u_i))^2
     (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
     parameter.  cost: 3sM + 2S affine, 4sM + 2S projective."""
-    X, Z = P
-    plus, minus = odd_products(P, xs, zs)
-    F = (X + Z) * plus.square()
-    G = (X - Z) * minus.square()
-    return F + G, F - G
+    return _odd(P, xs, zs, True, False)
 
 
 def odd_products(P: tuple, xs: list, zs: list | None = None) -> tuple:
     """The products prod (x_i Z + z_i X) and prod (x_i Z - z_i X) of
     `odd_image`.  cost: (3s - 2)M affine, (4s - 2)M projective."""
+    return _odd(P, xs, zs, False, True)
+
+
+def _odd(P: tuple, xs: list, zs: list | None, image: bool, products: bool,
+         D: tuple | None = None) -> tuple:
+    """`odd_image`'s (X', Z') if `image`, then `odd_products`' pair if
+    `products`, tallied as the first; with D = (Xd, Zd), F and G take
+    Zd - Xd and -(Zd + Xd) for X + Z and X - Z, which is `xadd`."""
     X, Z = P
+    p, beta, new, f = _enter(odd_rows(len(xs), zs is not None, image),
+                             X, Z, *xs, *(zs or ()), *(D or ()))
+    x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
     plus = minus = None
-    for i, x in enumerate(xs):
-        u, v = x * Z, (X if zs is None else zs[i] * X)
-        if plus is None:
-            plus, minus = u + v, u - v
-        else:
-            plus, minus = plus * (u + v), minus * (u - v)
-    return plus, minus
+    for i, K in enumerate(xs):                       # x_i Z +- z_i X
+        k0, k1, (j0, j1) = K._c0, K._c1, (1, 0) if zs is None else (
+            zs[i]._c0, zs[i]._c1)
+        u, v, w, y = k0 * z0, k1 * z1, j0 * x0, j1 * x1
+        a0, a1 = u + beta * v, (k0 + k1) * (z0 + z1) - u - v
+        b0, b1 = w + beta * y, (j0 + j1) * (x0 + x1) - w - y
+        a, b = ((a0 + b0) % p, (a1 + b1) % p), ((a0 - b0) % p, (a1 - b1) % p)
+        plus, minus = (a, b) if plus is None else (
+            _mul(plus, a, p, beta), _mul(minus, b, p, beta))
+    (P0, P1), (M0, M1) = plus, minus
+    out = (new(P0, P1, f), new(M0, M1, f)) if products else ()
+    if not image:
+        return out
+    if D is not None:
+        x0, x1, z0, z1 = -D[0]._c0, -D[0]._c1, D[1]._c0, D[1]._c1
+    h, FG = 1 + beta, []
+    for a0, a1, b0, b1 in ((P0, P1, x0 + z0, x1 + z1),
+                           (M0, M1, x0 - z0, x1 - z1)):
+        u = a0 * a1                                  # (X +- Z) prod^2
+        a0, a1 = ((a0 + a1) * (a0 + beta * a1) - h * u) % p, (u + u) % p
+        u, v = a0 * b0, a1 * b1
+        FG += u + beta * v, (a0 + a1) * (b0 + b1) - u - v
+    F0, F1, G0, G1 = FG
+    return (new((F0 + G0) % p, (F1 + G1) % p, f),
+            new((F0 - G0) % p, (F1 - G1) % p, f)) + out
+
+
+def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> tuple:
+    """(D', C') = ((prod X_i)^8 D^l, (prod Z_i)^8 C^l), d' = D'/C', of
+    the degree-l kernel (X_i : Z_i) on d = D/C.  cost a side: (s - 1)M
+    + 3S, D^l by left-to-right square-and-multiply, and 1M."""
+    k, ones = l.bit_length() - 1, bin(l).count("1") - 1
+    p, beta, new, f = _enter(
+        tally_rows(2 * (len(Xs) + ones), 2 * (3 + k), 0), D, C, *Xs, *Zs)
+    out = []
+    for V, W in ((Xs, D), (Zs, C)):
+        x = (V[0]._c0, V[0]._c1)
+        for y in V[1:]:
+            x = _mul(x, (y._c0, y._c1), p, beta)
+        for _ in range(3):
+            x = _mul(x, x, p, beta)
+        w = r = (W._c0, W._c1)
+        for bit in bin(l)[3:]:
+            r = _mul(r, r, p, beta)
+            if bit == "1":
+                r = _mul(r, w, p, beta)
+        out.append(new(*_mul(x, r, p, beta), f))
+    return tuple(out)
 
 
 def xdbl(P: tuple, c: tuple) -> tuple:
@@ -159,29 +265,32 @@ def xdbl(P: tuple, c: tuple) -> tuple:
     (U : W) = (Z + X : Z - X) the doubling is
     ((C - D) X^2 Z^2 : e ((C - D) X^2 + C e)), e = Z^2 - X^2, and
     (X' : Z') = (U - W : U + W).  cost: 4M+2S, 3M+2S when C = 1."""
-    (X, Z), (num, den) = P, c
-    XX, ZZ = X.square(), Z.square()
-    ct = num * XX
-    e = ZZ - XX
-    U, W = ct * ZZ, e * (ct + (e if den == 1 else den * e))
-    return U - W, U + W
+    (X, Z), (N, C) = P, c
+    one = C._c0 == 1 and C._c1 == 0
+    p, beta, new, f = _enter(XDBL_C1 if one else XDBL, X, Z, N, C)
+    x0, x1, z0, z1, n0, n1 = X._c0, X._c1, Z._c0, Z._c1, N._c0, N._c1
+    h, u, v = 1 + beta, x0 * x1, z0 * z1             # X^2, Z^2
+    x0, x1 = ((x0 + x1) * (x0 + beta * x1) - h * u) % p, (u + u) % p
+    z0, z1 = ((z0 + z1) * (z0 + beta * z1) - h * v) % p, (v + v) % p
+    u, v = n0 * x0, n1 * x1                          # t = (C - D) X^2
+    t0, t1 = (u + beta * v) % p, ((n0 + n1) * (x0 + x1) - u - v) % p
+    e0, e1 = z0 - x0, z1 - x1
+    g0, g1 = (e0, e1) if one else _mul((C._c0, C._c1), (e0, e1), p, beta)
+    g0, g1 = t0 + g0, t1 + g1                        # t + C e
+    u, v = t0 * z0, t1 * z1                          # U = t Z^2
+    U0, U1 = u + beta * v, (t0 + t1) * (z0 + z1) - u - v
+    u, v = e0 * g0, e1 * g1                          # W = e (t + C e)
+    W0, W1 = u + beta * v, (e0 + e1) * (g0 + g1) - u - v
+    return (new((U0 - W0) % p, (U1 - W1) % p, f),
+            new((U0 + W0) % p, (U1 + W1) % p, f))
 
 
 def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
     """P + Q from D = P - Q, the Montgomery differential addition on
     u = (Z + X)/(Z - X): with s = X1 Z2 and t = Z1 X2,
-    (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S."""
-    Xd, Zd = D
-    return _xadd(P, Q, Zd - Xd, Zd + Xd)
-
-
-def _xadd(P: tuple, Q: tuple, minus, plus) -> tuple:
-    """`xadd` with the difference given as Zd - Xd and Zd + Xd."""
-    (X1, Z1), (X2, Z2) = P, Q
-    s, t = X1 * Z2, Z1 * X2
-    U = minus * (s + t).square()
-    W = plus * (s - t).square()
-    return U - W, U + W
+    (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S,
+    as `odd_image` of Q by the kernel P, whose F and G it is."""
+    return _odd(Q, [P[0]], [P[1]], True, False, D)
 
 
 def xladder(k: int, P: tuple, c: tuple) -> tuple:
@@ -259,14 +368,14 @@ def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c: tuple) -> tuple:
     R0, R1, R2 = Q, P, D
     while k:
         Xd, Zd = R2 if k & 1 else R1
-        minus, plus = Zd - Xd, Zd + Xd
-        if minus.is_zero() or plus.is_zero():
+        p = Xd.field.p
+        if Xd == Zd or (Xd._c0 + Zd._c0) % p == (Xd._c1 + Zd._c1) % p == 0:
             raise ExceptionalInput(
                 "a ladder difference P + a*Q is O or (-1, 0)")
         if k & 1:
-            R1 = _xadd(R0, R1, minus, plus)
+            R1 = xadd(R0, R1, R2)
         else:
-            R2 = _xadd(R0, R2, minus, plus)
+            R2 = xadd(R0, R2, R1)
         k >>= 1
         if k:
             R0 = xdbl(R0, c)

@@ -6,6 +6,11 @@ addition, isogenies are products of group-law translates, and the
 j-invariant goes through the Montgomery model.  Test
 expectations are computed here (or frozen from a previous run of these
 oracles) and compared against the library's optimized paths.
+
+The exception is the counted oracle at the end: the x-line formulas of
+`edwards_isogeny.xonly` written with the library's field elements, whose
+operators tally each M, S and A.  The library computes those formulas on
+raw ints and adds a fixed tally a call; these show what it must add.
 """
 
 
@@ -248,3 +253,77 @@ def naive_fp2_inverse(x, p: int, beta: int):
         base = naive_fp2_square(base, p, beta)
         e >>= 1
     return acc
+
+
+# ---------------------------------------------------------------------
+# Counted oracle: the raw x-line formulas on field elements.
+# ---------------------------------------------------------------------
+
+def counted_xdbl(P, c):
+    """xonly.xdbl: ((C - D) X^2 Z^2 : e ((C - D) X^2 + C e)) as
+    (U - W, U + W), e = Z^2 - X^2; C e is e when C = 1."""
+    (X, Z), (num, den) = P, c
+    XX, ZZ = X.square(), Z.square()
+    ct = num * XX
+    e = ZZ - XX
+    U, W = ct * ZZ, e * (ct + (e if den == 1 else den * e))
+    return U - W, U + W
+
+
+def counted_xadd(P, Q, D):
+    """xonly.xadd: ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2) as
+    (U - W, U + W), s = X1 Z2, t = Z1 X2."""
+    (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
+    minus, plus = Zd - Xd, Zd + Xd
+    s, t = X1 * Z2, Z1 * X2
+    U = minus * (s + t).square()
+    W = plus * (s - t).square()
+    return U - W, U + W
+
+
+def counted_odd_products(P, xs, zs=None):
+    """xonly.odd_products: prod (x_i Z + z_i X), prod (x_i Z - z_i X)."""
+    X, Z = P
+    plus = minus = None
+    for i, x in enumerate(xs):
+        u, v = x * Z, (X if zs is None else zs[i] * X)
+        if plus is None:
+            plus, minus = u + v, u - v
+        else:
+            plus, minus = plus * (u + v), minus * (u - v)
+    return plus, minus
+
+
+def counted_odd_image(P, xs, zs=None):
+    """xonly.odd_image: (F + G, F - G), F = (X + Z) plus^2 and
+    G = (X - Z) minus^2."""
+    X, Z = P
+    plus, minus = counted_odd_products(P, xs, zs)
+    F = (X + Z) * plus.square()
+    G = (X - Z) * minus.square()
+    return F + G, F - G
+
+
+def counted_get_3_isog(X1, Z1):
+    """xonly.get_3_isog's (D', C') = (Z1 (2X1 + Z1)^3, X1 (2Z1 + X1)^3),
+    with 2X1Z1 = (X1 + Z1)^2 - X1^2 - Z1^2."""
+    s1, s2 = X1.square(), Z1.square()
+    t1 = (X1 + Z1).square() - s1 - s2
+    t4 = t1 + t1
+    s1_4 = s1 + s1
+    s1_4 = s1_4 + s1_4
+    s2_4 = s2 + s2
+    s2_4 = s2_4 + s2_4
+    return (t1 + s2) * (s1_4 + s2 + t4), (t1 + s1) * (s2_4 + s1 + t4)
+
+
+def counted_odd_codomain(Xs, Zs, D, C, l):
+    """xonly.odd_codomain: ((prod X_i)^8 D^l, (prod Z_i)^8 C^l), the
+    power by `**`'s square-and-multiply."""
+    out = []
+    for V, W in ((Xs, D), (Zs, C)):
+        x = V[0]
+        for y in V[1:]:
+            x = x * y
+        out.append(x.square().square().square() * W ** l)
+    return tuple(out)

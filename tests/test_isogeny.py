@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache, reduce
 from time import perf_counter
 
@@ -765,6 +766,16 @@ class TestStrategy:
     def test_costs_at_247_bits(self, l, e, optimal, balanced):
         assert chain_strategy((l,) * e)[0] == optimal
         assert strategy_cost((l,) * e, lambda i, j: (j - i) // 2) == balanced
+
+    @pytest.mark.parametrize("l,e,cost,digest", [
+        (3, 74, 10720, "a74184a6c15895d2"), (5, 55, 11864, "73b506c0dab97d01")])
+    def test_plans_at_247_bits(self, l, e, cost, digest):
+        """The weights read from the x-line tally rows give the cost and
+        the plan (its SHA-256 over the sorted splits) that the weights
+        written out by hand, 32/16 and 48/28, gave."""
+        got, plan = chain_strategy((l,) * e)
+        text = repr(sorted(plan.items())).encode()
+        assert (got, hashlib.sha256(text).hexdigest()[:16]) == (cost, digest)
 
     def test_mixed_degrees(self):
         """[3, 5, 3] splits at k = 2: one three-fold step and two

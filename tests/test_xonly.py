@@ -6,15 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
-                             NotOnCurve, OddIsogeny, OddKernel, OpCounter,
-                             PrimeField, QuadExtField, XZPoint, eval_3_isog,
-                             eval_5_isog, get_3_isog, get_5_isog, recover_y,
-                             run_3_isog, run_5_isog, setup)
-from edwards_isogeny.xonly import (ladder3pt, odd_image, recover_xy, xadd,
-                                   xdbl, xladder, xmul)
+                             FieldMismatch, NotOnCurve, OddIsogeny, OddKernel,
+                             OpCounter, PrimeField, QuadExtElement,
+                             QuadExtField, XZPoint, eval_3_isog, eval_5_isog,
+                             get_3_isog, get_5_isog, recover_y, run_3_isog,
+                             run_5_isog, setup)
+from edwards_isogeny.xonly import (ladder3pt, odd_codomain, odd_image,
+                                   odd_products, recover_xy, xadd, xdbl,
+                                   xladder, xmul)
 
 from conftest import desk_curves, ladder_offsets, pt
-from oracles import montgomery_scalar_mul, montgomery_x_mul
+from oracles import (counted_get_3_isog, counted_odd_codomain,
+                     counted_odd_image, counted_odd_products, counted_xadd,
+                     counted_xdbl, montgomery_scalar_mul, montgomery_x_mul)
 
 
 def xz(field, x, z=1):
@@ -532,3 +536,108 @@ class TestLineCosts:
         with f23.counting(ctx):
             ops[name]()
         assert (ctx.m, ctx.s, ctx.i, ctx.a) == LINE_COSTS[name]
+
+
+P247 = 4 * 3 ** 74 * 5 ** 55 - 1
+
+
+def get_3_pair(X, Z):
+    params = get_3_isog(XZPoint(X, Z))
+    return params.D, params.C
+
+
+# Each raw x-line formula, its counted oracle, and the operands it takes
+# from a list e of random elements that ends with the field's one: both
+# C branches of `xdbl` and of the codomain, affine and projective kernels.
+RAW_FORMULAS = {
+    "xdbl": (xdbl, counted_xdbl, lambda e: ((e[0], e[1]), (e[2], e[3]))),
+    "xdbl_c1": (xdbl, counted_xdbl, lambda e: ((e[0], e[1]), (e[2], e[-1]))),
+    "xadd": (xadd, counted_xadd,
+             lambda e: ((e[0], e[1]), (e[2], e[3]), (e[4], e[5]))),
+    "get_3_isog": (get_3_pair, counted_get_3_isog, lambda e: (e[0], e[1])),
+    **{f"odd_{kind}_s{s}_{shape}": (
+        raw, oracle, lambda e, s=s, shape=shape: (
+            (e[0], e[1]), e[2:2 + s],
+            *([e[5:5 + s]] if shape == "projective" else [])))
+       for kind, raw, oracle in (
+           ("image", odd_image, counted_odd_image),
+           ("products", odd_products, counted_odd_products))
+       for s in (1, 2, 3) for shape in ("affine", "projective")},
+    **{f"odd_codomain_l{l}{suffix}": (
+        odd_codomain, counted_odd_codomain,
+        lambda e, l=l, unit=unit: (e[2:2 + l // 2], e[6:6 + l // 2], e[0],
+                                   e[-1] if unit else e[1], l))
+       for l in (5, 7, 9) for unit, suffix in ((False, ""), (True, "_c1"))},
+}
+
+
+def operand_list(field, seed):
+    """Ten random elements of `field`, then its one."""
+    rng = random.Random(seed)
+    return [field.random_element(rng) for _ in range(10)] + [field.one]
+
+
+class TestRawCore:
+    """The raw-int x-line formulas against their counted oracle, the
+    element formulas of tests/oracles.py: equal values and equal M/S/I/A
+    and ext_* tallies, over F_p, over F_{p^2} with i^2 = -1 (p = 2699 and
+    the 247-bit p) and with i^2 = 11 (p = 1009)."""
+
+    @pytest.fixture(scope="class", params=[23, 2699, P247, 1009],
+                    ids=["F_23", "F_2699^2", "F_p247^2", "F_1009^2"])
+    def field(self, request):
+        base = PrimeField(request.param)
+        return base if request.param == 23 else QuadExtField(base)
+
+    @pytest.mark.parametrize("name", sorted(RAW_FORMULAS))
+    def test_matches_the_oracle(self, field, name):
+        raw, oracle, operands = RAW_FORMULAS[name]
+        for seed in range(4):
+            args = operands(operand_list(field, seed))
+            with field.counting(OpCounter()) as want:
+                expected = oracle(*args)
+            with field.counting(OpCounter()) as got:
+                assert raw(*args) == expected
+            assert got.snapshot() == want.snapshot()
+
+    def test_fields_cover_every_tally_column(self):
+        assert [QuadExtField(PrimeField(p)).beta for p in (2699, P247, 1009)
+                ] == [-1, -1, 11]
+
+    def test_no_element_arithmetic(self, monkeypatch):
+        """Over the 247-bit field, the raw formulas and the ladders built
+        on them return without one F_{p^2} element product, square, sum
+        or difference."""
+        field = QuadExtField(PrimeField(P247))
+        e = operand_list(field, 1)
+        P, Q, D, c = (e[0], e[1]), (e[2], e[3]), (e[4], e[5]), (e[6], e[7])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("F_{p^2} element arithmetic called")
+
+        for name in ("__mul__", "square", "__add__", "__sub__"):
+            monkeypatch.setattr(QuadExtElement, name, refuse)
+        xdbl(P, c)
+        xdbl(P, (e[6], field.one))
+        xadd(P, Q, D)
+        xmul(3, P, c)
+        xmul(5, P, c)
+        xladder(3 ** 20, P, c)
+        ladder3pt(3 ** 20 + 1, P, Q, D, c)
+        odd_image(P, e[8:10])
+        odd_image(P, e[8:10], e[6:8])
+        get_3_isog(XZPoint(*P))
+
+    @pytest.mark.parametrize("name", sorted(RAW_FORMULAS))
+    def test_mixed_moduli_fail(self, name):
+        """Each operand in turn from F_{2699^2}, the rest from the 247-bit
+        field: FieldMismatch, as the element operators raise."""
+        raw, _, operands = RAW_FORMULAS[name]
+        e = operand_list(QuadExtField(PrimeField(P247)), 2)
+        stray = operand_list(QuadExtField(PrimeField(2699)), 2)
+        raw(*operands(e))
+        for i in range(len(e)):
+            mixed = e[:i] + [stray[i]] + e[i + 1:]
+            if operands(mixed) != operands(e):
+                with pytest.raises(FieldMismatch):
+                    raw(*operands(mixed))
