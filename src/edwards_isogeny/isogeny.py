@@ -124,11 +124,11 @@ class OddKernel:
                    [domain.field.one] * len(reps), points=reps)
 
     @classmethod
-    def from_x(cls, K: tuple, degree: int,
-               domain: EdwardsCurve) -> "OddKernel":
+    def from_x(cls, K: tuple, degree: int, domain: EdwardsCurve,
+               c: tuple | None = None) -> "OddKernel":
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
-        with no inversion.  The checks of `from_generator`, projectively:
+        with no inversion; c is the domain's (C - D, C), if known.  The checks of `from_generator`, projectively:
         K is not O (X = Z), no multiple 2K, ..., sK is O, and
         X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the order
         to exactly l, so no multiple lies at infinity (orders 2 and 4) and
@@ -137,8 +137,10 @@ class OddKernel:
         X, Z = K
         if X == Z:                       # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
-        D, C = _pair(domain)
-        c, s = (C - D, C), degree // 2
+        if c is None:
+            D, C = _pair(domain)
+            c = (C - D, C)
+        s = degree // 2
         multiples = [K, xdbl(K, c)]      # jK at j - 1
         for j in range(3, s + 2):
             if multiples[-1][0] == multiples[-1][1]:
@@ -186,8 +188,8 @@ class OddKernel:
 
     def codomain_pair(self) -> tuple:
         """(D', C'), d' = D'/C': (A^8 d^l, 1) from the points; from x,
-        `get_3_isog`'s at l = 3, else ((prod X_i)^8 D^l, (prod Z_i)^8 C^l)
-        over the domain's (D : C)."""
+        `get_3_isog`'s at l = 3, else `odd_codomain`'s
+        ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over the domain's (D : C)."""
         if self.points is not None:
             a8 = self.a_sq.square().square()
             return a8 * self.domain.d ** self.degree, self.domain.field.one
@@ -466,7 +468,7 @@ class IsogenyChain:
                 j = i + k
                 stack.append((T, j))
             stack.pop()
-            step = OddIsogeny(OddKernel.from_x(T, l, E))
+            step = OddIsogeny(OddKernel.from_x(T, l, E, c))
             step.kernel._fill = step.codomain._fill = self._affine_views
             self.steps.append(step)
             stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)

@@ -238,25 +238,34 @@ def _odd(P: tuple, xs: list, zs: list | None, image: bool, products: bool,
 
 
 def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> tuple:
-    """(D', C') = ((prod X_i)^8 D^l, (prod Z_i)^8 C^l), d' = D'/C', of
-    the degree-l kernel (X_i : Z_i) on d = D/C.  cost a side: (s - 1)M
-    + 3S, D^l by left-to-right square-and-multiply, and 1M."""
-    k, ones = l.bit_length() - 1, bin(l).count("1") - 1
-    p, beta, new, f = _enter(
-        tally_rows(2 * (len(Xs) + ones), 2 * (3 + k), 0), D, C, *Xs, *Zs)
+    """(D', C') = (D^(l-4) (D X^2)^4, C^(l-4) (C Z^2)^4) for X = prod X_i
+    and Z = prod Z_i, that is (X^8 D^l, Z^8 C^l) and d' = D'/C', for the
+    degree-l kernel (X_i : Z_i) on d = D/C.  cost a side: (s - 1)M + 3S,
+    and unless its D or C is one, 2M more and its (l - 4)th power by
+    square-and-multiply: 3M + 3S at l = 5, 1M + 3S if C = 1."""
+    k = l - 4
+    n = sum(W._c0 != 1 or W._c1 != 0 for W in (D, C))
+    p, beta, new, f = _enter(tally_rows(
+        2 * len(Xs) - 2 + n * (1 + bin(k).count("1")),
+        6 + n * (k.bit_length() - 1), 0), D, C, *Xs, *Zs)
     out = []
     for V, W in ((Xs, D), (Zs, C)):
-        x = (V[0]._c0, V[0]._c1)
+        x, w = (V[0]._c0, V[0]._c1), (W._c0, W._c1)
         for y in V[1:]:
             x = _mul(x, (y._c0, y._c1), p, beta)
-        for _ in range(3):
-            x = _mul(x, x, p, beta)
-        w = r = (W._c0, W._c1)
-        for bit in bin(l)[3:]:
-            r = _mul(r, r, p, beta)
-            if bit == "1":
-                r = _mul(r, w, p, beta)
-        out.append(new(*_mul(x, r, p, beta), f))
+        x, unit = _mul(x, x, p, beta), w == (1, 0)       # X^2
+        if not unit:
+            x = _mul(x, w, p, beta)
+        x = _mul(x, x, p, beta)
+        x = _mul(x, x, p, beta)                          # (W X^2)^4
+        if not unit:
+            r = w
+            for bit in bin(k)[3:]:
+                r = _mul(r, r, p, beta)
+                if bit == "1":
+                    r = _mul(r, w, p, beta)
+            x = _mul(x, r, p, beta)
+        out.append(new(*x, f))
     return tuple(out)
 
 

@@ -318,12 +318,15 @@ def counted_get_3_isog(X1, Z1):
 
 
 def counted_odd_codomain(Xs, Zs, D, C, l):
-    """xonly.odd_codomain: ((prod X_i)^8 D^l, (prod Z_i)^8 C^l), the
+    """xonly.odd_codomain: (D^(l-4) (D X^2)^4, C^(l-4) (C Z^2)^4) for
+    X = prod X_i and Z = prod Z_i, with a factor of one left out and the
     power by `**`'s square-and-multiply."""
     out = []
     for V, W in ((Xs, D), (Zs, C)):
         x = V[0]
         for y in V[1:]:
             x = x * y
-        out.append(x.square().square().square() * W ** l)
+        t = x.square() if W == 1 else W * x.square()
+        t = t.square().square()
+        out.append(t if W == 1 else t * W ** (l - 4))
     return tuple(out)

@@ -167,7 +167,7 @@ class TestChain:
                              "--point", "9,25")
         assert code == 0
         assert doc["image"] == [1, 0]
-        assert doc["counters"] == {"M": 113, "S": 49, "I": 3, "A": 77}
+        assert doc["counters"] == {"M": 113, "S": 45, "I": 3, "A": 75}
 
     def test_kernel_lists_x_only(self, capsys):
         """A chain's kernels are built on the x-line and have no y sign,
