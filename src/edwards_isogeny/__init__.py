@@ -25,6 +25,6 @@ from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec, SidhPrime,
                             sidh_key_bits, supersingular_d_scan,
                             supersingular_excluded, verify_reference_table)
 from .xonly import (ProjParams, XZPoint, eval_3_isog, eval_5_isog,
-                    get_3_isog, get_5_isog, run_3_isog, run_5_isog)
+                    get_3_isog, get_5_isog, run_5_isog)
 
 __version__ = "0.1.0"

@@ -128,9 +128,10 @@ class OddKernel:
                c: tuple | None = None) -> "OddKernel":
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
-        with no inversion; c is the domain's (C - D, C), if known.  The checks of `from_generator`, projectively:
-        K is not O (X = Z), no multiple 2K, ..., sK is O, and
-        X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the order
+        with no inversion; c is the domain's (C - D, C) if the caller has
+        it.  The checks of `from_generator`, projectively: K is not O
+        (X = Z), no multiple 2K, ..., sK is O, and X_{s+1} Z_s =
+        X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the order
         to exactly l, so no multiple lies at infinity (orders 2 and 4) and
         no Z_i is zero.  The multiples' differences are K, which `xadd`
         needs to be neither O nor (-1, 0), whose 2K = O fails the checks."""

@@ -96,9 +96,9 @@ def _enter(rows: tuple, *xs) -> tuple:
 
 
 def _mul(a: tuple, b: tuple, p: int, beta: int) -> tuple:
-    """(a0 + a1 i)(b0 + b1 i) mod p by Karatsuba, as the hot formulas
-    write it inline; they square by (a0 + a1)(a0 + i^2 a1) - (1 + i^2) u
-    and 2u, u = a0 a1."""
+    """(a0 + a1 i)(b0 + b1 i) mod p by Karatsuba, which the hot formulas
+    write inline; they square as ((a0 + a1)(a0 + i^2 a1) - (1 + i^2) u,
+    2u), u = a0 a1."""
     (a0, a1), (b0, b1) = a, b
     u, v = a0 * b0, a1 * b1
     return (u + beta * v) % p, ((a0 + a1) * (b0 + b1) - u - v) % p
@@ -130,10 +130,6 @@ class XZPoint:
     def affine_x(self):
         return self.X / self.Z
 
-    def same_class(self, other: "XZPoint") -> bool:
-        """Projective equality: X1*Z2 = X2*Z1."""
-        return self.X * other.Z == other.X * self.Z
-
     def __repr__(self):
         return f"({self.X!r} : {self.Z!r})"
 
@@ -149,9 +145,6 @@ class ProjParams:
 
     def d_prime(self):
         return self.D / self.C
-
-    def same_class(self, other: "ProjParams") -> bool:
-        return self.D * other.C == other.D * self.C
 
     def __repr__(self):
         return f"(D'={self.D!r} : C'={self.C!r})"
@@ -277,12 +270,11 @@ def xdbl(P: tuple, c: tuple) -> tuple:
     (X, Z), (N, C) = P, c
     one = C._c0 == 1 and C._c1 == 0
     p, beta, new, f = _enter(XDBL_C1 if one else XDBL, X, Z, N, C)
-    x0, x1, z0, z1, n0, n1 = X._c0, X._c1, Z._c0, Z._c1, N._c0, N._c1
+    x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
     h, u, v = 1 + beta, x0 * x1, z0 * z1             # X^2, Z^2
     x0, x1 = ((x0 + x1) * (x0 + beta * x1) - h * u) % p, (u + u) % p
     z0, z1 = ((z0 + z1) * (z0 + beta * z1) - h * v) % p, (v + v) % p
-    u, v = n0 * x0, n1 * x1                          # t = (C - D) X^2
-    t0, t1 = (u + beta * v) % p, ((n0 + n1) * (x0 + x1) - u - v) % p
+    t0, t1 = _mul((N._c0, N._c1), (x0, x1), p, beta)    # t = (C - D) X^2
     e0, e1 = z0 - x0, z1 - x1
     g0, g1 = (e0, e1) if one else _mul((C._c0, C._c1), (e0, e1), p, beta)
     g0, g1 = t0 + g0, t1 + g1                        # t + C e
@@ -389,12 +381,6 @@ def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c: tuple) -> tuple:
         if k:
             R0 = xdbl(R0, c)
     return R1
-
-
-def run_3_isog(P: XZPoint, K1: XZPoint) -> tuple[XZPoint, ProjParams]:
-    """Image point and codomain in one call.  cost: 6M+5S."""
-    params = get_3_isog(K1)
-    return eval_3_isog(P, K1), params
 
 
 def _eval_5(P: XZPoint, K1: XZPoint, K2: XZPoint, d):
