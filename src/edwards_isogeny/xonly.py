@@ -32,11 +32,13 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
                  x(kP), x((k+1)P)
 
 `xdbl`, `xadd`, `odd_products`, `odd_image`, `get_3_isog` and
-`odd_codomain` compute on the (c0, c1) ints of their inputs (c1 = 0 on
-F_p), inline mod p, and add a fixed tally a call, by `tally_rows`, for
-their branch: F_p or F_{p^2}, i^2 = -1 or not, and C = 1 or not.  It is
-what the element operators tally for the formula, which are the counted
-oracle in tests/oracles.py; tests/test_xonly.py::TestRawCore proves it.
+`odd_codomain` compute inline mod p on the (c0, c1) ints of their
+inputs, c1 = 0 on F_p.  Each adds one fixed tally a call, a row of
+`tally_rows` chosen by its branch: F_p or F_{p^2}, i^2 = -1 or not, and
+C = 1 or not.  The row is what the field elements' operators count for
+the same formula.  Those element formulas are the counted oracle in
+tests/oracles.py, and tests/test_xonly.py::TestRawCore asserts that
+both give the same values and tallies.
 
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
@@ -58,7 +60,7 @@ from .field_ext import QuadExtElement, QuadExtField
 FP, MINUS_ONE, OTHER = 0, 1, 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def tally_rows(m: int, s: int, a: int) -> tuple:
     """(M, S, A, ext_M, ext_S, ext_A) of m products, s squares and a
     additions in each tally column, as the element operators count them."""
@@ -88,7 +90,8 @@ def _enter(rows: tuple, *xs) -> tuple:
         if x.field is not f and x.field != f:
             raise FieldMismatch(f"x-line operands from {f!r} and {x.field!r}")
     quad = type(f) is QuadExtField
-    m, s, a, em, es, ea = rows[(2 - f._beta_is_minus_one) if quad else FP]
+    col = (MINUS_ONE if f._beta_is_minus_one else OTHER) if quad else FP
+    m, s, a, em, es, ea = rows[col]
     c = (f.base if quad else f).counter
     c.m, c.s, c.a = c.m + m, c.s + s, c.a + a
     c.ext_m, c.ext_s, c.ext_a = c.ext_m + em, c.ext_s + es, c.ext_a + ea
@@ -96,10 +99,13 @@ def _enter(rows: tuple, *xs) -> tuple:
 
 
 def _mul(a: tuple, b: tuple, p: int, beta: int) -> tuple:
-    """(a0 + a1 i)(b0 + b1 i) mod p by Karatsuba, which the hot formulas
-    write inline; they square as ((a0 + a1)(a0 + i^2 a1) - (1 + i^2) u,
-    2u), u = a0 a1."""
+    """(a0 + a1 i)(b0 + b1 i) mod p by Karatsuba, and a square (a is b)
+    as ((a0 + a1)(a0 + i^2 a1) - (1 + i^2) u, 2u), u = a0 a1, by two
+    products; the hot formulas write both inline."""
     (a0, a1), (b0, b1) = a, b
+    if a is b:
+        u = a0 * a1
+        return ((a0 + a1) * (a0 + beta * a1) - (1 + beta) * u) % p, (u + u) % p
     u, v = a0 * b0, a1 * b1
     return (u + beta * v) % p, ((a0 + a1) * (b0 + b1) - u - v) % p
 
@@ -157,12 +163,12 @@ def get_3_isog(K1: XZPoint) -> ProjParams:
     (X1 + Z1)^2 - X1^2 - Z1^2.  cost: 2M + 3S (and 14A)."""
     p, beta, new, f = _enter(tally_rows(2, 3, 14), K1.X, K1.Z)
     x, z = (K1.X._c0, K1.X._c1), (K1.Z._c0, K1.Z._c1)
-    xx, zz, (t0, t1) = _mul(x, x, p, beta), _mul(z, z, p, beta), _mul(
-        x, z, p, beta)
-    t0, t1 = t0 + t0, t1 + t1
-    return ProjParams(*(new(*_mul((t0 + a0, t1 + a1), (
-        4 * b0 + a0 + t0 + t0, 4 * b1 + a1 + t1 + t1), p, beta), f)
-        for (a0, a1), (b0, b1) in ((zz, xx), (xx, zz))))
+    xx, zz, xz = _mul(x, x, p, beta), _mul(z, z, p, beta), _mul(x, z, p, beta)
+    t0, t1 = 2 * xz[0], 2 * xz[1]                    # t = 2 X1 Z1
+    D, C = (new(*_mul((t0 + a0, t1 + a1),
+                      (4 * b0 + a0 + 2 * t0, 4 * b1 + a1 + 2 * t1), p, beta), f)
+            for (a0, a1), (b0, b1) in ((zz, xx), (xx, zz)))
+    return ProjParams(D, C)
 
 
 def eval_3_isog(P: XZPoint, K1: XZPoint) -> XZPoint:
