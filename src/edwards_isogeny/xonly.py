@@ -28,6 +28,8 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
     ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
     odd_image    3sM + 2S for an affine kernel, 4sM + 2S projective,
                  s = (l - 1)/2; eval_3_isog is its one-point case
+    odd_codomain (D', C') for l >= 5: 3M + 3S a side at l = 5, and
+                 1M + 3S for a side whose D or C is one
     recover_xy   16M + 4S + I (17M off a = 1), kP from P and xladder's
                  x(kP), x((k+1)P)
 
