@@ -612,6 +612,23 @@ class TestRawCore:
                 assert raw(*args) == expected
             assert got.snapshot() == want.snapshot()
 
+    @pytest.mark.parametrize("c1", [1, 2698])
+    def test_c_with_real_part_one_is_not_one(self, c1):
+        """C = 1 + c1 i is not one: `xdbl` and the codomain take the
+        branch of a C other than one, as their oracles do."""
+        field = QuadExtField(PrimeField(2699))
+        e = operand_list(field, 3)
+        C = field(1, c1)
+        for raw, oracle, args in (
+                (xdbl, counted_xdbl, ((e[0], e[1]), (e[2], C))),
+                (odd_codomain, counted_odd_codomain,
+                 (e[2:4], e[6:8], e[0], C, 5))):
+            with field.counting(OpCounter()) as want:
+                expected = oracle(*args)
+            with field.counting(OpCounter()) as got:
+                assert raw(*args) == expected
+            assert got.snapshot() == want.snapshot()
+
     def test_fields_cover_every_tally_column(self):
         assert [QuadExtField(PrimeField(p)).beta for p in (2699, P247, 1009)
                 ] == [-1, -1, 11]
