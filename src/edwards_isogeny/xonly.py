@@ -204,8 +204,8 @@ def odd_products(P: tuple, xs: list, zs: list | None = None) -> tuple:
 def _odd(P: tuple, xs: list, zs: list | None, image: bool, products: bool,
          D: tuple | None = None) -> tuple:
     """`odd_image`'s (X', Z') if `image`, then `odd_products`' pair if
-    `products`, tallied as the first; with D = (Xd, Zd), F and G take
-    Zd - Xd and -(Zd + Xd) for X + Z and X - Z, which is `xadd`."""
+    `products`, tallied as `odd_image` if `image`; with D = (Xd, Zd), F
+    and G take Zd - Xd and -(Zd + Xd) for X + Z and X - Z: `xadd`."""
     X, Z = P
     p, beta, new, f = _enter(odd_rows(len(xs), zs is not None, image),
                              X, Z, *xs, *(zs or ()), *(D or ()))
