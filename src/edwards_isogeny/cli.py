@@ -179,6 +179,11 @@ def _cmd_sidh_demo(args):
 
 
 def _cmd_opcount_bench(args):
+    # The worked kernels of acceptance criteria 1 and 2: x = -10 of
+    # (-10, 9) over F_23 and x(Q), x(2Q) = 6, -8 of Q = (6, 4) over F_19,
+    # both on d = -1, each pushing the x = 2 of a worked mapping,
+    # (2, 2) -> (7, 7) and (2, 8) -> (0, 1).  No formula branches on a
+    # value, so the counts hold for any point.
     if args.op == "proj3":
         field = PrimeField(23)
         K1 = XZPoint.from_x(field(-10))      # order-3 abscissa on d = -1

@@ -1,33 +1,21 @@
 """Odd-degree isogenies of Edwards curves in the a = 1 form.
 
-A kernel is the subgroup {O, ±Q1, ..., ±Qs} of odd order l = 2s+1; the
+A kernel is the subgroup {O, ±Q1, ..., ±Qs} of odd order l = 2s+1, kept
+as the x-line points (X_i : Z_i) of Q, 2Q, ..., sQ (`xonly`); the
 codomain parameter is d' = A^8 * d^l with A the product of the kernel
-x-coordinates.  Points are evaluated by the reduced one-variable
-rational map
+x-coordinates x_i, kept as (D' : C'), d' = D'/C'.  Points are evaluated
+with no inversion, x by `odd_image` (Costello and Hisil, ASIACRYPT
+2017) and y by the y-map of the reduced rational map
 
-     x' = (x/A^2) * prod (x^2 - b_i^2) / (1 - d b_i^2 x^2)
-     y' = (-y/A^2) * prod (x^2 - a_i^2) / (1 - d a_i^2 x^2)
+     y' = (-y/A^2) * prod (x^2 - x_i^2) / (1 - d x_i^2 x^2),
 
-with (a_i, b_i) the kernel coordinates.  The -y orientation is the one
-the worked small-field mappings pin down.  The defining product of
-group-law translates, prod x(P+Q)/x(Q), prod y(P+Q)/x(Q) over the kernel
-points Q, is the same isogeny up to sign; the tests keep it as an
-independent oracle.
-
-`OddIsogeny.push`, the full map, evaluates it on triples (X : Y : Z),
-(8s + 3)M + 2S a point once a_i^2, b_i^2, d a_i^2, d b_i^2 are formed:
-
-     X' = X * prod (X^2 - b_i^2 Z^2) * prod (Z^2 - d a_i^2 X^2)
-     Y' = -Y * prod (X^2 - a_i^2 Z^2) * prod (Z^2 - d b_i^2 X^2)
-     Z' = A^2 Z * prod (Z^2 - d b_i^2 X^2) * prod (Z^2 - d a_i^2 X^2)
-
-It serves kernels of full points, and is the oracle for the rest.
-
-A chain runs on the x-line (`xonly`) with no inversion until its end:
-kernels stay (X_i : Z_i) and codomains (D' : C'), d' = D'/C'.  The
-points it carries go through `OddIsogeny.image`, x by `odd_image` and y
-by the y-map above, which reads the a_i only: (7s + 3)M + 4S a point,
-and one inversion for all at the end.
+which reads the x_i only: (7s + 3)M + 4S a point.  An isogeny or a
+chain called on points makes their images affine by one inversion for
+all.  The -y orientation is the one the worked small-field mappings pin
+down.  The tests check the map against two raw-integer oracles: the
+defining product of group-law translates, prod x(P+Q)/x(Q),
+prod y(P+Q)/x(Q) over the kernel points Q, and the full rational map
+with x' = (x/A^2) * prod (x^2 - y_i^2) / (1 - d y_i^2 x^2).
 """
 
 from __future__ import annotations
@@ -39,12 +27,13 @@ from operator import mul
 from types import MappingProxyType
 
 from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
-                    check_parameters, j_invariant, to_affine)
+                    check_parameters, j_invariant)
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
-                     EvenDegreeUnsupported, ExceptionalInput, InvalidCurve,
-                     NotASquare, NotOnCurve)
+                     EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
+                     InvalidCurve, NotASquare, NotOnCurve)
 from .xonly import (MINUS_ONE, XADD, XDBL, XZPoint, _odd, get_3_isog,
-                    odd_codomain, odd_image, odd_rows, xadd, xdbl, xmul)
+                    odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
+                    xmul)
 
 
 def _require_a1(curve: EdwardsCurve):
@@ -78,50 +67,36 @@ def is_order3_abscissa(alpha, d) -> bool:
 
 class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
-    order l = 2s+1, as x-line points (X_i : Z_i): from a full point, with
-    its points as `points` and Z_i = 1, or from x, with `points` None.
-    Their affine x_i, `xs`, are made on first use, by an inversion of
-    their own or the chain's one for all its steps (`_fill`)."""
+    order l = 2s+1, as x-line points (X_i : Z_i).  Their affine x_i, `xs`,
+    are made on first use, by an inversion of their own or the chain's one
+    for all its steps (`_fill`).  A kernel from a full point Q keeps it as
+    `generator`, and its `points`, the representatives with their y, are
+    recovered on first read; from x alone both are None."""
 
-    def __init__(self, domain: EdwardsCurve, degree: int, X: list, Z: list,
-                 points: list[AffinePoint] | None = None):
+    def __init__(self, domain: EdwardsCurve, degree: int, X: list, Z: list):
         self.domain, self.degree, self.X, self.Z = domain, degree, X, Z
-        self.points, self._fill = points, None
+        self.generator, self._fill = None, None
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
                        domain: EdwardsCurve) -> "OddKernel":
+        """<Q> for a full point Q of the domain: `from_x` on (x(Q) : 1),
+        after the checks a full point allows.  Q lies on the domain and is
+        not O, and 2Q is not a point at infinity, where the affine law
+        raises ExceptionalPair and the x-line would report only a wrong
+        order."""
         _require_a1(domain)
         _check_degree(degree)
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
         if Q.is_identity():
             raise BadKernelGenerator("kernel generator is the neutral element")
-        # Q, 2Q, ..., sQ, projective, stopping at the first that is O;
-        # then P = (s+1)Q.
-        Q1 = Q.projective()
-        multiples = [Q1]
-        P = domain.double_proj(Q1)
-        while len(multiples) < degree // 2:
-            X, Y, Z = P
-            if X == Z and Y.is_zero():
-                raise BadKernelGenerator(
-                    f"generator order divides a proper factor of {degree}")
-            multiples.append(P)
-            P = domain.add_proj(P, Q1)
-        # (s+1)Q = -(sQ) is equivalent to (2s+1)Q = O; together with the
-        # non-identity representatives this pins the order to exactly 2s+1.
-        X1, Y1, Z1 = P
-        Xs, Ys, Zs = multiples[-1]
-        if degree == 3:                  # sQ = Q, whose Z is one
-            same = X1 == Xs * Z1 and (Y1 + Ys * Z1).is_zero()
-        else:
-            same = X1 * Zs == Xs * Z1 and (Y1 * Zs + Ys * Z1).is_zero()
-        if not same:
-            raise BadKernelGenerator(f"generator does not have order {degree}")
-        reps = [Q] + [to_affine(P) for P in multiples[1:]]
-        return cls(domain, degree, [P.x for P in reps],
-                   [domain.field.one] * len(reps), points=reps)
+        t = Q.x.square() + Q.y.square()    # 2Q = ((x^2 - y^2)/(2 - t), 2xy/t)
+        if t.is_zero() or t == 2:
+            raise ExceptionalPair("double lies at infinity")
+        kernel = cls.from_x((Q.x, domain.field.one), degree, domain)
+        kernel.generator = Q
+        return kernel
 
     @classmethod
     def from_x(cls, K: tuple, degree: int, domain: EdwardsCurve,
@@ -129,7 +104,7 @@ class OddKernel:
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
         with no inversion; c is the domain's (C - D, C) if the caller has
-        it.  The checks of `from_generator`, projectively: K is not O
+        it.  The kernel checks, projectively: K is not O
         (X = Z), no multiple 2K, ..., sK is O, and X_{s+1} Z_s =
         X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the order
         to exactly l, so no multiple lies at infinity (orders 2 and 4) and
@@ -163,24 +138,29 @@ class OddKernel:
         return vars(self)["xs"]
 
     A = cached_property(lambda self: _product(self.xs))
-    x_sq = cached_property(lambda self: [x.square() for x in self.xs])
+
+    @cached_property
+    def points(self) -> list[AffinePoint] | None:
+        """Q, 2Q, ..., sQ with their y, each after Q by `recover_xy` from
+        Q and the x-line multiples jQ and (j+1)Q, x((s+1)Q) = x(sQ) for
+        the last: 16M + 4S + I a point.  None without a generator."""
+        Q, E = self.generator, self.domain
+        if Q is None:
+            return None
+        K = [*zip(self.X, self.Z)]
+        K.append(K[-1])
+        return [Q] + [AffinePoint(*recover_xy(Q, K[j], K[j + 1], E.a, E.d))
+                      for j in range(1, len(self.X))]
 
     @cached_property
     def y_sq(self) -> list:
-        """y_i^2: squared from the points, or, for an x-line kernel,
-        (1 - x_i^2)/(1 - d x_i^2) by an inversion of its own."""
-        if self.points is not None:
-            return [P.y.square() for P in self.points]
+        """y_i^2 = (1 - x_i^2)/(1 - d x_i^2), by an inversion of its own."""
         one, d = self.domain.field.one, self.domain.d
-        return _divide([(one - x2, one - d * x2) for x2 in self.x_sq])
-
-    @cached_property
-    def a_sq(self):
-        """A^2; at degree 3, where A = x(Q), the x(Q)^2 of `x_sq`."""
-        return self.x_sq[0] if self.degree == 3 else self.A.square()
+        return _divide([(one - x2, one - d * x2)
+                        for x2 in (x.square() for x in self.xs)])
 
     def full_points(self) -> list[AffinePoint]:
-        """The whole subgroup: O and ±Q_i.  An x-line kernel's ±y_i are
+        """The whole subgroup: O and ±Q_i.  Without a generator, ±y_i are
         the two square roots of y_i^2, so it needs no sign."""
         sqrt = self.domain.field.sqrt
         reps = self.points or [AffinePoint(x, sqrt(y2))
@@ -188,12 +168,9 @@ class OddKernel:
         return [self.domain.identity] + [Q for P in reps for Q in (P, P.neg())]
 
     def codomain_pair(self) -> tuple:
-        """(D', C'), d' = D'/C': (A^8 d^l, 1) from the points; from x,
-        `get_3_isog`'s at l = 3, else `odd_codomain`'s
-        ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over the domain's (D : C)."""
-        if self.points is not None:
-            a8 = self.a_sq.square().square()
-            return a8 * self.domain.d ** self.degree, self.domain.field.one
+        """(D', C'), d' = D'/C': `get_3_isog`'s at l = 3, else
+        `odd_codomain`'s ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over the
+        domain's (D : C)."""
         if self.degree == 3:
             params = get_3_isog(XZPoint(self.X[0], self.Z[0]))
             return params.D, params.C
@@ -239,13 +216,6 @@ class OddIsogeny:
     def __init__(self, kernel: OddKernel):
         self.kernel, self.domain = kernel, kernel.domain
         self.codomain = _PairCurve(self.domain.field, *kernel.codomain_pair())
-        # The full map's terms; an x-line kernel's oracle forms them a push.
-        self._terms = self._map_terms() if kernel.points is not None else None
-
-    def _map_terms(self) -> list:
-        d = self.domain.d
-        return [(a2, b2, d * a2, d * b2)
-                for a2, b2 in zip(self.kernel.x_sq, self.kernel.y_sq)]
 
     @property
     def degree(self) -> int:
@@ -256,26 +226,11 @@ class OddIsogeny:
         return self.codomain.d
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
-        """phi(P).  P must lie on the domain; it is not checked, as a
-        chain pushes every point at every step.  Outside input goes
-        through `EdwardsCurve.check_point` first."""
-        return to_affine(self.push(P.projective()))
-
-    def push(self, P: tuple) -> tuple:
-        """phi on a projective triple (X : Y : Z) of the domain, with no
-        inversion; ExceptionalInput at a pole."""
-        X, Y, Z = P
-        X2, Z2 = X.square(), Z.square()
-        terms = self._terms or self._map_terms()
-        num_x = _product(X2 - b2 * Z2 for _, b2, _, _ in terms)
-        num_y = _product(X2 - a2 * Z2 for a2, _, _, _ in terms)
-        den_x = _product(Z2 - db2 * X2 for _, _, _, db2 in terms)
-        den_y = _product(Z2 - da2 * X2 for _, _, da2, _ in terms)
-        Z_out = self.kernel.a_sq * Z * den_x * den_y
-        if Z_out.is_zero():
-            raise ExceptionalInput(
-                f"{to_affine(P)!r} is a pole of the isogeny")
-        return (X * num_x * den_y, -Y * num_y * den_x, Z_out)
+        """phi(P) by `image` and one inversion; ExceptionalInput at a
+        pole.  P must lie on the domain; it is not checked, as a chain
+        pushes every point at every step.  Outside input goes through
+        `EdwardsCurve.check_point` first."""
+        return _carry([self], [P])[0][0]
 
     @cached_property
     def _y_map(self) -> tuple:
@@ -295,11 +250,11 @@ class OddIsogeny:
             Y' = -Y C^s prod Z_i^2 prod (Z_i^2 X^2 - X_i^2 Z^2)
             W' = W prod X_i^2 prod (C Z_i^2 Z^2 - D X_i^2 X^2),
 
-        whose product in Y' is (-1)^s that of `odd_products`.  cost:
+        whose product in Y' is (-1)^s that of the two products
+        `odd_image` squares, which `_odd` returns with its image.  cost:
         (7s + 3)M + 4S."""
         X, Z, Y, W = P
-        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.X, self.kernel.Z,
-                                   True, True)
+        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.X, self.kernel.Z, True)
         XX, ZZ = X.square(), Z.square()
         cy, terms = self._y_map
         den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
@@ -313,6 +268,22 @@ class OddIsogeny:
 
 def _product(factors):
     return reduce(mul, factors)
+
+
+def _carry(steps: list, points: list, *fractions) -> tuple:
+    """`points` pushed through `steps` by `OddIsogeny.image` and made
+    affine, with the quotient of each of `fractions`, by one inversion;
+    ExceptionalInput if an image lies at infinity."""
+    one = steps[0].domain.field.one
+    images = [(P.x, one, P.y, one) for P in points]
+    for step in steps:
+        images = [step.image(P) for P in images]
+    if any(V.is_zero() for _, Z, _, W in images for V in (Z, W)):
+        raise ExceptionalInput("an image is a point at infinity")
+    q = _divide([f for X, Z, Y, W in images for f in ((X, Z), (Y, W))]
+                + list(fractions))
+    n = 2 * len(images)
+    return [AffinePoint(*q[i:i + 2]) for i in range(0, n, 2)], q[n:]
 
 
 def _divide(fractions: list) -> list:
@@ -477,22 +448,7 @@ class IsogenyChain:
             E = step.codomain
         self.codomain, self.images = E, []
         if images:
-            self.images, (E.d,) = self._carry(images, (E.D, E.C))
-
-    def _carry(self, points: list, *fractions) -> tuple:
-        """`points` pushed through every step by `OddIsogeny.image` and
-        made affine, with the quotient of each of `fractions`, by one
-        inversion; ExceptionalInput if an image lies at infinity."""
-        one = self.domain.field.one
-        images = [(P.x, one, P.y, one) for P in points]
-        for step in self.steps:
-            images = [step.image(P) for P in images]
-        if any(V.is_zero() for _, Z, _, W in images for V in (Z, W)):
-            raise ExceptionalInput("an image is a point at infinity")
-        q = _divide([f for X, Z, Y, W in images for f in ((X, Z), (Y, W))]
-                    + list(fractions))
-        n = 2 * len(images)
-        return [AffinePoint(*q[i:i + 2]) for i in range(0, n, 2)], q[n:]
+            self.images, (E.d,) = _carry(self.steps, images, (E.D, E.C))
 
     def _affine_views(self):
         """Each step's d' and kernel x_i, by one inversion for all."""
@@ -507,7 +463,7 @@ class IsogenyChain:
         return prod(self.degrees)
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
-        return self._carry([P])[0][0]
+        return _carry(self.steps, [P])[0][0]
 
     def to_json(self) -> dict:
         return {"degrees": self.degrees,

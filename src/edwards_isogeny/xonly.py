@@ -33,14 +33,14 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
     recover_xy   16M + 4S + I (17M off a = 1), kP from P and xladder's
                  x(kP), x((k+1)P)
 
-`xdbl`, `xadd`, `odd_products`, `odd_image`, `get_3_isog` and
-`odd_codomain` compute inline mod p on the (c0, c1) ints of their
-inputs, c1 = 0 on F_p.  Each adds one fixed tally a call, a row of
-`tally_rows` chosen by its branch: F_p or F_{p^2}, i^2 = -1 or not, and
-C = 1 or not.  The row is what the field elements' operators count for
-the same formula.  Those element formulas are the counted oracle in
-tests/oracles.py, and tests/test_xonly.py::TestRawCore asserts that
-both give the same values and tallies.
+`xdbl`, `xadd`, `odd_image`, `get_3_isog` and `odd_codomain` compute
+inline mod p on the (c0, c1) ints of their inputs, c1 = 0 on F_p.  Each
+adds one fixed tally a call, a row of `tally_rows` chosen by its branch:
+F_p or F_{p^2}, i^2 = -1 or not, and C = 1 or not.  The row is what the
+field elements' operators count for the same formula.  Those element
+formulas are the counted oracle in tests/oracles.py, and
+tests/test_xonly.py::TestRawCore asserts that both give the same values
+and tallies.
 
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
@@ -71,10 +71,9 @@ def tally_rows(m: int, s: int, a: int) -> tuple:
             (4 * m + s, 3 * s, 5 * m + 4 * s + 2 * a, m, s, a))
 
 
-def odd_rows(s: int, projective: bool = True, image: bool = True) -> tuple:
-    """`tally_rows` of `odd_image`, or `odd_products` if not `image`."""
-    m = (4 if projective else 3) * s - 2
-    return tally_rows(m + 2, 2, 2 * s + 4) if image else tally_rows(m, 0, 2 * s)
+def odd_rows(s: int, projective: bool = True) -> tuple:
+    """`tally_rows` of `odd_image` with s kernel points."""
+    return tally_rows((4 if projective else 3) * s, 2, 2 * s + 4)
 
 
 XDBL, XDBL_C1, XADD = tally_rows(4, 2, 4), tally_rows(3, 2, 4), odd_rows(1)
@@ -192,22 +191,17 @@ def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
     This is Costello and Hisil's u' = u * prod ((u u_i - 1)/(u - u_i))^2
     (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
     parameter.  cost: 3sM + 2S affine, 4sM + 2S projective."""
-    return _odd(P, xs, zs, True, False)
+    return _odd(P, xs, zs, False)
 
 
-def odd_products(P: tuple, xs: list, zs: list | None = None) -> tuple:
-    """The products prod (x_i Z + z_i X) and prod (x_i Z - z_i X) of
-    `odd_image`.  cost: (3s - 2)M affine, (4s - 2)M projective."""
-    return _odd(P, xs, zs, False, True)
-
-
-def _odd(P: tuple, xs: list, zs: list | None, image: bool, products: bool,
+def _odd(P: tuple, xs: list, zs: list | None, products: bool,
          D: tuple | None = None) -> tuple:
-    """`odd_image`'s (X', Z') if `image`, then `odd_products`' pair if
-    `products`, tallied as `odd_image` if `image`; with D = (Xd, Zd), F
-    and G take Zd - Xd and -(Zd + Xd) for X + Z and X - Z: `xadd`."""
+    """`odd_image`'s (X', Z'), then, if `products`, the two products
+    prod (x_i Z + z_i X) and prod (x_i Z - z_i X) that it squares, at no
+    extra cost; with D = (Xd, Zd), F and G take Zd - Xd and -(Zd + Xd)
+    for X + Z and X - Z: `xadd`."""
     X, Z = P
-    p, beta, new, f = _enter(odd_rows(len(xs), zs is not None, image),
+    p, beta, new, f = _enter(odd_rows(len(xs), zs is not None),
                              X, Z, *xs, *(zs or ()), *(D or ()))
     x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
     plus = minus = None
@@ -222,8 +216,6 @@ def _odd(P: tuple, xs: list, zs: list | None, image: bool, products: bool,
             _mul(plus, a, p, beta), _mul(minus, b, p, beta))
     (P0, P1), (M0, M1) = plus, minus
     out = (new(P0, P1, f), new(M0, M1, f)) if products else ()
-    if not image:
-        return out
     if D is not None:
         x0, x1, z0, z1 = -D[0]._c0, -D[0]._c1, D[1]._c0, D[1]._c1
     h, FG = 1 + beta, []
@@ -299,7 +291,7 @@ def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
     u = (Z + X)/(Z - X): with s = X1 Z2 and t = Z1 X2,
     (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S,
     as `odd_image` of Q by the kernel P, whose F and G it is."""
-    return _odd(Q, [P[0]], [P[1]], True, False, D)
+    return _odd(Q, [P[0]], [P[1]], False, D)
 
 
 def xladder(k: int, P: tuple, c: tuple) -> tuple:

@@ -1,5 +1,4 @@
 import sys
-from functools import reduce
 from math import prod
 from pathlib import Path
 
@@ -10,10 +9,11 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
-                             EdwardsCurve, ExceptionalInput, IsogenyChain,
-                             OddIsogeny, OddKernel, PrimeField,
+                             EdwardsCurve, ExceptionalInput, FieldElement,
+                             IsogenyChain, PrimeField, QuadExtField,
                              is_probable_prime)
-from oracles import euler_chi, naive_translate_isogeny
+from oracles import (euler_chi, naive_codomain_d, naive_full_map,
+                     naive_scalar_mul, naive_translate_isogeny)
 
 DESK_PRIMES = [p for p in range(11, 104) if is_probable_prime(p)]
 
@@ -49,13 +49,40 @@ def pt(curve, x, y) -> AffinePoint:
     return AffinePoint(curve.field(x), curve.field(y))
 
 
+def raw(v):
+    """The ints of a field element: its value in F_p, (c0, c1) in F_{p^2}."""
+    return v.value if isinstance(v, FieldElement) else (v._c0, v._c1)
+
+
+def raw_point(P) -> tuple:
+    return raw(P.x), raw(P.y)
+
+
+def beta_of(field):
+    """The oracles' beta: i^2 of F_{p^2}, None for F_p."""
+    return field.beta if isinstance(field, QuadExtField) else None
+
+
+def element_point(field, P) -> AffinePoint:
+    """An oracle's raw (x, y) as a point of `field`."""
+    return AffinePoint(*(field(*v) if isinstance(v, tuple) else field(v)
+                         for v in P))
+
+
+def oracle_kernel(Q, l: int, p: int, d: int, beta=None) -> list:
+    """Q, 2Q, ..., sQ, l = 2s + 1, by repeated addition on raw ints."""
+    return [naive_scalar_mul(j, Q, p, 1, d, beta)
+            for j in range(1, l // 2 + 1)]
+
+
 def translate_image(phi, P) -> AffinePoint:
-    """phi(P) by the raw-integer translate-product oracle."""
-    field = phi.domain.field
-    kernel = [(Q.x.value, Q.y.value) for Q in phi.kernel.points]
-    x, y = naive_translate_isogeny((P.x.value, P.y.value), kernel,
-                                   field.p, phi.domain.d.value)
-    return AffinePoint(field(x), field(y))
+    """phi(P) by the raw-integer translate-product oracle, over the
+    kernel that repeated addition makes from the generator of phi."""
+    field, d = phi.domain.field, phi.domain.d.value
+    kernel = oracle_kernel(raw_point(phi.kernel.generator), phi.degree,
+                           field.p, d)
+    return element_point(field, naive_translate_isogeny(
+        raw_point(P), kernel, field.p, d))
 
 
 @st.composite
@@ -93,40 +120,48 @@ def ladder_offsets(k: int) -> list[int]:
 
 
 def assert_cofactor_walk(curve, G, degrees):
-    """The chain's kernels are those of the O(e^2) definition: step i's
-    kernel is generated by K = prod(degrees[i+1:]) * G_i on its domain
-    E_i, with G_i the image of G under the steps before it.  A chain
-    kernel has no y sign, so its representatives' x are compared with
-    x(K), ..., x(sK) from `scalar_mul`, and its codomain with that of
-    the full-point kernel of K."""
+    """The chain's kernels are those of the O(e^2) definition, on raw
+    ints: step i's kernel is generated by K = prod(degrees[i+1:]) * G_i
+    on its domain E_i, with G_i the image of G under the steps before it.
+    A chain kernel has no y sign, so its representatives' x are compared
+    with x(K), ..., x(sK) by repeated addition, its d' with A^8 d^l, and
+    G_i is carried by the full map of those x on the oracle's d."""
     chain = IsogenyChain(curve, G, degrees)
     assert [step.degree for step in chain.steps] == degrees
+    p, beta = curve.field.p, beta_of(curve.field)
+    G, d = raw_point(G), raw(curve.d)
     for i, step in enumerate(chain.steps):
-        E, l = step.domain, step.degree
-        K = E.scalar_mul(prod(degrees[i + 1:]), G)
-        assert step.kernel.xs == [E.scalar_mul(j, K).x
-                                  for j in range(1, l // 2 + 1)]
-        full = OddIsogeny(OddKernel.from_generator(K, l, E))
-        assert step.codomain_d == full.codomain_d
-        G = step(G)
-    assert G.is_identity()
+        l = step.degree
+        K = naive_scalar_mul(prod(degrees[i + 1:]), G, p, 1, d, beta)
+        xs = [Q[0] for Q in oracle_kernel(K, l, p, d, beta)]
+        assert [raw(x) for x in step.kernel.xs] == xs
+        G, d = (naive_full_map(G, xs, p, d, beta),
+                naive_codomain_d(xs, p, d, l, beta))
+        assert raw(step.codomain_d) == d
+    assert G == raw_point(chain.codomain.identity)
 
 
 def assert_images_match_the_full_map(curve, G, degrees, points):
     """Points carried as `images` and points given to chain(P), pushed
-    by `odd_image` and the y-map, come out as the steps' full maps
-    (`OddIsogeny.push`) composed one by one give them, and raise
-    ExceptionalInput exactly where those do."""
+    by `odd_image` and the y-map, come out as the raw full maps of the
+    steps' kernels (`oracles.naive_full_map`) composed one by one give
+    them, and raise ExceptionalInput exactly where one has a pole."""
     chain = IsogenyChain(curve, G, degrees)
+    field = curve.field
+    p, beta = field.p, beta_of(field)
+    maps = [([raw(x) for x in step.kernel.xs], raw(step.domain.d))
+            for step in chain.steps]
     want = []
     for P in points:
-        try:
-            want.append(reduce(lambda Q, step: step(Q), chain.steps, P))
-        except ExceptionalInput:
+        Q = raw_point(P)
+        for xs, d in maps:
+            Q = Q and naive_full_map(Q, xs, p, d, beta)
+        if Q is None:
             want.append(None)
             with pytest.raises(ExceptionalInput):
                 chain(P)
         else:
+            want.append(element_point(field, Q))
             assert chain(P) == want[-1]
     if None in want:
         with pytest.raises(ExceptionalInput):

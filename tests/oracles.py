@@ -2,8 +2,10 @@
 
 These deliberately share no code with the library: enumeration solves
 the curve equation directly, scalar multiples come from repeated
-addition, isogenies are products of group-law translates, and the
-j-invariant goes through the Montgomery model.  Test
+addition, isogenies are products of group-law translates or the full
+rational map, and the j-invariant goes through the Montgomery model.
+The addition law, repeated addition and both isogeny maps also run over
+F_{p^2}, on (c0, c1) int pairs by the schoolbook `naive_fp2_*`.  Test
 expectations are computed here (or frozen from a previous run of these
 oracles) and compared against the library's optimized paths.
 
@@ -47,25 +49,45 @@ def naive_order(p: int, a: int, d: int) -> int:
     return len(naive_points(p, a, d)) + naive_singular_count(p, a, d)
 
 
-def naive_add(P, Q, p: int, a: int, d: int):
-    """Modified addition law; returns None when the sum is singular."""
-    x1, y1 = P
-    x2, y2 = Q
-    t = d * x1 * x2 * y1 * y2 % p
-    den_x = (1 - t) % p
-    den_y = (1 + t) % p
-    if den_x == 0 or den_y == 0:
+def _arith(p: int, beta):
+    """(add, sub, mul, inverse, lift) of F_p on ints when beta is None,
+    else of F_{p^2} on (c0, c1) int pairs with i^2 = beta, by
+    `naive_fp2_mul` and `naive_fp2_inverse`; inverse gives None for
+    zero, and lift takes an int or a pair into the field."""
+    if beta is None:
+        return (lambda x, y: (x + y) % p, lambda x, y: (x - y) % p,
+                lambda x, y: x * y % p,
+                lambda x: pow(x, -1, p) if x % p else None,
+                lambda v: v % p)
+    return (lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
+            lambda x, y: ((x[0] - y[0]) % p, (x[1] - y[1]) % p),
+            lambda x, y: naive_fp2_mul(x, y, p, beta),
+            lambda x: naive_fp2_inverse(x, p, beta),
+            lambda v: (v[0] % p, v[1] % p) if isinstance(v, tuple)
+            else (v % p, 0))
+
+
+def naive_add(P, Q, p: int, a: int, d: int, beta=None):
+    """Modified addition law; returns None when the sum is singular.
+    Over F_{p^2} (i^2 = beta) each coordinate is a (c0, c1) pair."""
+    add, sub, mul, inv, lift = _arith(p, beta)
+    (x1, y1), (x2, y2) = map(lift, P), map(lift, Q)
+    t = mul(mul(lift(d), mul(x1, x2)), mul(y1, y2))
+    one = lift(1)
+    den_x, den_y = inv(sub(one, t)), inv(add(one, t))
+    if den_x is None or den_y is None:
         return None
-    x3 = (x1 * x2 - a * y1 * y2) * pow(den_x, -1, p) % p
-    y3 = (x1 * y2 + x2 * y1) * pow(den_y, -1, p) % p
-    return (x3, y3)
+    x3 = mul(sub(mul(x1, x2), mul(lift(a), mul(y1, y2))), den_x)
+    return (x3, mul(add(mul(x1, y2), mul(x2, y1)), den_y))
 
 
-def naive_scalar_mul(k: int, P, p: int, a: int, d: int):
-    """k*P by k-fold repeated addition (no doubling shortcuts)."""
-    acc = (1, 0)
+def naive_scalar_mul(k: int, P, p: int, a: int, d: int, beta=None):
+    """k*P by k-fold repeated addition (no doubling shortcuts), over F_p
+    or, with beta, over F_{p^2}."""
+    lift = _arith(p, beta)[4]
+    acc = (lift(1), lift(0))
     for _ in range(k):
-        acc = naive_add(acc, P, p, a, d)
+        acc = naive_add(acc, P, p, a, d, beta)
         if acc is None:
             return None
     return acc
@@ -196,28 +218,68 @@ def montgomery_x_mul(k: int, P, p: int, a: int, d: int):
     return (u - 1) * pow(u + 1, -1, p) % p
 
 
-def naive_translate_isogeny(P, kernel, p: int, d: int):
+def naive_translate_isogeny(P, kernel, p: int, d: int, beta=None):
     """Odd isogeny of E_{1,d} with kernel {O, +-Q_1, ..., +-Q_s}, by its
     defining product of group-law translates:
     x' = x * prod x(P+Q) x(P-Q) / A^2, y' = y * prod y(P+Q) y(P-Q) / A^2,
     with A the product of the x(Q_i).  For even s the raw product is the
     negation of the reduced rational map, so y' is negated to land on the
-    same representative.  Returns None when a translate is singular."""
-    x, y = P
-    a_prod = 1
+    same representative.  Returns None when a translate is singular.
+    Over F_{p^2} (i^2 = beta) each coordinate is a (c0, c1) pair."""
+    _, sub, mul, inv, lift = _arith(p, beta)
+    x, y = map(lift, P)
+    a_prod = lift(1)
     for Q in kernel:
-        R1 = naive_add(P, Q, p, 1, d)
-        R2 = naive_add(P, (Q[0], -Q[1] % p), p, 1, d)
+        R1 = naive_add(P, Q, p, 1, d, beta)
+        R2 = naive_add(P, (Q[0], sub(lift(0), lift(Q[1]))), p, 1, d, beta)
         if R1 is None or R2 is None:
             return None
-        x = x * R1[0] * R2[0] % p
-        y = y * R1[1] * R2[1] % p
-        a_prod = a_prod * Q[0] % p
-    inv_a2 = pow(a_prod * a_prod, -1, p)
-    x, y = x * inv_a2 % p, y * inv_a2 % p
+        x = mul(mul(x, R1[0]), R2[0])
+        y = mul(mul(y, R1[1]), R2[1])
+        a_prod = mul(a_prod, lift(Q[0]))
+    inv_a2 = inv(mul(a_prod, a_prod))
+    x, y = mul(x, inv_a2), mul(y, inv_a2)
     if len(kernel) % 2 == 0:
-        y = -y % p
+        y = sub(lift(0), y)
     return (x, y)
+
+
+def naive_full_map(P, xs, p: int, d: int, beta=None):
+    """The same isogeny by its reduced rational map, from the kernel
+    abscissas x_1, ..., x_s alone: with y_i^2 = (1 - x_i^2)/(1 - d x_i^2)
+    and A the product of the x_i,
+
+        x' = (x/A^2) prod (x^2 - y_i^2) / (1 - d y_i^2 x^2)
+        y' = (-y/A^2) prod (x^2 - x_i^2) / (1 - d x_i^2 x^2).
+
+    The x_i are those of a kernel of odd order, none at infinity.
+    Returns None at a pole, where a denominator of either product is
+    zero.  Over F_{p^2} (i^2 = beta) each value is a (c0, c1) pair."""
+    _, sub, mul, inv, lift = _arith(p, beta)
+    one, d = lift(1), lift(d)
+    x, y = map(lift, P)
+    x2 = mul(x, x)
+    x_out, y_out, a2 = x, sub(lift(0), y), one
+    for xi in map(lift, xs):
+        xi2 = mul(xi, xi)
+        yi2 = mul(sub(one, xi2), inv(sub(one, mul(d, xi2))))
+        den_x, den_y = (inv(sub(one, mul(mul(d, v), x2))) for v in (yi2, xi2))
+        if den_x is None or den_y is None:
+            return None
+        x_out = mul(mul(x_out, sub(x2, yi2)), den_x)
+        y_out = mul(mul(y_out, sub(x2, xi2)), den_y)
+        a2 = mul(a2, xi2)
+    inv_a2 = inv(a2)
+    return mul(x_out, inv_a2), mul(y_out, inv_a2)
+
+
+def naive_codomain_d(xs, p: int, d: int, l: int, beta=None):
+    """d' = A^8 d^l of the degree-l isogeny with kernel abscissas xs."""
+    _, _, mul, _, lift = _arith(p, beta)
+    out = lift(1)
+    for v in [*xs] * 8 + [d] * l:
+        out = mul(out, lift(v))
+    return out
 
 
 def montgomery_j(a: int, d: int, p: int) -> int:
@@ -281,8 +343,10 @@ def counted_xadd(P, Q, D):
     return U - W, U + W
 
 
-def counted_odd_products(P, xs, zs=None):
-    """xonly.odd_products: prod (x_i Z + z_i X), prod (x_i Z - z_i X)."""
+def counted_odd(P, xs, zs=None):
+    """xonly._odd with its products: (F + G, F - G, plus, minus) with
+    plus = prod (x_i Z + z_i X), minus = prod (x_i Z - z_i X),
+    F = (X + Z) plus^2 and G = (X - Z) minus^2."""
     X, Z = P
     plus = minus = None
     for i, x in enumerate(xs):
@@ -291,17 +355,14 @@ def counted_odd_products(P, xs, zs=None):
             plus, minus = u + v, u - v
         else:
             plus, minus = plus * (u + v), minus * (u - v)
-    return plus, minus
+    F = (X + Z) * plus.square()
+    G = (X - Z) * minus.square()
+    return F + G, F - G, plus, minus
 
 
 def counted_odd_image(P, xs, zs=None):
-    """xonly.odd_image: (F + G, F - G), F = (X + Z) plus^2 and
-    G = (X - Z) minus^2."""
-    X, Z = P
-    plus, minus = counted_odd_products(P, xs, zs)
-    F = (X + Z) * plus.square()
-    G = (X - Z) * minus.square()
-    return F + G, F - G
+    """xonly.odd_image: the first two values of `counted_odd`."""
+    return counted_odd(P, xs, zs)[:2]
 
 
 def counted_get_3_isog(X1, Z1):

@@ -93,11 +93,16 @@ class TestIsogeny:
 
     def test_kernel_lists_full_points(self, capsys):
         """The kernel of the `isogeny` command comes from the full point,
-        so it prints with its y."""
+        so it prints with its y: the generator's, then each multiple's
+        exact sign, recovered from the x-line."""
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
                              "--degree", "3", "--gen", "-10,9")
         assert code == 0
         assert doc["kernel"] == [[-10, 9]]
+        code, doc = run_json(capsys, "isogeny", "--p", "19", "--d", "-1",
+                             "--degree", "5", "--gen", "6,4")
+        assert code == 0
+        assert doc["kernel"] == [[6, 4], [-8, -2]]
 
     def test_bad_generator_is_domain_error(self, capsys):
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
@@ -140,13 +145,13 @@ class TestIsogeny:
 
     def test_point_check_is_uncounted(self, capsys):
         """The on-curve check of --gen and --point adds no operations:
-        the tallies are the generator check, the codomain and one
-        evaluation."""
+        the tallies are the generator check, the x-line kernel, the
+        codomain (D' : C') and its d', and one evaluation."""
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
                              "--degree", "3", "--gen", "-10,9",
                              "--point", "2,2")
         assert code == 0
-        assert doc["counters"] == {"M": 24, "S": 13, "I": 1, "A": 15}
+        assert doc["counters"] == {"M": 30, "S": 15, "I": 2, "A": 29}
 
 
 class TestChain:

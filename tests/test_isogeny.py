@@ -1,5 +1,7 @@
 import hashlib
+import random
 from functools import lru_cache, reduce
+from math import prod
 from time import perf_counter
 
 import pytest
@@ -20,9 +22,11 @@ from edwards_isogeny.sidh import SIDE_A, SIDE_B
 from edwards_isogeny.xonly import odd_image, xmul
 
 from conftest import (DESK_PRIMES, assert_cofactor_walk,
-                      assert_images_match_the_full_map, desk_curves, pt,
+                      assert_images_match_the_full_map, beta_of, desk_curves,
+                      element_point, oracle_kernel, pt, raw, raw_point,
                       translate_image)
-from oracles import naive_translate_isogeny
+from oracles import (naive_codomain_d, naive_full_map, naive_points,
+                     naive_scalar_mul, naive_translate_isogeny)
 
 # Evaluation routes: the library's rational map and the translate-product
 # ("additive") oracle.
@@ -106,12 +110,13 @@ class TestKernel:
 
     def test_stops_at_first_identity(self, e23):
         """An order-3 generator with degree 200001 stops at 3Q = O: the
-        on-curve check, one doubling and one addition, not 100,000."""
+        on-curve and double checks, then one x-line doubling and one
+        addition, not 100,000."""
         ctx = OpCounter()
         with e23.field.counting(ctx), pytest.raises(
                 BadKernelGenerator, match="proper factor of 200001"):
             OddKernel.from_generator(pt(e23, -10, 9), 200001, e23)
-        assert ctx.as_dict() == {"M": 15, "S": 7, "I": 0, "A": 16}
+        assert ctx.as_dict() == {"M": 9, "S": 8, "I": 0, "A": 14}
 
     def test_rejects_degree_above_desk_scale(self, e23):
         """A kernel holds (degree - 1)/2 points, so the degree is capped
@@ -303,11 +308,10 @@ class TestProjectiveEvaluation:
         phi = OddIsogeny(OddKernel.from_generator(
             data.draw(st.sampled_from(gens)), l, curve))
         p, d = curve.field.p, curve.d.value
-        kernel = [(Q.x.value, Q.y.value) for Q in phi.kernel.points]
+        kernel = oracle_kernel(raw_point(phi.kernel.generator), l, p, d)
         for P in data.draw(st.lists(st.sampled_from(curve.points()),
                                     min_size=1, max_size=8)):
-            want = naive_translate_isogeny((P.x.value, P.y.value),
-                                           kernel, p, d)
+            want = naive_translate_isogeny(raw_point(P), kernel, p, d)
             if want is None:
                 with pytest.raises(ExceptionalInput):
                     phi(P)
@@ -333,15 +337,19 @@ class TestProjectiveEvaluation:
             else:
                 assert chain(P) == want
 
-    @pytest.mark.parametrize("phi_name,M", [("phi3", 11), ("phi5", 19)])
-    def test_push_costs(self, request, phi_name, M):
-        """(8s + 3)M + 2S per pushed point, s = (l - 1)/2, and no
-        inversion."""
+    @pytest.mark.parametrize("phi_name,xy", [("phi3", (3, 6)),
+                                             ("phi5", (4, 6))],
+                             ids=["phi3", "phi5"])
+    def test_call_costs(self, request, phi_name, xy):
+        """phi(P) is `image`, (7s + 3)M + 4S with s = (l - 1)/2 once the
+        y-map's constants are formed, and one inversion of the two
+        denominators, 5M + I when neither is one, as at these P."""
         phi = request.getfixturevalue(phi_name)
-        P = phi.domain.points()[3].projective()
+        phi._y_map
+        P, s = pt(phi.domain, *xy), phi.degree // 2
         with phi.domain.field.counting(OpCounter()) as ctx:
-            phi.push(P)
-        assert (ctx.m, ctx.s, ctx.i) == (M, 2, 0)
+            phi(P)
+        assert (ctx.m, ctx.s, ctx.i) == (7 * s + 8, 4, 1)
 
 
 def draw_smooth_generator(curve, data) -> tuple:
@@ -377,27 +385,42 @@ class TestXLineKernel:
 
     @pytest.mark.parametrize("l", [3, 5, 7, 9, 15])
     def test_accepts_what_from_generator_accepts(self, l):
-        """Every point of the first 16 a = 1 desk curves whose order l
-        divides, as a generator of degree l: from_x accepts exactly the
-        points that from_generator accepts, and then with the same x_i,
-        x_i^2, y_i^2, A, d' and subgroup; every other point raises
-        BadKernelGenerator."""
+        """Every point P of the first 16 a = 1 desk curves whose order l
+        divides, as a generator of degree l: `from_x` and
+        `from_generator` accept exactly the points of order l by
+        repeated addition on raw ints, and then give the x_i, y_i^2, A,
+        d' = A^8 d^l and subgroup of those multiples, `from_generator`
+        its representatives with their signs; every other point raises
+        BadKernelGenerator (ExceptionalPair from `from_generator` where
+        2P lies at infinity)."""
         accepted = 0
         for p, d in a1_curves_with_torsion(l)[:16]:
             curve = a1_curve(p, d)
+            field = curve.field
             for P in curve.points():
-                try:
-                    want = OddKernel.from_generator(P, l, curve)
-                except (BadKernelGenerator, ExceptionalPair):
+                multiples = [naive_scalar_mul(j, raw_point(P), p, 1, d)
+                             for j in range(1, l + 1)]
+                if (None in multiples or (1, 0) in multiples[:-1]
+                        or multiples[-1] != (1, 0)):
                     with pytest.raises(BadKernelGenerator):
                         OddKernel.from_x(line(P, 3), l, curve)
+                    with pytest.raises((BadKernelGenerator, ExceptionalPair)):
+                        OddKernel.from_generator(P, l, curve)
                     continue
-                got = OddKernel.from_x(line(P, 3), l, curve)
-                assert got.xs == want.xs and got.A == want.A
-                assert (got.x_sq, got.y_sq) == (want.x_sq, want.y_sq)
-                assert (OddIsogeny(got).codomain_d
-                        == OddIsogeny(want).codomain_d)
-                assert set(got.full_points()) == set(want.full_points())
+                reps = multiples[:l // 2]
+                xs = [x for x, _ in reps]
+                from_gen = OddKernel.from_generator(P, l, curve)
+                for got in (OddKernel.from_x(line(P, 3), l, curve), from_gen):
+                    assert [raw(x) for x in got.xs] == xs
+                    assert raw(got.A) == prod(xs) % p
+                    assert [raw(v) for v in got.y_sq] == [
+                        y * y % p for _, y in reps]
+                    assert raw(OddIsogeny(got).codomain_d) == (
+                        naive_codomain_d(xs, p, d, l))
+                    assert set(got.full_points()) == {
+                        element_point(field, Q) for Q in multiples}
+                assert from_gen.points == [element_point(field, Q)
+                                           for Q in reps]
                 accepted += 1
         assert accepted > 0
 
@@ -405,7 +428,8 @@ class TestXLineKernel:
     def test_odd_image_matches_call(self, l):
         """x of phi(P) for every point of every a = 1 desk curve with
         l-torsion up to p = 59 and one generator each, the image point
-        scaled; poles are left to TestProjectiveEvaluation."""
+        scaled, and phi(P) itself, against the raw full map; phi raises
+        ExceptionalInput at its poles."""
         checked = 0
         for p, d in a1_curves_with_torsion(l):
             if p > 59:
@@ -414,11 +438,15 @@ class TestXLineKernel:
             G = next(P for P in curve.points() if not P.is_identity()
                      and annihilated_by(curve, P, l))
             phi = OddIsogeny(OddKernel.from_generator(G, l, curve))
+            xs = [Q[0] for Q in oracle_kernel(raw_point(G), l, p, d)]
             for P in curve.points():
-                try:
-                    want = phi(P)
-                except ExceptionalInput:
+                want = naive_full_map(raw_point(P), xs, p, d)
+                if want is None:
+                    with pytest.raises(ExceptionalInput):
+                        phi(P)
                     continue
+                want = element_point(curve.field, want)
+                assert phi(P) == want
                 X, Z = odd_image(line(P, 5), phi.kernel.xs)
                 assert X == want.x * Z
                 checked += 1
@@ -457,6 +485,107 @@ class TestXLineKernel:
         with curve.field.counting(OpCounter()) as ctx:
             OddIsogeny(built)
         assert (ctx.m, ctx.s, ctx.i, ctx.a) == codomain
+
+
+def fp2_kernel_generator(params, l):
+    """A point of order l on setup(3, 2)'s curve over F_{2699^2}: 9 P_A
+    or 5 P_B, whose bases have orders 27 and 25."""
+    E = params.curve
+    return E.scalar_mul(9, params.basis_a.P) if l == 3 else E.scalar_mul(
+        5, params.basis_b.P)
+
+
+def fp2_points(params, n: int = 6) -> list:
+    """The four basis points of setup(3, 2) and n seeded random points."""
+    E, rng, out = params.curve, random.Random(5), []
+    while len(out) < n:
+        try:
+            out.append(recover_y(E.field.random_element(rng), E))
+        except (ExceptionalInput, NotOnCurve):
+            pass
+    a, b = params.basis_a, params.basis_b
+    return [a.P, a.Q, b.P, b.Q] + out
+
+
+class TestOneRoute:
+    """A kernel from a full point runs on the x-line, as a chain's does:
+    no second, full-point route."""
+
+    @pytest.mark.parametrize("where,l", [("F_23", 3), ("F_2699^2", 3),
+                                         ("F_2699^2", 5)])
+    def test_full_point_law_is_never_reached(self, where, l, monkeypatch):
+        """With `double_proj` and `add_proj` patched to raise, a kernel
+        is built from a full generator and its isogeny called on points,
+        each image the raw translate product's; its `points` are not
+        formed until read, and are then the oracle's multiples with
+        their signs."""
+        if where == "F_23":
+            field = PrimeField(23)
+            E = EdwardsCurve(field, field.one, field(-1))
+            G, points = pt(E, -10, 9), E.points()
+        else:
+            params = setup(3, 2, seed=1)
+            E, field = params.curve, params.field
+            G, points = fp2_kernel_generator(params, l), fp2_points(params)
+        p, d, beta = field.p, raw(E.d), beta_of(field)
+        kernel = oracle_kernel(raw_point(G), l, p, d, beta)
+        want = [element_point(field, naive_translate_isogeny(
+            raw_point(P), kernel, p, d, beta)) for P in points]
+
+        def refuse(self, *args):
+            raise AssertionError("full-point law called")
+
+        monkeypatch.setattr(EdwardsCurve, "double_proj", refuse)
+        monkeypatch.setattr(EdwardsCurve, "add_proj", refuse)
+        phi = OddIsogeny(OddKernel.from_generator(G, l, E))
+        assert [phi(P) for P in points] == want
+        assert "points" not in vars(phi.kernel)
+        assert phi.kernel.points == [element_point(field, Q) for Q in kernel]
+
+
+class TestFullMapOracle:
+    """`oracles.naive_full_map` against the translate product, both on
+    raw ints."""
+
+    @pytest.mark.parametrize("p,d,gen,l,poles", [
+        (23, -1, (-10, 9), 3, 0), (19, -1, (6, 4), 5, 0),
+        (23, 2, (-5, 10), 3, 8)])
+    def test_matches_the_translate_product(self, p, d, gen, l, poles):
+        """Every point of the worked curves at p = 23 and p = 19 (d = -1)
+        and of the quadratic E_{1,2} over F_23, whose 3-isogeny has 8
+        poles: the same image, or None at both."""
+        d %= p
+        kernel = oracle_kernel(gen, l, p, d)
+        points = naive_points(p, 1, d)
+        got = [naive_full_map(P, [x for x, _ in kernel], p, d)
+               for P in points]
+        assert got == [naive_translate_isogeny(P, kernel, p, d)
+                       for P in points]
+        assert got.count(None) == poles
+
+    @pytest.mark.parametrize("l", [3, 5])
+    def test_matches_over_fp2(self, l):
+        """Over F_{2699^2} on a setup(3, 2) kernel: the basis, random
+        points and the poles, the points whose x makes a denominator
+        1 - d v x^2 zero for v = x_i^2 or y_i^2."""
+        params = setup(3, 2, seed=1)
+        E, field = params.curve, params.field
+        p, beta, d = field.p, field.beta, raw(E.d)
+        kernel = oracle_kernel(raw_point(fp2_kernel_generator(params, l)),
+                               l, p, d, beta)
+        points = [raw_point(P) for P in fp2_points(params)]
+        for v in (c for Q in kernel for c in Q):
+            x = field.sqrt((E.d * field(*v).square()).inverse())
+            for sign in (1, -1):
+                try:
+                    points.append(raw_point(recover_y(x * sign, E)))
+                except NotOnCurve:
+                    pass
+        got = [naive_full_map(P, [x for x, _ in kernel], p, d, beta)
+               for P in points]
+        assert got == [naive_translate_isogeny(P, kernel, p, d, beta)
+                       for P in points]
+        assert None in got
 
 
 class TestDivisionPolynomial:
@@ -720,16 +849,16 @@ class TestChain:
         assert (ctx.ext_m, ctx.ext_s, ctx.ext_i) == cost
 
     def test_no_images_no_full_map(self, e23):
-        """A chain forms no y_i^2, no terms of the full map and no affine
-        view: its kernels stay (X_i : Z_i) and its codomains (D' : C').
-        chain(P) pushes P by the y-map, which reads no y_i^2 either."""
+        """A chain forms no y_i^2 and no affine view: its kernels stay
+        (X_i : Z_i) and its codomains (D' : C').  chain(P) pushes P by
+        the y-map, which reads no y_i^2 either, to the raw full map's
+        point."""
         G, P = pt(e23, -10, 9), pt(e23, 3, 6)
         chain = IsogenyChain(e23, G, [3])
         step = chain.steps[0]
-        assert step._terms is None
         assert not {"xs", "y_sq"} & set(vars(step.kernel))
         assert "d" not in vars(step.codomain)
-        assert chain(P) == OddIsogeny(OddKernel.from_generator(G, 3, e23))(P)
+        assert chain(P) == pt(e23, *naive_full_map((3, 6), [-10], 23, -1))
         assert "y_sq" not in vars(step.kernel)
 
 

@@ -6,19 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
-                             FieldMismatch, NotOnCurve, OddIsogeny, OddKernel,
-                             OpCounter, PrimeField, QuadExtElement,
-                             QuadExtField, XZPoint, eval_3_isog, eval_5_isog,
-                             get_3_isog, get_5_isog, recover_y, run_5_isog,
-                             setup)
-from edwards_isogeny.xonly import (ladder3pt, odd_codomain, odd_image,
-                                   odd_products, recover_xy, xadd, xdbl,
-                                   xladder, xmul)
+                             FieldMismatch, NotOnCurve, OpCounter, PrimeField,
+                             QuadExtElement, QuadExtField, XZPoint,
+                             eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
+                             recover_y, run_5_isog, setup)
+from edwards_isogeny.xonly import (_odd, ladder3pt, odd_codomain, odd_image,
+                                   recover_xy, xadd, xdbl, xladder, xmul)
 
 from conftest import desk_curves, ladder_offsets, pt
-from oracles import (counted_get_3_isog, counted_odd_codomain,
-                     counted_odd_image, counted_odd_products, counted_xadd,
-                     counted_xdbl, montgomery_scalar_mul, montgomery_x_mul)
+from oracles import (counted_get_3_isog, counted_odd, counted_odd_codomain,
+                     counted_odd_image, counted_xadd, counted_xdbl,
+                     montgomery_scalar_mul, montgomery_x_mul, naive_full_map)
 
 
 def xz(field, x, z=1):
@@ -35,6 +33,11 @@ def same_class(a, b):
     (x1, z1), (x2, z2) = ((v.X, v.Z) if isinstance(v, XZPoint) else (v.D, v.C)
                           for v in (a, b))
     return x1 * z2 == x2 * z1
+
+
+def full_map_x(P, xs, p, d):
+    """x of the raw full map (`oracles.naive_full_map`) at P."""
+    return naive_full_map((P.x.value, P.y.value), xs, p, d)[0]
 
 
 @pytest.fixture
@@ -99,14 +102,14 @@ class TestCodomain3:
         assert get_3_isog(k3).d_prime() == -2
 
     def test_matches_kernel_param(self, e23, f23):
+        """d' = x^8 d^3 for every order-3 abscissa x on E_{-1}/F_23."""
         for P in e23.points():
             if P.is_identity():
                 continue
             if not e23.scalar_mul(3, P).is_identity():
                 continue
-            ker = OddKernel.from_generator(P, 3, e23)
             assert get_3_isog(XZPoint.from_affine(P)).d_prime() \
-                == OddIsogeny(ker).codomain_d
+                == P.x ** 8 * e23.d ** 3
 
     def test_projective_invariance(self, f23):
         base = get_3_isog(xz(f23, -10))
@@ -134,12 +137,12 @@ class TestEval3:
                 assert img.affine_x() == want
 
     def test_matches_affine_exhaustive(self, e23, f23):
-        phi = OddIsogeny(OddKernel.from_generator(pt(e23, -10, 9), 3, e23))
+        """x of the raw full map at every point of E_{-1}/F_23."""
         K1 = xz(f23, -10)
         for P in e23.points():
             img = eval_3_isog(XZPoint.from_affine(P), K1)
             assert not img.is_exceptional()
-            assert img.affine_x() == phi(P).x
+            assert img.affine_x() == full_map_x(P, [-10], 23, -1)
 
     def test_never_reads_d(self):
         """The 3-isogeny x-map is independent of the curve parameter:
@@ -156,11 +159,11 @@ class TestEval5:
         assert img.affine_x() == want
 
     def test_matches_affine_exhaustive(self, e19, f19, k5):
-        phi = OddIsogeny(OddKernel.from_generator(pt(e19, 6, 4), 5, e19))
+        """x of the raw full map at every point of E_{-1}/F_19."""
         for P in e19.points():
             img = eval_5_isog(XZPoint.from_affine(P), *k5, e19.d)
             assert not img.is_exceptional()
-            assert img.affine_x() == phi(P).x
+            assert img.affine_x() == full_map_x(P, [6, -8], 19, -1)
 
     def test_homogeneous(self, f19, e19, k5):
         K1, K2 = k5
@@ -174,10 +177,10 @@ class TestCodomain5:
     def test_worked_ratio(self, f19, e19, k5):
         assert get_5_isog(*k5, e19.d).d_prime() == 2
 
-    def test_matches_kernel_param(self, e19, k5):
-        ker = OddKernel.from_generator(pt(e19, 6, 4), 5, e19)
+    def test_matches_kernel_param(self, e19, f19, k5):
+        """d' = (x(Q) x(2Q))^8 d^5."""
         assert (get_5_isog(*k5, e19.d).d_prime()
-                == OddIsogeny(ker).codomain_d)
+                == (f19(6) * f19(-8)) ** 8 * e19.d ** 5)
 
     def test_unit_kernel_gives_d_to_fifth(self, f19, e19):
         params = get_5_isog(xz(f19, 1), xz(f19, 1), e19.d)
@@ -482,14 +485,13 @@ class TestOddImage:
 
     def test_affine_and_projective_kernels_agree(self, e19, f19):
         """The 5-isogeny of the worked example, kernel x = 6, -8, given
-        affine and projective."""
-        phi = OddIsogeny(OddKernel.from_generator(pt(e19, 6, 4), 5, e19))
+        affine and projective, against the raw full map."""
         for P in e19.points():
             Q = (P.x * 2, f19(2))
             affine = odd_image(Q, [f19(6), f19(-8)])
             proj = odd_image(Q, [f19(6 * 5), f19(-8 * 7)], [f19(5), f19(7)])
             assert affine[0] * proj[1] == proj[0] * affine[1]
-            assert affine[0] == phi(P).x * affine[1]
+            assert affine[0] == full_map_x(P, [6, -8], 19, -1) * affine[1]
 
 
 # Exact costs of the x-line primitives at p = 23: (M, S, I, A).  The
@@ -558,6 +560,12 @@ def get_3_pair(X, Z):
     return params.D, params.C
 
 
+def image_and_products(P, xs, zs=None):
+    """`odd_image`'s image and the two products it squares, as
+    `OddIsogeny.image` takes them from `xonly._odd`."""
+    return _odd(P, xs, zs, True)
+
+
 # Each raw x-line formula, its counted oracle, and the operands it takes
 # from a list e of random elements that ends with the field's one: both
 # C branches of `xdbl` and of the codomain, affine and projective kernels.
@@ -573,7 +581,7 @@ RAW_FORMULAS = {
             *([e[5:5 + s]] if shape == "projective" else [])))
        for kind, raw, oracle in (
            ("image", odd_image, counted_odd_image),
-           ("products", odd_products, counted_odd_products))
+           ("products", image_and_products, counted_odd))
        for s in (1, 2, 3) for shape in ("affine", "projective")},
     **{f"odd_codomain_l{l}{suffix}": (
         odd_codomain, counted_odd_codomain,
