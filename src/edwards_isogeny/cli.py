@@ -21,7 +21,7 @@ from functools import partial
 from .curve import AffinePoint, EdwardsCurve
 from .errors import EdwardsError
 from .field import FieldElement, OpCounter, PrimeField
-from .isogeny import IsogenyChain, OddIsogeny, OddKernel
+from .isogeny import IsogenyChain, OddIsogeny, OddKernel, _carry
 from .sidh import run_exchange
 from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
                             search_sidh_primes, sidh_key_bits,
@@ -125,14 +125,16 @@ def _cmd_isogeny(args):
     curve = _curve(args)
     gen = _point(curve, args.gen)
     phi = OddIsogeny(OddKernel.from_generator(gen, args.degree, curve))
-    out = {"l": phi.degree,
-           "kernel": [_fmt_point(P) for P in phi.kernel.points],
-           "A": _fmt(phi.kernel.A),
-           "d_prime": _fmt(phi.codomain_d),
-           "codomain_class": phi.codomain.class_tag}
+    E, image = phi.codomain, {}
     if args.point is not None:
-        out["image"] = _fmt_point(phi(_point(curve, args.point)))
-    return _finish(out, curve.field)
+        # The image and d' = D'/C' by one inversion, as a chain makes them.
+        (Q,), (E.d,) = _carry([phi], [_point(curve, args.point)], (E.D, E.C))
+        image = {"image": _fmt_point(Q)}
+    return _finish({"l": phi.degree,
+                    "kernel": [_fmt_point(P) for P in phi.kernel.points],
+                    "A": _fmt(phi.kernel.A),
+                    "d_prime": _fmt(E.d),
+                    "codomain_class": E.class_tag, **image}, curve.field)
 
 
 def _cmd_chain(args):

@@ -1,14 +1,15 @@
-"""Quadratic extension F_{p^2} = F_p(i) with i^2 = beta, beta a non-residue.
+"""Quadratic extension F_{p^2} = F_p(i) with i^2 = -1, for p ≡ 3 (mod 4).
 
-An element c0 + c1*i is held as two ints in [0, p), and every operation
-computes on them and reduces mod p inline.  Extension operations tally on
-the base field's OpCounter twice over: once on the `ext_*` fields (one
-extension op) and once on the plain M/S/I/A fields, where each operation
-tallies the base-field work of the `FieldElement` formulation (for
-example 3M + 5A per Karatsuba multiplication when beta = -1, and 2M for
-a product with an `int` or F_p scalar, which scales both parts).  beta is
--1 for p ≡ 3 (mod 4), otherwise the smallest non-residue, so the field
-is fixed by p alone.
+Every prime of the paper is 3 (mod 4), and p ≡ 1 (mod 4) has no
+supersingular Edwards curve over F_p (`supersingular_excluded`), so -1 is
+always a non-residue and the field is fixed by p alone; other p are
+refused.  An element c0 + c1*i is held as two ints in [0, p), and every
+operation computes on them and reduces mod p inline.  Extension
+operations tally on the base field's OpCounter twice over: once on the
+`ext_*` fields (one extension op) and once on the plain M/S/I/A fields,
+where each operation tallies the base-field work of the `FieldElement`
+formulation (for example 3M + 5A per Karatsuba multiplication, and 2M
+for a product with an `int` or F_p scalar, which scales both parts).
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ _new = object.__new__
 
 class QuadExtField:
 
+    beta = -1                            # i^2
+
     def __init__(self, base: PrimeField):
+        if base.p % 4 != 3:
+            raise ValueError(f"F_p^2 = F_p(i) with i^2 = -1 needs "
+                             f"p = 3 (mod 4), got p = {base.p}")
         self.base = base
         self.p = base.p
-        self.beta = -1 if base.p % 4 == 3 else _smallest_non_residue(base)
-        self._beta_is_minus_one = self.beta == -1
 
     @property
     def size(self) -> int:
@@ -75,7 +79,7 @@ class QuadExtField:
         x^((p^2-1)/2) = N(x)^((p-1)/2)."""
         x = self(x)
         c0, c1 = x._c0, x._c1
-        return self.base.chi(c0 * c0 - self.beta * c1 * c1)
+        return self.base.chi(c0 * c0 + c1 * c1)
 
     def sqrt(self, x) -> QuadExtElement:
         """Canonical square root via the norm method: the root r0 + r1*i
@@ -84,17 +88,14 @@ class QuadExtField:
         if x.is_zero():
             return self.zero
         p = self.p
-        beta = self.beta
         c0, c1 = x._c0, x._c1
         if c1 == 0:
             if self.base.chi(c0) == 1:
-                r = self.base.sqrt(c0)
-                cand = self(r, 0)
-            else:
-                r = self.base.sqrt(c0 * pow(beta, -1, p) % p)
-                cand = self(0, r)
+                cand = self(self.base.sqrt(c0), 0)
+            else:                        # c0 = (r i)^2 = -r^2
+                cand = self(0, self.base.sqrt(-c0))
             return _canonical(cand)
-        n = (c0 * c0 - beta * c1 * c1) % p
+        n = (c0 * c0 + c1 * c1) % p
         if self.base.chi(n) != 1:
             raise NotASquare(f"{x} is not a square in F_{p}^2")
         s = self.base.sqrt(n).value
@@ -107,7 +108,7 @@ class QuadExtField:
         r0 = self.base.sqrt(t).value
         r1 = c1 * pow(2 * r0, -1, p) % p
         cand = self(r0, r1)
-        if (r0 * r0 + beta * r1 * r1) % p != c0 or 2 * r0 * r1 % p != c1:
+        if (r0 * r0 - r1 * r1) % p != c0 or 2 * r0 * r1 % p != c1:
             raise NotASquare(f"{x} is not a square in F_{p}^2")
         return _canonical(cand)
 
@@ -130,10 +131,6 @@ class QuadExtField:
         return f"QuadExtField(p={self.p}, i^2={self.beta})"
 
 
-def _smallest_non_residue(base: PrimeField) -> int:
-    return next(c for c in range(2, base.p) if base.chi(c) == -1)
-
-
 def _canonical(x: QuadExtElement) -> QuadExtElement:
     """Pick the lexicographically smaller of x and -x."""
     p = x.field.p
@@ -143,7 +140,7 @@ def _canonical(x: QuadExtElement) -> QuadExtElement:
 
 class QuadExtElement(Element):
     """c0 + c1*i with c0, c1 ints in [0, p).  Multiplication is Karatsuba
-    (3 base multiplications for i^2 = -1), or 2 for a base-field scalar;
+    (3 base multiplications), or 2 for a base-field scalar;
     squaring uses the complex trick (2).  `c0` and `c1` read the parts
     as uncounted F_p views."""
 
@@ -235,21 +232,15 @@ class QuadExtElement(Element):
             raise FieldMismatch(f"mixed moduli {f.p} and {other.field.p}")
         c = f.base.counter
         c.ext_m += 1
+        c.m += 3
         c.a += 5
         a0, a1, b0, b1 = self._c0, self._c1, other._c0, other._c1
         v0 = a0 * b0
         v1 = a1 * b1
-        cross = (a0 + a1) * (b0 + b1) - v0 - v1
-        if f._beta_is_minus_one:
-            c.m += 3
-            re = v0 - v1
-        else:
-            c.m += 4
-            re = v0 + f.beta * v1
         p = f.p
         r = _new(QuadExtElement)
-        r._c0 = re % p
-        r._c1 = cross % p
+        r._c0 = (v0 - v1) % p
+        r._c1 = ((a0 + a1) * (b0 + b1) - v0 - v1) % p
         r.field = f
         return r
 
@@ -259,24 +250,14 @@ class QuadExtElement(Element):
         f = self.field
         c = f.base.counter
         c.ext_s += 1
+        c.m += 2
+        c.a += 3
         a0, a1, p = self._c0, self._c1, f.p
+        u = a0 * a1
         r = _new(QuadExtElement)
+        r._c0 = (a0 + a1) * (a0 - a1) % p
+        r._c1 = (u + u) % p
         r.field = f
-        if f._beta_is_minus_one:
-            c.m += 2
-            c.a += 3
-            u = a0 * a1
-            r._c0 = (a0 + a1) * (a0 - a1) % p
-            r._c1 = (u + u) % p
-            return r
-        c.s += 3
-        c.m += 1
-        c.a += 4
-        s0 = a0 * a0
-        s1 = a1 * a1
-        t = a0 + a1
-        r._c0 = (s0 + f.beta * s1) % p
-        r._c1 = (t * t - s0 - s1) % p
         return r
 
     def norm(self) -> FieldElement:
@@ -291,7 +272,7 @@ class QuadExtElement(Element):
         c, p = f.base.counter, f.p
         c.ext_i, c.i = c.ext_i + 1, c.i + 1
         c.m, c.s, c.a = c.m + 3, c.s + 2, c.a + 2
-        n_inv = pow((a0 * a0 - f.beta * a1 * a1) % p, -1, p)
+        n_inv = pow((a0 * a0 + a1 * a1) % p, -1, p)
         return QuadExtElement(a0 * n_inv % p, -a1 * n_inv % p, f)
 
     def is_zero(self) -> bool:

@@ -31,7 +31,7 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
                      InvalidCurve, NotASquare, NotOnCurve)
-from .xonly import (MINUS_ONE, XADD, XDBL, XZPoint, _odd, get_3_isog,
+from .xonly import (FP2, XADD, XDBL, XZPoint, _odd, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
 
@@ -327,16 +327,15 @@ def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
 def _step_weights(l: int) -> tuple[int, int]:
     """Counted base-field M of one l-fold step, `xmul(l, .)` with a
     constant (C - D, C), and of one stack point through a degree-l step,
-    `odd_image` with a projective kernel, read from the x-line tally rows
-    at i^2 = -1: 32 and 16 at l = 3, 48 and 28 at l = 5.  `xmul` makes
-    b - 1 `xadd`s and as many `xdbl`s, b the bit length of l, one
-    doubling fewer when the second bit of l is 0 (3 base M fewer each on a
-    chain's first curve, whose C is one)."""
+    `odd_image`, read from the x-line tally rows of F_{p^2}: 32 and 16 at
+    l = 3, 48 and 28 at l = 5.  `xmul` makes b - 1 `xadd`s and as many
+    `xdbl`s, b the bit length of l, one doubling fewer when the second
+    bit of l is 0 (3 base M fewer each on a chain's first curve, whose C
+    is one)."""
     b = l.bit_length()
     doublings = b - 1 - ((l >> (b - 2)) & 1 == 0)
-    xadd_m, xdbl_m = XADD[MINUS_ONE][0], XDBL[MINUS_ONE][0]
-    return (xadd_m * (b - 1) + xdbl_m * doublings,
-            odd_rows(l // 2)[MINUS_ONE][0])
+    xadd_m, xdbl_m = XADD[FP2][0], XDBL[FP2][0]
+    return (xadd_m * (b - 1) + xdbl_m * doublings, odd_rows(l // 2)[FP2][0])
 
 
 @lru_cache(maxsize=64)

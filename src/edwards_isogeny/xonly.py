@@ -26,21 +26,21 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
     xladder      xdbl, then xadd + xdbl a bit of k after the first; a
                  second bit 0 costs the xadd alone
     ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
-    odd_image    3sM + 2S for an affine kernel, 4sM + 2S projective,
-                 s = (l - 1)/2; eval_3_isog is its one-point case
+    odd_image    4sM + 2S for s = (l - 1)/2 kernel points (X_i : Z_i);
+                 eval_3_isog is its one-point case
     odd_codomain (D', C') for l >= 5: 3M + 3S a side at l = 5, and
                  1M + 3S for a side whose D or C is one
     recover_xy   16M + 4S + I (17M off a = 1), kP from P and xladder's
                  x(kP), x((k+1)P)
 
 `xdbl`, `xadd`, `odd_image`, `get_3_isog` and `odd_codomain` compute
-inline mod p on the (c0, c1) ints of their inputs, c1 = 0 on F_p.  Each
-adds one fixed tally a call, a row of `tally_rows` chosen by its branch:
-F_p or F_{p^2}, i^2 = -1 or not, and C = 1 or not.  The row is what the
-field elements' operators count for the same formula.  Those element
-formulas are the counted oracle in tests/oracles.py, and
-tests/test_xonly.py::TestRawCore asserts that both give the same values
-and tallies.
+inline mod p on the (c0, c1) ints of their inputs, writing i^2 = -1,
+which is exact on F_p too, where c1 = 0.  Each adds one fixed tally a
+call, a row of `tally_rows` chosen by its branch: F_p or F_{p^2}, and
+C = 1 or not.  The row is what the field elements' operators count for
+the same formula.  Those element formulas are the counted oracle in
+tests/oracles.py, and tests/test_xonly.py::TestRawCore asserts that both
+give the same values and tallies.
 
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
@@ -58,8 +58,8 @@ from .errors import ExceptionalInput, FieldMismatch
 from .field import FieldElement
 from .field_ext import QuadExtElement, QuadExtField
 
-# The tally columns: F_p, F_{p^2} with i^2 = -1, F_{p^2} with another i^2.
-FP, MINUS_ONE, OTHER = 0, 1, 2
+# The tally columns: F_p and F_{p^2}.
+FP, FP2 = 0, 1
 
 
 @lru_cache(maxsize=256)
@@ -67,13 +67,12 @@ def tally_rows(m: int, s: int, a: int) -> tuple:
     """(M, S, A, ext_M, ext_S, ext_A) of m products, s squares and a
     additions in each tally column, as the element operators count them."""
     return ((m, s, a, 0, 0, 0),
-            (3 * m + 2 * s, 0, 5 * m + 3 * s + 2 * a, m, s, a),
-            (4 * m + s, 3 * s, 5 * m + 4 * s + 2 * a, m, s, a))
+            (3 * m + 2 * s, 0, 5 * m + 3 * s + 2 * a, m, s, a))
 
 
-def odd_rows(s: int, projective: bool = True) -> tuple:
+def odd_rows(s: int) -> tuple:
     """`tally_rows` of `odd_image` with s kernel points."""
-    return tally_rows((4 if projective else 3) * s, 2, 2 * s + 4)
+    return tally_rows(4 * s, 2, 2 * s + 4)
 
 
 XDBL, XDBL_C1, XADD = tally_rows(4, 2, 4), tally_rows(3, 2, 4), odd_rows(1)
@@ -84,31 +83,30 @@ def _fp(c0: int, c1: int, field) -> FieldElement:
 
 
 def _enter(rows: tuple, *xs) -> tuple:
-    """(p, i^2, element type, field) of the field of `xs`, with its
-    column of `rows` tallied; FieldMismatch if `xs` span two fields."""
+    """(p, element type, field) of the field of `xs`, with its column of
+    `rows` tallied; FieldMismatch if `xs` span two fields."""
     f = xs[0].field
     for x in xs:
         if x.field is not f and x.field != f:
             raise FieldMismatch(f"x-line operands from {f!r} and {x.field!r}")
     quad = type(f) is QuadExtField
-    col = (MINUS_ONE if f._beta_is_minus_one else OTHER) if quad else FP
-    m, s, a, em, es, ea = rows[col]
+    m, s, a, em, es, ea = rows[FP2 if quad else FP]
     c = (f.base if quad else f).counter
     c.m, c.s, c.a = c.m + m, c.s + s, c.a + a
     c.ext_m, c.ext_s, c.ext_a = c.ext_m + em, c.ext_s + es, c.ext_a + ea
-    return f.p, f.beta if quad else 0, QuadExtElement if quad else _fp, f
+    return f.p, QuadExtElement if quad else _fp, f
 
 
-def _mul(a: tuple, b: tuple, p: int, beta: int) -> tuple:
+def _mul(a: tuple, b: tuple, p: int) -> tuple:
     """(a0 + a1 i)(b0 + b1 i) mod p by Karatsuba, and a square (a is b)
-    as ((a0 + a1)(a0 + i^2 a1) - (1 + i^2) u, 2u), u = a0 a1, by two
-    products; the hot formulas write both inline."""
+    as ((a0 + a1)(a0 - a1), 2 a0 a1) by two products; the hot formulas
+    write both inline."""
     (a0, a1), (b0, b1) = a, b
     if a is b:
         u = a0 * a1
-        return ((a0 + a1) * (a0 + beta * a1) - (1 + beta) * u) % p, (u + u) % p
+        return (a0 + a1) * (a0 - a1) % p, (u + u) % p
     u, v = a0 * b0, a1 * b1
-    return (u + beta * v) % p, ((a0 + a1) * (b0 + b1) - u - v) % p
+    return (u - v) % p, ((a0 + a1) * (b0 + b1) - u - v) % p
 
 
 class XZPoint:
@@ -162,12 +160,12 @@ def get_3_isog(K1: XZPoint) -> ProjParams:
     D' = Z1*(2X1 + Z1)^3, C' = X1*(2Z1 + X1)^3, as
     D' = (t + Z1^2)(4X1^2 + Z1^2 + 2t) with t = 2X1Z1, which counts as
     (X1 + Z1)^2 - X1^2 - Z1^2.  cost: 2M + 3S (and 14A)."""
-    p, beta, new, f = _enter(tally_rows(2, 3, 14), K1.X, K1.Z)
+    p, new, f = _enter(tally_rows(2, 3, 14), K1.X, K1.Z)
     x, z = (K1.X._c0, K1.X._c1), (K1.Z._c0, K1.Z._c1)
-    xx, zz, xz = _mul(x, x, p, beta), _mul(z, z, p, beta), _mul(x, z, p, beta)
+    xx, zz, xz = _mul(x, x, p), _mul(z, z, p), _mul(x, z, p)
     t0, t1 = 2 * xz[0], 2 * xz[1]                    # t = 2 X1 Z1
     D, C = (new(*_mul((t0 + a0, t1 + a1),
-                      (4 * b0 + a0 + 2 * t0, 4 * b1 + a1 + 2 * t1), p, beta), f)
+                      (4 * b0 + a0 + 2 * t0, 4 * b1 + a1 + 2 * t1), p), f)
             for (a0, a1), (b0, b1) in ((zz, xx), (xx, zz)))
     return ProjParams(D, C)
 
@@ -179,10 +177,9 @@ def eval_3_isog(P: XZPoint, K1: XZPoint) -> XZPoint:
     return XZPoint(*odd_image((P.X, P.Z), [K1.X], [K1.Z]))   # cost: 4M+2S
 
 
-def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
+def odd_image(P: tuple, xs: list, zs: list) -> tuple:
     """Image of (X, Z) under the odd-degree isogeny whose kernel
-    representatives Q, 2Q, ..., sQ have abscissas xs[i]/zs[i], or xs[i]
-    when `zs` is None:
+    representatives Q, 2Q, ..., sQ have abscissas xs[i]/zs[i]:
 
         F = (X + Z) * prod (x_i Z + z_i X)^2
         G = (X - Z) * prod (x_i Z - z_i X)^2
@@ -190,41 +187,39 @@ def odd_image(P: tuple, xs: list, zs: list | None = None) -> tuple:
 
     This is Costello and Hisil's u' = u * prod ((u u_i - 1)/(u - u_i))^2
     (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
-    parameter.  cost: 3sM + 2S affine, 4sM + 2S projective."""
+    parameter.  cost: 4sM + 2S."""
     return _odd(P, xs, zs, False)
 
 
-def _odd(P: tuple, xs: list, zs: list | None, products: bool,
+def _odd(P: tuple, xs: list, zs: list, products: bool,
          D: tuple | None = None) -> tuple:
     """`odd_image`'s (X', Z'), then, if `products`, the two products
     prod (x_i Z + z_i X) and prod (x_i Z - z_i X) that it squares, at no
     extra cost; with D = (Xd, Zd), F and G take Zd - Xd and -(Zd + Xd)
     for X + Z and X - Z: `xadd`."""
     X, Z = P
-    p, beta, new, f = _enter(odd_rows(len(xs), zs is not None),
-                             X, Z, *xs, *(zs or ()), *(D or ()))
+    p, new, f = _enter(odd_rows(len(xs)), X, Z, *xs, *zs, *(D or ()))
     x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
     plus = minus = None
-    for i, K in enumerate(xs):                       # x_i Z +- z_i X
-        k0, k1, (j0, j1) = K._c0, K._c1, (1, 0) if zs is None else (
-            zs[i]._c0, zs[i]._c1)
+    for K, J in zip(xs, zs):                         # x_i Z +- z_i X
+        k0, k1, j0, j1 = K._c0, K._c1, J._c0, J._c1
         u, v, w, y = k0 * z0, k1 * z1, j0 * x0, j1 * x1
-        a0, a1 = u + beta * v, (k0 + k1) * (z0 + z1) - u - v
-        b0, b1 = w + beta * y, (j0 + j1) * (x0 + x1) - w - y
+        a0, a1 = u - v, (k0 + k1) * (z0 + z1) - u - v
+        b0, b1 = w - y, (j0 + j1) * (x0 + x1) - w - y
         a, b = ((a0 + b0) % p, (a1 + b1) % p), ((a0 - b0) % p, (a1 - b1) % p)
         plus, minus = (a, b) if plus is None else (
-            _mul(plus, a, p, beta), _mul(minus, b, p, beta))
+            _mul(plus, a, p), _mul(minus, b, p))
     (P0, P1), (M0, M1) = plus, minus
     out = (new(P0, P1, f), new(M0, M1, f)) if products else ()
     if D is not None:
         x0, x1, z0, z1 = -D[0]._c0, -D[0]._c1, D[1]._c0, D[1]._c1
-    h, FG = 1 + beta, []
+    FG = []
     for a0, a1, b0, b1 in ((P0, P1, x0 + z0, x1 + z1),
                            (M0, M1, x0 - z0, x1 - z1)):
         u = a0 * a1                                  # (X +- Z) prod^2
-        a0, a1 = ((a0 + a1) * (a0 + beta * a1) - h * u) % p, (u + u) % p
+        a0, a1 = (a0 + a1) * (a0 - a1) % p, (u + u) % p
         u, v = a0 * b0, a1 * b1
-        FG += u + beta * v, (a0 + a1) * (b0 + b1) - u - v
+        FG += u - v, (a0 + a1) * (b0 + b1) - u - v
     F0, F1, G0, G1 = FG
     return (new((F0 + G0) % p, (F1 + G1) % p, f),
             new((F0 - G0) % p, (F1 - G1) % p, f)) + out
@@ -238,26 +233,26 @@ def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> tuple:
     square-and-multiply: 3M + 3S at l = 5, 1M + 3S if C = 1."""
     k = l - 4
     n = sum(W._c0 != 1 or W._c1 != 0 for W in (D, C))
-    p, beta, new, f = _enter(tally_rows(
+    p, new, f = _enter(tally_rows(
         2 * len(Xs) - 2 + n * (1 + bin(k).count("1")),
         6 + n * (k.bit_length() - 1), 0), D, C, *Xs, *Zs)
     out = []
     for V, W in ((Xs, D), (Zs, C)):
         x, w = (V[0]._c0, V[0]._c1), (W._c0, W._c1)
         for y in V[1:]:
-            x = _mul(x, (y._c0, y._c1), p, beta)
-        x, unit = _mul(x, x, p, beta), w == (1, 0)       # X^2
+            x = _mul(x, (y._c0, y._c1), p)
+        x, unit = _mul(x, x, p), w == (1, 0)             # X^2
         if not unit:
-            x = _mul(x, w, p, beta)
-        x = _mul(x, x, p, beta)
-        x = _mul(x, x, p, beta)                          # (W X^2)^4
+            x = _mul(x, w, p)
+        x = _mul(x, x, p)
+        x = _mul(x, x, p)                                # (W X^2)^4
         if not unit:
             r = w
             for bit in bin(k)[3:]:
-                r = _mul(r, r, p, beta)
+                r = _mul(r, r, p)
                 if bit == "1":
-                    r = _mul(r, w, p, beta)
-            x = _mul(x, r, p, beta)
+                    r = _mul(r, w, p)
+            x = _mul(x, r, p)
         out.append(new(*x, f))
     return tuple(out)
 
@@ -269,19 +264,19 @@ def xdbl(P: tuple, c: tuple) -> tuple:
     (X' : Z') = (U - W : U + W).  cost: 4M+2S, 3M+2S when C = 1."""
     (X, Z), (N, C) = P, c
     one = C._c0 == 1 and C._c1 == 0
-    p, beta, new, f = _enter(XDBL_C1 if one else XDBL, X, Z, N, C)
+    p, new, f = _enter(XDBL_C1 if one else XDBL, X, Z, N, C)
     x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
-    h, u, v = 1 + beta, x0 * x1, z0 * z1             # X^2, Z^2
-    x0, x1 = ((x0 + x1) * (x0 + beta * x1) - h * u) % p, (u + u) % p
-    z0, z1 = ((z0 + z1) * (z0 + beta * z1) - h * v) % p, (v + v) % p
-    t0, t1 = _mul((N._c0, N._c1), (x0, x1), p, beta)    # t = (C - D) X^2
+    u, v = x0 * x1, z0 * z1                          # X^2, Z^2
+    x0, x1 = (x0 + x1) * (x0 - x1) % p, (u + u) % p
+    z0, z1 = (z0 + z1) * (z0 - z1) % p, (v + v) % p
+    t0, t1 = _mul((N._c0, N._c1), (x0, x1), p)       # t = (C - D) X^2
     e0, e1 = z0 - x0, z1 - x1
-    g0, g1 = (e0, e1) if one else _mul((C._c0, C._c1), (e0, e1), p, beta)
+    g0, g1 = (e0, e1) if one else _mul((C._c0, C._c1), (e0, e1), p)
     g0, g1 = t0 + g0, t1 + g1                        # t + C e
     u, v = t0 * z0, t1 * z1                          # U = t Z^2
-    U0, U1 = u + beta * v, (t0 + t1) * (z0 + z1) - u - v
+    U0, U1 = u - v, (t0 + t1) * (z0 + z1) - u - v
     u, v = e0 * g0, e1 * g1                          # W = e (t + C e)
-    W0, W1 = u + beta * v, (e0 + e1) * (g0 + g1) - u - v
+    W0, W1 = u - v, (e0 + e1) * (g0 + g1) - u - v
     return (new((U0 - W0) % p, (U1 - W1) % p, f),
             new((U0 + W0) % p, (U1 + W1) % p, f))
 

@@ -343,14 +343,14 @@ def counted_xadd(P, Q, D):
     return U - W, U + W
 
 
-def counted_odd(P, xs, zs=None):
+def counted_odd(P, xs, zs):
     """xonly._odd with its products: (F + G, F - G, plus, minus) with
     plus = prod (x_i Z + z_i X), minus = prod (x_i Z - z_i X),
     F = (X + Z) plus^2 and G = (X - Z) minus^2."""
     X, Z = P
     plus = minus = None
-    for i, x in enumerate(xs):
-        u, v = x * Z, (X if zs is None else zs[i] * X)
+    for x, z in zip(xs, zs):
+        u, v = x * Z, z * X
         if plus is None:
             plus, minus = u + v, u - v
         else:
@@ -360,7 +360,7 @@ def counted_odd(P, xs, zs=None):
     return F + G, F - G, plus, minus
 
 
-def counted_odd_image(P, xs, zs=None):
+def counted_odd_image(P, xs, zs):
     """xonly.odd_image: the first two values of `counted_odd`."""
     return counted_odd(P, xs, zs)[:2]
 

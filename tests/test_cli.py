@@ -143,15 +143,30 @@ class TestIsogeny:
         assert doc["message"] == ("generator order divides a proper factor "
                                   "of 200001")
 
+    def test_point_shares_the_inversion_of_d_prime(self, capsys):
+        """With --point, d' comes from the inversion that makes the image
+        affine; every other field is as without it.  The 5-isogeny of
+        the worked example maps (2, 8) to (0, 1)."""
+        args = ("isogeny", "--p", "19", "--d", "-1", "--degree", "5",
+                "--gen", "6,4")
+        _, alone = run_json(capsys, *args)
+        code, doc = run_json(capsys, *args, "--point", "2,8")
+        assert code == 0
+        assert doc.pop("image") == [0, 1]
+        assert doc["counters"]["I"] == alone["counters"]["I"]
+        doc.pop("counters"), alone.pop("counters")
+        assert doc == alone
+
     def test_point_check_is_uncounted(self, capsys):
         """The on-curve check of --gen and --point adds no operations:
         the tallies are the generator check, the x-line kernel, the
-        codomain (D' : C') and its d', and one evaluation."""
+        codomain (D' : C'), and one evaluation made affine with d' by
+        one inversion."""
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
                              "--degree", "3", "--gen", "-10,9",
                              "--point", "2,2")
         assert code == 0
-        assert doc["counters"] == {"M": 30, "S": 15, "I": 2, "A": 29}
+        assert doc["counters"] == {"M": 33, "S": 15, "I": 1, "A": 29}
 
 
 class TestChain:

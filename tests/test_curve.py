@@ -352,9 +352,8 @@ class TestEnumeration:
             assert curve.order() == naive_order(23, 1, d)
 
     def test_extension_order(self):
-        """#E(F_{p^2}) = (p+1)^2 - t^2 with t = p + 1 - #E(F_p), in both
-        extension models (i^2 = -1 at p = 11, i^2 = 2 at p = 13)."""
-        for p, d in ((11, 2), (13, 3), (13, 5)):
+        """#E(F_{p^2}) = (p+1)^2 - t^2 with t = p + 1 - #E(F_p)."""
+        for p, d in ((11, 2), (19, 3), (23, 5)):
             field = QuadExtField(PrimeField(p))
             curve = EdwardsCurve(field, field.one, field(d))
             t = p + 1 - naive_order(p, 1, d)
@@ -368,9 +367,9 @@ class TestEnumeration:
 
     def test_desk_scale_guard_on_order(self):
         """Both counting routes refuse: the raw-int scan over F_p and
-        the point list over F_{p^2} (1009^2 > DESK_SCALE_LIMIT)."""
+        the point list over F_{p^2} (1019^2 > DESK_SCALE_LIMIT)."""
         base = PrimeField(1_000_003)
-        ext = QuadExtField(PrimeField(1009))
+        ext = QuadExtField(PrimeField(1019))
         assert ext.size > DESK_SCALE_LIMIT
         for field in (base, ext):
             curve = EdwardsCurve(field, field.one, field(-1))
@@ -550,6 +549,13 @@ class TestSerialization:
         assert again == curve
         P = AffinePoint(field(3, 7), field(2, 11))
         assert AffinePoint.from_json(P.to_json(), field) == P
+
+    def test_extension_needs_3_mod_4(self):
+        """A curve with an `i` coordinate over p = 1 (mod 4) is refused
+        as QuadExtField refuses p."""
+        doc = {"p": "d", "a": "1", "d": "3+1*i"}
+        with pytest.raises(ValueError, match=r"p = 3 \(mod 4\)"):
+            EdwardsCurve.from_json(doc)
 
     def test_class_mismatch_rejected(self, e23):
         doc = e23.to_json()

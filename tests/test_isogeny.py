@@ -447,7 +447,7 @@ class TestXLineKernel:
                     continue
                 want = element_point(curve.field, want)
                 assert phi(P) == want
-                X, Z = odd_image(line(P, 5), phi.kernel.xs)
+                X, Z = odd_image(line(P, 5), phi.kernel.X, phi.kernel.Z)
                 assert X == want.x * Z
                 checked += 1
         assert checked > 0

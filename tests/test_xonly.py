@@ -10,8 +10,9 @@ from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
                              QuadExtElement, QuadExtField, XZPoint,
                              eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
                              recover_y, run_5_isog, setup)
-from edwards_isogeny.xonly import (_odd, ladder3pt, odd_codomain, odd_image,
-                                   recover_xy, xadd, xdbl, xladder, xmul)
+from edwards_isogeny.xonly import (FP, FP2, XDBL, _odd, ladder3pt,
+                                   odd_codomain, odd_image, recover_xy, xadd,
+                                   xdbl, xladder, xmul)
 
 from conftest import desk_curves, ladder_offsets, pt
 from oracles import (counted_get_3_isog, counted_odd, counted_odd_codomain,
@@ -357,14 +358,15 @@ class TestRecoverXY:
     def test_matches_the_montgomery_model(self, curve, extend, data):
         """For every k in 1..40 whose kR is affine, the Montgomery model's
         kR, x and y both, from scaled ladder outputs, on desk curves over
-        F_p and lifted to F_{p^2}; R is neither O nor (-1, 0).  Small R
+        F_p and, for p = 3 (mod 4), lifted to F_{p^2}; R is neither O nor
+        (-1, 0).  Small R
         meet (k+1)R = O, kR = R, kR = O and kR = (-1, 0)."""
         p, a, d = curve.field.p, curve.a.value, curve.d.value
         R = data.draw(st.sampled_from(
             [Q for Q in curve.points() if not Q.y.is_zero()]))
         xy = (R.x.value, R.y.value)
         lams = data.draw(st.tuples(*[st.integers(1, p - 1)] * 2))
-        if extend:
+        if extend and p % 4 == 3:
             field = QuadExtField(curve.field)
             curve = EdwardsCurve(field, field(a), field(d))
         field, c = curve.field, line_c(curve)
@@ -402,12 +404,13 @@ class TestLadder:
     @settings(max_examples=120, deadline=None)
     @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
     def test_matches_the_affine_law(self, curve, extend, data):
-        """On desk curves over F_p and over F_{p^2}, for random P and Q
+        """On desk curves over F_p and, for p = 3 (mod 4), over F_{p^2},
+        for random P and Q
         (independent but for rare draws) and edge or random k, the x of
         E.add(P, E.scalar_mul(k, Q)); if a difference the ladder meets is
         O or (-1, 0), it raises.  Draws whose affine oracle walks through
         a point at infinity are discarded."""
-        if extend:
+        if extend and curve.field.p % 4 == 3:
             field = QuadExtField(curve.field)
             curve = EdwardsCurve(field, field(curve.a.value),
                                  field(curve.d.value))
@@ -485,17 +488,18 @@ class TestOddImage:
 
     def test_affine_and_projective_kernels_agree(self, e19, f19):
         """The 5-isogeny of the worked example, kernel x = 6, -8, given
-        affine and projective, against the raw full map."""
+        affine (Z_i = 1) and scaled, against the raw full map."""
         for P in e19.points():
             Q = (P.x * 2, f19(2))
-            affine = odd_image(Q, [f19(6), f19(-8)])
+            affine = odd_image(Q, [f19(6), f19(-8)], [f19.one] * 2)
             proj = odd_image(Q, [f19(6 * 5), f19(-8 * 7)], [f19(5), f19(7)])
             assert affine[0] * proj[1] == proj[0] * affine[1]
             assert affine[0] == full_map_x(P, [6, -8], 19, -1) * affine[1]
 
 
 # Exact costs of the x-line primitives at p = 23: (M, S, I, A).  The
-# doubling constant's denominator is one but in the `_projective` rows.
+# doubling constant's denominator is one but in the `_projective` rows;
+# an affine kernel, Z_i = 1, costs what a projective one does.
 LINE_COSTS = {
     "xdbl": (3, 2, 0, 4),
     "xdbl_projective": (4, 2, 0, 4),
@@ -508,8 +512,8 @@ LINE_COSTS = {
     "xladder2": (7, 4, 0, 10),
     "xladder3": (10, 6, 0, 14),
     "xladder40": (35, 20, 0, 50),
-    "odd_image_affine_s1": (3, 2, 0, 6),
-    "odd_image_affine_s2": (6, 2, 0, 8),
+    "odd_image_affine_s1": (4, 2, 0, 6),
+    "odd_image_affine_s2": (8, 2, 0, 8),
     "odd_image_projective_s1": (4, 2, 0, 6),
     "odd_image_projective_s2": (8, 2, 0, 8),
     "eval_3_isog": (4, 2, 0, 6),
@@ -524,7 +528,7 @@ class TestLineCosts:
         c, P, Q, D = (f23(2), f23(1)), (f23(3), f23(5)), (f23(7), f23(11)), (
             f23(4), f23(9))
         cp = (f23(2), f23(5))
-        ks, zs = [f23(6), f23(8)], [f23(13), f23(17)]
+        ks, zs, ones = [f23(6), f23(8)], [f23(13), f23(17)], [f23(1)] * 2
         R = (f23(3), f23(6))
         ops = {
             "xdbl": lambda: xdbl(P, c),
@@ -538,8 +542,8 @@ class TestLineCosts:
             "xladder2": lambda: xladder(2, P, c),
             "xladder3": lambda: xladder(3, P, c),
             "xladder40": lambda: xladder(40, P, c),
-            "odd_image_affine_s1": lambda: odd_image(P, ks[:1]),
-            "odd_image_affine_s2": lambda: odd_image(P, ks),
+            "odd_image_affine_s1": lambda: odd_image(P, ks[:1], ones[:1]),
+            "odd_image_affine_s2": lambda: odd_image(P, ks, ones),
             "odd_image_projective_s1": lambda: odd_image(P, ks[:1], zs[:1]),
             "odd_image_projective_s2": lambda: odd_image(P, ks, zs),
             "eval_3_isog": lambda: eval_3_isog(XZPoint(*P), XZPoint(*Q)),
@@ -560,7 +564,7 @@ def get_3_pair(X, Z):
     return params.D, params.C
 
 
-def image_and_products(P, xs, zs=None):
+def image_and_products(P, xs, zs):
     """`odd_image`'s image and the two products it squares, as
     `OddIsogeny.image` takes them from `xonly._odd`."""
     return _odd(P, xs, zs, True)
@@ -568,7 +572,8 @@ def image_and_products(P, xs, zs=None):
 
 # Each raw x-line formula, its counted oracle, and the operands it takes
 # from a list e of random elements that ends with the field's one: both
-# C branches of `xdbl` and of the codomain, affine and projective kernels.
+# C branches of `xdbl` and of the codomain, and kernels with Z_i = 1
+# (affine, as from an affine generator) and with random Z_i (projective).
 RAW_FORMULAS = {
     "xdbl": (xdbl, counted_xdbl, lambda e: ((e[0], e[1]), (e[2], e[3]))),
     "xdbl_c1": (xdbl, counted_xdbl, lambda e: ((e[0], e[1]), (e[2], e[-1]))),
@@ -578,7 +583,7 @@ RAW_FORMULAS = {
     **{f"odd_{kind}_s{s}_{shape}": (
         raw, oracle, lambda e, s=s, shape=shape: (
             (e[0], e[1]), e[2:2 + s],
-            *([e[5:5 + s]] if shape == "projective" else [])))
+            e[5:5 + s] if shape == "projective" else [e[-1]] * s))
        for kind, raw, oracle in (
            ("image", odd_image, counted_odd_image),
            ("products", image_and_products, counted_odd))
@@ -600,11 +605,11 @@ def operand_list(field, seed):
 class TestRawCore:
     """The raw-int x-line formulas against their counted oracle, the
     element formulas of tests/oracles.py: equal values and equal M/S/I/A
-    and ext_* tallies, over F_p, over F_{p^2} with i^2 = -1 (p = 2699 and
-    the 247-bit p) and with i^2 = 11 (p = 1009)."""
+    and ext_* tallies, over F_p and over F_{p^2} (p = 2699 and the
+    247-bit p)."""
 
-    @pytest.fixture(scope="class", params=[23, 2699, P247, 1009],
-                    ids=["F_23", "F_2699^2", "F_p247^2", "F_1009^2"])
+    @pytest.fixture(scope="class", params=[23, 2699, P247],
+                    ids=["F_23", "F_2699^2", "F_p247^2"])
     def field(self, request):
         base = PrimeField(request.param)
         return base if request.param == 23 else QuadExtField(base)
@@ -638,8 +643,16 @@ class TestRawCore:
             assert got.snapshot() == want.snapshot()
 
     def test_fields_cover_every_tally_column(self):
-        assert [QuadExtField(PrimeField(p)).beta for p in (2699, P247, 1009)
-                ] == [-1, -1, 11]
+        """The tally rows have two columns, F_p and F_{p^2}, and `xdbl`
+        over F_23 and F_{2699^2} adds the row of its own."""
+        assert len(XDBL) == 2
+        for p, col in ((23, FP), (2699, FP2)):
+            field = PrimeField(p) if col == FP else QuadExtField(PrimeField(p))
+            e = operand_list(field, 0)
+            with field.counting(OpCounter()) as got:
+                xdbl((e[0], e[1]), (e[2], e[3]))
+            m, s, a, em, es, ea = XDBL[col]
+            assert got.snapshot() == (m, s, 0, a, em, es, 0, ea)
 
     def test_no_element_arithmetic(self, monkeypatch):
         """Over the 247-bit field, the raw formulas and the ladders built
@@ -661,7 +674,6 @@ class TestRawCore:
         xmul(5, P, c)
         xladder(3 ** 20, P, c)
         ladder3pt(3 ** 20 + 1, P, Q, D, c)
-        odd_image(P, e[8:10])
         odd_image(P, e[8:10], e[6:8])
         get_3_isog(XZPoint(*P))
 
