@@ -29,8 +29,6 @@ from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
 from .xonly import XZPoint, eval_3_isog, eval_5_isog, get_3_isog, get_5_isog
 
 _SIGNED_LIMIT_BITS = 64
-# verify-table1 --rounds above this is a usage error.
-MAX_ROUNDS = 1000
 
 
 def _parse_int(text: str) -> int:
@@ -40,13 +38,6 @@ def _parse_int(text: str) -> int:
 def _parse_count(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
-    return int(text)
-
-
-def _parse_rounds(text: str) -> int:
-    if int(text) > MAX_ROUNDS:
-        raise argparse.ArgumentTypeError(
-            f"at most {MAX_ROUNDS} rounds, got {text}")
     return int(text)
 
 
@@ -125,14 +116,15 @@ def _cmd_isogeny(args):
     curve = _curve(args)
     gen = _point(curve, args.gen)
     phi = OddIsogeny(OddKernel.from_generator(gen, args.degree, curve))
-    E, image = phi.codomain, {}
-    if args.point is not None:
-        # The image and d' = D'/C' by one inversion, as a chain makes them.
-        (Q,), (E.d,) = _carry([phi], [_point(curve, args.point)], (E.D, E.C))
-        image = {"image": _fmt_point(Q)}
+    E, k = phi.codomain, phi.kernel
+    points = [] if args.point is None else [_point(curve, args.point)]
+    # The image, d' = D'/C' and the kernel x_i by one inversion, as a
+    # chain makes them.
+    images, (E.d, *k.xs) = _carry([phi], points, (E.D, E.C), *zip(k.X, k.Z))
+    image = {"image": _fmt_point(images[0])} if images else {}
     return _finish({"l": phi.degree,
-                    "kernel": [_fmt_point(P) for P in phi.kernel.points],
-                    "A": _fmt(phi.kernel.A),
+                    "kernel": [_fmt_point(P) for P in k.points],
+                    "A": _fmt(k.A),
                     "d_prime": _fmt(E.d),
                     "codomain_class": E.class_tag, **image}, curve.field)
 
@@ -168,7 +160,7 @@ def _cmd_search_primes(args):
 
 
 def _cmd_verify_table(args):
-    rows = verify_reference_table(rounds=args.rounds)
+    rows = verify_reference_table()
     return _finish({"rows": rows,
                     "all_bits_match": all(r["bits_match"] for r in rows),
                     "all_prime": all(r["is_prime"] for r in rows),
@@ -275,9 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_search_primes)
 
     c = sub.add_parser("verify-table1", help="recompute the built-in reference table")
-    c.add_argument("--rounds", type=_parse_rounds, default=64,
-                   help=f"Miller-Rabin rounds if a proof gives out "
-                        f"(at most {MAX_ROUNDS})")
     c.set_defaults(func=_cmd_verify_table)
 
     c = sub.add_parser("sidh-demo", help="desk-scale SIDH key exchange")

@@ -11,9 +11,10 @@ deliberately uncounted.
 deterministic bound (about 3.3e24), and above it for every n whose n + 1
 factors over the primes up to 47, which covers all p = cof*3^m*5^n - 1:
 those it proves prime or composite with the N+1 test of Brillhart,
-Lehmer and Selfridge.  Any other n gets `rounds` Miller-Rabin rounds,
-and for the smooth ones `rounds` bounds only the fallback taken if the
-proof's Lucas chains give out.
+Lehmer and Selfridge.  Any other n gets `_MR_ROUNDS` Miller-Rabin
+rounds, which for the smooth ones are only the fallback taken if the
+proof's Lucas chains give out.  `PrimeField` refuses a modulus above
+`MAX_MODULUS_BITS` before any round.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Lucas chains the N+1 proof may run before Miller-Rabin decides instead.
 _LUCAS_CHAINS = 16
+# Miller-Rabin rounds for an n that no proof decides.
+_MR_ROUNDS = 64
+# The longest prime a search may return (supersingular.MAX_TARGET_BITS +
+# MAX_TOLERANCE); one round at 16,384 bits takes seconds.
+MAX_MODULUS_BITS = 2080
 
 
 def _primes_below(bound: int) -> list[int]:
@@ -47,10 +53,10 @@ def _primes_below(bound: int) -> list[int]:
 _TRIAL_PRODUCT = math.prod(_primes_below(10_000))
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality of n: proven for n below the deterministic bound, and
     for larger n whose n + 1 factors over `_SMALL_PRIMES`; otherwise a
-    Miller-Rabin test of `rounds` rounds.
+    Miller-Rabin test of `_MR_ROUNDS` rounds.
 
     Below its proven bound the Miller-Rabin test with the fixed witness
     set decides.  Above it, n must first share no factor with the primes
@@ -58,12 +64,10 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     n itself (so results are reproducible without sacrificing
     independence across candidates).  Then, if n + 1 factors over
     `_SMALL_PRIMES`, as it does for every p = cof*3^m*5^n - 1, the N+1
-    test proves n prime or composite (`_lucas_proof`), and `rounds`
-    bounds only the fallback that runs if its chains give out: the
-    remaining `rounds - 1` bases of the same seeded sequence.
+    test proves n prime or composite (`_lucas_proof`), and the remaining
+    `_MR_ROUNDS - 1` bases of the same seeded sequence run only if its
+    chains give out.
     """
-    if rounds < 1:
-        raise ValueError(f"need at least 1 Miller-Rabin round, got {rounds}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -79,7 +83,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     proven = _lucas_proof(n)
     if proven is not None:
         return proven
-    return _miller_rabin(n, rng, rounds - 1)
+    return _miller_rabin(n, rng, _MR_ROUNDS - 1)
 
 
 def _proves_composite(a: int, n: int) -> bool:
@@ -234,7 +238,7 @@ class OpCounter:
 
 
 class PrimeField:
-    """The field F_p for an odd prime p > 3.
+    """The field F_p for a prime p > 3 of at most `MAX_MODULUS_BITS` bits.
 
     Calling the field coerces integers (of either sign) or elements to
     canonical residues in [0, p); anything else is a TypeError.  The
@@ -245,6 +249,9 @@ class PrimeField:
     def __init__(self, p: int):
         if p <= 3:
             raise ValueError(f"modulus must exceed 3, got {p}")
+        if p.bit_length() > MAX_MODULUS_BITS:
+            raise ValueError(f"modulus of {p.bit_length()} bits exceeds "
+                             f"{MAX_MODULUS_BITS}")
         if not is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

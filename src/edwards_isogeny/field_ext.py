@@ -261,17 +261,19 @@ class QuadExtElement(Element):
         return r
 
     def norm(self) -> FieldElement:
-        """N(x) = x * conj(x) = c0^2 - beta*c1^2, an element of F_p."""
-        return self.c0.square() - self.field.beta * self.c1.square()
+        """N(x) = x * conj(x) = c0^2 + c1^2 (i^2 = -1), an element of
+        F_p: 2S + 1A."""
+        return self.c0.square() + self.c1.square()
 
     def inverse(self) -> "QuadExtElement":
-        """conj(x)/N(x) on the ints, tallied as `norm` and 1I + 2M + 1A."""
+        """conj(x)/N(x) on the ints, tallied as `norm` and 1I + 2M + 1A:
+        2M + 2S + 1I + 2A."""
         f, a0, a1 = self.field, self._c0, self._c1
         if a0 == 0 and a1 == 0:
             raise DivisionByZero(f"inverse of 0 in F_{f.p}^2")
         c, p = f.base.counter, f.p
         c.ext_i, c.i = c.ext_i + 1, c.i + 1
-        c.m, c.s, c.a = c.m + 3, c.s + 2, c.a + 2
+        c.m, c.s, c.a = c.m + 2, c.s + 2, c.a + 2
         n_inv = pow((a0 * a0 + a1 * a1) % p, -1, p)
         return QuadExtElement(a0 * n_inv % p, -a1 * n_inv % p, f)
 

@@ -69,7 +69,7 @@ class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
     order l = 2s+1, as x-line points (X_i : Z_i).  Their affine x_i, `xs`,
     are made on first use, by an inversion of their own or the chain's one
-    for all its steps (`_fill`).  A kernel from a full point Q keeps it as
+    for all its steps (`_fill`), unless the caller sets them.  A kernel from a full point Q keeps it as
     `generator`, and its `points`, the representatives with their y, are
     recovered on first read; from x alone both are None."""
 

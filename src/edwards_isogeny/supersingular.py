@@ -178,8 +178,7 @@ REFERENCE_ROWS = (
 )
 
 
-def verify_reference_row(m: int, n: int, hex_p: str, claimed_bits: int,
-                         rounds: int = 64) -> dict:
+def verify_reference_row(m: int, n: int, hex_p: str, claimed_bits: int) -> dict:
     """Reconstruct 4*3^m*5^n - 1 and compare it to a published row.
     Discrepancies are reported, not asserted: the reconstruction is the
     ground truth, the published hex may carry transcription defects."""
@@ -192,7 +191,7 @@ def verify_reference_row(m: int, n: int, hex_p: str, claimed_bits: int,
         "bits_computed": p.bit_length(),
         "bits_claimed": claimed_bits,
         "bits_match": p.bit_length() == claimed_bits,
-        "is_prime": is_probable_prime(p, rounds=rounds),
+        "is_prime": is_probable_prime(p),
         "hex_match": hex_match,
         "p_hex": recon_hex,
     }
@@ -201,9 +200,8 @@ def verify_reference_row(m: int, n: int, hex_p: str, claimed_bits: int,
     return report
 
 
-def verify_reference_table(rounds: int = 64) -> list[dict]:
-    return [verify_reference_row(m, n, hx, bits, rounds=rounds)
-            for (m, n, hx, bits) in REFERENCE_ROWS]
+def verify_reference_table() -> list[dict]:
+    return [verify_reference_row(*row) for row in REFERENCE_ROWS]
 
 
 def _first_difference(computed: str, published: str) -> str:

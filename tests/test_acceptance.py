@@ -280,7 +280,7 @@ def test_criterion_7_reference_table():
     with criterion(7, "published 768-bit scale rows reconstruct: bit lengths "
                       "763/778/756, primality proven by the N+1 test",
                    budget=10.0):
-        reports = verify_reference_table(rounds=64)
+        reports = verify_reference_table()
         assert [r["bits_computed"] for r in reports] == [763, 778, 756]
         assert all(r["bits_match"] for r in reports)
         assert all(r["is_prime"] for r in reports)

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny.cli import MAX_ROUNDS, main
+from edwards_isogeny import field
+from edwards_isogeny.cli import main
+from edwards_isogeny.field import MAX_MODULUS_BITS
 
 from oracles import montgomery_point_order
 
@@ -168,6 +172,22 @@ class TestIsogeny:
         assert code == 0
         assert doc["counters"] == {"M": 33, "S": 15, "I": 1, "A": 29}
 
+    @pytest.mark.parametrize("args,counters", [
+        (("--p", "19", "--degree", "5", "--gen", "6,4"),
+         {"M": 37, "S": 18, "I": 2, "A": 28}),
+        (("--p", "19", "--degree", "5", "--gen", "6,4", "--point", "2,8"),
+         {"M": 67, "S": 27, "I": 2, "A": 39}),
+        (("--p", "23", "--degree", "3", "--gen", "-10,9"),
+         {"M": 10, "S": 9, "I": 1, "A": 22})])
+    def test_kernel_x_share_the_inversion_of_d_prime(self, capsys, args,
+                                                     counters):
+        """The kernel x_i (for A), d' and the image take one inversion
+        together, and the y of 2Q one of its own: 2 I at degree 5, and
+        1 I at degree 3, where x(Q) needs none."""
+        code, doc = run_json(capsys, "isogeny", "--d", "-1", *args)
+        assert code == 0
+        assert doc["counters"] == counters
+
 
 class TestChain:
     def test_two_step(self, capsys):
@@ -277,28 +297,22 @@ class TestSearchPrimes:
 
 class TestVerifyTable:
     def test_report(self, capsys):
-        code, doc = run_json(capsys, "verify-table1", "--rounds", "4")
+        code, doc = run_json(capsys, "verify-table1")
         assert code == 0
         assert doc["all_bits_match"] is True
         assert doc["all_prime"] is True
         assert doc["all_hex_match"] is False
         assert [r["hex_match"] for r in doc["rows"]] == [True, False, True]
 
-    def test_rounds_above_the_cap_are_usage_errors(self, capsys):
-        code, doc = run_json(capsys, "verify-table1", "--rounds", str(MAX_ROUNDS))
-        assert code == 0
-        assert doc["all_prime"] is True
+    def test_rounds_is_not_an_option(self, capsys):
+        """The primality test fixes its own Miller-Rabin rounds; every
+        row is proven, so no count would change an answer."""
         with pytest.raises(SystemExit) as exc:
-            main(["verify-table1", "--rounds", str(MAX_ROUNDS + 1)])
+            main(["verify-table1", "--rounds", "4"])
         assert exc.value.code == 2
-        assert "at most" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("rounds", ["0", "-1"])
-    def test_no_rounds_is_domain_error(self, capsys, rounds):
-        code, doc = run_json(capsys, "verify-table1", "--rounds", rounds)
-        assert code == 1
-        assert doc["status"] == "error"
-        assert doc["code"] == "ValueError"
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --rounds 4" in err
 
 
 class TestSidhDemo:
@@ -352,6 +366,19 @@ class TestErrors:
         assert code == 1
         assert doc["status"] == "error"
 
+    def test_long_modulus_exits_at_once(self, capsys):
+        """A 16,384-bit --p with no factor below 10,000 is refused by its
+        length; a Miller-Rabin round on it takes seconds."""
+        n = 2 ** 16383 + 1
+        while math.gcd(n, field._TRIAL_PRODUCT) != 1:
+            n += 2
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "classify", "--p", hex(n), "--d", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert doc["code"] == "ValueError"
+        assert doc["message"] == "modulus of 16384 bits exceeds 2080"
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--p", "23"])       # missing --d
@@ -376,7 +403,9 @@ _INT = _text(st.integers(-3, 30))
 _HUGE = st.integers(2 ** 20, 2 ** 128) | st.integers(-2 ** 128, -2 ** 20)
 _PAIR = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
     lambda xy: f"{xy[0]},{xy[1]}") | _text(["-10,9", "3,6", "1,0", "-1,0"])
-_CURVE = {"--p": _text([5, 7, 11, 13, 19, 23, 29, 37, 59, 4, 3, 1, 0, -7]),
+# Moduli above MAX_MODULUS_BITS are refused before any primality round.
+_CURVE = {"--p": _text([5, 7, 11, 13, 19, 23, 29, 37, 59, 4, 3, 1, 0, -7])
+          | _text(st.integers(2 ** MAX_MODULUS_BITS, 2 ** 8192)),
           "--a": _INT, "--d": _INT}
 # Each subcommand's flags with small values; any value may instead be a
 # malformed token.
@@ -396,7 +425,7 @@ _COMMANDS = {
                       "--tolerance": _text(st.integers(-1, 4) | _HUGE),
                       "--variant": _text(["complete", "quadratic", "cubic"]),
                       "--limit": _text(st.integers(-1, 3) | _HUGE)},
-    "verify-table1": {"--rounds": _text(st.integers(-1, 2) | _HUGE)},
+    "verify-table1": {},
     "sidh-demo": {"--m": _text(st.integers(-1, 3)),
                   "--n": _text(st.integers(-1, 2)),
                   "--seed": _text(st.integers(-2, 5)),

@@ -8,6 +8,7 @@ from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              OpCounter, PrimeField, QuadExtField, classify,
                              j_invariant)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
+from edwards_isogeny.field import MAX_MODULUS_BITS
 
 from conftest import desk_curves, pt
 from oracles import (euler_chi, montgomery_j, montgomery_point_order,
@@ -555,6 +556,13 @@ class TestSerialization:
         as QuadExtField refuses p."""
         doc = {"p": "d", "a": "1", "d": "3+1*i"}
         with pytest.raises(ValueError, match=r"p = 3 \(mod 4\)"):
+            EdwardsCurve.from_json(doc)
+
+    def test_long_modulus_rejected(self):
+        """A hex p above MAX_MODULUS_BITS is refused before any primality
+        round, as PrimeField refuses it."""
+        doc = {"p": format(2 ** MAX_MODULUS_BITS + 1, "x"), "a": "1", "d": "2"}
+        with pytest.raises(ValueError, match="exceeds 2080"):
             EdwardsCurve.from_json(doc)
 
     def test_class_mismatch_rejected(self, e23):

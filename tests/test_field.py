@@ -6,8 +6,10 @@ import pytest
 from edwards_isogeny import (DivisionByZero, FieldMismatch, NotASquare,
                              OpCounter, PrimeField, is_probable_prime)
 from edwards_isogeny import field
-from edwards_isogeny.field import (_MR_DETERMINISTIC_BOUND, _SMALL_PRIMES,
-                                   _jacobi, _lucas_chain, _lucas_proof)
+from edwards_isogeny.field import (MAX_MODULUS_BITS, _MR_DETERMINISTIC_BOUND,
+                                   _SMALL_PRIMES, _jacobi, _lucas_chain,
+                                   _lucas_proof)
+from edwards_isogeny.supersingular import MAX_TARGET_BITS, MAX_TOLERANCE
 
 from oracles import euler_chi
 
@@ -30,6 +32,29 @@ class TestConstruction:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             PrimeField(3)
+
+    def test_modulus_bound_admits_every_search_result(self):
+        """A search returns primes within the tolerance of a target, so
+        of at most MAX_TARGET_BITS + MAX_TOLERANCE bits; a prime of the
+        searched form that long is a field modulus."""
+        assert MAX_TARGET_BITS + MAX_TOLERANCE == MAX_MODULUS_BITS
+        p = 4 * 3 ** 933 * 5 ** 258 - 1
+        assert p.bit_length() == MAX_MODULUS_BITS
+        assert PrimeField(p).p == p
+
+    def test_long_modulus_runs_no_round(self, monkeypatch):
+        """A modulus above the bound is refused before any Miller-Rabin
+        round: one round at 16,384 bits takes seconds, and a prime would
+        take 64."""
+        def no_round(a, n):
+            raise AssertionError("Miller-Rabin round run")
+        monkeypatch.setattr(field, "_proves_composite", no_round)
+        n = 2 ** MAX_MODULUS_BITS + 1
+        while math.gcd(n, field._TRIAL_PRODUCT) != 1:
+            n += 2
+        assert n.bit_length() == MAX_MODULUS_BITS + 1
+        with pytest.raises(ValueError, match="2081 bits exceeds 2080"):
+            PrimeField(n)
 
     def test_canonical_residues(self, f23):
         assert f23(-1).value == 22
@@ -214,14 +239,6 @@ class TestPrimality:
         assert is_probable_prime(p)
         assert not is_probable_prime(p * (2 ** 61 - 1))
 
-    @pytest.mark.parametrize("rounds", [0, -1])
-    def test_rejects_no_rounds(self, rounds):
-        """Zero rounds would test no base and call any large n prime."""
-        n = (2 ** 521 - 1) * (2 ** 607 - 1)
-        assert not is_probable_prime(n, rounds=1)
-        with pytest.raises(ValueError):
-            is_probable_prime(n, rounds=rounds)
-
 
 def _smooth_up_to(limit: int) -> list[int]:
     """Every m <= limit whose prime factors all lie in _SMALL_PRIMES."""
@@ -306,11 +323,10 @@ class TestLucasProof:
         assert _lucas_proof(p) is None
         assert sum(k > 2 ** 64 for k in lengths) == 1
         assert is_probable_prime(p)
-        assert is_probable_prime(p, rounds=1)
 
     def test_fallback_continues_the_seeded_bases(self, monkeypatch):
-        """Without a proof, n > bound gets `rounds` bases in all: the same
-        sequence, drawn from random.Random(n), as before the proof."""
+        """Without a proof, n > bound gets `_MR_ROUNDS` bases in all: the
+        same sequence, drawn from random.Random(n), as before the proof."""
         p = _sidh(4, 238, 165)
         bases = []
 
@@ -319,7 +335,8 @@ class TestLucasProof:
             return False
         monkeypatch.setattr(field, "_lucas_proof", lambda n: None)
         monkeypatch.setattr(field, "_proves_composite", record)
-        assert is_probable_prime(p, rounds=5)
+        monkeypatch.setattr(field, "_MR_ROUNDS", 5)
+        assert is_probable_prime(p)
         rng = random.Random(p)
         assert bases == [rng.randrange(2, p - 1) for _ in range(5)]
 
@@ -329,13 +346,6 @@ class TestLucasProof:
         monkeypatch.setattr(field, "_proves_composite", no_round)
         for q in (53, 997, 9973):
             assert not is_probable_prime(_sidh(4, 238, 165) * q)
-
-    def test_huge_rounds_allocate_nothing(self):
-        """Bases are drawn one at a time, so only the rounds that run
-        cost anything."""
-        assert is_probable_prime(_sidh(4, 238, 165), rounds=10 ** 18)
-        assert not is_probable_prime(_sidh(4, 238, 165) * (2 ** 61 - 1),
-                                     rounds=10 ** 18)
 
     def test_chain_matches_the_recurrence(self):
         """(U_k, V_k, Q^k) against U_{j+1} = P U_j - Q U_{j-1} (and the

@@ -180,13 +180,13 @@ TALLIES = {
         "-x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-2-3*i)"),
         "x * y": ((3, 0, 0, 5, 1, 0, 0, 0), "(-7+3*i)"),
         "x.square()": ((2, 0, 0, 3, 0, 1, 0, 0), "(-5-7*i)"),
-        "x.inverse()": ((3, 2, 1, 2, 0, 0, 1, 0), "(6-9*i)"),
-        "x.norm()": ((1, 2, 0, 1, 0, 0, 0, 0), "-6"),
-        "x / y": ((6, 2, 1, 7, 1, 0, 1, 0), "(-5+7*i)"),
+        "x.inverse()": ((2, 2, 1, 2, 0, 0, 1, 0), "(6-9*i)"),
+        "x.norm()": ((0, 2, 0, 1, 0, 0, 0, 0), "-6"),
+        "x / y": ((5, 2, 1, 7, 1, 0, 1, 0), "(-5+7*i)"),
         "x ** 0": ((0, 0, 0, 0, 0, 0, 0, 0), "1"),
         "x ** 1": ((0, 0, 0, 0, 0, 0, 0, 0), "(2+3*i)"),
         "x ** 5": ((7, 0, 0, 11, 1, 2, 0, 0), "(8-8*i)"),
-        "x ** -3": ((8, 2, 1, 10, 1, 1, 1, 0), "(-7+4*i)"),
+        "x ** -3": ((7, 2, 1, 10, 1, 1, 1, 0), "(-7+4*i)"),
         "1 - x": ((0, 0, 0, 2, 0, 0, 0, 1), "(-1-3*i)"),
         "x * 3": ((2, 0, 0, 0, 1, 0, 0, 0), "(6+9*i)"),
         "3 * x": ((2, 0, 0, 0, 1, 0, 0, 0), "(6+9*i)"),

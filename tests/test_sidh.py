@@ -466,14 +466,14 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1061, "S": 4, "I": 2, "A": 2367},
+            "alice": {"base": {"M": 1059, "S": 4, "I": 2, "A": 2367},
                       "ext": {"M": 267, "S": 128, "I": 2, "A": 327}},
-            "bob": {"base": {"M": 1201, "S": 4, "I": 2, "A": 2485},
+            "bob": {"base": {"M": 1199, "S": 4, "I": 2, "A": 2485},
                     "ext": {"M": 307, "S": 138, "I": 2, "A": 271}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 407, "S": 4, "I": 2, "A": 865},
+            "alice": {"base": {"M": 405, "S": 4, "I": 2, "A": 865},
                       "ext": {"M": 105, "S": 44, "I": 2, "A": 107}},
-            "bob": {"base": {"M": 545, "S": 4, "I": 2, "A": 1084},
+            "bob": {"base": {"M": 543, "S": 4, "I": 2, "A": 1084},
                     "ext": {"M": 141, "S": 59, "I": 2, "A": 104}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
@@ -508,8 +508,8 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 23449, "S": 2, "I": 1},
-                          SIDE_B: {"M": 27682, "S": 2, "I": 1}}
+        assert counts == {SIDE_A: {"M": 23448, "S": 2, "I": 1},
+                          SIDE_B: {"M": 27681, "S": 2, "I": 1}}
 
     def test_setup_counts_at_247_bits(self):
         """Cost gate on setup(74, 55, seed=1): the base-field M, S, I its
@@ -520,7 +520,7 @@ class TestTranscript:
         params = setup(74, 55, seed=1, max_p=p)
         counts = params.field.counter.as_dict()
         assert {k: counts[k] for k in ("M", "S", "I")} == {
-            "M": 41648, "S": 30, "I": 15}
+            "M": 41633, "S": 30, "I": 15}
 
     def test_derive_counts_at_247_bits(self):
         """Cost gate on derive_shared at (74, 55) with run_exchange's
@@ -537,8 +537,8 @@ class TestTranscript:
             with params.field.counting(ctx):
                 derive_shared(params, kp, keys[params.other(side)].public)
             counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
-        assert counts == {SIDE_A: {"M": 18588, "S": 2, "I": 1},
-                          SIDE_B: {"M": 21661, "S": 2, "I": 1}}
+        assert counts == {SIDE_A: {"M": 18587, "S": 2, "I": 1},
+                          SIDE_B: {"M": 21660, "S": 2, "I": 1}}
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_inversions_at_247_bits(self, seed):

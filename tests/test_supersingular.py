@@ -170,7 +170,7 @@ class TestBitEstimate:
 
 @pytest.fixture(scope="module")
 def reports():
-    return verify_reference_table(rounds=8)
+    return verify_reference_table()
 
 
 class TestReferenceTable:
