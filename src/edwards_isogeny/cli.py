@@ -120,7 +120,7 @@ def _cmd_isogeny(args):
     points = [] if args.point is None else [_point(curve, args.point)]
     # The image, d' = D'/C' and the kernel x_i by one inversion, as a
     # chain makes them.
-    images, (E.d, *k.xs) = _carry([phi], points, (E.D, E.C), *zip(k.X, k.Z))
+    images, (E.d, *k.xs) = _carry([phi], points, E.pair, *zip(k.X, k.Z))
     image = {"image": _fmt_point(images[0])} if images else {}
     return _finish({"l": phi.degree,
                     "kernel": [_fmt_point(P) for P in k.points],

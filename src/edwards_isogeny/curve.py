@@ -38,7 +38,7 @@ from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
                      InvalidTwist, NotOnCurve)
 from .field import OpCounter, PrimeField
 from .field_ext import QuadExtField
-from .xonly import xladder
+from .xonly import ProjParams, xladder
 
 COMPLETE = "complete"
 TWISTED = "twisted"
@@ -164,6 +164,18 @@ class EdwardsCurve:
     def class_tag(self) -> str:
         return classify(self.a, self.d)
 
+    @cached_property
+    def pair(self) -> ProjParams:
+        """(D : C) = (d : a): y -> y sqrt(a) takes E_{a,d} to E_{1,D/C}
+        and keeps x.  A step's codomain stores its own (D' : C')."""
+        return ProjParams(self.d, self.a)
+
+    @cached_property
+    def xline(self) -> tuple:
+        """The x-line constant c = (C - D, C) of `pair`, made once."""
+        D, C = self.pair
+        return (C - D, C)
+
     # ------------------------------------------------------------------
     # group law
     # ------------------------------------------------------------------
@@ -253,16 +265,17 @@ class EdwardsCurve:
 
     def point_order(self, P: AffinePoint) -> int:
         """Least n > 0 with n*P = O, found by stripping prime factors
-        from the curve order.  k*P = O is tested by `xonly.xladder`,
-        c = (1 - d/a, 1), as X = Z; for P of order above 2 it passes the
-        points at infinity of E_{a,d}, where `scalar_mul` raises."""
+        from the curve order.  k*P = O is tested by `xonly.xladder`
+        on `xline` = (a - d, a), as X = Z; for P of order above 2 it
+        passes the points at infinity of E_{a,d}, where `scalar_mul`
+        raises."""
         self.check_point(P)
         if P.y.is_zero():                  # (1, 0) = O or (-1, 0)
             return 1 if P.x == 1 else 2
-        c, x = (1 - self.d / self.a, self.field.one), (P.x, self.field.one)
+        x = (P.x, self.field.one)
 
         def annihilates(k: int) -> bool:
-            X, Z = xladder(k, x, c)[0]
+            X, Z = xladder(k, x, self.xline)[0]
             return X == Z
 
         n = self.order()
@@ -344,7 +357,8 @@ class EdwardsCurve:
     # ------------------------------------------------------------------
 
     def j_invariant(self):
-        return j_invariant(self.a, self.d)
+        D, C = self.pair
+        return j_invariant(C, D)
 
     def special_points(self) -> SpecialPointSet:
         field = self.field

@@ -27,11 +27,11 @@ from operator import mul
 from types import MappingProxyType
 
 from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
-                    check_parameters, j_invariant)
+                    check_parameters)
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
                      InvalidCurve, NotASquare, NotOnCurve)
-from .xonly import (FP2, XADD, XDBL, XZPoint, _odd, get_3_isog,
+from .xonly import (FP2, XADD, XDBL, ProjParams, XZPoint, _odd, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
 
@@ -99,24 +99,23 @@ class OddKernel:
         return kernel
 
     @classmethod
-    def from_x(cls, K: tuple, degree: int, domain: EdwardsCurve,
-               c: tuple | None = None) -> "OddKernel":
+    def from_x(cls, K: tuple, degree: int,
+               domain: EdwardsCurve) -> "OddKernel":
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
-        with no inversion; c is the domain's (C - D, C) if the caller has
-        it.  The kernel checks, projectively: K is not O
-        (X = Z), no multiple 2K, ..., sK is O, and X_{s+1} Z_s =
-        X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the order
-        to exactly l, so no multiple lies at infinity (orders 2 and 4) and
-        no Z_i is zero.  The multiples' differences are K, which `xadd`
-        needs to be neither O nor (-1, 0), whose 2K = O fails the checks."""
+        with no inversion, by the domain's `xline`.  InvalidCurve unless
+        a = 1, before anything is counted.  The kernel checks,
+        projectively: K is not O (X = Z), no multiple 2K, ..., sK is O,
+        and X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the
+        order to exactly l, so no multiple lies at infinity (orders 2 and
+        4) and no Z_i is zero.  The multiples' differences are K, which
+        `xadd` needs to be neither O nor (-1, 0), whose 2K = O fails the
+        checks."""
+        _require_a1(domain)
         X, Z = K
         if X == Z:                       # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
-        if c is None:
-            D, C = _pair(domain)
-            c = (C - D, C)
-        s = degree // 2
+        c, s = domain.xline, degree // 2
         multiples = [K, xdbl(K, c)]      # jK at j - 1
         for j in range(3, s + 2):
             if multiples[-1][0] == multiples[-1][1]:
@@ -167,14 +166,13 @@ class OddKernel:
                                for x, y2 in zip(self.xs, self.y_sq)]
         return [self.domain.identity] + [Q for P in reps for Q in (P, P.neg())]
 
-    def codomain_pair(self) -> tuple:
-        """(D', C'), d' = D'/C': `get_3_isog`'s at l = 3, else
+    def codomain_pair(self) -> ProjParams:
+        """(D' : C'), d' = D'/C': `get_3_isog`'s at l = 3, else
         `odd_codomain`'s ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over the
-        domain's (D : C)."""
+        domain's `pair` (D : C)."""
         if self.degree == 3:
-            params = get_3_isog(XZPoint(self.X[0], self.Z[0]))
-            return params.D, params.C
-        return odd_codomain(self.X, self.Z, *_pair(self.domain), self.degree)
+            return get_3_isog(XZPoint(self.X[0], self.Z[0]))
+        return odd_codomain(self.X, self.Z, *self.domain.pair, self.degree)
 
     def to_json(self) -> dict:
         if self.points is None:
@@ -185,28 +183,21 @@ class OddKernel:
 
 
 class _PairCurve(EdwardsCurve):
-    """A step's codomain E_{1,d} as (D, C): d = D/C is made on first read,
-    as `OddKernel.xs` is, and j from (C, D).  C = 0, D = 0, D = C raise."""
+    """A step's codomain E_{1,d}, kept as its `pair` (D : C), so its
+    `xline` and j read no d; d = D/C is made on first read, as
+    `OddKernel.xs` is.  C = 0, D = 0, D = C raise."""
 
-    def __init__(self, field, D, C):
-        check_parameters(C, D)
+    def __init__(self, field, pair: ProjParams):
+        check_parameters(pair.C, pair.D)
         self.field, self.a, self._order = field, field.one, None
-        self.D, self.C, self._fill = D, C, None
+        self.pair, self._fill = pair, None
 
     @cached_property
     def d(self):
         if self._fill is None:
-            return _divide([(self.D, self.C)])[0]
+            return _divide([self.pair])[0]
         self._fill()
         return vars(self)["d"]
-
-    def j_invariant(self):
-        return j_invariant(self.C, self.D)
-
-
-def _pair(E: EdwardsCurve) -> tuple:
-    """(D, C), d = D/C: a step's codomain keeps it; other curves are (d, 1)."""
-    return (E.D, E.C) if isinstance(E, _PairCurve) else (E.d, E.field.one)
 
 
 class OddIsogeny:
@@ -215,7 +206,7 @@ class OddIsogeny:
 
     def __init__(self, kernel: OddKernel):
         self.kernel, self.domain = kernel, kernel.domain
-        self.codomain = _PairCurve(self.domain.field, *kernel.codomain_pair())
+        self.codomain = _PairCurve(self.domain.field, kernel.codomain_pair())
 
     @property
     def degree(self) -> int:
@@ -236,7 +227,7 @@ class OddIsogeny:
     def _y_map(self) -> tuple:
         """The y-map's constants: (-1)^(s+1) C^s prod Z_i^2, and each
         (C Z_i^2, D X_i^2), the first times prod X_i^2."""
-        k, (D, C), s = self.kernel, _pair(self.domain), self.degree // 2
+        k, (D, C), s = self.kernel, self.domain.pair, self.degree // 2
         x2, z2 = [X.square() for X in k.X], [Z.square() for Z in k.Z]
         cy, cw = C ** s * _product(z2), _product(x2)
         terms = [(C * zz, D * xx) for xx, zz in zip(x2, z2)]
@@ -430,16 +421,14 @@ class IsogenyChain:
         E, stack = domain, [(generator, len(degrees))]
         for i, l in enumerate(degrees):
             T, j = stack[-1]
-            D, C = _pair(E)
-            c = (C - D, C)
             while j > i + 1:
                 k = plan[i, j]
                 for m in degrees[i + k:j]:
-                    T = xmul(m, T, c)
+                    T = xmul(m, T, E.xline)
                 j = i + k
                 stack.append((T, j))
             stack.pop()
-            step = OddIsogeny(OddKernel.from_x(T, l, E, c))
+            step = OddIsogeny(OddKernel.from_x(T, l, E))
             step.kernel._fill = step.codomain._fill = self._affine_views
             self.steps.append(step)
             stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)
@@ -447,12 +436,12 @@ class IsogenyChain:
             E = step.codomain
         self.codomain, self.images = E, []
         if images:
-            self.images, (E.d,) = _carry(self.steps, images, (E.D, E.C))
+            self.images, (E.d,) = _carry(self.steps, images, E.pair)
 
     def _affine_views(self):
         """Each step's d' and kernel x_i, by one inversion for all."""
         q = iter(_divide([f for s in self.steps for f in (
-            (s.codomain.D, s.codomain.C), *zip(s.kernel.X, s.kernel.Z))]))
+            s.codomain.pair, *zip(s.kernel.X, s.kernel.Z))]))
         for s in self.steps:
             s.codomain.d = next(q)
             s.kernel.xs = list(islice(q, len(s.kernel.X)))

@@ -137,7 +137,7 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     the two points kept get a y, by `recover_xy` from R, x(T), x(T + R)."""
     # The cofactor (p + 1) / l^e is 4 * o^f, o the other party's prime.
     cofactor, one = (curve.field.p + 1) // l ** e, curve.field.one
-    c = (one - curve.d, one)
+    c = curve.xline
 
     def samples():
         """(R, T, T + R, U) for each draw R whose T has exact order l^e."""
@@ -182,7 +182,7 @@ def _secret_kernel(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint,
                    diff: tuple, secret: int) -> tuple:
     """x-line (X, Z) of R = P + secret*Q, by `ladder3pt`."""
     one = E.field.one
-    return ladder3pt(secret, (P.x, one), (Q.x, one), diff, (one - E.d, one))
+    return ladder3pt(secret, (P.x, one), (Q.x, one), diff, E.xline)
 
 
 def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
@@ -231,29 +231,20 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     """
     basis = params.basis(keypair.side)
     l, e = basis.degree, basis.exponent
+    P, Q = other_public.image_p, other_public.image_q
     try:
         E = EdwardsCurve(params.field, params.field.one,
                          params.field(other_public.codomain_d))
-        on_curve = (E.contains(other_public.image_p)
-                    and E.contains(other_public.image_q))
-    except EdwardsError as exc:
-        raise ProtocolError(f"malformed public key: {exc}") from exc
-    if not on_curve:
-        raise ProtocolError("public basis images are not on the codomain")
-    P, Q = other_public.image_p, other_public.image_q
-    try:
+        if not (E.contains(P) and E.contains(Q)):
+            raise NotOnCurve("the basis images are not on the codomain")
         R = _secret_kernel(E, P, Q, _x_difference(E, P, Q), keypair.secret)
         chain = IsogenyChain(E, R, [l] * e)
-    except EdwardsError as exc:
-        raise ProtocolError(f"malformed public key: {exc}") from exc
-    c, U = (E.field.one - E.d, E.field.one), (Q.x, E.field.one)
-    for _ in range(e - 1):
-        U = xmul(l, U, c)
-    try:
+        U = (Q.x, E.field.one)
+        for _ in range(e - 1):
+            U = xmul(l, U, E.xline)
         subgroup = OddKernel.from_x(U, l, E)
     except EdwardsError as exc:
-        raise ProtocolError(
-            f"image_q does not have order {l}^{e}: {exc}") from exc
+        raise ProtocolError(f"malformed public key: {exc}") from exc
     K0 = chain.steps[0].kernel
     if _in_subgroup((K0.X[0], K0.Z[0]), subgroup):
         raise ProtocolError(

@@ -19,7 +19,8 @@ depends on coordinates only.
 The chains, SIDH's secret kernels and bases, and
 `EdwardsCurve.point_order` run on the x-line too, on (X, Z) pairs of
 E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
-(C - D, C) for d = D/C ((1 - d/a, 1) on E_{a,d}); 1M less if C = 1:
+(C - D, C) for d = D/C: a curve's `xline`, formed once from its
+`pair` (D : C) = (d : a), so (a - d, a) on E_{a,d}; 1M less if C = 1:
 
     xdbl         4M + 2S        xadd         4M + 2S
     xmul(3, .)   8M + 4S        xmul(5, .)   12M + 6S
@@ -53,6 +54,7 @@ differences vary, raises there instead.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ExceptionalInput, FieldMismatch
 from .field import FieldElement
@@ -139,20 +141,15 @@ class XZPoint:
         return f"({self.X!r} : {self.Z!r})"
 
 
-class ProjParams:
-    """Scaled codomain parameter pair (D' : C') with d' = D'/C'."""
+class ProjParams(NamedTuple):
+    """Scaled parameter pair (D : C) with d = D/C: a codomain's, or a
+    curve's own `pair`; it unpacks as (D, C)."""
 
-    __slots__ = ("D", "C")
-
-    def __init__(self, D, C):
-        self.D = D
-        self.C = C
+    D: object
+    C: object
 
     def d_prime(self):
         return self.D / self.C
-
-    def __repr__(self):
-        return f"(D'={self.D!r} : C'={self.C!r})"
 
 
 def get_3_isog(K1: XZPoint) -> ProjParams:
@@ -225,7 +222,7 @@ def _odd(P: tuple, xs: list, zs: list, products: bool,
             new((F0 - G0) % p, (F1 - G1) % p, f)) + out
 
 
-def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> tuple:
+def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> ProjParams:
     """(D', C') = (D^(l-4) (D X^2)^4, C^(l-4) (C Z^2)^4) for X = prod X_i
     and Z = prod Z_i, that is (X^8 D^l, Z^8 C^l) and d' = D'/C', for the
     degree-l kernel (X_i : Z_i) on d = D/C.  cost a side: (s - 1)M + 3S,
@@ -254,7 +251,7 @@ def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> tuple:
                     r = _mul(r, w, p)
             x = _mul(x, r, p)
         out.append(new(*x, f))
-    return tuple(out)
+    return ProjParams(*out)
 
 
 def xdbl(P: tuple, c: tuple) -> tuple:

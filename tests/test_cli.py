@@ -83,6 +83,21 @@ class TestOrder:
         assert code == 0
         assert doc["order"] == montgomery_point_order((6, 11), 23, 1, 2)
 
+    @pytest.mark.parametrize("argv,order,counters", [
+        (("--p", "23", "--d", "-1", "--point", "3,6"), 24,
+         {"M": 77, "S": 44, "I": 0, "A": 109}),
+        (("--p", "19", "--a", "4", "--d", "2", "--point", "10,8"), 5,
+         {"M": 77, "S": 38, "I": 0, "A": 95}),
+    ])
+    def test_counters(self, capsys, argv, order, counters):
+        """The ladder runs on the curve's `xline` (a - d, a) and divides
+        nothing; off a = 1, C = a is not one, so each doubling costs
+        1 M more."""
+        code, doc = run_json(capsys, "order", *argv)
+        assert code == 0
+        assert doc["order"] == order
+        assert doc["counters"] == counters
+
 
 class TestIsogeny:
     def test_worked_example(self, capsys):

@@ -19,7 +19,8 @@ from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
 from edwards_isogeny.isogeny import _step_weights, chain_strategy
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
-from edwards_isogeny.xonly import odd_image, xmul
+from edwards_isogeny.xonly import (ProjParams, XZPoint, get_3_isog,
+                                   get_5_isog, odd_codomain, odd_image, xmul)
 
 from conftest import (DESK_PRIMES, assert_cofactor_walk,
                       assert_images_match_the_full_map, beta_of, desk_curves,
@@ -108,6 +109,21 @@ class TestKernel:
         with pytest.raises(InvalidCurve):
             OddKernel.from_generator(pt(curve, 1, 0), 3, curve)
 
+    @pytest.mark.parametrize("p,a,d,xy,l", [
+        (19, 4, 2, (10, 8), 5), (23, 2, 1, (9, 10), 3)])
+    def test_from_x_rejects_general_a(self, p, a, d, xy, l):
+        """Points of order l off a = 1 raise InvalidCurve before anything
+        is tallied, not BadKernelGenerator or a codomain computed as if
+        a = 1."""
+        field = PrimeField(p)
+        curve = EdwardsCurve(field, field(a), field(d))
+        P = pt(curve, *xy)
+        assert curve.point_order(P) == l
+        ctx = OpCounter()
+        with field.counting(ctx), pytest.raises(InvalidCurve):
+            OddKernel.from_x((P.x, field.one), l, curve)
+        assert ctx.snapshot() == (0,) * 8
+
     def test_stops_at_first_identity(self, e23):
         """An order-3 generator with degree 200001 stops at 3Q = O: the
         on-curve and double checks, then one x-line doubling and one
@@ -145,6 +161,26 @@ class TestCodomainParam:
         bad = EdwardsCurve(f19, f19.one, f19(-2))
         assert not all(bad.contains(pt(bad, x, y))
                        for x, y in [(4, 5), (7, 9)])
+
+    def test_one_pair_type(self, e23, e19, phi3, phi5):
+        """Every (D : C) is a ProjParams that unpacks as (D, C): the
+        x-line codomains, a curve's own (d : a), and a step's codomain,
+        whose d' is its D'/C'."""
+        K3 = XZPoint(e23.field(-10), e23.field.one)
+        K5 = [XZPoint(e19.field(x), e19.field.one) for x in (6, -8)]
+        pairs = [get_3_isog(K3), get_5_isog(*K5, e19.d),
+                 odd_codomain([K.X for K in K5], [K.Z for K in K5],
+                              *e19.pair, 5), e23.pair]
+        for pair in pairs:
+            assert type(pair) is ProjParams
+            D, C = pair
+            assert (D, C) == (pair.D, pair.C)
+        assert e23.pair == (e23.d, e23.a)
+        assert e23.xline == (e23.a - e23.d, e23.a)
+        for phi in (phi3, phi5):
+            assert type(phi.codomain.pair) is ProjParams
+            assert phi.codomain.pair.d_prime() == phi.codomain_d
+        assert pairs[1].d_prime() == pairs[2].d_prime() == phi5.codomain_d
 
     def test_second_3_isogeny(self, f23):
         """Walking on from the image curve: kernel x = -9 on d = -2

@@ -466,15 +466,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1059, "S": 4, "I": 2, "A": 2367},
-                      "ext": {"M": 267, "S": 128, "I": 2, "A": 327}},
-            "bob": {"base": {"M": 1199, "S": 4, "I": 2, "A": 2485},
-                    "ext": {"M": 307, "S": 138, "I": 2, "A": 271}}}),
+            "alice": {"base": {"M": 1059, "S": 4, "I": 2, "A": 2357},
+                      "ext": {"M": 267, "S": 128, "I": 2, "A": 322}},
+            "bob": {"base": {"M": 1199, "S": 4, "I": 2, "A": 2475},
+                    "ext": {"M": 307, "S": 138, "I": 2, "A": 266}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 405, "S": 4, "I": 2, "A": 865},
-                      "ext": {"M": 105, "S": 44, "I": 2, "A": 107}},
-            "bob": {"base": {"M": 543, "S": 4, "I": 2, "A": 1084},
-                    "ext": {"M": 141, "S": 59, "I": 2, "A": 104}}}),
+            "alice": {"base": {"M": 405, "S": 4, "I": 2, "A": 855},
+                      "ext": {"M": 105, "S": 44, "I": 2, "A": 102}},
+            "bob": {"base": {"M": 543, "S": 4, "I": 2, "A": 1074},
+                    "ext": {"M": 141, "S": 59, "I": 2, "A": 99}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so

@@ -440,7 +440,7 @@ class TestLadder:
         params = setup(3, 2, seed=11)
         E, b = params.curve, params.basis_a
         one = E.field.one
-        return E, ((b.P.x, one), (b.Q.x, one), b.diff, (one - E.d, one))
+        return E, ((b.P.x, one), (b.Q.x, one), b.diff, E.xline)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 26, 2 ** 40 + 3, 3 ** 74 - 1])
     def test_costs(self, basis, k):
