@@ -21,7 +21,7 @@ from functools import partial
 from .curve import AffinePoint, EdwardsCurve
 from .errors import EdwardsError
 from .field import FieldElement, OpCounter, PrimeField
-from .isogeny import IsogenyChain, OddIsogeny, OddKernel, _carry
+from .isogeny import IsogenyChain, OddIsogeny, OddKernel, _affine_views
 from .sidh import run_exchange
 from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
                             search_sidh_primes, sidh_key_bits,
@@ -118,9 +118,7 @@ def _cmd_isogeny(args):
     phi = OddIsogeny(OddKernel.from_generator(gen, args.degree, curve))
     E, k = phi.codomain, phi.kernel
     points = [] if args.point is None else [_point(curve, args.point)]
-    # The image, d' = D'/C' and the kernel x_i by one inversion, as a
-    # chain makes them.
-    images, (E.d, *k.xs) = _carry([phi], points, E.pair, *zip(k.X, k.Z))
+    images = _affine_views([phi], points)
     image = {"image": _fmt_point(images[0])} if images else {}
     return _finish({"l": phi.degree,
                     "kernel": [_fmt_point(P) for P in k.points],
@@ -132,8 +130,9 @@ def _cmd_isogeny(args):
 def _cmd_chain(args):
     curve = _curve(args)
     gen = _point(curve, args.gen)
-    images = [] if args.point is None else [_point(curve, args.point)]
-    chain = IsogenyChain(curve, gen, args.degrees, images=images)
+    points = [] if args.point is None else [_point(curve, args.point)]
+    chain = IsogenyChain(curve, gen, args.degrees)
+    images = _affine_views(chain.steps, points)
     out = {"degrees": args.degrees,
            "steps": [{"degree": s.degree,
                       "kernel": [{"x": _fmt(x)} for x in s.kernel.xs],
@@ -141,7 +140,7 @@ def _cmd_chain(args):
            "d_prime": _fmt(chain.codomain.d),
            "j": _fmt(chain.codomain.j_invariant())}
     if images:
-        out["image"] = _fmt_point(chain.images[0])
+        out["image"] = _fmt_point(images[0])
     return _finish(out, curve.field)
 
 

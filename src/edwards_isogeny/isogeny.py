@@ -11,9 +11,10 @@ with no inversion, x by `odd_image` (Costello and Hisil, ASIACRYPT
 
 which reads the x_i only: (7s + 3)M + 4S a point.  An isogeny or a
 chain called on points makes their images affine by one inversion for
-all.  The -y orientation is the one the worked small-field mappings pin
-down.  The tests check the map against two raw-integer oracles: the
-defining product of group-law translates, prod x(P+Q)/x(Q),
+all; `_affine_views` adds every step's d' and kernel x_i to that one
+inversion.  The -y orientation is the one the worked small-field
+mappings pin down.  The tests check the map against two raw-integer
+oracles: the defining product of group-law translates, prod x(P+Q)/x(Q),
 prod y(P+Q)/x(Q) over the kernel points Q, and the full rational map
 with x' = (x/A^2) * prod (x^2 - y_i^2) / (1 - d y_i^2 x^2).
 """
@@ -68,14 +69,14 @@ def is_order3_abscissa(alpha, d) -> bool:
 class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
     order l = 2s+1, as x-line points (X_i : Z_i).  Their affine x_i, `xs`,
-    are made on first use, by an inversion of their own or the chain's one
-    for all its steps (`_fill`), unless the caller sets them.  A kernel from a full point Q keeps it as
-    `generator`, and its `points`, the representatives with their y, are
-    recovered on first read; from x alone both are None."""
+    are made on first read by one inversion, unless `_affine_views` has
+    set them.  A kernel from a full point Q keeps it as `generator`, and
+    its `points`, the representatives with their y, are recovered on
+    first read; from x alone both are None."""
 
     def __init__(self, domain: EdwardsCurve, degree: int, X: list, Z: list):
         self.domain, self.degree, self.X, self.Z = domain, degree, X, Z
-        self.generator, self._fill = None, None
+        self.generator = None
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
@@ -129,42 +130,28 @@ class OddKernel:
             raise BadKernelGenerator(f"generator does not have order {degree}")
         return cls(domain, degree, *map(list, zip(*multiples)))
 
-    @cached_property
-    def xs(self) -> list:
-        if self._fill is None:
-            return _divide(list(zip(self.X, self.Z)))
-        self._fill()
-        return vars(self)["xs"]
-
+    xs = cached_property(lambda self: _divide([*zip(self.X, self.Z)]))
     A = cached_property(lambda self: _product(self.xs))
 
     @cached_property
     def points(self) -> list[AffinePoint] | None:
         """Q, 2Q, ..., sQ with their y, each after Q by `recover_xy` from
         Q and the x-line multiples jQ and (j+1)Q, x((s+1)Q) = x(sQ) for
-        the last: 16M + 4S + I a point.  None without a generator."""
+        the last, 11M + 4S a point, and all made affine by one inversion.
+        None without a generator."""
         Q, E = self.generator, self.domain
         if Q is None:
             return None
         K = [*zip(self.X, self.Z)]
         K.append(K[-1])
-        return [Q] + [AffinePoint(*recover_xy(Q, K[j], K[j + 1], E.a, E.d))
-                      for j in range(1, len(self.X))]
-
-    @cached_property
-    def y_sq(self) -> list:
-        """y_i^2 = (1 - x_i^2)/(1 - d x_i^2), by an inversion of its own."""
-        one, d = self.domain.field.one, self.domain.d
-        return _divide([(one - x2, one - d * x2)
-                        for x2 in (x.square() for x in self.xs)])
+        q = _divide([f for j in range(1, len(self.X))
+                     for f in recover_xy(Q, K[j], K[j + 1], E.a, E.d)])
+        return [Q] + [AffinePoint(*q[i:i + 2]) for i in range(0, len(q), 2)]
 
     def full_points(self) -> list[AffinePoint]:
-        """The whole subgroup: O and ±Q_i.  Without a generator, ±y_i are
-        the two square roots of y_i^2, so it needs no sign."""
-        sqrt = self.domain.field.sqrt
-        reps = self.points or [AffinePoint(x, sqrt(y2))
-                               for x, y2 in zip(self.xs, self.y_sq)]
-        return [self.domain.identity] + [Q for P in reps for Q in (P, P.neg())]
+        """The whole subgroup of a kernel from a generator: O and ±Q_i."""
+        return [self.domain.identity] + [Q for P in self.points
+                                         for Q in (P, P.neg())]
 
     def codomain_pair(self) -> ProjParams:
         """(D' : C'), d' = D'/C': `get_3_isog`'s at l = 3, else
@@ -173,13 +160,6 @@ class OddKernel:
         if self.degree == 3:
             return get_3_isog(XZPoint(self.X[0], self.Z[0]))
         return odd_codomain(self.X, self.Z, *self.domain.pair, self.degree)
-
-    def to_json(self) -> dict:
-        if self.points is None:
-            kernel = [{"x": x.to_str()} for x in self.xs]
-        else:
-            kernel = [P.to_json() for P in self.points]
-        return {"l": self.degree, "kernel": kernel, "A": self.A.to_str()}
 
 
 class _PairCurve(EdwardsCurve):
@@ -190,14 +170,9 @@ class _PairCurve(EdwardsCurve):
     def __init__(self, field, pair: ProjParams):
         check_parameters(pair.C, pair.D)
         self.field, self.a, self._order = field, field.one, None
-        self.pair, self._fill = pair, None
+        self.pair = pair
 
-    @cached_property
-    def d(self):
-        if self._fill is None:
-            return _divide([self.pair])[0]
-        self._fill()
-        return vars(self)["d"]
+    d = cached_property(lambda self: _divide([self.pair])[0])
 
 
 class OddIsogeny:
@@ -251,11 +226,6 @@ class OddIsogeny:
         den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
         return Xn, Zn, Y * cy * (plus * minus), W * den
 
-    def to_json(self) -> dict:
-        out = self.kernel.to_json()
-        out["d_prime"] = self.codomain_d.to_str()
-        return out
-
 
 def _product(factors):
     return reduce(mul, factors)
@@ -277,12 +247,25 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
     return [AffinePoint(*q[i:i + 2]) for i in range(0, n, 2)], q[n:]
 
 
+def _affine_views(steps: list, points: list) -> list:
+    """The images of `points` through `steps`, as `_carry` makes them,
+    with each step's `codomain.d` and `kernel.xs` set from the same one
+    inversion."""
+    images, q = _carry(steps, points, *(f for s in steps for f in (
+        s.codomain.pair, *zip(s.kernel.X, s.kernel.Z))))
+    q = iter(q)
+    for s in steps:
+        s.codomain.d = next(q)
+        s.kernel.xs = list(islice(q, len(s.kernel.X)))
+    return images
+
+
 def _divide(fractions: list) -> list:
     """n/d for each pair (n, d), with one inversion by Montgomery's
     trick: 3(k - 1)M for the k denominators other than one, then 1M a
-    quotient.  BadKernelGenerator if a denominator is zero: a Z_i or a
-    y_i^2 denominator is zero only at a point at infinity, which no
-    kernel of odd order holds."""
+    quotient.  BadKernelGenerator if a denominator is zero: a kernel's
+    Z_i, or the denominator of a y `recover_xy` gives it, is zero only at
+    a point at infinity, which no kernel of odd order holds."""
     dens = [d for _, d in fractions if d != 1]
     if not dens:
         return [n for n, _ in fractions]
@@ -394,9 +377,10 @@ class IsogenyChain:
     image of <G>, G has exact order prod(degrees).
 
     `images` are pushed by `OddIsogeny.image` and made affine with the
-    last d' by one inversion, as is a point the chain is called on.  The
-    steps' `kernel.xs` and `codomain_d` are made on first use, by one
-    inversion for all.
+    last d' by one inversion, as is a point the chain is called on.  A
+    step's `kernel.xs` and `codomain_d` are made on first read, by an
+    inversion each; `_affine_views` makes them all, with pushed points,
+    by one.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
@@ -429,7 +413,6 @@ class IsogenyChain:
                 stack.append((T, j))
             stack.pop()
             step = OddIsogeny(OddKernel.from_x(T, l, E))
-            step.kernel._fill = step.codomain._fill = self._affine_views
             self.steps.append(step)
             stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)
                      for P, j in stack]
@@ -438,22 +421,5 @@ class IsogenyChain:
         if images:
             self.images, (E.d,) = _carry(self.steps, images, E.pair)
 
-    def _affine_views(self):
-        """Each step's d' and kernel x_i, by one inversion for all."""
-        q = iter(_divide([f for s in self.steps for f in (
-            s.codomain.pair, *zip(s.kernel.X, s.kernel.Z))]))
-        for s in self.steps:
-            s.codomain.d = next(q)
-            s.kernel.xs = list(islice(q, len(s.kernel.X)))
-
-    @property
-    def total_degree(self) -> int:
-        return prod(self.degrees)
-
     def __call__(self, P: AffinePoint) -> AffinePoint:
         return _carry(self.steps, [P])[0][0]
-
-    def to_json(self) -> dict:
-        return {"degrees": self.degrees,
-                "steps": [s.to_json() for s in self.steps],
-                "d_prime": self.codomain.d.to_str()}

@@ -23,7 +23,7 @@ from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
                      ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
-from .isogeny import IsogenyChain, OddKernel, recover_y
+from .isogeny import IsogenyChain, OddKernel, _divide, recover_y
 from .xonly import ladder3pt, recover_xy, xladder, xmul
 
 DESK_PRIME_LIMIT = 10_000
@@ -134,7 +134,8 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     the x-line, T = 4*o^f*R by `xladder` and U = l^(e-1)*T by `xmul`,
     and skipped when U has X = Z: U = O, or the (0 : 0) of R = O or
     (-1, 0); a 2R at infinity gives T = O, as E[2^inf] = (Z/4)^2.  Only
-    the two points kept get a y, by `recover_xy` from R, x(T), x(T + R)."""
+    the two points kept get a y, by `recover_xy` from R, x(T), x(T + R),
+    each made affine by an inversion of its own."""
     # The cofactor (p + 1) / l^e is 4 * o^f, o the other party's prime.
     cofactor, one = (curve.field.p + 1) // l ** e, curve.field.one
     c = curve.xline
@@ -157,8 +158,9 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     subgroup = OddKernel.from_x(U, l, curve)
     for *partner, V in samples():
         if not _in_subgroup(V, subgroup):
-            P, Q = (AffinePoint(*recover_xy(tuple(R), T, S, curve.a, curve.d))
-                    for R, T, S in (draw, partner))
+            P, Q = (AffinePoint(*_divide(
+                recover_xy(tuple(R), T, S, curve.a, curve.d)))
+                for R, T, S in (draw, partner))
             return TorsionBasis(l, e, P, Q, _x_difference(curve, P, Q))
     raise SetupFailed(f"no independent order-{l}^{e} partner found")
 

@@ -31,8 +31,8 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
                  eval_3_isog is its one-point case
     odd_codomain (D', C') for l >= 5: 3M + 3S a side at l = 5, and
                  1M + 3S for a side whose D or C is one
-    recover_xy   16M + 4S + I (17M off a = 1), kP from P and xladder's
-                 x(kP), x((k+1)P)
+    recover_xy   11M + 4S (12M off a = 1), kP as the fractions x = X/Z
+                 and y = num/den from P and xladder's x(kP), x((k+1)P)
 
 `xdbl`, `xadd`, `odd_image`, `get_3_isog` and `odd_codomain` compute
 inline mod p on the (c0, c1) ints of their inputs, writing i^2 = -1,
@@ -312,7 +312,7 @@ def xmul(l: int, P: tuple, c: tuple) -> tuple:
 
 
 def recover_xy(P: tuple, Q: tuple, S: tuple, a, d) -> tuple:
-    """Affine (x, y) of Q = kP on E_{a,d} from the affine P = (x, y) and
+    """(x, y) of Q = kP on E_{a,d} from the affine P = (x, y) and
     the ladder's Q = (X, Z) and S = Q + P = (Xs, Zs): the y-recovery of
     Okeya and Sakurai (CHES 2001; Costello and Smith, J. Cryptogr. Eng.
     2018, Alg. 5) on the Montgomery model, u = (1 + x)/(1 - x) and
@@ -322,26 +322,26 @@ def recover_xy(P: tuple, Q: tuple, S: tuple, a, d) -> tuple:
         N = (Zs - Xs)(2a Z^2 + 2d x^2 X^2 - (a + d)(X^2 + x^2 Z^2))
             - (a - d)(Zs + Xs)(X - x Z)^2,
 
-    with x(Q) = X/Z, by one inversion.  Where the formula is void, S = O
-    gives Q = -P, and x(Q) = 1 or -1 gives O or (-1, 0).  P must be
-    neither O nor (-1, 0), the points with y = 0, and Q must be affine.
-    cost: 17M + 4S + I, 16M when a = 1."""
+    and x(Q) = X/Z, as the fractions ((X, Z), (num, den)), which the
+    caller divides, so several points can share one inversion.  Where
+    the formula is void, S = O gives Q = -P, and x(Q) = 1 or -1 gives O
+    or (-1, 0).  P must be neither O nor (-1, 0), the points with y = 0,
+    and Q must be affine.  cost: 12M + 4S, 11M when a = 1."""
     x, y = P
     X, Z = Q
     Xs, Zs = S
+    one = X.field.one
     if X == Z or X == -Z:                # Q = O or (-1, 0), y = 0
-        return X / Z, X.field.zero
+        return (X, Z), (X.field.zero, one)
     if Xs == Zs:                         # Q + P = O
-        return x, -y
+        return (x, one), (-y, one)
     XX, ZZ, xx = X.square(), Z.square(), x.square()
     Ws = Zs - Xs
     t = (ZZ if a == 1 else a * ZZ) + d * (xx * XX)
     N = (Ws * (t + t - (a + d) * (XX + xx * ZZ))
          - (a - d) * (Zs + Xs) * (X - x * Z).square())
-    yN = y * N
-    inv = (yN * Z).inverse()
     num = (1 - xx) * (ZZ - XX) * Ws
-    return X * yN * inv, (num + num) * Z * inv
+    return (X, Z), (num + num, y * N)
 
 
 def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c: tuple) -> tuple:

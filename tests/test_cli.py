@@ -122,6 +122,10 @@ class TestIsogeny:
                              "--degree", "5", "--gen", "6,4")
         assert code == 0
         assert doc["kernel"] == [[6, 4], [-8, -2]]
+        code, doc = run_json(capsys, "isogeny", "--p", "83", "--d", "-1",
+                             "--degree", "7", "--gen", "7,3")
+        assert code == 0
+        assert doc["kernel"] == [[7, 3], [23, -5], [-37, 13]]
 
     def test_bad_generator_is_domain_error(self, capsys):
         code, doc = run_json(capsys, "isogeny", "--p", "23", "--d", "-1",
@@ -193,12 +197,14 @@ class TestIsogeny:
         (("--p", "19", "--degree", "5", "--gen", "6,4", "--point", "2,8"),
          {"M": 67, "S": 27, "I": 2, "A": 39}),
         (("--p", "23", "--degree", "3", "--gen", "-10,9"),
-         {"M": 10, "S": 9, "I": 1, "A": 22})])
+         {"M": 10, "S": 9, "I": 1, "A": 22}),
+        (("--p", "83", "--degree", "7", "--gen", "7,3"),
+         {"M": 67, "S": 25, "I": 2, "A": 46})])
     def test_kernel_x_share_the_inversion_of_d_prime(self, capsys, args,
                                                      counters):
         """The kernel x_i (for A), d' and the image take one inversion
-        together, and the y of 2Q one of its own: 2 I at degree 5, and
-        1 I at degree 3, where x(Q) needs none."""
+        together, and the y of 2Q, ..., sQ one more for all of them: 2 I
+        at degrees 5 and 7, and 1 I at degree 3, where x(Q) needs none."""
         code, doc = run_json(capsys, "isogeny", "--d", "-1", *args)
         assert code == 0
         assert doc["counters"] == counters
@@ -214,15 +220,14 @@ class TestChain:
         assert "j" in doc and "image" in doc
 
     def test_point_is_carried_as_an_image(self, capsys):
-        """--point rides through the chain as an image, made affine with
-        the last d' by one inversion; the steps' kernels and d' take one
-        more for all of them, and j one."""
+        """--point is pushed through the chain and made affine with every
+        step's kernel x and d' by one inversion, and j takes one."""
         code, doc = run_json(capsys, "chain", "--p", "59", "--d", "-1",
                              "--gen", "7,5", "--degrees", "3,5",
                              "--point", "9,25")
         assert code == 0
         assert doc["image"] == [1, 0]
-        assert doc["counters"] == {"M": 113, "S": 45, "I": 3, "A": 75}
+        assert doc["counters"] == {"M": 112, "S": 45, "I": 2, "A": 75}
 
     def test_kernel_lists_x_only(self, capsys):
         """A chain's kernels are built on the x-line and have no y sign,

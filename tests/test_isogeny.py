@@ -17,7 +17,8 @@ from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
                              isogeny, order3_division_value, recover_y,
                              setup)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
-from edwards_isogeny.isogeny import _step_weights, chain_strategy
+from edwards_isogeny.isogeny import (_affine_views, _step_weights,
+                                     chain_strategy)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 from edwards_isogeny.xonly import (ProjParams, XZPoint, get_3_isog,
                                    get_5_isog, odd_codomain, odd_image, xmul)
@@ -424,11 +425,11 @@ class TestXLineKernel:
         """Every point P of the first 16 a = 1 desk curves whose order l
         divides, as a generator of degree l: `from_x` and
         `from_generator` accept exactly the points of order l by
-        repeated addition on raw ints, and then give the x_i, y_i^2, A,
-        d' = A^8 d^l and subgroup of those multiples, `from_generator`
-        its representatives with their signs; every other point raises
-        BadKernelGenerator (ExceptionalPair from `from_generator` where
-        2P lies at infinity)."""
+        repeated addition on raw ints, and then give the x_i, A and
+        d' = A^8 d^l of those multiples, `from_generator` also its
+        representatives with their signs and the subgroup; every other
+        point raises BadKernelGenerator (ExceptionalPair from
+        `from_generator` where 2P lies at infinity)."""
         accepted = 0
         for p, d in a1_curves_with_torsion(l)[:16]:
             curve = a1_curve(p, d)
@@ -449,14 +450,12 @@ class TestXLineKernel:
                 for got in (OddKernel.from_x(line(P, 3), l, curve), from_gen):
                     assert [raw(x) for x in got.xs] == xs
                     assert raw(got.A) == prod(xs) % p
-                    assert [raw(v) for v in got.y_sq] == [
-                        y * y % p for _, y in reps]
                     assert raw(OddIsogeny(got).codomain_d) == (
                         naive_codomain_d(xs, p, d, l))
-                    assert set(got.full_points()) == {
-                        element_point(field, Q) for Q in multiples}
                 assert from_gen.points == [element_point(field, Q)
                                            for Q in reps]
+                assert set(from_gen.full_points()) == {
+                    element_point(field, Q) for Q in multiples}
                 accepted += 1
         assert accepted > 0
 
@@ -740,6 +739,16 @@ class TestChain:
             IsogenyChain(e23, pt(e23, 2, 2), [3])       # order 8
         with pytest.raises(BadKernelGenerator):
             IsogenyChain(e23, pt(e23, -10, 9), [3, 3])  # order 3, not 9
+        # Mixed degrees: a G of order 3 over F_{p^2}, affine or (x, 1),
+        # fails at the step whose prime it lacks, first or second.
+        params = setup(3, 2, seed=1)
+        E = params.curve
+        G = E.scalar_mul(9, params.basis_a.P)
+        assert not G.is_identity() and E.scalar_mul(3, G).is_identity()
+        for gen in (G, (G.x, E.field.one)):
+            for degrees in ([3, 5], [5, 3]):
+                with pytest.raises(BadKernelGenerator):
+                    IsogenyChain(E, gen, degrees)
 
     @pytest.mark.parametrize("xy,order", [((0, 1), 4), ((-1, 0), 2),
                                           ((1, 0), 1)])
@@ -859,7 +868,8 @@ class TestChain:
         G and the degrees [3, 5] or [5, 3]: each step's kernel x and d'
         are the full-point oracle's, and points pushed inside the chain
         and by chain(P) are the steps' full maps composed, poles
-        included."""
+        included.  `_affine_views` on a fresh chain gives chain(P)'s
+        images and each step's own `kernel.xs` and `codomain_d`."""
         curve = a1_curve(*data.draw(st.sampled_from(order15_curves())))
         G = data.draw(st.sampled_from(
             [P for P in curve.points() if curve.point_order(P) == 15]))
@@ -868,6 +878,16 @@ class TestChain:
                                     min_size=1, max_size=4))
         assert_cofactor_walk(curve, G, degrees)
         assert_images_match_the_full_map(curve, G, degrees, points)
+        fresh, views = (IsogenyChain(curve, G, degrees) for _ in range(2))
+        try:
+            want = [fresh(P) for P in points]
+        except ExceptionalInput:
+            with pytest.raises(ExceptionalInput):
+                _affine_views(views.steps, points)
+        else:
+            assert _affine_views(views.steps, points) == want
+            assert ([(s.kernel.xs, s.codomain_d) for s in views.steps]
+                    == [(s.kernel.xs, s.codomain_d) for s in fresh.steps])
 
     @pytest.mark.parametrize("i,cost", [(0, (10, 4, 0)), (1, (17, 4, 0))])
     def test_image_costs(self, i, cost):
@@ -885,17 +905,17 @@ class TestChain:
         assert (ctx.ext_m, ctx.ext_s, ctx.ext_i) == cost
 
     def test_no_images_no_full_map(self, e23):
-        """A chain forms no y_i^2 and no affine view: its kernels stay
-        (X_i : Z_i) and its codomains (D' : C').  chain(P) pushes P by
-        the y-map, which reads no y_i^2 either, to the raw full map's
-        point."""
+        """A chain forms no affine view: its kernels stay (X_i : Z_i) and
+        its codomains (D' : C').  chain(P) pushes P by the y-map, which
+        reads neither view, to the raw full map's point."""
         G, P = pt(e23, -10, 9), pt(e23, 3, 6)
         chain = IsogenyChain(e23, G, [3])
         step = chain.steps[0]
-        assert not {"xs", "y_sq"} & set(vars(step.kernel))
+        assert "xs" not in vars(step.kernel)
         assert "d" not in vars(step.codomain)
         assert chain(P) == pt(e23, *naive_full_map((3, 6), [-10], 23, -1))
-        assert "y_sq" not in vars(step.kernel)
+        assert "xs" not in vars(step.kernel)
+        assert "d" not in vars(step.codomain)
 
 
 def strategy_cost(degrees, split) -> int:
@@ -998,27 +1018,3 @@ class TestStrategy:
             IsogenyChain(E, E.add(basis.P, E.scalar_mul(5, basis.Q)),
                          [basis.degree] * basis.exponent)
         assert sum(spent) == model - 3 * (basis.exponent - 1)
-
-
-class TestSerialization:
-    def test_isogeny_json(self, phi3):
-        doc = phi3.to_json()
-        assert doc["l"] == 3
-        assert doc["A"] == "d"                  # -10 mod 23 = 13
-        assert doc["d_prime"] == "15"           # -2 mod 23 = 21 = 0x15
-        assert doc["kernel"] == [{"x": "d", "y": "9"}]
-
-    def test_chain_json(self):
-        field = PrimeField(59)
-        curve = EdwardsCurve(field, field.one, field(-1))
-        doc = IsogenyChain(curve, pt(curve, 7, 5), [3, 5]).to_json()
-        assert doc["degrees"] == [3, 5]
-        assert len(doc["steps"]) == 2
-
-    def test_chain_kernels_have_no_y(self):
-        """Chain kernels are built on the x-line: x only, hex."""
-        field = PrimeField(59)
-        curve = EdwardsCurve(field, field.one, field(-1))
-        doc = IsogenyChain(curve, pt(curve, 7, 5), [3, 5]).to_json()
-        assert [s["kernel"] for s in doc["steps"]] == [
-            [{"x": "1c"}], [{"x": "2f"}, {"x": "10"}]]

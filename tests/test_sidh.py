@@ -186,7 +186,7 @@ class TestKeygen:
 
     def test_secret_zero_valid(self, params59):
         kp = keygen(params59, SIDE_A, 0)
-        assert kp.chain.total_degree == 3
+        assert kp.chain.degrees == [3]
 
     def test_secret_range(self, params59):
         with pytest.raises(ValueError):
