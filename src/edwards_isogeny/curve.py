@@ -33,6 +33,7 @@ which passes the points at infinity.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
                      InvalidTwist, NotOnCurve)
@@ -66,14 +67,12 @@ def classify(a, d) -> str:
     return TWISTED if ca == -1 else QUADRATIC
 
 
-class AffinePoint:
-    """A coordinate pair (x, y); the neutral element is (1, 0)."""
+class AffinePoint(NamedTuple):
+    """A coordinate pair (x, y); the neutral element is (1, 0).  It is a
+    tuple, so it unpacks as (x, y) and equals the plain tuple (x, y)."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
+    x: object
+    y: object
 
     def neg(self) -> "AffinePoint":
         return AffinePoint(self.x, -self.y)
@@ -92,17 +91,6 @@ class AffinePoint:
     def from_json(cls, doc: dict, field) -> "AffinePoint":
         return cls(field.parse(doc["x"]), field.parse(doc["y"]))
 
-    def __iter__(self):
-        return iter((self.x, self.y))
-
-    def __eq__(self, other):
-        if not isinstance(other, AffinePoint):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"
 
@@ -114,7 +102,7 @@ def to_affine(P) -> AffinePoint:
     return AffinePoint(X * inv, Y * inv)
 
 
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """Symbolic point at infinity of a non-complete curve.
 
     `axis` names the infinite coordinate; `finite` is the finite one.
@@ -122,12 +110,9 @@ class SingularPoint:
     descriptors the pair (inf, ±1/sqrt(d)).  They are never valid inputs
     to the group law."""
 
-    __slots__ = ("axis", "finite", "order")
-
-    def __init__(self, axis: str, finite, order: int):
-        self.axis = axis
-        self.finite = finite
-        self.order = order
+    axis: str
+    finite: object
+    order: int
 
     def __repr__(self):
         if self.axis == "y":
@@ -135,15 +120,14 @@ class SingularPoint:
         return f"(inf, {self.finite!r})[order {self.order}]"
 
 
-class SpecialPointSet:
+class SpecialPointSet(NamedTuple):
     """The always-present O and D0, the affine order-4 pair ±F0 when
     chi(a) = +1, and the singular descriptors when they exist."""
 
-    def __init__(self, neutral, d0, f0_pair, singular):
-        self.neutral = neutral
-        self.d0 = d0
-        self.f0_pair = f0_pair          # list of two AffinePoints, or []
-        self.singular = singular        # list of SingularPoint
+    neutral: AffinePoint
+    d0: AffinePoint
+    f0_pair: list                       # two AffinePoints, or []
+    singular: list                      # SingularPoints
 
     @property
     def order2_count(self) -> int:

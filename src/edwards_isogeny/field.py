@@ -378,12 +378,6 @@ class Element:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int):
         """self ** k by left-to-right square-and-multiply, so the power
         tallies exactly its squarings (S) and multiplications (M); k < 0
@@ -400,12 +394,6 @@ class Element:
             if bit == "1":
                 acc = acc * self
         return acc
-
-    def chi(self) -> int:
-        return self.field.chi(self)
-
-    def sqrt(self):
-        return self.field.sqrt(self)
 
 
 class FieldElement(Element):

@@ -83,7 +83,10 @@ class QuadExtField:
 
     def sqrt(self, x) -> QuadExtElement:
         """Canonical square root via the norm method: the root r0 + r1*i
-        has r0^2 = (c0 ± sqrt(N(x)))/2 and r1 = c1/(2*r0)."""
+        has r0^2 = t = (c0 ± sqrt(N(x)))/2 and r1 = c1/(2*r0).  x is a
+        square exactly when N(x) is; then, for c1 != 0, t+ * t- =
+        (c0^2 - N(x))/4 = -c1^2/4 is a non-residue, as -1 is for
+        p = 3 (mod 4), so exactly one of t+, t- is a square."""
         x = self(x)
         if x.is_zero():
             return self.zero
@@ -95,16 +98,14 @@ class QuadExtField:
             else:                        # c0 = (r i)^2 = -r^2
                 cand = self(0, self.base.sqrt(-c0))
             return _canonical(cand)
-        n = (c0 * c0 + c1 * c1) % p
-        if self.base.chi(n) != 1:
-            raise NotASquare(f"{x} is not a square in F_{p}^2")
-        s = self.base.sqrt(n).value
+        try:
+            s = self.base.sqrt(c0 * c0 + c1 * c1).value
+        except NotASquare:
+            raise NotASquare(f"{x} is not a square in F_{p}^2") from None
         inv2 = pow(2, -1, p)
         t = (c0 + s) * inv2 % p
         if self.base.chi(t) != 1:
             t = (c0 - s) * inv2 % p
-        if self.base.chi(t) != 1:
-            raise NotASquare(f"{x} is not a square in F_{p}^2")
         r0 = self.base.sqrt(t).value
         r1 = c1 * pow(2 * r0, -1, p) % p
         cand = self(r0, r1)

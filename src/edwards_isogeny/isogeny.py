@@ -105,14 +105,15 @@ class OddKernel:
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
         with no inversion, by the domain's `xline`.  InvalidCurve unless
-        a = 1, before anything is counted.  The kernel checks,
-        projectively: K is not O (X = Z), no multiple 2K, ..., sK is O,
-        and X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) = x(sK), which pins the
-        order to exactly l, so no multiple lies at infinity (orders 2 and
-        4) and no Z_i is zero.  The multiples' differences are K, which
-        `xadd` needs to be neither O nor (-1, 0), whose 2K = O fails the
-        checks."""
+        a = 1, and `_check_degree`'s errors, before anything is counted.
+        The kernel checks, projectively: K is not O (X = Z), no multiple
+        2K, ..., sK is O, and X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) =
+        x(sK), which pins the order to exactly l, so no multiple lies at
+        infinity (orders 2 and 4) and no Z_i is zero.  The multiples'
+        differences are K, which `xadd` needs to be neither O nor
+        (-1, 0), whose 2K = O fails the checks."""
         _require_a1(domain)
+        _check_degree(degree)
         X, Z = K
         if X == Z:                       # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
@@ -376,15 +377,15 @@ class IsogenyChain:
     refused at once.  As each K_i != O has order l_i and lies in the
     image of <G>, G has exact order prod(degrees).
 
-    `images` are pushed by `OddIsogeny.image` and made affine with the
-    last d' by one inversion, as is a point the chain is called on.  A
-    step's `kernel.xs` and `codomain_d` are made on first read, by an
-    inversion each; `_affine_views` makes them all, with pushed points,
-    by one.
+    A point the chain is called on is pushed by `OddIsogeny.image` and
+    made affine by one inversion; `_carry` does the same for several
+    points, with any fractions such as the last (D' : C').  A step's
+    `kernel.xs` and `codomain_d` are made on first read, by an inversion
+    each; `_affine_views` makes them all, with pushed points, by one.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
-                 degrees: list[int], images=()):
+                 degrees: list[int]):
         _require_a1(domain)
         degrees = list(degrees)
         if not degrees:
@@ -417,9 +418,7 @@ class IsogenyChain:
             stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)
                      for P, j in stack]
             E = step.codomain
-        self.codomain, self.images = E, []
-        if images:
-            self.images, (E.d,) = _carry(self.steps, images, E.pair)
+        self.codomain = E
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
         return _carry(self.steps, [P])[0][0]

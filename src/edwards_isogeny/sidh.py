@@ -23,7 +23,7 @@ from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
                      ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
-from .isogeny import IsogenyChain, OddKernel, _divide, recover_y
+from .isogeny import IsogenyChain, OddKernel, _carry, _divide, recover_y
 from .xonly import ladder3pt, recover_xy, xladder, xmul
 
 DESK_PRIME_LIMIT = 10_000
@@ -191,7 +191,8 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     """Kernel R = P_side + secret*Q_side, chain of prime-degree steps,
     public key = codomain parameter plus pushed-through images of the
     other side's basis.  R is taken on the x-line from the basis and its
-    stored x(P - Q), and the chain starts from x(R)."""
+    stored x(P - Q), and the chain starts from x(R).  The two images are
+    pushed by `_carry` and made affine with d' = D'/C' by one inversion."""
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
     if not 0 <= secret < l ** e:
@@ -199,9 +200,9 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     E = params.curve
     R = _secret_kernel(E, basis.P, basis.Q, basis.diff, secret)
     other = params.basis(params.other(side))
-    chain = IsogenyChain(E, R, [l] * e, images=(other.P, other.Q))
-    public = PublicKey(chain.codomain.d, *chain.images)
-    return PartyKeypair(side, secret, chain, public)
+    chain = IsogenyChain(E, R, [l] * e)
+    (P, Q), (d,) = _carry(chain.steps, (other.P, other.Q), chain.codomain.pair)
+    return PartyKeypair(side, secret, chain, PublicKey(d, P, Q))
 
 
 def derive_shared(params: ProtocolParams, keypair: PartyKeypair,

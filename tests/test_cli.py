@@ -46,6 +46,14 @@ class TestJ:
         assert code == 0
         assert doc["j"] == 3
 
+    def test_wide_field_prints_hex(self, capsys):
+        """Beyond 64 bits a value is printed as its hex `to_str`, not as
+        a signed int: p = 2^89 - 1."""
+        code, doc = run_json(capsys, "j", "--p", str(2 ** 89 - 1), "--d", "3")
+        assert code == 0
+        assert doc["j"] == "15555555555555555560c6a"
+        assert doc["counters"] == {"M": 6, "S": 5, "I": 1, "A": 3}
+
 
 class TestPoints:
     def test_order_24(self, capsys):

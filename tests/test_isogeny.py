@@ -17,7 +17,7 @@ from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
                              isogeny, order3_division_value, recover_y,
                              setup)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
-from edwards_isogeny.isogeny import (_affine_views, _step_weights,
+from edwards_isogeny.isogeny import (_affine_views, _carry, _step_weights,
                                      chain_strategy)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 from edwards_isogeny.xonly import (ProjParams, XZPoint, get_3_isog,
@@ -502,6 +502,20 @@ class TestXLineKernel:
             OddKernel.from_x(K, l, curve).A
         assert (ctx.m, ctx.s, ctx.i, ctx.a) == want
 
+    @pytest.mark.parametrize("l,error", [
+        (1, BadKernelGenerator), (2, EvenDegreeUnsupported),
+        (0, EvenDegreeUnsupported), (-1, BadKernelGenerator),
+        (-3, BadKernelGenerator)])
+    def test_rejects_bad_degrees(self, e23, l, error):
+        """`from_x` refuses a degree that is not an odd integer >= 3
+        before anything is counted, even for a point of order 3, whose
+        x-line multiples would pass its order checks at l = 1, 2, 0, -1
+        and -3."""
+        ctx = OpCounter()
+        with e23.field.counting(ctx), pytest.raises(error):
+            OddKernel.from_x((e23.field(-10), e23.field(1)), l, e23)
+        assert ctx.snapshot() == (0,) * 8
+
     @pytest.mark.parametrize("name,K,l,kernel,codomain", [
         ("projective_3", (-10 * 4, 4), 3, (5, 2, 0, 5), (2, 3, 0, 14)),
         ("affine_3", (-10, 1), 3, (5, 2, 0, 5), (2, 3, 0, 14)),
@@ -807,8 +821,9 @@ class TestChain:
     @settings(max_examples=60, deadline=None)
     @given(curve=desk_curves(), data=st.data())
     def test_images_match_call(self, curve, data):
-        """Points carried as `images` come out as chain(P) does for each
-        of them, on every curve class taken to E_{1,d/a}; the chain raises
+        """Points pushed together by `_carry` come out as chain(P) does
+        for each of them, on every curve class taken to E_{1,d/a}, with
+        the codomain's d from the last (D' : C'); `_carry` raises
         ExceptionalInput exactly when some chain(P) does."""
         field = curve.field
         curve = EdwardsCurve(field, field.one, curve.d / curve.a)
@@ -820,33 +835,34 @@ class TestChain:
             want = [chain(P) for P in points]
         except ExceptionalInput:
             with pytest.raises(ExceptionalInput):
-                IsogenyChain(curve, G, degrees, images=points)
+                _carry(chain.steps, points, chain.codomain.pair)
         else:
-            carried = IsogenyChain(curve, G, degrees, images=points)
-            assert carried.images == want
-            assert carried.codomain.d == chain.codomain.d
+            carried, (d,) = _carry(chain.steps, points, chain.codomain.pair)
+            assert carried == want
+            assert d == chain.codomain.d
 
     @settings(max_examples=40, deadline=None)
     @given(curve=desk_curves(), data=st.data())
     def test_x_line_generator(self, curve, data):
         """A generator given as an x-line point (X, Z), any scaling, gives
         the chain of the affine point: the same kernels, codomain and
-        images."""
+        images of points pushed by `_carry`."""
         field = curve.field
         curve = EdwardsCurve(field, field.one, curve.d / curve.a)
         G, degrees = draw_smooth_generator(curve, data)
         points = data.draw(st.lists(st.sampled_from(curve.points()),
                                     max_size=2))
         lam = field(data.draw(st.integers(1, field.p - 1)))
+        want = IsogenyChain(curve, G, degrees)
         try:
-            want = IsogenyChain(curve, G, degrees, images=points)
+            want_images = _carry(want.steps, points)[0]
         except ExceptionalInput:
             assume(False)
-        got = IsogenyChain(curve, (G.x * lam, lam), degrees, images=points)
+        got = IsogenyChain(curve, (G.x * lam, lam), degrees)
         assert ([s.kernel.xs for s in got.steps]
                 == [s.kernel.xs for s in want.steps])
         assert got.codomain.d == want.codomain.d
-        assert got.images == want.images
+        assert _carry(got.steps, points)[0] == want_images
 
     def test_x_line_generator_is_not_checked(self, e23, monkeypatch):
         """The x-line cannot tell E from its twist, and an (X, Z)
@@ -866,8 +882,8 @@ class TestChain:
     def test_chain_matches_the_oracles(self, data):
         """On every a = 1 desk curve with a point of order 15, for such a
         G and the degrees [3, 5] or [5, 3]: each step's kernel x and d'
-        are the full-point oracle's, and points pushed inside the chain
-        and by chain(P) are the steps' full maps composed, poles
+        are the full-point oracle's, and points pushed by `_carry` and
+        by chain(P) are the steps' full maps composed, poles
         included.  `_affine_views` on a fresh chain gives chain(P)'s
         images and each step's own `kernel.xs` and `codomain_d`."""
         curve = a1_curve(*data.draw(st.sampled_from(order15_curves())))

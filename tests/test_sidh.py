@@ -13,6 +13,7 @@ from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
                              PrimeField, PublicKey, QuadExtField,
                              count_cyclic_subgroups, derive_shared, keygen,
                              recover_y, run_exchange, setup, sidh)
+from edwards_isogeny.isogeny import _carry
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
 from conftest import (assert_cofactor_walk, assert_images_match_the_full_map,
@@ -207,16 +208,19 @@ class TestKeygen:
     @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
     def test_ladder_keeps_every_key(self, params2699, side):
         """For every secret at p = 2699 the key equals that of the chain
-        from the affine P + k*Q, images included."""
+        from the affine P + k*Q: its d', and the other basis pushed by
+        `_carry` and by chain(P)."""
         E, basis = params2699.curve, params2699.basis(side)
         other = params2699.basis(params2699.other(side))
         l, e = basis.degree, basis.exponent
         for secret in range(l ** e):
             R = E.add(basis.P, E.scalar_mul(secret, basis.Q))
-            chain = IsogenyChain(E, R, [l] * e, images=(other.P, other.Q))
+            chain = IsogenyChain(E, R, [l] * e)
             public = keygen(params2699, side, secret).public
+            images = [public.image_p, public.image_q]
             assert public.codomain_d == chain.codomain.d
-            assert [public.image_p, public.image_q] == chain.images
+            assert images == _carry(chain.steps, (other.P, other.Q))[0]
+            assert images == [chain(other.P), chain(other.Q)]
 
     def test_no_affine_arithmetic(self, params2699, monkeypatch):
         """keygen and derive_shared take each secret kernel on the x-line:
@@ -324,8 +328,11 @@ class TestPublicKeyValidation:
 
     @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
     @pytest.mark.parametrize("forgery", ["q_is_identity", "p_is_q", "q_is_p",
-                                         "q_of_lower_order"])
+                                         "q_of_lower_order", "p_is_2q"])
     def test_rejects_images_that_are_no_basis(self, exchange, side, forgery):
+        """Each forgery is refused.  P' = 2Q' passes the ladder and the
+        order walk, as both images have exact order l^e, and only the
+        subgroup check refuses it."""
         params, kp = exchange
         pub = kp[params.other(side)].public
         E = EdwardsCurve(params.field, params.field.one, pub.codomain_d)
@@ -334,8 +341,11 @@ class TestPublicKeyValidation:
                   "p_is_q": (pub.image_q, pub.image_q),
                   "q_is_p": (pub.image_p, pub.image_p),
                   "q_of_lower_order": (pub.image_p,
-                                       E.scalar_mul(l, pub.image_q))}[forgery]
-        with pytest.raises(ProtocolError):
+                                       E.scalar_mul(l, pub.image_q)),
+                  "p_is_2q": (E.scalar_mul(2, pub.image_q),
+                              pub.image_q)}[forgery]
+        match = "do not generate" if forgery == "p_is_2q" else None
+        with pytest.raises(ProtocolError, match=match):
             derive_shared(params, kp[side], PublicKey(pub.codomain_d, *images))
 
 
@@ -417,8 +427,8 @@ class TestChainStrategy:
                                        degrees, seed):
         """Kernel <R_A + R_B> of order 675, or <5(R_A + R_B)> of order
         135, in any order of its steps: each step's kernel x and d' are
-        the full-point oracle's, and random points pushed inside the
-        chain and by chain(P) are the steps' full maps composed.  With one
+        the full-point oracle's, and random points pushed by `_carry`
+        and by chain(P) are the steps' full maps composed.  With one
         degree-5 step, a y sign wrong at degree 5 cannot cancel out."""
         E = params2699.curve
         a, b = params2699.basis_a, params2699.basis_b
