@@ -18,7 +18,7 @@ import re
 import sys
 from functools import partial
 
-from .curve import AffinePoint, EdwardsCurve
+from .curve import AffinePoint, EdwardsCurve, j_fraction
 from .errors import EdwardsError
 from .field import FieldElement, OpCounter, PrimeField
 from .isogeny import IsogenyChain, OddIsogeny, OddKernel, _affine_views
@@ -118,7 +118,7 @@ def _cmd_isogeny(args):
     phi = OddIsogeny(OddKernel.from_generator(gen, args.degree, curve))
     E, k = phi.codomain, phi.kernel
     points = [] if args.point is None else [_point(curve, args.point)]
-    images = _affine_views([phi], points)
+    images, _ = _affine_views([phi], points)
     image = {"image": _fmt_point(images[0])} if images else {}
     return _finish({"l": phi.degree,
                     "kernel": [_fmt_point(P) for P in k.points],
@@ -132,13 +132,14 @@ def _cmd_chain(args):
     gen = _point(curve, args.gen)
     points = [] if args.point is None else [_point(curve, args.point)]
     chain = IsogenyChain(curve, gen, args.degrees)
-    images = _affine_views(chain.steps, points)
+    D, C = chain.codomain.pair
+    images, (j,) = _affine_views(chain.steps, points, j_fraction(C, D))
     out = {"degrees": args.degrees,
            "steps": [{"degree": s.degree,
                       "kernel": [{"x": _fmt(x)} for x in s.kernel.xs],
                       "d_prime": _fmt(s.codomain_d)} for s in chain.steps],
            "d_prime": _fmt(chain.codomain.d),
-           "j": _fmt(chain.codomain.j_invariant())}
+           "j": _fmt(j)}
     if images:
         out["image"] = _fmt_point(images[0])
     return _finish(out, curve.field)

@@ -407,14 +407,17 @@ class EdwardsCurve:
 
 def j_invariant(a, d):
     """j = 16*(a^2 + d^2 + 14ad)^3 / (a*d*(a-d)^4)."""
-    field = a.field
-    a = field(a)
-    d = field(d)
+    num, den = j_fraction(a, d)
+    return num / den
+
+
+def j_fraction(a, d) -> tuple:
+    """`j_invariant`'s numerator and denominator, undivided."""
+    a, d = a.field(a), a.field(d)
     check_parameters(a, d)
     ad = a * d
     num = (a.square() + d.square() + 14 * ad) ** 3
-    den = ad * (a - d) ** 4
-    return 16 * num / den
+    return 16 * num, ad * (a - d) ** 4
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -82,16 +82,13 @@ class OddKernel:
     def from_generator(cls, Q: AffinePoint, degree: int,
                        domain: EdwardsCurve) -> "OddKernel":
         """<Q> for a full point Q of the domain: `from_x` on (x(Q) : 1),
-        after the checks a full point allows.  Q lies on the domain and is
-        not O, and 2Q is not a point at infinity, where the affine law
-        raises ExceptionalPair and the x-line would report only a wrong
-        order."""
+        after the checks a full point allows.  Q lies on the domain, and
+        2Q is not a point at infinity, where the affine law raises
+        ExceptionalPair and the x-line would report only a wrong order."""
         _require_a1(domain)
         _check_degree(degree)
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
-        if Q.is_identity():
-            raise BadKernelGenerator("kernel generator is the neutral element")
         t = Q.x.square() + Q.y.square()    # 2Q = ((x^2 - y^2)/(2 - t), 2xy/t)
         if t.is_zero() or t == 2:
             raise ExceptionalPair("double lies at infinity")
@@ -106,30 +103,33 @@ class OddKernel:
         (which the x-line cannot tell from its twist: the caller checks),
         with no inversion, by the domain's `xline`.  InvalidCurve unless
         a = 1, and `_check_degree`'s errors, before anything is counted.
-        The kernel checks, projectively: K is not O (X = Z), no multiple
-        2K, ..., sK is O, and X_{s+1} Z_s = X_s Z_{s+1}: x((s+1)K) =
-        x(sK), which pins the order to exactly l, so no multiple lies at
-        infinity (orders 2 and 4) and no Z_i is zero.  The multiples'
-        differences are K, which `xadd` needs to be neither O nor
-        (-1, 0), whose 2K = O fails the checks."""
+        The checks, projectively: K is not O (X = Z), the walk stops at
+        the first of 2K, ..., sK that is O, and x((s+1)K) = x(sK).  So K
+        has order exactly l: no multiple lies at infinity and no Z_i is
+        zero, nor is K the (-1, 0) that `xadd` cannot take as difference.
+        cost: `_of_order`'s and an `xdbl` (l = 3) or `xadd` (l = 5)."""
         _require_a1(domain)
         _check_degree(degree)
-        X, Z = K
-        if X == Z:                       # O, or the (0 : 0) of a bad ladder
+        if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
-        c, s = domain.xline, degree // 2
-        multiples = [K, xdbl(K, c)]      # jK at j - 1
-        for j in range(3, s + 2):
-            if multiples[-1][0] == multiples[-1][1]:
+        walk = _multiples(K, domain.xline)
+        kernel = [next(walk)]
+        for M in islice(walk, degree // 2 - 1):          # 2K, ..., sK
+            if M[0] == M[1]:
                 raise BadKernelGenerator(
                     f"generator order divides a proper factor of {degree}")
-            h = j // 2
-            multiples.append(xadd(multiples[h], multiples[h - 1], K)
-                             if j % 2 else xdbl(multiples[h - 1], c))
-        (X1, Z1), (Xs, Zs) = multiples.pop(), multiples[-1]
+            kernel.append(M)
+        (X1, Z1), (Xs, Zs) = next(walk), kernel[-1]
         if X1 * Zs != Xs * Z1:
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        return cls(domain, degree, *map(list, zip(*multiples)))
+        return cls(domain, degree, *map(list, zip(*kernel)))
+
+    @classmethod
+    def _of_order(cls, K: tuple, degree: int, domain: EdwardsCurve):
+        """<K> unchecked, for K of a proven exact order `degree`: K, ...,
+        sK by s - 1 x-line operations, none at l = 3, an `xdbl` at l = 5."""
+        return cls(domain, degree, *map(list, zip(*islice(
+            _multiples(K, domain.xline), degree // 2))))
 
     xs = cached_property(lambda self: _divide([*zip(self.X, self.Z)]))
     A = cached_property(lambda self: _product(self.xs))
@@ -154,14 +154,6 @@ class OddKernel:
         return [self.domain.identity] + [Q for P in self.points
                                          for Q in (P, P.neg())]
 
-    def codomain_pair(self) -> ProjParams:
-        """(D' : C'), d' = D'/C': `get_3_isog`'s at l = 3, else
-        `odd_codomain`'s ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over the
-        domain's `pair` (D : C)."""
-        if self.degree == 3:
-            return get_3_isog(XZPoint(self.X[0], self.Z[0]))
-        return odd_codomain(self.X, self.Z, *self.domain.pair, self.degree)
-
 
 class _PairCurve(EdwardsCurve):
     """A step's codomain E_{1,d}, kept as its `pair` (D : C), so its
@@ -178,15 +170,16 @@ class _PairCurve(EdwardsCurve):
 
 class OddIsogeny:
     """A single odd-degree isogeny given by its kernel; callable on
-    points of the domain.  Its codomain's d' = D'/C' is made on first use."""
+    points of the domain.  Its codomain (D' : C') is `get_3_isog`'s at
+    l = 3, else `odd_codomain`'s ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over
+    the domain's (D : C); its d' = D'/C' is made on first use."""
 
     def __init__(self, kernel: OddKernel):
-        self.kernel, self.domain = kernel, kernel.domain
-        self.codomain = _PairCurve(self.domain.field, kernel.codomain_pair())
-
-    @property
-    def degree(self) -> int:
-        return self.kernel.degree
+        k = kernel
+        self.kernel, self.domain, self.degree = k, k.domain, k.degree
+        pair = (get_3_isog(XZPoint(k.X[0], k.Z[0])) if k.degree == 3
+                else odd_codomain(k.X, k.Z, *k.domain.pair, k.degree))
+        self.codomain = _PairCurve(k.domain.field, pair)
 
     @property
     def codomain_d(self):
@@ -232,6 +225,16 @@ def _product(factors):
     return reduce(mul, factors)
 
 
+def _multiples(K: tuple, c: tuple):
+    """x-line K, 2K, 3K, ... without end: jK is twice (j/2)K by `xdbl`,
+    or (h + 1)K + hK, h = j // 2, by `xadd` with difference K."""
+    m = [K]
+    while True:
+        yield m[-1]
+        h, odd = divmod(len(m) + 1, 2)
+        m.append(xadd(m[h], m[h - 1], K) if odd else xdbl(m[h - 1], c))
+
+
 def _carry(steps: list, points: list, *fractions) -> tuple:
     """`points` pushed through `steps` by `OddIsogeny.image` and made
     affine, with the quotient of each of `fractions`, by one inversion;
@@ -248,17 +251,17 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
     return [AffinePoint(*q[i:i + 2]) for i in range(0, n, 2)], q[n:]
 
 
-def _affine_views(steps: list, points: list) -> list:
-    """The images of `points` through `steps`, as `_carry` makes them,
-    with each step's `codomain.d` and `kernel.xs` set from the same one
-    inversion."""
+def _affine_views(steps: list, points: list, *fractions) -> tuple:
+    """The images of `points` through `steps` and the quotients of
+    `fractions`, as `_carry` makes them, with each step's `codomain.d`
+    and `kernel.xs` set from the same one inversion."""
     images, q = _carry(steps, points, *(f for s in steps for f in (
-        s.codomain.pair, *zip(s.kernel.X, s.kernel.Z))))
+        s.codomain.pair, *zip(s.kernel.X, s.kernel.Z))), *fractions)
     q = iter(q)
     for s in steps:
         s.codomain.d = next(q)
         s.kernel.xs = list(islice(q, len(s.kernel.X)))
-    return images
+    return images, list(q)
 
 
 def _divide(fractions: list) -> list:
@@ -370,18 +373,24 @@ class IsogenyChain:
     tree's k, one x-only l-fold step (`xmul`) per degree in
     degrees[i+k:j], until j = i + 1, and the rest is pushed through each
     step by `odd_image`: O(e log e) point operations for e steps.  Each
-    K_i is checked and kept as (X_i : Z_i) by `OddKernel.from_x`, and each
-    codomain as (D' : C'), so nothing is inverted.  G is an affine point,
-    checked once to lie on the domain, or an x-line point (X, Z), whose
-    check is the caller's.  Degrees multiplying past the Hasse bound are
-    refused at once.  As each K_i != O has order l_i and lies in the
-    image of <G>, G has exact order prod(degrees).
+    K_i is kept as (X_i : Z_i) and each codomain as (D' : C'), so nothing
+    is inverted.  G is an affine point, checked once to lie on the
+    domain, or an x-line point (X, Z), whose check is the caller's.
+    Degrees multiplying past the Hasse bound are refused at once.
 
-    A point the chain is called on is pushed by `OddIsogeny.image` and
-    made affine by one inversion; `_carry` does the same for several
-    points, with any fractions such as the last (D' : C').  A step's
-    `kernel.xs` and `codomain_d` are made on first read, by an inversion
-    each; `_affine_views` makes them all, with pushed points, by one.
+    Step i is checked, by `OddKernel.from_x`, only when l_i has a prime
+    that no earlier degree has; other steps build their representatives
+    alone (`OddKernel._of_order`).  That proves as much as checking
+    every step.  Let G have order N (on the curve, or its twist for an
+    x-line G), L = prod(degrees) and v_q the exponent of a prime q.  Once
+    the steps before i are sound, K_i's order has q-part
+    q^max(v_q(N) - v_q(L) + v_q(l_i), 0).  Step 0's check gives
+    v_q(N) <= v_q(L) for all q, and a checked step v_q(N) = v_q(L) for
+    the primes of its degree; the first step holding q is checked, so a
+    step whose primes have all been met has order exactly l_i.  Uniform
+    chains, [3, 9], [9, 3] and [15, 3] check step 0 alone; [3, 5] checks
+    both, as a G of order 3 passes step 0 and leaves K_1 = O.  After the
+    last check G has exact order L.
     """
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
@@ -403,7 +412,7 @@ class IsogenyChain:
         self.domain, self.degrees = domain, degrees
         self.steps: list[OddIsogeny] = []
         _, plan = chain_strategy(tuple(degrees))
-        E, stack = domain, [(generator, len(degrees))]
+        E, stack, met = domain, [(generator, len(degrees))], 1
         for i, l in enumerate(degrees):
             T, j = stack[-1]
             while j > i + 1:
@@ -413,7 +422,10 @@ class IsogenyChain:
                 j = i + k
                 stack.append((T, j))
             stack.pop()
-            step = OddIsogeny(OddKernel.from_x(T, l, E))
+            # l has no new prime iff l | met^b, b >= each exponent in l
+            step = OddIsogeny((OddKernel.from_x if pow(met, l.bit_length(), l)
+                               else OddKernel._of_order)(T, l, E))
+            met *= l
             self.steps.append(step)
             stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)
                      for P, j in stack]

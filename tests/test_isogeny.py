@@ -1,7 +1,8 @@
 import hashlib
+import itertools
 import random
 from functools import lru_cache, reduce
-from math import prod
+from math import gcd, prod
 from time import perf_counter
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
-                             DeskScaleOnly, EdwardsCurve,
+                             DeskScaleOnly, EdwardsCurve, EdwardsError,
                              EvenDegreeUnsupported, ExceptionalInput,
                              ExceptionalPair, InvalidCurve, IsogenyChain,
                              NotOnCurve, OddIsogeny, OddKernel, OpCounter,
@@ -416,6 +417,14 @@ def line(P, lam: int = 1) -> tuple:
     return (P.x * lam, P.x.field(lam))
 
 
+def spy_on_from_x(monkeypatch) -> list:
+    """The degrees `OddKernel.from_x` is called with from now on."""
+    calls, from_x = [], OddKernel.from_x
+    monkeypatch.setattr(OddKernel, "from_x", staticmethod(
+        lambda K, l, E: calls.append(l) or from_x(K, l, E)))
+    return calls
+
+
 class TestXLineKernel:
     """`OddKernel.from_x` against `from_generator`, and the chain's
     odd-degree product against the full map."""
@@ -764,6 +773,89 @@ class TestChain:
                 with pytest.raises(BadKernelGenerator):
                     IsogenyChain(E, gen, degrees)
 
+    @pytest.mark.parametrize("degrees,checked", [
+        ([3, 5], [3, 5]), ([5, 3, 3, 5], [5, 3]), ([9, 3], [9]),
+        ([15, 3], [15]), ([3, 15], [3, 15])])
+    def test_checks_a_step_only_for_a_new_prime(self, degrees, checked,
+                                                monkeypatch):
+        """`OddKernel.from_x` runs at exactly the steps whose degree has a
+        prime that no earlier degree has, on a generator of order
+        prod(degrees) over F_{2699^2}, which the chain accepts."""
+        params = setup(3, 2, seed=1)
+        E, L = params.curve, prod(degrees)
+        G = E.add(E.scalar_mul(27 // gcd(L, 27), params.basis_a.P),
+                  E.scalar_mul(25 // gcd(L, 25), params.basis_b.P))
+        calls = spy_on_from_x(monkeypatch)
+        IsogenyChain(E, G, degrees)
+        assert calls == checked
+
+    @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
+    def test_uniform_chain_checks_step_0_alone(self, side, monkeypatch):
+        """SIDH's 74- and 55-step chains at 247 bits run the full check
+        once, at step 0."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        params = setup(74, 55, seed=1, max_p=p)
+        basis = params.basis(side)
+        calls = spy_on_from_x(monkeypatch)
+        chain = IsogenyChain(params.curve, basis.P,
+                             [basis.degree] * basis.exponent)
+        assert len(chain.steps) == basis.exponent
+        assert calls == [basis.degree]
+
+    def test_checking_new_primes_only_changes_nothing(self, e23, e19,
+                                                      monkeypatch):
+        """x-line generators, every x of F_23 and F_19 (twist points
+        included) and a seeded sample of (lam*x : lam) on setup(3, 2)'s
+        curve of orders 3^i 5^j and of random points, against each degree
+        list of length 1 to 3 from {3, 5, 9, 15}.  An accepted chain's
+        kernels pass `OddKernel.from_x` over their steps' domains with the
+        same representatives, and a refused one raises the type that the
+        chain checked at every step (`_of_order` made `from_x`) raises."""
+        params, rng = setup(3, 2, seed=1), random.Random(23)
+        E, A, B = params.curve, params.basis_a, params.basis_b
+
+        def draw(basis, n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            return E.add(E.scalar_mul(u, basis.P), E.scalar_mul(v, basis.Q))
+
+        sample = [E.add(E.scalar_mul(3 ** i, draw(A, 27)),
+                        E.scalar_mul(5 ** j, draw(B, 25)))
+                  for i in range(4) for j in range(3) for _ in range(2)]
+        sample += fp2_points(params)[4:]
+        generators = [(C, (C.field(x), C.field.one))
+                      for C in (e23, e19) for x in range(C.field.p)]
+        generators += [(E, line(G, rng.randrange(1, params.p)))
+                       for G in sample]
+        lists = [list(t) for n in (1, 2, 3)
+                 for t in itertools.product((3, 5, 9, 15), repeat=n)]
+
+        def outcome(C, G, degrees):
+            try:
+                return IsogenyChain(C, G, degrees)
+            except EdwardsError as exc:
+                return type(exc)
+
+        cases = [(C, G, ds) for C, G in generators for ds in lists]
+        got = [outcome(*case) for case in cases]
+        with monkeypatch.context() as patched:
+            patched.setattr(OddKernel, "_of_order", OddKernel.from_x)
+            want = [outcome(*case) for case in cases]
+        accepted = 0
+        for chain, checked in zip(got, want):
+            if isinstance(chain, type):
+                assert chain is checked
+                continue
+            accepted += 1
+            assert not isinstance(checked, type)
+            assert ([s.codomain.pair for s in chain.steps]
+                    == [s.codomain.pair for s in checked.steps])
+            for step in chain.steps:
+                k = step.kernel
+                full = OddKernel.from_x((k.X[0], k.Z[0]), k.degree,
+                                        step.domain)
+                assert (full.X, full.Z) == (k.X, k.Z)
+        assert accepted > 100
+
     @pytest.mark.parametrize("xy,order", [((0, 1), 4), ((-1, 0), 2),
                                           ((1, 0), 1)])
     def test_rejects_generators_of_order_at_most_four(self, e23, xy, order):
@@ -901,7 +993,7 @@ class TestChain:
             with pytest.raises(ExceptionalInput):
                 _affine_views(views.steps, points)
         else:
-            assert _affine_views(views.steps, points) == want
+            assert _affine_views(views.steps, points) == (want, [])
             assert ([(s.kernel.xs, s.codomain_d) for s in views.steps]
                     == [(s.kernel.xs, s.codomain_d) for s in fresh.steps])
 

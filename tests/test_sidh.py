@@ -476,10 +476,10 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 1059, "S": 4, "I": 2, "A": 2357},
-                      "ext": {"M": 267, "S": 128, "I": 2, "A": 322}},
-            "bob": {"base": {"M": 1199, "S": 4, "I": 2, "A": 2475},
-                    "ext": {"M": 307, "S": 138, "I": 2, "A": 266}}}),
+            "alice": {"base": {"M": 971, "S": 4, "I": 2, "A": 2181},
+                      "ext": {"M": 243, "S": 120, "I": 2, "A": 306}},
+            "bob": {"base": {"M": 1155, "S": 4, "I": 2, "A": 2379},
+                    "ext": {"M": 295, "S": 134, "I": 2, "A": 254}}}),
         (1, 1, 2024, (2, 3), {
             "alice": {"base": {"M": 405, "S": 4, "I": 2, "A": 855},
                       "ext": {"M": 105, "S": 44, "I": 2, "A": 102}},
@@ -518,8 +518,8 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 23448, "S": 2, "I": 1},
-                          SIDE_B: {"M": 27681, "S": 2, "I": 1}}
+        assert counts == {SIDE_A: {"M": 21842, "S": 2, "I": 1},
+                          SIDE_B: {"M": 26493, "S": 2, "I": 1}}
 
     def test_setup_counts_at_247_bits(self):
         """Cost gate on setup(74, 55, seed=1): the base-field M, S, I its
@@ -547,8 +547,8 @@ class TestTranscript:
             with params.field.counting(ctx):
                 derive_shared(params, kp, keys[params.other(side)].public)
             counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
-        assert counts == {SIDE_A: {"M": 18587, "S": 2, "I": 1},
-                          SIDE_B: {"M": 21660, "S": 2, "I": 1}}
+        assert counts == {SIDE_A: {"M": 16981, "S": 2, "I": 1},
+                          SIDE_B: {"M": 20472, "S": 2, "I": 1}}
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_inversions_at_247_bits(self, seed):
@@ -584,12 +584,17 @@ class TestTranscript:
                           "98bc38d26211ae9f0a1d931a1f0fa566")
 
     def test_transcript_bytes_at_763_bits(self, monkeypatch):
-        """Value gate on the paper's 763-bit row, (238, 165): the SHA-256
-        of run_exchange(238, 165, seed=1)'s JSON without `counters`."""
+        """Value and cost gate on the paper's 763-bit row, (238, 165): the
+        SHA-256 of run_exchange(238, 165, seed=1)'s JSON without
+        `counters`, and each party's base-field M, S, I from those
+        counters."""
         p = 4 * 3 ** 238 * 5 ** 165 - 1
         monkeypatch.setattr(sidh, "DESK_PRIME_LIMIT", p)
         out = run_exchange(238, 165, seed=1)
-        del out["counters"]
+        assert {side: {k: c["base"][k] for k in ("M", "S", "I")}
+                for side, c in out.pop("counters").items()} == {
+            "alice": {"M": 142971, "S": 4, "I": 2},
+            "bob": {"M": 160043, "S": 4, "I": 2}}
         digest = hashlib.sha256(
             json.dumps(out, sort_keys=True).encode()).hexdigest()
         assert digest == ("d0b5b2a10f6cf013d2590b2ac76d7420"
