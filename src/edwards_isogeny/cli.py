@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Every command prints one JSON document (search-primes prints JSON
-lines first) carrying the field-operation counters it consumed.  Exit
-codes: 0 success, 1 domain error, 2 usage error.
+lines first).  A command that does field arithmetic carries the
+field-operation counters it consumed; search-primes and verify-table1,
+which do none, carry no counters.  Exit codes: 0 success, 1 domain
+error, 2 usage error.
 
 Integers are accepted in decimal (negative allowed, reduced mod p) or
 0x-prefixed hex.  Small-field outputs use the signed representative of
@@ -20,7 +22,7 @@ from functools import partial
 
 from .curve import AffinePoint, EdwardsCurve, j_fraction
 from .errors import EdwardsError
-from .field import FieldElement, OpCounter, PrimeField
+from .field import FieldElement, PrimeField
 from .isogeny import IsogenyChain, OddIsogeny, OddKernel, _affine_views
 from .sidh import run_exchange
 from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
@@ -75,12 +77,9 @@ def _point(curve: EdwardsCurve, xy: tuple[int, int]) -> AffinePoint:
     return curve.check_point(AffinePoint(curve.field(xy[0]), curve.field(xy[1])))
 
 
-def _finish(payload: dict, field=None) -> dict:
+def _finish(payload: dict, field) -> dict:
     """Attach the counters accumulated on the command's own field."""
-    if "counters" not in payload:
-        ctx = field.counter if field is not None else OpCounter()
-        payload["counters"] = ctx.as_dict()
-    return payload
+    return {**payload, "counters": field.counter.as_dict()}
 
 
 # ----------------------------------------------------------------------
@@ -154,17 +153,16 @@ def _cmd_search_primes(args):
         results = results[: args.limit]
     for r in results:
         print(json.dumps(r.to_json()))
-    return _finish({"count": len(results),
-                    "target_bits": args.bits,
-                    "target_key_bits": sidh_key_bits(args.bits)})
+    return {"count": len(results), "target_bits": args.bits,
+            "target_key_bits": sidh_key_bits(args.bits)}
 
 
 def _cmd_verify_table(args):
     rows = verify_reference_table()
-    return _finish({"rows": rows,
-                    "all_bits_match": all(r["bits_match"] for r in rows),
-                    "all_prime": all(r["is_prime"] for r in rows),
-                    "all_hex_match": all(r["hex_match"] for r in rows)})
+    return {"rows": rows,
+            "all_bits_match": all(r["bits_match"] for r in rows),
+            "all_prime": all(r["is_prime"] for r in rows),
+            "all_hex_match": all(r["hex_match"] for r in rows)}
 
 
 def _cmd_sidh_demo(args):

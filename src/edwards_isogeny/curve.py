@@ -32,11 +32,12 @@ which passes the points at infinity.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
-                     InvalidTwist, NotOnCurve)
+                     InvalidTwist, NotOnCurve, ProtocolError)
 from .field import OpCounter, PrimeField
 from .field_ext import QuadExtField
 from .xonly import ProjParams, xladder
@@ -67,6 +68,15 @@ def classify(a, d) -> str:
     return TWISTED if ca == -1 else QUADRATIC
 
 
+@contextmanager
+def _document(kind: str):
+    """ProtocolError for a `kind` JSON document not in its wire form."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed {kind} document: {exc!r}") from None
+
+
 class AffinePoint(NamedTuple):
     """A coordinate pair (x, y); the neutral element is (1, 0).  It is a
     tuple, so it unpacks as (x, y) and equals the plain tuple (x, y)."""
@@ -89,7 +99,8 @@ class AffinePoint(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict, field) -> "AffinePoint":
-        return cls(field.parse(doc["x"]), field.parse(doc["y"]))
+        with _document("point"):
+            return cls(field.parse(doc["x"]), field.parse(doc["y"]))
 
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"
@@ -378,12 +389,11 @@ class EdwardsCurve:
 
     @classmethod
     def from_json(cls, doc: dict) -> "EdwardsCurve":
-        base = PrimeField(int(doc["p"], 16))
-        if "i" in doc["a"] or "i" in doc["d"]:
-            field = QuadExtField(base)
-        else:
-            field = base
-        curve = cls(field, field.parse(doc["a"]), field.parse(doc["d"]))
+        with _document("curve"):
+            base = PrimeField(int(doc["p"], 16))
+            field = QuadExtField(base) if "i" in doc["a"] + doc["d"] else base
+            a, d = field.parse(doc["a"]), field.parse(doc["d"])
+        curve = cls(field, a, d)
         if doc.get("class") not in (None, curve.class_tag):
             raise InvalidCurve(
                 f"declared class {doc['class']!r} is {curve.class_tag!r}")

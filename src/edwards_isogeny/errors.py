@@ -55,4 +55,4 @@ class SetupFailed(EdwardsError, RuntimeError):
 
 
 class ProtocolError(EdwardsError, ValueError):
-    """Malformed public key or protocol input."""
+    """Malformed public key, JSON document or other protocol input."""

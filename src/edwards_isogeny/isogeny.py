@@ -32,7 +32,7 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
                      InvalidCurve, NotASquare, NotOnCurve)
-from .xonly import (FP2, XADD, XDBL, ProjParams, XZPoint, _odd, get_3_isog,
+from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
 
@@ -68,14 +68,14 @@ def is_order3_abscissa(alpha, d) -> bool:
 
 class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
-    order l = 2s+1, as x-line points (X_i : Z_i).  Their affine x_i, `xs`,
-    are made on first read by one inversion, unless `_affine_views` has
-    set them.  A kernel from a full point Q keeps it as `generator`, and
-    its `points`, the representatives with their y, are recovered on
-    first read; from x alone both are None."""
+    order l = 2s+1, as the list `K` of their x-line points (X_i, Z_i).
+    Their affine x_i, `xs`, are made on first read by one inversion,
+    unless `_affine_views` has set them.  A kernel from a full point Q
+    keeps it as `generator`, and its `points`, the representatives with
+    their y, are recovered on first read; from x alone both are None."""
 
-    def __init__(self, domain: EdwardsCurve, degree: int, X: list, Z: list):
-        self.domain, self.degree, self.X, self.Z = domain, degree, X, Z
+    def __init__(self, domain: EdwardsCurve, degree: int, K: list):
+        self.domain, self.degree, self.K = domain, degree, K
         self.generator = None
 
     @classmethod
@@ -112,7 +112,7 @@ class OddKernel:
         _check_degree(degree)
         if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
-        walk = _multiples(K, domain.xline)
+        walk = _multiples(K, domain)
         kernel = [next(walk)]
         for M in islice(walk, degree // 2 - 1):          # 2K, ..., sK
             if M[0] == M[1]:
@@ -122,16 +122,16 @@ class OddKernel:
         (X1, Z1), (Xs, Zs) = next(walk), kernel[-1]
         if X1 * Zs != Xs * Z1:
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        return cls(domain, degree, *map(list, zip(*kernel)))
+        return cls(domain, degree, kernel)
 
     @classmethod
     def _of_order(cls, K: tuple, degree: int, domain: EdwardsCurve):
         """<K> unchecked, for K of a proven exact order `degree`: K, ...,
         sK by s - 1 x-line operations, none at l = 3, an `xdbl` at l = 5."""
-        return cls(domain, degree, *map(list, zip(*islice(
-            _multiples(K, domain.xline), degree // 2))))
+        return cls(domain, degree, [*islice(_multiples(K, domain),
+                                            degree // 2)])
 
-    xs = cached_property(lambda self: _divide([*zip(self.X, self.Z)]))
+    xs = cached_property(lambda self: _divide(self.K))
     A = cached_property(lambda self: _product(self.xs))
 
     @cached_property
@@ -143,9 +143,8 @@ class OddKernel:
         Q, E = self.generator, self.domain
         if Q is None:
             return None
-        K = [*zip(self.X, self.Z)]
-        K.append(K[-1])
-        q = _divide([f for j in range(1, len(self.X))
+        K = self.K + self.K[-1:]
+        q = _divide([f for j in range(1, len(self.K))
                      for f in recover_xy(Q, K[j], K[j + 1], E.a, E.d)])
         return [Q] + [AffinePoint(*q[i:i + 2]) for i in range(0, len(q), 2)]
 
@@ -177,13 +176,11 @@ class OddIsogeny:
     def __init__(self, kernel: OddKernel):
         k = kernel
         self.kernel, self.domain, self.degree = k, k.domain, k.degree
-        pair = (get_3_isog(XZPoint(k.X[0], k.Z[0])) if k.degree == 3
-                else odd_codomain(k.X, k.Z, *k.domain.pair, k.degree))
+        pair = (get_3_isog(k.K[0]) if k.degree == 3
+                else odd_codomain(k.K, *k.domain.pair, k.degree))
         self.codomain = _PairCurve(k.domain.field, pair)
 
-    @property
-    def codomain_d(self):
-        return self.codomain.d
+    codomain_d = property(lambda self: self.codomain.d)
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
         """phi(P) by `image` and one inversion; ExceptionalInput at a
@@ -197,7 +194,7 @@ class OddIsogeny:
         """The y-map's constants: (-1)^(s+1) C^s prod Z_i^2, and each
         (C Z_i^2, D X_i^2), the first times prod X_i^2."""
         k, (D, C), s = self.kernel, self.domain.pair, self.degree // 2
-        x2, z2 = [X.square() for X in k.X], [Z.square() for Z in k.Z]
+        x2, z2 = ([V.square() for V in W] for W in zip(*k.K))
         cy, cw = C ** s * _product(z2), _product(x2)
         terms = [(C * zz, D * xx) for xx, zz in zip(x2, z2)]
         terms[0] = (terms[0][0] * cw, terms[0][1] * cw)
@@ -214,7 +211,7 @@ class OddIsogeny:
         `odd_image` squares, which `_odd` returns with its image.  cost:
         (7s + 3)M + 4S."""
         X, Z, Y, W = P
-        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.X, self.kernel.Z, True)
+        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.K, True)
         XX, ZZ = X.square(), Z.square()
         cy, terms = self._y_map
         den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
@@ -225,14 +222,14 @@ def _product(factors):
     return reduce(mul, factors)
 
 
-def _multiples(K: tuple, c: tuple):
-    """x-line K, 2K, 3K, ... without end: jK is twice (j/2)K by `xdbl`,
-    or (h + 1)K + hK, h = j // 2, by `xadd` with difference K."""
+def _multiples(K: tuple, E: EdwardsCurve):
+    """x-line K, 2K, 3K, ... on E without end: jK is twice (j/2)K by
+    `xdbl` on `E.xline`, or (h + 1)K + hK, h = j // 2, by `xadd`."""
     m = [K]
     while True:
         yield m[-1]
         h, odd = divmod(len(m) + 1, 2)
-        m.append(xadd(m[h], m[h - 1], K) if odd else xdbl(m[h - 1], c))
+        m.append(xadd(m[h], m[h - 1], K) if odd else xdbl(m[h - 1], E.xline))
 
 
 def _carry(steps: list, points: list, *fractions) -> tuple:
@@ -256,11 +253,11 @@ def _affine_views(steps: list, points: list, *fractions) -> tuple:
     `fractions`, as `_carry` makes them, with each step's `codomain.d`
     and `kernel.xs` set from the same one inversion."""
     images, q = _carry(steps, points, *(f for s in steps for f in (
-        s.codomain.pair, *zip(s.kernel.X, s.kernel.Z))), *fractions)
+        s.codomain.pair, *s.kernel.K)), *fractions)
     q = iter(q)
     for s in steps:
         s.codomain.d = next(q)
-        s.kernel.xs = list(islice(q, len(s.kernel.X)))
+        s.kernel.xs = list(islice(q, len(s.kernel.K)))
     return images, list(q)
 
 
@@ -427,8 +424,7 @@ class IsogenyChain:
                                else OddKernel._of_order)(T, l, E))
             met *= l
             self.steps.append(step)
-            stack = [(odd_image(P, step.kernel.X, step.kernel.Z), j)
-                     for P, j in stack]
+            stack = [(odd_image(P, step.kernel.K), j) for P, j in stack]
             E = step.codomain
         self.codomain = E
 

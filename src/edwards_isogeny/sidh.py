@@ -159,7 +159,7 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     for *partner, V in samples():
         if not _in_subgroup(V, subgroup):
             P, Q = (AffinePoint(*_divide(
-                recover_xy(tuple(R), T, S, curve.a, curve.d)))
+                recover_xy(R, T, S, curve.a, curve.d)))
                 for R, T, S in (draw, partner))
             return TorsionBasis(l, e, P, Q, _x_difference(curve, P, Q))
     raise SetupFailed(f"no independent order-{l}^{e} partner found")
@@ -171,7 +171,7 @@ def _in_subgroup(V: tuple, subgroup: OddKernel) -> bool:
     equal or opposite, so this compares X/Z, projectively, with the
     representatives' (X_i : Z_i) of x(U), ..., x(sU)."""
     X, Z = V
-    return any(X * Zi == Xi * Z for Xi, Zi in zip(subgroup.X, subgroup.Z))
+    return any(X * Zi == Xi * Z for Xi, Zi in subgroup.K)
 
 
 def _x_difference(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint) -> tuple:
@@ -248,8 +248,7 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
         subgroup = OddKernel.from_x(U, l, E)
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc
-    K0 = chain.steps[0].kernel
-    if _in_subgroup((K0.X[0], K0.Z[0]), subgroup):
+    if _in_subgroup(chain.steps[0].kernel.K[0], subgroup):
         raise ProtocolError(
             f"public basis images do not generate the {l}^{e}-torsion")
     return chain.codomain.j_invariant()

@@ -27,21 +27,22 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
     xladder      xdbl, then xadd + xdbl a bit of k after the first; a
                  second bit 0 costs the xadd alone
     ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
-    odd_image    4sM + 2S for s = (l - 1)/2 kernel points (X_i : Z_i);
-                 eval_3_isog is its one-point case
-    odd_codomain (D', C') for l >= 5: 3M + 3S a side at l = 5, and
+    odd_image    4sM + 2S, P under a kernel K of s = (l - 1)/2 points
+                 (X_i, Z_i); eval_3_isog is its one-point case
+    odd_codomain (D', C') of K for l >= 5: 3M + 3S a side at l = 5, and
                  1M + 3S for a side whose D or C is one
     recover_xy   11M + 4S (12M off a = 1), kP as the fractions x = X/Z
                  and y = num/den from P and xladder's x(kP), x((k+1)P)
 
-`xdbl`, `xadd`, `odd_image`, `get_3_isog` and `odd_codomain` compute
-inline mod p on the (c0, c1) ints of their inputs, writing i^2 = -1,
-which is exact on F_p too, where c1 = 0.  Each adds one fixed tally a
-call, a row of `tally_rows` chosen by its branch: F_p or F_{p^2}, and
-C = 1 or not.  The row is what the field elements' operators count for
-the same formula.  Those element formulas are the counted oracle in
-tests/oracles.py, and tests/test_xonly.py::TestRawCore asserts that both
-give the same values and tallies.
+An x-line point is an (X, Z) pair, an `XZPoint` or not, and a kernel a
+list of them.  `xdbl`, `xadd`, `odd_image`, `get_3_isog` and
+`odd_codomain` compute inline mod p on the (c0, c1) ints of their
+inputs, writing i^2 = -1, which is exact on F_p too, where c1 = 0.  Each
+adds one fixed tally a call, a row of `tally_rows` chosen by its branch:
+F_p or F_{p^2}, and C = 1 or not.  The row is what the field elements'
+operators count for the same formula.  Those element formulas are the
+counted oracle in tests/oracles.py, and tests/test_xonly.py::TestRawCore
+asserts that both give the same values and tallies.
 
 Points at infinity are x-line points like any other (x = infinity is
 Z = 0).  `xadd` needs its difference to be neither O nor (-1, 0), the
@@ -54,6 +55,7 @@ differences vary, raises there instead.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import ExceptionalInput, FieldMismatch
@@ -111,17 +113,16 @@ def _mul(a: tuple, b: tuple, p: int) -> tuple:
     return (u - v) % p, ((a0 + a1) * (b0 + b1) - u - v) % p
 
 
-class XZPoint:
-    """Projective x-line point (X : Z); (X : 0) marks an exceptional
-    image (a point at infinity)."""
+class XZPoint(NamedTuple("XZPoint", [("X", object), ("Z", object)])):
+    """Projective x-line point (X : Z), a pair like any other (X, Z);
+    (X : 0) marks an exceptional image (a point at infinity)."""
 
-    __slots__ = ("X", "Z")
+    __slots__ = ()
 
-    def __init__(self, X, Z):
+    def __new__(cls, X, Z):
         if X.is_zero() and Z.is_zero():
             raise ValueError("(0 : 0) is not a projective point")
-        self.X = X
-        self.Z = Z
+        return super().__new__(cls, X, Z)
 
     @classmethod
     def from_x(cls, x) -> "XZPoint":
@@ -137,9 +138,6 @@ class XZPoint:
     def affine_x(self):
         return self.X / self.Z
 
-    def __repr__(self):
-        return f"({self.X!r} : {self.Z!r})"
-
 
 class ProjParams(NamedTuple):
     """Scaled parameter pair (D : C) with d = D/C: a codomain's, or a
@@ -152,13 +150,13 @@ class ProjParams(NamedTuple):
         return self.D / self.C
 
 
-def get_3_isog(K1: XZPoint) -> ProjParams:
-    """Codomain of the 3-isogeny with kernel abscissa (X1 : Z1):
+def get_3_isog(K1: tuple) -> ProjParams:
+    """Codomain of the 3-isogeny with kernel abscissa K1 = (X1, Z1):
     D' = Z1*(2X1 + Z1)^3, C' = X1*(2Z1 + X1)^3, as
     D' = (t + Z1^2)(4X1^2 + Z1^2 + 2t) with t = 2X1Z1, which counts as
     (X1 + Z1)^2 - X1^2 - Z1^2.  cost: 2M + 3S (and 14A)."""
-    p, new, f = _enter(tally_rows(2, 3, 14), K1.X, K1.Z)
-    x, z = (K1.X._c0, K1.X._c1), (K1.Z._c0, K1.Z._c1)
+    p, new, f = _enter(tally_rows(2, 3, 14), *K1)
+    x, z = [(V._c0, V._c1) for V in K1]
     xx, zz, xz = _mul(x, x, p), _mul(z, z, p), _mul(x, z, p)
     t0, t1 = 2 * xz[0], 2 * xz[1]                    # t = 2 X1 Z1
     D, C = (new(*_mul((t0 + a0, t1 + a1),
@@ -167,16 +165,16 @@ def get_3_isog(K1: XZPoint) -> ProjParams:
     return ProjParams(D, C)
 
 
-def eval_3_isog(P: XZPoint, K1: XZPoint) -> XZPoint:
-    """Image of (X : Z) under the 3-isogeny with kernel (X1 : Z1):
+def eval_3_isog(P: tuple, K1: tuple) -> XZPoint:
+    """Image of P = (X, Z) under the 3-isogeny with kernel K1 = (X1, Z1):
     F = X'+Z' = (X1*Z + Z1*X)^2 (X+Z), G = X'-Z' = (X1*Z - Z1*X)^2 (X-Z).
     Independent of the curve parameter d."""
-    return XZPoint(*odd_image((P.X, P.Z), [K1.X], [K1.Z]))   # cost: 4M+2S
+    return XZPoint(*odd_image(P, [K1]))                      # cost: 4M+2S
 
 
-def odd_image(P: tuple, xs: list, zs: list) -> tuple:
-    """Image of (X, Z) under the odd-degree isogeny whose kernel
-    representatives Q, 2Q, ..., sQ have abscissas xs[i]/zs[i]:
+def odd_image(P: tuple, K: list) -> tuple:
+    """Image of P = (X, Z) under the odd-degree isogeny whose kernel
+    representatives Q, 2Q, ..., sQ are the points K[i] = (x_i, z_i):
 
         F = (X + Z) * prod (x_i Z + z_i X)^2
         G = (X - Z) * prod (x_i Z - z_i X)^2
@@ -185,21 +183,20 @@ def odd_image(P: tuple, xs: list, zs: list) -> tuple:
     This is Costello and Hisil's u' = u * prod ((u u_i - 1)/(u - u_i))^2
     (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
     parameter.  cost: 4sM + 2S."""
-    return _odd(P, xs, zs, False)
+    return _odd(P, K, False)
 
 
-def _odd(P: tuple, xs: list, zs: list, products: bool,
-         D: tuple | None = None) -> tuple:
+def _odd(P: tuple, K: list, products: bool, D: tuple | None = None) -> tuple:
     """`odd_image`'s (X', Z'), then, if `products`, the two products
     prod (x_i Z + z_i X) and prod (x_i Z - z_i X) that it squares, at no
     extra cost; with D = (Xd, Zd), F and G take Zd - Xd and -(Zd + Xd)
     for X + Z and X - Z: `xadd`."""
     X, Z = P
-    p, new, f = _enter(odd_rows(len(xs)), X, Z, *xs, *zs, *(D or ()))
+    p, new, f = _enter(odd_rows(len(K)), X, Z, *chain(*K), *(D or ()))
     x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
     plus = minus = None
-    for K, J in zip(xs, zs):                         # x_i Z +- z_i X
-        k0, k1, j0, j1 = K._c0, K._c1, J._c0, J._c1
+    for Xi, Zi in K:                                 # x_i Z +- z_i X
+        k0, k1, j0, j1 = Xi._c0, Xi._c1, Zi._c0, Zi._c1
         u, v, w, y = k0 * z0, k1 * z1, j0 * x0, j1 * x1
         a0, a1 = u - v, (k0 + k1) * (z0 + z1) - u - v
         b0, b1 = w - y, (j0 + j1) * (x0 + x1) - w - y
@@ -222,19 +219,19 @@ def _odd(P: tuple, xs: list, zs: list, products: bool,
             new((F0 - G0) % p, (F1 - G1) % p, f)) + out
 
 
-def odd_codomain(Xs: list, Zs: list, D, C, l: int) -> ProjParams:
+def odd_codomain(K: list, D, C, l: int) -> ProjParams:
     """(D', C') = (D^(l-4) (D X^2)^4, C^(l-4) (C Z^2)^4) for X = prod X_i
     and Z = prod Z_i, that is (X^8 D^l, Z^8 C^l) and d' = D'/C', for the
-    degree-l kernel (X_i : Z_i) on d = D/C.  cost a side: (s - 1)M + 3S,
+    degree-l kernel K of points (X_i, Z_i) on d = D/C.  cost a side: (s - 1)M + 3S,
     and unless its D or C is one, 2M more and its (l - 4)th power by
     square-and-multiply: 3M + 3S at l = 5, 1M + 3S if C = 1."""
     k = l - 4
     n = sum(W._c0 != 1 or W._c1 != 0 for W in (D, C))
     p, new, f = _enter(tally_rows(
-        2 * len(Xs) - 2 + n * (1 + bin(k).count("1")),
-        6 + n * (k.bit_length() - 1), 0), D, C, *Xs, *Zs)
+        2 * len(K) - 2 + n * (1 + bin(k).count("1")),
+        6 + n * (k.bit_length() - 1), 0), D, C, *chain(*K))
     out = []
-    for V, W in ((Xs, D), (Zs, C)):
+    for V, W in zip(zip(*K), (D, C)):
         x, w = (V[0]._c0, V[0]._c1), (W._c0, W._c1)
         for y in V[1:]:
             x = _mul(x, (y._c0, y._c1), p)
@@ -283,7 +280,7 @@ def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
     u = (Z + X)/(Z - X): with s = X1 Z2 and t = Z1 X2,
     (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S,
     as `odd_image` of Q by the kernel P, whose F and G it is."""
-    return _odd(Q, [P[0]], [P[1]], False, D)
+    return _odd(Q, [P], False, D)
 
 
 def xladder(k: int, P: tuple, c: tuple) -> tuple:

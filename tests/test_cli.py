@@ -332,6 +332,17 @@ class TestVerifyTable:
         assert doc["all_hex_match"] is False
         assert [r["hex_match"] for r in doc["rows"]] == [True, False, True]
 
+    @pytest.mark.parametrize("argv", [
+        ["search-primes", "--bits", "6", "--tolerance", "0"],
+        ["verify-table1"]])
+    def test_no_counters_without_field_arithmetic(self, capsys, argv):
+        """search-primes and verify-table1 do no field arithmetic, so
+        their documents carry no counters rather than all-zero ones."""
+        code, out = run(capsys, *argv)
+        doc = json.loads(out.splitlines()[-1])
+        assert (code, doc["status"]) == (0, "ok")
+        assert "counters" not in doc
+
     def test_rounds_is_not_an_option(self, capsys):
         """The primality test fixes its own Miller-Rabin rounds; every
         row is proven, so no count would change an answer."""

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              DeskScaleOnly, EdwardsCurve, ExceptionalPair,
                              InvalidCurve, InvalidTwist, NotOnCurve,
-                             OpCounter, PrimeField, QuadExtField, classify,
-                             j_invariant)
+                             OpCounter, PrimeField, ProtocolError,
+                             QuadExtField, classify, j_invariant)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
 from edwards_isogeny.field import MAX_MODULUS_BITS
 
@@ -570,3 +570,24 @@ class TestSerialization:
         doc["class"] = "twisted"
         with pytest.raises(InvalidCurve):
             EdwardsCurve.from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"p": 23, "a": "1", "d": "2"}, None, [], "17",
+        {"p": "17", "a": "1"}, {"p": "17", "a": 1, "d": "2"},
+        {"p": "17", "a": "1", "d": "zz"}, {"p": "4", "a": "1", "d": "2"}],
+        ids=["empty", "int_p", "none", "list", "str", "no_d", "int_a",
+             "bad_hex", "composite_p"])
+    def test_malformed_curve_document_is_typed(self, doc):
+        """A curve document that is not a mapping of hex strings raises
+        ProtocolError, which is a ValueError, never a KeyError or a
+        TypeError."""
+        with pytest.raises(ProtocolError, match="malformed curve") as exc:
+            EdwardsCurve.from_json(doc)
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": "1"}, {}, None, {"x": 1, "y": "2"}, {"x": "1", "y": "zz"}],
+        ids=["no_y", "empty", "none", "int_x", "bad_hex"])
+    def test_malformed_point_document_is_typed(self, f23, doc):
+        with pytest.raises(ProtocolError, match="malformed point document"):
+            AffinePoint.from_json(doc, f23)

@@ -171,8 +171,7 @@ class TestCodomainParam:
         K3 = XZPoint(e23.field(-10), e23.field.one)
         K5 = [XZPoint(e19.field(x), e19.field.one) for x in (6, -8)]
         pairs = [get_3_isog(K3), get_5_isog(*K5, e19.d),
-                 odd_codomain([K.X for K in K5], [K.Z for K in K5],
-                              *e19.pair, 5), e23.pair]
+                 odd_codomain(K5, *e19.pair, 5), e23.pair]
         for pair in pairs:
             assert type(pair) is ProjParams
             D, C = pair
@@ -491,7 +490,7 @@ class TestXLineKernel:
                     continue
                 want = element_point(curve.field, want)
                 assert phi(P) == want
-                X, Z = odd_image(line(P, 5), phi.kernel.X, phi.kernel.Z)
+                X, Z = odd_image(line(P, 5), phi.kernel.K)
                 assert X == want.x * Z
                 checked += 1
         assert checked > 0
@@ -851,9 +850,8 @@ class TestChain:
                     == [s.codomain.pair for s in checked.steps])
             for step in chain.steps:
                 k = step.kernel
-                full = OddKernel.from_x((k.X[0], k.Z[0]), k.degree,
-                                        step.domain)
-                assert (full.X, full.Z) == (k.X, k.Z)
+                full = OddKernel.from_x(k.K[0], k.degree, step.domain)
+                assert full.K == k.K
         assert accepted > 100
 
     @pytest.mark.parametrize("xy,order", [((0, 1), 4), ((-1, 0), 2),
@@ -1091,12 +1089,11 @@ class TestStrategy:
         base-field M over F_{p^2}, and no base-field S."""
         field = QuadExtField(PrimeField(59))
         X, Z, c = field(3, 5), field(7, 2), (field(11, 13), field(2, 9))
-        xs = [field(k, 1) for k in range(l // 2)]
-        zs = [field(1, k) for k in range(l // 2)]
+        K = [(field(k, 1), field(1, k)) for k in range(l // 2)]
         with field.counting(OpCounter()) as step:
             xmul(l, (X, Z), c)
         with field.counting(OpCounter()) as push:
-            odd_image((X, Z), xs, zs)
+            odd_image((X, Z), K)
         assert ((step.m, step.s), (push.m, push.s)) == (
             (_step_weights(l)[0], 0), (_step_weights(l)[1], 0))
 

@@ -476,8 +476,8 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 971, "S": 4, "I": 2, "A": 2181},
-                      "ext": {"M": 243, "S": 120, "I": 2, "A": 306}},
+            "alice": {"base": {"M": 971, "S": 4, "I": 2, "A": 2173},
+                      "ext": {"M": 243, "S": 120, "I": 2, "A": 302}},
             "bob": {"base": {"M": 1155, "S": 4, "I": 2, "A": 2379},
                     "ext": {"M": 295, "S": 134, "I": 2, "A": 254}}}),
         (1, 1, 2024, (2, 3), {

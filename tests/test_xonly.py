@@ -220,6 +220,38 @@ class TestXZPoint:
         assert same_class(xz(f23, 3), xz(f23, 9, 3))
         assert not same_class(xz(f23, 3), xz(f23, 4))
 
+    def test_is_the_plain_pair(self, f23):
+        """An XZPoint equals the tuple (X, Z) and unpacks as it does."""
+        X, Z = f23(3), f23(5)
+        P = XZPoint(X, Z)
+        assert P == (X, Z) and tuple(P) == (X, Z)
+        U, V = P
+        assert (U, V) == (P.X, P.Z) == (X, Z)
+
+    @pytest.mark.parametrize("field", [
+        PrimeField(23), QuadExtField(PrimeField(2699))],
+        ids=["F_23", "F_2699^2"])
+    def test_raw_core_takes_either_form(self, field):
+        """`get_3_isog`, `eval_3_isog`, `odd_image` and `odd_codomain`
+        give the same values and the same tallies on XZPoints as on plain
+        (X, Z) pairs."""
+        calls = {
+            "get_3_isog": lambda P, K: get_3_isog(K[0]),
+            "eval_3_isog": lambda P, K: eval_3_isog(P, K[0]),
+            "odd_image": odd_image,
+            "odd_codomain": lambda P, K: odd_codomain(K, *P, 5),
+        }
+        for seed in range(3):
+            e = operand_list(field, seed)
+            P, K = (e[0], e[1]), [(e[2], e[3]), (e[4], e[5])]
+            named = XZPoint(*P), [XZPoint(*Q) for Q in K]
+            for name, call in calls.items():
+                with field.counting(OpCounter()) as plain:
+                    want = call(P, K)
+                with field.counting(OpCounter()) as got:
+                    assert call(*named) == want, name
+                assert got.snapshot() == plain.snapshot(), name
+
 
 def line_point(field, x, lam):
     """The x-line point of abscissa x (None: infinity), scaled by lam."""
@@ -484,16 +516,15 @@ class TestOddImage:
         K1 = xz(f23, -10 * 4, 4)
         for P in e23.points():
             Q = xz(f23, P.x.value * 3, 3)
-            img = eval_3_isog(Q, K1)
-            assert (img.X, img.Z) == odd_image((Q.X, Q.Z), [K1.X], [K1.Z])
+            assert eval_3_isog(Q, K1) == odd_image(Q, [K1])
 
     def test_affine_and_projective_kernels_agree(self, e19, f19):
         """The 5-isogeny of the worked example, kernel x = 6, -8, given
         affine (Z_i = 1) and scaled, against the raw full map."""
         for P in e19.points():
             Q = (P.x * 2, f19(2))
-            affine = odd_image(Q, [f19(6), f19(-8)], [f19.one] * 2)
-            proj = odd_image(Q, [f19(6 * 5), f19(-8 * 7)], [f19(5), f19(7)])
+            affine = odd_image(Q, [(f19(6), f19.one), (f19(-8), f19.one)])
+            proj = odd_image(Q, [(f19(6 * 5), f19(5)), (f19(-8 * 7), f19(7))])
             assert affine[0] * proj[1] == proj[0] * affine[1]
             assert affine[0] == full_map_x(P, [6, -8], 19, -1) * affine[1]
 
@@ -529,7 +560,8 @@ class TestLineCosts:
         c, P, Q, D = (f23(2), f23(1)), (f23(3), f23(5)), (f23(7), f23(11)), (
             f23(4), f23(9))
         cp = (f23(2), f23(5))
-        ks, zs, ones = [f23(6), f23(8)], [f23(13), f23(17)], [f23(1)] * 2
+        ks = [f23(6), f23(8)]
+        K, A = [*zip(ks, [f23(13), f23(17)])], [*zip(ks, [f23(1)] * 2)]
         R = (f23(3), f23(6))
         ops = {
             "xdbl": lambda: xdbl(P, c),
@@ -543,10 +575,10 @@ class TestLineCosts:
             "xladder2": lambda: xladder(2, P, c),
             "xladder3": lambda: xladder(3, P, c),
             "xladder40": lambda: xladder(40, P, c),
-            "odd_image_affine_s1": lambda: odd_image(P, ks[:1], ones[:1]),
-            "odd_image_affine_s2": lambda: odd_image(P, ks, ones),
-            "odd_image_projective_s1": lambda: odd_image(P, ks[:1], zs[:1]),
-            "odd_image_projective_s2": lambda: odd_image(P, ks, zs),
+            "odd_image_affine_s1": lambda: odd_image(P, A[:1]),
+            "odd_image_affine_s2": lambda: odd_image(P, A),
+            "odd_image_projective_s1": lambda: odd_image(P, K[:1]),
+            "odd_image_projective_s2": lambda: odd_image(P, K),
             "eval_3_isog": lambda: eval_3_isog(XZPoint(*P), XZPoint(*Q)),
             "recover_xy_a1": lambda: recover_xy(R, Q, D, f23(1), f23(-1)),
             "recover_xy": lambda: recover_xy(R, Q, D, f23(5), f23(7)),
@@ -561,14 +593,32 @@ P247 = 4 * 3 ** 74 * 5 ** 55 - 1
 
 
 def get_3_pair(X, Z):
-    params = get_3_isog(XZPoint(X, Z))
+    params = get_3_isog((X, Z))
     return params.D, params.C
 
 
-def image_and_products(P, xs, zs):
+def image_and_products(P, K):
     """`odd_image`'s image and the two products it squares, as
     `OddIsogeny.image` takes them from `xonly._odd`."""
-    return _odd(P, xs, zs, True)
+    return _odd(P, K, True)
+
+
+def lists(K):
+    """A kernel's points (X_i, Z_i) as the two lists, X_i and Z_i, that
+    the counted oracles take; splitting them counts nothing."""
+    return [X for X, _ in K], [Z for _, Z in K]
+
+
+def oracle_odd_image(P, K):
+    return counted_odd_image(P, *lists(K))
+
+
+def oracle_odd(P, K):
+    return counted_odd(P, *lists(K))
+
+
+def oracle_odd_codomain(K, D, C, l):
+    return counted_odd_codomain(*lists(K), D, C, l)
 
 
 # Each raw x-line formula, its counted oracle, and the operands it takes
@@ -583,16 +633,16 @@ RAW_FORMULAS = {
     "get_3_isog": (get_3_pair, counted_get_3_isog, lambda e: (e[0], e[1])),
     **{f"odd_{kind}_s{s}_{shape}": (
         raw, oracle, lambda e, s=s, shape=shape: (
-            (e[0], e[1]), e[2:2 + s],
-            e[5:5 + s] if shape == "projective" else [e[-1]] * s))
+            (e[0], e[1]), [*zip(e[2:2 + s], e[5:5 + s]
+                                if shape == "projective" else [e[-1]] * s)]))
        for kind, raw, oracle in (
-           ("image", odd_image, counted_odd_image),
-           ("products", image_and_products, counted_odd))
+           ("image", odd_image, oracle_odd_image),
+           ("products", image_and_products, oracle_odd))
        for s in (1, 2, 3) for shape in ("affine", "projective")},
     **{f"odd_codomain_l{l}{suffix}": (
-        odd_codomain, counted_odd_codomain,
-        lambda e, l=l, unit=unit: (e[2:2 + l // 2], e[6:6 + l // 2], e[0],
-                                   e[-1] if unit else e[1], l))
+        odd_codomain, oracle_odd_codomain,
+        lambda e, l=l, unit=unit: ([*zip(e[2:2 + l // 2], e[6:6 + l // 2])],
+                                   e[0], e[-1] if unit else e[1], l))
        for l in (5, 7, 9) for unit, suffix in ((False, ""), (True, "_c1"))},
 }
 
@@ -635,8 +685,8 @@ class TestRawCore:
         C = field(1, c1)
         for raw, oracle, args in (
                 (xdbl, counted_xdbl, ((e[0], e[1]), (e[2], C))),
-                (odd_codomain, counted_odd_codomain,
-                 (e[2:4], e[6:8], e[0], C, 5))):
+                (odd_codomain, oracle_odd_codomain,
+                 ([*zip(e[2:4], e[6:8])], e[0], C, 5))):
             with field.counting(OpCounter()) as want:
                 expected = oracle(*args)
             with field.counting(OpCounter()) as got:
@@ -675,8 +725,8 @@ class TestRawCore:
         xmul(5, P, c)
         xladder(3 ** 20, P, c)
         ladder3pt(3 ** 20 + 1, P, Q, D, c)
-        odd_image(P, e[8:10], e[6:8])
-        get_3_isog(XZPoint(*P))
+        odd_image(P, [*zip(e[8:10], e[6:8])])
+        get_3_isog(P)
 
     @pytest.mark.parametrize("name", sorted(RAW_FORMULAS))
     def test_mixed_moduli_fail(self, name):
