@@ -10,8 +10,8 @@ from .curve import (COMPLETE, QUADRATIC, TWISTED, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EdwardsError, EvenDegreeUnsupported, ExceptionalInput,
                      ExceptionalPair, FieldMismatch, InvalidCurve,
-                     InvalidTwist, NotASquare, NotOnCurve, ProtocolError,
-                     SetupFailed)
+                     InvalidParameter, InvalidTwist, NotASquare, NotOnCurve,
+                     ProtocolError, SetupFailed)
 from .field import FieldElement, OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtElement, QuadExtField
 from .isogeny import (IsogenyChain, OddIsogeny, OddKernel,
@@ -25,6 +25,6 @@ from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec, SidhPrime,
                             sidh_key_bits, supersingular_d_scan,
                             supersingular_excluded, verify_reference_table)
 from .xonly import (ProjParams, XZPoint, eval_3_isog, eval_5_isog,
-                    get_3_isog, get_5_isog, run_5_isog)
+                    get_3_isog, get_5_isog)
 
 __version__ = "0.1.0"

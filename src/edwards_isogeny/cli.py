@@ -3,8 +3,9 @@
 Every command prints one JSON document (search-primes prints JSON
 lines first).  A command that does field arithmetic carries the
 field-operation counters it consumed; search-primes and verify-table1,
-which do none, carry no counters.  Exit codes: 0 success, 1 domain
-error, 2 usage error.
+which do none, carry no counters; opcount-bench counts one step of the
+x-line core that chains run.  Exit codes: 0 success, 1 domain error (an
+`EdwardsError`), 2 usage error.
 
 Integers are accepted in decimal (negative allowed, reduced mod p) or
 0x-prefixed hex.  Small-field outputs use the signed representative of
@@ -28,7 +29,7 @@ from .sidh import run_exchange
 from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
                             search_sidh_primes, sidh_key_bits,
                             verify_reference_table)
-from .xonly import XZPoint, eval_3_isog, eval_5_isog, get_3_isog, get_5_isog
+from .xonly import get_3_isog, odd_codomain, odd_image
 
 _SIGNED_LIMIT_BITS = 64
 
@@ -171,41 +172,30 @@ def _cmd_sidh_demo(args):
 
 
 def _cmd_opcount_bench(args):
-    # The worked kernels of acceptance criteria 1 and 2: x = -10 of
-    # (-10, 9) over F_23 and x(Q), x(2Q) = 6, -8 of Q = (6, 4) over F_19,
-    # both on d = -1, each pushing the x = 2 of a worked mapping,
-    # (2, 2) -> (7, 7) and (2, 8) -> (0, 1).  No formula branches on a
-    # value, so the counts hold for any point.
+    # The raw x-line core a chain step runs, on the worked kernels of
+    # acceptance criteria 1 and 2: x = -10 of (-10, 9) over F_23 and
+    # x(Q), x(2Q) = 6, -8 of Q = (6, 4) over F_19, both on d = -1, each
+    # pushing the x = 2 of a worked mapping, (2, 2) -> (7, 7) and
+    # (2, 8) -> (0, 1).  Only `odd_codomain` branches on a value, on D
+    # or C being one, so the counts hold on any curve (d : 1), d != 1.
     if args.op == "proj3":
         field = PrimeField(23)
-        K1 = XZPoint.from_x(field(-10))      # order-3 abscissa on d = -1
-        P = XZPoint.from_x(field(2))
-        phases = {"codomain": partial(get_3_isog, K1),
-                  "eval": partial(eval_3_isog, P, K1)}
+        K = [(field(-10), field.one)]        # order-3 abscissa on d = -1
+        codomain = partial(get_3_isog, K[0])
     else:
         field = PrimeField(19)
-        d = field(-1)
-        K1 = XZPoint.from_x(field(6))        # order-5 kernel: x(Q), x(2Q)
-        K2 = XZPoint.from_x(field(-8))
-        P = XZPoint.from_x(field(2))
-        # The kernel squares are evaluation work that the codomain shares,
-        # as in run_5_isog; they fall before the tally starts.
-        shared = (K1.X.square() * K2.X.square(), K1.Z.square() * K2.Z.square())
-        phases = {"codomain": partial(get_5_isog, K1, K2, d, shared=shared),
-                  "eval": partial(eval_5_isog, P, K1, K2, d)}
-    counter = field.counter
-    start = counter.snapshot()
-    breakdown = {}
+        K = [(field(6), field.one), (field(-8), field.one)]  # x(Q), x(2Q)
+        codomain = partial(odd_codomain, K, field(-1), field.one, 5)
+    phases = {"codomain": codomain,
+              "eval": partial(odd_image, (field(2), field.one), K)}
+    counter, breakdown = field.counter, {}
     for name, run in phases.items():
-        since = counter.snapshot()
+        since = counter.as_dict()
         run()
-        breakdown[name] = _base_counts(counter.delta(since))
-    total = _base_counts(counter.delta(start))
-    return {"op": args.op, **total, "breakdown": breakdown, "counters": total}
-
-
-def _base_counts(delta: dict) -> dict:
-    return {k: delta[k] for k in ("M", "S", "I", "A")}
+        breakdown[name] = {k: n - since[k]
+                           for k, n in counter.as_dict().items()}
+    return _finish({"op": args.op, **counter.as_dict(),
+                    "breakdown": breakdown}, field)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +282,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = args.func(args)
-    except (EdwardsError, ValueError) as exc:
+    except EdwardsError as exc:
         print(json.dumps({"status": "error",
                           "code": type(exc).__name__,
                           "message": str(exc)}))

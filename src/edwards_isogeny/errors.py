@@ -56,3 +56,8 @@ class SetupFailed(EdwardsError, RuntimeError):
 
 class ProtocolError(EdwardsError, ValueError):
     """Malformed public key, JSON document or other protocol input."""
+
+
+class InvalidParameter(EdwardsError, ValueError):
+    """A modulus, exponent, subgroup degree, search bound or search
+    variant that the library does not accept."""

@@ -24,7 +24,7 @@ import operator
 import random
 from contextlib import contextmanager
 
-from .errors import DivisionByZero, FieldMismatch, NotASquare
+from .errors import DivisionByZero, FieldMismatch, InvalidParameter, NotASquare
 
 # Below this bound the fixed witness set is a proven deterministic test.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -248,12 +248,12 @@ class PrimeField:
 
     def __init__(self, p: int):
         if p <= 3:
-            raise ValueError(f"modulus must exceed 3, got {p}")
+            raise InvalidParameter(f"modulus must exceed 3, got {p}")
         if p.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"modulus of {p.bit_length()} bits exceeds "
-                             f"{MAX_MODULUS_BITS}")
+            raise InvalidParameter(f"modulus of {p.bit_length()} bits exceeds "
+                                   f"{MAX_MODULUS_BITS}")
         if not is_probable_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise InvalidParameter(f"modulus {p} is not prime")
         self.p = p
         self.counter = OpCounter()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DivisionByZero, FieldMismatch, NotASquare
+from .errors import DivisionByZero, FieldMismatch, InvalidParameter, NotASquare
 from .field import Element, FieldElement, PrimeField
 
 # Arithmetic results are built by `_new` and three slot stores, without
@@ -31,8 +31,8 @@ class QuadExtField:
 
     def __init__(self, base: PrimeField):
         if base.p % 4 != 3:
-            raise ValueError(f"F_p^2 = F_p(i) with i^2 = -1 needs "
-                             f"p = 3 (mod 4), got p = {base.p}")
+            raise InvalidParameter(f"F_p^2 = F_p(i) with i^2 = -1 needs "
+                                   f"p = 3 (mod 4), got p = {base.p}")
         self.base = base
         self.p = base.p
 

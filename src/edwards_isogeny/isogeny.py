@@ -11,12 +11,12 @@ with no inversion, x by `odd_image` (Costello and Hisil, ASIACRYPT
 
 which reads the x_i only: (7s + 3)M + 4S a point.  An isogeny or a
 chain called on points makes their images affine by one inversion for
-all; `_affine_views` adds every step's d' and kernel x_i to that one
-inversion.  The -y orientation is the one the worked small-field
-mappings pin down.  The tests check the map against two raw-integer
-oracles: the defining product of group-law translates, prod x(P+Q)/x(Q),
-prod y(P+Q)/x(Q) over the kernel points Q, and the full rational map
-with x' = (x/A^2) * prod (x^2 - y_i^2) / (1 - d y_i^2 x^2).
+all; `_affine_views` adds every step's d', kernel x_i and kernel y (of a
+kernel from a generator) to it.  The -y orientation is the one the
+worked small-field mappings pin down.  The tests check the map against
+two raw-integer oracles: the defining product of group-law translates,
+prod x(P+Q)/x(Q), prod y(P+Q)/x(Q) over the kernel points Q, and the
+full rational map with x' = (x/A^2) * prod (x^2 - y_i^2) / (1 - d y_i^2 x^2).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class OddKernel:
     Their affine x_i, `xs`, are made on first read by one inversion,
     unless `_affine_views` has set them.  A kernel from a full point Q
     keeps it as `generator`, and its `points`, the representatives with
-    their y, are recovered on first read; from x alone both are None."""
+    their y, come from `_affine_views`; from x alone both are None."""
 
     def __init__(self, domain: EdwardsCurve, degree: int, K: list):
         self.domain, self.degree, self.K = domain, degree, K
@@ -136,17 +136,13 @@ class OddKernel:
 
     @cached_property
     def points(self) -> list[AffinePoint] | None:
-        """Q, 2Q, ..., sQ with their y, each after Q by `recover_xy` from
-        Q and the x-line multiples jQ and (j+1)Q, x((s+1)Q) = x(sQ) for
-        the last, 11M + 4S a point, and all made affine by one inversion.
-        None without a generator."""
-        Q, E = self.generator, self.domain
-        if Q is None:
+        """Q, 2Q, ..., sQ with their y, set by `_affine_views` with an
+        isogeny's views by one inversion; read first, they build that
+        isogeny, codomain and all.  None without a generator."""
+        if self.generator is None:
             return None
-        K = self.K + self.K[-1:]
-        q = _divide([f for j in range(1, len(self.K))
-                     for f in recover_xy(Q, K[j], K[j + 1], E.a, E.d)])
-        return [Q] + [AffinePoint(*q[i:i + 2]) for i in range(0, len(q), 2)]
+        _affine_views([OddIsogeny(self)], [])
+        return vars(self)["points"]
 
     def full_points(self) -> list[AffinePoint]:
         """The whole subgroup of a kernel from a generator: O and ±Q_i."""
@@ -251,13 +247,25 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
 def _affine_views(steps: list, points: list, *fractions) -> tuple:
     """The images of `points` through `steps` and the quotients of
     `fractions`, as `_carry` makes them, with each step's `codomain.d`
-    and `kernel.xs` set from the same one inversion."""
-    images, q = _carry(steps, points, *(f for s in steps for f in (
-        s.codomain.pair, *s.kernel.K)), *fractions)
+    and `kernel.xs` set from the same one inversion, and the `points` of
+    a kernel from a generator Q: the y of jQ, j >= 2, by `recover_xy`
+    from Q and the x-line jQ and (j+1)Q, x((s+1)Q) = x(sQ) for the last,
+    11M + 4S a point."""
+    own = []
+    for s in steps:
+        k, E, Q = s.kernel, s.domain, s.kernel.generator
+        K = k.K + k.K[-1:]
+        own += [s.codomain.pair, *k.K] + [
+            recover_xy(Q, K[j], K[j + 1], E.a, E.d)[1]
+            for j in range(1, len(k.K)) if Q is not None]
+    images, q = _carry(steps, points, *own, *fractions)
     q = iter(q)
     for s in steps:
-        s.codomain.d = next(q)
-        s.kernel.xs = list(islice(q, len(s.kernel.K)))
+        k, n = s.kernel, len(s.kernel.K)
+        s.codomain.d, *k.xs = islice(q, n + 1)
+        if k.generator is not None:
+            ys = [k.generator.y, *islice(q, n - 1)]
+            k.points = [*map(AffinePoint, k.xs, ys)]
     return images, list(q)
 
 

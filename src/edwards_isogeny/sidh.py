@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .curve import AffinePoint, EdwardsCurve
 from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
-                     ExceptionalPair, NotOnCurve, ProtocolError, SetupFailed)
+                     ExceptionalPair, InvalidParameter, NotOnCurve,
+                     ProtocolError, SetupFailed)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, OddKernel, _carry, _divide, recover_y
@@ -58,7 +59,7 @@ class ProtocolParams:
             return self.basis_a
         if side == SIDE_B:
             return self.basis_b
-        raise ValueError(f"unknown side {side!r}")
+        raise ProtocolError(f"unknown side {side!r}")
 
     def other(self, side: str) -> str:
         return SIDE_B if side == SIDE_A else SIDE_A
@@ -97,7 +98,7 @@ def setup(m: int, n: int, seed: int = 0,
     DeskScaleOnly when p exceeds `max_p`, by default DESK_PRIME_LIMIT;
     a larger `max_p` admits the 247- and 763-bit primes."""
     if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1 so both parties have torsion")
+        raise InvalidParameter("need m, n >= 1 so both parties have torsion")
     limit = DESK_PRIME_LIMIT if max_p is None else max_p
     if m + n >= limit.bit_length():      # p > 2^(m+n): refuse before 3^m
         raise DeskScaleOnly(
@@ -196,7 +197,7 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
     if not 0 <= secret < l ** e:
-        raise ValueError(f"secret must lie in [0, {l}^{e})")
+        raise ProtocolError(f"secret must lie in [0, {l}^{e})")
     E = params.curve
     R = _secret_kernel(E, basis.P, basis.Q, basis.diff, secret)
     other = params.basis(params.other(side))
@@ -258,7 +259,7 @@ def count_cyclic_subgroups(curve: EdwardsCurve, l: int) -> int:
     """Number of cyclic subgroups of odd prime order l, by exhaustive
     scan (desk scale).  Each subgroup contributes l - 1 points of order l."""
     if l == 2 or not is_probable_prime(l):
-        raise ValueError(f"l = {l} is not an odd prime")
+        raise InvalidParameter(f"l = {l} is not an odd prime")
     with curve.field.counting(OpCounter()):
         hits = 0
         for P in curve.points():

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .curve import EdwardsCurve
+from .errors import InvalidParameter
 from .field import is_probable_prime
 
 COMPLETE_4 = "complete_4"     # order 4*3^m*5^n, p = -1 mod 60
@@ -38,7 +39,7 @@ def _cofactor(variant: str) -> int:
     try:
         return _COFACTOR[variant]
     except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
+        raise InvalidParameter(f"unknown variant {variant!r}") from None
 
 
 def congruence_gate(p: int, variant: str = COMPLETE_4) -> bool:
@@ -106,11 +107,11 @@ class SearchSpec:
     def __post_init__(self):
         _cofactor(self.variant)
         if not 4 <= self.target_bits <= MAX_TARGET_BITS:
-            raise ValueError(f"bit target outside [4, {MAX_TARGET_BITS}]")
+            raise InvalidParameter(f"bit target outside [4, {MAX_TARGET_BITS}]")
         if not (0 <= self.window <= MAX_WINDOW
                 and 0 <= self.bits_tolerance <= MAX_TOLERANCE):
-            raise ValueError(f"window outside [0, {MAX_WINDOW}] or "
-                             f"tolerance outside [0, {MAX_TOLERANCE}]")
+            raise InvalidParameter(f"window outside [0, {MAX_WINDOW}] or "
+                                   f"tolerance outside [0, {MAX_TOLERANCE}]")
 
 
 def estimate_bit_length(m: int, n: int, variant: str = COMPLETE_4) -> int:

@@ -4,12 +4,12 @@ Works on the first coordinate alone; the second is recoverable from the
 curve equation up to sign.  Codomains come out in the scaled form
 C'(x^2 + y^2) = C' + D'x^2y^2 with d' = D'/C', which avoids inversions.
 
-Costs (M = mul, S = square; additions are tallied separately and not
-part of the advertised figures):
+Costs (M = mul, S = square; additions are tallied apart).  A chain step
+runs a codomain and `odd_image`: `get_3_isog` at l = 3, 6M + 5S in all,
+`odd_codomain` at l = 5, 12M + 8S when C = 1 and 14M + 8S else (below).
+The paper's l = 5 element formulas, kept for the benchmark and tests:
 
-    get_3_isog   2M + 3S        eval_3_isog  4M + 2S   -> 6M + 5S total
-    get_5_isog   2M + 6S (with the kernel squares shared from the
-                 evaluation; 4M + 10S standalone)
+    get_5_isog   2M + 6S (4M + 10S without eval_5_isog's kernel squares)
     eval_5_isog  19M + 6S                              -> 21M + 12S total
 
 The 3-isogeny evaluation never reads the curve parameter d: for a
@@ -432,11 +432,3 @@ def get_5_isog(K1: XZPoint, K2: XZPoint, d, shared=None) -> ProjParams:
         s5 = K2.Z.square()
         shared = (s1 * s2, s4 * s5)
     return _codomain_5(d, shared[0], shared[1])
-
-
-def run_5_isog(P: XZPoint, K1: XZPoint, K2: XZPoint,
-               d) -> tuple[XZPoint, ProjParams]:
-    """Image point and codomain in one pass, sharing the kernel
-    squares.  cost: 21M+12S."""
-    image, l1, l2 = _eval_5(P, K1, K2, d)
-    return image, _codomain_5(d, l1, l2)

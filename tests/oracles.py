@@ -13,7 +13,11 @@ The exception is the counted oracle at the end: the x-line formulas of
 `edwards_isogeny.xonly` written with the library's field elements, whose
 operators tally each M, S and A.  The library computes those formulas on
 raw ints and adds a fixed tally a call; these show what it must add.
+Beside them stands `run_5_isog`, the paper's one-pass 5-isogeny, which
+the library does not run: its chains take `odd_codomain` and `odd_image`.
 """
+
+from edwards_isogeny.xonly import ProjParams, XZPoint, _codomain_5, _eval_5
 
 
 def euler_chi(x: int, p: int) -> int:
@@ -391,3 +395,11 @@ def counted_odd_codomain(Xs, Zs, D, C, l):
         t = t.square().square()
         out.append(t if W == 1 else t * W ** (l - 4))
     return tuple(out)
+
+
+def run_5_isog(P: XZPoint, K1: XZPoint, K2: XZPoint,
+               d) -> tuple[XZPoint, ProjParams]:
+    """Image point and codomain in one pass, sharing the kernel
+    squares.  cost: 21M+12S."""
+    image, l1, l2 = _eval_5(P, K1, K2, d)
+    return image, _codomain_5(d, l1, l2)

@@ -16,7 +16,7 @@ from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
                              PrimeField, XZPoint, congruence_gate,
                              count_cyclic_subgroups, derive_shared,
                              eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
-                             is_supersingular, keygen, run_5_isog, setup,
+                             is_supersingular, keygen, setup,
                              supersingular_d_scan, verify_reference_table)
 from edwards_isogeny.cli import main as cli_main
 from edwards_isogeny.curve import COMPLETE, QUADRATIC
@@ -24,6 +24,7 @@ from edwards_isogeny.sidh import SIDE_A, SIDE_B
 from edwards_isogeny.supersingular import COMPLETE_4, QUADRATIC_8
 
 from conftest import translate_image
+from oracles import run_5_isog
 
 
 @contextmanager

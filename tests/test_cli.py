@@ -2,15 +2,21 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import field
+from edwards_isogeny import (EdwardsCurve, EdwardsError, OddIsogeny,
+                             OddKernel, PrimeField, QuadExtField, SearchSpec,
+                             count_cyclic_subgroups, field, keygen, setup)
 from edwards_isogeny.cli import main
 from edwards_isogeny.field import MAX_MODULUS_BITS
+from edwards_isogeny.xonly import odd_image
 
 from oracles import montgomery_point_order
 
@@ -201,18 +207,17 @@ class TestIsogeny:
 
     @pytest.mark.parametrize("args,counters", [
         (("--p", "19", "--degree", "5", "--gen", "6,4"),
-         {"M": 37, "S": 18, "I": 2, "A": 28}),
+         {"M": 36, "S": 18, "I": 1, "A": 28}),
         (("--p", "19", "--degree", "5", "--gen", "6,4", "--point", "2,8"),
-         {"M": 67, "S": 27, "I": 2, "A": 39}),
+         {"M": 66, "S": 27, "I": 1, "A": 39}),
         (("--p", "23", "--degree", "3", "--gen", "-10,9"),
          {"M": 10, "S": 9, "I": 1, "A": 22}),
         (("--p", "83", "--degree", "7", "--gen", "7,3"),
-         {"M": 67, "S": 25, "I": 2, "A": 46})])
+         {"M": 62, "S": 25, "I": 1, "A": 46})])
     def test_kernel_x_share_the_inversion_of_d_prime(self, capsys, args,
                                                      counters):
-        """The kernel x_i (for A), d' and the image take one inversion
-        together, and the y of 2Q, ..., sQ one more for all of them: 2 I
-        at degrees 5 and 7, and 1 I at degree 3, where x(Q) needs none."""
+        """The kernel x_i (for A), the y of 2Q, ..., sQ, d' and the image
+        take one inversion together: 1 I at every degree."""
         code, doc = run_json(capsys, "isogeny", "--d", "-1", *args)
         assert code == 0
         assert doc["counters"] == counters
@@ -303,7 +308,7 @@ class TestSearchPrimes:
         code, doc = run_json(capsys, "search-primes", "--bits", "100",
                              flag, "-1")
         assert code == 1
-        assert doc["code"] == "ValueError"
+        assert doc["code"] == "InvalidParameter"
 
     @pytest.mark.parametrize("flags", [
         ["--bits", "100000"],
@@ -314,7 +319,7 @@ class TestSearchPrimes:
         candidate is built."""
         code, doc = run_json(capsys, "search-primes", *flags)
         assert code == 1
-        assert doc["code"] == "ValueError"
+        assert doc["code"] == "InvalidParameter"
 
     def test_negative_limit_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -392,11 +397,33 @@ class TestOpcountBench:
     def test_proj5(self, capsys):
         code, doc = run_json(capsys, "opcount-bench", "--op", "proj5")
         assert code == 0
-        assert (doc["M"], doc["S"]) == (21, 12)
-        assert doc["breakdown"]["eval"]["M"] == 19
-        assert doc["breakdown"]["eval"]["S"] == 6
-        assert doc["breakdown"]["codomain"]["M"] == 2
+        assert (doc["M"], doc["S"]) == (12, 8)
+        assert doc["breakdown"]["eval"]["M"] == 8
+        assert doc["breakdown"]["eval"]["S"] == 2
+        assert doc["breakdown"]["codomain"]["M"] == 4
         assert doc["breakdown"]["codomain"]["S"] == 6
+
+
+    @pytest.mark.parametrize("op,p,x,degree", [("proj3", 23, -10, 3),
+                                               ("proj5", 19, 6, 5)])
+    def test_counts_what_a_chain_step_runs(self, capsys, op, p, x, degree):
+        """The command's codomain and eval are the tallies of a chain step
+        on the same worked kernel: `OddIsogeny` built on
+        `OddKernel.from_x`'s kernel, and `odd_image` of x = 2 by it."""
+        f = PrimeField(p)
+        kernel = OddKernel.from_x((f(x), f.one), degree,
+                                  EdwardsCurve(f, f.one, f(-1)))
+        want = {}
+        for name, run_step in (
+                ("codomain", lambda: OddIsogeny(kernel)),
+                ("eval", lambda: odd_image((f(2), f.one), kernel.K))):
+            since = f.counter.as_dict()
+            run_step()
+            want[name] = {k: n - since[k]
+                          for k, n in f.counter.as_dict().items()}
+        code, doc = run_json(capsys, "opcount-bench", "--op", op)
+        assert code == 0
+        assert doc["breakdown"] == want
 
 
 class TestErrors:
@@ -415,8 +442,29 @@ class TestErrors:
         code, doc = run_json(capsys, "classify", "--p", hex(n), "--d", "2")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert doc["code"] == "ValueError"
+        assert doc["code"] == "InvalidParameter"
         assert doc["message"] == "modulus of 16384 bits exceeds 2080"
+
+    @pytest.mark.parametrize("call,code", [
+        (lambda: setup(0, 1), "InvalidParameter"),
+        (lambda: keygen(setup(1, 1), "C", 0), "ProtocolError"),
+        (lambda: keygen(setup(1, 1), "A", 99), "ProtocolError"),
+        (lambda: PrimeField(4), "InvalidParameter"),
+        (lambda: QuadExtField(PrimeField(13)), "InvalidParameter"),
+        (lambda: SearchSpec(target_bits=3), "InvalidParameter"),
+        (lambda: SearchSpec(target_bits=40, window=-1), "InvalidParameter"),
+        (lambda: SearchSpec(target_bits=40, variant="x"), "InvalidParameter"),
+        (lambda: count_cyclic_subgroups(EdwardsCurve(
+            PrimeField(23), 1, -1), 4), "InvalidParameter")],
+        ids=["setup", "side", "secret", "modulus", "p_1_mod_4", "bits",
+             "window", "variant", "subgroup_degree"])
+    def test_public_range_errors_are_typed(self, call, code):
+        """A public input out of its range raises an `EdwardsError`, which
+        `main` reports as a domain error; it is still a `ValueError`."""
+        with pytest.raises(EdwardsError) as exc:
+            call()
+        assert type(exc.value).__name__ == code
+        assert isinstance(exc.value, ValueError)
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +477,28 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestReadme:
+    def test_cli_block_runs(self, capsys):
+        """Every `edwards-isogeny ...` line of README's CLI block exits 0,
+        and the {"M": ..., "S": ...} shown on an `opcount-bench` line is
+        what the command prints."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line interface")[1]
+        block = block.split("```sh\n")[1].split("```")[0]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("edwards-isogeny ")]
+        assert len(lines) >= 10
+        for line in lines:
+            command, _, comment = line.partition("#")
+            code, out = run(capsys, *shlex.split(command)[1:])
+            assert code == 0, line
+            if "opcount-bench" in command:
+                doc = json.loads(out)
+                shown = re.search(r'"M": (\d+), "S": (\d+)', comment)
+                assert shown, line
+                assert (doc["M"], doc["S"]) == tuple(map(int, shown.groups()))
 
 
 def _text(values):

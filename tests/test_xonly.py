@@ -9,7 +9,7 @@ from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
                              FieldMismatch, NotOnCurve, OpCounter, PrimeField,
                              QuadExtElement, QuadExtField, XZPoint,
                              eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
-                             recover_y, run_5_isog, setup)
+                             recover_y, setup)
 from edwards_isogeny.xonly import (FP, FP2, XDBL, _odd, ladder3pt,
                                    odd_codomain, odd_image, recover_xy, xadd,
                                    xdbl, xladder, xmul)
@@ -17,7 +17,8 @@ from edwards_isogeny.xonly import (FP, FP2, XDBL, _odd, ladder3pt,
 from conftest import desk_curves, ladder_offsets, pt
 from oracles import (counted_get_3_isog, counted_odd, counted_odd_codomain,
                      counted_odd_image, counted_xadd, counted_xdbl,
-                     montgomery_scalar_mul, montgomery_x_mul, naive_full_map)
+                     montgomery_scalar_mul, montgomery_x_mul, naive_full_map,
+                     run_5_isog)
 
 
 def xz(field, x, z=1):
