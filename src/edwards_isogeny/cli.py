@@ -71,7 +71,7 @@ def _fmt_point(P: AffinePoint):
 
 def _curve(args) -> EdwardsCurve:
     field = PrimeField(args.p)
-    return EdwardsCurve(field, field(getattr(args, "a", 1)), field(args.d))
+    return EdwardsCurve(field, field(args.a), field(args.d))
 
 
 def _point(curve: EdwardsCurve, xy: tuple[int, int]) -> AffinePoint:
@@ -208,10 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Odd-degree isogenies of supersingular Edwards curves")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def curve_flags(p, with_a=True):
+    def curve_flags(p):
         p.add_argument("--p", type=_parse_int, required=True, help="field modulus")
-        if with_a:
-            p.add_argument("--a", type=_parse_int, default=1)
+        p.add_argument("--a", type=_parse_int, default=1)
         p.add_argument("--d", type=_parse_int, required=True)
 
     c = sub.add_parser("classify", help="curve class from chi(a), chi(d)")
@@ -232,19 +231,19 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_order)
 
     c = sub.add_parser("isogeny", help="odd-degree isogeny from a kernel generator")
-    curve_flags(c, with_a=False)
+    curve_flags(c)
     c.add_argument("--degree", type=int, required=True)
     c.add_argument("--gen", type=_parse_pair, required=True)
     c.add_argument("--point", type=_parse_pair, default=None)
-    c.set_defaults(func=_cmd_isogeny, a=1)
+    c.set_defaults(func=_cmd_isogeny)
 
     c = sub.add_parser("chain", help="composition of 3-/5-isogenies")
-    curve_flags(c, with_a=False)
+    curve_flags(c)
     c.add_argument("--gen", type=_parse_pair, required=True)
     c.add_argument("--degrees", type=_parse_degrees, required=True,
                    help="e.g. 3,3,5")
     c.add_argument("--point", type=_parse_pair, default=None)
-    c.set_defaults(func=_cmd_chain, a=1)
+    c.set_defaults(func=_cmd_chain)
 
     c = sub.add_parser("search-primes", help="search p = cof*3^m*5^n - 1")
     c.add_argument("--bits", type=int, required=True)

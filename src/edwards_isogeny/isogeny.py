@@ -1,13 +1,15 @@
-"""Odd-degree isogenies of Edwards curves in the a = 1 form.
+"""Odd-degree isogenies of Edwards curves E_{a,d}.
 
 A kernel is the subgroup {O, ±Q1, ..., ±Qs} of odd order l = 2s+1, kept
-as the x-line points (X_i : Z_i) of Q, 2Q, ..., sQ (`xonly`); the
-codomain parameter is d' = A^8 * d^l with A the product of the kernel
-x-coordinates x_i, kept as (D' : C'), d' = D'/C'.  Points are evaluated
-with no inversion, x by `odd_image` (Costello and Hisil, ASIACRYPT
-2017) and y by the y-map of the reduced rational map
+as the x-line points (X_i : Z_i) of Q, 2Q, ..., sQ (`xonly`).  The maps
+are those of E_{1,d/a}, which y -> y sqrt(a) reaches keeping x, read on
+(D : C) = (d : a); the codomain keeps the domain's a, so no sqrt(a) is
+taken: it is E_{a,d'}, d' = a A^8 (d/a)^l with A the product of the
+kernel x-coordinates x_i, kept as (D' : C'), d' = a D'/C'.  Points are
+evaluated with no inversion, x by `odd_image` (Costello and Hisil,
+ASIACRYPT 2017) and y by the y-map of the reduced rational map
 
-     y' = (-y/A^2) * prod (x^2 - x_i^2) / (1 - d x_i^2 x^2),
+     y' = (-y/A^2) * prod (x^2 - x_i^2) / (1 - (d/a) x_i^2 x^2),
 
 which reads the x_i only: (7s + 3)M + 4S a point.  An isogeny or a
 chain called on points makes their images affine by one inversion for
@@ -15,8 +17,8 @@ all; `_affine_views` adds every step's d', kernel x_i and kernel y (of a
 kernel from a generator) to it.  The -y orientation is the one the
 worked small-field mappings pin down.  The tests check the map against
 two raw-integer oracles: the defining product of group-law translates,
-prod x(P+Q)/x(Q), prod y(P+Q)/x(Q) over the kernel points Q, and the
-full rational map with x' = (x/A^2) * prod (x^2 - y_i^2) / (1 - d y_i^2 x^2).
+prod x(P+Q)/x(Q), a^s prod y(P+Q)/x(Q) over the kernel points Q, and the
+full rational map with x' = (x/A^2) * prod (x^2 - a y_i^2) / (1 - d y_i^2 x^2).
 """
 
 from __future__ import annotations
@@ -31,22 +33,17 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
                     check_parameters)
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
-                     InvalidCurve, NotASquare, NotOnCurve)
+                     InvalidParameter, NotASquare, NotOnCurve)
 from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
 
 
-def _require_a1(curve: EdwardsCurve):
-    if not (curve.a == 1):
-        raise InvalidCurve(
-            "isogeny formulas require the a = 1 curve form; "
-            "rescale E_{a,d} to E_{1,d/a} first")
-
-
 def _check_degree(degree: int):
-    """The one degree rule of kernels and chains: odd, at least 3 and at
-    most DESK_SCALE_LIMIT, as a kernel holds (degree - 1)/2 points."""
+    """The one degree rule of kernels and chains: an int, odd, at least 3
+    and at most DESK_SCALE_LIMIT, as a kernel holds (degree - 1)/2 points."""
+    if not isinstance(degree, int):
+        raise InvalidParameter(f"degree {degree!r} is not an int")
     if degree % 2 == 0:
         raise EvenDegreeUnsupported(f"degree {degree} is even")
     if degree < 3:
@@ -85,11 +82,11 @@ class OddKernel:
         after the checks a full point allows.  Q lies on the domain, and
         2Q is not a point at infinity, where the affine law raises
         ExceptionalPair and the x-line would report only a wrong order."""
-        _require_a1(domain)
         _check_degree(degree)
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
-        t = Q.x.square() + Q.y.square()    # 2Q = ((x^2 - y^2)/(2 - t), 2xy/t)
+        # 2Q = ((x^2 - a y^2)/(2 - t), 2xy/t)
+        t = Q.x.square() + domain._times_a(Q.y.square())
         if t.is_zero() or t == 2:
             raise ExceptionalPair("double lies at infinity")
         kernel = cls.from_x((Q.x, domain.field.one), degree, domain)
@@ -101,14 +98,13 @@ class OddKernel:
                domain: EdwardsCurve) -> "OddKernel":
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
-        with no inversion, by the domain's `xline`.  InvalidCurve unless
-        a = 1, and `_check_degree`'s errors, before anything is counted.
+        with no inversion, by the domain's `xline`, on any E_{a,d}.
+        `_check_degree`'s errors come before anything is counted.
         The checks, projectively: K is not O (X = Z), the walk stops at
         the first of 2K, ..., sK that is O, and x((s+1)K) = x(sK).  So K
         has order exactly l: no multiple lies at infinity and no Z_i is
         zero, nor is K the (-1, 0) that `xadd` cannot take as difference.
         cost: `_of_order`'s and an `xdbl` (l = 3) or `xadd` (l = 5)."""
-        _require_a1(domain)
         _check_degree(degree)
         if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
@@ -151,30 +147,30 @@ class OddKernel:
 
 
 class _PairCurve(EdwardsCurve):
-    """A step's codomain E_{1,d}, kept as its `pair` (D : C), so its
-    `xline` and j read no d; d = D/C is made on first read, as
-    `OddKernel.xs` is.  C = 0, D = 0, D = C raise."""
+    """A step's codomain E_{a,d}, with the a of its `domain`, kept as its
+    `pair` (D : C), so its `xline` and j read no d; d = a D/C is made on
+    first read, as `OddKernel.xs` is.  C = 0, D = 0, D = C raise."""
 
-    def __init__(self, field, pair: ProjParams):
+    def __init__(self, domain: EdwardsCurve, pair: ProjParams):
         check_parameters(pair.C, pair.D)
-        self.field, self.a, self._order = field, field.one, None
+        self.field, self.a, self._order = domain.field, domain.a, None
         self.pair = pair
 
-    d = cached_property(lambda self: _divide([self.pair])[0])
+    d = cached_property(lambda self: self._times_a(_divide([self.pair])[0]))
 
 
 class OddIsogeny:
     """A single odd-degree isogeny given by its kernel; callable on
     points of the domain.  Its codomain (D' : C') is `get_3_isog`'s at
     l = 3, else `odd_codomain`'s ((prod X_i)^8 D^l, (prod Z_i)^8 C^l) over
-    the domain's (D : C); its d' = D'/C' is made on first use."""
+    the domain's (D : C) = (d : a); its d' = a D'/C' is made on first use."""
 
     def __init__(self, kernel: OddKernel):
         k = kernel
         self.kernel, self.domain, self.degree = k, k.domain, k.degree
         pair = (get_3_isog(k.K[0]) if k.degree == 3
                 else odd_codomain(k.K, *k.domain.pair, k.degree))
-        self.codomain = _PairCurve(k.domain.field, pair)
+        self.codomain = _PairCurve(k.domain, pair)
 
     codomain_d = property(lambda self: self.codomain.d)
 
@@ -262,7 +258,8 @@ def _affine_views(steps: list, points: list, *fractions) -> tuple:
     q = iter(q)
     for s in steps:
         k, n = s.kernel, len(s.kernel.K)
-        s.codomain.d, *k.xs = islice(q, n + 1)
+        s.codomain.d = s.codomain._times_a(next(q))
+        k.xs = [*islice(q, n)]
         if k.generator is not None:
             ys = [k.generator.y, *islice(q, n - 1)]
             k.points = [*map(AffinePoint, k.xs, ys)]
@@ -400,7 +397,6 @@ class IsogenyChain:
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
                  degrees: list[int]):
-        _require_a1(domain)
         degrees = list(degrees)
         if not degrees:
             raise BadKernelGenerator("a chain needs at least one degree")

@@ -19,8 +19,9 @@ from oracles import (euler_chi, naive_codomain_d, naive_full_map,
 DESK_PRIMES = [p for p in range(11, 104) if is_probable_prime(p)]
 
 # A failing example also prints the `@reproduce_failure` blob that replays
-# it, which this hypothesis version leaves off by default.
-settings.register_profile("replayable", print_blob=True)
+# it, which this hypothesis version leaves off by default.  No example has
+# a deadline: desk-scale scans and order walks vary too much in time.
+settings.register_profile("replayable", print_blob=True, deadline=None)
 settings.load_profile("replayable")
 
 
@@ -70,27 +71,28 @@ def element_point(field, P) -> AffinePoint:
                          for v in P))
 
 
-def oracle_kernel(Q, l: int, p: int, d: int, beta=None) -> list:
+def oracle_kernel(Q, l: int, p: int, d: int, beta=None, a=1) -> list:
     """Q, 2Q, ..., sQ, l = 2s + 1, by repeated addition on raw ints."""
-    return [naive_scalar_mul(j, Q, p, 1, d, beta)
+    return [naive_scalar_mul(j, Q, p, a, d, beta)
             for j in range(1, l // 2 + 1)]
 
 
 def translate_image(phi, P) -> AffinePoint:
     """phi(P) by the raw-integer translate-product oracle, over the
     kernel that repeated addition makes from the generator of phi."""
-    field, d = phi.domain.field, phi.domain.d.value
+    field, a, d = phi.domain.field, phi.domain.a.value, phi.domain.d.value
     kernel = oracle_kernel(raw_point(phi.kernel.generator), phi.degree,
-                           field.p, d)
+                           field.p, d, a=a)
     return element_point(field, naive_translate_isogeny(
-        raw_point(P), kernel, field.p, d))
+        raw_point(P), kernel, field.p, d, a=a))
 
 
 @st.composite
-def desk_curves(draw, classes=(COMPLETE, TWISTED, QUADRATIC)):
-    """E_{a,d} over a random desk prime, of a class drawn from `classes`:
-    a and d are drawn as squares or non-squares to fit it."""
-    p = draw(st.sampled_from(DESK_PRIMES))
+def desk_curves(draw, classes=(COMPLETE, TWISTED, QUADRATIC),
+                primes=DESK_PRIMES):
+    """E_{a,d} over a random one of `primes`, of a class drawn from
+    `classes`: a and d are drawn as squares or non-squares to fit it."""
+    p = draw(st.sampled_from(primes))
     cls = draw(st.sampled_from(classes))
     n = next(c for c in range(2, p) if euler_chi(c, p) == -1)
     if cls == COMPLETE:
@@ -125,21 +127,23 @@ def assert_cofactor_walk(curve, G, degrees):
     ints: step i's kernel is generated by K = prod(degrees[i+1:]) * G_i
     on its domain E_i, with G_i the image of G under the steps before it.
     A chain kernel has no y sign, so its representatives' x are compared
-    with x(K), ..., x(sK) by repeated addition, its d' with A^8 d^l, and
-    G_i is carried by the full map of those x on the oracle's d."""
+    with x(K), ..., x(sK) by repeated addition, its d' with a A^8 (d/a)^l,
+    and G_i is carried by the full map of those x on the oracle's d; every
+    E_i keeps the a of the domain."""
     chain = IsogenyChain(curve, G, degrees)
     assert [step.degree for step in chain.steps] == degrees
     p, beta = curve.field.p, beta_of(curve.field)
-    G, d = raw_point(G), raw(curve.d)
+    G, a, d = raw_point(G), raw(curve.a), raw(curve.d)
     for i, step in enumerate(chain.steps):
         l = step.degree
-        K = naive_scalar_mul(prod(degrees[i + 1:]), G, p, 1, d, beta)
-        xs = [Q[0] for Q in oracle_kernel(K, l, p, d, beta)]
+        K = naive_scalar_mul(prod(degrees[i + 1:]), G, p, a, d, beta)
+        xs = [Q[0] for Q in oracle_kernel(K, l, p, d, beta, a)]
         assert [raw(x) for x in step.kernel.xs] == xs
-        G, d = (naive_full_map(G, xs, p, d, beta),
-                naive_codomain_d(xs, p, d, l, beta))
+        G, d = (naive_full_map(G, xs, p, d, beta, a),
+                naive_codomain_d(xs, p, d, l, beta, a))
         assert raw(step.codomain_d) == d
     assert G == raw_point(chain.codomain.identity)
+    assert chain.codomain.a == curve.a
 
 
 def assert_images_match_the_full_map(curve, G, degrees, points):
@@ -150,14 +154,14 @@ def assert_images_match_the_full_map(curve, G, degrees, points):
     last (D' : C') carried with them gives the codomain's d."""
     chain = IsogenyChain(curve, G, degrees)
     field = curve.field
-    p, beta = field.p, beta_of(field)
+    p, beta, a = field.p, beta_of(field), raw(curve.a)
     maps = [([raw(x) for x in step.kernel.xs], raw(step.domain.d))
             for step in chain.steps]
     want = []
     for P in points:
         Q = raw_point(P)
         for xs, d in maps:
-            Q = Q and naive_full_map(Q, xs, p, d, beta)
+            Q = Q and naive_full_map(Q, xs, p, d, beta, a)
         if Q is None:
             want.append(None)
             with pytest.raises(ExceptionalInput):

@@ -222,24 +222,27 @@ def montgomery_x_mul(k: int, P, p: int, a: int, d: int):
     return (u - 1) * pow(u + 1, -1, p) % p
 
 
-def naive_translate_isogeny(P, kernel, p: int, d: int, beta=None):
-    """Odd isogeny of E_{1,d} with kernel {O, +-Q_1, ..., +-Q_s}, by its
+def naive_translate_isogeny(P, kernel, p: int, d: int, beta=None, a=1):
+    """Odd isogeny of E_{a,d} with kernel {O, +-Q_1, ..., +-Q_s}, by its
     defining product of group-law translates:
-    x' = x * prod x(P+Q) x(P-Q) / A^2, y' = y * prod y(P+Q) y(P-Q) / A^2,
-    with A the product of the x(Q_i).  For even s the raw product is the
-    negation of the reduced rational map, so y' is negated to land on the
-    same representative.  Returns None when a translate is singular.
-    Over F_{p^2} (i^2 = beta) each coordinate is a (c0, c1) pair."""
+    x' = x * prod x(P+Q) x(P-Q) / A^2, y' = a^s y * prod y(P+Q) y(P-Q) / A^2,
+    with A the product of the x(Q_i), onto E_{a,d'}.  It is the product
+    on E_{1,d/a}, reached by y -> y sqrt(a), which keeps each x(P+Q) and
+    gives each y(P+Q) a factor sqrt(a), and back.  For even s the raw
+    product is the negation of the reduced rational map, so y' is
+    negated to land on the same representative.  Returns None when a
+    translate is singular.  Over F_{p^2} (i^2 = beta) each coordinate
+    is a (c0, c1) pair."""
     _, sub, mul, inv, lift = _arith(p, beta)
     x, y = map(lift, P)
     a_prod = lift(1)
     for Q in kernel:
-        R1 = naive_add(P, Q, p, 1, d, beta)
-        R2 = naive_add(P, (Q[0], sub(lift(0), lift(Q[1]))), p, 1, d, beta)
+        R1 = naive_add(P, Q, p, a, d, beta)
+        R2 = naive_add(P, (Q[0], sub(lift(0), lift(Q[1]))), p, a, d, beta)
         if R1 is None or R2 is None:
             return None
         x = mul(mul(x, R1[0]), R2[0])
-        y = mul(mul(y, R1[1]), R2[1])
+        y = mul(mul(mul(y, R1[1]), R2[1]), lift(a))
         a_prod = mul(a_prod, lift(Q[0]))
     inv_a2 = inv(mul(a_prod, a_prod))
     x, y = mul(x, inv_a2), mul(y, inv_a2)
@@ -248,40 +251,44 @@ def naive_translate_isogeny(P, kernel, p: int, d: int, beta=None):
     return (x, y)
 
 
-def naive_full_map(P, xs, p: int, d: int, beta=None):
+def naive_full_map(P, xs, p: int, d: int, beta=None, a=1):
     """The same isogeny by its reduced rational map, from the kernel
-    abscissas x_1, ..., x_s alone: with y_i^2 = (1 - x_i^2)/(1 - d x_i^2)
+    abscissas x_1, ..., x_s alone: with y_i^2 = (1 - x_i^2)/(a - d x_i^2)
     and A the product of the x_i,
 
-        x' = (x/A^2) prod (x^2 - y_i^2) / (1 - d y_i^2 x^2)
-        y' = (-y/A^2) prod (x^2 - x_i^2) / (1 - d x_i^2 x^2).
+        x' = (x/A^2) prod (x^2 - a y_i^2) / (1 - d y_i^2 x^2)
+        y' = (-y/A^2) prod (x^2 - x_i^2) / (1 - (d/a) x_i^2 x^2),
 
-    The x_i are those of a kernel of odd order, none at infinity.
-    Returns None at a pole, where a denominator of either product is
-    zero.  Over F_{p^2} (i^2 = beta) each value is a (c0, c1) pair."""
+    the map of E_{1,d/a} carried to E_{a,d} by y -> y sqrt(a).  The x_i
+    are those of a kernel of odd order, none at infinity.  Returns None
+    at a pole, where a denominator of either product is zero.  Over
+    F_{p^2} (i^2 = beta) each value is a (c0, c1) pair."""
     _, sub, mul, inv, lift = _arith(p, beta)
-    one, d = lift(1), lift(d)
+    one, a, d = lift(1), lift(a), lift(d)
+    d_a = mul(d, inv(a))
     x, y = map(lift, P)
     x2 = mul(x, x)
     x_out, y_out, a2 = x, sub(lift(0), y), one
     for xi in map(lift, xs):
         xi2 = mul(xi, xi)
-        yi2 = mul(sub(one, xi2), inv(sub(one, mul(d, xi2))))
-        den_x, den_y = (inv(sub(one, mul(mul(d, v), x2))) for v in (yi2, xi2))
+        yi2 = mul(sub(one, xi2), inv(sub(a, mul(d, xi2))))
+        den_x, den_y = (inv(sub(one, mul(mul(c, v), x2)))
+                        for c, v in ((d, yi2), (d_a, xi2)))
         if den_x is None or den_y is None:
             return None
-        x_out = mul(mul(x_out, sub(x2, yi2)), den_x)
+        x_out = mul(mul(x_out, sub(x2, mul(a, yi2))), den_x)
         y_out = mul(mul(y_out, sub(x2, xi2)), den_y)
         a2 = mul(a2, xi2)
     inv_a2 = inv(a2)
     return mul(x_out, inv_a2), mul(y_out, inv_a2)
 
 
-def naive_codomain_d(xs, p: int, d: int, l: int, beta=None):
-    """d' = A^8 d^l of the degree-l isogeny with kernel abscissas xs."""
-    _, _, mul, _, lift = _arith(p, beta)
-    out = lift(1)
-    for v in [*xs] * 8 + [d] * l:
+def naive_codomain_d(xs, p: int, d: int, l: int, beta=None, a=1):
+    """d' = a A^8 (d/a)^l of the degree-l isogeny of E_{a,d} with kernel
+    abscissas xs: A^8 d^l of E_{1,d/a}, carried back to the domain's a."""
+    _, _, mul, inv, lift = _arith(p, beta)
+    out, d_a = lift(a), mul(lift(d), inv(lift(a)))
+    for v in [*xs] * 8 + [d_a] * l:
         out = mul(out, lift(v))
     return out
 

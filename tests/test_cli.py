@@ -222,6 +222,17 @@ class TestIsogeny:
         assert code == 0
         assert doc["counters"] == counters
 
+    def test_general_a(self, capsys):
+        """--a reaches the isogeny: the 5-isogeny of the complete E_{4,2}
+        over F_19 from (10, 8) goes to E_{4,-4}, by one inversion."""
+        code, doc = run_json(capsys, "isogeny", "--p", "19", "--a", "4",
+                             "--d", "2", "--gen", "10,8", "--degree", "5")
+        assert code == 0
+        assert doc["kernel"] == [[-9, 8], [-6, 6]]
+        assert (doc["A"], doc["d_prime"]) == (-3, -4)
+        assert doc["codomain_class"] == "complete"
+        assert doc["counters"]["I"] == 1
+
 
 class TestChain:
     def test_two_step(self, capsys):
@@ -568,7 +579,7 @@ def _argv(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(argv=_argv())
     @example(argv=["isogeny", "--p", "23", "--d", "-1", "--degree", "3",
                    "--gen", "-10,9", "--point", "3,6"])

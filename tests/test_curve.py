@@ -213,14 +213,14 @@ def scaled(P, lam) -> tuple:
 
 
 class TestProjectiveLaw:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(curve=desk_curves(), data=st.data())
     def test_scalar_mul_matches_oracles(self, curve, data):
         P = data.draw(st.sampled_from(curve.points()))
         k = data.draw(st.integers(1, 2 * curve.field.p + 8))
         check_scalar_mul(curve, k, P)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(curve=desk_curves(classes=(QUADRATIC,)), data=st.data())
     def test_scalar_mul_on_quadratic_curves(self, curve, data):
         """Quadratic curves have singular points, so ladders can hit
@@ -237,7 +237,7 @@ class TestProjectiveLaw:
                      for P in curve.points() for k in range(1, 47))
         assert raised > 0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(curve=desk_curves(), data=st.data())
     def test_any_representative(self, curve, data):
         """add_proj and double_proj give the affine law's answer, or its

@@ -241,7 +241,7 @@ def pair(x) -> tuple:
 
 
 class TestAgainstOracle:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(p=st.sampled_from(EXT_PRIMES), data=st.data())
     def test_matches_raw_pairs(self, p, data):
         """Arithmetic, codecs, hashing and equality on random elements

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import (QUADRATIC, AffinePoint, BadKernelGenerator,
-                             DeskScaleOnly, EdwardsCurve, EdwardsError,
-                             EvenDegreeUnsupported, ExceptionalInput,
-                             ExceptionalPair, InvalidCurve, IsogenyChain,
-                             NotOnCurve, OddIsogeny, OddKernel, OpCounter,
-                             PrimeField, QuadExtField, is_order3_abscissa,
-                             isogeny, order3_division_value, recover_y,
-                             setup)
+from edwards_isogeny import (QUADRATIC, TWISTED, AffinePoint,
+                             BadKernelGenerator, DeskScaleOnly, EdwardsCurve,
+                             EdwardsError, EvenDegreeUnsupported,
+                             ExceptionalInput, ExceptionalPair,
+                             InvalidParameter, IsogenyChain, NotOnCurve,
+                             OddIsogeny, OddKernel, OpCounter, PrimeField,
+                             QuadExtField, is_order3_abscissa,
+                             is_supersingular, isogeny,
+                             order3_division_value, recover_y, setup)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
 from edwards_isogeny.isogeny import (_affine_views, _carry, _step_weights,
                                      chain_strategy)
@@ -106,25 +107,27 @@ class TestKernel:
         with pytest.raises(NotOnCurve):
             OddKernel.from_generator(pt(e23, 3, 7), 3, e23)
 
-    def test_rejects_general_a(self, f23):
+    def test_rejects_neutral_off_a1(self, f23):
+        """Off a = 1 the neutral element is refused as it is on a = 1."""
         curve = EdwardsCurve(f23, f23(5), f23(7))
-        with pytest.raises(InvalidCurve):
+        with pytest.raises(BadKernelGenerator):
             OddKernel.from_generator(pt(curve, 1, 0), 3, curve)
 
     @pytest.mark.parametrize("p,a,d,xy,l", [
         (19, 4, 2, (10, 8), 5), (23, 2, 1, (9, 10), 3)])
-    def test_from_x_rejects_general_a(self, p, a, d, xy, l):
-        """Points of order l off a = 1 raise InvalidCurve before anything
-        is tallied, not BadKernelGenerator or a codomain computed as if
-        a = 1."""
+    def test_from_x_off_a1(self, p, a, d, xy, l):
+        """Points of order l off a = 1, on a complete and a quadratic
+        curve, give the oracles' kernel x_i and d' = a A^8 (d/a)^l, on
+        E_{a,d'}: the domain's a is kept."""
         field = PrimeField(p)
         curve = EdwardsCurve(field, field(a), field(d))
         P = pt(curve, *xy)
         assert curve.point_order(P) == l
-        ctx = OpCounter()
-        with field.counting(ctx), pytest.raises(InvalidCurve):
-            OddKernel.from_x((P.x, field.one), l, curve)
-        assert ctx.snapshot() == (0,) * 8
+        phi = OddIsogeny(OddKernel.from_x((P.x, field.one), l, curve))
+        xs = [Q[0] for Q in oracle_kernel(xy, l, p, d, a=a)]
+        assert [x.value for x in phi.kernel.xs] == xs
+        assert phi.codomain.d == naive_codomain_d(xs, p, d, l, a=a)
+        assert phi.codomain.a == a
 
     def test_stops_at_first_identity(self, e23):
         """An order-3 generator with degree 200001 stops at 3Q = O: the
@@ -143,6 +146,20 @@ class TestKernel:
         ctx = OpCounter()
         with e23.field.counting(ctx), pytest.raises(DeskScaleOnly):
             OddKernel.from_generator(pt(e23, -10, 9), degree, e23)
+        assert ctx.snapshot() == (0,) * 8
+
+    @pytest.mark.parametrize("build,shown", [
+        (lambda E, G: IsogenyChain(E, G, "3"), "'3'"),
+        (lambda E, G: IsogenyChain(E, G, [3.0]), "3.0"),
+        (lambda E, G: OddKernel.from_x((G.x, E.field.one), 3.0, E), "3.0")],
+        ids=["chain-str", "chain-float", "from_x-float"])
+    def test_non_int_degree_is_invalid_parameter(self, e23, build, shown):
+        """A degree that is not an int is named in an InvalidParameter,
+        before anything is counted."""
+        ctx = OpCounter()
+        with e23.field.counting(ctx), pytest.raises(
+                InvalidParameter, match=f"degree {shown} is not an int"):
+            build(e23, pt(e23, -10, 9))
         assert ctx.snapshot() == (0,) * 8
 
 
@@ -333,7 +350,7 @@ def annihilated_by(curve, P, k: int) -> bool:
 
 
 class TestProjectiveEvaluation:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(l=st.sampled_from([3, 5]), data=st.data())
     def test_call_matches_translate_oracle(self, l, data):
         """phi(P) equals the translate product on random kernels, and
@@ -355,7 +372,7 @@ class TestProjectiveEvaluation:
             else:
                 assert phi(P) == pt(phi.codomain, *want)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_chain_matches_composed_steps(self, data):
         """A chain's projective push equals its steps' affine calls
@@ -645,6 +662,70 @@ class TestFullMapOracle:
         assert None in got
 
 
+ORACLE_PRIMES = [p for p in DESK_PRIMES if p <= 83]
+
+
+class TestEveryCurveForm:
+    """Kernels, single isogenies and chains on E_{a,d} as it stands, a
+    off one and on every class, against the raw-int oracles on that a."""
+
+    @settings(max_examples=120)
+    @given(curve=desk_curves(primes=ORACLE_PRIMES), data=st.data())
+    def test_isogeny_matches_the_oracles(self, curve, data):
+        """For a drawn l in {3, 5, 7} that divides the curve order and a
+        point Q of order l: the kernel is the oracles' Q, ..., sQ, y and
+        all; the codomain is E_{a,d'} with the domain's a and class and
+        d' = a A^8 (d/a)^l; phi(P) is the translate product and the full
+        map, lies on the codomain, and raises ExceptionalInput exactly at
+        their common poles; and the one-step chain from Q agrees."""
+        degrees = [l for l in (3, 5, 7) if curve.order() % l == 0]
+        assume(degrees)
+        l = data.draw(st.sampled_from(degrees))
+        points = curve.points()
+        Q = data.draw(st.sampled_from(
+            [P for P in points if curve.point_order(P) == l]))
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        phi = OddIsogeny(OddKernel.from_generator(Q, l, curve))
+        chain = IsogenyChain(curve, Q, [l])
+        kernel = oracle_kernel(raw_point(Q), l, p, d, a=a)
+        xs = [x for x, _ in kernel]
+        assert [raw_point(P) for P in phi.kernel.points] == kernel
+        E = phi.codomain
+        assert (E.a, E.class_tag) == (curve.a, curve.class_tag)
+        assert E.d == chain.codomain.d == naive_codomain_d(xs, p, d, l, a=a)
+        for P in data.draw(st.lists(st.sampled_from(points),
+                                    min_size=1, max_size=6)):
+            want = naive_translate_isogeny(raw_point(P), kernel, p, d, a=a)
+            assert naive_full_map(raw_point(P), xs, p, d, a=a) == want
+            if want is None:
+                for f in (phi, chain):
+                    with pytest.raises(ExceptionalInput):
+                        f(P)
+            else:
+                assert phi(P) == chain(P) == pt(E, *want)
+                assert E.contains(phi(P))
+
+    @pytest.mark.parametrize("a,d,order,degrees,want", [
+        (2, 4, 45, [3, 3, 5], (QUADRATIC, 2, -103, 178)),
+        (7, 14, 15, [5, 3], (TWISTED, 7, -20, -47))])
+    def test_quadratic_family_chain(self, a, d, order, degrees, want):
+        """p = 359 = 8 * 3^2 * 5 - 1 is of the paper's quadratic family:
+        the quadratic E_{2,4} and the twisted E_{7,14} over F_359 are
+        supersingular, of order 360.  A chain from the first point of
+        the given order reaches a supersingular curve of the same class
+        with the domain's a, and its kernels, d' and images are the
+        oracles'."""
+        field = PrimeField(359)
+        curve = EdwardsCurve(field, field(a), field(d))
+        points = curve.points()
+        G = next(P for P in points if curve.point_order(P) == order)
+        E = IsogenyChain(curve, G, degrees).codomain
+        assert (E.class_tag, E.a, E.d, E.j_invariant()) == want
+        assert is_supersingular(curve) and is_supersingular(E)
+        assert_cofactor_walk(curve, G, degrees)
+        assert_images_match_the_full_map(curve, G, degrees, points[::9])
+
+
 class TestDivisionPolynomial:
     def test_worked_root(self, f23):
         assert order3_division_value(f23(-10), f23(-1)) == 0
@@ -884,7 +965,7 @@ class TestChain:
         with pytest.raises(NotOnCurve):
             IsogenyChain(e23, pt(e23, 5, 5), [3, 3])
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(curve=desk_curves(), data=st.data())
     def test_even_order_generators_are_typed_errors(self, curve, data):
         """A generator with an even-order part fails with
@@ -908,7 +989,7 @@ class TestChain:
             IsogenyChain(e23, pt(e23, -10, 9), [3, 3, 3, 3])
         assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(curve=desk_curves(), data=st.data())
     def test_images_match_call(self, curve, data):
         """Points pushed together by `_carry` come out as chain(P) does
@@ -931,7 +1012,7 @@ class TestChain:
             assert carried == want
             assert d == chain.codomain.d
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(curve=desk_curves(), data=st.data())
     def test_x_line_generator(self, curve, data):
         """A generator given as an x-line point (X, Z), any scaling, gives
@@ -967,7 +1048,7 @@ class TestChain:
         monkeypatch.setattr(EdwardsCurve, "contains", refuse)
         assert IsogenyChain(e23, (G.x, e23.field.one), [3]).codomain.d == want
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_chain_matches_the_oracles(self, data):
         """On every a = 1 desk curve with a point of order 15, for such a

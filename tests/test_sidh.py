@@ -406,7 +406,7 @@ class TestChainStrategy:
                   E.scalar_mul(5 ** (2 - degrees.count(5)), b.P))
         assert_cofactor_walk(E, G, degrees)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(secret_a=st.integers(0, 26), secret_b=st.integers(0, 24),
            degrees=st.permutations([3, 3, 3, 5, 5]))
     def test_random_secrets_and_orders(self, params2699, secret_a, secret_b,
@@ -418,7 +418,7 @@ class TestChainStrategy:
                   E.add(b.P, E.scalar_mul(secret_b, b.Q)))
         assert_cofactor_walk(E, G, degrees)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(secret_a=st.integers(0, 26), secret_b=st.integers(0, 24),
            degrees=st.sampled_from([[3, 3, 3, 5, 5], [3, 3, 3, 5]]).flatmap(
                st.permutations),

@@ -293,7 +293,7 @@ class TestXLine:
     which passes the points at infinity, and against the full projective
     law where it is defined."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(curve=desk_curves(), data=st.data())
     def test_xdbl(self, curve, data):
         p, a, d = curve.field.p, curve.a.value, curve.d.value
@@ -308,7 +308,7 @@ class TestXLine:
                 return
             assert X * got[1] == got[0] * Z
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(curve=desk_curves(), data=st.data())
     def test_xadd(self, curve, data):
         """mP + nP from (m - n)P, for (m - n)P neither O nor (-1, 0)."""
@@ -333,7 +333,7 @@ class TestXLine:
                 return
             assert X * got[1] == got[0] * Z
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(curve=desk_curves(), data=st.data())
     def test_xmul(self, curve, data):
         """l * mP for l in {3, 5, 7, 9}, mP neither O nor (-1, 0)."""
@@ -351,7 +351,7 @@ class TestXLine:
                 return
             assert X * got[1] == got[0] * Z
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(curve=desk_curves(), data=st.data())
     def test_xladder(self, curve, data):
         """(kP, (k+1)P) for every k in 1..40, so for k whose second bit
@@ -386,7 +386,7 @@ class TestXLine:
 class TestRecoverXY:
     """recover_xy: kR from R and the ladder's (kR, (k+1)R)."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
     def test_matches_the_montgomery_model(self, curve, extend, data):
         """For every k in 1..40 whose kR is affine, the Montgomery model's
@@ -435,7 +435,7 @@ EDGE_SECRETS = [0, 1, 3 ** 3 - 1, 5 ** 2 - 1, 3 ** 74 - 1]
 class TestLadder:
     """ladder3pt: x(P + k*Q) from x(P), x(Q) and x(P - Q)."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
     def test_matches_the_affine_law(self, curve, extend, data):
         """On desk curves over F_p and, for p = 3 (mod 4), over F_{p^2},
