@@ -25,9 +25,13 @@ B = X^2, C = a*Y^2, D = B + C, F = 2Z^2 - D and H = 2XY,
 (3M + 4S when a = 1).  Z3 is zero exactly when the result lies at
 infinity (for the sum, when an affine denominator 1 -+ d*x1*x2*y1*y2
 is), and `ExceptionalPair` is raised there.  `add`, `double` and
-`scalar_mul` take and return affine points, with one inversion each.
-`point_order` multiplies on the x-line instead, by `xonly.xladder`,
-which passes the points at infinity.
+`scalar_mul`, the one double-and-add, take and return affine points, with
+one inversion each.  `point_order` multiplies on the x-line instead, by
+`xonly.xladder`, which passes the points at infinity.
+
+`points`, `order`, `singular_count` and `special_points` are desk-scale
+diagnostics: under a throwaway counter, with d made afresh from `pair`,
+they add nothing to the tallies and leave a step codomain's lazy d unmade.
 """
 
 from __future__ import annotations
@@ -125,11 +129,6 @@ class SingularPoint(NamedTuple):
     finite: object
     order: int
 
-    def __repr__(self):
-        if self.axis == "y":
-            return f"({self.finite!r}, inf)[order {self.order}]"
-        return f"(inf, {self.finite!r})[order {self.order}]"
-
 
 class SpecialPointSet(NamedTuple):
     """The always-present O and D0, the affine order-4 pair ±F0 when
@@ -139,10 +138,6 @@ class SpecialPointSet(NamedTuple):
     d0: AffinePoint
     f0_pair: list                       # two AffinePoints, or []
     singular: list                      # SingularPoints
-
-    @property
-    def order2_count(self) -> int:
-        return 1 + sum(1 for s in self.singular if s.order == 2)
 
 
 class EdwardsCurve:
@@ -195,13 +190,18 @@ class EdwardsCurve:
         return to_affine(self.double_proj(P.projective()))
 
     def scalar_mul(self, k: int, P: AffinePoint) -> AffinePoint:
-        """k*P by left-to-right double-and-add; 0*P = (1, 0).  P must
-        lie on the curve."""
+        """k*P by left-to-right double-and-add on (X : Y : Z) and one
+        inversion; 0*P = (1, 0).  P must lie on the curve."""
         if k < 0:
             return self.scalar_mul(-k, P.neg())
         if k == 0:
             return self.identity
-        return to_affine(self.scalar_mul_proj(k, P.projective()))
+        P = acc = P.projective()
+        for bit in bin(k)[3:]:
+            acc = self.double_proj(acc)
+            if bit == "1":
+                acc = self.add_proj(acc, P)
+        return to_affine(acc)
 
     def add_proj(self, P: tuple, Q: tuple) -> tuple:
         """(X1:Y1:Z1) + (X2:Y2:Z2); the mixed form when Z2 = 1."""
@@ -235,27 +235,20 @@ class EdwardsCurve:
         H = (X + Y).square() - B - Y2
         return ((B - C) * D, H * F, Z3)
 
-    def scalar_mul_proj(self, k: int, P: tuple) -> tuple:
-        """k*(X:Y:Z) for k >= 1 by left-to-right double-and-add."""
-        if k < 1:
-            raise ValueError(f"scalar_mul_proj needs k >= 1, got {k}")
-        acc = P
-        for bit in bin(k)[3:]:
-            acc = self.double_proj(acc)
-            if bit == "1":
-                acc = self.add_proj(acc, P)
-        return acc
-
     def _times_a(self, v):
         return v if self.a == 1 else self.a * v
+
+    def _d_from_pair(self):
+        """d = a D/C made afresh from `pair`: d itself on a plain curve."""
+        D, C = self.pair
+        return self._times_a(D if C == 1 else D / C)
 
     def check_point(self, P: AffinePoint) -> AffinePoint:
         """P itself, or NotOnCurve.  An input check, so it runs under a
         throwaway counter and adds nothing to the tallies."""
         with self.field.counting(OpCounter()):
-            on_curve = self.contains(P)
-        if not on_curve:
-            raise NotOnCurve(f"{P!r} is not on {self!r}")
+            if not self.contains(P):
+                raise NotOnCurve(f"{P!r} is not on {self!r}")
         return P
 
     def point_order(self, P: AffinePoint) -> int:
@@ -286,15 +279,13 @@ class EdwardsCurve:
     # ------------------------------------------------------------------
 
     def points(self) -> list[AffinePoint]:
-        """All affine points, by scanning x and solving for y.
-        Diagnostic: runs under a throwaway counter."""
+        """All affine points, by scanning x and solving for y."""
         self._check_desk_scale()
         with self.field.counting(OpCounter()):
-            pts = []
-            one = self.field.one
+            pts, one, d = [], self.field.one, self._d_from_pair()
             for x in self.field.elements():
                 x2 = x.square()
-                den = self.a - self.d * x2
+                den = self.a - d * x2
                 if den.is_zero():
                     continue
                 v = (one - x2) / den
@@ -303,23 +294,19 @@ class EdwardsCurve:
                     pts.append(AffinePoint(x, self.field.zero))
                 elif c == 1:
                     y = self.field.sqrt(v)
-                    pts.append(AffinePoint(x, y))
-                    pts.append(AffinePoint(x, -y))
+                    pts += [AffinePoint(x, y), AffinePoint(x, -y)]
             return pts
 
     def order(self) -> int:
         """Curve order: affine points plus singular points at infinity."""
         if self._order is None:
-            self._order = self._affine_count() + self.singular_count()
+            with self.field.counting(OpCounter()):
+                self._order = self._affine_count() + self.singular_count()
         return self._order
 
     def singular_count(self) -> int:
-        n = 0
-        if self.field.chi(self.a * self.d) == 1:
-            n += 2
-        if self.field.chi(self.d) == 1:
-            n += 2
-        return n
+        """The number of singular points at infinity: 0, 2 or 4."""
+        return len(self.special_points().singular)
 
     def _affine_count(self) -> int:
         if not isinstance(self.field, PrimeField):
@@ -328,7 +315,7 @@ class EdwardsCurve:
         # Raw-integer fast path: chi(num/den) = chi(num*den).
         p = self.field.p
         squares = {y * y % p for y in range(p)}
-        a, d = self.a.value, self.d.value
+        a, d = self.a.value, self._d_from_pair().value
         count = 0
         for x in range(p):
             x2 = x * x % p
@@ -352,26 +339,24 @@ class EdwardsCurve:
     # ------------------------------------------------------------------
 
     def j_invariant(self):
-        D, C = self.pair
-        return j_invariant(C, D)
+        return j_invariant(self.pair.C, self.pair.D)
 
     def special_points(self) -> SpecialPointSet:
-        field = self.field
-        neutral = self.identity
-        d0 = AffinePoint(-field.one, field.zero)
-        f0 = []
-        if field.chi(self.a) == 1:
-            inv_sqrt_a = field.sqrt(self.a.inverse())
-            f0 = [AffinePoint(field.zero, inv_sqrt_a),
-                  AffinePoint(field.zero, -inv_sqrt_a)]
-        singular = []
-        if field.chi(self.a * self.d) == 1:
-            r = field.sqrt(self.a / self.d)
-            singular += [SingularPoint("y", r, 2), SingularPoint("y", -r, 2)]
-        if field.chi(self.d) == 1:
-            r = field.sqrt(self.d.inverse())
-            singular += [SingularPoint("x", r, 4), SingularPoint("x", -r, 4)]
-        return SpecialPointSet(neutral, d0, f0, singular)
+        """O, D0, the pair ±F0 when chi(a) = 1, and the singular points."""
+        field, a, zero = self.field, self.a, self.field.zero
+        f0, singular = [], []
+        with field.counting(OpCounter()):
+            if field.chi(a) == 1:
+                r = field.sqrt(a.inverse())
+                f0 = [AffinePoint(zero, r), AffinePoint(zero, -r)]
+            d = self._d_from_pair()
+            for axis, order, r2 in (("y", 2, a / d), ("x", 4, d.inverse())):
+                if field.chi(r2) == 1:            # chi(a d), chi(d)
+                    r = field.sqrt(r2)
+                    singular += [SingularPoint(axis, r, order),
+                                 SingularPoint(axis, -r, order)]
+            d0 = AffinePoint(-field.one, zero)
+        return SpecialPointSet(self.identity, d0, f0, singular)
 
     def quadratic_twist(self, c) -> "EdwardsCurve":
         """E_{ca,cd} for a non-residue c; swaps twisted and quadratic,

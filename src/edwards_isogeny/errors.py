@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one int check."""
 
 
 class EdwardsError(Exception):
@@ -61,3 +61,10 @@ class ProtocolError(EdwardsError, ValueError):
 class InvalidParameter(EdwardsError, ValueError):
     """A modulus, exponent, subgroup degree, search bound or search
     variant that the library does not accept."""
+
+
+def check_int(value, name: str, error: type = InvalidParameter):
+    """`error` naming `name` unless value is an int.  A bool is refused,
+    though Python counts it an int: True for a count or secret is a slip."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} {value!r} is not an int")

@@ -33,7 +33,7 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
                     check_parameters)
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
-                     InvalidParameter, NotASquare, NotOnCurve)
+                     NotASquare, NotOnCurve, check_int)
 from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
@@ -42,8 +42,7 @@ from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, get_3_isog,
 def _check_degree(degree: int):
     """The one degree rule of kernels and chains: an int, odd, at least 3
     and at most DESK_SCALE_LIMIT, as a kernel holds (degree - 1)/2 points."""
-    if not isinstance(degree, int):
-        raise InvalidParameter(f"degree {degree!r} is not an int")
+    check_int(degree, "degree")
     if degree % 2 == 0:
         raise EvenDegreeUnsupported(f"degree {degree} is even")
     if degree < 3:
@@ -156,7 +155,7 @@ class _PairCurve(EdwardsCurve):
         self.field, self.a, self._order = domain.field, domain.a, None
         self.pair = pair
 
-    d = cached_property(lambda self: self._times_a(_divide([self.pair])[0]))
+    d = cached_property(EdwardsCurve._d_from_pair)
 
 
 class OddIsogeny:

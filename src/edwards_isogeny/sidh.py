@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .curve import AffinePoint, EdwardsCurve
 from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
-                     ExceptionalPair, InvalidParameter, NotOnCurve,
-                     ProtocolError, SetupFailed)
+                     InvalidParameter, NotOnCurve, ProtocolError, SetupFailed,
+                     check_int)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, OddKernel, _carry, _divide, recover_y
@@ -97,6 +97,8 @@ def setup(m: int, n: int, seed: int = 0,
 
     DeskScaleOnly when p exceeds `max_p`, by default DESK_PRIME_LIMIT;
     a larger `max_p` admits the 247- and 763-bit primes."""
+    check_int(m, "m")
+    check_int(n, "n")
     if m < 1 or n < 1:
         raise InvalidParameter("need m, n >= 1 so both parties have torsion")
     limit = DESK_PRIME_LIMIT if max_p is None else max_p
@@ -196,6 +198,7 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     pushed by `_carry` and made affine with d' = D'/C' by one inversion."""
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
+    check_int(secret, "secret", ProtocolError)
     if not 0 <= secret < l ** e:
         raise ProtocolError(f"secret must lie in [0, {l}^{e})")
     E = params.curve
@@ -256,20 +259,15 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
 
 
 def count_cyclic_subgroups(curve: EdwardsCurve, l: int) -> int:
-    """Number of cyclic subgroups of odd prime order l, by exhaustive
-    scan (desk scale).  Each subgroup contributes l - 1 points of order l."""
+    """Number of cyclic subgroups of odd prime order l, by an uncounted
+    desk-scale scan: each holds l - 1 of the P with y != 0 whose x-line
+    `xmul(l, x(P))` has X = Z, a test that passes the points at infinity."""
     if l == 2 or not is_probable_prime(l):
         raise InvalidParameter(f"l = {l} is not an odd prime")
     with curve.field.counting(OpCounter()):
-        hits = 0
-        for P in curve.points():
-            if P.is_identity():
-                continue
-            try:
-                if curve.scalar_mul(l, P).is_identity():
-                    hits += 1
-            except ExceptionalPair:
-                continue         # even-order point walked through infinity
+        hits = sum(X == Z for X, Z in (
+            xmul(l, (P.x, curve.field.one), curve.xline)
+            for P in curve.points() if not P.y.is_zero()))
     if hits % (l - 1):
         raise EdwardsError(
             f"{hits} points of order {l} do not split into subgroups")

@@ -151,11 +151,12 @@ class TestKernel:
     @pytest.mark.parametrize("build,shown", [
         (lambda E, G: IsogenyChain(E, G, "3"), "'3'"),
         (lambda E, G: IsogenyChain(E, G, [3.0]), "3.0"),
-        (lambda E, G: OddKernel.from_x((G.x, E.field.one), 3.0, E), "3.0")],
-        ids=["chain-str", "chain-float", "from_x-float"])
+        (lambda E, G: OddKernel.from_x((G.x, E.field.one), 3.0, E), "3.0"),
+        (lambda E, G: IsogenyChain(E, G, [True]), "True")],
+        ids=["chain-str", "chain-float", "from_x-float", "chain-bool"])
     def test_non_int_degree_is_invalid_parameter(self, e23, build, shown):
-        """A degree that is not an int is named in an InvalidParameter,
-        before anything is counted."""
+        """A degree that is not an int, a bool included, is named in an
+        InvalidParameter, before anything is counted."""
         ctx = OpCounter()
         with e23.field.counting(ctx), pytest.raises(
                 InvalidParameter, match=f"degree {shown} is not an int"):
@@ -407,25 +408,17 @@ class TestProjectiveEvaluation:
 
 
 def draw_smooth_generator(curve, data) -> tuple:
-    """A drawn point of curve whose order is 3^a 5^b > 1, with that
-    order's prime factors in a drawn order."""
-    n = curve.order()
-    smooth = 1
-    for q in (3, 5):
-        while n % (smooth * q) == 0:
-            smooth *= q
-    try:
-        G = curve.scalar_mul(n // smooth,
-                             data.draw(st.sampled_from(curve.points())))
-    except ExceptionalPair:
-        assume(False)
-    order = smooth                  # strip to the exact order of G
-    for q in (3, 5):
-        while order % q == 0 and annihilated_by(curve, G, order // q):
-            order //= q
-    degrees = [q for q in (3, 5) for _ in range(_valuation(order, q))]
-    assume(degrees)
-    return G, data.draw(st.permutations(degrees))
+    """A drawn point of curve whose `point_order` is 3^a 5^b > 1, with
+    that order's prime factors in a drawn order."""
+    gens = {}
+    for P in curve.points():
+        n = curve.point_order(P)
+        degrees = [q for q in (3, 5) for _ in range(_valuation(n, q))]
+        if degrees and prod(degrees) == n:
+            gens[P] = degrees
+    assume(gens)
+    G = data.draw(st.sampled_from(list(gens)))
+    return G, data.draw(st.permutations(gens[G]))
 
 
 def line(P, lam: int = 1) -> tuple:
@@ -725,6 +718,30 @@ class TestEveryCurveForm:
         assert_cofactor_walk(curve, G, degrees)
         assert_images_match_the_full_map(curve, G, degrees, points[::9])
 
+    def test_diagnostics_add_nothing(self):
+        """The order, the singular-point census and the special points
+        of the codomain of E_{2,4}/F_359's [3, 3, 5] chain add nothing to
+        the counter and leave its d unmade, so a later read of d costs its
+        1 I + 2 M (D'/C', then times a) whether or not they ran first.
+        The order of a plain curve adds nothing either."""
+        field, zero = PrimeField(359), {"M": 0, "S": 0, "I": 0, "A": 0}
+        curve = EdwardsCurve(field, field(2), field(4))
+        G = next(P for P in curve.points() if curve.point_order(P) == 45)
+        for diagnostics in ((), ("order", "singular_count",
+                                 "special_points")):
+            E = IsogenyChain(curve, G, [3, 3, 5]).codomain
+            with field.counting(OpCounter()) as ctx:
+                for name in diagnostics:
+                    getattr(E, name)()
+            assert ctx.as_dict() == zero
+            with field.counting(OpCounter()) as ctx:
+                E.d
+            assert ctx.as_dict() == {"M": 2, "S": 0, "I": 1, "A": 0}
+        assert E.order() == 360
+        with field.counting(OpCounter()) as ctx:
+            assert EdwardsCurve(field, field(2), field(4)).order() == 360
+        assert ctx.as_dict() == zero
+
 
 class TestDivisionPolynomial:
     def test_worked_root(self, f23):
@@ -970,10 +987,7 @@ class TestChain:
     def test_even_order_generators_are_typed_errors(self, curve, data):
         """A generator with an even-order part fails with
         BadKernelGenerator, whatever the odd degrees; never
-        DivisionByZero.  Each drawn E_{a,d}, of any class, is taken to
-        E_{1,d/a}, the form the isogeny formulas need."""
-        field = curve.field
-        curve = EdwardsCurve(field, field.one, curve.d / curve.a)
+        DivisionByZero.  The drawn E_{a,d} is of any class."""
         G = data.draw(st.sampled_from(curve.points()))
         assume(curve.point_order(G) % 2 == 0)
         degrees = data.draw(st.lists(st.sampled_from([3, 5, 7]),
@@ -993,11 +1007,9 @@ class TestChain:
     @given(curve=desk_curves(), data=st.data())
     def test_images_match_call(self, curve, data):
         """Points pushed together by `_carry` come out as chain(P) does
-        for each of them, on every curve class taken to E_{1,d/a}, with
-        the codomain's d from the last (D' : C'); `_carry` raises
+        for each of them, on every curve class, with the quotient of the
+        last (D' : C') = (d' : a) carried with them; `_carry` raises
         ExceptionalInput exactly when some chain(P) does."""
-        field = curve.field
-        curve = EdwardsCurve(field, field.one, curve.d / curve.a)
         G, degrees = draw_smooth_generator(curve, data)
         points = data.draw(st.lists(st.sampled_from(curve.points()),
                                     min_size=1, max_size=4))
@@ -1010,30 +1022,31 @@ class TestChain:
         else:
             carried, (d,) = _carry(chain.steps, points, chain.codomain.pair)
             assert carried == want
-            assert d == chain.codomain.d
+            assert d == chain.codomain.d / curve.a
 
     @settings(max_examples=40)
     @given(curve=desk_curves(), data=st.data())
     def test_x_line_generator(self, curve, data):
         """A generator given as an x-line point (X, Z), any scaling, gives
         the chain of the affine point: the same kernels, codomain and
-        images of points pushed by `_carry`."""
-        field = curve.field
-        curve = EdwardsCurve(field, field.one, curve.d / curve.a)
+        images of points pushed by `_carry`, which raises for both chains
+        or for neither."""
         G, degrees = draw_smooth_generator(curve, data)
         points = data.draw(st.lists(st.sampled_from(curve.points()),
                                     max_size=2))
-        lam = field(data.draw(st.integers(1, field.p - 1)))
+        lam = curve.field(data.draw(st.integers(1, curve.field.p - 1)))
         want = IsogenyChain(curve, G, degrees)
-        try:
-            want_images = _carry(want.steps, points)[0]
-        except ExceptionalInput:
-            assume(False)
         got = IsogenyChain(curve, (G.x * lam, lam), degrees)
         assert ([s.kernel.xs for s in got.steps]
                 == [s.kernel.xs for s in want.steps])
         assert got.codomain.d == want.codomain.d
-        assert _carry(got.steps, points)[0] == want_images
+        try:
+            want_images = _carry(want.steps, points)[0]
+        except ExceptionalInput:
+            with pytest.raises(ExceptionalInput):
+                _carry(got.steps, points)
+        else:
+            assert _carry(got.steps, points)[0] == want_images
 
     def test_x_line_generator_is_not_checked(self, e23, monkeypatch):
         """The x-line cannot tell E from its twist, and an (X, Z)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
-                             EdwardsError, ExceptionalInput, IsogenyChain,
-                             OddIsogeny, OddKernel, OpCounter, ProtocolError,
-                             PrimeField, PublicKey, QuadExtField,
-                             count_cyclic_subgroups, derive_shared, keygen,
-                             recover_y, run_exchange, setup, sidh)
+                             EdwardsError, ExceptionalInput, InvalidParameter,
+                             IsogenyChain, OddIsogeny, OddKernel, OpCounter,
+                             ProtocolError, PrimeField, PublicKey,
+                             QuadExtField, count_cyclic_subgroups,
+                             derive_shared, keygen, recover_y, run_exchange,
+                             setup, sidh)
 from edwards_isogeny.isogeny import _carry
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
@@ -40,6 +41,15 @@ class TestSetup:
 
     def test_179(self):
         assert setup(2, 1, seed=0).p == 179
+
+    @pytest.mark.parametrize("m,n", [(1.5, 1), ("1", 1), (1, None),
+                                     (True, 1), (1, False)],
+                             ids=["float", "str", "none", "bool-m", "bool-n"])
+    def test_non_int_exponents_are_invalid(self, m, n):
+        """m and n must be ints.  A bool is refused, although Python
+        counts it an int."""
+        with pytest.raises(InvalidParameter, match="is not an int"):
+            setup(m, n)
 
     def test_basis_orders(self, params2699):
         E = params2699.curve
@@ -188,6 +198,19 @@ class TestKeygen:
     def test_secret_zero_valid(self, params59):
         kp = keygen(params59, SIDE_A, 0)
         assert kp.chain.degrees == [3]
+
+    @pytest.mark.parametrize("secret", [1.5, "1", None, True, False],
+                             ids=["float", "str", "none", "true", "false"])
+    def test_non_int_secret_is_protocol_error(self, params59, secret,
+                                              monkeypatch):
+        """The secret must be an int, a bool refused, and it is checked
+        before the ladder runs."""
+        def refuse(*args):
+            raise AssertionError("ladder3pt called")
+
+        monkeypatch.setattr(sidh, "ladder3pt", refuse)
+        with pytest.raises(ProtocolError, match="is not an int"):
+            keygen(params59, SIDE_A, secret)
 
     def test_secret_range(self, params59):
         with pytest.raises(ValueError):
