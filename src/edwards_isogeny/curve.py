@@ -30,8 +30,9 @@ one inversion each.  `point_order` multiplies on the x-line instead, by
 `xonly.xladder`, which passes the points at infinity.
 
 `points`, `order`, `singular_count` and `special_points` are desk-scale
-diagnostics: under a throwaway counter, with d made afresh from `pair`,
-they add nothing to the tallies and leave a step codomain's lazy d unmade.
+diagnostics and `check_point` an input check: `_uncounted`, they add
+nothing to the tallies and leave no lazy value made, such as a step
+codomain's d or a curve's `xline`, for a later counted read to skip.
 """
 
 from __future__ import annotations
@@ -238,15 +239,23 @@ class EdwardsCurve:
     def _times_a(self, v):
         return v if self.a == 1 else self.a * v
 
-    def _d_from_pair(self):
-        """d = a D/C made afresh from `pair`: d itself on a plain curve."""
-        D, C = self.pair
-        return self._times_a(D if C == 1 else D / C)
+    @contextmanager
+    def _uncounted(self):
+        """A diagnostic's scope: a throwaway counter, and each lazy value
+        made on the curve in it (a codomain's d, an `xline`) dropped after,
+        so the tallies and later counted reads are as if it never ran."""
+        made = set(vars(self))
+        with self.field.counting(OpCounter()):
+            try:
+                yield
+            finally:
+                for name in set(vars(self)) - made:
+                    del vars(self)[name]
 
     def check_point(self, P: AffinePoint) -> AffinePoint:
-        """P itself, or NotOnCurve.  An input check, so it runs under a
-        throwaway counter and adds nothing to the tallies."""
-        with self.field.counting(OpCounter()):
+        """P itself, or NotOnCurve.  An input check, so it runs
+        `_uncounted` and adds nothing to the tallies."""
+        with self._uncounted():
             if not self.contains(P):
                 raise NotOnCurve(f"{P!r} is not on {self!r}")
         return P
@@ -281,8 +290,8 @@ class EdwardsCurve:
     def points(self) -> list[AffinePoint]:
         """All affine points, by scanning x and solving for y."""
         self._check_desk_scale()
-        with self.field.counting(OpCounter()):
-            pts, one, d = [], self.field.one, self._d_from_pair()
+        with self._uncounted():
+            pts, one, d = [], self.field.one, self.d
             for x in self.field.elements():
                 x2 = x.square()
                 den = self.a - d * x2
@@ -300,7 +309,7 @@ class EdwardsCurve:
     def order(self) -> int:
         """Curve order: affine points plus singular points at infinity."""
         if self._order is None:
-            with self.field.counting(OpCounter()):
+            with self._uncounted():
                 self._order = self._affine_count() + self.singular_count()
         return self._order
 
@@ -315,7 +324,7 @@ class EdwardsCurve:
         # Raw-integer fast path: chi(num/den) = chi(num*den).
         p = self.field.p
         squares = {y * y % p for y in range(p)}
-        a, d = self.a.value, self._d_from_pair().value
+        a, d = self.a.value, self.d.value
         count = 0
         for x in range(p):
             x2 = x * x % p
@@ -345,11 +354,11 @@ class EdwardsCurve:
         """O, D0, the pair ±F0 when chi(a) = 1, and the singular points."""
         field, a, zero = self.field, self.a, self.field.zero
         f0, singular = [], []
-        with field.counting(OpCounter()):
+        with self._uncounted():
             if field.chi(a) == 1:
                 r = field.sqrt(a.inverse())
                 f0 = [AffinePoint(zero, r), AffinePoint(zero, -r)]
-            d = self._d_from_pair()
+            d = self.d
             for axis, order, r2 in (("y", 2, a / d), ("x", 4, d.inverse())):
                 if field.chi(r2) == 1:            # chi(a d), chi(d)
                     r = field.sqrt(r2)

@@ -24,7 +24,8 @@ import operator
 import random
 from contextlib import contextmanager
 
-from .errors import DivisionByZero, FieldMismatch, InvalidParameter, NotASquare
+from .errors import (DivisionByZero, FieldMismatch, InvalidParameter,
+                     NotASquare, check_int)
 
 # Below this bound the fixed witness set is a proven deterministic test.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -83,7 +84,8 @@ def is_probable_prime(n: int) -> bool:
     proven = _lucas_proof(n)
     if proven is not None:
         return proven
-    return _miller_rabin(n, rng, _MR_ROUNDS - 1)
+    return not any(_proves_composite(rng.randrange(2, n - 1), n)
+                   for _ in range(_MR_ROUNDS - 1))
 
 
 def _proves_composite(a: int, n: int) -> bool:
@@ -97,13 +99,6 @@ def _proves_composite(a: int, n: int) -> bool:
         if x == n - 1:
             return False
     return True
-
-
-def _miller_rabin(n: int, rng: random.Random, rounds: int) -> bool:
-    """True if none of `rounds` bases drawn from `rng`, one at a time,
-    proves n composite."""
-    return not any(_proves_composite(rng.randrange(2, n - 1), n)
-                   for _ in range(rounds))
 
 
 def _lucas_proof(n: int) -> bool | None:
@@ -226,12 +221,6 @@ class OpCounter:
         return (self.m, self.s, self.i, self.a,
                 self.ext_m, self.ext_s, self.ext_i, self.ext_a)
 
-    def delta(self, since: tuple) -> dict:
-        now = self.snapshot()
-        d = [x - y for x, y in zip(now, since)]
-        return {"M": d[0], "S": d[1], "I": d[2], "A": d[3],
-                "ext_M": d[4], "ext_S": d[5], "ext_I": d[6], "ext_A": d[7]}
-
     def __repr__(self):
         return (f"OpCounter(M={self.m}, S={self.s}, I={self.i}, A={self.a}, "
                 f"ext={self.ext_m}M+{self.ext_s}S+{self.ext_i}I+{self.ext_a}A)")
@@ -247,6 +236,7 @@ class PrimeField:
     """
 
     def __init__(self, p: int):
+        check_int(p, "modulus")
         if p <= 3:
             raise InvalidParameter(f"modulus must exceed 3, got {p}")
         if p.bit_length() > MAX_MODULUS_BITS:

@@ -34,7 +34,7 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
                      EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
                      NotASquare, NotOnCurve, check_int)
-from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, get_3_isog,
+from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, element, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
 
@@ -155,7 +155,7 @@ class _PairCurve(EdwardsCurve):
         self.field, self.a, self._order = domain.field, domain.a, None
         self.pair = pair
 
-    d = cached_property(EdwardsCurve._d_from_pair)
+    d = cached_property(lambda self: self._times_a(_divide([self.pair])[0]))
 
 
 class OddIsogeny:
@@ -199,13 +199,14 @@ class OddIsogeny:
             W' = W prod X_i^2 prod (C Z_i^2 Z^2 - D X_i^2 X^2),
 
         whose product in Y' is (-1)^s that of the two products
-        `odd_image` squares, which `_odd` returns with its image.  cost:
-        (7s + 3)M + 4S."""
+        `odd_image` squares, which `_odd` returns with its image as raw
+        pairs.  cost: (7s + 3)M + 4S."""
         X, Z, Y, W = P
-        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.K, True)
+        Xn, Zn, plus, minus = _odd((X, Z), self.kernel.K)
         XX, ZZ = X.square(), Z.square()
         cy, terms = self._y_map
         den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
+        plus, minus = (element(*v, X.field) for v in (plus, minus))
         return Xn, Zn, Y * cy * (plus * minus), W * den
 
 

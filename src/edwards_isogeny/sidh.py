@@ -236,6 +236,8 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     order l^e) has exact order l^e, and the order-l multiples of P' and
     Q' span E[l]; hence P' and Q' generate all of E[l^e].
     """
+    if not isinstance(other_public, PublicKey):
+        raise ProtocolError(f"public key {other_public!r} is not a PublicKey")
     basis = params.basis(keypair.side)
     l, e = basis.degree, basis.exponent
     P, Q = other_public.image_p, other_public.image_q
@@ -264,7 +266,7 @@ def count_cyclic_subgroups(curve: EdwardsCurve, l: int) -> int:
     `xmul(l, x(P))` has X = Z, a test that passes the points at infinity."""
     if l == 2 or not is_probable_prime(l):
         raise InvalidParameter(f"l = {l} is not an odd prime")
-    with curve.field.counting(OpCounter()):
+    with curve._uncounted():
         hits = sum(X == Z for X, Z in (
             xmul(l, (P.x, curve.field.one), curve.xline)
             for P in curve.points() if not P.y.is_zero()))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .curve import EdwardsCurve
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_int
 from .field import is_probable_prime
 
 COMPLETE_4 = "complete_4"     # order 4*3^m*5^n, p = -1 mod 60
@@ -98,7 +98,7 @@ class SearchSpec:
     """Search grid description: n is derived from the bit target and m
     scans round(BALANCE_RATIO * n) +/- window.  The target lies in
     [4, MAX_TARGET_BITS], the window in [0, MAX_WINDOW] and the
-    tolerance in [0, MAX_TOLERANCE]."""
+    tolerance in [0, MAX_TOLERANCE], each an int."""
     target_bits: int
     variant: str = COMPLETE_4
     window: int = 8
@@ -106,6 +106,8 @@ class SearchSpec:
 
     def __post_init__(self):
         _cofactor(self.variant)
+        for name in ("target_bits", "window", "bits_tolerance"):
+            check_int(getattr(self, name), name)
         if not 4 <= self.target_bits <= MAX_TARGET_BITS:
             raise InvalidParameter(f"bit target outside [4, {MAX_TARGET_BITS}]")
         if not (0 <= self.window <= MAX_WINDOW

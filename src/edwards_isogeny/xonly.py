@@ -37,9 +37,10 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
 An x-line point is an (X, Z) pair, an `XZPoint` or not, and a kernel a
 list of them.  `xdbl`, `xadd`, `odd_image`, `get_3_isog` and
 `odd_codomain` compute inline mod p on the (c0, c1) ints of their
-inputs, writing i^2 = -1, which is exact on F_p too, where c1 = 0.  Each
-adds one fixed tally a call, a row of `tally_rows` chosen by its branch:
-F_p or F_{p^2}, and C = 1 or not.  The row is what the field elements'
+inputs, writing i^2 = -1, which is exact on F_p too, where c1 = 0; none
+branches on its caller.  Each adds one fixed tally a call, a row of
+`tally_rows` chosen by its branch: F_p or F_{p^2}, and C = 1 or not
+(and `odd_image`'s kernel size).  The row is what the field elements'
 operators count for the same formula.  Those element formulas are the
 counted oracle in tests/oracles.py, and tests/test_xonly.py::TestRawCore
 asserts that both give the same values and tallies.
@@ -82,10 +83,6 @@ def odd_rows(s: int) -> tuple:
 XDBL, XDBL_C1, XADD = tally_rows(4, 2, 4), tally_rows(3, 2, 4), odd_rows(1)
 
 
-def _fp(c0: int, c1: int, field) -> FieldElement:
-    return FieldElement(c0, field)
-
-
 def _enter(rows: tuple, *xs) -> tuple:
     """(p, element type, field) of the field of `xs`, with its column of
     `rows` tallied; FieldMismatch if `xs` span two fields."""
@@ -98,7 +95,7 @@ def _enter(rows: tuple, *xs) -> tuple:
     c = (f.base if quad else f).counter
     c.m, c.s, c.a = c.m + m, c.s + s, c.a + a
     c.ext_m, c.ext_s, c.ext_a = c.ext_m + em, c.ext_s + es, c.ext_a + ea
-    return f.p, QuadExtElement if quad else _fp, f
+    return f.p, QuadExtElement if quad else element, f
 
 
 def _mul(a: tuple, b: tuple, p: int) -> tuple:
@@ -125,12 +122,8 @@ class XZPoint(NamedTuple("XZPoint", [("X", object), ("Z", object)])):
         return super().__new__(cls, X, Z)
 
     @classmethod
-    def from_x(cls, x) -> "XZPoint":
-        return cls(x, x.field.one)
-
-    @classmethod
     def from_affine(cls, P) -> "XZPoint":
-        return cls.from_x(P.x)
+        return cls(P.x, P.x.field.one)
 
     def is_exceptional(self) -> bool:
         return self.Z.is_zero()
@@ -183,16 +176,15 @@ def odd_image(P: tuple, K: list) -> tuple:
     This is Costello and Hisil's u' = u * prod ((u u_i - 1)/(u - u_i))^2
     (ASIACRYPT 2017) with u = (1 + x)/(1 - x); it reads no curve
     parameter.  cost: 4sM + 2S."""
-    return _odd(P, K, False)
+    return _odd(P, K)[:2]
 
 
-def _odd(P: tuple, K: list, products: bool, D: tuple | None = None) -> tuple:
-    """`odd_image`'s (X', Z'), then, if `products`, the two products
-    prod (x_i Z + z_i X) and prod (x_i Z - z_i X) that it squares, at no
-    extra cost; with D = (Xd, Zd), F and G take Zd - Xd and -(Zd + Xd)
-    for X + Z and X - Z: `xadd`."""
+def _odd(P: tuple, K: list) -> tuple:
+    """`odd_image`'s (X', Z'), then the two products it squares,
+    prod (x_i Z + z_i X) and prod (x_i Z - z_i X), at no extra cost, as
+    raw (c0, c1) pairs for `element`."""
     X, Z = P
-    p, new, f = _enter(odd_rows(len(K)), X, Z, *chain(*K), *(D or ()))
+    p, new, f = _enter(odd_rows(len(K)), X, Z, *chain(*K))
     x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
     plus = minus = None
     for Xi, Zi in K:                                 # x_i Z +- z_i X
@@ -203,20 +195,23 @@ def _odd(P: tuple, K: list, products: bool, D: tuple | None = None) -> tuple:
         a, b = ((a0 + b0) % p, (a1 + b1) % p), ((a0 - b0) % p, (a1 - b1) % p)
         plus, minus = (a, b) if plus is None else (
             _mul(plus, a, p), _mul(minus, b, p))
-    (P0, P1), (M0, M1) = plus, minus
-    out = (new(P0, P1, f), new(M0, M1, f)) if products else ()
-    if D is not None:
-        x0, x1, z0, z1 = -D[0]._c0, -D[0]._c1, D[1]._c0, D[1]._c1
     FG = []
-    for a0, a1, b0, b1 in ((P0, P1, x0 + z0, x1 + z1),
-                           (M0, M1, x0 - z0, x1 - z1)):
+    for (a0, a1), b0, b1 in ((plus, x0 + z0, x1 + z1),
+                             (minus, x0 - z0, x1 - z1)):
         u = a0 * a1                                  # (X +- Z) prod^2
         a0, a1 = (a0 + a1) * (a0 - a1) % p, (u + u) % p
         u, v = a0 * b0, a1 * b1
         FG += u - v, (a0 + a1) * (b0 + b1) - u - v
     F0, F1, G0, G1 = FG
     return (new((F0 + G0) % p, (F1 + G1) % p, f),
-            new((F0 - G0) % p, (F1 - G1) % p, f)) + out
+            new((F0 - G0) % p, (F1 - G1) % p, f), plus, minus)
+
+
+def element(c0: int, c1: int, f):
+    """The element c0 + c1 i of the field f, from raw parts mod p."""
+    if type(f) is QuadExtField:
+        return QuadExtElement(c0, c1, f)
+    return FieldElement(c0, f)
 
 
 def odd_codomain(K: list, D, C, l: int) -> ProjParams:
@@ -277,10 +272,29 @@ def xdbl(P: tuple, c: tuple) -> tuple:
 
 def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
     """P + Q from D = P - Q, the Montgomery differential addition on
-    u = (Z + X)/(Z - X): with s = X1 Z2 and t = Z1 X2,
-    (U : W) = ((Zd - Xd)(s + t)^2 : (Zd + Xd)(s - t)^2).  cost: 4M+2S,
-    as `odd_image` of Q by the kernel P, whose F and G it is."""
-    return _odd(Q, [P], False, D)
+    u = (Z + X)/(Z - X) (Costello and Smith, J. Cryptogr. Eng. 2018):
+    with s = X1 Z2 and t = Z1 X2, U = (Zd - Xd)(s + t)^2 and
+    W = (Zd + Xd)(s - t)^2, (X' : Z') = (U - W : U + W).  cost: 4M+2S."""
+    (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
+    p, new, f = _enter(XADD, X2, Z2, X1, Z1, Xd, Zd)
+    x0, x1, z0, z1 = X1._c0, X1._c1, Z2._c0, Z2._c1
+    u, v = x0 * z0, x1 * z1                          # s = X1 Z2
+    s0, s1 = u - v, (x0 + x1) * (z0 + z1) - u - v
+    x0, x1, z0, z1 = X2._c0, X2._c1, Z1._c0, Z1._c1
+    u, v = x0 * z0, x1 * z1                          # t = Z1 X2
+    t0, t1 = u - v, (x0 + x1) * (z0 + z1) - u - v
+    x0, x1, z0, z1 = Xd._c0, Xd._c1, Zd._c0, Zd._c1
+    UW = []
+    for a0, a1, b0, b1 in ((s0 + t0, s1 + t1, z0 - x0, z1 - x1),
+                           (s0 - t0, s1 - t1, z0 + x0, z1 + x1)):
+        a0, a1 = a0 % p, a1 % p                      # (Zd -+ Xd)(s +- t)^2
+        u = a0 * a1
+        a0, a1 = (a0 + a1) * (a0 - a1) % p, (u + u) % p
+        u, v = a0 * b0, a1 * b1
+        UW += u - v, (a0 + a1) * (b0 + b1) - u - v
+    U0, U1, W0, W1 = UW
+    return (new((U0 - W0) % p, (U1 - W1) % p, f),
+            new((U0 + W0) % p, (U1 + W1) % p, f))
 
 
 def xladder(k: int, P: tuple, c: tuple) -> tuple:
@@ -408,8 +422,18 @@ def eval_5_isog(P: XZPoint, K1: XZPoint, K2: XZPoint, d) -> XZPoint:
     return image
 
 
-def _codomain_5(d, l1, l2) -> ProjParams:
-    # D' = (X1^2 X2^2)^4 * d^5,  C' = (Z1^2 Z2^2)^4.   cost: 2M+6S
+def get_5_isog(K1: XZPoint, K2: XZPoint, d, shared=None) -> ProjParams:
+    """Codomain of the 5-isogeny: D' = (X1^2 X2^2)^4 * d^5 and
+    C' = (Z1^2 Z2^2)^4.  With `shared` = (X1^2*X2^2, Z1^2*Z2^2) from the
+    evaluation pass the cost is 2M+6S; standalone the kernel squares are
+    recomputed first (extra 2M+4S)."""
+    if shared is None:
+        s1 = K1.X.square()
+        s2 = K2.X.square()
+        s4 = K1.Z.square()
+        s5 = K2.Z.square()
+        shared = (s1 * s2, s4 * s5)
+    l1, l2 = shared
     D = d.square()
     D = D.square()
     D = D * d
@@ -419,16 +443,3 @@ def _codomain_5(d, l1, l2) -> ProjParams:
     C = l2.square()
     Cp = C.square()
     return ProjParams(Dp, Cp)
-
-
-def get_5_isog(K1: XZPoint, K2: XZPoint, d, shared=None) -> ProjParams:
-    """Codomain of the 5-isogeny.  With `shared` = (X1^2*X2^2,
-    Z1^2*Z2^2) from the evaluation pass the cost is 2M+6S; standalone
-    the kernel squares are recomputed first (extra 2M+4S)."""
-    if shared is None:
-        s1 = K1.X.square()
-        s2 = K2.X.square()
-        s4 = K1.Z.square()
-        s5 = K2.Z.square()
-        shared = (s1 * s2, s4 * s5)
-    return _codomain_5(d, shared[0], shared[1])

@@ -17,7 +17,7 @@ Beside them stands `run_5_isog`, the paper's one-pass 5-isogeny, which
 the library does not run: its chains take `odd_codomain` and `odd_image`.
 """
 
-from edwards_isogeny.xonly import ProjParams, XZPoint, _codomain_5, _eval_5
+from edwards_isogeny.xonly import ProjParams, XZPoint, _eval_5, get_5_isog
 
 
 def euler_chi(x: int, p: int) -> int:
@@ -409,4 +409,4 @@ def run_5_isog(P: XZPoint, K1: XZPoint, K2: XZPoint,
     """Image point and codomain in one pass, sharing the kernel
     squares.  cost: 21M+12S."""
     image, l1, l2 = _eval_5(P, K1, K2, d)
-    return image, _codomain_5(d, l1, l2)
+    return image, get_5_isog(K1, K2, d, (l1, l2))

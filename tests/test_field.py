@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from edwards_isogeny import (DivisionByZero, FieldMismatch, NotASquare,
-                             OpCounter, PrimeField, is_probable_prime)
+from edwards_isogeny import (DivisionByZero, FieldMismatch, InvalidParameter,
+                             NotASquare, OpCounter, PrimeField,
+                             is_probable_prime)
 from edwards_isogeny import field
 from edwards_isogeny.field import (MAX_MODULUS_BITS, _MR_DETERMINISTIC_BOUND,
                                    _SMALL_PRIMES, _jacobi, _lucas_chain,
@@ -32,6 +33,12 @@ class TestConstruction:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             PrimeField(3)
+
+    @pytest.mark.parametrize("p", [7.0, "7", None, True],
+                             ids=["float", "str", "none", "bool"])
+    def test_non_int_modulus_is_invalid(self, p):
+        with pytest.raises(InvalidParameter, match="is not an int"):
+            PrimeField(p)
 
     def test_modulus_bound_admits_every_search_result(self):
         """A search returns primes within the tolerance of a target, so
@@ -302,10 +309,15 @@ class TestLucasProof:
         assert _lucas_proof(_sidh(4, 238, 165) * _sidh(4, 74, 55)) is None
 
     def test_no_fallback_for_the_763_bit_row(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Miller-Rabin fallback reached")
-        monkeypatch.setattr(field, "_miller_rabin", refuse)
+        """One Miller-Rabin round, then the proof: no fallback bases."""
+        bases = []
+
+        def record(a, n):
+            bases.append(a)
+            return False
+        monkeypatch.setattr(field, "_proves_composite", record)
         assert is_probable_prime(_sidh(4, 238, 165))
+        assert len(bases) == 1
 
     def test_fallback_when_the_chains_give_out(self, monkeypatch):
         """The 247-bit prime needs several chains; with one allowed the

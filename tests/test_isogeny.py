@@ -21,7 +21,7 @@ from edwards_isogeny import (QUADRATIC, TWISTED, AffinePoint,
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
 from edwards_isogeny.isogeny import (_affine_views, _carry, _step_weights,
                                      chain_strategy)
-from edwards_isogeny.sidh import SIDE_A, SIDE_B
+from edwards_isogeny.sidh import SIDE_A, SIDE_B, count_cyclic_subgroups
 from edwards_isogeny.xonly import (ProjParams, XZPoint, get_3_isog,
                                    get_5_isog, odd_codomain, odd_image, xmul)
 
@@ -79,6 +79,19 @@ class TestKernel:
         assert ker.A.square() == 5
         full = {(P.x.signed(), P.y.signed()) for P in ker.full_points()}
         assert full == {(1, 0), (6, 4), (6, -4), (-8, -2), (-8, 2)}
+
+    def test_x_line_kernels_have_no_points(self, e19, phi5):
+        """A kernel from x alone keeps no generator, so its `points` is
+        None: one from `from_x`, and each step of a chain, checked
+        (`from_x`) or not (`_of_order`), here [3, 3, 5] on E_{2,4}/F_359."""
+        G = phi5.kernel.generator
+        kernels = [OddKernel.from_x((G.x, e19.field.one), 5, e19)]
+        field = PrimeField(359)
+        curve = EdwardsCurve(field, field(2), field(4))
+        G = next(P for P in curve.points() if curve.point_order(P) == 45)
+        kernels += [s.kernel for s in IsogenyChain(curve, G, [3, 3, 5]).steps]
+        for kernel in kernels:
+            assert kernel.generator is None and kernel.points is None
 
     def test_kernel_point_relation(self, phi3, phi5):
         """beta^2 = (1 - alpha^2)/(1 - d*alpha^2) for every representative."""
@@ -719,20 +732,23 @@ class TestEveryCurveForm:
         assert_images_match_the_full_map(curve, G, degrees, points[::9])
 
     def test_diagnostics_add_nothing(self):
-        """The order, the singular-point census and the special points
-        of the codomain of E_{2,4}/F_359's [3, 3, 5] chain add nothing to
-        the counter and leave its d unmade, so a later read of d costs its
-        1 I + 2 M (D'/C', then times a) whether or not they ran first.
-        The order of a plain curve adds nothing either."""
+        """The order, the singular-point census, the special points and
+        a point check on the codomain of E_{2,4}/F_359's [3, 3, 5] chain
+        each add nothing to the counter and leave its d unmade, so a later
+        read of d costs its 1 I + 2 M (D'/C', then times a) whether or not
+        one ran first.  The order of a plain curve adds nothing either,
+        and counting its cyclic subgroups leaves no `xline` made, so a
+        chain on it costs the same after the count as without it."""
         field, zero = PrimeField(359), {"M": 0, "S": 0, "I": 0, "A": 0}
         curve = EdwardsCurve(field, field(2), field(4))
         G = next(P for P in curve.points() if curve.point_order(P) == 45)
-        for diagnostics in ((), ("order", "singular_count",
-                                 "special_points")):
+        for diagnostic in (lambda E: None, EdwardsCurve.order,
+                           EdwardsCurve.singular_count,
+                           EdwardsCurve.special_points,
+                           lambda E: E.check_point(E.identity)):
             E = IsogenyChain(curve, G, [3, 3, 5]).codomain
             with field.counting(OpCounter()) as ctx:
-                for name in diagnostics:
-                    getattr(E, name)()
+                diagnostic(E)
             assert ctx.as_dict() == zero
             with field.counting(OpCounter()) as ctx:
                 E.d
@@ -741,6 +757,15 @@ class TestEveryCurveForm:
         with field.counting(OpCounter()) as ctx:
             assert EdwardsCurve(field, field(2), field(4)).order() == 360
         assert ctx.as_dict() == zero
+
+        def chain_counts(before) -> dict:
+            E = EdwardsCurve(field, field(2), field(4))
+            before(E)
+            with field.counting(OpCounter()) as ctx:
+                IsogenyChain(E, G, [3, 3, 5])
+            return ctx.as_dict()
+        assert (chain_counts(lambda E: count_cyclic_subgroups(E, 3))
+                == chain_counts(lambda E: None))
 
 
 class TestDivisionPolynomial:

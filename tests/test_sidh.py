@@ -324,6 +324,15 @@ class TestSharedSecret:
         with pytest.raises(ProtocolError):
             derive_shared(params59, kp_a, broken)
 
+    @pytest.mark.parametrize("key", [
+        None, "key", lambda kp: kp.public.to_json(), lambda kp: kp],
+        ids=["none", "str", "json-document", "keypair"])
+    def test_non_public_key_is_protocol_error(self, params59, key):
+        kp_a = keygen(params59, SIDE_A, 1)
+        kp_b = keygen(params59, SIDE_B, 1)
+        with pytest.raises(ProtocolError, match="is not a PublicKey"):
+            derive_shared(params59, kp_a, key(kp_b) if callable(key) else key)
+
     def test_off_curve_image(self, params59):
         kp_a = keygen(params59, SIDE_A, 1)
         kp_b = keygen(params59, SIDE_B, 1)

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from edwards_isogeny import (COMPLETE, EdwardsCurve, PrimeField, SearchSpec,
+from edwards_isogeny import (COMPLETE, EdwardsCurve, InvalidParameter,
+                             PrimeField, SearchSpec,
                              SidhPrime, congruence_gate, estimate_bit_length,
                              is_supersingular, search_sidh_primes,
                              sidh_key_bits, supersingular_d_scan,
@@ -147,6 +148,17 @@ class TestSearch:
                    {"target_bits": 10 ** 100}):
             with pytest.raises(ValueError):
                 SearchSpec(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"target_bits": 40.5}, {"target_bits": "40"},
+        {"target_bits": 40, "window": 8.0},
+        {"target_bits": 40, "bits_tolerance": None}],
+        ids=["bits-float", "bits-str", "window-float", "tolerance-none"])
+    def test_non_int_bounds_are_invalid(self, kw):
+        """The bit target, window and tolerance must be ints; 40.5 bits
+        used to pass the range check."""
+        with pytest.raises(InvalidParameter, match="is not an int"):
+            SearchSpec(**kw)
 
     def test_json_row(self):
         row = SidhPrime(59, 1, 1, 6).to_json()

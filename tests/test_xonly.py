@@ -10,7 +10,7 @@ from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
                              QuadExtElement, QuadExtField, XZPoint,
                              eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
                              recover_y, setup)
-from edwards_isogeny.xonly import (FP, FP2, XDBL, _odd, ladder3pt,
+from edwards_isogeny.xonly import (FP, FP2, XDBL, _odd, element, ladder3pt,
                                    odd_codomain, odd_image, recover_xy, xadd,
                                    xdbl, xladder, xmul)
 
@@ -602,7 +602,8 @@ def get_3_pair(X, Z):
 def image_and_products(P, K):
     """`odd_image`'s image and the two products it squares, as
     `OddIsogeny.image` takes them from `xonly._odd`."""
-    return _odd(P, K, True)
+    X, Z, plus, minus = _odd(P, K)
+    return X, Z, element(*plus, X.field), element(*minus, X.field)
 
 
 def lists(K):
