@@ -29,7 +29,7 @@ from .sidh import run_exchange
 from .supersingular import (COMPLETE_4, QUADRATIC_8, SearchSpec,
                             search_sidh_primes, sidh_key_bits,
                             verify_reference_table)
-from .xonly import get_3_isog, odd_codomain, odd_image
+from .xonly import odd_image
 
 _SIGNED_LIMIT_BITS = 64
 
@@ -172,21 +172,17 @@ def _cmd_sidh_demo(args):
 
 
 def _cmd_opcount_bench(args):
-    # The raw x-line core a chain step runs, on the worked kernels of
-    # acceptance criteria 1 and 2: x = -10 of (-10, 9) over F_23 and
-    # x(Q), x(2Q) = 6, -8 of Q = (6, 4) over F_19, both on d = -1, each
-    # pushing the x = 2 of a worked mapping, (2, 2) -> (7, 7) and
-    # (2, 8) -> (0, 1).  Only `odd_codomain` branches on a value, on D
-    # or C being one, so the counts hold on any curve (d : 1), d != 1.
-    if args.op == "proj3":
-        field = PrimeField(23)
-        K = [(field(-10), field.one)]        # order-3 abscissa on d = -1
-        codomain = partial(get_3_isog, K[0])
-    else:
-        field = PrimeField(19)
-        K = [(field(6), field.one), (field(-8), field.one)]  # x(Q), x(2Q)
-        codomain = partial(odd_codomain, K, field(-1), field.one, 5)
-    phases = {"codomain": codomain,
+    # One chain step of the raw x-line core, built as a chain builds it,
+    # on the worked kernels of acceptance criteria 1 and 2: x = -10 of
+    # (-10, 9) over F_23 and x(Q), x(2Q) = 6, -8 of Q = (6, 4) over F_19,
+    # both on d = -1, each pushing the x = 2 of a worked mapping, (2, 2)
+    # -> (7, 7) and (2, 8) -> (0, 1).  Only the degree-5 codomain branches
+    # on a value, D or C being one: the counts hold on any (d : 1), d != 1.
+    field = PrimeField(23 if args.op == "proj3" else 19)
+    K = ([(field(-10), field.one)] if args.op == "proj3"
+         else [(field(6), field.one), (field(-8), field.one)])
+    kernel = OddKernel(EdwardsCurve(field, 1, -1), 2 * len(K) + 1, K)
+    phases = {"codomain": partial(OddIsogeny, kernel),
               "eval": partial(odd_image, (field(2), field.one), K)}
     counter, breakdown = field.counter, {}
     for name, run in phases.items():

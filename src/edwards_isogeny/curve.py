@@ -30,9 +30,10 @@ one inversion each.  `point_order` multiplies on the x-line instead, by
 `xonly.xladder`, which passes the points at infinity.
 
 `points`, `order`, `singular_count` and `special_points` are desk-scale
-diagnostics and `check_point` an input check: `_uncounted`, they add
-nothing to the tallies and leave no lazy value made, such as a step
-codomain's d or a curve's `xline`, for a later counted read to skip.
+diagnostics, `check_point` an input check, and `class_tag`, `to_json`,
+`==`, `hash` and `repr` identity reads: `_uncounted`, they add nothing
+to the tallies and leave no lazy value made, such as a step codomain's
+d or a curve's `xline`, for a later counted read to skip.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class EdwardsCurve:
 
     @cached_property
     def class_tag(self) -> str:
-        return classify(self.a, self.d)
+        with self._uncounted():
+            return classify(self.a, self.d)
 
     @cached_property
     def pair(self) -> ProjParams:
@@ -376,10 +378,12 @@ class EdwardsCurve:
         return EdwardsCurve(self.field, c * self.a, c * self.d)
 
     def to_json(self) -> dict:
-        return {"p": format(self.field.p, "x"),
-                "a": self.a.to_str(),
-                "d": self.d.to_str(),
-                "class": self.class_tag}
+        tag = self.class_tag         # read first: `_uncounted` drops it
+        with self._uncounted():
+            return {"p": format(self.field.p, "x"),
+                    "a": self.a.to_str(),
+                    "d": self.d.to_str(),
+                    "class": tag}
 
     @classmethod
     def from_json(cls, doc: dict) -> "EdwardsCurve":
@@ -396,17 +400,21 @@ class EdwardsCurve:
     def __eq__(self, other):
         if not isinstance(other, EdwardsCurve):
             return NotImplemented
-        return (self.field.p == other.field.p
-                and self.field.degree == other.field.degree
-                and self.a == other.a and self.d == other.d)
+        with self._uncounted(), other._uncounted():
+            return (self.field.p == other.field.p
+                    and self.field.degree == other.field.degree
+                    and self.a == other.a and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.degree, self.a, self.d))
+        with self._uncounted():
+            return hash((self.field.p, self.field.degree, self.a, self.d))
 
     def __repr__(self):
-        return (f"EdwardsCurve(a={self.a!r}, d={self.d!r}, "
-                f"{self.class_tag}/F_{self.field.p}" +
-                ("^2" if self.field.degree == 2 else "") + ")")
+        tag = self.class_tag
+        with self._uncounted():
+            return (f"EdwardsCurve(a={self.a!r}, d={self.d!r}, "
+                    f"{tag}/F_{self.field.p}" +
+                    ("^2" if self.field.degree == 2 else "") + ")")
 
 
 def j_invariant(a, d):

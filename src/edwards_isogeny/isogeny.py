@@ -31,9 +31,9 @@ from types import MappingProxyType
 
 from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
                     check_parameters)
-from .errors import (BadKernelGenerator, DeskScaleOnly, DivisionByZero,
-                     EvenDegreeUnsupported, ExceptionalInput, ExceptionalPair,
-                     NotASquare, NotOnCurve, check_int)
+from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
+                     ExceptionalInput, ExceptionalPair, NotASquare, NotOnCurve,
+                     check_int)
 from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, element, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
@@ -65,10 +65,10 @@ def is_order3_abscissa(alpha, d) -> bool:
 class OddKernel:
     """Representatives {Q, 2Q, ..., sQ} of a cyclic subgroup of odd
     order l = 2s+1, as the list `K` of their x-line points (X_i, Z_i).
-    Their affine x_i, `xs`, are made on first read by one inversion,
-    unless `_affine_views` has set them.  A kernel from a full point Q
-    keeps it as `generator`, and its `points`, the representatives with
-    their y, come from `_affine_views`; from x alone both are None."""
+    A kernel from a full point Q keeps it as `generator`; from x alone
+    it and `points`, the representatives with their y, are None.  The
+    affine views, `xs` and `points`, are made on first read by one
+    inversion each, unless a shared inversion has set them first."""
 
     def __init__(self, domain: EdwardsCurve, degree: int, K: list):
         self.domain, self.degree, self.K = domain, degree, K
@@ -129,15 +129,28 @@ class OddKernel:
     xs = cached_property(lambda self: _divide(self.K))
     A = cached_property(lambda self: _product(self.xs))
 
+    def _fractions(self) -> list:
+        """The one maker of the views' fractions: the x-line points, then,
+        from a generator Q, the y of jQ, j >= 2, by `recover_xy` from Q,
+        x(jQ) and x((j+1)Q), x((s+1)Q) = x(sQ) for the last, 11M + 4S each."""
+        K, Q, E = self.K, self.generator, self.domain
+        return K + [recover_xy(Q, P, R, E.a, E.d)[1] for P, R in
+                    zip(K[1:], K[2:] + K[-1:]) if Q is not None]
+
+    def _set_views(self, quotients) -> list[AffinePoint] | None:
+        """Set `xs`, and `points` from a generator, from the quotients of
+        `_fractions`, taken off the front of `quotients`; return `points`."""
+        q, n = iter(quotients), len(self.K)
+        self.xs = [*islice(q, n)]
+        if self.generator is not None:
+            ys = [self.generator.y, *islice(q, n - 1)]
+            self.points = [*map(AffinePoint, self.xs, ys)]
+            return self.points
+
     @cached_property
     def points(self) -> list[AffinePoint] | None:
-        """Q, 2Q, ..., sQ with their y, set by `_affine_views` with an
-        isogeny's views by one inversion; read first, they build that
-        isogeny, codomain and all.  None without a generator."""
-        if self.generator is None:
-            return None
-        _affine_views([OddIsogeny(self)], [])
-        return vars(self)["points"]
+        """Q, ..., sQ with their y, and `xs`, by one `_divide`."""
+        return self.generator and self._set_views(_divide(self._fractions()))
 
     def full_points(self) -> list[AffinePoint]:
         """The whole subgroup of a kernel from a generator: O and ±Q_i."""
@@ -243,43 +256,27 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
 def _affine_views(steps: list, points: list, *fractions) -> tuple:
     """The images of `points` through `steps` and the quotients of
     `fractions`, as `_carry` makes them, with each step's `codomain.d`
-    and `kernel.xs` set from the same one inversion, and the `points` of
-    a kernel from a generator Q: the y of jQ, j >= 2, by `recover_xy`
-    from Q and the x-line jQ and (j+1)Q, x((s+1)Q) = x(sQ) for the last,
-    11M + 4S a point."""
-    own = []
-    for s in steps:
-        k, E, Q = s.kernel, s.domain, s.kernel.generator
-        K = k.K + k.K[-1:]
-        own += [s.codomain.pair, *k.K] + [
-            recover_xy(Q, K[j], K[j + 1], E.a, E.d)[1]
-            for j in range(1, len(k.K)) if Q is not None]
+    and its kernel's views (`OddKernel._fractions`) set from the same
+    one inversion."""
+    own = [f for s in steps for f in (s.codomain.pair, *s.kernel._fractions())]
     images, q = _carry(steps, points, *own, *fractions)
     q = iter(q)
     for s in steps:
-        k, n = s.kernel, len(s.kernel.K)
         s.codomain.d = s.codomain._times_a(next(q))
-        k.xs = [*islice(q, n)]
-        if k.generator is not None:
-            ys = [k.generator.y, *islice(q, n - 1)]
-            k.points = [*map(AffinePoint, k.xs, ys)]
+        s.kernel._set_views(q)
     return images, list(q)
 
 
 def _divide(fractions: list) -> list:
     """n/d for each pair (n, d), with one inversion by Montgomery's
     trick: 3(k - 1)M for the k denominators other than one, then 1M a
-    quotient.  BadKernelGenerator if a denominator is zero: a kernel's
-    Z_i, or the denominator of a y `recover_xy` gives it, is zero only at
-    a point at infinity, which no kernel of odd order holds."""
+    quotient.  The callers pass no zero denominator; one would raise
+    DivisionByZero."""
     dens = [d for _, d in fractions if d != 1]
     if not dens:
         return [n for n, _ in fractions]
     prefix = list(accumulate(dens, mul))
-    try:
-        inv = prefix[-1].inverse()
-    except DivisionByZero:
-        raise BadKernelGenerator("kernel point lies at infinity") from None
+    inv = prefix[-1].inverse()
     inverses = [None] * len(dens)
     for i in range(len(dens) - 1, 0, -1):
         inverses[i], inv = inv * prefix[i - 1], inv * dens[i]
@@ -300,7 +297,7 @@ def recover_y(x, curve: EdwardsCurve) -> AffinePoint:
     try:
         y = field.sqrt((field.one - x2) / den)
     except NotASquare as exc:
-        raise NotOnCurve(f"no point with x = {x!r} on {curve!r}") from exc
+        raise NotOnCurve(f"no point with x = {x!r} on the curve") from exc
     return AffinePoint(x, y)
 
 

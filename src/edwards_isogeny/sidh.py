@@ -214,14 +214,15 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     """Second chain, from the image kernel on the other party's
     codomain; returns the shared j-invariant in F_{p^2}.
 
-    ProtocolError unless the images (P', Q') form a basis of E[l^e], so
-    a malformed key (an image at O, P' = Q', an image of too low an
-    order) yields no j-invariant.  This does not protect a static secret
-    against the adaptive attack of Galbraith, Petit, Shani and Ti
-    (ASIACRYPT 2016): its forged images, such as (P', Q' + l^(e-1)*P'),
-    are still a basis and pass.  Stopping it needs the other party's
-    secret to recompute the key, as in the Fujisaki-Okamoto transform
-    or the validation of Kirkwood et al. (2015).
+    ProtocolError unless d' is an element of the field and the images
+    (P', Q') pairs of them that form a basis of E[l^e], so a malformed key
+    (an image at O, P' = Q', an image of too low an order) yields no
+    j-invariant.  This does not protect a static secret against the
+    adaptive attack of Galbraith, Petit, Shani and Ti (ASIACRYPT 2016):
+    its forged images, such as (P', Q' + l^(e-1)*P'), are still a basis
+    and pass.  Stopping it needs the other party's secret to recompute the
+    key, as in the Fujisaki-Okamoto transform or the validation of
+    Kirkwood et al. (2015).
 
     x(P' - Q') is taken with one projective addition, and x(R) for
     R = P' + k*Q' by `ladder3pt`, which raises when a difference it meets
@@ -238,12 +239,16 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     """
     if not isinstance(other_public, PublicKey):
         raise ProtocolError(f"public key {other_public!r} is not a PublicKey")
-    basis = params.basis(keypair.side)
+    basis, F = params.basis(keypair.side), params.field
     l, e = basis.degree, basis.exponent
-    P, Q = other_public.image_p, other_public.image_q
     try:
-        E = EdwardsCurve(params.field, params.field.one,
-                         params.field(other_public.codomain_d))
+        d = F(other_public.codomain_d)
+        P, Q = (AffinePoint(*map(F, V)) for V in (other_public.image_p,
+                                                  other_public.image_q))
+    except (TypeError, EdwardsError) as exc:
+        raise ProtocolError(f"malformed public key: {exc}") from None
+    try:
+        E = EdwardsCurve(F, F.one, d)
         if not (E.contains(P) and E.contains(Q)):
             raise NotOnCurve("the basis images are not on the codomain")
         R = _secret_kernel(E, P, Q, _x_difference(E, P, Q), keypair.secret)

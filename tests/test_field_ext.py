@@ -40,6 +40,14 @@ class TestModel:
         assert f19_2.size == 361
         assert f19_2.degree == 2
 
+    def test_foreign_element_is_refused(self, f19_2, f23_2):
+        """Calling the field on its own element returns it; on an element
+        of another F_{p^2}, FieldMismatch."""
+        x = f19_2(3, 4)
+        assert f19_2(x) is x
+        with pytest.raises(FieldMismatch, match=r"F_23\^2 used in F_19\^2"):
+            f19_2(f23_2(3, 4))
+
 
 class TestArithmetic:
     def test_i_squared(self, f19_2):

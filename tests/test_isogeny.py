@@ -93,6 +93,29 @@ class TestKernel:
         for kernel in kernels:
             assert kernel.generator is None and kernel.points is None
 
+    @pytest.mark.parametrize("p,l,gen,cost", [
+        (23, 3, (-10, 9), (0, 0, 0, 0)),
+        (19, 5, (6, 4), (16, 4, 1, 14)),
+        (83, 7, (7, 3), (35, 8, 1, 28))], ids=["l3", "l5", "l7"])
+    def test_lone_points_read_costs_its_own_views(self, p, l, gen, cost):
+        """`points` read before any `_affine_views` divides the kernel's
+        own fractions alone: the y of 2Q, ..., sQ by `recover_xy`
+        (11M + 4S each) and one `_divide`, and no codomain is made.
+        The points are jQ, as `_affine_views` sets them too."""
+        field = PrimeField(p)
+        curve = EdwardsCurve(field, field.one, field(-1))
+        G = pt(curve, *gen)
+        phi, twin = (OddIsogeny(OddKernel.from_generator(G, l, curve))
+                     for _ in range(2))
+        with field.counting(OpCounter()) as ctx:
+            points = phi.kernel.points
+        assert ctx.as_dict() == dict(zip("MSIA", cost))
+        assert "d" not in vars(phi.codomain)
+        assert phi.kernel.xs == [P.x for P in points]
+        assert points == [curve.scalar_mul(j, G) for j in range(1, l // 2 + 1)]
+        _affine_views([twin], [])
+        assert twin.kernel.points == points
+
     def test_kernel_point_relation(self, phi3, phi5):
         """beta^2 = (1 - alpha^2)/(1 - d*alpha^2) for every representative."""
         for phi in (phi3, phi5):
@@ -732,20 +755,26 @@ class TestEveryCurveForm:
         assert_images_match_the_full_map(curve, G, degrees, points[::9])
 
     def test_diagnostics_add_nothing(self):
-        """The order, the singular-point census, the special points and
-        a point check on the codomain of E_{2,4}/F_359's [3, 3, 5] chain
-        each add nothing to the counter and leave its d unmade, so a later
-        read of d costs its 1 I + 2 M (D'/C', then times a) whether or not
-        one ran first.  The order of a plain curve adds nothing either,
-        and counting its cyclic subgroups leaves no `xline` made, so a
-        chain on it costs the same after the count as without it."""
+        """The order, the singular-point census, the special points, a
+        point check and the identity reads (`repr`, `==`, `hash`,
+        `to_json`, `class_tag`) on the codomain of E_{2,4}/F_359's
+        [3, 3, 5] chain each add nothing to the counter and leave its d
+        unmade, so a later read of d costs its 1 I + 2 M (D'/C', then
+        times a) whether or not one ran first; `==` leaves the other
+        curve's d unmade too.  The order of a plain curve adds nothing
+        either, and counting its cyclic subgroups leaves no `xline` made,
+        so a chain on it costs the same after the count as without it."""
         field, zero = PrimeField(359), {"M": 0, "S": 0, "I": 0, "A": 0}
         curve = EdwardsCurve(field, field(2), field(4))
         G = next(P for P in curve.points() if curve.point_order(P) == 45)
+        twin = IsogenyChain(curve, G, [3, 3, 5]).codomain
         for diagnostic in (lambda E: None, EdwardsCurve.order,
                            EdwardsCurve.singular_count,
                            EdwardsCurve.special_points,
-                           lambda E: E.check_point(E.identity)):
+                           lambda E: E.check_point(E.identity),
+                           repr, hash, EdwardsCurve.to_json,
+                           lambda E: E.class_tag, lambda E: E == twin,
+                           twin.__eq__):
             E = IsogenyChain(curve, G, [3, 3, 5]).codomain
             with field.counting(OpCounter()) as ctx:
                 diagnostic(E)
@@ -753,7 +782,10 @@ class TestEveryCurveForm:
             with field.counting(OpCounter()) as ctx:
                 E.d
             assert ctx.as_dict() == {"M": 2, "S": 0, "I": 1, "A": 0}
-        assert E.order() == 360
+        with field.counting(OpCounter()) as ctx:
+            twin.d
+        assert ctx.as_dict() == {"M": 2, "S": 0, "I": 1, "A": 0}
+        assert E == twin and E.order() == 360
         with field.counting(OpCounter()) as ctx:
             assert EdwardsCurve(field, field(2), field(4)).order() == 360
         assert ctx.as_dict() == zero

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
                              EdwardsError, ExceptionalInput, InvalidParameter,
-                             IsogenyChain, OddIsogeny, OddKernel, OpCounter,
-                             ProtocolError, PrimeField, PublicKey,
-                             QuadExtField, count_cyclic_subgroups,
+                             IsogenyChain, NotOnCurve, OddIsogeny, OddKernel,
+                             OpCounter, ProtocolError, PrimeField, PublicKey,
+                             QuadExtField, SetupFailed, count_cyclic_subgroups,
                              derive_shared, keygen, recover_y, run_exchange,
                              setup, sidh)
 from edwards_isogeny.isogeny import _carry
@@ -19,6 +20,10 @@ from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
 from conftest import (assert_cofactor_walk, assert_images_match_the_full_map,
                       ladder_offsets, pt)
+
+
+def _refuse(x, curve):
+    raise NotOnCurve(f"x = {x!r} refused")
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,21 @@ class TestSetup:
         with pytest.raises(DeskScaleOnly):
             setup(74, 55, seed=1)
 
+    @pytest.mark.parametrize("patches,message", [
+        ({"recover_y": _refuse}, "random point sampling exhausted"),
+        ({"_SAMPLING_BUDGET": 0}, r"no point of order 3\^1 found"),
+        ({"_in_subgroup": lambda V, subgroup: True, "_SAMPLING_BUDGET": 100},
+         r"no independent order-3\^1 partner found")],
+        ids=["no-point-lifts", "no-draws", "no-independent-partner"])
+    def test_sampling_failures(self, monkeypatch, patches, message):
+        """Each of `setup`'s three SetupFailed refusals: every x refused
+        as a point, no draw at all, and every partner in the subgroup
+        (over a smaller budget, which still finds the first point)."""
+        for name, patch in patches.items():
+            monkeypatch.setattr(sidh, name, patch)
+        with pytest.raises(SetupFailed, match=message):
+            setup(1, 1)
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             setup(2, 2, seed=0)      # 4*9*25 - 1 = 899 = 29 * 31
@@ -332,6 +352,20 @@ class TestSharedSecret:
         kp_b = keygen(params59, SIDE_B, 1)
         with pytest.raises(ProtocolError, match="is not a PublicKey"):
             derive_shared(params59, kp_a, key(kp_b) if callable(key) else key)
+
+    @pytest.mark.parametrize("field,value", [
+        ("codomain_d", None), ("image_p", None), ("image_p", (1, 2))],
+        ids=["d-none", "image-none", "image-int-pair"])
+    def test_mistyped_field_is_protocol_error(self, params59, monkeypatch,
+                                              field, value):
+        """A `PublicKey` whose d' is not a field element, or whose image is
+        not a pair of them, is refused before any chain work."""
+        kp_a = keygen(params59, SIDE_A, 1)
+        kp_b = keygen(params59, SIDE_B, 1)
+        broken = dataclasses.replace(kp_b.public, **{field: value})
+        monkeypatch.setattr(sidh, "IsogenyChain", None)
+        with pytest.raises(ProtocolError, match="malformed public key"):
+            derive_shared(params59, kp_a, broken)
 
     def test_off_curve_image(self, params59):
         kp_a = keygen(params59, SIDE_A, 1)

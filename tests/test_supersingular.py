@@ -11,7 +11,8 @@ from edwards_isogeny import (COMPLETE, EdwardsCurve, InvalidParameter,
                              supersingular_excluded, verify_reference_table)
 from edwards_isogeny.supersingular import (COMPLETE_4, MAX_TARGET_BITS,
                                            MAX_TOLERANCE, MAX_WINDOW,
-                                           QUADRATIC_8)
+                                           QUADRATIC_8, REFERENCE_ROWS,
+                                           verify_reference_row)
 
 from oracles import naive_order
 
@@ -201,6 +202,20 @@ class TestReferenceTable:
         assert not reports[1]["hex_match"]
         assert "hex_note" in reports[1]
         assert "196" in reports[1]["hex_note"]   # published length
+
+    def test_hex_notes(self):
+        """The note on a published hex that differs: at a digit when the
+        lengths agree, or by length with the shared prefix when one is the
+        start of the other."""
+        m, n, hex_p, bits = REFERENCE_ROWS[0]
+        flipped = hex_p[:5] + ("0" if hex_p[5] != "0" else "1") + hex_p[6:]
+        notes = [verify_reference_row(m, n, h, bits)["hex_note"]
+                 for h in (flipped, hex_p + "0")]
+        assert notes[0].startswith("same length; first difference at hex "
+                                   "digit 5: computed ..." + hex_p[5:13])
+        assert notes[1] == (f"published hex has {len(hex_p) + 1} digits, "
+                            f"reconstruction {len(hex_p)}; shared prefix of "
+                            f"{len(hex_p)} digits")
 
 
 class TestFrozenResults:
