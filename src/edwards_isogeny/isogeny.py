@@ -6,8 +6,9 @@ are those of E_{1,d/a}, which y -> y sqrt(a) reaches keeping x, read on
 (D : C) = (d : a); the codomain keeps the domain's a, so no sqrt(a) is
 taken: it is E_{a,d'}, d' = a A^8 (d/a)^l with A the product of the
 kernel x-coordinates x_i, kept as (D' : C'), d' = a D'/C'.  Points are
-evaluated with no inversion, x by `odd_image` (Costello and Hisil,
-ASIACRYPT 2017) and y by the y-map of the reduced rational map
+evaluated with no inversion by `odd_image` (Costello and Hisil, ASIACRYPT
+2017): on a = 1 x and y alike, y(P) as x(P - (0, 1)), 8sM + 4S a point
+(`_carry`); off a = 1 x alone, and y by the y-map of the reduced rational map
 
      y' = (-y/A^2) * prod (x^2 - x_i^2) / (1 - (d/a) x_i^2 x^2),
 
@@ -32,8 +33,9 @@ from types import MappingProxyType
 from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
                     check_parameters)
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
-                     ExceptionalInput, ExceptionalPair, NotASquare, NotOnCurve,
-                     check_int)
+                     ExceptionalInput, ExceptionalPair, InvalidParameter,
+                     NotASquare, NotOnCurve, check_int)
+from .field import Element
 from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, element, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
@@ -50,6 +52,13 @@ def _check_degree(degree: int):
     if degree > DESK_SCALE_LIMIT:
         raise DeskScaleOnly(
             f"degree {degree} exceeds the kernel limit {DESK_SCALE_LIMIT}")
+
+
+def _check_generator(G):
+    """InvalidParameter unless G is a pair of field elements; no count."""
+    if not (isinstance(G, tuple) and len(G) == 2
+            and all(isinstance(v, Element) for v in G)):
+        raise InvalidParameter(f"generator {G!r} is not a pair of elements")
 
 
 def order3_division_value(alpha, d):
@@ -82,6 +91,7 @@ class OddKernel:
         2Q is not a point at infinity, where the affine law raises
         ExceptionalPair and the x-line would report only a wrong order."""
         _check_degree(degree)
+        _check_generator(Q)
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
         # 2Q = ((x^2 - a y^2)/(2 - t), 2xy/t)
@@ -98,13 +108,14 @@ class OddKernel:
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
         with no inversion, by the domain's `xline`, on any E_{a,d}.
-        `_check_degree`'s errors come before anything is counted.
+        `_check_degree`'s and `_check_generator`'s errors come first.
         The checks, projectively: K is not O (X = Z), the walk stops at
         the first of 2K, ..., sK that is O, and x((s+1)K) = x(sK).  So K
         has order exactly l: no multiple lies at infinity and no Z_i is
         zero, nor is K the (-1, 0) that `xadd` cannot take as difference.
         cost: `_of_order`'s and an `xdbl` (l = 3) or `xadd` (l = 5)."""
         _check_degree(degree)
+        _check_generator(K)
         if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
         walk = _multiples(K, domain)
@@ -187,7 +198,7 @@ class OddIsogeny:
     codomain_d = property(lambda self: self.codomain.d)
 
     def __call__(self, P: AffinePoint) -> AffinePoint:
-        """phi(P) by `image` and one inversion; ExceptionalInput at a
+        """phi(P) by `_carry` and one inversion; ExceptionalInput at a
         pole.  P must lie on the domain; it is not checked, as a chain
         pushes every point at every step.  Outside input goes through
         `EdwardsCurve.check_point` first."""
@@ -238,13 +249,25 @@ def _multiples(K: tuple, E: EdwardsCurve):
 
 
 def _carry(steps: list, points: list, *fractions) -> tuple:
-    """`points` pushed through `steps` by `OddIsogeny.image` and made
-    affine, with the quotient of each of `fractions`, by one inversion;
-    ExceptionalInput if an image lies at infinity."""
-    one = steps[0].domain.field.one
-    images = [(P.x, one, P.y, one) for P in points]
+    """`points` pushed through `steps` and made affine, with the quotient
+    of each of `fractions`, by one inversion; ExceptionalInput if an
+    image lies at infinity.  On a domain with a = 1 each P goes as two
+    x-line points by `odd_image`, x(P) and x(P - F) = y(P), F = (0, 1) of
+    order 4: a step of degree 2s + 1 maps (0, f) to (0, (-1)^(s+1) f),
+    the y-map at x = 0, so y(P') = f' x(P' - F') for the last F' = (0, f'),
+    8sM + 4S a point and step.  Off a = 1, where (0, 1/sqrt(a)) need not
+    be rational, each P goes by `OddIsogeny.image`."""
+    domain, sign = steps[0].domain, 1
+    images = [(P.x, domain.field.one, P.y, domain.field.one) for P in points]
     for step in steps:
-        images = [step.image(P) for P in images]
+        if domain.a == 1:
+            K, sign = step.kernel.K, sign if step.degree % 4 == 3 else -sign
+            images = [(*odd_image(P[:2], K), *odd_image(P[2:], K))
+                      for P in images]
+        else:
+            images = [step.image(P) for P in images]
+    if sign == -1:
+        images = [(X, Z, -Y, W) for X, Z, Y, W in images]
     if any(V.is_zero() for _, Z, _, W in images for V in (Z, W)):
         raise ExceptionalInput("an image is a point at infinity")
     q = _divide([f for X, Z, Y, W in images for f in ((X, Z), (Y, W))]
@@ -403,6 +426,7 @@ class IsogenyChain:
             raise BadKernelGenerator(
                 "the degrees multiply past the Hasse bound on the order "
                 "of any point")
+        _check_generator(generator)
         if isinstance(generator, AffinePoint):
             if not domain.contains(generator):
                 raise NotOnCurve(f"{generator!r} is not on {domain!r}")

@@ -195,7 +195,8 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     public key = codomain parameter plus pushed-through images of the
     other side's basis.  R is taken on the x-line from the basis and its
     stored x(P - Q), and the chain starts from x(R).  The two images are
-    pushed by `_carry` and made affine with d' = D'/C' by one inversion."""
+    pushed by `_carry`, on the x-line alone as a = 1, and made affine
+    with d' = D'/C' by one inversion."""
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
     check_int(secret, "secret", ProtocolError)

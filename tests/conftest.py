@@ -89,18 +89,19 @@ def translate_image(phi, P) -> AffinePoint:
 
 @st.composite
 def desk_curves(draw, classes=(COMPLETE, TWISTED, QUADRATIC),
-                primes=DESK_PRIMES):
+                primes=DESK_PRIMES, a_one=False):
     """E_{a,d} over a random one of `primes`, of a class drawn from
-    `classes`: a and d are drawn as squares or non-squares to fit it."""
+    `classes`: a and d are drawn as squares or non-squares to fit it.
+    With `a_one`, a = 1, so the class is complete or quadratic."""
     p = draw(st.sampled_from(primes))
     cls = draw(st.sampled_from(classes))
     n = next(c for c in range(2, p) if euler_chi(c, p) == -1)
     if cls == COMPLETE:
-        ka, kd = draw(st.sampled_from([(1, n), (n, 1)]))
+        ka, kd = draw(st.sampled_from([(1, n)] if a_one else [(1, n), (n, 1)]))
     else:
         ka = kd = n if cls == TWISTED else 1
     square = st.integers(1, p - 1).map(lambda r: r * r % p)
-    a, d = ka * draw(square) % p, kd * draw(square) % p
+    a, d = (1 if a_one else ka * draw(square) % p), kd * draw(square) % p
     assume(a != d)
     field = PrimeField(p)
     return EdwardsCurve(field, field(a), field(d))
@@ -148,10 +149,11 @@ def assert_cofactor_walk(curve, G, degrees):
 
 def assert_images_match_the_full_map(curve, G, degrees, points):
     """Points pushed together by `_carry` and points given to chain(P),
-    by `odd_image` and the y-map, come out as the raw full maps of the
-    steps' kernels (`oracles.naive_full_map`) composed one by one give
-    them, and raise ExceptionalInput exactly where one has a pole; the
-    last (D' : C') carried with them gives the codomain's d."""
+    on the x-line alone at a = 1 and by the y-map off it, come out as the
+    raw full maps of the steps' kernels (`oracles.naive_full_map`)
+    composed one by one give them, and raise ExceptionalInput exactly
+    where one has a pole; the last (D' : C') carried with them gives the
+    codomain's d."""
     chain = IsogenyChain(curve, G, degrees)
     field = curve.field
     p, beta, a = field.p, beta_of(field), raw(curve.a)

@@ -204,13 +204,13 @@ class TestIsogeny:
                              "--degree", "3", "--gen", "-10,9",
                              "--point", "2,2")
         assert code == 0
-        assert doc["counters"] == {"M": 33, "S": 15, "I": 1, "A": 29}
+        assert doc["counters"] == {"M": 26, "S": 13, "I": 1, "A": 34}
 
     @pytest.mark.parametrize("args,counters", [
         (("--p", "19", "--degree", "5", "--gen", "6,4"),
          {"M": 36, "S": 18, "I": 1, "A": 28}),
         (("--p", "19", "--degree", "5", "--gen", "6,4", "--point", "2,8"),
-         {"M": 66, "S": 27, "I": 1, "A": 39}),
+         {"M": 60, "S": 22, "I": 1, "A": 45}),
         (("--p", "23", "--degree", "3", "--gen", "-10,9"),
          {"M": 10, "S": 9, "I": 1, "A": 22}),
         (("--p", "83", "--degree", "7", "--gen", "7,3"),
@@ -252,7 +252,7 @@ class TestChain:
                              "--point", "9,25")
         assert code == 0
         assert doc["image"] == [1, 0]
-        assert doc["counters"] == {"M": 115, "S": 45, "I": 1, "A": 75}
+        assert doc["counters"] == {"M": 98, "S": 38, "I": 1, "A": 86}
 
     def test_kernel_lists_x_only(self, capsys):
         """A chain's kernels are built on the x-line and have no y sign,

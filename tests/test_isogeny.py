@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import (QUADRATIC, TWISTED, AffinePoint,
+from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              BadKernelGenerator, DeskScaleOnly, EdwardsCurve,
                              EdwardsError, EvenDegreeUnsupported,
                              ExceptionalInput, ExceptionalPair,
@@ -19,8 +19,8 @@ from edwards_isogeny import (QUADRATIC, TWISTED, AffinePoint,
                              is_supersingular, isogeny,
                              order3_division_value, recover_y, setup)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT
-from edwards_isogeny.isogeny import (_affine_views, _carry, _step_weights,
-                                     chain_strategy)
+from edwards_isogeny.isogeny import (_affine_views, _carry, _divide,
+                                     _step_weights, chain_strategy)
 from edwards_isogeny.sidh import SIDE_A, SIDE_B, count_cyclic_subgroups
 from edwards_isogeny.xonly import (ProjParams, XZPoint, get_3_isog,
                                    get_5_isog, odd_codomain, odd_image, xmul)
@@ -432,15 +432,14 @@ class TestProjectiveEvaluation:
                                              ("phi5", (4, 6))],
                              ids=["phi3", "phi5"])
     def test_call_costs(self, request, phi_name, xy):
-        """phi(P) is `image`, (7s + 3)M + 4S with s = (l - 1)/2 once the
-        y-map's constants are formed, and one inversion of the two
-        denominators, 5M + I when neither is one, as at these P."""
+        """phi(P) on a = 1 is two `odd_image`s, of x(P) and y(P), 8sM + 4S
+        with s = (l - 1)/2 and no y-map constants, and one inversion of
+        the two denominators, 5M + I when neither is one, as at these P."""
         phi = request.getfixturevalue(phi_name)
-        phi._y_map
         P, s = pt(phi.domain, *xy), phi.degree // 2
         with phi.domain.field.counting(OpCounter()) as ctx:
             phi(P)
-        assert (ctx.m, ctx.s, ctx.i) == (7 * s + 8, 4, 1)
+        assert (ctx.m, ctx.s, ctx.i) == (8 * s + 5, 4, 1)
 
 
 def draw_smooth_generator(curve, data) -> tuple:
@@ -1060,6 +1059,23 @@ class TestChain:
             IsogenyChain(e23, pt(e23, -10, 9), [3, 3, 3, 3])
         assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
 
+    @pytest.mark.parametrize("entry", [
+        lambda E, G: IsogenyChain(E, G, [3]),
+        lambda E, G: IsogenyChain(E, G, [3, 3]),
+        lambda E, G: OddKernel.from_x(G, 3, E),
+        lambda E, G: OddKernel.from_generator(G, 3, E)],
+        ids=["chain", "chain-3-3", "from_x", "from_generator"])
+    @pytest.mark.parametrize("G", [(1, 2), None, "12", (1, 2, 3)],
+                             ids=["int-pair", "none", "str", "triple"])
+    def test_mistyped_generator_is_invalid_parameter(self, e23, entry, G):
+        """A generator that is not a pair of field elements raises
+        InvalidParameter naming it, before anything is counted; (1, 2)
+        was an AttributeError from deep in the x-line or `contains`."""
+        with e23.field.counting(OpCounter()) as ctx:
+            with pytest.raises(InvalidParameter, match="generator"):
+                entry(e23, G)
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
     @settings(max_examples=60)
     @given(curve=desk_curves(), data=st.data())
     def test_images_match_call(self, curve, data):
@@ -1163,8 +1179,8 @@ class TestChain:
 
     def test_no_images_no_full_map(self, e23):
         """A chain forms no affine view: its kernels stay (X_i : Z_i) and
-        its codomains (D' : C').  chain(P) pushes P by the y-map, which
-        reads neither view, to the raw full map's point."""
+        its codomains (D' : C').  chain(P) pushes x(P) and y(P) by
+        `odd_image`, which reads neither view, to the raw full map's point."""
         G, P = pt(e23, -10, 9), pt(e23, 3, 6)
         chain = IsogenyChain(e23, G, [3])
         step = chain.steps[0]
@@ -1173,6 +1189,108 @@ class TestChain:
         assert chain(P) == pt(e23, *naive_full_map((3, 6), [-10], 23, -1))
         assert "xs" not in vars(step.kernel)
         assert "d" not in vars(step.codomain)
+
+
+def y_map_push(steps, points) -> list:
+    """Each point pushed by `OddIsogeny.image` and made affine by one
+    `_divide`, or None where its image lies at infinity: the route
+    `_carry` takes off a = 1."""
+    one = steps[0].domain.field.one
+    images = [(P.x, one, P.y, one) for P in points]
+    for step in steps:
+        images = [step.image(P) for P in images]
+    finite = [not (Z.is_zero() or W.is_zero()) for _, Z, _, W in images]
+    q = iter(_divide([f for (X, Z, Y, W), ok in zip(images, finite) if ok
+                      for f in ((X, Z), (Y, W))]))
+    return [AffinePoint(next(q), next(q)) if ok else None for ok in finite]
+
+
+CARRY_DEGREES = [(3,), (5,), (7,), (9,), (3, 3), (5, 3)]
+FP2_DESK_PRIMES = [p for p in DESK_PRIMES if p % 4 == 3]
+
+
+def lift_to_fp2(curve, points) -> tuple:
+    """The a = 1 curve over F_{p^2} of an F_p curve, and its points."""
+    field = QuadExtField(curve.field)
+    return (EdwardsCurve(field, field.one, field(curve.d.value)),
+            [AffinePoint(field(P.x.value), field(P.y.value)) for P in points])
+
+
+class TestXLineCarry:
+    """On a = 1, `_carry` pushes y(P) as x(P - F), F = (0, 1) of order 4,
+    by `odd_image`: the y-map's points, with no y-map."""
+
+    @settings(max_examples=100)
+    @given(ext=st.booleans(), data=st.data())
+    def test_matches_the_y_map_and_the_oracle(self, ext, data):
+        """On an a = 1 desk curve, over F_p or over F_{p^2}, a chain of
+        each list of `CARRY_DEGREES` that a point of the F_p curve
+        generates carries each point as the y-map route and the composed
+        raw full maps do, and raises ExceptionalInput for exactly the
+        points whose image either route puts at infinity.  The points are
+        all of the F_p curve's, and over F_{p^2} drawn ones and the poles
+        1 - d x_1^2 x^2 = 0 of step 0."""
+        curve = data.draw(desk_curves(
+            classes=(COMPLETE, QUADRATIC), a_one=True,
+            primes=FP2_DESK_PRIMES if ext else DESK_PRIMES))
+        gens, points = {}, curve.points()
+        for P in points:
+            n = curve.point_order(P)
+            for degrees in CARRY_DEGREES:
+                if prod(degrees) == n:
+                    gens.setdefault(degrees, []).append(P)
+        assume(gens)
+        drawn = data.draw(st.lists(st.tuples(
+            st.integers(0, curve.field.p - 1),
+            st.integers(1, curve.field.p - 1)), max_size=4)) if ext else []
+        for degrees, Gs in sorted(gens.items()):
+            on = [data.draw(st.sampled_from(Gs)), *points]
+            self.check_carry(*(lift_to_fp2(curve, on) if ext else (curve, on)),
+                             list(degrees), drawn)
+
+    @staticmethod
+    def check_carry(curve, points, degrees, drawn):
+        """The chain of `degrees` from points[0], the pushes of the rest,
+        of the points recover_y lifts from the (c0, c1) of `drawn`, and
+        over F_{p^2} of the poles of step 0, compared route by route."""
+        G, *points = points
+        chain = IsogenyChain(curve, G, degrees)
+        F, x1 = curve.field, chain.steps[0].kernel.xs[0]
+        extra = [F(*c) for c in drawn]
+        if isinstance(F, QuadExtField):
+            pole = F.sqrt((curve.d * x1.square()).inverse())
+            extra += [pole, -pole]
+        for x in extra:
+            try:
+                points.append(recover_y(x, curve))
+            except (ExceptionalInput, NotOnCurve):
+                pass
+        assert_images_match_the_full_map(curve, G, degrees, points)
+        want = y_map_push(chain.steps, points)
+        for P, Q in zip(points, want):
+            if Q is None:
+                with pytest.raises(ExceptionalInput):
+                    _carry(chain.steps, [P])
+            else:
+                assert _carry(chain.steps, [P]) == ([Q], [])
+        finite = [P for P, Q in zip(points, want) if Q is not None]
+        assert _carry(chain.steps, finite)[0] == [Q for Q in want if Q]
+
+    @pytest.mark.parametrize("l", [3, 5, 7, 9])
+    def test_order4_point_goes_to_a_signed_one(self, l):
+        """phi((0, 1)) = (0, (-1)^(s+1)) for l = 2s + 1, the y-map at
+        x = 0, as the raw full map and the y-map route give it: on the
+        first a = 1 desk curve with a point of order l."""
+        curve, G = next((E, P) for E in map(a1_curve, *zip(
+            *a1_curves_with_torsion(l))) for P in E.points()
+            if E.point_order(P) == l)
+        phi = OddIsogeny(OddKernel.from_generator(G, l, curve))
+        F, p, d = pt(curve, 0, 1), curve.field.p, raw(curve.d)
+        want = pt(curve, 0, (-1) ** (l // 2 + 1))
+        assert phi(F) == want
+        assert y_map_push([phi], [F]) == [want]
+        assert want == element_point(curve.field, naive_full_map(
+            raw_point(F), [raw(x) for x in phi.kernel.xs], p, d))
 
 
 def strategy_cost(degrees, split) -> int:

@@ -283,6 +283,30 @@ class TestKeygen:
                                     keys[params2699.other(side)].public)
         assert j[SIDE_A] == j[SIDE_B]
 
+    def test_no_y_map(self, params2699, monkeypatch):
+        """keygen pushes its images on the x-line alone, y as x(P - F)
+        for F = (0, 1) of order 4, and derive_shared pushes none: for
+        every secret of both sides neither reaches `OddIsogeny.image` or
+        its `_y_map`.  The SHA-256 of all those keys is frozen from the
+        y-map route that made them before."""
+        def refuse(*args):
+            raise AssertionError("y-map called")
+
+        monkeypatch.setattr(OddIsogeny, "image", refuse)
+        monkeypatch.setattr(OddIsogeny, "_y_map", property(refuse))
+        sides = {SIDE_A: 27, SIDE_B: 25}
+        keys = {side: [keygen(params2699, side, k) for k in range(n)]
+                for side, n in sides.items()}
+        for side, kps in keys.items():
+            other = keys[params2699.other(side)][1].public
+            for kp in kps:
+                derive_shared(params2699, kp, other)
+        digest = hashlib.sha256(json.dumps(
+            [kp.public.to_json() for side in sides for kp in keys[side]],
+            sort_keys=True).encode()).hexdigest()
+        assert digest == ("f81d5d59198c40b4f631840b563dd93d"
+                          "a81ee36bf55adf6a4dbdc5a65220ef1a")
+
     def test_deterministic(self, params59):
         k1 = keygen(params59, SIDE_A, 2)
         k2 = keygen(params59, SIDE_A, 2)
@@ -542,15 +566,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 971, "S": 4, "I": 2, "A": 2173},
-                      "ext": {"M": 243, "S": 120, "I": 2, "A": 302}},
-            "bob": {"base": {"M": 1155, "S": 4, "I": 2, "A": 2379},
-                    "ext": {"M": 295, "S": 134, "I": 2, "A": 254}}}),
+            "alice": {"base": {"M": 878, "S": 4, "I": 2, "A": 2080},
+                      "ext": {"M": 216, "S": 114, "I": 2, "A": 332}},
+            "bob": {"base": {"M": 1069, "S": 4, "I": 2, "A": 2283},
+                    "ext": {"M": 273, "S": 124, "I": 2, "A": 276}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 405, "S": 4, "I": 2, "A": 855},
-                      "ext": {"M": 105, "S": 44, "I": 2, "A": 102}},
-            "bob": {"base": {"M": 543, "S": 4, "I": 2, "A": 1074},
-                    "ext": {"M": 141, "S": 59, "I": 2, "A": 99}}}),
+            "alice": {"base": {"M": 374, "S": 4, "I": 2, "A": 824},
+                      "ext": {"M": 96, "S": 42, "I": 2, "A": 112}},
+            "bob": {"base": {"M": 500, "S": 4, "I": 2, "A": 1030},
+                    "ext": {"M": 130, "S": 54, "I": 2, "A": 112}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -584,8 +608,8 @@ class TestTranscript:
         assert all(10 * counts[side]["I"] <= affine[side]["I"]
                    and counts[side]["M"] <= affine[side]["M"]
                    for side in affine)
-        assert counts == {SIDE_A: {"M": 21842, "S": 2, "I": 1},
-                          SIDE_B: {"M": 26493, "S": 2, "I": 1}}
+        assert counts == {SIDE_A: {"M": 19548, "S": 2, "I": 1},
+                          SIDE_B: {"M": 24128, "S": 2, "I": 1}}
 
     def test_setup_counts_at_247_bits(self):
         """Cost gate on setup(74, 55, seed=1): the base-field M, S, I its
@@ -659,8 +683,8 @@ class TestTranscript:
         out = run_exchange(238, 165, seed=1)
         assert {side: {k: c["base"][k] for k in ("M", "S", "I")}
                 for side, c in out.pop("counters").items()} == {
-            "alice": {"M": 142971, "S": 4, "I": 2},
-            "bob": {"M": 160043, "S": 4, "I": 2}}
+            "alice": {"M": 135593, "S": 4, "I": 2},
+            "bob": {"M": 152948, "S": 4, "I": 2}}
         digest = hashlib.sha256(
             json.dumps(out, sort_keys=True).encode()).hexdigest()
         assert digest == ("d0b5b2a10f6cf013d2590b2ac76d7420"
