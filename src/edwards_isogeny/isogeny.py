@@ -54,11 +54,11 @@ def _check_degree(degree: int):
             f"degree {degree} exceeds the kernel limit {DESK_SCALE_LIMIT}")
 
 
-def _check_generator(G):
-    """InvalidParameter unless G is a pair of field elements; no count."""
+def _check_generator(G, name: str = "generator"):
+    """InvalidParameter naming `name` unless G is a pair of elements."""
     if not (isinstance(G, tuple) and len(G) == 2
             and all(isinstance(v, Element) for v in G)):
-        raise InvalidParameter(f"generator {G!r} is not a pair of elements")
+        raise InvalidParameter(f"{name} {G!r} is not a pair of elements")
 
 
 def order3_division_value(alpha, d):
@@ -257,8 +257,10 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
     the y-map at x = 0, so y(P') = f' x(P' - F') for the last F' = (0, f'),
     8sM + 4S a point and step.  Off a = 1, where (0, 1/sqrt(a)) need not
     be rational, each P goes by `OddIsogeny.image`."""
-    domain, sign = steps[0].domain, 1
-    images = [(P.x, domain.field.one, P.y, domain.field.one) for P in points]
+    for P in points:
+        _check_generator(P, "point")
+    domain, sign, one = steps[0].domain, 1, steps[0].domain.field.one
+    images = [(x, one, y, one) for x, y in points]
     for step in steps:
         if domain.a == 1:
             K, sign = step.kernel.K, sign if step.degree % 4 == 3 else -sign
@@ -417,6 +419,10 @@ class IsogenyChain:
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
                  degrees: list[int]):
+        if not isinstance(domain, EdwardsCurve):
+            raise InvalidParameter(f"domain {domain!r} is not an EdwardsCurve")
+        if not hasattr(degrees, "__iter__"):
+            raise InvalidParameter(f"degrees {degrees!r} is not a list")
         degrees = list(degrees)
         if not degrees:
             raise BadKernelGenerator("a chain needs at least one degree")

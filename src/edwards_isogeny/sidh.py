@@ -1,10 +1,11 @@
 """Desk-scale SIDH key exchange over F_{p^2}.
 
 p = 4*3^m*5^n - 1, base curve E_{-1} (supersingular, order (p+1)^2 over
-the extension).  Party A walks a 3^m-isogeny chain, party B a
-5^n-chain; each publishes its codomain parameter and the images of the
-other party's torsion basis, and both land on isomorphic final curves,
-compared by j-invariant.
+the extension).  Party A walks a 3^m-isogeny chain, party B a 5^n-chain;
+each publishes its codomain parameter and the images of the other
+party's torsion basis, a P of E(F_p) and its image under the
+automorphism psi(x, y) = (1/x, i*y); both land on isomorphic final
+curves, compared by j-invariant.
 
 Secrets are parsed as R = P + k*Q (never Q + k*P), which reaches l^e of
 the l^(e-1)*(l+1) cyclic subgroups; enough for a demonstration and
@@ -93,12 +94,12 @@ class PartyKeypair:
 
 def setup(m: int, n: int, seed: int = 0,
           max_p: int | None = None) -> ProtocolParams:
-    """Deterministic protocol parameters for p = 4*3^m*5^n - 1.
-
-    DeskScaleOnly when p exceeds `max_p`, by default DESK_PRIME_LIMIT;
-    a larger `max_p` admits the 247- and 763-bit primes."""
-    check_int(m, "m")
-    check_int(n, "n")
+    """Deterministic parameters for p = 4*3^m*5^n - 1: E_{1,-1} over
+    F_{p^2} and a basis P, psi(P) a side, A's first (`_torsion_basis`).
+    InvalidParameter unless m, n and seed are ints; DeskScaleOnly when p
+    exceeds `max_p`, DESK_PRIME_LIMIT unless a larger one is given."""
+    for value, name in ((m, "m"), (n, "n"), (seed, "seed")):
+        check_int(value, name)
     if m < 1 or n < 1:
         raise InvalidParameter("need m, n >= 1 so both parties have torsion")
     limit = DESK_PRIME_LIMIT if max_p is None else max_p
@@ -111,61 +112,45 @@ def setup(m: int, n: int, seed: int = 0,
     field = QuadExtField(PrimeField(p))
     curve = EdwardsCurve(field, field.one, field(-1))
     rng = random.Random(seed)
-    basis_a = _torsion_basis(curve, 3, m, rng)
-    basis_b = _torsion_basis(curve, 5, n, rng)
-    return ProtocolParams(p, m, n, seed, field, curve, basis_a, basis_b)
+    bases = [_torsion_basis(curve, l, e, rng) for l, e in ((3, m), (5, n))]
+    return ProtocolParams(p, m, n, seed, field, curve, *bases)
 
 
 def _random_point(curve: EdwardsCurve, rng: random.Random) -> AffinePoint:
     for _ in range(_SAMPLING_BUDGET):
-        x = curve.field.random_element(rng)
         try:
-            P = recover_y(x, curve)
+            P = recover_y(curve.field.random_element(rng), curve)
         except (ExceptionalInput, NotOnCurve):
             continue
-        if rng.randrange(2):
-            P = P.neg()
-        return P
+        return P.neg() if rng.randrange(2) else P
     raise SetupFailed("random point sampling exhausted")
 
 
 def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
                    rng: random.Random) -> TorsionBasis:
-    """Two independent points of exact order l^e, built by cofactor
-    multiplication of random points.  Independence: their order-l
-    multiples generate different subgroups.  Each draw R is walked on
-    the x-line, T = 4*o^f*R by `xladder` and U = l^(e-1)*T by `xmul`,
-    and skipped when U has X = Z: U = O, or the (0 : 0) of R = O or
-    (-1, 0); a 2R at infinity gives T = O, as E[2^inf] = (Z/4)^2.  Only
-    the two points kept get a y, by `recover_xy` from R, x(T), x(T + R),
-    each made affine by an inversion of its own."""
-    # The cofactor (p + 1) / l^e is 4 * o^f, o the other party's prime.
-    cofactor, one = (curve.field.p + 1) // l ** e, curve.field.one
-    c = curve.xline
-
-    def samples():
-        """(R, T, T + R, U) for each draw R whose T has exact order l^e."""
-        for _ in range(_SAMPLING_BUDGET):
-            R = _random_point(curve, rng)
-            T, S = xladder(cofactor, (R.x, one), c)
-            U = T
-            for _ in range(e - 1):
-                U = xmul(l, U, c)
-            if U[0] != U[1]:
-                yield R, T, S, U
-
-    first = next(samples(), None)
-    if first is None:
-        raise SetupFailed(f"no point of order {l}^{e} found")
-    *draw, U = first
-    subgroup = OddKernel.from_x(U, l, curve)
-    for *partner, V in samples():
-        if not _in_subgroup(V, subgroup):
-            P, Q = (AffinePoint(*_divide(
-                recover_xy(R, T, S, curve.a, curve.d)))
-                for R, T, S in (draw, partner))
+    """P of exact order l^e on E_{1,-1} over F_p, lifted to F_{p^2}, and
+    Q = psi(P), psi(x, y) = (1/x, i*y), an automorphism (psi^2 = -1) as
+    (1/x, iy) meets the curve equation over x^2.  Frobenius fixes P and
+    negates Q, so l^(e-1)*Q = k*l^(e-1)*P would give 2*l^(e-1)*Q = O,
+    against its odd order l: P and Q span E[l^e].  Each draw R is walked
+    on the F_p x-line, T = 4*o^f*R (o the other prime) by `xladder` and
+    U = l^(e-1)*T by `xmul`, and skipped when U has X = Z: U = O, or the
+    (0 : 0) of R = O or (-1, 0).  The first T kept gets x, y and 1/x by
+    `recover_xy` from R, x(T), x(T + R) and one `_divide`."""
+    F, base = curve.field, EdwardsCurve(curve.field.base, 1, -1)
+    cofactor, one, c = (F.p + 1) // l ** e, F.base.one, base.xline
+    for _ in range(_SAMPLING_BUDGET):
+        R = _random_point(base, rng)
+        T, S = xladder(cofactor, (R.x, one), c)
+        U = T
+        for _ in range(e - 1):
+            U = xmul(l, U, c)
+        if U[0] != U[1]:
+            xz, yf = recover_xy(R, T, S, base.a, base.d)
+            x, y, x_inv = _divide([xz, yf, xz[::-1]])
+            P, Q = AffinePoint(F(x), F(y)), AffinePoint(F(x_inv), F(0, y))
             return TorsionBasis(l, e, P, Q, _x_difference(curve, P, Q))
-    raise SetupFailed(f"no independent order-{l}^{e} partner found")
+    raise SetupFailed(f"no point of order {l}^{e} found")
 
 
 def _in_subgroup(V: tuple, subgroup: OddKernel) -> bool:
@@ -183,6 +168,13 @@ def _x_difference(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint) -> tuple:
     return X, Z
 
 
+def _check_types(*checks):
+    """ProtocolError naming the first (value, type, name) of wrong type."""
+    for value, cls, name in checks:
+        if not isinstance(value, cls):
+            raise ProtocolError(f"{name} {value!r} is not a {cls.__name__}")
+
+
 def _secret_kernel(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint,
                    diff: tuple, secret: int) -> tuple:
     """x-line (X, Z) of R = P + secret*Q, by `ladder3pt`."""
@@ -197,6 +189,7 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     stored x(P - Q), and the chain starts from x(R).  The two images are
     pushed by `_carry`, on the x-line alone as a = 1, and made affine
     with d' = D'/C' by one inversion."""
+    _check_types((params, ProtocolParams, "params"))
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
     check_int(secret, "secret", ProtocolError)
@@ -238,8 +231,9 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     order l^e) has exact order l^e, and the order-l multiples of P' and
     Q' span E[l]; hence P' and Q' generate all of E[l^e].
     """
-    if not isinstance(other_public, PublicKey):
-        raise ProtocolError(f"public key {other_public!r} is not a PublicKey")
+    _check_types((params, ProtocolParams, "params"),
+                 (keypair, PartyKeypair, "keypair"),
+                 (other_public, PublicKey, "public key"))
     basis, F = params.basis(keypair.side), params.field
     l, e = basis.degree, basis.exponent
     try:

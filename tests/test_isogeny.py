@@ -1076,6 +1076,34 @@ class TestChain:
                 entry(e23, G)
         assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
 
+    @pytest.mark.parametrize("push", [lambda chain: chain.steps[0],
+                                      lambda chain: chain],
+                             ids=["phi", "chain"])
+    @pytest.mark.parametrize("P", [(1, 2), None], ids=["int-pair", "none"])
+    def test_mistyped_point_is_invalid_parameter(self, e23, push, P):
+        """An isogeny or chain called on what is not a pair of field
+        elements raises InvalidParameter naming the point, before anything
+        is counted; it was an AttributeError from `_carry`."""
+        f = push(IsogenyChain(e23, pt(e23, -10, 9), [3]))
+        with e23.field.counting(OpCounter()) as ctx:
+            with pytest.raises(InvalidParameter, match="point"):
+                f(P)
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
+    @pytest.mark.parametrize("args,name", [
+        (lambda E, G: (E, G, 3), "degrees"),
+        (lambda E, G: (None, G, [3]), "domain")],
+        ids=["int-degrees", "no-domain"])
+    def test_mistyped_chain_argument_is_invalid_parameter(self, e23, args,
+                                                          name):
+        """IsogenyChain(E, G, 3) was a TypeError and IsogenyChain(None, G,
+        [3]) an AttributeError; each raises InvalidParameter naming the
+        argument, before anything is counted."""
+        with e23.field.counting(OpCounter()) as ctx:
+            with pytest.raises(InvalidParameter, match=name):
+                IsogenyChain(*args(e23, pt(e23, -10, 9)))
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
     @settings(max_examples=60)
     @given(curve=desk_curves(), data=st.data())
     def test_images_match_call(self, curve, data):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (AffinePoint, DeskScaleOnly, EdwardsCurve,
-                             EdwardsError, ExceptionalInput, InvalidParameter,
-                             IsogenyChain, NotOnCurve, OddIsogeny, OddKernel,
-                             OpCounter, ProtocolError, PrimeField, PublicKey,
-                             QuadExtField, SetupFailed, count_cyclic_subgroups,
-                             derive_shared, keygen, recover_y, run_exchange,
-                             setup, sidh)
+                             EdwardsError, ExceptionalInput, ExceptionalPair,
+                             InvalidParameter, IsogenyChain, NotOnCurve,
+                             OddIsogeny, OddKernel, OpCounter, ProtocolError,
+                             PrimeField, PublicKey, QuadExtField, SetupFailed,
+                             count_cyclic_subgroups, derive_shared, keygen,
+                             recover_y, run_exchange, setup, sidh)
 from edwards_isogeny.isogeny import _carry
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
@@ -56,6 +56,44 @@ class TestSetup:
         with pytest.raises(InvalidParameter, match="is not an int"):
             setup(m, n)
 
+    @pytest.mark.parametrize("seed", [1.5, "1", None, True],
+                             ids=["float", "str", "none", "bool"])
+    def test_non_int_seed_is_invalid(self, seed):
+        """The seed must be an int too, checked before p is formed."""
+        with pytest.raises(InvalidParameter, match="seed .* is not an int"):
+            setup(1, 1, seed)
+
+    def test_psi_is_an_automorphism(self, params59):
+        """psi(x, y) = (1/x, i*y) maps every point of E_{1,-1} over
+        F_{59^2} with x != 0 to the curve, psi^2 is negation, and psi
+        respects the group law on sampled pairs."""
+        E = params59.curve
+        points = [P for P in E.points() if not P.x.is_zero()]
+        for P in points:
+            assert E.contains(psi(P))
+            assert psi(psi(P)) == P.neg()
+        rng = random.Random(0)
+        for _ in range(200):
+            P, R = rng.choice(points), rng.choice(points)
+            try:
+                S = E.add(P, R)
+            except ExceptionalPair:
+                continue
+            if not S.x.is_zero():
+                assert psi(S) == E.add(psi(P), psi(R))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 2)])
+    def test_frobenius_splits_each_basis(self, m, n):
+        """P lies on E(F_p), so Frobenius fixes it, and negates
+        Q = psi(P); hence Q != P and Q != -P, for seeds 0-9."""
+        for seed in range(10):
+            params = setup(m, n, seed=seed)
+            for basis in (params.basis_a, params.basis_b):
+                P, Q = basis.P, basis.Q
+                assert Q == psi(P)
+                assert frobenius(P) == P and frobenius(Q) == Q.neg()
+                assert Q not in (P, P.neg())
+
     def test_basis_orders(self, params2699):
         E = params2699.curve
         for basis, l, e in [(params2699.basis_a, 3, 3),
@@ -79,10 +117,10 @@ class TestSetup:
                 R = E.add(R, U)
 
     @pytest.mark.parametrize("m,n,seed,bases", [
-        (3, 2, 11, [[("976+447*i", "239+394*i"), ("6e8+890*i", "956+8da*i")],
-                    [("58f+4a2*i", "96+4b9*i"), ("88+95d*i", "5a2+5c0*i")]]),
-        (1, 1, 5, [[("13+0*i", "0+23*i"), ("5+22*i", "21+1a*i")],
-                   [("37+32*i", "1c+29*i"), ("37+9*i", "1f+29*i")]]),
+        (3, 2, 11, [[("60e+0*i", "63+0*i"), ("15e+0*i", "0+63*i")],
+                    [("428+0*i", "57b+0*i"), ("361+0*i", "0+57b*i")]]),
+        (1, 1, 5, [[("1c+0*i", "23+0*i"), ("13+0*i", "0+23*i")],
+                   [("6+0*i", "1e+0*i"), ("a+0*i", "0+1e*i")]]),
     ])
     def test_frozen_bases(self, m, n, seed, bases):
         """Same seed, same draws, same accept/reject decisions: the
@@ -110,45 +148,31 @@ class TestSetup:
                     assert R != V
                     R = E.add(R, U)
 
-    def test_skips_dependent_partner(self, params2699, monkeypatch):
-        """B side (l = 5): draws P0, then 2*P0, whose order-5 multiple is
-        2U (dependent, yet x(2U) != x(U)), then an independent point.
-        The basis skips the second draw."""
-        E, basis_b = params2699.curve, params2699.basis_b
-        cofactor = (params2699.p + 1) // 25        # 108, prime to 5
-        P0, P2 = basis_b.P, basis_b.Q
-        draws = [P0, E.scalar_mul(2, P0), P2]
-        monkeypatch.setattr(sidh, "_random_point",
-                            lambda curve, rng: draws.pop(0))
-        U = E.scalar_mul(5 * cofactor, P0)
-        V = E.scalar_mul(10 * cofactor, P0)
-        assert V == E.add(U, U) and V.x != U.x
-        basis = sidh._torsion_basis(E, 5, 2, random.Random(0))
-        assert draws == []
-        assert basis.P == E.scalar_mul(cofactor, P0)
-        assert basis.Q == E.scalar_mul(cofactor, P2)
-
     @pytest.mark.parametrize("m,n,side,cofactor", [
         (1, 1, SIDE_A, 20),        # 20 = -1 mod 3: T = -R, T + R = O
         (2, 1, SIDE_B, 36),        # 36 = 1 mod 5: T = R
     ])
     def test_draws_of_order_l(self, m, n, side, cofactor, monkeypatch):
-        """Draws that are themselves of order l, where the cofactor
-        4*o^f is -1 or 1 mod l: T = -R is the y-recovery's T + R = O
-        case, and T = R its x(T) = x(R) case.  Both points are the exact
-        multiples."""
+        """A draw of E_{1,-1}(F_p) that is itself of order l, where the
+        cofactor 4*o^f is -1 or 1 mod l: T = -R is the y-recovery's
+        T + R = O case, and T = R its x(T) = x(R) case.  P is the exact
+        multiple, lifted to F_{p^2}, and Q = psi(P)."""
         params = setup(m, n, seed=3)
-        E, basis = params.curve, params.basis(side)
-        R0, R1 = basis.P, basis.Q
-        draws = [R0, R1]
-        monkeypatch.setattr(sidh, "_random_point",
-                            lambda curve, rng: draws.pop(0))
+        E, basis, Fp = params.curve, params.basis(side), params.field.base
+        R = basis.P                          # of order l, on E(F_p)
+        draws = [AffinePoint(R.x.c0, R.y.c0)]
+
+        def draw(curve, rng):
+            assert (curve.field, curve.a, curve.d) == (Fp, 1, -1)
+            return draws.pop(0)
+
+        monkeypatch.setattr(sidh, "_random_point", draw)
         got = sidh._torsion_basis(E, basis.degree, basis.exponent,
                                   random.Random(0))
         assert draws == []
-        assert got.P == E.scalar_mul(cofactor, R0)
-        assert got.Q == E.scalar_mul(cofactor, R1)
-        assert got.P == (R0.neg() if cofactor % basis.degree == 2 else R0)
+        assert got.P == E.scalar_mul(cofactor, R)
+        assert got.P == (R.neg() if cofactor % basis.degree == 2 else R)
+        assert got.Q == psi(got.P)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 2)])
     def test_stored_difference_is_x_of_p_minus_q(self, m, n):
@@ -190,14 +214,11 @@ class TestSetup:
 
     @pytest.mark.parametrize("patches,message", [
         ({"recover_y": _refuse}, "random point sampling exhausted"),
-        ({"_SAMPLING_BUDGET": 0}, r"no point of order 3\^1 found"),
-        ({"_in_subgroup": lambda V, subgroup: True, "_SAMPLING_BUDGET": 100},
-         r"no independent order-3\^1 partner found")],
-        ids=["no-point-lifts", "no-draws", "no-independent-partner"])
+        ({"_SAMPLING_BUDGET": 0}, r"no point of order 3\^1 found")],
+        ids=["no-point-lifts", "no-draws"])
     def test_sampling_failures(self, monkeypatch, patches, message):
-        """Each of `setup`'s three SetupFailed refusals: every x refused
-        as a point, no draw at all, and every partner in the subgroup
-        (over a smaller budget, which still finds the first point)."""
+        """Each of `setup`'s two SetupFailed refusals: every x refused
+        as a point, and no draw at all."""
         for name, patch in patches.items():
             monkeypatch.setattr(sidh, name, patch)
         with pytest.raises(SetupFailed, match=message):
@@ -231,6 +252,15 @@ class TestKeygen:
         monkeypatch.setattr(sidh, "ladder3pt", refuse)
         with pytest.raises(ProtocolError, match="is not an int"):
             keygen(params59, SIDE_A, secret)
+
+    @pytest.mark.parametrize("params", [None, "params", lambda p: p.curve],
+                             ids=["none", "str", "curve"])
+    def test_non_params_is_protocol_error(self, params59, params):
+        """keygen names a params that is not a ProtocolParams, before any
+        arithmetic; it was an AttributeError."""
+        params = params(params59) if callable(params) else params
+        with pytest.raises(ProtocolError, match="params .* is not a Prot"):
+            keygen(params, SIDE_A, 1)
 
     def test_secret_range(self, params59):
         with pytest.raises(ValueError):
@@ -304,8 +334,8 @@ class TestKeygen:
         digest = hashlib.sha256(json.dumps(
             [kp.public.to_json() for side in sides for kp in keys[side]],
             sort_keys=True).encode()).hexdigest()
-        assert digest == ("f81d5d59198c40b4f631840b563dd93d"
-                          "a81ee36bf55adf6a4dbdc5a65220ef1a")
+        assert digest == ("7ae2486a80577a6b4965d7de9217770e"
+                          "fac6124e9c31f24a5164f02a9b278ef0")
 
     def test_deterministic(self, params59):
         k1 = keygen(params59, SIDE_A, 2)
@@ -333,6 +363,17 @@ class TestSharedSecret:
             kp_b = keygen(params2699, SIDE_B, kb)
             assert (derive_shared(params2699, kp_a, kp_b.public)
                     == derive_shared(params2699, kp_b, kp_a.public))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_pair_at_2699(self, seed):
+        """All 27 * 25 secret pairs of setup(3, 2) agree on j."""
+        params = setup(3, 2, seed=seed)
+        keys_a = [keygen(params, SIDE_A, k) for k in range(27)]
+        keys_b = [keygen(params, SIDE_B, k) for k in range(25)]
+        for kp_a in keys_a:
+            for kp_b in keys_b:
+                assert (derive_shared(params, kp_a, kp_b.public)
+                        == derive_shared(params, kp_b, kp_a.public))
 
     def test_final_curves_supersingular(self, params59):
         """Order annihilation on the shared codomains: (p+1) * P' = O
@@ -376,6 +417,22 @@ class TestSharedSecret:
         kp_b = keygen(params59, SIDE_B, 1)
         with pytest.raises(ProtocolError, match="is not a PublicKey"):
             derive_shared(params59, kp_a, key(kp_b) if callable(key) else key)
+
+    @pytest.mark.parametrize("slot,name", [(0, "params"), (1, "keypair")])
+    @pytest.mark.parametrize("value", [None, "x", lambda kp: kp.public],
+                             ids=["none", "str", "public-key"])
+    def test_non_params_or_keypair_is_protocol_error(self, params59, slot,
+                                                     name, value):
+        """derive_shared names a params or keypair of the wrong type, before
+        any arithmetic; each was an AttributeError."""
+        kp_a = keygen(params59, SIDE_A, 1)
+        kp_b = keygen(params59, SIDE_B, 1)
+        args = [params59, kp_a, kp_b.public]
+        args[slot] = value(kp_a) if callable(value) else value
+        with params59.field.counting(OpCounter()) as ctx:
+            with pytest.raises(ProtocolError, match=f"{name} .* is not a"):
+                derive_shared(*args)
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
 
     @pytest.mark.parametrize("field,value", [
         ("codomain_d", None), ("image_p", None), ("image_p", (1, 2))],
@@ -466,6 +523,24 @@ class TestPublicKeyValidation:
         with pytest.raises(ProtocolError):
             derive_shared(params, keygen(params, side, secret),
                           PublicKey(pub.codomain_d, P, Q))
+
+
+def _setup_counts(m, n):
+    """The base-field M, S, I of setup(m, n, seed=1)'s fresh field."""
+    p = 4 * 3 ** m * 5 ** n - 1
+    counts = setup(m, n, seed=1, max_p=p).field.counter.as_dict()
+    return {k: counts[k] for k in ("M", "S", "I")}
+
+
+def psi(T):
+    """psi(x, y) = (1/x, i*y), the automorphism of E_{1,-1} of order 4."""
+    x, y = T
+    return AffinePoint(x.inverse(), y * y.field(0, 1))
+
+
+def frobenius(T):
+    """T with each coordinate c0 + c1*i conjugated."""
+    return AffinePoint(*(v.field(v.c0, -v.c1.value) for v in T))
 
 
 def _random_point(curve, rng):
@@ -566,13 +641,13 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 878, "S": 4, "I": 2, "A": 2080},
-                      "ext": {"M": 216, "S": 114, "I": 2, "A": 332}},
+            "alice": {"base": {"M": 878, "S": 4, "I": 2, "A": 2082},
+                      "ext": {"M": 216, "S": 114, "I": 2, "A": 333}},
             "bob": {"base": {"M": 1069, "S": 4, "I": 2, "A": 2283},
                     "ext": {"M": 273, "S": 124, "I": 2, "A": 276}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 374, "S": 4, "I": 2, "A": 824},
-                      "ext": {"M": 96, "S": 42, "I": 2, "A": 112}},
+            "alice": {"base": {"M": 374, "S": 4, "I": 2, "A": 826},
+                      "ext": {"M": 96, "S": 42, "I": 2, "A": 113}},
             "bob": {"base": {"M": 500, "S": 4, "I": 2, "A": 1030},
                     "ext": {"M": 130, "S": 54, "I": 2, "A": 112}}}),
     ])
@@ -613,14 +688,14 @@ class TestTranscript:
 
     def test_setup_counts_at_247_bits(self):
         """Cost gate on setup(74, 55, seed=1): the base-field M, S, I its
-        fresh field has counted when it returns, seven draws walked on the
-        x-line, subgroups compared projectively and y recovered for the
-        four basis points only."""
-        p = 4 * 3 ** 74 * 5 ** 55 - 1
-        params = setup(74, 55, seed=1, max_p=p)
-        counts = params.field.counter.as_dict()
-        assert {k: counts[k] for k in ("M", "S", "I")} == {
-            "M": 41633, "S": 30, "I": 15}
+        fresh field has counted when it returns, the draws lifted and
+        walked on the F_p x-line, where a square is an S, and y recovered
+        for one point a side only."""
+        assert _setup_counts(74, 55) == {"M": 4399, "S": 2430, "I": 14}
+
+    def test_setup_counts_at_763_bits(self):
+        """Cost gate on setup(238, 165, seed=1), as at 247 bits."""
+        assert _setup_counts(238, 165) == {"M": 8925, "S": 5001, "I": 7}
 
     def test_derive_counts_at_247_bits(self):
         """Cost gate on derive_shared at (74, 55) with run_exchange's
@@ -670,8 +745,8 @@ class TestTranscript:
         del out["counters"]
         digest = hashlib.sha256(
             json.dumps(out, sort_keys=True).encode()).hexdigest()
-        assert digest == ("95113fed93f2c1a770335f69f5e744ff"
-                          "98bc38d26211ae9f0a1d931a1f0fa566")
+        assert digest == ("ce5fe4cc74fde7ef8105c08c7e382661"
+                          "4cdd42d19bf7cb92e22d41caaea0d26e")
 
     def test_transcript_bytes_at_763_bits(self, monkeypatch):
         """Value and cost gate on the paper's 763-bit row, (238, 165): the
@@ -687,8 +762,8 @@ class TestTranscript:
             "bob": {"M": 152948, "S": 4, "I": 2}}
         digest = hashlib.sha256(
             json.dumps(out, sort_keys=True).encode()).hexdigest()
-        assert digest == ("d0b5b2a10f6cf013d2590b2ac76d7420"
-                          "78444433d52c0955d6044f76bf1a4614")
+        assert digest == ("5748c6ad550382f638c61fa93c1e4539"
+                          "50cc93eac556714b556648df519e5d68")
 
     def test_chain_takes_no_character_at_247_bits(self, monkeypatch):
         """Codomain curves are checked for degeneracy without a Legendre
