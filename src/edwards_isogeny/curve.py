@@ -24,10 +24,10 @@ B = X^2, C = a*Y^2, D = B + C, F = 2Z^2 - D and H = 2XY,
 
 (3M + 4S when a = 1).  Z3 is zero exactly when the result lies at
 infinity (for the sum, when an affine denominator 1 -+ d*x1*x2*y1*y2
-is), and `ExceptionalPair` is raised there.  `add`, `double` and
-`scalar_mul`, the one double-and-add, take and return affine points, with
-one inversion each.  `point_order` multiplies on the x-line instead, by
-`xonly.xladder`, which passes the points at infinity.
+is), and `ExceptionalPair` is raised there.  `add` and `double` take and
+return affine points, with one inversion each.  `scalar_mul` and
+`point_order` multiply on the x-line, by `xonly.xladder`, which passes
+the points at infinity; `scalar_mul` lifts k*P by `recover_xy`.
 
 `points`, `order`, `singular_count` and `special_points` are desk-scale
 diagnostics, `check_point` an input check, and `class_tag`, `to_json`,
@@ -43,10 +43,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
-                     InvalidTwist, NotOnCurve, ProtocolError)
-from .field import OpCounter, PrimeField
+                     InvalidParameter, InvalidTwist, NotOnCurve, ProtocolError,
+                     check_int)
+from .field import Element, OpCounter, PrimeField
 from .field_ext import QuadExtField
-from .xonly import ProjParams, xladder
+from .xonly import ProjParams, recover_xy, xladder
 
 COMPLETE = "complete"
 TWISTED = "twisted"
@@ -61,6 +62,13 @@ def check_parameters(a, d):
     exactly when a = 0, so no character is needed."""
     if a.is_zero() or d.is_zero() or a == d:
         raise InvalidCurve(f"degenerate parameters a={a!r}, d={d!r}")
+
+
+def check_pair(P, name: str):
+    """InvalidParameter naming `name` unless P is a pair of elements."""
+    if not (isinstance(P, tuple) and len(P) == 2
+            and all(isinstance(v, Element) for v in P)):
+        raise InvalidParameter(f"{name} {P!r} is not a pair of elements")
 
 
 def classify(a, d) -> str:
@@ -193,18 +201,23 @@ class EdwardsCurve:
         return to_affine(self.double_proj(P.projective()))
 
     def scalar_mul(self, k: int, P: AffinePoint) -> AffinePoint:
-        """k*P by left-to-right double-and-add on (X : Y : Z) and one
-        inversion; 0*P = (1, 0).  P must lie on the curve."""
+        """k*P by `xladder` on `xline`, y by `recover_xy` and one
+        inversion; 0*P = O and k*P = |k|*(-P).  The ladder passes the
+        points at infinity, so ExceptionalPair comes exactly when k*P is
+        one (Z = 0, or y's denominator is).  P must lie on the curve."""
+        check_int(k, "k")
+        check_pair(P, "point")
+        x, y = P
         if k < 0:
-            return self.scalar_mul(-k, P.neg())
-        if k == 0:
-            return self.identity
-        P = acc = P.projective()
-        for bit in bin(k)[3:]:
-            acc = self.double_proj(acc)
-            if bit == "1":
-                acc = self.add_proj(acc, P)
-        return to_affine(acc)
+            k, y = -k, -y
+        if y.is_zero() or k == 0:        # O, or (-1, 0) of order 2
+            return self.identity if k % 2 == 0 else AffinePoint(x, y)
+        Q, S = xladder(k, (x, self.field.one), self.xline)
+        (X, Z), (num, den) = recover_xy((x, y), Q, S, self.a, self.d)
+        if Z.is_zero() or den.is_zero():
+            raise ExceptionalPair(f"{k}*P lies at infinity")
+        inv = (Z * den).inverse()
+        return AffinePoint(X * den * inv, num * Z * inv)
 
     def add_proj(self, P: tuple, Q: tuple) -> tuple:
         """(X1:Y1:Z1) + (X2:Y2:Z2); the mixed form when Z2 = 1."""
@@ -266,8 +279,7 @@ class EdwardsCurve:
         """Least n > 0 with n*P = O, found by stripping prime factors
         from the curve order.  k*P = O is tested by `xonly.xladder`
         on `xline` = (a - d, a), as X = Z; for P of order above 2 it
-        passes the points at infinity of E_{a,d}, where `scalar_mul`
-        raises."""
+        passes the points at infinity of E_{a,d}."""
         self.check_point(P)
         if P.y.is_zero():                  # (1, 0) = O or (-1, 0)
             return 1 if P.x == 1 else 2

@@ -295,17 +295,19 @@ class PrimeField:
         return 1 if pow(v, (self.p - 1) // 2, self.p) == 1 else -1
 
     def sqrt(self, x) -> FieldElement:
-        """Canonical square root (the smaller of the two), or NotASquare."""
+        """Canonical square root (the smaller of the two), or NotASquare:
+        for p = 3 (mod 4) one exponentiation, r = v^((p+1)/4), whose
+        square is v exactly when v is one; else chi, then Tonelli-Shanks."""
         v = x.value if isinstance(x, FieldElement) else int(x) % self.p
         if v == 0:
             return self.zero
-        if self.chi(v) != 1:
-            raise NotASquare(f"{v} is not a square mod {self.p}")
         p = self.p
         if p % 4 == 3:
             r = pow(v, (p + 1) // 4, p)
         else:
-            r = _tonelli_shanks(v, p)
+            r = _tonelli_shanks(v, p) if self.chi(v) == 1 else 0
+        if r * r % p != v:
+            raise NotASquare(f"{v} is not a square mod {p}")
         return FieldElement(min(r, p - r), self)
 
     def parse(self, text: str) -> FieldElement:

@@ -86,27 +86,25 @@ class QuadExtField:
         has r0^2 = t = (c0 ± sqrt(N(x)))/2 and r1 = c1/(2*r0).  x is a
         square exactly when N(x) is; then, for c1 != 0, t+ * t- =
         (c0^2 - N(x))/4 = -c1^2/4 is a non-residue, as -1 is for
-        p = 3 (mod 4), so exactly one of t+, t- is a square."""
+        p = 3 (mod 4), so exactly one of t+, t- is a square.  An F_p root
+        is one exponentiation, r = v^((p+1)/4) with r^2 = +-v, and if
+        r^2 = -t+, t- = (c1/2r)^2: two in all, one if c1 = 0 or x is none."""
         x = self(x)
         if x.is_zero():
             return self.zero
-        p = self.p
+        p, e = self.p, (self.p + 1) // 4
         c0, c1 = x._c0, x._c1
         if c1 == 0:
-            if self.base.chi(c0) == 1:
-                cand = self(self.base.sqrt(c0), 0)
-            else:                        # c0 = (r i)^2 = -r^2
-                cand = self(0, self.base.sqrt(-c0))
-            return _canonical(cand)
-        try:
-            s = self.base.sqrt(c0 * c0 + c1 * c1).value
-        except NotASquare:
-            raise NotASquare(f"{x} is not a square in F_{p}^2") from None
-        inv2 = pow(2, -1, p)
-        t = (c0 + s) * inv2 % p
-        if self.base.chi(t) != 1:
-            t = (c0 - s) * inv2 % p
-        r0 = self.base.sqrt(t).value
+            r = pow(c0, e, p)            # r^2 = c0, or -c0 = -(r i)^2
+            return _canonical(self(r, 0) if r * r % p == c0 else self(0, r))
+        n = (c0 * c0 + c1 * c1) % p
+        s = pow(n, e, p)
+        if s * s % p != n:
+            raise NotASquare(f"{x} is not a square in F_{p}^2")
+        t = (c0 + s) * ((p + 1) // 2) % p                    # t+
+        r0 = pow(t, e, p)
+        if r0 * r0 % p != t:             # r0^2 = -t+, so t- = (c1/2r0)^2
+            r0 = c1 * pow(2 * r0, -1, p) % p
         r1 = c1 * pow(2 * r0, -1, p) % p
         cand = self(r0, r1)
         if (r0 * r0 - r1 * r1) % p != c0 or 2 * r0 * r1 % p != c1:

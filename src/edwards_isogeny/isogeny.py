@@ -31,11 +31,10 @@ from operator import mul
 from types import MappingProxyType
 
 from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
-                    check_parameters)
+                    check_pair, check_parameters)
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
                      ExceptionalInput, ExceptionalPair, InvalidParameter,
                      NotASquare, NotOnCurve, check_int)
-from .field import Element
 from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, element, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
@@ -54,11 +53,10 @@ def _check_degree(degree: int):
             f"degree {degree} exceeds the kernel limit {DESK_SCALE_LIMIT}")
 
 
-def _check_generator(G, name: str = "generator"):
-    """InvalidParameter naming `name` unless G is a pair of elements."""
-    if not (isinstance(G, tuple) and len(G) == 2
-            and all(isinstance(v, Element) for v in G)):
-        raise InvalidParameter(f"{name} {G!r} is not a pair of elements")
+def _check_domain(domain):
+    """InvalidParameter unless the domain is an EdwardsCurve."""
+    if not isinstance(domain, EdwardsCurve):
+        raise InvalidParameter(f"domain {domain!r} is not an EdwardsCurve")
 
 
 def order3_division_value(alpha, d):
@@ -91,7 +89,8 @@ class OddKernel:
         2Q is not a point at infinity, where the affine law raises
         ExceptionalPair and the x-line would report only a wrong order."""
         _check_degree(degree)
-        _check_generator(Q)
+        check_pair(Q, "generator")
+        _check_domain(domain)
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
         # 2Q = ((x^2 - a y^2)/(2 - t), 2xy/t)
@@ -108,14 +107,16 @@ class OddKernel:
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
         with no inversion, by the domain's `xline`, on any E_{a,d}.
-        `_check_degree`'s and `_check_generator`'s errors come first.
+        `_check_degree`'s, `check_pair`'s and `_check_domain`'s errors
+        come first.
         The checks, projectively: K is not O (X = Z), the walk stops at
         the first of 2K, ..., sK that is O, and x((s+1)K) = x(sK).  So K
         has order exactly l: no multiple lies at infinity and no Z_i is
         zero, nor is K the (-1, 0) that `xadd` cannot take as difference.
         cost: `_of_order`'s and an `xdbl` (l = 3) or `xadd` (l = 5)."""
         _check_degree(degree)
-        _check_generator(K)
+        check_pair(K, "generator")
+        _check_domain(domain)
         if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
         walk = _multiples(K, domain)
@@ -258,7 +259,7 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
     8sM + 4S a point and step.  Off a = 1, where (0, 1/sqrt(a)) need not
     be rational, each P goes by `OddIsogeny.image`."""
     for P in points:
-        _check_generator(P, "point")
+        check_pair(P, "point")
     domain, sign, one = steps[0].domain, 1, steps[0].domain.field.one
     images = [(x, one, y, one) for x, y in points]
     for step in steps:
@@ -419,8 +420,7 @@ class IsogenyChain:
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
                  degrees: list[int]):
-        if not isinstance(domain, EdwardsCurve):
-            raise InvalidParameter(f"domain {domain!r} is not an EdwardsCurve")
+        _check_domain(domain)
         if not hasattr(degrees, "__iter__"):
             raise InvalidParameter(f"degrees {degrees!r} is not a list")
         degrees = list(degrees)
@@ -432,7 +432,7 @@ class IsogenyChain:
             raise BadKernelGenerator(
                 "the degrees multiply past the Hasse bound on the order "
                 "of any point")
-        _check_generator(generator)
+        check_pair(generator, "generator")
         if isinstance(generator, AffinePoint):
             if not domain.contains(generator):
                 raise NotOnCurve(f"{generator!r} is not on {domain!r}")

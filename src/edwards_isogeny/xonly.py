@@ -16,8 +16,8 @@ The 3-isogeny evaluation never reads the curve parameter d: for a
 kernel abscissa satisfying the order-3 division condition the map
 depends on coordinates only.
 
-The chains, SIDH's secret kernels and bases, and
-`EdwardsCurve.point_order` run on the x-line too, on (X, Z) pairs of
+The chains, SIDH's secret kernels and bases, and `EdwardsCurve`'s
+`point_order` and `scalar_mul` run on the x-line too, on (X, Z) pairs of
 E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
 (C - D, C) for d = D/C: a curve's `xline`, formed once from its
 `pair` (D : C) = (d : a), so (a - d, a) on E_{a,d}; 1M less if C = 1:
@@ -336,8 +336,8 @@ def recover_xy(P: tuple, Q: tuple, S: tuple, a, d) -> tuple:
     and x(Q) = X/Z, as the fractions ((X, Z), (num, den)), which the
     caller divides, so several points can share one inversion.  Where
     the formula is void, S = O gives Q = -P, and x(Q) = 1 or -1 gives O
-    or (-1, 0).  P must be neither O nor (-1, 0), the points with y = 0,
-    and Q must be affine.  cost: 12M + 4S, 11M when a = 1."""
+    or (-1, 0).  P must be neither O nor (-1, 0), the points with y = 0;
+    a Q at infinity gives Z = 0 or den = 0.  cost: 12M + 4S, 11M at a = 1."""
     x, y = P
     X, Z = Q
     Xs, Zs = S

@@ -98,9 +98,9 @@ def naive_scalar_mul(k: int, P, p: int, a: int, d: int, beta=None):
 
 
 def naive_double_and_add(k: int, P, p: int, a: int, d: int):
-    """k*P for k >= 1 along the library's left-to-right double-and-add
-    ladder, each step by `naive_add` (doubling as P + P); None when a
-    step's sum is singular.  Its partial sums are multiples of P up to
+    """k*P for k >= 1 along a left-to-right double-and-add ladder, each
+    step by `naive_add` (doubling as P + P); None when a step's sum is
+    singular.  Its partial sums are multiples of P up to
     k, so it fails only where `naive_scalar_mul` fails too, but it can
     step over a singular multiple that repeated addition meets."""
     acc = P
@@ -313,6 +313,18 @@ def naive_fp2_mul(x, y, p: int, beta: int):
 
 def naive_fp2_square(x, p: int, beta: int):
     return naive_fp2_mul(x, x, p, beta)
+
+
+def naive_fp2_roots(p: int, beta: int) -> dict:
+    """{x: r} over the squares x of F_{p^2} = F_p(i), i^2 = beta, as
+    (c0, c1) pairs, r the smaller of the two roots, found by squaring
+    every element."""
+    roots = {}
+    for c0 in range(p):
+        for c1 in range(p):
+            x = naive_fp2_square((c0, c1), p, beta)
+            roots[x] = min((c0, c1), (-c0 % p, -c1 % p))
+    return roots
 
 
 def naive_fp2_inverse(x, p: int, beta: int):

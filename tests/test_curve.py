@@ -1,20 +1,23 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
-                             DeskScaleOnly, EdwardsCurve, ExceptionalPair,
-                             InvalidCurve, InvalidTwist, NotOnCurve,
-                             OpCounter, PrimeField, ProtocolError,
-                             QuadExtField, classify, j_invariant)
+                             DeskScaleOnly, EdwardsCurve, ExceptionalInput,
+                             ExceptionalPair, InvalidCurve, InvalidParameter,
+                             InvalidTwist, NotOnCurve, OpCounter, PrimeField,
+                             ProtocolError, QuadExtField, classify,
+                             j_invariant, recover_y)
 from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
 from edwards_isogeny.field import MAX_MODULUS_BITS
 
-from conftest import desk_curves, pt, raw_point
+from conftest import DESK_PRIMES, desk_curves, pt, raw_point
 from oracles import (euler_chi, montgomery_j, montgomery_point_order,
-                     naive_add, naive_double_and_add, naive_order,
-                     naive_point_order, naive_points, naive_scalar_mul,
-                     naive_singular_count)
+                     montgomery_scalar_mul, naive_add, naive_double_and_add,
+                     naive_order, naive_point_order, naive_points,
+                     naive_scalar_mul, naive_singular_count)
+
+FP2_PRIMES = [p for p in DESK_PRIMES if p % 4 == 3]
 
 # The full point list of the worked curve at p = 23, d = -1.
 E23_POINTS = {(1, 0), (-1, 0), (0, 1), (0, -1)}
@@ -187,24 +190,85 @@ class TestScalarMul:
                 assert (e23.add(e23.scalar_mul(m, P), e23.scalar_mul(n, P))
                         == e23.scalar_mul(m + n, P))
 
+    @settings(max_examples=60)
+    @given(curve=desk_curves(primes=FP2_PRIMES), data=st.data())
+    def test_over_fp2_matches_repeated_addition(self, curve, data):
+        """A desk curve lifted to F_{p^2}, where every point at infinity
+        is rational: k*P equals repeated addition wherever that is
+        defined, and raises ExceptionalPair only where it is not."""
+        field = QuadExtField(curve.field)
+        p, a, d = field.p, curve.a.value, curve.d.value
+        E = EdwardsCurve(field, field(a), field(d))
+        points = []
+        for x in data.draw(st.lists(st.tuples(st.integers(0, p - 1),
+                                              st.integers(0, p - 1)),
+                                    min_size=1, max_size=8)):
+            try:
+                points.append(recover_y(field(*x), E))
+            except (ExceptionalInput, NotOnCurve):
+                pass
+        assume(points)
+        P = data.draw(st.sampled_from(points))
+        k = data.draw(st.integers(-3 * p, 3 * p))
+        want = naive_scalar_mul(abs(k), raw_point(P if k >= 0 else P.neg()),
+                                p, a, d, field.beta)
+        try:
+            got = E.scalar_mul(k, P)
+        except ExceptionalPair:
+            assert want is None
+            return
+        assert want in (None, raw_point(got))
+        assert E.contains(got)
+
+    def test_cofactor_count_at_247_bits(self):
+        """Cost gate: (p + 1)/3 times a point of E_{1,-1} over F_{p^2},
+        p = 4*3^74*5^55 - 1, a 246-bit ladder, `recover_xy` and one
+        inversion, counts 7,163 M / 2 S / 1 I base; the projective
+        double-and-add it replaced counted 8,141 M / 2 S / 1 I."""
+        p = 4 * 3 ** 74 * 5 ** 55 - 1
+        field = QuadExtField(PrimeField(p))
+        E = EdwardsCurve(field, field.one, field(-1))
+        P = recover_y(field(2), E)
+        with field.counting(OpCounter()) as ctx:
+            G = E.scalar_mul((p + 1) // 3, P)
+        assert {k: ctx.as_dict()[k] for k in "MSI"} == {"M": 7163, "S": 2,
+                                                        "I": 1}
+        assert not G.is_identity() and E.scalar_mul(3, G).is_identity()
+
+    @pytest.mark.parametrize("k,P,name", [
+        (1.5, "G", "k"), ("3", "G", "k"), (None, "G", "k"), (True, "G", "k"),
+        (3, (2, 2), "point"), (3, None, "point"), (3, ("x", "y"), "point")],
+        ids=["k-float", "k-str", "k-none", "k-bool", "int-pair", "no-point",
+             "str-pair"])
+    def test_mistyped_input_is_invalid_parameter(self, e23, k, P, name):
+        """A k that is not an int, with P = G = (2, 2) of the curve, or a
+        P that is not a pair of elements raises InvalidParameter naming
+        it, before anything is counted; k = 1.5 was a TypeError."""
+        P = pt(e23, 2, 2) if P == "G" else P
+        with e23.field.counting(OpCounter()) as ctx:
+            with pytest.raises(InvalidParameter, match=name):
+                e23.scalar_mul(k, P)
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
 
 def check_scalar_mul(curve, k, P) -> bool:
     """scalar_mul(k, P) against the raw-integer oracles; True when it
-    raised.  The double-and-add oracle takes the library's ladder, so
-    ExceptionalPair must come exactly when it fails.  Repeated addition
-    meets every multiple up to k, so it fails whenever the ladder does,
-    and may also fail where the ladder steps over a singular multiple."""
+    raised.  `scalar_mul` is defined wherever k*P is affine, as the
+    Montgomery-model oracle is, so ExceptionalPair must come exactly
+    where that oracle gives None.  Repeated addition meets every multiple
+    up to k, so it may fail where k*P is affine, and must agree wherever
+    it is defined."""
     p, a, d = curve.field.p, curve.a.value, curve.d.value
     xy = (P.x.value, P.y.value)
-    ladder = naive_double_and_add(k, xy, p, a, d)
+    want = montgomery_scalar_mul(k, xy, p, a, d)
     repeated = naive_scalar_mul(k, xy, p, a, d)
     try:
         got = curve.scalar_mul(k, P)
     except ExceptionalPair:
-        assert ladder is None and repeated is None
+        assert want is None and repeated is None
         return True
-    assert (got.x.value, got.y.value) == ladder
-    assert repeated in (None, ladder)
+    assert (got.x.value, got.y.value) == want
+    assert repeated in (None, want)
     return False
 
 
@@ -224,15 +288,15 @@ class TestProjectiveLaw:
     @settings(max_examples=80)
     @given(curve=desk_curves(classes=(QUADRATIC,)), data=st.data())
     def test_scalar_mul_on_quadratic_curves(self, curve, data):
-        """Quadratic curves have singular points, so ladders can hit
-        them."""
+        """Quadratic curves have singular points, so k*P or a multiple
+        below it can lie at infinity."""
         P = data.draw(st.sampled_from(curve.points()))
         k = data.draw(st.integers(1, 2 * curve.field.p + 8))
         check_scalar_mul(curve, k, P)
 
     def test_scalar_mul_exceptions_reached(self, f23):
         """Every multiple of every point of the quadratic E_{1,2} at
-        p = 23 up to 2p; some of them raise."""
+        p = 23 up to 2p; some of them lie at infinity and raise."""
         curve = EdwardsCurve(f23, f23(1), f23(2))
         raised = sum(check_scalar_mul(curve, k, P)
                      for P in curve.points() for k in range(1, 47))
@@ -301,8 +365,8 @@ class TestPointOrder:
         non-residue, and every d not in {0, a}: every curve over F_p up
         to isomorphism, in all three classes.  The orders come from a
         walk on the Montgomery model, which passes the points at
-        infinity that stop `scalar_mul`; some of the points are ones
-        whose order-sized double-and-add ladder hits such a point."""
+        infinity; some of the points are ones whose order-sized
+        double-and-add ladder hits such a point."""
         field = PrimeField(p)
         n = next(c for c in range(2, p) if euler_chi(c, p) == -1)
         classes, ladder_fails = set(), 0
@@ -322,12 +386,13 @@ class TestPointOrder:
         assert ladder_fails > 0
 
     def test_quadratic_repro(self, f23):
-        """(6, 11) on E_{1,2}/F_23: the ladder for the group order 24
-        passes a point at infinity."""
+        """(6, 11) on E_{1,2}/F_23: a double-and-add for the group order 24
+        passes a point at infinity, which the x-line ladder of
+        `scalar_mul` and `point_order` steps over."""
         curve = EdwardsCurve(f23, f23(1), f23(2))
         P = pt(curve, 6, 11)
-        with pytest.raises(ExceptionalPair):
-            curve.scalar_mul(curve.order(), P)
+        assert naive_double_and_add(24, (6, 11), 23, 1, 2) is None
+        assert curve.scalar_mul(curve.order(), P).is_identity()
         assert curve.point_order(P) == 12
 
 

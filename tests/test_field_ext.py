@@ -1,13 +1,16 @@
+import builtins
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edwards_isogeny import (DivisionByZero, FieldMismatch, NotASquare,
-                             OpCounter, PrimeField, QuadExtField)
+                             OpCounter, PrimeField, QuadExtField, field,
+                             field_ext)
 
 from conftest import DESK_PRIMES
 from oracles import (euler_chi, naive_fp2_inverse, naive_fp2_mul,
-                     naive_fp2_square)
+                     naive_fp2_roots, naive_fp2_square)
 
 
 @pytest.fixture
@@ -146,6 +149,71 @@ class TestChiAndSqrt:
                         f11_2.sqrt(x)
                     return
         raise AssertionError("no non-square found")
+
+
+class TestSqrtExponentiations:
+    """For p = 3 (mod 4) an F_p root is one exponentiation, v^((p+1)/4),
+    whose square tells a square from a non-square; an F_{p^2} root is
+    two, one for the norm's root and one for t+'s."""
+
+    @pytest.fixture
+    def exps(self, monkeypatch):
+        """The positive exponents `pow` is called with in `field` and
+        `field_ext`; a negative one is a modular inverse."""
+        seen = []
+
+        def counted(base, exp, mod=None):
+            if exp > 0:
+                seen.append(exp)
+            return builtins.pow(base, exp, mod)
+        for module in (field, field_ext):
+            monkeypatch.setattr(module, "pow", counted, raising=False)
+        return seen
+
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_one_per_fp_root(self, p, exps):
+        F = PrimeField(p)
+        for v in range(1, p):
+            exps.clear()
+            try:
+                F.sqrt(v)
+            except NotASquare:
+                assert euler_chi(v, p) == -1
+            assert len(exps) == 1
+
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_two_per_fp2_root(self, p, exps):
+        """2 for a square with c1 != 0, 1 for one with c1 = 0 and 1 for a
+        non-square."""
+        F = QuadExtField(PrimeField(p))
+        for c0 in range(p):
+            for c1 in range(p):
+                if c0 == c1 == 0:
+                    continue
+                exps.clear()
+                try:
+                    F.sqrt(F(c0, c1))
+                except NotASquare:
+                    assert len(exps) == 1 and F.chi(F(c0, c1)) == -1
+                else:
+                    assert len(exps) == (2 if c1 else 1)
+
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_every_element_against_the_squares(self, p):
+        """Over every element of F_{p^2}: the canonical root, the smaller
+        (c0, c1) of the two, or NotASquare, as the norm method with a
+        character test before each F_p root gave; the oracle squares
+        every element."""
+        roots = naive_fp2_roots(p, QuadExtField.beta)
+        F = QuadExtField(PrimeField(p))
+        for c0 in range(p):
+            for c1 in range(p):
+                try:
+                    r = F.sqrt(F(c0, c1))
+                except NotASquare:
+                    assert (c0, c1) not in roots
+                else:
+                    assert (r._c0, r._c1) == roots[c0, c1]
 
 
 class TestSerialization:

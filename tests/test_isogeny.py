@@ -1104,6 +1104,21 @@ class TestChain:
                 IsogenyChain(*args(e23, pt(e23, -10, 9)))
         assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
 
+    @pytest.mark.parametrize("entry", [
+        lambda D, G: OddKernel.from_x((G.x, G.x.field.one), 3, D),
+        lambda D, G: OddKernel.from_generator(G, 3, D)],
+        ids=["from_x", "from_generator"])
+    @pytest.mark.parametrize("domain", [None, "E", 23],
+                             ids=["none", "str", "int"])
+    def test_non_curve_domain_is_invalid_parameter(self, e23, entry, domain):
+        """A kernel's domain that is not an EdwardsCurve raises
+        InvalidParameter naming it, as IsogenyChain's does, before
+        anything is counted; from_x(K, 3, None) was an AttributeError."""
+        with e23.field.counting(OpCounter()) as ctx:
+            with pytest.raises(InvalidParameter, match="domain"):
+                entry(domain, pt(e23, -10, 9))
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
     @settings(max_examples=60)
     @given(curve=desk_curves(), data=st.data())
     def test_images_match_call(self, curve, data):
