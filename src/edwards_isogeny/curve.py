@@ -7,27 +7,25 @@ counting, the j-invariant, special and singular points, and quadratic
 twisting.  Coordinates are written and read through the field's
 `to_str` / `parse` codec.
 
-The group law runs on projective triples (X : Y : Z), x = X/Z and
-y = Y/Z: the formulas of Bernstein and Lange (ASIACRYPT 2007) rotated to
-the neutral element (1, 0), so nothing is inverted until a result is
-made affine.  With A = Z1*Z2, B = A^2, C = X1*X2, D = Y1*Y2, E = d*C*D,
-F = B - E, G = B + E and H = X1*Y2 + X2*Y1,
+The group law runs on affine points, rotated to the neutral element
+(1, 0) from the formulas of Bernstein and Lange (ASIACRYPT 2007).  With
+C = x1*x2, D = y1*y2, E = d*C*D and H = x1*y2 + x2*y1,
 
-    (X1:Y1:Z1) + (X2:Y2:Z2) = (A*(C - a*D)*G : A*H*F : F*G)
+    (x1, y1) + (x2, y2) = ((C - a*D)/(1 - E), H/(1 + E)),
 
-(10M + 1S and one multiplication by d, 9M + 1S + d when Z2 = 1).  For
-a point on the curve, d*x^2*y^2 = x^2 + a*y^2 - 1 turns the doubling
-denominators into 2Z^2 - X^2 - a*Y^2 and X^2 + a*Y^2, so with
-B = X^2, C = a*Y^2, D = B + C, F = 2Z^2 - D and H = 2XY,
+made by one inversion of the product of the two denominators: 10M and
+one inversion at a = 1, the product by d included.  For a point on the
+curve, d*x^2*y^2 = x^2 + a*y^2 - 1 turns the doubling denominators into
+2 - x^2 - a*y^2 and x^2 + a*y^2, so with B = x^2, C = a*y^2, D = B + C
+and H = 2xy,
 
-    2(X:Y:Z) = ((B - C)*D : H*F : F*D)
+    2(x, y) = ((B - C)/(2 - D), H/D)
 
-(3M + 4S when a = 1).  Z3 is zero exactly when the result lies at
-infinity (for the sum, when an affine denominator 1 -+ d*x1*x2*y1*y2
-is), and `ExceptionalPair` is raised there.  `add` and `double` take and
-return affine points, with one inversion each.  `scalar_mul` and
-`point_order` multiply on the x-line, by `xonly.xladder`, which passes
-the points at infinity; `scalar_mul` lifts k*P by `recover_xy`.
+(5M + 3S and one inversion when a = 1).  A denominator is zero exactly
+when the result is a singular point at infinity, and `ExceptionalPair`
+is raised there.  `scalar_mul` and `point_order` multiply on the x-line,
+by `xonly.xladder`, which passes the points at infinity; `scalar_mul`
+lifts k*P by `recover_xy`.
 
 `points`, `order`, `singular_count` and `special_points` are desk-scale
 diagnostics, `check_point` an input check, and `class_tag`, `to_json`,
@@ -101,10 +99,6 @@ class AffinePoint(NamedTuple):
     def neg(self) -> "AffinePoint":
         return AffinePoint(self.x, -self.y)
 
-    def projective(self) -> tuple:
-        """(x : y : 1)."""
-        return (self.x, self.y, self.x.field.one)
-
     def is_identity(self) -> bool:
         return self.x == 1 and self.y.is_zero()
 
@@ -118,13 +112,6 @@ class AffinePoint(NamedTuple):
 
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"
-
-
-def to_affine(P) -> AffinePoint:
-    """(X : Y : Z) -> (X/Z, Y/Z): one inversion and 2M."""
-    X, Y, Z = P
-    inv = Z.inverse()
-    return AffinePoint(X * inv, Y * inv)
 
 
 class SingularPoint(NamedTuple):
@@ -192,13 +179,40 @@ class EdwardsCurve:
         return x2 + self._times_a(y2) == self.field.one + self.d * x2 * y2
 
     def add(self, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
-        """(x1,y1) + (x2,y2) with x-numerator x1*x2 - a*y1*y2.  Raises
+        """(x1,y1) + (x2,y2) with x-numerator x1*x2 - a*y1*y2, by one
+        inversion of F*G, F and G = 1 -+ d*x1*x2*y1*y2.  Raises
         ExceptionalPair when the sum is a singular point at infinity."""
-        return to_affine(self.add_proj(P.projective(), Q.projective()))
+        check_pair(P, "P")
+        check_pair(Q, "Q")
+        (x1, y1), (x2, y2) = P, Q
+        C = x1 * x2
+        D = y1 * y2
+        E = self.d * C * D
+        F = 1 - E
+        G = 1 + E
+        den = F * G
+        if den.is_zero():
+            raise ExceptionalPair("sum lies at infinity")
+        inv = den.inverse()
+        H = (x1 + y1) * (x2 + y2) - C - D
+        return AffinePoint((C - self._times_a(D)) * G * inv, H * F * inv)
 
     def double(self, P: AffinePoint) -> AffinePoint:
-        """2P.  P must lie on the curve: the formula uses its equation."""
-        return to_affine(self.double_proj(P.projective()))
+        """2P, by one inversion of F*D, F = 2 - D and D = x^2 + a*y^2.
+        P must lie on the curve: the formula uses its equation."""
+        check_pair(P, "point")
+        x, y = P
+        B = x.square()
+        Y2 = y.square()
+        C = self._times_a(Y2)
+        D = B + C
+        F = 2 - D
+        den = F * D
+        if den.is_zero():
+            raise ExceptionalPair("double lies at infinity")
+        inv = den.inverse()
+        H = (x + y).square() - B - Y2
+        return AffinePoint((B - C) * D * inv, H * F * inv)
 
     def scalar_mul(self, k: int, P: AffinePoint) -> AffinePoint:
         """k*P by `xladder` on `xline`, y by `recover_xy` and one
@@ -219,38 +233,6 @@ class EdwardsCurve:
         inv = (Z * den).inverse()
         return AffinePoint(X * den * inv, num * Z * inv)
 
-    def add_proj(self, P: tuple, Q: tuple) -> tuple:
-        """(X1:Y1:Z1) + (X2:Y2:Z2); the mixed form when Z2 = 1."""
-        X1, Y1, Z1 = P
-        X2, Y2, Z2 = Q
-        A = Z1 if Z2 == 1 else Z1 * Z2
-        B = A.square()
-        C = X1 * X2
-        D = Y1 * Y2
-        E = self.d * C * D
-        F = B - E
-        G = B + E
-        Z3 = F * G
-        if Z3.is_zero():
-            raise ExceptionalPair("sum lies at infinity")
-        H = (X1 + Y1) * (X2 + Y2) - C - D
-        return (A * (C - self._times_a(D)) * G, A * H * F, Z3)
-
-    def double_proj(self, P: tuple) -> tuple:
-        """2(X:Y:Z) for (X:Y:Z) on the curve."""
-        X, Y, Z = P
-        B = X.square()
-        Y2 = Y.square()
-        C = self._times_a(Y2)
-        D = B + C
-        Z2 = Z.square()
-        F = Z2 + Z2 - D
-        Z3 = F * D
-        if Z3.is_zero():
-            raise ExceptionalPair("double lies at infinity")
-        H = (X + Y).square() - B - Y2
-        return ((B - C) * D, H * F, Z3)
-
     def _times_a(self, v):
         return v if self.a == 1 else self.a * v
 
@@ -269,7 +251,9 @@ class EdwardsCurve:
 
     def check_point(self, P: AffinePoint) -> AffinePoint:
         """P itself, or NotOnCurve.  An input check, so it runs
-        `_uncounted` and adds nothing to the tallies."""
+        `_uncounted` and adds nothing to the tallies; InvalidParameter
+        unless P is a pair of elements."""
+        check_pair(P, "point")
         with self._uncounted():
             if not self.contains(P):
                 raise NotOnCurve(f"{P!r} is not on {self!r}")

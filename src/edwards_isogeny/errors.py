@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the one int check."""
+"""Exception hierarchy shared by all modules, and the int and type checks."""
 
 
 class EdwardsError(Exception):
@@ -68,3 +68,10 @@ def check_int(value, name: str, error: type = InvalidParameter):
     though Python counts it an int: True for a count or secret is a slip."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{name} {value!r} is not an int")
+
+
+def check_type(value, cls: type, name: str, error: type = InvalidParameter):
+    """`error` naming `name` unless value is an instance of `cls`."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} {value!r} is not {article} {cls.__name__}")

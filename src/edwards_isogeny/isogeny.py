@@ -34,7 +34,7 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
                     check_pair, check_parameters)
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
                      ExceptionalInput, ExceptionalPair, InvalidParameter,
-                     NotASquare, NotOnCurve, check_int)
+                     NotASquare, NotOnCurve, check_int, check_type)
 from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, element, get_3_isog,
                     odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
                     xmul)
@@ -51,12 +51,6 @@ def _check_degree(degree: int):
     if degree > DESK_SCALE_LIMIT:
         raise DeskScaleOnly(
             f"degree {degree} exceeds the kernel limit {DESK_SCALE_LIMIT}")
-
-
-def _check_domain(domain):
-    """InvalidParameter unless the domain is an EdwardsCurve."""
-    if not isinstance(domain, EdwardsCurve):
-        raise InvalidParameter(f"domain {domain!r} is not an EdwardsCurve")
 
 
 def order3_division_value(alpha, d):
@@ -90,7 +84,7 @@ class OddKernel:
         ExceptionalPair and the x-line would report only a wrong order."""
         _check_degree(degree)
         check_pair(Q, "generator")
-        _check_domain(domain)
+        check_type(domain, EdwardsCurve, "domain")
         if not domain.contains(Q):
             raise NotOnCurve(f"{Q!r} is not on {domain!r}")
         # 2Q = ((x^2 - a y^2)/(2 - t), 2xy/t)
@@ -107,7 +101,7 @@ class OddKernel:
         """<K> from the x-line point K = (X, Z) of a point on the domain
         (which the x-line cannot tell from its twist: the caller checks),
         with no inversion, by the domain's `xline`, on any E_{a,d}.
-        `_check_degree`'s, `check_pair`'s and `_check_domain`'s errors
+        `_check_degree`'s, `check_pair`'s and `check_type`'s errors
         come first.
         The checks, projectively: K is not O (X = Z), the walk stops at
         the first of 2K, ..., sK that is O, and x((s+1)K) = x(sK).  So K
@@ -116,7 +110,7 @@ class OddKernel:
         cost: `_of_order`'s and an `xdbl` (l = 3) or `xadd` (l = 5)."""
         _check_degree(degree)
         check_pair(K, "generator")
-        _check_domain(domain)
+        check_type(domain, EdwardsCurve, "domain")
         if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
         walk = _multiples(K, domain)
@@ -420,7 +414,7 @@ class IsogenyChain:
 
     def __init__(self, domain: EdwardsCurve, generator: AffinePoint | tuple,
                  degrees: list[int]):
-        _check_domain(domain)
+        check_type(domain, EdwardsCurve, "domain")
         if not hasattr(degrees, "__iter__"):
             raise InvalidParameter(f"degrees {degrees!r} is not a list")
         degrees = list(degrees)

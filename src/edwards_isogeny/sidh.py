@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .curve import AffinePoint, EdwardsCurve
 from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
-                     InvalidParameter, NotOnCurve, ProtocolError, SetupFailed,
-                     check_int)
+                     ExceptionalPair, InvalidParameter, NotOnCurve,
+                     ProtocolError, SetupFailed, check_int, check_type)
 from .field import OpCounter, PrimeField, is_probable_prime
 from .field_ext import QuadExtField
 from .isogeny import IsogenyChain, OddKernel, _carry, _divide, recover_y
@@ -164,16 +164,15 @@ def _in_subgroup(V: tuple, subgroup: OddKernel) -> bool:
 
 
 def _x_difference(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint) -> tuple:
-    """x-line (X, Z) of P - Q, by one projective addition."""
-    X, _, Z = E.add_proj(P.projective(), Q.neg().projective())
-    return X, Z
-
-
-def _check_types(*checks):
-    """ProtocolError naming the first (value, type, name) of wrong type."""
-    for value, cls, name in checks:
-        if not isinstance(value, cls):
-            raise ProtocolError(f"{name} {value!r} is not a {cls.__name__}")
+    """x-line (X, Z) of P - Q, the law's x fraction
+    (x1*x2 + a*y1*y2 : 1 + t), t = d*x1*x2*y1*y2: 4M at a = 1.  Raises
+    ExceptionalPair when P - Q is a singular point at infinity, where
+    1 + t or y's denominator 1 - t is zero."""
+    C, D = P.x * Q.x, P.y * Q.y
+    t = E.d * C * D
+    if t == 1 or t == -1:
+        raise ExceptionalPair("P - Q lies at infinity")
+    return C + E._times_a(D), 1 + t
 
 
 def _secret_kernel(E: EdwardsCurve, P: AffinePoint, Q: AffinePoint,
@@ -190,7 +189,7 @@ def keygen(params: ProtocolParams, side: str, secret: int) -> PartyKeypair:
     stored x(P - Q), and the chain starts from x(R).  The two images are
     pushed by `_carry`, on the x-line alone as a = 1, and made affine
     with d' = D'/C' by one inversion."""
-    _check_types((params, ProtocolParams, "params"))
+    check_type(params, ProtocolParams, "params", ProtocolError)
     basis = params.basis(side)
     l, e = basis.degree, basis.exponent
     check_int(secret, "secret", ProtocolError)
@@ -219,7 +218,7 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     key, as in the Fujisaki-Okamoto transform or the validation of
     Kirkwood et al. (2015).
 
-    x(P' - Q') is taken with one projective addition, and x(R) for
+    x(P' - Q') is the law's x fraction, with no inversion, and x(R) for
     R = P' + k*Q' by `ladder3pt`, which raises when a difference it meets
     is O or (-1, 0); so its output is exactly x(R), never that of a
     point the degenerate formula happened to give.  The chain proves
@@ -232,9 +231,9 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
     order l^e) has exact order l^e, and the order-l multiples of P' and
     Q' span E[l]; hence P' and Q' generate all of E[l^e].
     """
-    _check_types((params, ProtocolParams, "params"),
-                 (keypair, PartyKeypair, "keypair"),
-                 (other_public, PublicKey, "public key"))
+    check_type(params, ProtocolParams, "params", ProtocolError)
+    check_type(keypair, PartyKeypair, "keypair", ProtocolError)
+    check_type(other_public, PublicKey, "public key", ProtocolError)
     basis, F = params.basis(keypair.side), params.field
     l, e = basis.degree, basis.exponent
     try:

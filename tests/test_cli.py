@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from edwards_isogeny.field import MAX_MODULUS_BITS
 from edwards_isogeny.xonly import odd_image
 
 from oracles import montgomery_point_order
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -606,3 +611,28 @@ class TestFuzz:
         else:
             doc = json.loads(out.getvalue().strip().splitlines()[-1])
             assert doc["status"] == ("ok" if code == 0 else "error")
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv,code,status", [
+        (["isogeny", "--p", "23", "--d", "-1", "--degree", "3",
+          "--gen", "-10,9", "--point", "2,2"], 0, "ok"),
+        (["classify", "--p", "23", "--d", "0"], 1, "error"),
+        (["no-such-command"], 2, None)], ids=["ok", "error", "usage"])
+    def test_exit_codes(self, argv, code, status):
+        """`python -m edwards_isogeny.cli` runs `entrypoint`, which exits
+        with `main`'s code: 0 with the JSON document, 1 with the error
+        document, 2 with argparse's usage on stderr."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "edwards_isogeny.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        if status is None:
+            assert "usage:" in done.stderr and not done.stdout
+        else:
+            doc = json.loads(done.stdout)
+            assert doc["status"] == status and not done.stderr
+            if code == 0:
+                assert doc["image"] == [7, 7]

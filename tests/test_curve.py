@@ -8,10 +8,11 @@ from edwards_isogeny import (COMPLETE, QUADRATIC, TWISTED, AffinePoint,
                              InvalidTwist, NotOnCurve, OpCounter, PrimeField,
                              ProtocolError, QuadExtField, classify,
                              j_invariant, recover_y)
-from edwards_isogeny.curve import DESK_SCALE_LIMIT, to_affine
+from edwards_isogeny.curve import DESK_SCALE_LIMIT
 from edwards_isogeny.field import MAX_MODULUS_BITS
 
-from conftest import DESK_PRIMES, desk_curves, pt, raw_point
+from conftest import (DESK_PRIMES, beta_of, desk_curves, pt, raw,
+                      raw_point)
 from oracles import (euler_chi, montgomery_j, montgomery_point_order,
                      montgomery_scalar_mul, naive_add, naive_double_and_add,
                      naive_order, naive_point_order, naive_points,
@@ -143,6 +144,57 @@ class TestGroupLaw:
                                  (Q.x.value, Q.y.value), 23, 1, -1)
                 assert (got.x.value, got.y.value) == want
 
+    @settings(max_examples=80)
+    @given(curve=desk_curves(), data=st.data(), lift=st.booleans())
+    def test_matches_oracle_on_desk_curves(self, curve, data, lift):
+        """`add` and `double` on every class of desk curve, over F_p or
+        lifted to F_{p^2} (p = 3 mod 4), where every point at infinity is
+        rational: each equals `naive_add`, P + P for a double, and raises
+        ExceptionalPair exactly where it gives None."""
+        if lift and curve.field.p % 4 == 3:
+            field = QuadExtField(curve.field)
+            E = EdwardsCurve(field, field(curve.a.value), field(curve.d.value))
+            pts = []
+            for x in data.draw(st.lists(st.tuples(*[st.integers(
+                    0, field.p - 1)] * 2), min_size=1, max_size=8)):
+                try:
+                    pts.append(recover_y(field(*x), E))
+                except (ExceptionalInput, NotOnCurve):
+                    pass
+            assume(pts)
+        else:
+            E, pts = curve, curve.points()
+        p, a, d, beta = E.field.p, raw(E.a), raw(E.d), beta_of(E.field)
+        P, Q = (data.draw(st.sampled_from(pts)) for _ in range(2))
+        for law, args in ((E.add, (P, Q)), (E.double, (P,))):
+            want = naive_add(raw_point(P), raw_point(args[-1]), p, a, d,
+                             beta)
+            if want is None:
+                with pytest.raises(ExceptionalPair):
+                    law(*args)
+            else:
+                assert raw_point(law(*args)) == want
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda E, G: E.add(G, (1, 2)), "Q"),
+        (lambda E, G: E.add((1, 2), G), "P"),
+        (lambda E, G: E.add(G, None), "Q"),
+        (lambda E, G: E.double((1, 2)), "point"),
+        (lambda E, G: E.check_point((1, 2)), "point"),
+        (lambda E, G: E.point_order((1, 2)), "point"),
+        (lambda E, G: E.point_order(G.x), "point")],
+        ids=["add-Q", "add-P", "add-none", "double", "check_point",
+             "point_order", "point_order-element"])
+    def test_mistyped_point_is_invalid_parameter(self, e23, call, name):
+        """A point that is not a pair of elements raises InvalidParameter
+        naming it, before anything is counted; `E.add(G, (1, 2))` and
+        `E.point_order((1, 2))` were AttributeErrors."""
+        G = pt(e23, 2, 2)
+        with e23.field.counting(OpCounter()) as ctx:
+            with pytest.raises(InvalidParameter, match=f"^{name} "):
+                call(e23, G)
+        assert ctx.as_dict() == {"M": 0, "S": 0, "I": 0, "A": 0}
+
     def test_exceptional_pair_raises(self, f23):
         """On a quadratic curve some sums land at infinity."""
         curve = EdwardsCurve(f23, f23(1), f23(2))
@@ -272,11 +324,6 @@ def check_scalar_mul(curve, k, P) -> bool:
     return False
 
 
-def scaled(P, lam) -> tuple:
-    """The projective representative (lam*x : lam*y : lam)."""
-    return (lam * P.x, lam * P.y, P.x.field(lam))
-
-
 class TestProjectiveLaw:
     @settings(max_examples=80)
     @given(curve=desk_curves(), data=st.data())
@@ -302,38 +349,13 @@ class TestProjectiveLaw:
                      for P in curve.points() for k in range(1, 47))
         assert raised > 0
 
-    @settings(max_examples=60)
-    @given(curve=desk_curves(), data=st.data())
-    def test_any_representative(self, curve, data):
-        """add_proj and double_proj give the affine law's answer, or its
-        ExceptionalPair, from any (lam*x : lam*y : lam), so the general
-        and the mixed (Z2 = 1) addition agree."""
-        pts = curve.points()
-        P, Q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
-        lam, mu = (data.draw(st.integers(1, curve.field.p - 1))
-                   for _ in range(2))
-        for law, args, affine in (
-                (curve.add_proj, (scaled(P, lam), scaled(Q, mu)), (P, Q)),
-                (curve.add_proj, (scaled(P, lam), Q.projective()), (P, Q)),
-                (curve.double_proj, (scaled(P, lam),), (P, P))):
-            try:
-                want = curve.add(*affine)
-            except ExceptionalPair:
-                with pytest.raises(ExceptionalPair):
-                    law(*args)
-            else:
-                assert to_affine(law(*args)) == want
-
     def test_costs(self, e23):
-        """3M + 4S doubling; addition 10M + 1S and one multiplication by
-        d, one M fewer in the mixed form; 1I + 2M to make a point
-        affine."""
-        P = pt(e23, 3, 6).projective()
-        Q = scaled(pt(e23, 2, 2), 5)
-        ops = [(lambda: e23.double_proj(Q), {"M": 3, "S": 4, "I": 0}),
-               (lambda: e23.add_proj(Q, Q), {"M": 11, "S": 1, "I": 0}),
-               (lambda: e23.add_proj(Q, P), {"M": 10, "S": 1, "I": 0}),
-               (lambda: to_affine(Q), {"M": 2, "S": 0, "I": 1})]
+        """The affine law on a = 1: 10M and one inversion a sum, the
+        product by d included; 5M + 3S and one inversion a double."""
+        P, Q = pt(e23, 3, 6), pt(e23, 2, 2)
+        ops = [(lambda: e23.double(Q), {"M": 5, "S": 3, "I": 1}),
+               (lambda: e23.add(Q, Q), {"M": 10, "S": 0, "I": 1}),
+               (lambda: e23.add(Q, P), {"M": 10, "S": 0, "I": 1})]
         for op, want in ops:
             with e23.field.counting(OpCounter()) as ctx:
                 op()

@@ -616,11 +616,10 @@ class TestOneRoute:
     @pytest.mark.parametrize("where,l", [("F_23", 3), ("F_2699^2", 3),
                                          ("F_2699^2", 5)])
     def test_full_point_law_is_never_reached(self, where, l, monkeypatch):
-        """With `double_proj` and `add_proj` patched to raise, a kernel
-        is built from a full generator and its isogeny called on points,
-        each image the raw translate product's; its `points` are not
-        formed until read, and are then the oracle's multiples with
-        their signs."""
+        """With `double` and `add` patched to raise, a kernel is built
+        from a full generator and its isogeny called on points, each image
+        the raw translate product's; its `points` are not formed until
+        read, and are then the oracle's multiples with their signs."""
         if where == "F_23":
             field = PrimeField(23)
             E = EdwardsCurve(field, field.one, field(-1))
@@ -637,8 +636,8 @@ class TestOneRoute:
         def refuse(self, *args):
             raise AssertionError("full-point law called")
 
-        monkeypatch.setattr(EdwardsCurve, "double_proj", refuse)
-        monkeypatch.setattr(EdwardsCurve, "add_proj", refuse)
+        monkeypatch.setattr(EdwardsCurve, "double", refuse)
+        monkeypatch.setattr(EdwardsCurve, "add", refuse)
         phi = OddIsogeny(OddKernel.from_generator(G, l, E))
         assert [phi(P) for P in points] == want
         assert "points" not in vars(phi.kernel)

@@ -19,7 +19,7 @@ from edwards_isogeny.isogeny import _carry
 from edwards_isogeny.sidh import SIDE_A, SIDE_B
 
 from conftest import (assert_cofactor_walk, assert_images_match_the_full_map,
-                      ladder_offsets, pt)
+                      desk_curves, ladder_offsets, pt)
 
 
 def _refuse(x, curve):
@@ -524,6 +524,56 @@ class TestPublicKeyValidation:
             derive_shared(params, keygen(params, side, secret),
                           PublicKey(pub.codomain_d, P, Q))
 
+    @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_singular_difference(self, exchange, side, sign):
+        """An image P' with d'*x(P')*x(Q')*y(P')*y(Q') = sign, so that
+        P' - Q' is a singular point at infinity (of order 2 for sign 1,
+        where y's denominator is zero, of order 4 for -1, where x's is):
+        x(P' - Q') refuses it, so derive_shared raises ProtocolError
+        before the ladder."""
+        params, kp = exchange
+        pub = kp[params.other(side)].public
+        F, Q = params.field, pub.image_q
+        E = EdwardsCurve(F, F.one, pub.codomain_d)
+        c = sign * (E.d * Q.x * Q.y).inverse()        # x(P') * y(P')
+        s = F.sqrt(1 + E.d * c.square() + 2 * c)      # x(P') + y(P')
+        r = F.sqrt(s.square() - 4 * c)                # x(P') - y(P')
+        P = AffinePoint((s + r) / 2, (s - r) / 2)
+        assert E.contains(P) and E.d * P.x * Q.x * P.y * Q.y == sign
+        with pytest.raises(ExceptionalPair):
+            sidh._x_difference(E, P, Q)
+        with pytest.raises(ProtocolError, match="P - Q lies at infinity"):
+            derive_shared(params, kp[side], PublicKey(pub.codomain_d, P, Q))
+
+
+class TestXDifference:
+    """`_x_difference`, x(P - Q) as the law's x fraction."""
+
+    @settings(max_examples=80)
+    @given(curve=desk_curves(), data=st.data())
+    def test_matches_the_law(self, curve, data):
+        """(X : Z) is x(P + (-Q)) by `add`, projectively, and
+        ExceptionalPair comes exactly where `add` raises it."""
+        pts = curve.points()
+        P, Q = (data.draw(st.sampled_from(pts)) for _ in range(2))
+        try:
+            want = curve.add(P, Q.neg()).x
+        except ExceptionalPair:
+            with pytest.raises(ExceptionalPair):
+                sidh._x_difference(curve, P, Q)
+            return
+        X, Z = sidh._x_difference(curve, P, Q)
+        assert X == want * Z
+
+    def test_cost(self, e23):
+        """4M at a = 1, and no inversion."""
+        P, Q = pt(e23, 3, 6), pt(e23, 2, 2)
+        with e23.field.counting(OpCounter()) as ctx:
+            sidh._x_difference(e23, P, Q)
+        assert {k: ctx.as_dict()[k] for k in "MSI"} == {"M": 4, "S": 0,
+                                                        "I": 0}
+
 
 def _setup_counts(m, n):
     """The base-field M, S, I of setup(m, n, seed=1)'s fresh field."""
@@ -641,15 +691,15 @@ class TestTranscript:
 
     @pytest.mark.parametrize("m,n,seed,secrets,counters", [
         (3, 2, 1, (7, 18), {
-            "alice": {"base": {"M": 878, "S": 4, "I": 2, "A": 2080},
-                      "ext": {"M": 216, "S": 114, "I": 2, "A": 332}},
-            "bob": {"base": {"M": 1069, "S": 4, "I": 2, "A": 2283},
-                    "ext": {"M": 273, "S": 124, "I": 2, "A": 276}}}),
+            "alice": {"base": {"M": 858, "S": 4, "I": 2, "A": 2035},
+                      "ext": {"M": 210, "S": 113, "I": 2, "A": 326}},
+            "bob": {"base": {"M": 1049, "S": 4, "I": 2, "A": 2238},
+                    "ext": {"M": 267, "S": 123, "I": 2, "A": 270}}}),
         (1, 1, 2024, (2, 3), {
-            "alice": {"base": {"M": 374, "S": 4, "I": 2, "A": 824},
-                      "ext": {"M": 96, "S": 42, "I": 2, "A": 112}},
-            "bob": {"base": {"M": 500, "S": 4, "I": 2, "A": 1030},
-                    "ext": {"M": 130, "S": 54, "I": 2, "A": 112}}}),
+            "alice": {"base": {"M": 354, "S": 4, "I": 2, "A": 779},
+                      "ext": {"M": 90, "S": 41, "I": 2, "A": 106}},
+            "bob": {"base": {"M": 480, "S": 4, "I": 2, "A": 985},
+                    "ext": {"M": 124, "S": 53, "I": 2, "A": 106}}}),
     ])
     def test_exact_counts(self, m, n, seed, secrets, counters):
         """Cost gate: the exact tallies of fixed exchanges are frozen, so
@@ -704,11 +754,11 @@ class TestTranscript:
         fresh field has counted when it returns, the draws lifted and
         walked on the F_p x-line, where a square is an S, and y recovered
         for one point a side only."""
-        assert _setup_counts(74, 55) == {"M": 4399, "S": 2430, "I": 14}
+        assert _setup_counts(74, 55) == {"M": 4359, "S": 2430, "I": 14}
 
     def test_setup_counts_at_763_bits(self):
         """Cost gate on setup(238, 165, seed=1), as at 247 bits."""
-        assert _setup_counts(238, 165) == {"M": 8925, "S": 5001, "I": 7}
+        assert _setup_counts(238, 165) == {"M": 8885, "S": 5001, "I": 7}
 
     def test_derive_counts_at_247_bits(self):
         """Cost gate on derive_shared at (74, 55) with run_exchange's
@@ -725,8 +775,8 @@ class TestTranscript:
             with params.field.counting(ctx):
                 derive_shared(params, kp, keys[params.other(side)].public)
             counts[side] = {k: ctx.as_dict()[k] for k in ("M", "S", "I")}
-        assert counts == {SIDE_A: {"M": 16981, "S": 2, "I": 1},
-                          SIDE_B: {"M": 20472, "S": 2, "I": 1}}
+        assert counts == {SIDE_A: {"M": 16961, "S": 2, "I": 1},
+                          SIDE_B: {"M": 20452, "S": 2, "I": 1}}
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_inversions_at_247_bits(self, seed):
@@ -771,8 +821,8 @@ class TestTranscript:
         out = run_exchange(238, 165, seed=1)
         assert {side: {k: c["base"][k] for k in ("M", "S", "I")}
                 for side, c in out.pop("counters").items()} == {
-            "alice": {"M": 135593, "S": 4, "I": 2},
-            "bob": {"M": 152948, "S": 4, "I": 2}}
+            "alice": {"M": 135573, "S": 4, "I": 2},
+            "bob": {"M": 152928, "S": 4, "I": 2}}
         digest = hashlib.sha256(
             json.dumps(out, sort_keys=True).encode()).hexdigest()
         assert digest == ("5748c6ad550382f638c61fa93c1e4539"
