@@ -63,11 +63,13 @@ class InvalidParameter(EdwardsError, ValueError):
     variant that the library does not accept."""
 
 
-def check_int(value, name: str, error: type = InvalidParameter):
-    """`error` naming `name` unless value is an int.  A bool is refused,
-    though Python counts it an int: True for a count or secret is a slip."""
+def check_int(value, name: str, error: type = InvalidParameter, least=None):
+    """`error` naming `name` unless value is an int, at least `least` if
+    given; a bool is refused, as True for a count or secret is a slip."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{name} {value!r} is not an int")
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least}, got {value}")
 
 
 def check_type(value, cls: type, name: str, error: type = InvalidParameter):

@@ -35,9 +35,9 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
                      ExceptionalInput, ExceptionalPair, InvalidParameter,
                      NotASquare, NotOnCurve, check_int, check_type)
-from .xonly import (FP2, XADD, XDBL, ProjParams, _odd, element, get_3_isog,
-                    odd_codomain, odd_image, odd_rows, recover_xy, xadd, xdbl,
-                    xmul)
+from .xonly import (FP2, XADD, XDBL, ProjParams, _charge_line, _enter, _fold,
+                    _ladder_ops, _odd, _push, _wrap, _xadd, _xdbl, element,
+                    get_3_isog, odd_codomain, odd_rows, recover_xy)
 
 
 def _check_degree(degree: int):
@@ -73,7 +73,7 @@ class OddKernel:
 
     def __init__(self, domain: EdwardsCurve, degree: int, K: list):
         self.domain, self.degree, self.K = domain, degree, K
-        self.generator = None
+        self.generator, self._raw = None, _enter(*K)[1]     # for `_push`
 
     @classmethod
     def from_generator(cls, Q: AffinePoint, degree: int,
@@ -113,24 +113,20 @@ class OddKernel:
         check_type(domain, EdwardsCurve, "domain")
         if K[0] == K[1]:                 # O, or the (0 : 0) of a bad ladder
             raise BadKernelGenerator("kernel generator is the neutral element")
-        walk = _multiples(K, domain)
-        kernel = [next(walk)]
-        for M in islice(walk, degree // 2 - 1):          # 2K, ..., sK
-            if M[0] == M[1]:
-                raise BadKernelGenerator(
-                    f"generator order divides a proper factor of {degree}")
-            kernel.append(M)
-        (X1, Z1), (Xs, Zs) = next(walk), kernel[-1]
+        walk = _multiples(K, domain, degree // 2 + 1)
+        if len(walk) <= degree // 2:                     # some jK = O, j <= s
+            raise BadKernelGenerator(
+                f"generator order divides a proper factor of {degree}")
+        (Xs, Zs), (X1, Z1) = walk[-2:]
         if X1 * Zs != Xs * Z1:
             raise BadKernelGenerator(f"generator does not have order {degree}")
-        return cls(domain, degree, kernel)
+        return cls(domain, degree, walk[:-1])
 
     @classmethod
     def _of_order(cls, K: tuple, degree: int, domain: EdwardsCurve):
         """<K> unchecked, for K of a proven exact order `degree`: K, ...,
         sK by s - 1 x-line operations, none at l = 3, an `xdbl` at l = 5."""
-        return cls(domain, degree, [*islice(_multiples(K, domain),
-                                            degree // 2)])
+        return cls(domain, degree, _multiples(K, domain, degree // 2))
 
     xs = cached_property(lambda self: _divide(self.K))
     A = cached_property(lambda self: _product(self.xs))
@@ -233,14 +229,19 @@ def _product(factors):
     return reduce(mul, factors)
 
 
-def _multiples(K: tuple, E: EdwardsCurve):
-    """x-line K, 2K, 3K, ... on E without end: jK is twice (j/2)K by
-    `xdbl` on `E.xline`, or (h + 1)K + hK, h = j // 2, by `xadd`."""
-    m = [K]
-    while True:
-        yield m[-1]
+def _multiples(K: tuple, E: EdwardsCurve, n: int) -> list:
+    """x-line K, 2K, ..., nK on E, or up to the first of 2K, ... that is O
+    (X = Z): jK is twice (j/2)K by `xdbl` on `E.xline`, or (h + 1)K + hK,
+    h = j // 2, by `xadd`, on raw points and charged once."""
+    if n < 2:
+        return [K]
+    f, (*m, c) = _enter(K, E.xline)
+    while len(m) < n and m[-1][:2] != m[-1][2:]:
         h, odd = divmod(len(m) + 1, 2)
-        m.append(xadd(m[h], m[h - 1], K) if odd else xdbl(m[h - 1], E.xline))
+        m.append(_xadd(m[h], m[h - 1], m[0], f.p) if odd else
+                 _xdbl(m[h - 1], c, f.p))
+    _charge_line(f, len(m) // 2, (len(m) - 1) // 2, c)
+    return [K] + [_wrap(V, f) for V in m[1:]]
 
 
 def _carry(steps: list, points: list, *fractions) -> tuple:
@@ -254,17 +255,22 @@ def _carry(steps: list, points: list, *fractions) -> tuple:
     be rational, each P goes by `OddIsogeny.image`."""
     for P in points:
         check_pair(P, "point")
-    domain, sign, one = steps[0].domain, 1, steps[0].domain.field.one
-    images = [(x, one, y, one) for x, y in points]
-    for step in steps:
-        if domain.a == 1:
-            K, sign = step.kernel.K, sign if step.degree % 4 == 3 else -sign
-            images = [(*odd_image(P[:2], K), *odd_image(P[2:], K))
-                      for P in images]
-        else:
+    domain, one = steps[0].domain, steps[0].domain.field.one
+    if domain.a == 1:
+        f, (*line, _) = _enter(*[(V, one) for P in points for V in P],
+                               (one, one))       # the field if no points
+        sign = 1
+        for step in steps:
+            sign = sign if step.degree % 4 == 3 else -sign
+            line = _push(line, step.kernel._raw, f)
+        images = [(*_wrap(U, f), *_wrap(V, f))
+                  for U, V in zip(line[::2], line[1::2])]
+        if sign == -1:
+            images = [(X, Z, -Y, W) for X, Z, Y, W in images]
+    else:
+        images = [(x, one, y, one) for x, y in points]
+        for step in steps:
             images = [step.image(P) for P in images]
-    if sign == -1:
-        images = [(X, Z, -Y, W) for X, Z, Y, W in images]
     if any(V.is_zero() for _, Z, _, W in images for V in (Z, W)):
         raise ExceptionalInput("an image is a point at infinity")
     q = _divide([f for X, Z, Y, W in images for f in ((X, Z), (Y, W))]
@@ -325,14 +331,11 @@ def _step_weights(l: int) -> tuple[int, int]:
     """Counted base-field M of one l-fold step, `xmul(l, .)` with a
     constant (C - D, C), and of one stack point through a degree-l step,
     `odd_image`, read from the x-line tally rows of F_{p^2}: 32 and 16 at
-    l = 3, 48 and 28 at l = 5.  `xmul` makes b - 1 `xadd`s and as many
-    `xdbl`s, b the bit length of l, one doubling fewer when the second
-    bit of l is 0 (3 base M fewer each on a chain's first curve, whose C
-    is one)."""
-    b = l.bit_length()
-    doublings = b - 1 - ((l >> (b - 2)) & 1 == 0)
-    xadd_m, xdbl_m = XADD[FP2][0], XDBL[FP2][0]
-    return (xadd_m * (b - 1) + xdbl_m * doublings, odd_rows(l // 2)[FP2][0])
+    l = 3, 48 and 28 at l = 5 (3 base M fewer a doubling on a chain's
+    first curve, whose C is one)."""
+    dbls, adds = _ladder_ops(l // 2)
+    return (XDBL[FP2][0] * dbls + XADD[FP2][0] * (adds + 1),
+            odd_rows(l // 2)[FP2][0])
 
 
 @lru_cache(maxsize=64)
@@ -434,22 +437,22 @@ class IsogenyChain:
         self.domain, self.degrees = domain, degrees
         self.steps: list[OddIsogeny] = []
         _, plan = chain_strategy(tuple(degrees))
-        E, stack, met = domain, [(generator, len(degrees))], 1
+        f, (G, _) = _enter(generator, domain.xline)
+        E, stack, met = domain, [(G, len(degrees))], 1
         for i, l in enumerate(degrees):
             T, j = stack[-1]
             while j > i + 1:
-                k = plan[i, j]
-                for m in degrees[i + k:j]:
-                    T = xmul(m, T, E.xline)
-                j = i + k
+                k, (c,) = plan[i, j], _enter(E.xline)[1]
+                T, j = _fold(T, degrees[i + k:j], c, f), i + k
                 stack.append((T, j))
             stack.pop()
             # l has no new prime iff l | met^b, b >= each exponent in l
             step = OddIsogeny((OddKernel.from_x if pow(met, l.bit_length(), l)
-                               else OddKernel._of_order)(T, l, E))
+                               else OddKernel._of_order)(_wrap(T, f), l, E))
             met *= l
             self.steps.append(step)
-            stack = [(odd_image(P, step.kernel.K), j) for P, j in stack]
+            stack = [*zip(_push([T for T, _ in stack], step.kernel._raw, f),
+                          [j for _, j in stack])]
             E = step.codomain
         self.codomain = E
 

@@ -143,9 +143,7 @@ def _torsion_basis(curve: EdwardsCurve, l: int, e: int,
     for _ in range(_SAMPLING_BUDGET):
         R = _random_point(base, rng)
         T, S = xladder(cofactor, (R.x, one), c)
-        U = T
-        for _ in range(e - 1):
-            U = xmul(l, U, c)
+        U = xmul(l, T, c, e - 1)
         if U[0] != U[1]:
             xz, yf = recover_xy(R, T, S, base.a, base.d)
             x, y, x_inv = _divide([xz, yf, xz[::-1]])
@@ -248,9 +246,7 @@ def derive_shared(params: ProtocolParams, keypair: PartyKeypair,
             raise NotOnCurve("the basis images are not on the codomain")
         R = _secret_kernel(E, P, Q, _x_difference(E, P, Q), keypair.secret)
         chain = IsogenyChain(E, R, [l] * e)
-        U = (Q.x, E.field.one)
-        for _ in range(e - 1):
-            U = xmul(l, U, E.xline)
+        U = xmul(l, (Q.x, E.field.one), E.xline, e - 1)
         subgroup = OddKernel.from_x(U, l, E)
     except EdwardsError as exc:
         raise ProtocolError(f"malformed public key: {exc}") from exc

@@ -23,7 +23,7 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
 `pair` (D : C) = (d : a), so (a - d, a) on E_{a,d}; 1M less if C = 1:
 
     xdbl         4M + 2S        xadd         4M + 2S
-    xmul(3, .)   8M + 4S        xmul(5, .)   12M + 6S
+    xmul(3, .)   8M + 4S        xmul(5, .)   12M + 6S, l^n P by n of them
     xladder      xdbl, then xadd + xdbl a bit of k after the first; a
                  second bit 0 costs the xadd alone
     ladder3pt    b xadd + (b - 1) xdbl, x(P + kQ) for k of b bits
@@ -35,14 +35,13 @@ E_{1,d}, through u = (1 + x)/(1 - x), with c = 1 - d as the pair
                  and y = num/den from P and xladder's x(kP), x((k+1)P)
 
 An x-line point is an (X, Z) pair, an `XZPoint` or not, and a kernel a
-list of them.  `xdbl`, `xadd`, `odd_image`, `get_3_isog` and
-`odd_codomain` compute inline mod p on the (c0, c1) ints of their
-inputs, writing i^2 = -1, which is exact on F_p too, where c1 = 0; none
-branches on its caller.  Each adds one fixed tally a call, a row of
-`tally_rows` chosen by its branch: F_p or F_{p^2}, and C = 1 or not
-(and `odd_image`'s kernel size).  The row is what the field elements'
-operators count for the same formula.  Those element formulas are the
-counted oracle in tests/oracles.py, and tests/test_xonly.py::TestRawCore
+list of them.  Each formula has one body, on raw points (X0, X1, Z0, Z1)
+of the (c0, c1) ints mod p, writing i^2 = -1, exact on F_p too (c1 = 0).
+A loop (`xladder`, `xmul`, `ladder3pt`, a chain's folds and pushes)
+checks its operands' field once, builds elements only of what it hands
+out, and charges the summed counts of its formulas once, as one row of
+`tally_rows`: what the element operators count for the same formulas,
+the counted oracle in tests/oracles.py; tests/test_xonly.py::TestRawCore
 asserts that both give the same values and tallies.
 
 Points at infinity are x-line points like any other (x = infinity is
@@ -56,10 +55,10 @@ differences vary, raises there instead.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
-from .errors import ExceptionalInput, FieldMismatch
+from .errors import (ExceptionalInput, FieldMismatch, InvalidParameter,
+                     check_int)
 from .field import FieldElement
 from .field_ext import QuadExtElement, QuadExtField
 
@@ -75,27 +74,48 @@ def tally_rows(m: int, s: int, a: int) -> tuple:
             (3 * m + 2 * s, 0, 5 * m + 3 * s + 2 * a, m, s, a))
 
 
-def odd_rows(s: int) -> tuple:
-    """`tally_rows` of `odd_image` with s kernel points."""
-    return tally_rows(4 * s, 2, 2 * s + 4)
+@lru_cache(maxsize=256)
+def odd_rows(s: int, n: int = 1) -> tuple:
+    """`tally_rows` of n `odd_image`s with s kernel points."""
+    return tally_rows(4 * s * n, 2 * n, (2 * s + 4) * n)
 
 
-XDBL, XDBL_C1, XADD = tally_rows(4, 2, 4), tally_rows(3, 2, 4), odd_rows(1)
+XDBL, XADD = tally_rows(4, 2, 4), tally_rows(4, 2, 6)
 
 
-def _enter(rows: tuple, *xs) -> tuple:
-    """(p, element type, field) of the field of `xs`, with its column of
-    `rows` tallied; FieldMismatch if `xs` span two fields."""
-    f = xs[0].field
-    for x in xs:
-        if x.field is not f and x.field != f:
-            raise FieldMismatch(f"x-line operands from {f!r} and {x.field!r}")
+def _enter(*points) -> tuple:
+    """The field of the x-line points `points`, and each as a raw point;
+    FieldMismatch if they span two fields."""
+    f, raw = points[0][0].field, []
+    for X, Z in points:
+        if X.field is not f or Z.field is not f:
+            for g in X.field, Z.field:
+                if g != f:
+                    raise FieldMismatch(f"x-line fields {f!r} and {g!r}")
+        raw.append((X._c0, X._c1, Z._c0, Z._c1))
+    return f, raw
+
+
+def _charge(f, rows: tuple):
+    """Tally on f its column of `rows`, a value of `tally_rows`."""
     quad = type(f) is QuadExtField
     m, s, a, em, es, ea = rows[FP2 if quad else FP]
     c = (f.base if quad else f).counter
     c.m, c.s, c.a = c.m + m, c.s + s, c.a + a
     c.ext_m, c.ext_s, c.ext_a = c.ext_m + em, c.ext_s + es, c.ext_a + ea
-    return f.p, QuadExtElement if quad else element, f
+
+
+def _charge_line(f, dbls: int, adds: int, c: tuple):
+    """`_charge` of `dbls` `xdbl`s on the raw c and `adds` `xadd`s."""
+    _charge(f, tally_rows(4 * (dbls + adds) - dbls * (c[2:] == (1, 0)),
+                          2 * (dbls + adds), 4 * dbls + 6 * adds))
+
+
+def _wrap(R: tuple, f) -> tuple:
+    """The element pair (X, Z) of f of the raw point R."""
+    if type(f) is QuadExtField:
+        return QuadExtElement(R[0], R[1], f), QuadExtElement(R[2], R[3], f)
+    return FieldElement(R[0], f), FieldElement(R[2], f)
 
 
 def _mul(a: tuple, b: tuple, p: int) -> tuple:
@@ -118,7 +138,7 @@ class XZPoint(NamedTuple("XZPoint", [("X", object), ("Z", object)])):
 
     def __new__(cls, X, Z):
         if X.is_zero() and Z.is_zero():
-            raise ValueError("(0 : 0) is not a projective point")
+            raise InvalidParameter("(0 : 0) is not a projective point")
         return super().__new__(cls, X, Z)
 
     @classmethod
@@ -148,14 +168,15 @@ def get_3_isog(K1: tuple) -> ProjParams:
     D' = Z1*(2X1 + Z1)^3, C' = X1*(2Z1 + X1)^3, as
     D' = (t + Z1^2)(4X1^2 + Z1^2 + 2t) with t = 2X1Z1, which counts as
     (X1 + Z1)^2 - X1^2 - Z1^2.  cost: 2M + 3S (and 14A)."""
-    p, new, f = _enter(tally_rows(2, 3, 14), *K1)
-    x, z = [(V._c0, V._c1) for V in K1]
+    f, [K] = _enter(K1)
+    _charge(f, tally_rows(2, 3, 14))
+    p, x, z = f.p, K[:2], K[2:]
     xx, zz, xz = _mul(x, x, p), _mul(z, z, p), _mul(x, z, p)
     t0, t1 = 2 * xz[0], 2 * xz[1]                    # t = 2 X1 Z1
-    D, C = (new(*_mul((t0 + a0, t1 + a1),
-                      (4 * b0 + a0 + 2 * t0, 4 * b1 + a1 + 2 * t1), p), f)
+    D, C = (_mul((t0 + a0, t1 + a1),
+                 (4 * b0 + a0 + 2 * t0, 4 * b1 + a1 + 2 * t1), p)
             for (a0, a1), (b0, b1) in ((zz, xx), (xx, zz)))
-    return ProjParams(D, C)
+    return ProjParams(*_wrap(D + C, f))
 
 
 def eval_3_isog(P: tuple, K1: tuple) -> XZPoint:
@@ -180,15 +201,25 @@ def odd_image(P: tuple, K: list) -> tuple:
 
 
 def _odd(P: tuple, K: list) -> tuple:
-    """`odd_image`'s (X', Z'), then the two products it squares,
-    prod (x_i Z + z_i X) and prod (x_i Z - z_i X), at no extra cost, as
-    raw (c0, c1) pairs for `element`."""
-    X, Z = P
-    p, new, f = _enter(odd_rows(len(K)), X, Z, *chain(*K))
-    x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
+    """`odd_image`'s (X', Z'), then the raw products it squares (`_xodd`)."""
+    f, (P, *K) = _enter(P, *K)
+    _charge(f, odd_rows(len(K)))
+    R, plus, minus = _xodd(P, K, f.p)
+    return (*_wrap(R, f), plus, minus)
+
+
+def _push(points: list, K: list, f) -> list:
+    """Raw `points` under the kernel K of raw points, charged once."""
+    _charge(f, odd_rows(len(K), len(points)))
+    return [_xodd(P, K, f.p)[0] for P in points]
+
+
+def _xodd(P: tuple, K: list, p: int) -> tuple:
+    """`odd_image` on raw points: the image, then the two products it
+    squares, prod (x_i Z + z_i X) and prod (x_i Z - z_i X), at no cost."""
+    x0, x1, z0, z1 = P
     plus = minus = None
-    for Xi, Zi in K:                                 # x_i Z +- z_i X
-        k0, k1, j0, j1 = Xi._c0, Xi._c1, Zi._c0, Zi._c1
+    for k0, k1, j0, j1 in K:                         # x_i Z +- z_i X
         u, v, w, y = k0 * z0, k1 * z1, j0 * x0, j1 * x1
         a0, a1 = u - v, (k0 + k1) * (z0 + z1) - u - v
         b0, b1 = w - y, (j0 + j1) * (x0 + x1) - w - y
@@ -203,8 +234,8 @@ def _odd(P: tuple, K: list) -> tuple:
         u, v = a0 * b0, a1 * b1
         FG += u - v, (a0 + a1) * (b0 + b1) - u - v
     F0, F1, G0, G1 = FG
-    return (new((F0 + G0) % p, (F1 + G1) % p, f),
-            new((F0 - G0) % p, (F1 - G1) % p, f), plus, minus)
+    return ((F0 + G0) % p, (F1 + G1) % p, (F0 - G0) % p,
+            (F1 - G1) % p), plus, minus
 
 
 def element(c0: int, c1: int, f):
@@ -220,16 +251,15 @@ def odd_codomain(K: list, D, C, l: int) -> ProjParams:
     degree-l kernel K of points (X_i, Z_i) on d = D/C.  cost a side: (s - 1)M + 3S,
     and unless its D or C is one, 2M more and its (l - 4)th power by
     square-and-multiply: 3M + 3S at l = 5, 1M + 3S if C = 1."""
-    k = l - 4
-    n = sum(W._c0 != 1 or W._c1 != 0 for W in (D, C))
-    p, new, f = _enter(tally_rows(
-        2 * len(K) - 2 + n * (1 + bin(k).count("1")),
-        6 + n * (k.bit_length() - 1), 0), D, C, *chain(*K))
-    out = []
-    for V, W in zip(zip(*K), (D, C)):
-        x, w = (V[0]._c0, V[0]._c1), (W._c0, W._c1)
-        for y in V[1:]:
-            x = _mul(x, (y._c0, y._c1), p)
+    f, (W, *K) = _enter((D, C), *K)
+    k, p, out = l - 4, f.p, []
+    n = (W[:2] != (1, 0)) + (W[2:] != (1, 0))
+    _charge(f, tally_rows(2 * len(K) - 2 + n * (1 + bin(k).count("1")),
+                          6 + n * (k.bit_length() - 1), 0))
+    for i in (0, 2):
+        x, w = K[0][i:i + 2], W[i:i + 2]
+        for y in K[1:]:
+            x = _mul(x, y[i:i + 2], p)
         x, unit = _mul(x, x, p), w == (1, 0)             # X^2
         if not unit:
             x = _mul(x, w, p)
@@ -242,48 +272,54 @@ def odd_codomain(K: list, D, C, l: int) -> ProjParams:
                 if bit == "1":
                     r = _mul(r, w, p)
             x = _mul(x, r, p)
-        out.append(new(*x, f))
-    return ProjParams(*out)
+        out += x
+    return ProjParams(*_wrap(out, f))
 
 
 def xdbl(P: tuple, c: tuple) -> tuple:
-    """2P for (X, Z) on E_{1,d}, c = (C - D, C) for d = D/C: with
-    (U : W) = (Z + X : Z - X) the doubling is
-    ((C - D) X^2 Z^2 : e ((C - D) X^2 + C e)), e = Z^2 - X^2, and
-    (X' : Z') = (U - W : U + W).  cost: 4M+2S, 3M+2S when C = 1."""
-    (X, Z), (N, C) = P, c
-    one = C._c0 == 1 and C._c1 == 0
-    p, new, f = _enter(XDBL_C1 if one else XDBL, X, Z, N, C)
-    x0, x1, z0, z1 = X._c0, X._c1, Z._c0, Z._c1
+    """2P for (X, Z) on E_{1,d}, c = (C - D, C) for d = D/C, by `_xdbl`:
+    `xladder`'s (P, 2P) at k = 1.  cost: 4M+2S, 3M+2S when C = 1."""
+    return xladder(1, P, c)[1]
+
+
+def _xdbl(P: tuple, c: tuple, p: int) -> tuple:
+    """`xdbl` on raw points: with (U : W) = (Z + X : Z - X) the doubling
+    is ((C - D) X^2 Z^2 : e ((C - D) X^2 + C e)), e = Z^2 - X^2, and
+    (X' : Z') = (U - W : U + W)."""
+    x0, x1, z0, z1 = P
     u, v = x0 * x1, z0 * z1                          # X^2, Z^2
     x0, x1 = (x0 + x1) * (x0 - x1) % p, (u + u) % p
     z0, z1 = (z0 + z1) * (z0 - z1) % p, (v + v) % p
-    t0, t1 = _mul((N._c0, N._c1), (x0, x1), p)       # t = (C - D) X^2
+    t0, t1 = _mul(c[:2], (x0, x1), p)                # t = (C - D) X^2
     e0, e1 = z0 - x0, z1 - x1
-    g0, g1 = (e0, e1) if one else _mul((C._c0, C._c1), (e0, e1), p)
+    g0, g1 = (e0, e1) if c[2:] == (1, 0) else _mul(c[2:], (e0, e1), p)
     g0, g1 = t0 + g0, t1 + g1                        # t + C e
     u, v = t0 * z0, t1 * z1                          # U = t Z^2
     U0, U1 = u - v, (t0 + t1) * (z0 + z1) - u - v
     u, v = e0 * g0, e1 * g1                          # W = e (t + C e)
     W0, W1 = u - v, (e0 + e1) * (g0 + g1) - u - v
-    return (new((U0 - W0) % p, (U1 - W1) % p, f),
-            new((U0 + W0) % p, (U1 + W1) % p, f))
+    return (U0 - W0) % p, (U1 - W1) % p, (U0 + W0) % p, (U1 + W1) % p
 
 
 def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
-    """P + Q from D = P - Q, the Montgomery differential addition on
+    """P + Q from D = P - Q by `_xadd`.  cost: 4M+2S."""
+    f, (Q, P, D) = _enter(Q, P, D)
+    _charge(f, XADD)
+    return _wrap(_xadd(P, Q, D, f.p), f)
+
+
+def _xadd(P: tuple, Q: tuple, D: tuple, p: int) -> tuple:
+    """`xadd` on raw points, the Montgomery differential addition on
     u = (Z + X)/(Z - X) (Costello and Smith, J. Cryptogr. Eng. 2018):
     with s = X1 Z2 and t = Z1 X2, U = (Zd - Xd)(s + t)^2 and
-    W = (Zd + Xd)(s - t)^2, (X' : Z') = (U - W : U + W).  cost: 4M+2S."""
-    (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
-    p, new, f = _enter(XADD, X2, Z2, X1, Z1, Xd, Zd)
-    x0, x1, z0, z1 = X1._c0, X1._c1, Z2._c0, Z2._c1
-    u, v = x0 * z0, x1 * z1                          # s = X1 Z2
-    s0, s1 = u - v, (x0 + x1) * (z0 + z1) - u - v
-    x0, x1, z0, z1 = X2._c0, X2._c1, Z1._c0, Z1._c1
-    u, v = x0 * z0, x1 * z1                          # t = Z1 X2
-    t0, t1 = u - v, (x0 + x1) * (z0 + z1) - u - v
-    x0, x1, z0, z1 = Xd._c0, Xd._c1, Zd._c0, Zd._c1
+    W = (Zd + Xd)(s - t)^2, (X' : Z') = (U - W : U + W)."""
+    a0, a1, b0, b1 = P
+    x0, x1, z0, z1 = Q
+    u, v = a0 * z0, a1 * z1                          # s = X1 Z2
+    s0, s1 = u - v, (a0 + a1) * (z0 + z1) - u - v
+    u, v = x0 * b0, x1 * b1                          # t = Z1 X2
+    t0, t1 = u - v, (x0 + x1) * (b0 + b1) - u - v
+    x0, x1, z0, z1 = D
     UW = []
     for a0, a1, b0, b1 in ((s0 + t0, s1 + t1, z0 - x0, z1 - x1),
                            (s0 - t0, s1 - t1, z0 + x0, z1 + x1)):
@@ -293,33 +329,60 @@ def xadd(P: tuple, Q: tuple, D: tuple) -> tuple:
         u, v = a0 * b0, a1 * b1
         UW += u - v, (a0 + a1) * (b0 + b1) - u - v
     U0, U1, W0, W1 = UW
-    return (new((U0 - W0) % p, (U1 - W1) % p, f),
-            new((U0 + W0) % p, (U1 + W1) % p, f))
+    return (U0 - W0) % p, (U1 - W1) % p, (U0 + W0) % p, (U1 + W1) % p
 
 
 def xladder(k: int, P: tuple, c: tuple) -> tuple:
     """(kP, (k+1)P) for k >= 1 by the Montgomery ladder, whose
-    differences are all P.  A 0 as the second bit of k keeps the 2P just
-    computed: (P, 2P) becomes (2P, 3P) by one `xadd`."""
-    if k < 1:
-        raise ValueError(f"xladder needs k >= 1, got {k}")
+    differences are all P (`_ladder`)."""
+    check_int(k, "k", least=1)
+    f, (P, c) = _enter(P, c)
+    lo, hi = _ladder(k, P, c, f.p)
+    _charge_line(f, *_ladder_ops(k), c)
+    return _wrap(lo, f), _wrap(hi, f)
+
+
+def _ladder(k: int, P: tuple, c: tuple, p: int) -> tuple:
+    """`xladder` on raw points.  A 0 as the second bit of k keeps the 2P
+    just computed: (P, 2P) becomes (2P, 3P) by one `xadd`."""
     bits = bin(k)[3:]
-    lo, hi = P, xdbl(P, c)
+    lo, hi = P, _xdbl(P, c, p)
     if bits[:1] == "0":
-        lo, hi, bits = hi, xadd(hi, P, P), bits[1:]
+        lo, hi, bits = hi, _xadd(hi, P, P, p), bits[1:]
     for bit in bits:
         if bit == "1":
-            lo, hi = xadd(hi, lo, P), xdbl(hi, c)
+            lo, hi = _xadd(hi, lo, P, p), _xdbl(hi, c, p)
         else:
-            lo, hi = xdbl(lo, c), xadd(hi, lo, P)
+            lo, hi = _xdbl(lo, c, p), _xadd(hi, lo, P, p)
     return lo, hi
 
 
-def xmul(l: int, P: tuple, c: tuple) -> tuple:
-    """l*P for odd l >= 3: `xladder(l // 2)` and one `xadd`, 8M+4S at
-    l = 3 and 12M+6S at l = 5, a doubling 1M less when C = 1."""
-    lo, hi = xladder(l // 2, P, c)
-    return xadd(hi, lo, P)
+def _ladder_ops(k: int) -> tuple:
+    """The counts (`xdbl`s, `xadd`s) that `_ladder(k)` runs."""
+    b = k.bit_length()
+    return b - (b > 1 and k >> (b - 2) & 1 == 0), b - 1
+
+
+def xmul(l: int, P: tuple, c: tuple, n: int = 1) -> tuple:
+    """l^n * P for odd l >= 3 by n l-fold steps (`_fold`), each
+    `xladder(l // 2)` and one `xadd`: 8M+4S at l = 3 and 12M+6S at l = 5,
+    a doubling 1M less when C = 1."""
+    check_int(l, "l", least=3)
+    check_int(n, "n", least=0)
+    if l % 2 == 0:
+        raise InvalidParameter(f"xmul needs an odd l, got {l}")
+    f, (P, c) = _enter(P, c)
+    return _wrap(_fold(P, [l] * n, c, f), f)
+
+
+def _fold(P: tuple, ls: list, c: tuple, f) -> tuple:
+    """The raw P times each l of `ls` in turn on the raw c, charged once."""
+    for l in ls:
+        lo, hi = _ladder(l // 2, P, c, f.p)
+        P = _xadd(hi, lo, P, f.p)
+    ops = [_ladder_ops(l // 2) for l in ls]
+    _charge_line(f, sum(d for d, _ in ops), sum(a + 1 for _, a in ops), c)
+    return P
 
 
 def recover_xy(P: tuple, Q: tuple, S: tuple, a, d) -> tuple:
@@ -363,27 +426,30 @@ def ladder3pt(k: int, P: tuple, Q: tuple, D: tuple, c: tuple) -> tuple:
     difference is R2, or takes R2 - R0, whose sum is R1; R0 is doubled
     between bits.  A k of b bits costs b `xadd`s and b - 1 `xdbl`s.
 
-    ExceptionalInput if a difference met, D or a later R1 or R2, is O or
-    (-1, 0), the two points where `xadd` fails; otherwise the result is
-    exactly P + k*Q, as the differential addition holds for every pair
-    whose difference is neither."""
-    if k < 0:
-        raise ValueError(f"ladder3pt needs k >= 0, got {k}")
-    R0, R1, R2 = Q, P, D
+    ExceptionalInput, with what ran charged, if a difference met, D or a
+    later R1 or R2, is O or (-1, 0), the two points where `xadd` fails;
+    otherwise the result is exactly P + k*Q, as the differential addition
+    holds for every pair whose difference is neither."""
+    check_int(k, "k", least=0)
+    f, (R1, R0, R2, c) = _enter(P, Q, D, c)
+    if not k:
+        return P
+    p, adds = f.p, 0
     while k:
-        Xd, Zd = R2 if k & 1 else R1
-        p = Xd.field.p
-        if Xd == Zd or (Xd._c0 + Zd._c0) % p == (Xd._c1 + Zd._c1) % p == 0:
+        x0, x1, z0, z1 = R2 if k & 1 else R1
+        if x0 == z0 and x1 == z1 or x0 + z0 in (0, p) and x1 + z1 in (0, p):
+            _charge_line(f, adds, adds, c)
             raise ExceptionalInput(
                 "a ladder difference P + a*Q is O or (-1, 0)")
         if k & 1:
-            R1 = xadd(R0, R1, R2)
+            R1 = _xadd(R0, R1, R2, p)
         else:
-            R2 = xadd(R0, R2, R1)
-        k >>= 1
+            R2 = _xadd(R0, R2, R1, p)
+        adds, k = adds + 1, k >> 1
         if k:
-            R0 = xdbl(R0, c)
-    return R1
+            R0 = _xdbl(R0, c, p)
+    _charge_line(f, adds - 1, adds, c)
+    return _wrap(R1, f)
 
 
 def _eval_5(P: XZPoint, K1: XZPoint, K2: XZPoint, d):

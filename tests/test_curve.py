@@ -324,7 +324,7 @@ def check_scalar_mul(curve, k, P) -> bool:
     return False
 
 
-class TestProjectiveLaw:
+class TestScalarMulOraclesAndCosts:
     @settings(max_examples=80)
     @given(curve=desk_curves(), data=st.data())
     def test_scalar_mul_matches_oracles(self, curve, data):

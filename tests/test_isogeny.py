@@ -1411,10 +1411,11 @@ class TestStrategy:
     @pytest.mark.parametrize("side,model", [(SIDE_A, 10720),
                                             (SIDE_B, 11864)])
     def test_model_is_counted_at_247_bits(self, side, model, monkeypatch):
-        """The base-field M that a 247-bit chain spends in `xmul` and
-        `odd_image` is the plan's model cost, less 3 for each doubling on
-        the first curve, whose C is one: step 0 walks its kernel point
-        down from G by e - 1 l-fold steps of one doubling each."""
+        """The base-field M that a 247-bit chain spends in its l-fold steps
+        (`_fold`) and stack pushes (`_push`) is the plan's model cost, less
+        3 for each doubling on the first curve, whose C is one: step 0
+        walks its kernel point down from G by e - 1 l-fold steps of one
+        doubling each."""
         p = 4 * 3 ** 74 * 5 ** 55 - 1
         params = setup(74, 55, seed=1, max_p=p)
         E, basis = params.curve, params.basis(side)
@@ -1428,8 +1429,8 @@ class TestStrategy:
                 return out
             return run
 
-        monkeypatch.setattr(isogeny, "xmul", counted(isogeny.xmul))
-        monkeypatch.setattr(isogeny, "odd_image", counted(isogeny.odd_image))
+        monkeypatch.setattr(isogeny, "_fold", counted(isogeny._fold))
+        monkeypatch.setattr(isogeny, "_push", counted(isogeny._push))
         with params.field.counting(ctx):
             IsogenyChain(E, E.add(basis.P, E.scalar_mul(5, basis.Q)),
                          [basis.degree] * basis.exponent)

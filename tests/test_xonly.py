@@ -5,14 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edwards_isogeny import (EdwardsCurve, ExceptionalInput, ExceptionalPair,
-                             FieldMismatch, NotOnCurve, OpCounter, PrimeField,
-                             QuadExtElement, QuadExtField, XZPoint,
-                             eval_3_isog, eval_5_isog, get_3_isog, get_5_isog,
-                             recover_y, setup)
-from edwards_isogeny.xonly import (FP, FP2, XDBL, _odd, element, ladder3pt,
-                                   odd_codomain, odd_image, recover_xy, xadd,
-                                   xdbl, xladder, xmul)
+from edwards_isogeny import (AffinePoint, EdwardsCurve, ExceptionalInput,
+                             ExceptionalPair, FieldMismatch, InvalidParameter,
+                             IsogenyChain, NotOnCurve, OddKernel, OpCounter,
+                             PrimeField, QuadExtElement, QuadExtField,
+                             XZPoint, eval_3_isog, eval_5_isog, get_3_isog,
+                             get_5_isog, recover_y, setup)
+from edwards_isogeny.isogeny import _carry, _multiples
+from edwards_isogeny.xonly import (FP, FP2, XDBL, _enter, _odd, _push, _wrap,
+                                   element, ladder3pt, odd_codomain,
+                                   odd_image, recover_xy, xadd, xdbl, xladder,
+                                   xmul)
 
 from conftest import desk_curves, ladder_offsets, pt
 from oracles import (counted_get_3_isog, counted_odd, counted_odd_codomain,
@@ -743,3 +746,242 @@ class TestRawCore:
             if operands(mixed) != operands(e):
                 with pytest.raises(FieldMismatch):
                     raw(*operands(mixed))
+
+
+# ---------------------------------------------------------------------
+# The loops against their formulas called one by one.
+# ---------------------------------------------------------------------
+
+def oracle_ladder(k, P, c):
+    """`xladder`'s steps, each by its counted oracle formula."""
+    bits = bin(k)[3:]
+    lo, hi = P, counted_xdbl(P, c)
+    if bits[:1] == "0":
+        lo, hi, bits = hi, counted_xadd(hi, P, P), bits[1:]
+    for bit in bits:
+        if bit == "1":
+            lo, hi = counted_xadd(hi, lo, P), counted_xdbl(hi, c)
+        else:
+            lo, hi = counted_xdbl(lo, c), counted_xadd(hi, lo, P)
+    return lo, hi
+
+
+def oracle_xmul(l, P, c, n):
+    """n l-fold steps, each `oracle_ladder(l // 2)` and one addition."""
+    for _ in range(n):
+        lo, hi = oracle_ladder(l // 2, P, c)
+        P = counted_xadd(hi, lo, P)
+    return P
+
+
+def oracle_ladder3pt(k, P, Q, D, c, steps=None):
+    """`ladder3pt`'s steps by the oracle formulas, with no test of the
+    differences: every bit of k, or the first `steps` bits, each an
+    addition and a doubling, as the ladder runs them before it raises."""
+    R0, R1, R2 = Q, P, D
+    for i in range(k.bit_length() if steps is None else steps):
+        if k >> i & 1:
+            R1 = counted_xadd(R0, R1, R2)
+        else:
+            R2 = counted_xadd(R0, R2, R1)
+        if steps is not None or k >> i + 1:
+            R0 = counted_xdbl(R0, c)
+    return R1
+
+
+def oracle_walk(K, c, n):
+    """K, ..., nK, or up to the first with X = Z, by the oracle formulas:
+    jK is twice (j/2)K, or (h + 1)K + hK for h = j // 2."""
+    m = [K]
+    while len(m) < n and m[-1][0] != m[-1][1]:
+        h, odd = divmod(len(m) + 1, 2)
+        m.append(counted_xadd(m[h], m[h - 1], K) if odd
+                 else counted_xdbl(m[h - 1], c))
+    return m
+
+
+def loop_field(curve, extend):
+    """The curve's field, or, when `extend` and p = 3 (mod 4), F_{p^2}."""
+    if extend and curve.field.p % 4 == 3:
+        return QuadExtField(curve.field)
+    return curve.field
+
+
+def draw_points(field, data, n):
+    """n x-line points of random elements of `field`, Z = 0 allowed; the
+    ints are drawn and the elements made here, in this very field."""
+    parts = st.integers(0, field.p - 1)
+    width = 2 if isinstance(field, QuadExtField) else 1
+    return [tuple(field(*data.draw(st.tuples(*[parts] * width)))
+                  for _ in "XZ") for _ in range(n)]
+
+
+def draw_c(curve, field, data):
+    """The curve's (a - d, a), or a random (C - D, C) with C = 1 or not."""
+    a, d = curve.a.value, curve.d.value
+    kind = data.draw(st.sampled_from(["curve", "one", "random"]))
+    if kind == "curve":
+        return field(a - d), field(a)
+    N, C = draw_points(field, data, 1)[0]
+    return N, field.one if kind == "one" else C
+
+
+def counted(field, call):
+    """call() and the snapshot of the tallies it adds on `field`."""
+    with field.counting(OpCounter()) as ctx:
+        out = call()
+    return out, ctx.snapshot()
+
+
+LOOP_KS = st.sampled_from([1, 2, 3, 4, 5, 40, 3 ** 26 - 1]) | st.integers(
+    1, 2 ** 16)
+
+
+class TestLoops:
+    """Each x-line loop, which holds its points as raw ints and charges
+    its tally once, gives the values and the exact M/S/I/A and ext_*
+    tallies of the same formulas called one by one on elements (the
+    counted oracles of tests/oracles.py), on desk curves over F_p and,
+    for p = 3 (mod 4), over F_{p^2}."""
+
+    @settings(max_examples=60)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_xladder(self, curve, extend, data):
+        field = loop_field(curve, extend)
+        (P,), c = draw_points(field, data, 1), draw_c(curve, field, data)
+        k = data.draw(LOOP_KS)
+        assert counted(field, lambda: xladder(k, P, c)) == counted(
+            field, lambda: oracle_ladder(k, P, c))
+
+    @settings(max_examples=60)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_xmul(self, curve, extend, data):
+        """l^n * P for l in {3, 5, 7, 9} and n in 0..4, the form a
+        chain's l-fold steps and the set-up's order walk take."""
+        field = loop_field(curve, extend)
+        (P,), c = draw_points(field, data, 1), draw_c(curve, field, data)
+        l = data.draw(st.sampled_from([3, 5, 7, 9]))
+        n = data.draw(st.integers(0, 4))
+        assert counted(field, lambda: xmul(l, P, c, n)) == counted(
+            field, lambda: oracle_xmul(l, P, c, n))
+
+    @settings(max_examples=60)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_ladder3pt(self, curve, extend, data):
+        field = loop_field(curve, extend)
+        P, Q, D = draw_points(field, data, 3)
+        c, k = draw_c(curve, field, data), data.draw(st.just(0) | LOOP_KS)
+        try:
+            got = counted(field, lambda: ladder3pt(k, P, Q, D, c))
+        except ExceptionalInput:
+            assume(False)
+        assert got == counted(field,
+                              lambda: oracle_ladder3pt(k, P, Q, D, c))
+
+    @settings(max_examples=100)
+    @given(curve=desk_curves(), data=st.data())
+    def test_ladder3pt_charges_what_ran(self, curve, data):
+        """P = -a_j*Q for an offset a_j that `ladder3pt(k)` meets, so a
+        difference P + a*Q it meets is O: it raises ExceptionalInput at
+        the first difference that is O or (-1, 0), i bits in, having
+        charged the i additions and i doublings it ran and no more."""
+        p, a, d = curve.field.p, curve.a.value, curve.d.value
+        Q = data.draw(st.sampled_from(
+            [R for R in curve.points() if not R.y.is_zero()]))
+        xy, k = (Q.x.value, Q.y.value), data.draw(st.integers(1, 2 ** 10))
+        offsets = ladder_offsets(k)
+        aj = offsets[data.draw(st.integers(0, len(offsets) - 1))]
+
+        def x_of(m):
+            """x(m*Q) for any int m, None at infinity."""
+            return 1 if m == 0 else montgomery_x_mul(abs(m), xy, p, a, d)
+
+        i = next(n for n, o in enumerate(offsets)
+                 if x_of(o - aj) in (1, p - 1))
+        f = curve.field
+        args = (line_point(f, x_of(-aj), 3), line_point(f, xy[0], 2),
+                line_point(f, x_of(-aj - 1), 5), line_c(curve))
+        with f.counting(OpCounter()) as got:
+            with pytest.raises(ExceptionalInput):
+                ladder3pt(k, *args)
+        _, want = counted(f, lambda: oracle_ladder3pt(k, *args, steps=i))
+        assert got.snapshot() == want
+
+    @settings(max_examples=60)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_stack_pushes(self, curve, extend, data):
+        """`_push`, which pushes a chain's stack and `_carry`'s points
+        through a step: n points under a kernel of s points, s in 1..3,
+        as n `odd_image`s, Z = 0 in points and kernel allowed."""
+        field = loop_field(curve, extend)
+        s, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 5))
+        K, points = draw_points(field, data, s), draw_points(field, data, n)
+        f, raw = _enter((field.one, field.one), *K, *points)
+        got = counted(field, lambda: [_wrap(R, f) for R in _push(
+            raw[s + 1:], raw[1:s + 1], f)])
+        xs, zs = [X for X, _ in K], [Z for _, Z in K]
+        assert got == counted(field, lambda: [
+            counted_odd_image(P, xs, zs) for P in points])
+
+    @settings(max_examples=60)
+    @given(curve=desk_curves(), extend=st.booleans(), data=st.data())
+    def test_kernel_walk(self, curve, extend, data):
+        """`isogeny._multiples`, the walk of `OddKernel.from_x`."""
+        field = loop_field(curve, extend)
+        E = EdwardsCurve(field, field(curve.a.value), field(curve.d.value))
+        (K,), n, c = draw_points(field, data, 1), data.draw(
+            st.integers(1, 9)), E.xline
+        assert counted(field, lambda: _multiples(K, E, n)) == counted(
+            field, lambda: oracle_walk(K, c, n))
+
+    def test_mixed_fields_fail(self):
+        """An operand from another field, F_{2699^2} beside the 247-bit
+        field, raises FieldMismatch from every loop, as the element
+        operators do: the ladders, `xmul`, a chain's generator, a
+        kernel's walk, and the points `_carry` and a chain push."""
+        field, stray = QuadExtField(PrimeField(P247)), QuadExtField(
+            PrimeField(2699))
+        e, x = operand_list(field, 5), operand_list(stray, 5)
+        P, Q, D, c = (e[0], e[1]), (e[2], e[3]), (e[4], e[5]), (e[6], e[7])
+        S, cs = (x[0], x[1]), (x[6], x[7])
+        E = EdwardsCurve(field, field.one, field(-1))
+        params = setup(3, 2, seed=11)
+        chain = IsogenyChain(params.curve, params.basis_a.P, [3, 3, 3])
+        calls = [lambda: xladder(5, S, c), lambda: xladder(5, P, cs),
+                 lambda: xmul(3, S, c, 2), lambda: xmul(5, P, cs),
+                 lambda: ladder3pt(5, S, Q, D, c),
+                 lambda: ladder3pt(5, P, S, D, c),
+                 lambda: ladder3pt(5, P, Q, S, c),
+                 lambda: ladder3pt(5, P, Q, D, cs),
+                 lambda: IsogenyChain(E, S, [3, 3]),
+                 lambda: OddKernel.from_x(S, 5, E),
+                 lambda: _carry(chain.steps, [AffinePoint(*P)]),
+                 lambda: chain(AffinePoint(*P))]
+        for call in calls:
+            with pytest.raises(FieldMismatch):
+                call()
+
+    @pytest.mark.parametrize("call", [
+        lambda P, c: xladder(0, P, c),
+        lambda P, c: xladder(-2, P, c),
+        lambda P, c: xladder(1.5, P, c),
+        lambda P, c: xladder("3", P, c),
+        lambda P, c: xladder(True, P, c),
+        lambda P, c: ladder3pt(-1, P, P, P, c),
+        lambda P, c: ladder3pt(2.0, P, P, P, c),
+        lambda P, c: ladder3pt(None, P, P, P, c),
+        lambda P, c: xmul(1, P, c),
+        lambda P, c: xmul(4, P, c),
+        lambda P, c: xmul(3.0, P, c),
+        lambda P, c: xmul(3, P, c, -1),
+        lambda P, c: xmul(3, P, c, 1.5),
+        lambda P, c: XZPoint(c[0] * 0, c[0] * 0),
+    ], ids=["xladder-0", "xladder-negative", "xladder-float", "xladder-str",
+            "xladder-bool", "ladder3pt-negative", "ladder3pt-float",
+            "ladder3pt-none", "xmul-1", "xmul-even", "xmul-float", "xmul-n-negative",
+            "xmul-n-float", "xzpoint-0-0"])
+    def test_bad_inputs_are_typed(self, e23, call):
+        """A multiplier that is no int or out of range, and (0 : 0) as an
+        XZPoint, raise InvalidParameter, an EdwardsError and ValueError."""
+        with pytest.raises(InvalidParameter):
+            call(line_point(e23.field, 3, 1), line_c(e23))
