@@ -10,11 +10,11 @@ deliberately uncounted.
 `is_probable_prime` proves its answer below the Miller-Rabin
 deterministic bound (about 3.3e24), and above it for every n whose n + 1
 factors over the primes up to 47, which covers all p = cof*3^m*5^n - 1:
-those it proves prime or composite with the N+1 test of Brillhart,
-Lehmer and Selfridge.  Any other n gets `_MR_ROUNDS` Miller-Rabin
-rounds, which for the smooth ones are only the fallback taken if the
-proof's Lucas chains give out.  `PrimeField` refuses a modulus above
-`MAX_MODULUS_BITS` before any round.
+after a Miller-Rabin round on base 2, the N+1 test of Brillhart, Lehmer
+and Selfridge, on the Lucas V of norm-one elements, proves those prime
+or composite.  Any other n gets `_MR_ROUNDS` Miller-Rabin rounds, base 2
+the first, the smooth ones only if the proof's draws give out.
+`PrimeField` refuses a modulus above `MAX_MODULUS_BITS` before any round.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (DivisionByZero, FieldMismatch, InvalidParameter,
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# Lucas chains the N+1 proof may run before Miller-Rabin decides instead.
+# Draws of gamma the N+1 proof may test before Miller-Rabin decides instead.
 _LUCAS_CHAINS = 16
 # Miller-Rabin rounds for an n that no proof decides.
 _MR_ROUNDS = 64
@@ -61,13 +61,12 @@ def is_probable_prime(n: int) -> bool:
 
     Below its proven bound the Miller-Rabin test with the fixed witness
     set decides.  Above it, n must first share no factor with the primes
-    below 10,000 and pass one round on a base drawn from an RNG seeded by
-    n itself (so results are reproducible without sacrificing
-    independence across candidates).  Then, if n + 1 factors over
+    below 10,000 and pass one round on base 2, whose one-digit products
+    make it the cheapest round.  Then, if n + 1 factors over
     `_SMALL_PRIMES`, as it does for every p = cof*3^m*5^n - 1, the N+1
-    test proves n prime or composite (`_lucas_proof`), and the remaining
-    `_MR_ROUNDS - 1` bases of the same seeded sequence run only if its
-    chains give out.
+    test proves n prime or composite (`_lucas_proof`); only if its draws
+    give out do the first `_MR_ROUNDS - 1` bases of an RNG seeded by n
+    itself run (reproducible, and independent across candidates).
     """
     if n < 2:
         return False
@@ -76,14 +75,12 @@ def is_probable_prime(n: int) -> bool:
             return n == q
     if n < _MR_DETERMINISTIC_BOUND:
         return not any(_proves_composite(a, n) for a in _MR_WITNESSES)
-    if math.gcd(n, _TRIAL_PRODUCT) != 1:
-        return False
-    rng = random.Random(n)
-    if _proves_composite(rng.randrange(2, n - 1), n):
+    if math.gcd(n, _TRIAL_PRODUCT) != 1 or _proves_composite(2, n):
         return False
     proven = _lucas_proof(n)
     if proven is not None:
         return proven
+    rng = random.Random(n)
     return not any(_proves_composite(rng.randrange(2, n - 1), n)
                    for _ in range(_MR_ROUNDS - 1))
 
@@ -103,22 +100,27 @@ def _proves_composite(a: int, n: int) -> bool:
 
 def _lucas_proof(n: int) -> bool | None:
     """The N+1 test (Brillhart, Lehmer and Selfridge, Math. Comp. 29,
-    1975, Thm 15) for odd n > 5: True if n is proven prime, False if it
-    is proven composite, None if n + 1 does not factor over
-    `_SMALL_PRIMES` or `_LUCAS_CHAINS` chains decide nothing.
+    1975, Thm 15) for odd n > 5, on the norm-one torus: True if n is
+    proven prime, False if it is proven composite, None if n + 1 does not
+    factor over `_SMALL_PRIMES` or `_LUCAS_CHAINS` draws decide nothing.
 
-    Fix D with Jacobi(D/n) = -1 (Selfridge's 5, -7, 9, ...).  Each odd P,
-    drawn at random as small P are related ((5 + sqrt(-7))/2 is
-    -((1 + sqrt(-7))/2)^3), gives Q = (P^2 - D)/4 and the Lucas sequence U
-    of x^2 - Px + Q.  If n | U_{n+1} for every P tried, and each prime
-    q | n + 1 has some P with gcd(U_{(n+1)/q}, n) = 1, then every prime
-    p | n satisfies p = +-1 (mod n + 1), so p = n.  For prime n the q = 2
-    condition holds exactly when Jacobi(Q/n) = -1, so other P are skipped,
-    and a P whose U_{(n+1)/2} shares a factor with n shows n composite.
+    Fix D with Jacobi(D/n) = -1 (Selfridge's 5, -7, 9, ...).  Draw a at
+    random (small a are related: at D = -7 the gamma of a = 5 is the cube
+    of that of a = 1) with Jacobi((a^2 - D)/n) = -1: alpha = a + sqrt(D)
+    has a unit norm, gamma = alpha/alpha' norm one, and it is tested by
+    V_j = gamma^j + gamma^-j alone, from V_1 = 2(a^2 + D)/(a^2 - D).
+    If V_{n+1} = 2 for every a tried, and each prime q | n + 1 has some a
+    with gcd(V_{(n+1)/q} - 2, n) = 1, then n is prime.  For a prime l | n,
+    V_j = 2 (mod l) exactly when gamma^j = 1, and as D is fixed and
+    gcd(D, n) = 1, every gamma mod l lies in one cyclic group, of order
+    l + 1 or l - 1.  Its elements reach the full q-part of n + 1 for each
+    q, so n + 1 divides l +- 1, and l = n.  For prime n the filter on a
+    makes V_{(n+1)/2} = -2, so a q = 2 gcd of n, or any proper factor,
+    shows n composite.
 
-    With r the product of the distinct q and k = (n + 1)/r, one chain
-    gives U_k, V_k and Q^k, and U_{jk}(P, Q) = U_k * U_j(V_k, Q^k) gives
-    U_{n+1} and each U_{(n+1)/q} from chains of a few bits.
+    With r the product of the distinct q and k = (n + 1)/r, one ladder
+    gives V_k, and V_{jk} = V_j(V_k) gives V_{n+1} and each V_{(n+1)/q}
+    from ladders of a few bits.
     """
     qs = []
     rest = n + 1
@@ -141,17 +143,16 @@ def _lucas_proof(n: int) -> bool | None:
     todo = set(qs)
     chains = 0
     rng = random.Random(f"lucas:{n}")    # apart from the bases' Random(n)
-    # About half the P pass the Jacobi filter.
+    # About half the a pass the Jacobi filter.
     for _ in range(4 * _LUCAS_CHAINS):
-        P = rng.randrange(1 << 63, 1 << 64) | 1
-        Q = (P * P - D) // 4
-        if _jacobi(Q, n) != -1:
+        a = rng.randrange(1 << 63, 1 << 64)
+        if _jacobi(a * a - D, n) != -1:
             continue
-        U, V, Qk = _lucas_chain(P, Q, k, n)
-        if U * _lucas_chain(V, Qk, r, n)[0] % n:
-            return False             # n does not divide U_{n+1}
+        Vk = _lucas_v(2 * (a * a + D) * pow(a * a - D, -1, n) % n, k, n)
+        if _lucas_v(Vk, r, n) != 2:
+            return False             # gamma^(n+1) != 1
         for q in qs:
-            g = math.gcd(U * _lucas_chain(V, Qk, r // q, n)[0], n)
+            g = math.gcd(_lucas_v(Vk, r // q, n) - 2, n)
             if g == 1:
                 todo.discard(q)
             elif g != n or q == 2:
@@ -164,20 +165,17 @@ def _lucas_proof(n: int) -> bool | None:
     return None
 
 
-def _lucas_chain(P: int, Q: int, k: int, n: int) -> tuple[int, int, int]:
-    """(U_k, V_k, Q^k) mod the odd n for x^2 - Px + Q and k >= 1, left to
-    right: U_2j = U_j V_j, V_2j = V_j^2 - 2Q^j, then for a 1 bit
-    U_{j+1} = (P U_j + V_j)/2 and V_{j+1} = (D U_j + P V_j)/2."""
-    D = P * P - 4 * Q
-    U, V, Qk = 1, P % n, Q % n
+def _lucas_v(v: int, k: int, n: int) -> int:
+    """V_k = g^k + g^-k mod n from V_1 = g + 1/g = v, for k >= 1, by a
+    Montgomery ladder on (V_j, V_{j+1}), two products a bit:
+    V_2j = V_j^2 - 2 and V_{2j+1} = V_j V_{j+1} - V_1."""
+    x, y = v, (v * v - 2) % n
     for bit in bin(k)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
         if bit == "1":
-            U, V = (P * U + V) % n, (D * U + P * V) % n
-            U = U >> 1 if U % 2 == 0 else (U + n) >> 1
-            V = V >> 1 if V % 2 == 0 else (V + n) >> 1
-            Qk = Qk * Q % n
-    return U, V, Qk
+            x, y = (x * y - v) % n, (y * y - 2) % n
+        else:
+            x, y = (x * x - 2) % n, (x * y - v) % n
+    return x
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -230,7 +228,8 @@ class PrimeField:
     """The field F_p for a prime p > 3 of at most `MAX_MODULUS_BITS` bits.
 
     Calling the field coerces integers (of either sign) or elements to
-    canonical residues in [0, p); anything else is a TypeError.  The
+    canonical residues in [0, p) of this field (an equal field's element
+    becomes one, uncounted); anything else is a TypeError.  The
     field owns the active OpCounter; swap it per task with `counting()`
     when isolated tallies are needed.
     """
@@ -251,7 +250,7 @@ class PrimeField:
         if isinstance(value, FieldElement):
             if value.field is not self and value.field.p != self.p:
                 raise FieldMismatch(f"element of F_{value.field.p} used in F_{self.p}")
-            return value
+            return value if value.field is self else FieldElement(value.value, self)
         return FieldElement(operator.index(value) % self.p, self)
 
     @property

@@ -55,7 +55,7 @@ class QuadExtField:
         if isinstance(c0, QuadExtElement):
             if c0.field.p != self.p:
                 raise FieldMismatch(f"element of F_{c0.field.p}^2 used in F_{self.p}^2")
-            return c0
+            return c0 if c0.field is self else QuadExtElement(c0._c0, c0._c1, self)
         return QuadExtElement(self.base(c0).value, self.base(c1).value, self)
 
     @property

@@ -68,8 +68,8 @@ class OddKernel:
     order l = 2s+1, as the list `K` of their x-line points (X_i, Z_i).
     A kernel from a full point Q keeps it as `generator`; from x alone
     it and `points`, the representatives with their y, are None.  The
-    affine views, `xs` and `points`, are made on first read by one
-    inversion each, unless a shared inversion has set them first."""
+    affine views are made on first read, from x alone `xs` by a `_divide`,
+    from a generator both by the one of `points`, unless a shared one has."""
 
     def __init__(self, domain: EdwardsCurve, degree: int, K: list):
         self.domain, self.degree, self.K = domain, degree, K
@@ -128,7 +128,8 @@ class OddKernel:
         sK by s - 1 x-line operations, none at l = 3, an `xdbl` at l = 5."""
         return cls(domain, degree, _multiples(K, domain, degree // 2))
 
-    xs = cached_property(lambda self: _divide(self.K))
+    xs = cached_property(lambda self: _divide(self.K) if self.generator is None
+                         else [P.x for P in self.points])
     A = cached_property(lambda self: _product(self.xs))
 
     def _fractions(self) -> list:

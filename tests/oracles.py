@@ -15,6 +15,8 @@ operators tally each M, S and A.  The library computes those formulas on
 raw ints and adds a fixed tally a call; these show what it must add.
 Beside them stands `run_5_isog`, the paper's one-pass 5-isogeny, which
 the library does not run: its chains take `odd_codomain` and `odd_image`.
+Last, `_lucas_chain` is the U, V and Q^k Lucas chain that the N+1
+primality proof ran before it tested V alone.
 """
 
 from edwards_isogeny.xonly import ProjParams, XZPoint, _eval_5, get_5_isog
@@ -422,3 +424,19 @@ def run_5_isog(P: XZPoint, K1: XZPoint, K2: XZPoint,
     squares.  cost: 21M+12S."""
     image, l1, l2 = _eval_5(P, K1, K2, d)
     return image, get_5_isog(K1, K2, d, (l1, l2))
+
+
+def _lucas_chain(P: int, Q: int, k: int, n: int) -> tuple[int, int, int]:
+    """(U_k, V_k, Q^k) mod the odd n for x^2 - Px + Q and k >= 1, left to
+    right: U_2j = U_j V_j, V_2j = V_j^2 - 2Q^j, then for a 1 bit
+    U_{j+1} = (P U_j + V_j)/2 and V_{j+1} = (D U_j + P V_j)/2."""
+    D = P * P - 4 * Q
+    U, V, Qk = 1, P % n, Q % n
+    for bit in bin(k)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (P * U + V) % n, (D * U + P * V) % n
+            U = U >> 1 if U % 2 == 0 else (U + n) >> 1
+            V = V >> 1 if V % 2 == 0 else (V + n) >> 1
+            Qk = Qk * Q % n
+    return U, V, Qk

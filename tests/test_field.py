@@ -2,17 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edwards_isogeny import (DivisionByZero, FieldMismatch, InvalidParameter,
                              NotASquare, OpCounter, PrimeField,
                              is_probable_prime)
 from edwards_isogeny import field
 from edwards_isogeny.field import (MAX_MODULUS_BITS, _MR_DETERMINISTIC_BOUND,
-                                   _SMALL_PRIMES, _jacobi, _lucas_chain,
-                                   _lucas_proof)
+                                   _SMALL_PRIMES, _jacobi, _lucas_proof,
+                                   _lucas_v)
 from edwards_isogeny.supersingular import MAX_TARGET_BITS, MAX_TOLERANCE
 
-from oracles import euler_chi
+from oracles import _lucas_chain, euler_chi
 
 
 @pytest.fixture
@@ -26,6 +28,22 @@ def f19():
 
 
 class TestConstruction:
+    def test_equal_field_element_becomes_ours(self, f23):
+        """Calling a field returns its own elements as they are, and an
+        element of an equal but distinct field as a new one of its own,
+        uncounted on either field."""
+        other = PrimeField(23)
+        x = other(5)
+        with f23.counting(OpCounter()) as ours, \
+                other.counting(OpCounter()) as theirs:
+            y = f23(x)
+            assert f23(y) is y
+        assert y.field is f23 and y == x
+        assert ours.as_dict() == theirs.as_dict() == {"M": 0, "S": 0,
+                                                      "I": 0, "A": 0}
+        y * y
+        assert f23.counter.m == 1 and other.counter.m == 0
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             PrimeField(21)
@@ -284,8 +302,9 @@ class TestLucasProof:
             assert _lucas_proof(n) is False
 
     def test_lucas_pseudoprimes_are_rejected(self):
-        """n | U_{n+1} for every P at 323 = 17*19 and 11663 = 107*109;
-        a zero U_{(n+1)/2} after Jacobi(Q/n) = -1 shows them composite."""
+        """n | U_{n+1} for every P at 323 = 17*19 and 11663 = 107*109
+        (the oracle's chain at P = 1, Q = -1); the proof's V_{(n+1)/2} = 2,
+        where its Jacobi filter makes a prime's -2, shows them composite."""
         for n in (323, 11663):
             assert _lucas_chain(1, -1, n + 1, n)[0] == 0
             assert _lucas_proof(n) is False
@@ -309,7 +328,8 @@ class TestLucasProof:
         assert _lucas_proof(_sidh(4, 238, 165) * _sidh(4, 74, 55)) is None
 
     def test_no_fallback_for_the_763_bit_row(self, monkeypatch):
-        """One Miller-Rabin round, then the proof: no fallback bases."""
+        """One Miller-Rabin round, on base 2, then the proof: no fallback
+        bases."""
         bases = []
 
         def record(a, n):
@@ -318,27 +338,29 @@ class TestLucasProof:
         monkeypatch.setattr(field, "_proves_composite", record)
         assert is_probable_prime(_sidh(4, 238, 165))
         assert len(bases) == 1
+        assert bases[0] == 2
 
     def test_fallback_when_the_chains_give_out(self, monkeypatch):
-        """The 247-bit prime needs several chains; with one allowed the
+        """The 247-bit prime needs two chains; with one allowed the
         proof runs one and gives up, and the remaining Miller-Rabin
         rounds decide."""
         p = _sidh(4, 74, 55)
         lengths = []
-        chain = field._lucas_chain
+        ladder = field._lucas_v
 
-        def counted(P, Q, k, n):
+        def counted(v, k, n):
             lengths.append(k)
-            return chain(P, Q, k, n)
+            return ladder(v, k, n)
         monkeypatch.setattr(field, "_LUCAS_CHAINS", 1)
-        monkeypatch.setattr(field, "_lucas_chain", counted)
+        monkeypatch.setattr(field, "_lucas_v", counted)
         assert _lucas_proof(p) is None
         assert sum(k > 2 ** 64 for k in lengths) == 1
         assert is_probable_prime(p)
 
     def test_fallback_continues_the_seeded_bases(self, monkeypatch):
-        """Without a proof, n > bound gets `_MR_ROUNDS` bases in all: the
-        same sequence, drawn from random.Random(n), as before the proof."""
+        """Without a proof, n > bound gets `_MR_ROUNDS` bases in all: base
+        2 before the proof, then the first bases drawn from
+        random.Random(n)."""
         p = _sidh(4, 238, 165)
         bases = []
 
@@ -350,7 +372,7 @@ class TestLucasProof:
         monkeypatch.setattr(field, "_MR_ROUNDS", 5)
         assert is_probable_prime(p)
         rng = random.Random(p)
-        assert bases == [rng.randrange(2, p - 1) for _ in range(5)]
+        assert bases == [2] + [rng.randrange(2, p - 1) for _ in range(4)]
 
     def test_small_factors_cost_no_round(self, monkeypatch):
         def no_round(a, n):
@@ -371,6 +393,19 @@ class TestLucasProof:
             for k in range(1, 100):
                 assert _lucas_chain(P, Q, k, n) == (
                     U[k] % n, V[k] % n, pow(Q, k, n))
+
+    @given(st.integers(1, 2 ** 200).map(lambda h: 2 * h + 1),
+           st.integers(0, 2 ** 256),
+           st.one_of(st.sampled_from([1, 2]),
+                     st.integers(0, 70).map(lambda e: 2 ** e),
+                     st.integers(1, 2 ** 80)),
+           st.integers(1, 40))
+    def test_v_ladder_matches_the_chain(self, n, v, k, j):
+        """The V ladder is the oracle's V_k at Q = 1, and V_jk = V_j(V_k)."""
+        v %= n
+        Vk = _lucas_v(v, k, n)
+        assert Vk == _lucas_chain(v, 1, k, n)[1]
+        assert _lucas_v(Vk, j, n) == _lucas_v(v, j * k, n)
 
     def test_jacobi(self):
         for p in (3, 5, 7, 23, 59, 2699):

@@ -52,6 +52,19 @@ class TestModel:
             f19_2(f23_2(3, 4))
 
 
+    def test_equal_field_element_becomes_ours(self, f19_2):
+        """An element of an equal but distinct F_{p^2}, or of an equal
+        base field, becomes an element of this field, uncounted, so its
+        arithmetic tallies here."""
+        other = QuadExtField(PrimeField(19))
+        x = f19_2(other(3, 4))
+        assert x.field is f19_2 and x == f19_2(3, 4)
+        assert f19_2(other.base(7)).field is f19_2
+        assert f19_2.counter.m == other.counter.m == 0
+        x * x
+        assert f19_2.counter.ext_m == 1 and other.counter.ext_m == 0
+
+
 class TestArithmetic:
     def test_i_squared(self, f19_2):
         i = f19_2(0, 1)

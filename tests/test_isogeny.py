@@ -116,6 +116,19 @@ class TestKernel:
         _affine_views([twin], [])
         assert twin.kernel.points == points
 
+    @pytest.mark.parametrize("first", ["A", "xs", "points"])
+    def test_views_share_one_divide_in_either_order(self, phi5, first):
+        """On the F_19 order-5 kernel, `A` or `xs` read before `points`
+        takes the one `_divide` of `_fractions` that `points` makes:
+        16M + 4S + 1I + 14A, and 1M for the product A, in any order."""
+        kernel = phi5.kernel
+        with phi5.domain.field.counting(OpCounter()) as ctx:
+            getattr(kernel, first)
+            A, points = kernel.A, kernel.points
+        assert ctx.as_dict() == {"M": 17, "S": 4, "I": 1, "A": 14}
+        assert kernel.xs == [P.x for P in points]
+        assert A == points[0].x * points[1].x
+
     def test_kernel_point_relation(self, phi3, phi5):
         """beta^2 = (1 - alpha^2)/(1 - d*alpha^2) for every representative."""
         for phi in (phi3, phi5):

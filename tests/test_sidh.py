@@ -398,6 +398,29 @@ class TestSharedSecret:
                 assert annihilated
                 checked += 1
 
+    def test_key_from_an_equal_field_counts_on_the_params(self):
+        """A public key parsed in a second, equal F_{p^2} is coerced into
+        the params' field: the derive tallies on `params.field.counter`
+        exactly as with the params' own key (378M + 2S + 1I at (3, 2)),
+        nothing on the key's field, and gives the same j."""
+        params = setup(3, 2, seed=1)
+        kp_a, kp_b = keygen(params, SIDE_A, 5), keygen(params, SIDE_B, 7)
+        other = QuadExtField(PrimeField(params.p))
+        doc = kp_b.public.to_json()
+        foreign = PublicKey(other.parse(doc["d_prime"]),
+                            *(AffinePoint.from_json(doc[k], other)
+                              for k in ("image_p", "image_q")))
+        counts, js = [], []
+        for key in (kp_b.public, foreign):
+            with params.field.counting(OpCounter()) as ctx, \
+                    other.counting(OpCounter()) as theirs:
+                js.append(derive_shared(params, kp_a, key))
+            counts.append(ctx.as_dict())
+            assert theirs.snapshot() == (0,) * 8
+        assert counts[0] == counts[1]
+        assert (counts[0]["M"], counts[0]["S"], counts[0]["I"]) == (378, 2, 1)
+        assert js[0] == js[1] and js[1].field is params.field
+
     def test_malformed_public_key(self, params59):
         kp_a = keygen(params59, SIDE_A, 1)
         kp_b = keygen(params59, SIDE_B, 1)
