@@ -13,19 +13,19 @@ C = x1*x2, D = y1*y2, E = d*C*D and H = x1*y2 + x2*y1,
 
     (x1, y1) + (x2, y2) = ((C - a*D)/(1 - E), H/(1 + E)),
 
-made by one inversion of the product of the two denominators: 10M and
-one inversion at a = 1, the product by d included.  For a point on the
-curve, d*x^2*y^2 = x^2 + a*y^2 - 1 turns the doubling denominators into
-2 - x^2 - a*y^2 and x^2 + a*y^2, so with B = x^2, C = a*y^2, D = B + C
-and H = 2xy,
+made affine by `field._divide`, which skips a unit denominator: 10M
+and one inversion at a = 1, the product by d included; 5M for P + O.
+For a point on the curve, d*x^2*y^2 = x^2 + a*y^2 - 1 turns the
+doubling denominators into 2 - x^2 - a*y^2 and x^2 + a*y^2, so with
+B = x^2, C = a*y^2, D = B + C and H = 2xy,
 
     2(x, y) = ((B - C)/(2 - D), H/D)
 
-(5M + 3S and one inversion when a = 1).  A denominator is zero exactly
-when the result is a singular point at infinity, and `ExceptionalPair`
-is raised there.  `scalar_mul` and `point_order` multiply on the x-line,
-by `xonly.xladder`, which passes the points at infinity; `scalar_mul`
-lifts k*P by `recover_xy`.
+(5M + 3S and one inversion when a = 1; 3S for 2*O).  A denominator is
+zero exactly when the result is a singular point at infinity, and
+`ExceptionalPair` is raised there.  `scalar_mul` and `point_order`
+multiply on the x-line, by `xonly.xladder`, which passes the points at
+infinity; `scalar_mul` lifts k*P by `recover_xy` and `_divide`.
 
 `points`, `order`, `singular_count` and `special_points` are desk-scale
 diagnostics, `check_point` an input check, and `class_tag`, `to_json`,
@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .errors import (DeskScaleOnly, ExceptionalPair, InvalidCurve,
                      InvalidParameter, InvalidTwist, NotOnCurve, ProtocolError,
                      check_int)
-from .field import Element, OpCounter, PrimeField
+from .field import Element, OpCounter, PrimeField, _divide
 from .field_ext import QuadExtField
 from .xonly import ProjParams, recover_xy, xladder
 
@@ -179,8 +179,8 @@ class EdwardsCurve:
         return x2 + self._times_a(y2) == self.field.one + self.d * x2 * y2
 
     def add(self, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
-        """(x1,y1) + (x2,y2) with x-numerator x1*x2 - a*y1*y2, by one
-        inversion of F*G, F and G = 1 -+ d*x1*x2*y1*y2.  Raises
+        """(x1,y1) + (x2,y2) with x-numerator x1*x2 - a*y1*y2, over
+        F and G = 1 -+ d*x1*x2*y1*y2, by one `_divide`.  Raises
         ExceptionalPair when the sum is a singular point at infinity."""
         check_pair(P, "P")
         check_pair(Q, "Q")
@@ -188,17 +188,14 @@ class EdwardsCurve:
         C = x1 * x2
         D = y1 * y2
         E = self.d * C * D
-        F = 1 - E
-        G = 1 + E
-        den = F * G
-        if den.is_zero():
+        F, G = 1 - E, 1 + E
+        if F.is_zero() or G.is_zero():
             raise ExceptionalPair("sum lies at infinity")
-        inv = den.inverse()
         H = (x1 + y1) * (x2 + y2) - C - D
-        return AffinePoint((C - self._times_a(D)) * G * inv, H * F * inv)
+        return AffinePoint(*_divide([(C - self._times_a(D), F), (H, G)]))
 
     def double(self, P: AffinePoint) -> AffinePoint:
-        """2P, by one inversion of F*D, F = 2 - D and D = x^2 + a*y^2.
+        """2P over F = 2 - D and D = x^2 + a*y^2, by one `_divide`.
         P must lie on the curve: the formula uses its equation."""
         check_pair(P, "point")
         x, y = P
@@ -207,16 +204,14 @@ class EdwardsCurve:
         C = self._times_a(Y2)
         D = B + C
         F = 2 - D
-        den = F * D
-        if den.is_zero():
+        if F.is_zero() or D.is_zero():
             raise ExceptionalPair("double lies at infinity")
-        inv = den.inverse()
         H = (x + y).square() - B - Y2
-        return AffinePoint((B - C) * D * inv, H * F * inv)
+        return AffinePoint(*_divide([(B - C, F), (H, D)]))
 
     def scalar_mul(self, k: int, P: AffinePoint) -> AffinePoint:
         """k*P by `xladder` on `xline`, y by `recover_xy` and one
-        inversion; 0*P = O and k*P = |k|*(-P).  The ladder passes the
+        `_divide`; 0*P = O and k*P = |k|*(-P).  The ladder passes the
         points at infinity, so ExceptionalPair comes exactly when k*P is
         one (Z = 0, or y's denominator is).  P must lie on the curve."""
         check_int(k, "k")
@@ -230,8 +225,7 @@ class EdwardsCurve:
         (X, Z), (num, den) = recover_xy((x, y), Q, S, self.a, self.d)
         if Z.is_zero() or den.is_zero():
             raise ExceptionalPair(f"{k}*P lies at infinity")
-        inv = (Z * den).inverse()
-        return AffinePoint(X * den * inv, num * Z * inv)
+        return AffinePoint(*_divide([(X, Z), (num, den)]))
 
     def _times_a(self, v):
         return v if self.a == 1 else self.a * v

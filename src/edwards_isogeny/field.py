@@ -23,6 +23,7 @@ import math
 import operator
 import random
 from contextlib import contextmanager
+from itertools import accumulate
 
 from .errors import (DivisionByZero, FieldMismatch, InvalidParameter,
                      NotASquare, check_int)
@@ -229,7 +230,7 @@ class PrimeField:
 
     Calling the field coerces integers (of either sign) or elements to
     canonical residues in [0, p) of this field (an equal field's element
-    becomes one, uncounted); anything else is a TypeError.  The
+    becomes one, uncounted); anything else is InvalidParameter.  The
     field owns the active OpCounter; swap it per task with `counting()`
     when isolated tallies are needed.
     """
@@ -251,7 +252,10 @@ class PrimeField:
             if value.field is not self and value.field.p != self.p:
                 raise FieldMismatch(f"element of F_{value.field.p} used in F_{self.p}")
             return value if value.field is self else FieldElement(value.value, self)
-        return FieldElement(operator.index(value) % self.p, self)
+        try:
+            return FieldElement(operator.index(value) % self.p, self)
+        except TypeError:
+            raise InvalidParameter(f"{value!r} is not an int mod {self.p}") from None
 
     @property
     def zero(self) -> FieldElement:
@@ -321,6 +325,24 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def _divide(fractions: list) -> list:
+    """n/d for each pair (n, d), with one inversion by Montgomery's
+    trick: 3(k - 1)M for the k denominators other than one, then 1M a
+    quotient.  The callers pass no zero denominator; one would raise
+    DivisionByZero."""
+    dens = [d for _, d in fractions if d != 1]
+    if not dens:
+        return [n for n, _ in fractions]
+    prefix = list(accumulate(dens, operator.mul))
+    inv = prefix[-1].inverse()
+    inverses = [None] * len(dens)
+    for i in range(len(dens) - 1, 0, -1):
+        inverses[i], inv = inv * prefix[i - 1], inv * dens[i]
+    inverses[0] = inv
+    it = iter(inverses)
+    return [n if d == 1 else n * next(it) for n, d in fractions]
 
 
 def _tonelli_shanks(v: int, p: int) -> int:

@@ -35,9 +35,10 @@ from .curve import (DESK_SCALE_LIMIT, AffinePoint, EdwardsCurve,
 from .errors import (BadKernelGenerator, DeskScaleOnly, EvenDegreeUnsupported,
                      ExceptionalInput, ExceptionalPair, InvalidParameter,
                      NotASquare, NotOnCurve, check_int, check_type)
+from .field import _divide
 from .xonly import (FP2, XADD, XDBL, ProjParams, _charge_line, _enter, _fold,
-                    _ladder_ops, _odd, _push, _wrap, _xadd, _xdbl, element,
-                    get_3_isog, odd_codomain, odd_rows, recover_xy)
+                    _ladder_ops, _odd, _push, _wrap, _xadd, _xdbl, get_3_isog,
+                    odd_codomain, odd_rows, recover_xy)
 
 
 def _check_degree(degree: int):
@@ -68,8 +69,8 @@ class OddKernel:
     order l = 2s+1, as the list `K` of their x-line points (X_i, Z_i).
     A kernel from a full point Q keeps it as `generator`; from x alone
     it and `points`, the representatives with their y, are None.  The
-    affine views are made on first read, from x alone `xs` by a `_divide`,
-    from a generator both by the one of `points`, unless a shared one has."""
+    affine views are made together on first read of either, by one
+    `_divide` of `_fractions`, unless a shared one has."""
 
     def __init__(self, domain: EdwardsCurve, degree: int, K: list):
         self.domain, self.degree, self.K = domain, degree, K
@@ -128,8 +129,6 @@ class OddKernel:
         sK by s - 1 x-line operations, none at l = 3, an `xdbl` at l = 5."""
         return cls(domain, degree, _multiples(K, domain, degree // 2))
 
-    xs = cached_property(lambda self: _divide(self.K) if self.generator is None
-                         else [P.x for P in self.points])
     A = cached_property(lambda self: _product(self.xs))
 
     def _fractions(self) -> list:
@@ -140,20 +139,23 @@ class OddKernel:
         return K + [recover_xy(Q, P, R, E.a, E.d)[1] for P, R in
                     zip(K[1:], K[2:] + K[-1:]) if Q is not None]
 
-    def _set_views(self, quotients) -> list[AffinePoint] | None:
+    def _set_views(self, quotients) -> list:
         """Set `xs`, and `points` from a generator, from the quotients of
-        `_fractions`, taken off the front of `quotients`; return `points`."""
+        `_fractions`, taken off the front of `quotients`; return `xs`."""
         q, n = iter(quotients), len(self.K)
         self.xs = [*islice(q, n)]
         if self.generator is not None:
             ys = [self.generator.y, *islice(q, n - 1)]
             self.points = [*map(AffinePoint, self.xs, ys)]
-            return self.points
+        return self.xs
+
+    xs = cached_property(
+        lambda self: self._set_views(_divide(self._fractions())))
 
     @cached_property
     def points(self) -> list[AffinePoint] | None:
-        """Q, ..., sQ with their y, and `xs`, by one `_divide`."""
-        return self.generator and self._set_views(_divide(self._fractions()))
+        """Q, ..., sQ with their y, set with `xs` from a generator."""
+        return self.generator and self.xs and vars(self)["points"]
 
     def full_points(self) -> list[AffinePoint]:
         """The whole subgroup of a kernel from a generator: O and ±Q_i."""
@@ -222,7 +224,7 @@ class OddIsogeny:
         XX, ZZ = X.square(), Z.square()
         cy, terms = self._y_map
         den = _product(cz2 * ZZ - dx2 * XX for cz2, dx2 in terms)
-        plus, minus = (element(*v, X.field) for v in (plus, minus))
+        plus, minus = _wrap((*plus, *minus), X.field)
         return Xn, Zn, Y * cy * (plus * minus), W * den
 
 
@@ -292,24 +294,6 @@ def _affine_views(steps: list, points: list, *fractions) -> tuple:
         s.codomain.d = s.codomain._times_a(next(q))
         s.kernel._set_views(q)
     return images, list(q)
-
-
-def _divide(fractions: list) -> list:
-    """n/d for each pair (n, d), with one inversion by Montgomery's
-    trick: 3(k - 1)M for the k denominators other than one, then 1M a
-    quotient.  The callers pass no zero denominator; one would raise
-    DivisionByZero."""
-    dens = [d for _, d in fractions if d != 1]
-    if not dens:
-        return [n for n, _ in fractions]
-    prefix = list(accumulate(dens, mul))
-    inv = prefix[-1].inverse()
-    inverses = [None] * len(dens)
-    for i in range(len(dens) - 1, 0, -1):
-        inverses[i], inv = inv * prefix[i - 1], inv * dens[i]
-    inverses[0] = inv
-    it = iter(inverses)
-    return [n if d == 1 else n * next(it) for n, d in fractions]
 
 
 def recover_y(x, curve: EdwardsCurve) -> AffinePoint:

@@ -23,9 +23,9 @@ from .curve import AffinePoint, EdwardsCurve
 from .errors import (DeskScaleOnly, EdwardsError, ExceptionalInput,
                      ExceptionalPair, InvalidParameter, NotOnCurve,
                      ProtocolError, SetupFailed, check_int, check_type)
-from .field import OpCounter, PrimeField, is_probable_prime
+from .field import OpCounter, PrimeField, _divide, is_probable_prime
 from .field_ext import QuadExtField
-from .isogeny import IsogenyChain, OddKernel, _carry, _divide, recover_y
+from .isogeny import IsogenyChain, OddKernel, _carry, recover_y
 from .xonly import ladder3pt, recover_xy, xladder, xmul
 
 DESK_PRIME_LIMIT = 10_000

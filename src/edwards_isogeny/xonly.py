@@ -238,13 +238,6 @@ def _xodd(P: tuple, K: list, p: int) -> tuple:
             (F1 - G1) % p), plus, minus
 
 
-def element(c0: int, c1: int, f):
-    """The element c0 + c1 i of the field f, from raw parts mod p."""
-    if type(f) is QuadExtField:
-        return QuadExtElement(c0, c1, f)
-    return FieldElement(c0, f)
-
-
 def odd_codomain(K: list, D, C, l: int) -> ProjParams:
     """(D', C') = (D^(l-4) (D X^2)^4, C^(l-4) (C Z^2)^4) for X = prod X_i
     and Z = prod Z_i, that is (X^8 D^l, Z^8 C^l) and d' = D'/C', for the

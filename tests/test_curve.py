@@ -361,6 +361,33 @@ class TestScalarMulOraclesAndCosts:
                 op()
             assert {k: ctx.as_dict()[k] for k in want} == want
 
+    @pytest.mark.parametrize("op,k,points,want,cost", [
+        ("add", None, [(2, 2), (1, 0)], (2, 2), (5, 0, 0)),
+        ("add", None, [(2, 2), (-1, 0)], (-2, -2), (5, 0, 0)),
+        ("add", None, [(2, 2), (0, 1)], (-2, 2), (5, 0, 0)),
+        ("double", None, [(0, 1)], (-1, 0), (0, 3, 0)),
+        ("double", None, [(1, 0)], (1, 0), (0, 3, 0)),
+        ("scalar_mul", 7, [(2, 2)], (2, -2), (17, 10, 0)),
+        ("scalar_mul", 8, [(2, 2)], (1, 0), (22, 12, 1)),
+        ("scalar_mul", 5, [(2, 2)], (-2, -2), (26, 12, 1))],
+        ids=["P+O", "P+D0", "P+F0", "2F0", "2O", "7P", "8P", "5P"])
+    def test_unit_denominators_cost_nothing(self, e23, op, k, points, want,
+                                            cost):
+        """`_divide` skips a denominator equal to one, so a sum with O,
+        (-1, 0) or (0, 1), whose two denominators are one, takes 5M and
+        no inversion, the doubles of O and (0, 1) 3S alone, and k*P
+        (P = (2, 2) of order 8) 5M and the inversion less at 7P = -P, 4M
+        less at 8P = O and at 5P, where one of the two is one.  The
+        values are `naive_add`'s and `naive_scalar_mul`'s."""
+        P = [pt(e23, *V) for V in points]
+        with e23.field.counting(OpCounter()) as ctx:
+            got = getattr(e23, op)(*P if k is None else [k, *P])
+        assert (ctx.m, ctx.s, ctx.i) == cost
+        raws = [raw_point(V) for V in P]
+        oracle = (naive_add(raws[0], raws[-1], 23, 1, -1) if k is None
+                  else naive_scalar_mul(k, raws[0], 23, 1, -1))
+        assert raw_point(got) == oracle == tuple(v % 23 for v in want)
+
 
 class TestPointOrder:
     def test_neutral(self, e23):

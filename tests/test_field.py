@@ -1,19 +1,22 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edwards_isogeny import (DivisionByZero, FieldMismatch, InvalidParameter,
-                             NotASquare, OpCounter, PrimeField,
-                             is_probable_prime)
+from edwards_isogeny import (DivisionByZero, EdwardsCurve, FieldMismatch,
+                             InvalidParameter, NotASquare, OpCounter,
+                             PrimeField, QuadExtField, is_probable_prime,
+                             recover_y)
 from edwards_isogeny import field
 from edwards_isogeny.field import (MAX_MODULUS_BITS, _MR_DETERMINISTIC_BOUND,
-                                   _SMALL_PRIMES, _jacobi, _lucas_proof,
-                                   _lucas_v)
+                                   _SMALL_PRIMES, _divide, _jacobi,
+                                   _lucas_proof, _lucas_v)
 from edwards_isogeny.supersingular import MAX_TARGET_BITS, MAX_TOLERANCE
 
+from conftest import DESK_PRIMES
 from oracles import _lucas_chain, euler_chi
 
 
@@ -98,8 +101,26 @@ class TestConstruction:
 
     def test_rejects_non_integers(self, f23):
         for bad in (2.7, 2.0, "5"):
-            with pytest.raises(TypeError):
+            with pytest.raises(InvalidParameter):
                 f23(bad)
+
+    @pytest.mark.parametrize("make,named", [
+        (lambda F, E: F(1.5), "1.5"),
+        (lambda F, E: F("5"), "'5'"),
+        (lambda F, E: QuadExtField(F)(1.5), "1.5"),
+        (lambda F, E: recover_y(None, E), "None"),
+        (lambda F, E: EdwardsCurve(F, "a", 1), "'a'"),
+        (lambda F, E: QuadExtField(7), "7")],
+        ids=["float", "str", "ext_float", "recover_y_none", "curve_str",
+             "ext_of_int"])
+    def test_non_integer_inputs_are_typed(self, f23, make, named):
+        """A value that is neither an int nor an element, given to a
+        field, an extension, `recover_y` or a curve, or a base that is
+        not a PrimeField, raises InvalidParameter naming it; each was a
+        bare TypeError or AttributeError."""
+        E = EdwardsCurve(f23, f23.one, f23(-1))
+        with pytest.raises(InvalidParameter, match=re.escape(named)):
+            make(f23, E)
 
 
 class TestArithmetic:
@@ -197,6 +218,51 @@ class TestCounting:
             f23(2) * f23(3)
         assert ctx.m == 1
         assert f23.counter is outer
+
+
+def desk_fields():
+    """F_p, or F_{p^2} for p = 3 (mod 4), over the desk primes."""
+    fp = st.sampled_from(DESK_PRIMES).map(PrimeField)
+    return fp | fp.filter(lambda F: F.p % 4 == 3).map(QuadExtField)
+
+
+def fractions(field):
+    """Lists of (n, d), d nonzero, about half of the d equal to one."""
+    def element(nonzero):
+        return st.builds(field.random_element, st.randoms()).filter(
+            lambda v: not (nonzero and v.is_zero()))
+    den = st.one_of(st.just(field.one), element(nonzero=True))
+    return st.lists(st.tuples(element(nonzero=False), den), max_size=8)
+
+
+class TestDivide:
+    """`_divide`, the one batch inversion of the library."""
+
+    @given(data=st.data())
+    def test_quotients_and_tally(self, data):
+        """Each quotient is n/d taken alone, and the tally is the
+        docstring's: 3(k - 1)M + 1I for the k denominators other than
+        one, then 1M a quotient over one of them; on F_{p^2} the same
+        in extension operations."""
+        F = data.draw(desk_fields())
+        fracs = data.draw(fractions(F))
+        k = sum(d != 1 for _, d in fracs)
+        with F.counting(OpCounter()) as ctx:
+            got = _divide(fracs)
+        if k:
+            tally = ctx.ext_as_dict() if F.degree == 2 else ctx.as_dict()
+            assert tally == {"M": 4 * k - 3, "S": 0, "I": 1, "A": 0}
+        else:
+            assert ctx.snapshot() == OpCounter().snapshot()
+        assert got == [n / d for n, d in fracs]
+
+    @given(F=desk_fields(), data=st.data())
+    def test_zero_denominator_raises(self, F, data):
+        fracs = data.draw(fractions(F))
+        at = data.draw(st.integers(0, len(fracs)))
+        fracs.insert(at, (F.one, F.zero))
+        with pytest.raises(DivisionByZero):
+            _divide(fracs)
 
 
 class TestChi:

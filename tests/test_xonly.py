@@ -13,9 +13,8 @@ from edwards_isogeny import (AffinePoint, EdwardsCurve, ExceptionalInput,
                              get_5_isog, recover_y, setup)
 from edwards_isogeny.isogeny import _carry, _multiples
 from edwards_isogeny.xonly import (FP, FP2, XDBL, _enter, _odd, _push, _wrap,
-                                   element, ladder3pt, odd_codomain,
-                                   odd_image, recover_xy, xadd, xdbl, xladder,
-                                   xmul)
+                                   ladder3pt, odd_codomain, odd_image,
+                                   recover_xy, xadd, xdbl, xladder, xmul)
 
 from conftest import desk_curves, ladder_offsets, pt
 from oracles import (counted_get_3_isog, counted_odd, counted_odd_codomain,
@@ -605,7 +604,7 @@ def image_and_products(P, K):
     """`odd_image`'s image and the two products it squares, as
     `OddIsogeny.image` takes them from `xonly._odd`."""
     X, Z, plus, minus = _odd(P, K)
-    return X, Z, element(*plus, X.field), element(*minus, X.field)
+    return X, Z, *_wrap((*plus, *minus), X.field)
 
 
 def lists(K):
